@@ -11,6 +11,11 @@ only.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import tempfile
+
 from biobloom_ray.io import cheap_count as _cheap_count
 from biobloom_ray.io import read_parquet as _rp
 import numpy as np
@@ -2915,11 +2920,10 @@ def contamination_topk(sf_dir: str, n: int = 3,
                               .astype(np.int64))})
 
     parts_ds = ds.map_batches(hits, batch_format="pyarrow")
+    schema = {"tg": object, "n_docs": np.int64, "n_occ": np.int64}
     n_rows = _cheap_count(ds)
     if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds, {"tg": object,
-                                        "n_docs": np.int64,
-                                        "n_occ": np.int64})
+        agg = (_parts_pandas(parts_ds, schema)
                .groupby("tg", as_index=False)[["n_docs", "n_occ"]]
                .sum())
     else:
@@ -2934,8 +2938,8 @@ def contamination_topk(sf_dir: str, n: int = 3,
                               ascending=[False, True]).head(k),
                 preserve_index=False)
 
-        agg = (g.map_batches(local_topk, batch_format="pyarrow")
-               .to_pandas())
+        agg = _parts_pandas(g.map_batches(local_topk,
+                                          batch_format="pyarrow"), schema)
     out = (agg.sort_values(["n_docs", "tg"], ascending=[False, True])
            .head(k).reset_index(drop=True))
     out["n_docs"] = out.n_docs.astype(np.int64)
@@ -14897,42 +14901,29 @@ def order_size_distribution(sf_dir: str):
     return out.sort_values("n_items").reset_index(drop=True)
 
 
-def curation_run_summary(sf_dir: str):
-    """The RESUMABLE CURATION RUNNER under the correctness oracle: the
-    documents table splits into two deterministic doc_id-ordered
-    fragments under /tmp, `run_partitioned_curation` executes its full
-    per-partition DAG (alpha gate → within-partition first-wins dedup
-    → cross-partition dedup vs the seen-key checkpoint → crash-atomic
-    publish), and the published partitions roll up to per-lang kept
-    counts.  Because fragments are doc_id-ordered, the runner's
-    first-wins semantics equal the SQL twin's global
-    min-doc_id-per-text rule — so the whole checkpointed runner, not
-    just its kernels, is oracle-checked."""
-    import hashlib
-    import os
-    import shutil
-    import tempfile
-
-    from biobloom_ray.pipelines.resumable import (
-        run_partitioned_curation)
-
+@contextlib.contextmanager
+def _two_fragment_corpus(sf_dir: str):
+    """The runner queries' input: the documents table split into two
+    doc_id-ordered fragments in a fresh ``mkdtemp`` directory.  Yields
+    ``(in_dir, out_dir)`` and removes the directory on exit, so
+    concurrent calls never share or delete each other's files."""
     docs = _read(sf_dir, "documents",
                  columns=["doc_id", "lang", "text"]).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    tag = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    base = os.path.join(tempfile.gettempdir(),
-                        f"biobloom_curation_{tag}")
-    in_dir = os.path.join(base, "in")
-    out_dir = os.path.join(base, "out")
-    shutil.rmtree(base, ignore_errors=True)
-    os.makedirs(in_dir, exist_ok=True)
-    h = len(docs) // 2
-    docs.iloc[:h].to_parquet(os.path.join(in_dir, "frag_00.parquet"))
-    docs.iloc[h:].to_parquet(os.path.join(in_dir, "frag_01.parquet"))
-    # 82% splits the fixture's alpha-ratio distribution (median ~82.2)
-    # so the gate is exercised, not a pass-through
-    run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82)
+    base = tempfile.mkdtemp(prefix="biobloom_curation_")
+    try:
+        in_dir = os.path.join(base, "in")
+        os.makedirs(in_dir)
+        h = len(docs) // 2
+        docs.iloc[:h].to_parquet(os.path.join(in_dir, "frag_00.parquet"))
+        docs.iloc[h:].to_parquet(os.path.join(in_dir, "frag_01.parquet"))
+        yield in_dir, os.path.join(base, "out")
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
 
+
+def _kept_lang_counts(out_dir: str) -> pd.DataFrame:
+    """Per-lang row counts of the two published runner partitions."""
     kept = _rp(out_dir + "/part=0").union(_rp(out_dir + "/part=1"))
 
     def lang_partial(b: pa.Table) -> pa.Table:
@@ -14947,9 +14938,29 @@ def curation_run_summary(sf_dir: str):
                                           batch_format="pyarrow"),
                          {"lang": object, "n_kept": np.int64})
            .groupby("lang", as_index=False).n_kept.sum())
-    shutil.rmtree(base, ignore_errors=True)
     out["n_kept"] = out.n_kept.astype(np.int64)
     return out.sort_values("lang").reset_index(drop=True)
+
+
+def curation_run_summary(sf_dir: str):
+    """The RESUMABLE CURATION RUNNER under the correctness oracle: the
+    documents table splits into two deterministic doc_id-ordered
+    fragments in a private temp dir, `run_partitioned_curation` executes
+    its full per-partition DAG (alpha gate → within-partition first-wins
+    dedup → cross-partition dedup vs the seen-key checkpoint →
+    crash-atomic publish), and the published partitions roll up to
+    per-lang kept counts.  Because fragments are doc_id-ordered, the
+    runner's first-wins semantics equal the SQL twin's global
+    min-doc_id-per-text rule — so the whole checkpointed runner, not
+    just its kernels, is oracle-checked."""
+    from biobloom_ray.pipelines.resumable import (
+        run_partitioned_curation)
+
+    with _two_fragment_corpus(sf_dir) as (in_dir, out_dir):
+        # 82% splits the fixture's alpha-ratio distribution (median ~82.2)
+        # so the gate is exercised, not a pass-through
+        run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82)
+        return _kept_lang_counts(out_dir)
 
 
 def curation_partition_metrics(sf_dir: str):
@@ -14967,30 +14978,12 @@ def curation_partition_metrics(sf_dir: str):
 
     Output: ``part_id, rows_in, gate_kept, exact_kept, rows_out``
     (one row per partition, sorted)."""
-    import hashlib
-    import os
-    import shutil
-    import tempfile
-
     from biobloom_ray.pipelines.resumable import (
         curation_partition_report, run_partitioned_curation)
 
-    docs = _read(sf_dir, "documents",
-                 columns=["doc_id", "lang", "text"]).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    tag = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    base = os.path.join(tempfile.gettempdir(),
-                        f"biobloom_curation_pm_{tag}")
-    in_dir = os.path.join(base, "in")
-    out_dir = os.path.join(base, "out")
-    shutil.rmtree(base, ignore_errors=True)
-    os.makedirs(in_dir, exist_ok=True)
-    h = len(docs) // 2
-    docs.iloc[:h].to_parquet(os.path.join(in_dir, "frag_00.parquet"))
-    docs.iloc[h:].to_parquet(os.path.join(in_dir, "frag_01.parquet"))
-    run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82)
-    rep = curation_partition_report(out_dir)
-    shutil.rmtree(base, ignore_errors=True)
+    with _two_fragment_corpus(sf_dir) as (in_dir, out_dir):
+        run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82)
+        rep = curation_partition_report(out_dir)
     rep = rep[["part_id", "rows_in", "gate_kept", "exact_kept",
                "rows_out"]]
     for c in rep.columns:
@@ -15344,44 +15337,10 @@ def curation_neardup_summary(sf_dir: str):
     near-dup pair's est-Jaccard is far above the threshold, so the
     LSH pair set provably equals the exact-Jaccard pair set — the
     same argument the ``minhash_dedup_kept`` oracle rests on)."""
-    import hashlib
-    import os
-    import shutil
-    import tempfile
-
     from biobloom_ray.pipelines.resumable import (
         run_partitioned_curation)
 
-    docs = _read(sf_dir, "documents",
-                 columns=["doc_id", "lang", "text"]).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    tag = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:10]
-    base = os.path.join(tempfile.gettempdir(),
-                        f"biobloom_curation_nd_{tag}")
-    in_dir = os.path.join(base, "in")
-    out_dir = os.path.join(base, "out")
-    shutil.rmtree(base, ignore_errors=True)
-    os.makedirs(in_dir, exist_ok=True)
-    h = len(docs) // 2
-    docs.iloc[:h].to_parquet(os.path.join(in_dir, "frag_00.parquet"))
-    docs.iloc[h:].to_parquet(os.path.join(in_dir, "frag_01.parquet"))
-    run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82,
-                             neardup=True, neardup_threshold=0.6)
-
-    kept = _rp(out_dir + "/part=0").union(_rp(out_dir + "/part=1"))
-
-    def lang_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "lang": b["lang"].to_pandas().to_numpy(dtype=object)})
-        agg = df.groupby("lang", as_index=False).agg(
-            n_kept=("lang", "size"))
-        agg["n_kept"] = agg.n_kept.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    out = (_parts_pandas(kept.map_batches(lang_partial,
-                                          batch_format="pyarrow"),
-                         {"lang": object, "n_kept": np.int64})
-           .groupby("lang", as_index=False).n_kept.sum())
-    shutil.rmtree(base, ignore_errors=True)
-    out["n_kept"] = out.n_kept.astype(np.int64)
-    return out.sort_values("lang").reset_index(drop=True)
+    with _two_fragment_corpus(sf_dir) as (in_dir, out_dir):
+        run_partitioned_curation(in_dir, out_dir, min_alpha_pct=82,
+                                 neardup=True, neardup_threshold=0.6)
+        return _kept_lang_counts(out_dir)

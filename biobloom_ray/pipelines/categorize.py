@@ -54,7 +54,7 @@ def categorize(
         )
     # default: stateless tasks on the prestarted worker pool; categorizer
     # state is rebuilt once per worker from the broadcast ref and cached
-    # (zero-copy plasma read — see stages/categorize._WORKER_CACHE)
+    # (see stages/categorize._WORKER_CACHE)
     from biobloom_ray.stages.categorize import make_categorizer_fn
 
     fn = make_categorizer_fn(bank_ref, cfg, text_col=text_col,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -332,3 +332,141 @@ class BloomFilter:
                  n_redundant=meta["n_redundant"])
         assert len(bf.words) * 64 == bf.m
         return bf
+
+
+def _word_dtype(n_filters: int) -> np.dtype:
+    """Narrowest unsigned word holding one bit per filter."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n_filters <= np.iinfo(dt).bits:
+            return np.dtype(dt)
+    raise ValueError("a filter bank holds at most 64 filters")
+
+
+# words (64 bit positions each) of every filter unpacked per block while
+# slicing, so the scratch beyond the slices is a few MB at any m
+_SLICE_BLOCK = 1 << 14
+
+
+def _bit_slices(group: list[BloomFilter]) -> np.ndarray:
+    """Bit-sliced layout of filters sharing (m, hash_num): word p has bit
+    j set iff bit p of ``group[j]`` is set."""
+    dt = _word_dtype(len(group))
+    n_words = group[0].m // 64
+    out = np.zeros(group[0].m, dtype=dt)
+    for lo in range(0, n_words, _SLICE_BLOCK):
+        hi = min(lo + _SLICE_BLOCK, n_words)
+        dst = out[lo * 64:hi * 64]
+        for j, bf in enumerate(group):
+            bits = np.unpackbits(
+                bf.words[lo:hi].astype("<u8", copy=False).view(np.uint8),
+                bitorder="little")
+            dst |= bits.astype(dt, copy=False) << dt.type(j)
+    return out
+
+
+class FilterBank:
+    """A categorize bank probed once per frame instead of once per filter.
+
+    Filters with the same (m, hash_num) probe the same positions, so such
+    a group is stored bit-sliced (the signature layout of BitFunnel,
+    Goodwin et al., SIGIR 2017): one word per bit position, one bit per
+    group member.  :meth:`probe` computes each round's positions once,
+    gathers one word per position and ANDs the ``hash_num`` words, so a
+    group of F filters costs one filter's probes — and gives exactly F
+    ``contains`` results.  A one-filter group keeps
+    :meth:`BloomFilter.contains`, so a bank whose filters all differ in
+    (m, hash_num) probes exactly as many positions as F separate filters.
+
+    Each group owns a contiguous run of bits of the probe word, so its
+    word is ORed in with one shift; ``bit[i]`` is the bit of
+    ``filters[i]``.  The bank is a snapshot that owns every bit it
+    probes: the slices, and a private copy of a lone filter's words.  It
+    keeps no reference to the packed words of a sliced filter.
+    """
+
+    def __init__(self, filters: list[BloomFilter]):
+        self.dtype = _word_dtype(len(filters))
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, bf in enumerate(filters):
+            groups.setdefault((bf.m, bf.hash_num), []).append(i)
+        self.bit = [0] * len(filters)
+        self._groups = []
+        shift = 0
+        for (m, hash_num), idx in groups.items():
+            for j, i in enumerate(idx):
+                self.bit[i] = shift + j
+            if len(idx) == 1:
+                bf = filters[idx[0]]
+                src = replace(bf, words=np.array(bf.words, copy=True))
+            else:
+                src = _bit_slices([filters[i] for i in idx])
+            self._groups.append((shift, m, hash_num, src))
+            shift += len(idx)
+
+    def probe(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """Per-frame hit word: bit ``bit[i]`` is set iff
+        ``filters[i].contains`` the frame."""
+        word = np.zeros(len(h1), dtype=self.dtype)
+        for shift, m, hash_num, src in self._groups:
+            if isinstance(src, BloomFilter):
+                gw = src.contains(h1, h2).view(np.uint8)
+            else:
+                gw = _probe_slices(src, m, hash_num, h1, h2)
+            word |= gw.astype(self.dtype, copy=False) << self.dtype.type(shift)
+        return word
+
+    def unpack(self, word: np.ndarray) -> list[np.ndarray]:
+        """Per-filter bool hit arrays of a :meth:`probe` word."""
+        return [(word & self.dtype.type(1 << b)) != 0 for b in self.bit]
+
+
+def _probe_slices(slices: np.ndarray, m: int, hash_num: int,
+                  h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """AND of the ``hash_num`` gathered words per frame, in the cache-sized
+    chunks of :meth:`BloomFilter.contains`.  Frames whose word is 0 are
+    dropped from the loop once at most half of a chunk's frames are left
+    (dropping costs more than probing a few dead frames), and a chunk
+    stops as soon as every word is 0."""
+    n = len(h1)
+    out = np.zeros(n, dtype=slices.dtype)
+    mm = U64(m)
+    idx_buf = np.empty(min(n, _CHUNK), dtype=U64)
+    quo_buf = np.empty(min(n, _CHUNK), dtype=U64)
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            ch1, ch2 = h1[lo:hi], h2[lo:hi]
+            alive = None
+            acc = None
+            for i in range(hash_num):
+                k = len(ch1)
+                ix, q = idx_buf[:k], quo_buf[:k]
+                np.multiply(ch2, U64(i), out=ix)
+                np.add(ix, ch1, out=ix)
+                # ix mod m as ix - (ix // m)·m: numpy divides by a scalar
+                # about twice as fast as it takes the remainder
+                np.floor_divide(ix, mm, out=q)
+                np.multiply(q, mm, out=q)
+                np.subtract(ix, q, out=ix)
+                w = slices.take(ix.view(np.int64))  # positions < m < 2**63
+                if acc is None:
+                    acc = w
+                else:
+                    np.bitwise_and(acc, w, out=acc)
+                n_keep = np.count_nonzero(acc)
+                if n_keep == 0:
+                    acc = None
+                    break
+                if 2 * n_keep <= k:
+                    keep = acc != 0
+                    alive = (np.nonzero(keep)[0] if alive is None
+                             else alive[keep])
+                    acc = acc[keep]
+                    ch1 = ch1[keep]
+                    ch2 = ch2[keep]
+            if acc is not None:
+                if alive is None:
+                    out[lo:hi] = acc
+                else:
+                    out[lo + alive] = acc
+    return out

@@ -36,7 +36,7 @@ import ray
 from biobloom_ray.config import CategorizeConfig
 from biobloom_ray.hashing import shingle_hashes
 from biobloom_ray.scoring import eval_batch, score_batch
-from biobloom_ray.sketches.bloom import BloomFilter
+from biobloom_ray.sketches.bloom import BloomFilter, FilterBank
 from biobloom_ray.textnorm import normalize_batch
 
 NO_MATCH = "noMatch"
@@ -77,20 +77,7 @@ class CategorizerActor:
         bank = ray.get(bank_ref) if isinstance(bank_ref, ray.ObjectRef) else bank_ref
         if len(bank) > 64:
             raise ValueError("hit_mask supports at most 64 filters per run")
-        # Copy the (small, corpus-sized) bit arrays out of the plasma mmap
-        # into worker-private heap: measured on this environment, holding
-        # plasma-backed numpy views while running allocation-heavy kernels
-        # inflates worker CPU ~10x under 32-way concurrency (shm mmap ×
-        # allocator interaction).  The copy is once per worker and costs
-        # ~m/8 bytes per filter; the broadcast still ships ONE plasma copy
-        # per node.  For a bank too big to copy, revert to the zero-copy
-        # views and accept the per-batch cost.
-        import numpy as _np
-
-        for f in bank:
-            if not f.words.flags.writeable or f.words.base is not None:
-                f.words = _np.array(f.words, copy=True)
-        self.bank: list[BloomFilter] = bank
+        self.fids = [bf.filter_id for bf in bank]
         self.cfg = cfg
         self.text_col = text_col
         self.normalize = normalize
@@ -112,6 +99,14 @@ class CategorizerActor:
         # SeqEval.h:225) — binomial min-count tables memoize per frame
         # length in scoring.calc_min_count (T6 analogue)
         self.fprs = [bf.fpr_realized() for bf in bank]
+        # The bank is read once here and never kept: FilterBank holds its
+        # own worker-private copy of every bit it probes (the bit slices of
+        # a shared-(m, hash_num) group, a copy of a lone filter's words).
+        # Measured on this environment, holding plasma-backed numpy views
+        # while running allocation-heavy kernels inflates worker CPU ~10x
+        # under 32-way concurrency (shm mmap × allocator interaction); the
+        # broadcast still ships ONE plasma copy per node.
+        self.filter_bank = FilterBank(bank)
 
     # -- per-batch core --------------------------------------------------------
     def _frame_hits(self, texts: pa.Array):
@@ -121,7 +116,7 @@ class CategorizerActor:
         sub_hits = None
         if self.subtract is not None:
             sub_hits = self.subtract.contains(h1, h2)
-        per_filter = [bf.contains(h1, h2) for bf in self.bank]
+        word = self.filter_bank.probe(h1, h2)
         if self.cfg.mask_repetition is not None or \
                 self.cfg.mask_dust is not None:
             # SDUST analogue (M5): masked frames become misses everywhere,
@@ -141,7 +136,8 @@ class CategorizerActor:
                 data, starts, ends = string_column_bytes(texts)
                 mask |= dust_mask(data, starts, ends, self.k,
                                   threshold=self.cfg.mask_dust)
-            per_filter = [fh & ~mask for fh in per_filter]
+            word[mask] = 0
+        per_filter = self.filter_bank.unpack(word)
         return per_filter, sub_hits, nf
 
     def _decide(self, per_filter, sub_hits, nf) -> np.ndarray:
@@ -228,7 +224,7 @@ class CategorizerActor:
         per_filter, sub_hits, nf = self._frame_hits(texts)
         cfg = self.cfg
         n = len(nf)
-        fids = [bf.filter_id for bf in self.bank]
+        fids = self.fids
         scores_matrix = None
         best_score = np.zeros(n)
 
@@ -236,8 +232,9 @@ class CategorizerActor:
             hits = self._decide(per_filter, sub_hits, nf)
         elif cfg.mode == "ordered":
             # first matching filter wins (BioBloomClassifier.cpp:1145-1153);
-            # evaluate in bank order, masking rows already matched so later
-            # filters aren't probed for them (same result, less work)
+            # every filter is probed in one bank pass, then evaluated in
+            # bank order, stopping once every row has matched (same
+            # result, less work)
             hits = np.zeros((n, len(fids)), dtype=bool)
             undecided = np.ones(n, dtype=bool)
             for i, fh in enumerate(per_filter):
@@ -296,7 +293,7 @@ class PairedCategorizerActor(CategorizerActor):
             t2 = t2.combine_chunks()
         pf1, sub1, nf1 = self._frame_hits(t1)
         pf2, sub2, nf2 = self._frame_hits(t2)
-        fids = [bf.filter_id for bf in self.bank]
+        fids = self.fids
         n = len(nf1)
 
         def decide(per_filter, sub, nf, i):
@@ -336,8 +333,11 @@ class PairedCategorizerActor(CategorizerActor):
 # amortizes construction exactly like an actor's __init__ would — without
 # paying a fresh actor process (and a fresh import of the whole stack)
 # per map_batches stage.  ray.get of the bank inside a worker is a
-# zero-copy plasma read; the numpy bit arrays are never copied.
+# zero-copy plasma read; each cached categorizer holds its FilterBank.
+# Every categorize() call broadcasts a new bank ref, so the cache keeps
+# only the most recent _WORKER_CACHE_SIZE categorizers per worker.
 _WORKER_CACHE: dict = {}
+_WORKER_CACHE_SIZE = 4
 
 
 def make_categorizer_fn(bank_ref, cfg: CategorizeConfig, text_col: str = "text",
@@ -357,6 +357,8 @@ def make_categorizer_fn(bank_ref, cfg: CategorizeConfig, text_col: str = "text",
                 actor = CategorizerActor(
                     bank_ref, cfg, text_col=text_col,
                     subtract_ref=subtract_ref, normalize=normalize)
+            if len(_WORKER_CACHE) >= _WORKER_CACHE_SIZE:
+                del _WORKER_CACHE[next(iter(_WORKER_CACHE))]
             _WORKER_CACHE[key] = actor
         return actor(batch)
 
