@@ -286,11 +286,9 @@ def run_partitioned_curation(
     oracle checks."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
 
     from biobloom_ray.io import hash_join
-    from biobloom_ray.stages.dedup import add_content_hash
+    from biobloom_ray.stages.dedup import _isin_filter, add_content_hash
 
     frags = input_fragments(input_dir)
     done = completed_partitions(out_dir)
@@ -348,18 +346,7 @@ def run_partitioned_curation(
         exact_kept = len(mins)
         winners = np.sort(mins.doc_id.to_numpy("int64")) \
             if len(mins) else np.array([], "int64")
-        win_ref = ray.put(winners)
-
-        def keep_winners(b: pa.Table) -> pa.Table:
-            w = ray.get(win_ref)
-            v = b["doc_id"].to_numpy(zero_copy_only=False)
-            if not len(w):
-                return b.slice(0, 0)
-            pos = np.searchsorted(w, v)
-            pos[pos >= len(w)] = 0
-            return b.filter(pa.array(w[pos] == v))
-
-        deduped = hashed.map_batches(keep_winners,
+        deduped = hashed.map_batches(_isin_filter("doc_id", winners),
                                      batch_format="pyarrow")
 
         sig_ds = None
@@ -385,19 +372,9 @@ def run_partitioned_curation(
             if n_seen <= SEEN_BROADCAST_MAX_KEYS:
                 sk = np.sort(seen_ds.to_pandas().fp
                              .to_numpy(dtype=object))
-                seen_ref = ray.put(sk)
-
-                def drop_seen(b: pa.Table) -> pa.Table:
-                    kk = ray.get(seen_ref)
-                    f = b["fp_md5"].to_pandas().to_numpy(dtype=object)
-                    pos = np.searchsorted(kk, f)
-                    pos[pos >= len(kk)] = 0
-                    hit = (kk[pos] == f) if len(kk) \
-                        else np.zeros(len(f), bool)
-                    return b.filter(pa.array(~hit))
-
-                deduped = deduped.map_batches(drop_seen,
-                                              batch_format="pyarrow")
+                deduped = deduped.map_batches(
+                    _isin_filter("fp_md5", sk, keep=False),
+                    batch_format="pyarrow")
             else:
                 def fp_narrow(b: pa.Table) -> pa.Table:
                     return pa.table({
@@ -440,17 +417,9 @@ def run_partitioned_curation(
                 drops = np.union1d(drops, cross)
             nd_total = int(len(drops))
             if len(drops):
-                drop_ref = ray.put(drops)
-
-                def drop_neardups(b: pa.Table) -> pa.Table:
-                    d = ray.get(drop_ref)
-                    v = b["doc_id"].to_numpy(zero_copy_only=False)
-                    pos = np.searchsorted(d, v)
-                    pos[pos >= len(d)] = 0
-                    return b.filter(pa.array(d[pos] != v))
-
-                deduped = deduped.map_batches(drop_neardups,
-                                              batch_format="pyarrow")
+                deduped = deduped.map_batches(
+                    _isin_filter("doc_id", drops, keep=False),
+                    batch_format="pyarrow")
 
         pdir = partition_dir(out_dir, i)
         tmpdir = pdir + ".tmp"

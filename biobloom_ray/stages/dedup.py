@@ -104,8 +104,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     n_rows = _cheap_count(ds)
 
     if n_rows is not None and n_rows <= EXACT_DEDUP_DRIVER_MAX_ROWS:
-        import ray
-
         def hash_min_partial(b: pa.Table) -> pa.Table:
             h = add_content_hash(b, text_col)
             df = pd.DataFrame({
@@ -117,19 +115,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         parts = (ds.map_batches(hash_min_partial, batch_format="pyarrow")
                  .to_pandas())
         winners = np.sort(parts.groupby("fp_md5")[id_col].min().to_numpy())
-        keep_ref = ray.put(winners)
-
-        def keep_winners(b: pa.Table) -> pa.Table:
-            import ray as _r
-            w = _r.get(keep_ref)
-            if len(w) == 0:  # empty input -> nothing can win
-                return b.slice(0, 0)
-            ids = b[id_col].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(w, ids)
-            idx[idx == len(w)] = 0
-            return b.filter(pa.array(w[idx] == ids))
-
-        return ds.map_batches(keep_winners, batch_format="pyarrow")
+        return ds.map_batches(_isin_filter(id_col, winners),
+                              batch_format="pyarrow")
 
     hashed = ds.map_batches(lambda b: add_content_hash(b, text_col),
                             batch_format="pyarrow")
@@ -241,9 +228,10 @@ def _empty_pairs(value_col: str, dtype: str = "float64") -> pd.DataFrame:
                          value_col: pd.Series(dtype=dtype)})
 
 
-def _isin_filter(col_name: str, sorted_vals: np.ndarray):
-    """map_batches callable: keep rows whose ``col_name`` is in the
-    broadcast sorted array (binary-search membership, no Python loop)."""
+def _isin_filter(col_name: str, sorted_vals: np.ndarray, keep: bool = True):
+    """map_batches callable: keep (``keep=True``) or drop the rows whose
+    ``col_name`` is in the broadcast sorted array (binary-search
+    membership, no Python loop)."""
     import ray
 
     vals_ref = ray.put(sorted_vals)
@@ -251,11 +239,12 @@ def _isin_filter(col_name: str, sorted_vals: np.ndarray):
     def pick(b: pa.Table) -> pa.Table:
         vals = ray.get(vals_ref)
         k = b[col_name].to_numpy(zero_copy_only=False)
-        if not len(vals):
-            return b.slice(0, 0)
-        idx = np.searchsorted(vals, k)
-        idx[idx == len(vals)] = 0
-        return b.filter(pa.array(vals[idx] == k))
+        hit = np.zeros(len(k), dtype=bool)
+        if len(vals):
+            idx = np.searchsorted(vals, k)
+            idx[idx == len(vals)] = 0
+            hit = vals[idx] == k
+        return b.filter(pa.array(hit == keep))
 
     return pick
 

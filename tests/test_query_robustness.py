@@ -3,6 +3,10 @@
 - ``contamination_topk`` on a corpus where no training document shares a
   benchmark trigram returns a typed empty table on both tiers, including
   the native groupby tier behind ``RANK_DRIVER_MAX_ROWS``.
+- The curation chain (``clean_corpus`` and both funnels) picks the
+  first-wins dedup winner by signed doc_id order, also for negative ids,
+  and names a null ``lang`` / ``source`` column instead of failing
+  inside Arrow; its shuffle carries no text.
 - The runner queries work in private temp directories, so two concurrent
   invocations return the same rows as a serial one.
 """
@@ -13,8 +17,10 @@ import subprocess
 import sys
 import tempfile
 
+import duckdb
 import numpy as np
 import pandas as pd
+import pytest
 
 
 def test_contamination_topk_zero_hits_both_tiers(ray_session, monkeypatch):
@@ -96,3 +102,81 @@ def test_runner_queries_concurrent_invocations_agree(ray_session):
                     io.StringIO(out.strip().splitlines()[-1]),
                     orient="split")
                 assert got.equals(serial), (name, got, serial)
+
+
+def _negative_id_corpus(d: str) -> None:
+    """The sf0.001 fixture with every doc_id mapped to 10*id - 10000 (all negative),
+    plus copies of the first 40 docs at id - 5 under another lang and
+    source: each copy is the smaller id, so first-wins dedup must pick
+    it and attribute the text to its lang and source."""
+    from __ray_entry__ import SF0001
+
+    docs = pd.read_parquet(os.path.join(SF0001, "documents.parquet"))
+    docs["doc_id"] = docs.doc_id * 10 - 10000
+    dup = docs.head(40).copy()
+    dup["doc_id"] -= 5
+    dup["lang"] = "xx"
+    dup["source"] = "dup_src"
+    pd.concat([docs, dup], ignore_index=True).to_parquet(
+        os.path.join(d, "documents.parquet"))
+
+
+def test_curation_chain_negative_doc_ids_match_oracle(ray_session):
+    import __ray_entry__ as E
+    import biobloom_ray.pipelines.analytics as A
+
+    with tempfile.TemporaryDirectory() as td:
+        _negative_id_corpus(td)
+        con = duckdb.connect()
+        con.sql("CREATE VIEW documents AS SELECT * FROM "
+                f"'{td}/documents.parquet'")
+        for name in ("clean_corpus", "curation_funnel",
+                     "curation_funnel_by_source"):
+            got = getattr(A, name)(td)
+            want = con.sql(E.oracle_sql()[name]).df()
+            assert list(got.columns) == list(want.columns), name
+            cols = list(got.columns)
+            got = got.sort_values(cols).reset_index(drop=True)
+            want = (want.astype(got.dtypes.to_dict())
+                    .sort_values(cols).reset_index(drop=True))
+            pd.testing.assert_frame_equal(got, want, obj=name)
+            if name == "clean_corpus":  # some copies won
+                assert (got.lang == "xx").any()
+
+
+def _null_corpus(d: str, col: str) -> None:
+    from __ray_entry__ import SF0001
+
+    docs = pd.read_parquet(os.path.join(SF0001, "documents.parquet"))
+    docs.loc[docs.index[3], col] = None
+    docs.to_parquet(os.path.join(d, "documents.parquet"))
+
+
+def test_curation_chain_null_lang_or_source(ray_session):
+    from __ray_entry__ import SF0001
+
+    import biobloom_ray.pipelines.analytics as A
+
+    with tempfile.TemporaryDirectory() as td:
+        _null_corpus(td, "lang")
+        with pytest.raises(ValueError, match="documents.lang has null"):
+            A.clean_corpus(td)
+    with tempfile.TemporaryDirectory() as td:
+        _null_corpus(td, "source")
+        with pytest.raises(ValueError, match="documents.source has null"):
+            A.curation_funnel_by_source(td)
+        # the global funnel never reads source
+        f = A.curation_funnel(td)
+        want = A.curation_funnel(SF0001)
+        assert f.equals(want)
+
+
+def test_curation_plan_shuffles_no_text(ray_session):
+    """The dedup shuffle's input is the narrow per-doc row: no text."""
+    from __ray_entry__ import SF0001
+
+    import biobloom_ray.pipelines.analytics as A
+
+    docs, _ = A._curation_plan(SF0001, A.DECON_BENCH_MOD, "source")
+    assert docs.schema().names == ["wk", "n_tokens", "gated", "fp_md5",
+                                   "contam"]

@@ -159,6 +159,12 @@ def test_wave_ops_empty_inputs(ray_session):
                                  "decontaminated"]
         assert (f.n_docs == 0).all() and (f.n_tokens == 0).all()
         assert len(A.curation_funnel_by_source(td)) == 0
+        c = A.clean_corpus(td)
+        assert len(c) == 0 and list(c.columns) == ["doc_id", "lang",
+                                                   "n_tokens"]
+        d = A.decontaminate(td)
+        assert len(d) == 0 and list(d.columns) == [
+            "doc_id", "n_trigrams", "n_contam", "contaminated"]
         assert len(A.contamination_topk(td)) == 0
         assert len(A.dup_group_size_histogram(td)) == 0
 
