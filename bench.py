@@ -98,8 +98,8 @@ def _force_cluster_tiers():
     are identical by the tier-parity tests; only the plan changes."""
     import biobloom_ray.pipelines.analytics as A
     import biobloom_ray.pipelines.mibf as M
-    import biobloom_ray.pipelines.progressive as P
     import biobloom_ray.pipelines.resumable as RS
+    import biobloom_ray.sketches.fold as F
     import biobloom_ray.stages.ann as ANN
     import biobloom_ray.stages.dedup as D
     import biobloom_ray.stages.pairs as PR
@@ -133,8 +133,7 @@ def _force_cluster_tiers():
     PR.PAIR_BROADCAST_MAX_ROWS = 0
     M.DRIVER_BUILD_MAX_ROWS = 0
     M.DRIVER_REDUCE_MAX_SLOTS = 0
-    M.DRIVER_REDUCE_MAX_M = 0
-    P.DRIVER_MERGE_MAX_M = 0
+    F.DRIVER_FOLD_MAX_BYTES = 0
     ANN.KMEANS_DRIVER_MAX_ROWS = 0
 
 

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from biobloom_ray.sketches.fold import fold_partials
 from biobloom_ray.stages.dedup import add_content_hash
 
 K_DEFAULT = 25
@@ -356,7 +357,7 @@ def heavy_tokens_topk(sf_dir: str, k: int = 20):
 
 def hll_distinct_shingles_per_lang(sf_dir: str, k: int = 8, p: int = 14):
     """North-rule query: HLL distinct k-shingle cardinality per lang.
-    Per-batch partial HLL rows → groupby(lang) register-max merge."""
+    Per-batch partial HLL rows → register-max fold per lang."""
     from biobloom_ray.hashing import shingle_hashes
     from biobloom_ray.sketches.hll import HLL
 
@@ -379,16 +380,14 @@ def hll_distinct_shingles_per_lang(sf_dir: str, k: int = 8, p: int = 14):
         return pa.table({"lang": pa.array(out_l, type=pa.string()),
                          "blob": pa.array(out_b, type=pa.large_binary())})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        acc = HLL.deserialize(g["blob"].iloc[0])
-        for blob in g["blob"].iloc[1:]:
-            acc.merge(HLL.deserialize(blob))
-        return pd.DataFrame({"lang": [g["lang"].iloc[0]],
-                             "distinct_shingles_est": [acc.estimate()]})
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("lang").map_groups(merge, batch_format="pandas")
-            .to_pandas())
+    # the lang count is unknown up front: size the fold by one lang
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": HLL}, key="lang", nbytes=1 << p)
+    return pd.DataFrame({
+        "lang": pd.Series(list(folded), dtype=object),
+        "distinct_shingles_est": pd.Series(
+            [r["blob"].estimate() for r in folded.values()],
+            dtype=np.float64)})
 
 
 def cms_heavy_hitters(sf_dir: str, k: int = 20, eps: float = 0.001,
@@ -6936,7 +6935,7 @@ def sketch_setops_report(sf_dir: str, type_a: str = "click",
             np.uint64)
         et = b["event_type"].to_numpy(zero_copy_only=False).astype(
             object)
-        kinds, blobs = [], []
+        out = {}
         for t, tag in ((type_a, "a"), (type_b, "b")):
             u = np.unique(uid[et == t])
             h1 = splitmix64(u)
@@ -6947,28 +6946,24 @@ def sketch_setops_report(sf_dir: str, type_a: str = "click",
             bf = BloomFilter(m=M_BITS, hash_num=H_NUM, kmer_size=0,
                              filter_id=tag)
             bf.insert(h1, h2)
-            kinds += [f"{tag}_hll", f"{tag}_bf"]
-            blobs += [hll.serialize(), bf.serialize()]
-        return pa.table({"kind": pa.array(kinds),
-                         "blob": pa.array(blobs,
-                                          type=pa.large_binary())})
+            out[f"{tag}_hll"] = pa.array([hll.serialize()], pa.large_binary())
+            out[f"{tag}_bf"] = pa.array([bf.serialize()], pa.large_binary())
+        return pa.table(out)
 
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    hlls, bfs = {}, {}
-    for r in rows:
-        tag = r["kind"][0]
-        if r["kind"].endswith("_hll"):
-            s = HLL.deserialize(r["blob"])
-            hlls[tag] = s if tag not in hlls else hlls[tag].merge(s)
-        else:
-            s = BloomFilter.deserialize(r["blob"])
-            bfs[tag] = s if tag not in bfs else bfs[tag].merge(s)
-    est_a = hlls["a"].estimate()
-    est_b = hlls["b"].estimate()
-    union = HLL.deserialize(hlls["a"].serialize()).merge(hlls["b"])
+    kinds = {"a_hll": HLL, "a_bf": BloomFilter,
+             "b_hll": HLL, "b_bf": BloomFilter}
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           kinds, nbytes=2 * ((1 << P) + M_BITS // 8))
+    if not folded:  # no events: both sets are empty
+        return pd.DataFrame(0.0, index=[0], columns=[
+            "est_a", "est_b", "est_union", "est_inter_hll", "est_inter_bloom"])
+    sk = folded[None]
+    est_a = sk["a_hll"].estimate()
+    est_b = sk["b_hll"].estimate()
+    union = HLL.deserialize(sk["a_hll"].serialize()).merge(sk["b_hll"])
     est_u = union.estimate()
     est_inter_hll = est_a + est_b - est_u
-    inter_bf = bfs["a"].intersect(bfs["b"])
+    inter_bf = sk["a_bf"].intersect(sk["b_bf"])
     est_inter_bloom = inter_bf.estimate_cardinality()
     return pd.DataFrame({
         "est_a": [est_a], "est_b": [est_b], "est_union": [est_u],
@@ -8299,23 +8294,18 @@ def join_size_cms(sf_dir: str, ta: str = "view", tb: str = "purchase",
         et = b["event_type"].to_numpy(zero_copy_only=False)
         uid = b["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        blobs, kinds = [], []
+        out = {}
         for kind, m in (("a", et == ta), ("b", et == tb)):
             cms = CountMinSketch.for_error(eps, delta)
-            keys = splitmix64(uid[m])
-            cms.update(keys, 1)
-            blobs.append(cms.serialize())
-            kinds.append(kind)
-        return pa.table({"kind": pa.array(kinds),
-                         "blob": pa.array(blobs,
-                                          type=pa.large_binary())})
+            cms.update(splitmix64(uid[m]), 1)
+            out[kind] = pa.array([cms.serialize()], pa.large_binary())
+        return pa.table(out)
 
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    sk = {"a": None, "b": None}
-    for r in rows:
-        c = CountMinSketch.deserialize(r["blob"])
-        sk[r["kind"]] = c if sk[r["kind"]] is None \
-            else sk[r["kind"]].merge(c)
+    sk = fold_partials(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        {"a": CountMinSketch, "b": CountMinSketch},
+        nbytes=2 * CountMinSketch.for_error(eps, delta).counts.nbytes,
+    ).get(None, {"a": None, "b": None})
     est = sk["a"].inner_product(sk["b"]) if sk["a"] and sk["b"] else 0
     exact = int(join_size_exact(sf_dir, ta, tb).join_size.iloc[0])
     na = sk["a"].n if sk["a"] else 0
@@ -9202,11 +9192,10 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
     core): revenue of lineitems whose order is in-priority and
     in-window, per return flag — EXACT result, the Bloom only shrinks
     the shuffle.  Cluster tier: (1) the filtered order keys build a
-    ``BloomFilter`` distributively — per-block partial filters OR-merge
-    through a 16-way salted ``map_groups`` level, then once on the
-    driver (same blob-partial shape as the maker UDAF,
-    ``pipelines/build.py:49``; sized to the unfiltered order count so
-    the realized FPR only undershoots ``BLOOMJOIN_FPR``); (2) the fact
+    ``BloomFilter`` distributively — per-block partial filters OR-fold
+    through ``fold_partials`` (the maker's blob-partial fold; sized to
+    the unfiltered order count so the realized FPR only undershoots
+    ``BLOOMJOIN_FPR``); (2) the fact
     scan probes the broadcast filter map-side and pre-reduces survivors
     to (orderkey, flag, cents) partials — no false negatives, so
     nothing true is lost; (3) an inner hash join against the real key
@@ -9300,24 +9289,14 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
         kk = b["o_orderkey"].to_numpy(zero_copy_only=False)
         if len(kk):
             bf.insert(*_key_hashes(kk.astype(np.int64)))
-        g = int(kk[0] % 16) if len(kk) else 0
-        return pa.table({"g": pa.array([g], pa.int64()),
-                         "blob": pa.array([bf.serialize()],
+        return pa.table({"blob": pa.array([bf.serialize()],
                                           pa.large_binary())})
 
-    def or_merge(df: pd.DataFrame) -> pd.DataFrame:
-        acc = BloomFilter.deserialize(df.blob.iloc[0])
-        for blob in df.blob.iloc[1:]:
-            acc = acc.merge(BloomFilter.deserialize(blob))
-        return pd.DataFrame({"g": [int(df.g.iloc[0])],
-                             "blob": [acc.serialize()]})
-
-    level1 = (keys_ds.map_batches(bloom_partial, batch_format="pyarrow")
-              .groupby("g").map_groups(or_merge, batch_format="pandas")
-              .to_pandas())
-    bf = BloomFilter.deserialize(level1.blob.iloc[0])
-    for blob in level1.blob.iloc[1:]:
-        bf = bf.merge(BloomFilter.deserialize(blob))
+    folded = fold_partials(
+        keys_ds.map_batches(bloom_partial, batch_format="pyarrow"),
+        {"blob": BloomFilter}, nbytes=m // 8)
+    bf = (folded[None]["blob"] if folded else
+          BloomFilter(m=m, hash_num=h, kmer_size=1, filter_id="bloomjoin"))
     bf_ref = ray.put(bf.serialize())
 
     class BloomProbe:
@@ -14501,15 +14480,11 @@ def hll_error_sweep(sf_dir: str, precisions=(8, 10, 12, 14)):
             "p": pa.array(list(ps), pa.int64()),
             "blob": pa.array(blobs, pa.large_binary())})
 
-    parts = _parts_pandas(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        {"p": np.int64, "blob": object})
-    rows = []
-    for p, g in parts.groupby("p"):
-        acc = HLL.deserialize(g.blob.iloc[0])
-        for blob in g.blob.iloc[1:]:
-            acc.merge(HLL.deserialize(blob))
-        rows.append((int(p), float(acc.estimate())))
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": HLL}, key="p",
+                           nbytes=sum(1 << p for p in ps))
+    rows = [(int(p), float(r["blob"].estimate()))
+            for p, r in folded.items()]
 
     # exact twin: per-block distinct token rollup -> ONE native
     # distinct count on the narrow hash column
@@ -14559,9 +14534,9 @@ def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
         return pa.table({"w": pa.array(list(ws), pa.int64()),
                          "blob": pa.array(blobs, pa.large_binary())})
 
-    parts = _parts_pandas(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        {"w": np.int64, "blob": object})
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": CountMinSketch}, key="w",
+                           nbytes=sum(8 * depth * w for w in ws))
 
     # exact counts of every token (vocab-scale count table)
     def tok_cnt(b: pa.Table) -> pa.Table:
@@ -14580,11 +14555,8 @@ def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
     exact = vocab.cnt.to_numpy(np.int64)
     N = int(exact.sum())
     rows = []
-    for w, g in parts.groupby("w"):
-        acc = CountMinSketch.deserialize(g.blob.iloc[0])
-        for blob in g.blob.iloc[1:]:
-            acc = acc.merge(CountMinSketch.deserialize(blob))
-        est = acc.query(probes).astype(np.int64)
+    for w, r in folded.items():
+        est = r["blob"].query(probes).astype(np.int64)
         over = est - exact
         rows.append((int(w), N, int(over.max()),
                      round(float(over.mean()), 6),

@@ -1,9 +1,9 @@
 """biobloommaker analogue: build mergeable Bloom filters from a Dataset.
 
 Pipeline shape (SURVEY.md §3.1):
-    read → [pre-pass: Σ(len−k+1) per filter_id]        (A1, tiny result)
+    read → [pre-pass: Σ(len−k+1) per filter_id]        (A1, driver fold)
          → map_batches(PartialBloomBuilder)            (partial per block)
-         → groupby("filter_id").map_groups(merge)      (tiny shuffle: blobs)
+         → fold_partials by filter_id                  (driver or tree OR)
          → artifacts + info sidecars
 
 The input is any Ray Dataset with a text column; ``label_col`` selects
@@ -14,19 +14,17 @@ filter named ``filter_id``.
 
 from __future__ import annotations
 
-import numpy as np
-
+import pyarrow as pa
 import ray
 import ray.data
 
 from biobloom_ray.config import BuildConfig
-from biobloom_ray.sketches.bloom import BloomFilter
-from biobloom_ray.sketches.hll import HLL
+from biobloom_ray.sketches.fold import fold_partials, fold_table
 from biobloom_ray.stages.build import (
+    PARTIAL_SKETCHES,
     PartialBloomBuilder,
     compute_sizes,
     expected_entries_batch,
-    merge_partials_group,
 )
 
 
@@ -36,14 +34,15 @@ def expected_entries(ds: "ray.data.Dataset", text_col: str, k: int,
     """Pre-pass (A1, ``BloomFilterGenerator.h:108-141``): total shingle
     frames per filter id, counted on the same normalized-UTF-8-byte
     representation the builder hashes.  Column-pruned read + per-block
-    partial sums → the groupby only moves one row per (block, label)."""
+    partial sums, folded on the driver (one row per (block, label)).  A
+    null label raises ``ValueError``."""
     cols = [text_col] + ([label_col] if label_col else [])
     partials = (ds.select_columns(cols)
                 .map_batches(lambda b: expected_entries_batch(
                     b, text_col, k, label_col, normalize=normalize),
-                             batch_format="pyarrow")
-                .groupby("filter_id").sum("frames"))
-    return {r["filter_id"]: int(r["sum(frames)"]) for r in partials.take_all()}
+                             batch_format="pyarrow"))
+    return {fid: r["frames"] for fid, r in fold_partials(
+        partials, {}, key="filter_id", sums=("frames",)).items()}
 
 
 def build_filters(
@@ -58,18 +57,21 @@ def build_filters(
     """Build one Bloom filter per label (or a single one).
 
     Returns ``{filter_id: {"filter": BloomFilter, "hll": HLL | None,
-    "expected_entries": int}}``.  The final filters are small (sized to
-    the reference corpora, not the stream) so they come back to the
-    driver for broadcast; at 100 TB the *input* streams through blocks
-    and only blobs shuffle.
+    "expected_entries": int}}``, sorted by filter_id.  The final filters
+    are small (sized to the reference corpora, not the stream) so they
+    come back to the driver for broadcast; at 100 TB the *input* streams
+    through blocks and only blobs move.  ``label_col=None`` always
+    returns the one filter, empty for an empty reference; a null label
+    raises ``ValueError``.
     """
     cfg = cfg or BuildConfig()
-    expected = (dict.fromkeys([filter_id], cfg.expected_entries)
-                if (label_col is None and cfg.expected_entries)
-                else expected_entries(ds, text_col, cfg.kmer_size, label_col,
-                      normalize=normalize))
-    if label_col is None and "__all__" in expected and filter_id != "__all__":
-        expected[filter_id] = expected.pop("__all__")
+    if label_col is None:
+        n = cfg.expected_entries or expected_entries(
+            ds, text_col, cfg.kmer_size, normalize=normalize).get("__all__", 0)
+        expected = {filter_id: n}
+    else:
+        expected = expected_entries(ds, text_col, cfg.kmer_size, label_col,
+                                    normalize=normalize)
     sizes = compute_sizes(expected, cfg)
 
     cols = [text_col] + ([label_col] if label_col else [])
@@ -78,18 +80,19 @@ def build_filters(
         label_col=label_col, normalize=normalize, with_hll=with_hll)
     if label_col is None:
         # single filter: rename the builder's group key afterwards
-        builder.sizes = {"__all__": sizes.get(filter_id, next(iter(sizes.values())))}
-    merged = (ds.select_columns(cols)
-              .map_batches(builder, batch_format="pyarrow",
-                           batch_size=cfg.batch_size)
-              .groupby("filter_id")
-              .map_groups(merge_partials_group, batch_format="pandas"))
+        builder.sizes = {"__all__": sizes[filter_id]}
+    parts = ds.select_columns(cols).map_batches(
+        builder, batch_format="pyarrow", batch_size=cfg.batch_size)
+    merged = fold_partials(parts, PARTIAL_SKETCHES, key="filter_id",
+                           nbytes=sum(m // 8 for m, _ in sizes.values()))
+    if label_col is None and not merged:  # an empty reference: no frames
+        merged = fold_table(builder(pa.table({text_col: pa.array(
+            [], pa.string())})), PARTIAL_SKETCHES, key="filter_id")
     out: dict[str, dict] = {}
-    for row in merged.take_all():
-        bf = BloomFilter.deserialize(row["blob"])
-        fid = bf.filter_id if bf.filter_id != "__all__" else filter_id
+    for key, row in merged.items():
+        bf, hll = row["blob"], row["hll"]
+        fid = filter_id if key == "__all__" else key
         bf.filter_id = fid
-        hll = HLL.deserialize(row["hll"]) if row["hll"] else None
         # redundancy warning (A3): ratio of redundant to unique shingles
         # minus the expected redundancy FPR — high values suggest the
         # input itself is highly repetitive (BioBloomMaker.cpp:527-540)
@@ -108,7 +111,7 @@ def build_filters(
         out[fid] = {
             "filter": bf,
             "hll": hll,
-            "expected_entries": int(expected.get(row["filter_id"],
+            "expected_entries": int(expected.get(key,
                                                  expected.get(fid, 0)) or 0),
         }
     return out

@@ -36,7 +36,10 @@ import ray
 import ray.data
 
 from biobloom_ray.hashing import shingle_hashes
+from biobloom_ray.io import cluster_cpus
 from biobloom_ray.scoring import _binom_sf_table, binom_sf, calc_min_count
+from biobloom_ray.sketches.bloom import BloomFilter
+from biobloom_ray.sketches.fold import fold_partials
 from biobloom_ray.sketches.mibf import (
     EMPTY,
     ID_MASK,
@@ -56,7 +59,6 @@ U64_ROW = np.uint64(0x9E3779B97F4A7C15)  # row-mixing multiplier
 # paths on small inputs): below these sizes the per-block partials
 # reduce on the driver with the same order-free comparators
 DRIVER_REDUCE_MAX_SLOTS = 2 ** 22
-DRIVER_REDUCE_MAX_M = 8 * 16 * 2 ** 20
 #: below this many input DOCS the whole build collects the (normalized
 #: text, label) pairs once and runs every pass locally — the 3-pass
 #: distributed build costs ~1 s of Dataset orchestration per pass, which
@@ -64,12 +66,6 @@ DRIVER_REDUCE_MAX_M = 8 * 16 * 2 ** 20
 #: (HLL registers are order-free maxes, ownership is a global min, and
 #: saturation is a set union)
 DRIVER_BUILD_MAX_ROWS = 10_000
-
-
-def _cluster_cpus() -> int:
-    from biobloom_ray.io import cluster_cpus
-
-    return cluster_cpus()
 
 
 def _texts(batch: pa.Table, text_col: str, normalize: bool) -> pa.Array:
@@ -236,53 +232,25 @@ def build_mibf(
                           seed=seed, id_names=names,
                           spaced_seeds=spaced_seeds)
 
-    # ---- pass 1: bit vector (tree OR-merge of partials) -------------------
-    # Dense per-block bitmaps reduce in the CLUSTER via a two-level
-    # repartition tree (OR is associative+commutative); the driver
-    # receives exactly one final bitmap — never the per-block stream.
+    # ---- pass 1: bit vector (order-free OR fold of partials) ---------------
+    # Dense per-block bitmaps, each a plain Bloom blob, fold on the
+    # driver (small filters) or in the cluster tree (large ones) —
+    # fold_partials picks the tier from the bitmap size.
     def pass1(b: pa.Table) -> pa.Table:
         part = MIBloomFilter(m=m, hash_num=hash_num, kmer_size=kmer_size,
                              seed=seed, spaced_seeds=spaced_seeds)
         texts = _texts(b, text_col, normalize)
         pos, _, _ = part.frame_hashes(texts)
         part.set_bits(pos)
-        return pa.table({"words": pa.array([part.words.tobytes()],
-                                           type=pa.large_binary())})
-
-    def or_reduce(b: pa.Table) -> pa.Table:
-        col = b["words"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        acc = np.frombuffer(col[0].as_py(), dtype=np.uint64).copy()
-        for i in range(1, len(col)):
-            np.bitwise_or(acc, np.frombuffer(col[i].as_py(), dtype=np.uint64),
-                          out=acc)
-        return pa.table({"words": pa.array([acc.tobytes()],
-                                           type=pa.large_binary())})
+        bf = BloomFilter(m=m, hash_num=hash_num, kmer_size=kmer_size,
+                         seed=seed, words=part.words)
+        return pa.table({"blob": pa.array([bf.serialize()],
+                                          type=pa.large_binary())})
 
     p1 = ds.map_batches(pass1, batch_format="pyarrow",
                         batch_size=batch_size)
-    if m <= DRIVER_REDUCE_MAX_M:
-        # small filter (≤16 MB bitmap): per-block partials stream to the
-        # driver and OR there — two repartition stages cost more than
-        # they save at this size
-        for blk in p1.iter_batches(batch_size=None, batch_format="pyarrow"):
-            col = blk["words"]
-            for i in range(len(col)):
-                np.bitwise_or(proto.words,
-                              np.frombuffer(col[i].as_py(), dtype=np.uint64),
-                              out=proto.words)
-    else:
-        fan = max(2, _cluster_cpus() // 2)
-        merged = (p1.repartition(fan)
-                  .map_batches(or_reduce, batch_format="pyarrow",
-                               batch_size=None)
-                  .repartition(1)
-                  .map_batches(or_reduce, batch_format="pyarrow",
-                               batch_size=None).take_all())
-        np.bitwise_or(proto.words,
-                      np.frombuffer(merged[0]["words"], dtype=np.uint64),
-                      out=proto.words)
+    for r in fold_partials(p1, {"blob": BloomFilter}, nbytes=m // 8).values():
+        np.bitwise_or(proto.words, r["blob"].words, out=proto.words)
     proto.build_rank()
     n_slots = proto.n_slots
 
@@ -294,7 +262,7 @@ def build_mibf(
     # never a stream of competing bids (no last-write-wins hazard).
     snap_ref = ray.put(proto)
     name_map_ref = ray.put(name_to_id)
-    n_shards = max(4, _cluster_cpus())
+    n_shards = max(4, cluster_cpus())
 
     def pass2(b: pa.Table) -> pa.Table:
         snap: MIBloomFilter = ray.get(snap_ref)

@@ -41,18 +41,13 @@ from biobloom_ray.config import BuildConfig, CategorizeConfig
 from biobloom_ray.hashing import shingle_hashes
 from biobloom_ray.scoring import eval_batch
 from biobloom_ray.sketches.bloom import BloomFilter, calc_optimal_hash_num, calc_optimal_size
+from biobloom_ray.sketches.fold import fold_partials
 from biobloom_ray.textnorm import normalize_batch
 
 #: scoring methods whose accept threshold does not depend on the
 #: (growing) filter's realized FPR — acceptance is monotone across
 #: progressive rounds for exactly these
 _MONOTONE_METHODS = frozenset({"simple", "harmonic", "length"})
-
-# below this filter size the per-batch partial blobs merge on the driver;
-# above it a two-level repartition tree reduces them in the cluster
-# (module-level so tests can force the cluster path)
-DRIVER_MERGE_MAX_M = 8 * 16 * 2 ** 20
-
 
 def _seed_filter(seed_texts, cfg: BuildConfig, expected_entries: int,
                  filter_id: str) -> BloomFilter:
@@ -80,13 +75,21 @@ def _check_probe_compat(bf: BloomFilter, other: BloomFilter | None,
             f"seed={bf.seed:#x})")
 
 
+def _texts(batch: pa.Table, text_col: str, normalize: bool) -> pa.Array:
+    texts = batch[text_col]
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    return normalize_batch(texts) if normalize else texts
+
+
 def _score_and_recruit(bf: BloomFilter, texts: pa.Array,
                        threshold: float, method: str,
                        bait: BloomFilter | None,
                        subtract: BloomFilter | None,
-                       insert: bool = True) -> np.ndarray:
-    """Score a batch against the current filter (+ optional bait OR);
-    insert accepted reads' shingles.  Returns the accept mask."""
+                       into: BloomFilter | None) -> np.ndarray:
+    """Score a batch against ``bf`` (+ optional bait OR); insert the
+    accepted reads' shingles into ``into`` (none when None).  Returns
+    the accept mask."""
     h1, h2, nf = shingle_hashes(texts, bf.kmer_size, bf.seed)
     fh = bf.contains(h1, h2)
     sub = subtract.contains(h1, h2) if subtract is not None else None
@@ -98,10 +101,9 @@ def _score_and_recruit(bf: BloomFilter, texts: pa.Array,
         acc |= eval_batch(bh, nf, bf.kmer_size, method=method,
                           threshold=threshold, bf_fpr=bait.fpr_realized(),
                           subtract_hits=sub)
-    if insert and acc.any():
-        row_of = np.repeat(np.arange(len(nf)), nf)
-        sel = acc[row_of]
-        bf.insert(h1[sel], h2[sel])
+    if into is not None and acc.any():
+        sel = acc[np.repeat(np.arange(len(nf)), nf)]
+        into.insert(h1[sel], h2[sel])
     return acc
 
 
@@ -136,13 +138,9 @@ def progressive_build(
         for _ in range(passes):
             for batch in ds.iter_batches(batch_size=batch_size,
                                          batch_format="pyarrow"):
-                texts = batch[text_col]
-                if isinstance(texts, pa.ChunkedArray):
-                    texts = texts.combine_chunks()
-                if normalize:
-                    texts = normalize_batch(texts)
-                acc = _score_and_recruit(bf, texts, threshold, method,
-                                         bait, subtract)
+                acc = _score_and_recruit(
+                    bf, _texts(batch, text_col, normalize), threshold,
+                    method, bait, subtract, into=bf)
                 # count BEFORE the gate check so the final batch's
                 # recruits (already inserted) are never dropped from the
                 # returned tally
@@ -166,27 +164,9 @@ def progressive_build(
             part = BloomFilter(m=snap.m, hash_num=snap.hash_num,
                                kmer_size=snap.kmer_size, seed=snap.seed,
                                filter_id=snap.filter_id)
-            texts = batch[text_col]
-            if isinstance(texts, pa.ChunkedArray):
-                texts = texts.combine_chunks()
-            if normalize:
-                texts = normalize_batch(texts)
-            h1, h2, nf = shingle_hashes(texts, snap.kmer_size, snap.seed)
-            fh = snap.contains(h1, h2)
-            b = ray.get(bait_ref)
-            s = ray.get(sub_ref)
-            sub = s.contains(h1, h2) if s is not None else None
-            acc = eval_batch(fh, nf, snap.kmer_size, method=method,
-                             threshold=threshold, bf_fpr=snap.fpr_realized(),
-                             subtract_hits=sub)
-            if b is not None:
-                bh = b.contains(h1, h2)
-                acc |= eval_batch(bh, nf, snap.kmer_size, method=method,
-                                  threshold=threshold, bf_fpr=b.fpr_realized(),
-                                  subtract_hits=sub)
-            row_of = np.repeat(np.arange(len(nf)), nf)
-            sel = acc[row_of]
-            part.insert(h1[sel], h2[sel])
+            acc = _score_and_recruit(
+                snap, _texts(batch, text_col, normalize), threshold, method,
+                ray.get(bait_ref), ray.get(sub_ref), into=part)
             return pa.table({"blob": pa.array([part.serialize()],
                                               type=pa.large_binary()),
                              "n_acc": pa.array([int(acc.sum())])})
@@ -194,38 +174,11 @@ def progressive_build(
         parts = ds.map_batches(round_partial, batch_format="pyarrow",
                                batch_size=batch_size)
         before = bf.popcount()
-        if bf.m > DRIVER_MERGE_MAX_M:
-            # large filter: OR-merge blobs (and sum accept counts) in a
-            # two-level repartition tree; the driver receives ONE row
-            def or_reduce(b: pa.Table) -> pa.Table:
-                col = b["blob"]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                acc_f = BloomFilter.deserialize(col[0].as_py())
-                for i in range(1, len(col)):
-                    acc_f.merge(BloomFilter.deserialize(col[i].as_py()))
-                n = int(np.asarray(
-                    b["n_acc"].to_numpy(zero_copy_only=False)).sum())
-                return pa.table({
-                    "blob": pa.array([acc_f.serialize()],
-                                     type=pa.large_binary()),
-                    "n_acc": pa.array([n])})
-
-            import ray as _ray
-            fan = max(2, int(_ray.cluster_resources().get("CPU", 8)) // 2) \
-                if _ray.is_initialized() else 4
-            rows = (parts.repartition(fan)
-                    .map_batches(or_reduce, batch_format="pyarrow",
-                                 batch_size=None)
-                    .repartition(1)
-                    .map_batches(or_reduce, batch_format="pyarrow",
-                                 batch_size=None).take_all())
-        else:
-            rows = parts.take_all()
         round_acc = 0
-        for r in rows:
-            bf.merge(BloomFilter.deserialize(r["blob"]))
-            round_acc += r["n_acc"]
+        for r in fold_partials(parts, {"blob": BloomFilter}, sums=("n_acc",),
+                               nbytes=bf.m // 8).values():
+            bf.merge(r["blob"])
+            round_acc = r["n_acc"]
         # For FIXED-threshold methods (simple/harmonic/length) acceptance
         # is MONOTONE across rounds (the filter only grows, so hit counts
         # only grow against a fixed bar): every read accepted in round
@@ -259,27 +212,10 @@ def progressive_build(
         final_ref = ray.put(bf)
 
         def count_final(batch: pa.Table) -> pa.Table:
-            snap: BloomFilter = ray.get(final_ref)
-            texts = batch[text_col]
-            if isinstance(texts, pa.ChunkedArray):
-                texts = texts.combine_chunks()
-            if normalize:
-                texts = normalize_batch(texts)
-            h1, h2, nf = shingle_hashes(texts, snap.kmer_size, snap.seed)
-            fh = snap.contains(h1, h2)
-            s = ray.get(sub_ref)
-            sub = s.contains(h1, h2) if s is not None else None
-            acc = eval_batch(fh, nf, snap.kmer_size, method=method,
-                             threshold=threshold,
-                             bf_fpr=snap.fpr_realized(),
-                             subtract_hits=sub)
-            b = ray.get(bait_ref)
-            if b is not None:
-                bh = b.contains(h1, h2)
-                acc |= eval_batch(bh, nf, snap.kmer_size, method=method,
-                                  threshold=threshold,
-                                  bf_fpr=b.fpr_realized(),
-                                  subtract_hits=sub)
+            acc = _score_and_recruit(
+                ray.get(final_ref), _texts(batch, text_col, normalize),
+                threshold, method, ray.get(bait_ref), ray.get(sub_ref),
+                into=None)
             return pa.table({"n_acc": pa.array([int(acc.sum())])})
 
         recruited = sum(

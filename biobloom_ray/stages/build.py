@@ -10,10 +10,11 @@ into ONE shared bit array with atomic counters
 
 Ray design: the shared mutable array becomes *partial filters per block*
 (bitwise-OR is associative + commutative, so any merge order is
-bit-exact) merged with a tiny ``groupby(filter_id)`` shuffle whose
-payload is one serialized filter per input block — never the shingles
-themselves.  Multi-filter builds (one filter per label value, e.g. per
-lang) run in the SAME single pass over the input.
+bit-exact), folded per filter_id by
+:func:`~biobloom_ray.sketches.fold.fold_partials` — its payload is one
+serialized filter per (block, label), never the shingles themselves.
+Multi-filter builds (one filter per label value, e.g. per lang) run in
+the SAME single pass over the input.
 """
 
 from __future__ import annotations
@@ -24,16 +25,30 @@ import pyarrow as pa
 from biobloom_ray.config import BuildConfig
 from biobloom_ray.hashing import shingle_hashes
 from biobloom_ray.sketches.bloom import BloomFilter, calc_optimal_hash_num, calc_optimal_size
+from biobloom_ray.sketches.fold import fold_table, to_table
 from biobloom_ray.sketches.hll import HLL
 from biobloom_ray.textnorm import normalize_batch
+
+#: the partial-row sketch columns of :class:`PartialBloomBuilder`
+PARTIAL_SKETCHES = {"blob": BloomFilter, "hll": HLL}
+
+
+def _labels(batch: pa.Table, label_col: str) -> np.ndarray:
+    """The label column as numpy; a null label names no filter, so it
+    raises instead of being dropped."""
+    col = batch[label_col]
+    if col.null_count:
+        raise ValueError(f"{label_col} has null values; every row must "
+                         f"name the filter it feeds")
+    return col.to_pandas().to_numpy()
 
 
 def expected_entries_batch(batch: pa.Table, text_col: str, k: int,
                            label_col: str | None,
                            normalize: bool = True) -> pa.Table:
     """Pre-pass partial (A1): frames per row = max(len−k+1, 0), summed per
-    label inside the batch so the downstream groupby only sees one row
-    per (block, label).
+    label inside the batch so the driver fold only sees one row per
+    (block, label).
 
     ``len`` is measured on the SAME representation the builder hashes —
     UTF-8 **bytes** of the (optionally normalized) text — so the filter
@@ -57,7 +72,7 @@ def expected_entries_batch(batch: pa.Table, text_col: str, k: int,
     frames = np.maximum(np.nan_to_num(lens.astype(np.float64)) - k + 1, 0).astype(np.int64)
     if label_col is None:
         return pa.table({"filter_id": ["__all__"], "frames": [int(frames.sum())]})
-    labels = batch[label_col].to_pandas()
+    labels = _labels(batch, label_col)
     import pandas as pd
 
     agg = pd.DataFrame({"filter_id": labels, "frames": frames}).groupby(
@@ -93,14 +108,11 @@ class PartialBloomBuilder:
         h1, h2, nf = shingle_hashes(texts, cfg.kmer_size, cfg.seed)
         if self.label_col is None:
             groups = {"__all__": slice(None)}
-            row_of = None
         else:
-            labels = batch[self.label_col].to_pandas().to_numpy()
+            labels = _labels(batch, self.label_col)
             row_of = np.repeat(np.arange(len(nf)), nf)
-            groups = {}
-            for fid in np.unique(labels):
-                rows = labels == fid
-                groups[str(fid)] = rows[row_of] if len(row_of) else np.zeros(0, bool)
+            groups = {str(fid): (labels == fid)[row_of]
+                      for fid in np.unique(labels)}
         out_ids, out_blobs, out_hll = [], [], []
         for fid, sel in groups.items():
             if fid not in self.sizes:
@@ -108,8 +120,7 @@ class PartialBloomBuilder:
             m, h = self.sizes[fid]
             bf = BloomFilter(m=m, hash_num=h, kmer_size=cfg.kmer_size,
                              seed=cfg.seed, filter_id=fid)
-            gh1 = h1[sel] if not isinstance(sel, slice) else h1
-            gh2 = h2[sel] if not isinstance(sel, slice) else h2
+            gh1, gh2 = h1[sel], h2[sel]
             bf.insert(gh1, gh2)
             out_ids.append(fid)
             out_blobs.append(bf.serialize())
@@ -126,38 +137,14 @@ class PartialBloomBuilder:
         })
 
 
-def merge_partials_group(group) -> "pa.Table":
-    """groupby(filter_id).map_groups reducer: OR all partial filters of
-    one filter_id (associative — any arrival order gives identical bits),
-    union the distinct-shingle HLLs, return one artifact row."""
-    import pandas as pd
-
-    blobs = group["blob"].tolist()
-    acc = BloomFilter.deserialize(blobs[0])
-    for b in blobs[1:]:
-        acc.merge(BloomFilter.deserialize(b))
-    hll_blobs = [b for b in group["hll"].tolist() if b]
-    hll_blob = b""
-    distinct_est = float(acc.n_distinct)
-    if hll_blobs:
-        hacc = HLL.deserialize(hll_blobs[0])
-        for b in hll_blobs[1:]:
-            hacc.merge(HLL.deserialize(b))
-        hll_blob = hacc.serialize()
-        distinct_est = hacc.estimate()
-    return pd.DataFrame({
-        "filter_id": [acc.filter_id],
-        "blob": [acc.serialize()],
-        "hll": [hll_blob],
-        "m": [acc.m],
-        "hash_num": [acc.hash_num],
-        "kmer_size": [acc.kmer_size],
-        "n_inserted": [acc.n_inserted],
-        "n_distinct_bloom": [acc.n_distinct],
-        "n_redundant": [acc.n_redundant],
-        "distinct_est_hll": [distinct_est],
-        "fpr_realized": [acc.fpr_realized()],
-    })
+def merge_partials_group(group) -> "pd.DataFrame":
+    """OR the partial filters of one filter_id and union their HLLs —
+    the per-table fold of ``fold_partials`` over a pandas group; returns
+    one ``filter_id, blob, hll`` row."""
+    t = pa.Table.from_pandas(group[["filter_id", *PARTIAL_SKETCHES]],
+                             preserve_index=False)
+    return to_table(fold_table(t, PARTIAL_SKETCHES, key="filter_id"),
+                    t.schema, PARTIAL_SKETCHES, key="filter_id").to_pandas()
 
 
 def compute_sizes(expected: dict[str, int], cfg: BuildConfig) -> dict[str, tuple[int, int]]:

@@ -12,8 +12,8 @@ reference's BioBloomMaker/Categorizer pair applied to itself:
 like ``BioBloomClassifier.cpp`` filter banks).
 
 Scale notes: the build is per-block partial filters (same m/seed)
-OR-merged — word-exact under any partitioning, the same associativity
-contract as ``stages/build.PartialBloomBuilder`` — and the merged
+OR-folded — word-exact under any partitioning, the same fold as
+``stages/build.PartialBloomBuilder``'s partials — and the merged
 filter broadcasts ONCE via ``ray.put``; the probe is a map-only
 vectorized ``contains`` per batch.  For fpr 1% the filter costs ~1.2
 bytes/key, so a 10^8-key small side broadcasts ~120 MB — far below
@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from biobloom_ray.hashing import splitmix64
 from biobloom_ray.sketches.bloom import BloomFilter, calc_optimal_size
+from biobloom_ray.sketches.fold import fold_partials
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -44,9 +45,8 @@ def build_key_bloom(ds, col: str, expected: int, fpr: float = 0.01,
                     hash_num: int = 3) -> BloomFilter:
     """Distributed Bloom build over a Dataset's int key column:
     per-block partial filters with identical (m, seed) OR-merge
-    word-exactly in any order.  The partials are m/8 bytes each —
-    driver OR below any realistic block count; the repartition-tree
-    merge in ``pipelines/progressive`` is the drop-in above it."""
+    word-exactly in any order, through ``fold_partials`` (driver fold,
+    or the repartition tree above its gate)."""
     m = calc_optimal_size(max(expected, 1), fpr, hash_num)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -54,15 +54,13 @@ def build_key_bloom(ds, col: str, expected: int, fpr: float = 0.01,
         keys = b[col].to_numpy(zero_copy_only=False)
         if len(keys):
             bf.insert(*int_key_hashes(keys))
-        return pa.table({"words": pa.array([bf.words.tobytes()],
-                                           type=pa.large_binary())})
+        return pa.table({"blob": pa.array([bf.serialize()],
+                                          type=pa.large_binary())})
 
-    merged = BloomFilter(m=m, hash_num=hash_num, kmer_size=1)
-    for row in (ds.map_batches(partial, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow")):
-        for words in row["words"]:
-            merged.words |= np.frombuffer(words.as_py(), dtype=np.uint64)
-    return merged
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": BloomFilter}, nbytes=m // 8)
+    return (folded[None]["blob"] if folded
+            else BloomFilter(m=m, hash_num=hash_num, kmer_size=1))
 
 
 def bloom_semi_filter(ds, col: str, bloom: BloomFilter):

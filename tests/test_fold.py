@@ -1,0 +1,190 @@
+"""fold_partials: the one order-free fold of partial Bloom/HLL/CMS
+sketches, at both tiers, against a sequential fold — and the Bloom
+build that runs on it (forced-gate parity, empty reference, null
+labels)."""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+import ray
+
+from biobloom_ray.config import BuildConfig
+from biobloom_ray.sketches.bloom import BloomFilter
+from biobloom_ray.sketches.cms import CountMinSketch
+from biobloom_ray.sketches.fold import fold_partials
+from biobloom_ray.sketches.hll import HLL
+
+SKETCHES = {"bf": BloomFilter, "hll": HLL, "cms": CountMinSketch}
+
+
+def _partial(rng, key):
+    h1 = rng.integers(0, 2 ** 63, 200, dtype=np.uint64)
+    h2 = rng.integers(0, 2 ** 63, 200, dtype=np.uint64)
+    bf = BloomFilter(m=4096, hash_num=3, kmer_size=8, filter_id=str(key))
+    bf.insert(h1, h2)
+    hll = HLL(p=8)
+    hll.update(h1)
+    cms = CountMinSketch(depth=3, width=64)
+    cms.update(h1 % np.uint64(50), 1)
+    return {"k": key, "bf": bf.serialize(), "hll": hll.serialize(),
+            "cms": cms.serialize(), "n": int(rng.integers(0, 100))}
+
+
+def _parts(n, keys, seed=0):
+    rng = np.random.default_rng(seed)
+    return [_partial(rng, keys[i % len(keys)]) for i in range(n)]
+
+
+def _dataset(rows, n_blocks=3):
+    schema = pa.schema([("k", pa.large_string()), ("bf", pa.large_binary()),
+                        ("hll", pa.large_binary()),
+                        ("cms", pa.large_binary()), ("n", pa.int64())])
+    chunks = [rows[i::n_blocks] for i in range(n_blocks)]
+    return ray.data.from_arrow([pa.Table.from_pylist(c, schema=schema)
+                                for c in chunks if c] or
+                               [schema.empty_table()])
+
+
+def _sequential(rows, key):
+    out = {}
+    for r in rows:
+        k = r["k"] if key else None
+        acc = out.setdefault(k, {**dict.fromkeys(SKETCHES), "n": 0})
+        for col, cls in SKETCHES.items():
+            sk = cls.deserialize(r[col])
+            acc[col] = sk if acc[col] is None else acc[col].merge(sk)
+        acc["n"] += r["n"]
+    return dict(sorted(out.items()))
+
+
+def _assert_same(got, want):
+    assert list(got) == list(want)
+    for k in want:
+        g, w = got[k], want[k]
+        assert g["n"] == w["n"]
+        assert np.array_equal(g["bf"].words, w["bf"].words)
+        assert (g["bf"].n_inserted, g["bf"].n_distinct, g["bf"].n_redundant,
+                g["bf"].filter_id) == (w["bf"].n_inserted,
+                                       w["bf"].n_distinct,
+                                       w["bf"].n_redundant,
+                                       w["bf"].filter_id)
+        assert np.array_equal(g["hll"].registers, w["hll"].registers)
+        assert np.array_equal(g["cms"].counts, w["cms"].counts)
+        assert g["cms"].n == w["cms"].n
+
+
+@pytest.fixture(params=["driver", "tree"])
+def tier(request, monkeypatch):
+    if request.param == "tree":
+        import biobloom_ray.sketches.fold as F
+
+        monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("key", ["k", None])
+@pytest.mark.parametrize("n_parts", [0, 1, 9])
+def test_fold_matches_sequential(ray_session, tier, key, n_parts):
+    rows = _parts(n_parts, ["b", "a", "c"], seed=n_parts)
+    got = fold_partials(_dataset(rows), SKETCHES, key=key, sums=("n",),
+                        nbytes=1)
+    _assert_same(got, _sequential(rows, key))
+
+
+def test_fold_empty_blob_is_no_sketch(ray_session, tier):
+    rows = _parts(4, ["a"])
+    for r in rows[::2]:
+        r["hll"] = b""
+    got = fold_partials(_dataset(rows), {"hll": HLL}, key="k", nbytes=1)
+    want = HLL.deserialize(rows[1]["hll"]).merge(
+        HLL.deserialize(rows[3]["hll"]))
+    assert np.array_equal(got["a"]["hll"].registers, want.registers)
+    none = [dict(r, hll=b"") for r in rows]
+    assert fold_partials(_dataset(none), {"hll": HLL}, key="k",
+                         nbytes=1) == {"a": {"hll": None}}
+
+
+def test_fold_incompatible_bloom_raises(ray_session, tier):
+    rows = _parts(4, ["a"])
+    odd = BloomFilter(m=8192, hash_num=3, kmer_size=8, filter_id="a")
+    rows[3]["bf"] = odd.serialize()
+    with pytest.raises(ValueError, match="incompatible Bloom"):
+        fold_partials(_dataset(rows, n_blocks=1), {"bf": BloomFilter},
+                      key="k", nbytes=1)
+
+
+# ---- build_filters on the fold ---------------------------------------------
+
+
+def _build_input():
+    from biobloom_ray.pages import generate_ref_corpora
+
+    t = generate_ref_corpora(docs_per_lang=40)
+    return ray.data.from_arrow(t).repartition(4), t
+
+
+@pytest.mark.parametrize("label_col,with_hll", [
+    ("filter_id", True), (None, True), ("filter_id", False)])
+def test_build_filters_tiers_agree(ray_session, monkeypatch, label_col,
+                                   with_hll):
+    """The driver fold and the forced tree build identical filters:
+    words, counters and HLL registers."""
+    import biobloom_ray.sketches.fold as F
+    from biobloom_ray.pipelines.build import build_filters
+
+    ds, _ = _build_input()
+    cfg = BuildConfig(kmer_size=8, batch_size=16)
+    kw = dict(text_col="doc", label_col=label_col, cfg=cfg,
+              with_hll=with_hll)
+    driver = build_filters(ds, **kw)
+    monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
+    tree = build_filters(ds, **kw)
+    assert list(driver) == list(tree) == sorted(driver)
+    assert len(driver) == (1 if label_col is None else 4)
+    for fid in driver:
+        a, b = driver[fid], tree[fid]
+        fa, fb = a["filter"], b["filter"]
+        assert np.array_equal(fa.words, fb.words)
+        assert (fa.n_inserted, fa.n_distinct, fa.n_redundant) == \
+            (fb.n_inserted, fb.n_distinct, fb.n_redundant)
+        assert fa.n_inserted > 0
+        assert a["expected_entries"] == b["expected_entries"]
+        if with_hll:
+            assert np.array_equal(a["hll"].registers, b["hll"].registers)
+        else:
+            assert a["hll"] is None and b["hll"] is None
+
+
+@pytest.mark.parametrize("filter_id", ["__all__", "ref"])
+def test_build_filters_empty_reference(ray_session, filter_id):
+    """An empty reference builds the one (empty) filter a reference
+    shorter than k builds, not a StopIteration."""
+    from biobloom_ray.pipelines.build import build_filters
+
+    cfg = BuildConfig(kmer_size=8)
+    empty = ray.data.from_arrow(pa.table({"text": pa.array([], pa.string())}))
+    short = ray.data.from_arrow(pa.table({"text": ["abc"]}))
+    got = build_filters(empty, label_col=None, cfg=cfg, filter_id=filter_id)
+    want = build_filters(short, label_col=None, cfg=cfg, filter_id=filter_id)
+    assert list(got) == list(want) == [filter_id]
+    g, w = got[filter_id], want[filter_id]
+    assert g["filter"].m == w["filter"].m == 64
+    assert g["filter"].filter_id == filter_id
+    assert g["filter"].n_inserted == w["filter"].n_inserted == 0
+    assert not g["filter"].words.any()
+    assert np.array_equal(g["hll"].registers, w["hll"].registers)
+    assert g["expected_entries"] == w["expected_entries"] == 0
+
+
+def test_build_filters_null_label_raises(ray_session):
+    """A null label names no filter: the build says so, naming the
+    column, instead of failing inside the builder (or dropping the
+    rows in the pre-pass)."""
+    from biobloom_ray.pipelines.build import build_filters
+
+    ds = ray.data.from_arrow(pa.table({
+        "text": ["some reference text", "more reference text"],
+        "lang": ["en", None]}))
+    with pytest.raises(ValueError, match="lang has null values"):
+        build_filters(ds, label_col="lang", cfg=BuildConfig(kmer_size=8))

@@ -177,10 +177,11 @@ class TestClusterPaths:
         min-reduce, groupby saturation) must build a bit-identical
         filter to the small-filter driver paths."""
         import biobloom_ray.pipelines.mibf as M
+        import biobloom_ray.sketches.fold as F
 
         monkeypatch.setattr(M, "DRIVER_BUILD_MAX_ROWS", 0)
         monkeypatch.setattr(M, "DRIVER_REDUCE_MAX_SLOTS", 0)
-        monkeypatch.setattr(M, "DRIVER_REDUCE_MAX_M", 0)
+        monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
         ref = ray.data.from_arrow(generate_ref_corpora(docs_per_lang=60))
         big_path = build_mibf(ref, text_col="doc", label_col="filter_id",
                               kmer_size=8, hash_num=3, occupancy=0.5)

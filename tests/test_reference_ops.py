@@ -109,14 +109,14 @@ class TestProgressive:
     def test_bulk_tree_merge_matches_driver_merge(self, stream, monkeypatch):
         """Forcing the cluster tree-merge path must give the identical
         filter and recruit count as the driver-merge path."""
-        import biobloom_ray.pipelines.progressive as P
+        import biobloom_ray.sketches.fold as F
 
         ds, seed_docs, _ = stream
         cfg = BuildConfig(kmer_size=8, desired_fpr=0.0078125)
         bf_a, rec_a = progressive_build(
             ds, seed_docs, cfg, threshold=0.3, expected_entries=200_000,
             strict_order=False, passes=2, batch_size=64)
-        monkeypatch.setattr(P, "DRIVER_MERGE_MAX_M", 0)
+        monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
         bf_b, rec_b = progressive_build(
             ds, seed_docs, cfg, threshold=0.3, expected_entries=200_000,
             strict_order=False, passes=2, batch_size=64)

@@ -167,6 +167,12 @@ def test_wave_ops_empty_inputs(ray_session):
             "doc_id", "n_trigrams", "n_contam", "contaminated"]
         assert len(A.contamination_topk(td)) == 0
         assert len(A.dup_group_size_histogram(td)) == 0
+        # sketch folds over zero partials: zero estimates, typed frames
+        so = A.sketch_setops_report(td)
+        assert len(so) == 1 and (so.iloc[0] == 0).all()
+        h = A.hll_distinct_shingles_per_lang(td)
+        assert len(h) == 0 and list(h.columns) == ["lang",
+                                                   "distinct_shingles_est"]
 
 
 # ---- continuation-session (waves 36-56) kernel properties ----------------
