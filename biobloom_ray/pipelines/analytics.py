@@ -9297,23 +9297,21 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
         {"blob": BloomFilter}, nbytes=m // 8)
     bf = (folded[None]["blob"] if folded else
           BloomFilter(m=m, hash_num=h, kmer_size=1, filter_id="bloomjoin"))
-    bf_ref = ray.put(bf.serialize())
+    # the words array broadcasts as numpy, so ``ray.get`` maps it
+    # zero-copy from the object store — no per-batch copy of the filter
+    words_ref = ray.put(bf.words)
+    shape = dict(m=bf.m, hash_num=bf.hash_num, kmer_size=1, seed=bf.seed)
 
-    class BloomProbe:
-        """Actor-pool stage: deserialize the broadcast filter ONCE per
-        worker (worker-private words array — no per-batch plasma read),
-        probe + pre-reduce per batch."""
+    def bloom_probe(b: pa.Table) -> pa.Table:
+        """Probe + pre-reduce on the task path: an actor pool would
+        hold cpus the join's aggregator actors need, and at 2 cpus the
+        two starve each other."""
+        probe = BloomFilter(words=ray.get(words_ref), **shape)
+        ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
+        maybe = probe.contains(*_key_hashes(ok.astype(np.int64)))
+        return rev_partial(b.filter(pa.array(maybe)))
 
-        def __init__(self):
-            self._bf = BloomFilter.deserialize(ray.get(bf_ref))
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            maybe = self._bf.contains(*_key_hashes(ok.astype(np.int64)))
-            return rev_partial(b.filter(pa.array(maybe)))
-
-    survivors = li.map_batches(BloomProbe, batch_format="pyarrow",
-                               concurrency=(1, 8))
+    survivors = li.map_batches(bloom_probe, batch_format="pyarrow")
     exact = hash_join(survivors, keys_ds, on=("l_orderkey",),
                       right_on=("o_orderkey",), join_type="inner")
     agg = (exact.groupby("l_returnflag")

@@ -1,10 +1,10 @@
-"""Resumable partitioned categorize run (BASELINE requirement: a killed
-job resumes from per-partition lineage/sketch checkpoints without
+"""Resumable partitioned runs (BASELINE requirement: a killed job
+resumes from per-partition lineage/sketch checkpoints without
 recomputing finished partitions — SURVEY.md §4).
 
 Unit of resume = one input parquet fragment (the natural shard of a
-Common-Crawl-style layout).  Each partition writes its labeled output
-under ``<out>/part=<i>/`` atomically and then its ``_lineage.json``
+Common-Crawl-style layout).  Each partition writes its output under
+``<out>/part=<i>/`` atomically and then its ``_lineage.json``
 manifest; a partition whose manifest says ``complete`` is skipped on
 re-run.  Because every UDF is deterministic (fixed hash seeds), a resume
 produces byte-identical rows to an uninterrupted run.
@@ -14,19 +14,42 @@ Dataset): the loop IS the checkpoint boundary.  Within a partition the
 work is still a streaming Ray Data pipeline, so each partition scales
 out across the cluster; at 10^12 pages you'd raise the partition
 granularity to directory-level shards.
+
+Two runners share that loop:
+
+- ``run_partitioned_categorize`` — categorize each fragment, publish.
+- ``run_partitioned_curation`` — alpha gate, first-wins exact dedup,
+  cross-partition exact and (optionally) MinHash near-dup dedup.  Each
+  partition is one fused map (gate, fingerprint, signature) that
+  materializes narrow ``doc_id, fp_md5[, sig]`` rows, driver numpy
+  decisions against the cross-partition state, and one filtered
+  write — two Ray Data executions per partition — then the
+  partition's state-checkpoint deltas.  The state (published
+  fingerprints as 16-byte keys, the candidates' signatures and LSH
+  band index) lives in driver memory for the whole call — loaded
+  once from the finished partitions' ``state/`` checkpoints, grown by
+  each partition, local to the call so runs on different ``out_dir``
+  stay independent.  Past its row gates a probe joins against the
+  checkpoint files instead.
 """
 
 from __future__ import annotations
 
-from biobloom_ray.io import read_parquet as _rp
 import glob
 import os
+import re
 import time
 
+import numpy as np
+import pyarrow as pa
+import ray
 import ray.data
 
 from biobloom_ray.config import CategorizeConfig
+from biobloom_ray.io import hash_join
+from biobloom_ray.io import read_parquet as _rp
 from biobloom_ray.pipelines.categorize import categorize
+from biobloom_ray.stages.dedup import add_content_hash
 from biobloom_ray.state.lineage import (
     PartitionManifest,
     completed_partitions,
@@ -105,40 +128,124 @@ def run_partitioned_categorize(
     return {"completed": completed, "skipped": skipped, "rows": total_rows}
 
 
-#: seen-key table size above which the cross-partition dedup membership
-#: switches from a broadcast sorted-array probe to a left_anti hash
-#: join against the accumulated checkpoint parquet (narrow 32-hex rows)
+#: published-fingerprint count above which the cross-partition exact-
+#: dedup probe leaves the driver's in-memory key set (16 B/key, 32 MB
+#: at this gate) for a left_anti hash join against the accumulated
+#: checkpoint parquet (narrow 32-hex rows)
 SEEN_BROADCAST_MAX_KEYS = 2_000_000
 
 #: accumulated prior-partition signature rows above which the
-#: cross-partition NEAR-dup probe switches from a broadcast
-#: (band-key index + signature matrix, ~1 KB/doc at 128 perms —
-#: ~50 MB at this gate) to band-key hash joins against the signature
+#: cross-partition NEAR-dup probe leaves the driver's in-memory band
+#: index (signature matrix + sorted band keys, ~1.2 KB/doc at 128 perms
+#: — ~60 MB at this gate) for band-key hash joins against the signature
 #: checkpoint parquet
 NEARDUP_STATE_BROADCAST_MAX_ROWS = 50_000
 
+_STATE_FILE = re.compile(r"(seen|sigs)_(\d+)\.parquet")
 
-def _cross_neardup_drops(sig_ds, prior_files: list[str],
-                         threshold: float, num_perm: int,
-                         num_bands: int) -> "np.ndarray":
-    """doc_ids of THIS partition's candidate docs that are near-dups
-    (MinHash est-Jaccard ≥ threshold) of ANY earlier partition's
-    candidate doc — earlier partitions always win.  Tiered like the
-    exact seen-set probe: below ``NEARDUP_STATE_BROADCAST_MAX_ROWS``
-    accumulated prior signature rows, the prior state broadcasts once
-    as (sorted band keys, band→row index, signature matrix) and ONE
-    distributed map probes + verifies; above it, band rows hash-join
-    the checkpoint parquet and signatures attach via two more joins."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
+#: ASCII hex digit → nibble
+_HEX = np.zeros(256, dtype=np.uint8)
+_HEX[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 
-    from biobloom_ray.io import cheap_count, hash_join
-    from biobloom_ray.sketches.minhash import (_EMPTY_SENTINEL,
-                                               lsh_band_keys)
-    from biobloom_ray.stages.dedup import (_band_rows,
-                                           _collect_numpy_sigs,
-                                           _sig_matrix)
+
+def _state_index(path: str) -> int:
+    """Partition index of a state checkpoint path (a file, or a file
+    inside a checkpoint directory)."""
+    return int(_STATE_FILE.findall(path)[-1][1])
+
+
+def _state_files(state_dir: str, kind: str, keep) -> list[str]:
+    """The ``kind`` (``seen`` / ``sigs``) checkpoint files whose
+    partition index satisfies ``keep``, in partition order; a checkpoint
+    written as a directory (signatures that stayed in the cluster)
+    contributes its part files."""
+    files = []
+    for f in sorted(glob.glob(os.path.join(state_dir, f"{kind}_*.parquet")),
+                    key=_state_index):
+        if keep(_state_index(f)):
+            files += (sorted(glob.glob(os.path.join(f, "*.parquet")))
+                      if os.path.isdir(f) else [f])
+    return files
+
+
+def _fp_keys(fp) -> np.ndarray:
+    """32-hex md5 fingerprints → fixed-width 16-byte keys (``S16``: they
+    sort and ``searchsorted`` without object dtype).  The empty
+    fingerprint of a null text maps to 16 zero bytes."""
+    if isinstance(fp, pa.ChunkedArray):
+        fp = fp.combine_chunks()
+    fp = fp.cast(pa.large_string())
+    n = len(fp)
+    out = np.zeros((n, 16), dtype=np.uint8)
+    _, offs_buf, data_buf = fp.buffers()
+    if n and data_buf is not None:
+        offs = np.frombuffer(offs_buf, dtype=np.int64,
+                             count=fp.offset + n + 1)[fp.offset:]
+        full = np.diff(offs) == 32
+        nib = _HEX[np.frombuffer(data_buf, dtype=np.uint8)[
+            offs[:-1][full, None] + np.arange(32)]]
+        out[full] = (nib[:, 0::2] << 4) | nib[:, 1::2]
+    return out.view("S16").ravel()
+
+
+def _collect(ds) -> pa.Table | None:
+    """A materialized Dataset as one driver table; None when it has no
+    rows."""
+    blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(blocks) if blocks else None
+
+
+def _gate_fp_sig(min_alpha_pct: int, sig_stage):
+    """map_batches callable of the runner's one read: the exact integer
+    alpha gate (keep iff 100·n_alpha ≥ min_alpha_pct·n_chars), the
+    content fingerprint and, for near-dup runs, the MinHash signature of
+    every gated row — narrow ``doc_id, fp_md5[, sig]`` rows, no text."""
+
+    def narrow(b: pa.Table) -> pa.Table:
+        s = b["text"].to_pandas()
+        n_chars = s.str.len().fillna(0).astype("int64").to_numpy()
+        n_alpha = (s.str.count(r"[A-Za-z]").fillna(0)
+                   .astype("int64").to_numpy())
+        keep = 100 * n_alpha >= min_alpha_pct * n_chars
+        sub = add_content_hash(b.filter(pa.array(keep)))
+        cols = {"doc_id": sub["doc_id"].cast(pa.int64()),
+                "fp_md5": sub["fp_md5"]}
+        if sig_stage is not None:
+            cols["sig"] = sig_stage(sub)["sig"]
+        return pa.table(cols)
+
+    return narrow
+
+
+def _seen_join_hits(ids: np.ndarray, fp, files: list[str]) -> np.ndarray:
+    """Join tier of the seen probe: which candidates' fingerprints an
+    earlier partition published, by a left_anti hash join of the
+    narrow ``doc_id, fp_md5`` rows against the seen checkpoints."""
+    if not len(ids) or not files:
+        return np.zeros(len(ids), dtype=bool)
+    left = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "fp_md5": fp.cast(pa.string())}))
+    right = _rp(files).map_batches(
+        lambda b: pa.table({"fp": b["fp"].cast(pa.string())}),
+        batch_format="pyarrow")
+    fresh = _collect(hash_join(left, right, on=("fp_md5",),
+                               right_on=("fp",), join_type="left_anti")
+                     .materialize())
+    kept = (fresh["doc_id"].to_numpy() if fresh is not None
+            else np.empty(0, dtype=np.int64))
+    return ~np.isin(ids, kept)
+
+
+def _cross_neardup_join(sig_ds, prior_files: list[str], threshold: float,
+                        num_perm: int, num_bands: int) -> np.ndarray:
+    """Join tier of the cross-partition near-dup probe: doc_ids of this
+    partition's candidates (``sig_ds``: doc_id, sig) with an est-Jaccard
+    ≥ ``threshold`` neighbor among the earlier partitions' candidates —
+    band rows hash-join the signature checkpoints, and the signatures
+    attach via two more joins."""
+    from biobloom_ray.io import cheap_count
+    from biobloom_ray.stages.dedup import _band_rows, _sig_matrix
 
     prior_ds = _rp(prior_files)
     n_prior = cheap_count(prior_ds)
@@ -147,58 +254,6 @@ def _cross_neardup_drops(sig_ds, prior_files: list[str],
     if n_prior == 0:
         return np.empty(0, dtype=np.int64)
 
-    if n_prior <= NEARDUP_STATE_BROADCAST_MAX_ROWS:
-        prior = _collect_numpy_sigs(prior_ds, "doc_id", num_perm)
-        psigs = prior["sigs"]
-        keep = psigs[:, 0] != _EMPTY_SENTINEL
-        psigs = psigs[keep]
-        if not len(psigs):
-            return np.empty(0, dtype=np.int64)
-        keys = lsh_band_keys(psigs, num_bands) \
-            .reshape(-1).view(np.int64)
-        idx = np.repeat(np.arange(len(psigs)), num_bands)
-        order = np.argsort(keys, kind="stable")
-        state_ref = ray.put((keys[order], idx[order], psigs))
-
-        def probe(b: pa.Table) -> pa.Table:
-            kb, pidx, ps = ray.get(state_ref)
-            sig = _sig_matrix(b["sig"], num_perm)
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            ne = sig[:, 0] != _EMPTY_SENTINEL
-            sig, ids = sig[ne], ids[ne]
-            if not len(ids):
-                return pa.table({"doc_id": pa.array([], pa.int64())})
-            ks = lsh_band_keys(sig, num_bands) \
-                .reshape(-1).view(np.int64)
-            row_of = np.repeat(np.arange(len(ids)), num_bands)
-            lo = np.searchsorted(kb, ks, side="left")
-            hi = np.searchsorted(kb, ks, side="right")
-            cnt = hi - lo
-            m = cnt > 0
-            if not m.any():
-                return pa.table({"doc_id": pa.array([], pa.int64())})
-            lo_m, cnt_m, row_m = lo[m], cnt[m], row_of[m]
-            total = int(cnt_m.sum())
-            starts = np.repeat(lo_m, cnt_m)
-            offs = (np.arange(total)
-                    - np.repeat(np.cumsum(cnt_m) - cnt_m, cnt_m))
-            pi = pidx[starts + offs]
-            ni = np.repeat(row_m, cnt_m)
-            # dedup (prior row, new row) so each pair verifies once
-            pk = np.unique(pi.astype(np.int64) * len(ids) + ni)
-            pi, ni = pk // len(ids), pk % len(ids)
-            est = (ps[pi] == sig[ni]).mean(axis=1)
-            hit = ni[est >= threshold]
-            return pa.table({"doc_id": pa.array(
-                np.unique(ids[hit]).astype(np.int64))})
-
-        dropped = sig_ds.map_batches(probe,
-                                     batch_format="pyarrow").to_pandas()
-        if len(dropped) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(dropped.doc_id.to_numpy(np.int64))
-
-    # join tier: band-key hash join against the checkpoint parquet
     def prior_bands(b: pa.Table) -> pa.Table:
         t = _band_rows(b, "doc_id", num_perm, num_bands)
         return pa.table({"band_key": t["band_key"],
@@ -211,6 +266,7 @@ def _cross_neardup_drops(sig_ds, prior_files: list[str],
                      prior_ds.map_batches(prior_bands,
                                           batch_format="pyarrow"),
                      on=("band_key",))
+
     def pair_narrow(b: pa.Table) -> pa.Table:
         return pa.table({"doc_id": b["doc_id"],
                          "prior_id": b["prior_id"]})
@@ -245,6 +301,171 @@ def _cross_neardup_drops(sig_ds, prior_files: list[str],
     return np.unique(dropped.doc_id.to_numpy(np.int64))
 
 
+class _CurationState:
+    """Cross-partition dedup state of one ``run_partitioned_curation``
+    call, held on the driver: the published fingerprints as sorted
+    16-byte keys, and the candidates' signature matrix with its sorted
+    LSH band keys and band → row index.  Every entry carries the
+    partition that added it, and partition ``i`` probes only entries of
+    earlier partitions — the rule the ``state/seen_<i>`` and
+    ``state/sigs_<i>`` checkpoints encode.
+
+    ``load`` reads the finished partitions' checkpoints once; each new
+    partition then appends its delta.  A kind whose rows before ``i``
+    pass its gate leaves memory for good (the counts only grow), and
+    from then on its probe joins against the checkpoint files."""
+
+    def __init__(self, state_dir: str, num_perm: int, num_bands: int):
+        self.state_dir = state_dir
+        self.num_perm = num_perm
+        self.num_bands = num_bands
+        self.in_memory = {"seen": True, "sigs": True}
+        self.seen = np.empty(0, dtype="S16")
+        self.seen_part = np.empty(0, dtype=np.int64)
+        self.sigs = np.empty((0, num_perm), dtype=np.uint64)
+        self.sig_part = np.empty(0, dtype=np.int64)
+        self.sig_rows: dict[int, int] = {}  # checkpoint rows per partition
+        self.band_keys = np.empty(0, dtype=np.int64)
+        self.band_row = np.empty(0, dtype=np.int64)
+
+    def load(self, done: set[int], neardup: bool) -> None:
+        """Read the checkpoints of the partitions ``done``, each once."""
+        from biobloom_ray.stages.dedup import _sig_matrix
+
+        gates = {"seen": SEEN_BROADCAST_MAX_KEYS,
+                 "sigs": NEARDUP_STATE_BROADCAST_MAX_ROWS}
+        for kind in ("seen", "sigs") if neardup else ("seen",):
+            files = _state_files(self.state_dir, kind, done.__contains__)
+            if not files:
+                continue
+            ds = _rp(files, include_paths=True)
+            if ds.count() > gates[kind]:
+                self.drop(kind)
+                continue
+            t = _collect(ds.materialize())
+            if t is None:
+                continue
+            paths = t["path"].combine_chunks().dictionary_encode()
+            part = np.array([_state_index(p) for p in
+                             paths.dictionary.to_pylist()],
+                            dtype=np.int64)[paths.indices.to_numpy()]
+            if kind == "seen":
+                self.add_seen(_fp_keys(t["fp"]), part)
+            else:
+                self.add_sigs(_sig_matrix(t["sig"], self.num_perm), part)
+
+    def drop(self, kind: str) -> None:
+        self.in_memory[kind] = False
+        if kind == "seen":
+            self.seen = self.seen_part = None
+        else:
+            self.sigs = self.sig_part = None
+            self.band_keys = self.band_row = None
+
+    def rows(self, kind: str, i: int) -> int:
+        """Checkpoint rows of partitions before ``i``."""
+        if kind == "seen":
+            return int(np.count_nonzero(self.seen_part < i))
+        return sum(n for p, n in self.sig_rows.items() if p < i)
+
+    def add_seen(self, keys: np.ndarray, part: np.ndarray) -> None:
+        if not self.in_memory["seen"]:
+            return
+        order = np.argsort(keys, kind="stable")
+        pos = np.searchsorted(self.seen, keys[order], side="right")
+        self.seen = np.insert(self.seen, pos, keys[order])
+        self.seen_part = np.insert(self.seen_part, pos, part[order])
+
+    def add_sigs(self, sigs: np.ndarray, part: np.ndarray) -> None:
+        """Append signature rows; zero-shingle rows only count (they
+        never band — see ``stages.dedup._band_rows``)."""
+        from biobloom_ray.sketches.minhash import (_EMPTY_SENTINEL,
+                                                   lsh_band_keys)
+
+        if not self.in_memory["sigs"]:
+            return
+        for p, n in zip(*np.unique(part, return_counts=True)):
+            self.sig_rows[int(p)] = self.sig_rows.get(int(p), 0) + int(n)
+        ne = sigs[:, 0] != _EMPTY_SENTINEL
+        sigs, part = sigs[ne], part[ne]
+        base = len(self.sigs)
+        self.sigs = np.concatenate([self.sigs, sigs])
+        self.sig_part = np.concatenate([self.sig_part, part])
+        keys = lsh_band_keys(sigs, self.num_bands).reshape(-1) \
+            .view(np.int64)
+        order = np.argsort(keys, kind="stable")
+        rows = np.repeat(np.arange(base, base + len(sigs)),
+                         self.num_bands)[order]
+        pos = np.searchsorted(self.band_keys, keys[order], side="right")
+        self.band_keys = np.insert(self.band_keys, pos, keys[order])
+        self.band_row = np.insert(self.band_row, pos, rows)
+
+    def seen_hits(self, i: int, ids: np.ndarray, fp,
+                  keys: np.ndarray) -> np.ndarray:
+        """Which candidates' fingerprints an earlier partition
+        published."""
+        if self.in_memory["seen"] \
+                and self.rows("seen", i) > SEEN_BROADCAST_MAX_KEYS:
+            self.drop("seen")
+        if not self.in_memory["seen"]:
+            return _seen_join_hits(ids, fp, _state_files(
+                self.state_dir, "seen", lambda j: j < i))
+        sk = self.seen
+        if len(sk) and self.seen_part.max() >= i:
+            # a later partition finished in an earlier call
+            sk = sk[self.seen_part < i]
+        if not len(sk):
+            return np.zeros(len(keys), dtype=bool)
+        idx = np.searchsorted(sk, keys)
+        idx[idx == len(sk)] = 0
+        return sk[idx] == keys
+
+    def neardup_drops(self, i: int, ids: np.ndarray, sigs, sig_src,
+                      threshold: float) -> np.ndarray:
+        """Sorted doc_ids of candidates with an est-Jaccard ≥
+        ``threshold`` neighbor among earlier partitions' candidates.
+        ``sig_src`` holds the candidates' ``doc_id, sig`` rows: a driver
+        table with ``sigs`` its matrix, or a Dataset (``sigs`` None)
+        when the signatures stayed in the cluster."""
+        from biobloom_ray.sketches.minhash import (_EMPTY_SENTINEL,
+                                                   lsh_band_keys)
+        from biobloom_ray.stages.dedup import _sig_agreement
+
+        if self.in_memory["sigs"] and (
+                sigs is None
+                or self.rows("sigs", i) > NEARDUP_STATE_BROADCAST_MAX_ROWS):
+            self.drop("sigs")
+        if not self.in_memory["sigs"]:
+            files = _state_files(self.state_dir, "sigs", lambda j: j < i)
+            if not files or not len(ids):
+                return np.empty(0, dtype=np.int64)
+            if isinstance(sig_src, pa.Table):
+                sig_src = ray.data.from_arrow(sig_src)
+            return _cross_neardup_join(sig_src, files, threshold,
+                                       self.num_perm, self.num_bands)
+        ne = sigs[:, 0] != _EMPTY_SENTINEL
+        sigs, ids = sigs[ne], ids[ne]
+        kb = self.band_keys
+        if not len(ids) or not len(kb):
+            return np.empty(0, dtype=np.int64)
+        ks = lsh_band_keys(sigs, self.num_bands).reshape(-1).view(np.int64)
+        row_of = np.repeat(np.arange(len(ids)), self.num_bands)
+        lo = np.searchsorted(kb, ks, side="left")
+        cnt = np.searchsorted(kb, ks, side="right") - lo
+        m = cnt > 0
+        lo_m, cnt_m = lo[m], cnt[m]
+        offs = (np.arange(int(cnt_m.sum()))
+                - np.repeat(np.cumsum(cnt_m) - cnt_m, cnt_m))
+        pi = self.band_row[np.repeat(lo_m, cnt_m) + offs]
+        ni = np.repeat(row_of[m], cnt_m)
+        early = self.sig_part[pi] < i
+        # dedup (prior row, new row) so each pair verifies once
+        pk = np.unique(pi[early] * len(ids) + ni[early])
+        pi, ni = pk // len(ids), pk % len(ids)
+        est = _sig_agreement(self.sigs, pi, sigs, ni)
+        return np.unique(ids[ni[est >= threshold]])
+
+
 def run_partitioned_curation(
     input_dir: str,
     out_dir: str,
@@ -261,15 +482,12 @@ def run_partitioned_curation(
     iff 100·n_alpha ≥ min_alpha_pct·n_chars — the exact integer gate),
     exact-dedup within the partition (first-wins by doc_id), then drop
     docs whose content hash was already published by an EARLIER
-    partition — the cross-partition dedup state is a per-partition
-    ``state/seen_<i>.parquet`` key checkpoint (BASELINE: "every
-    partition emits lineage + sketch-state checkpoints"), so a killed
-    run resumes without recomputing finished partitions AND without
-    re-admitting their duplicates.  Membership against the accumulated
-    seen set is a broadcast sorted-array probe below
-    ``SEEN_BROADCAST_MAX_KEYS`` and a ``left_anti`` hash join against
-    the checkpoint parquet above it.  Deterministic end-to-end, so a
-    resumed run is byte-identical to an uninterrupted one.
+    partition.  The cross-partition dedup state checkpoints per
+    partition to ``state/seen_<i>.parquet`` (BASELINE: "every partition
+    emits lineage + sketch-state checkpoints"), so a killed run resumes
+    without recomputing finished partitions AND without re-admitting
+    their duplicates.  Deterministic end-to-end, so a resumed run is
+    byte-identical to an uninterrupted one.
 
     ``neardup=True`` adds a MinHash NEAR-dup stage (VERDICT r4 #4):
     each partition's CANDIDATE set (gated + within-partition
@@ -279,21 +497,51 @@ def run_partitioned_curation(
     keys; a doc is dropped when it has an est-Jaccard ≥
     ``neardup_threshold`` neighbor either earlier in its own
     partition (smaller doc_id — the ``minhash_dedup`` greedy) or in
-    ANY earlier partition's candidate set (``_cross_neardup_drops``,
-    tiered broadcast / band-key hash join).  With doc_id-ordered
+    ANY earlier partition's candidate set.  With doc_id-ordered
     fragments this equals the plain greedy min-neighbor rule over the
     gated corpus — the property the ``curation_neardup_summary`` SQL
-    oracle checks."""
-    import numpy as np
-    import pyarrow as pa
+    oracle checks.
 
-    from biobloom_ray.io import hash_join
-    from biobloom_ray.stages.dedup import _isin_filter, add_content_hash
+    Each partition is three steps, two Ray Data executions:
+
+    1. **map** — one read of the fragment, one fused map (gate,
+       fingerprint, signature), materialized as narrow rows; the
+       ``doc_id, fp_md5`` columns come to the driver, the signatures
+       too where ``minhash_pairs_from_sigs`` would band on the driver
+       (``n·bands ≤ BAND_DRIVER_MAX_ROWS``);
+    2. **decide** — driver numpy against the in-memory state
+       (:class:`_CurationState`): first-wins winners, the seen probe,
+       within-partition pairs (``_band_pairs_np``) and cross-partition
+       near-dups give the sorted keep set of doc_ids;
+    3. **write** — read the fragment, keep those doc_ids, add
+       ``fp_md5``, write to ``part=<i>.tmp/`` and rename (rows are
+       picked by doc_id alone, so doc_ids must be unique within a
+       fragment).
+
+    Then the **state** step writes the seen and signature deltas
+    (tmp + rename) and appends them to the in-memory state.  The state
+    lives for the call: loaded once from the finished partitions'
+    checkpoints, then grown by each partition.  Above
+    ``SEEN_BROADCAST_MAX_KEYS`` published keys / above
+    ``NEARDUP_STATE_BROADCAST_MAX_ROWS`` prior signature rows (or
+    when the signatures stay in the cluster) a probe instead runs as
+    a ``left_anti`` / band-key hash join of the narrow rows against
+    the checkpoint files.  The manifest records each step's seconds
+    (``map_s``, ``decide_s``, ``write_s``, ``state_s``) inside
+    ``wall_s``."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from biobloom_ray.stages import dedup as D
 
     frags = input_fragments(input_dir)
     done = completed_partitions(out_dir)
     state_dir = os.path.join(out_dir, "state")
     os.makedirs(state_dir, exist_ok=True)
+    narrow_fn = _gate_fp_sig(min_alpha_pct, D.MinHashSigStage(
+        "text", "doc_id", shingle_k, num_perm) if neardup else None)
+    state = None
     completed, skipped = [], []
     total_rows = 0
     fresh = 0
@@ -305,181 +553,129 @@ def run_partitioned_curation(
             continue
         if fail_after is not None and fresh >= fail_after:
             break
+        if state is None:
+            state = _CurationState(state_dir, num_perm, num_bands)
+            state.load(done, neardup)
         t0 = time.perf_counter()
+
+        # 1. map: one read → narrow rows
         ds = _rp(frag)
         n_in = ds.count()
+        narrow = ds.map_batches(narrow_fn,
+                                batch_format="pyarrow").materialize()
+        sig_local = (neardup and narrow.count() * num_bands
+                     <= D.BAND_DRIVER_MAX_ROWS)
+        cols = ["doc_id", "fp_md5"] + (["sig"] if sig_local else [])
+        rows = _collect(narrow if sig_local or not neardup
+                        else narrow.select_columns(cols).materialize())
+        if rows is None:
+            rows = pa.schema([("doc_id", pa.int64()),
+                              ("fp_md5", pa.large_string()),
+                              ("sig", pa.large_binary())]) \
+                .empty_table().select(cols)
+        t1 = time.perf_counter()
 
-        def gate_hash(b: pa.Table) -> pa.Table:
-            s = b["text"].to_pandas()
-            n_chars = s.str.len().fillna(0).astype("int64").to_numpy()
-            n_alpha = (s.str.count(r"[A-Za-z]").fillna(0)
-                       .astype("int64").to_numpy())
-            keep = 100 * n_alpha >= min_alpha_pct * n_chars
-            sub = b.filter(pa.array(keep))
-            return add_content_hash(sub)
-
-        hashed = ds.map_batches(gate_hash, batch_format="pyarrow")
-
-        # within-partition first-wins dedup: per-block (fp, min id)
-        # partials fold on the driver (partition-bounded), winners
-        # broadcast back as a filter
-        def fp_min(b: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            df = pd.DataFrame({
-                "fp": b["fp_md5"].to_pandas().to_numpy(dtype=object),
-                "doc_id": b["doc_id"].to_numpy(zero_copy_only=False)})
-            agg = df.groupby("fp", as_index=False).agg(
-                doc_id=("doc_id", "min"), cnt=("doc_id", "size"))
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        import pandas as pd
-
-        mins = (hashed.map_batches(fp_min, batch_format="pyarrow")
-                .to_pandas())
-        # per-stage attrition for the lineage metrics — free: the
-        # fp-min partials already carry per-group row counts
-        gate_kept = int(mins.cnt.sum()) if len(mins) else 0
-        if len(mins):
-            mins = mins.groupby("fp", as_index=False).agg(
-                doc_id=("doc_id", "min"))
-        exact_kept = len(mins)
-        winners = np.sort(mins.doc_id.to_numpy("int64")) \
-            if len(mins) else np.array([], "int64")
-        deduped = hashed.map_batches(_isin_filter("doc_id", winners),
-                                     batch_format="pyarrow")
-
-        sig_ds = None
+        # 2. decide: first-wins winners (the smallest doc_id of each
+        # fingerprint) are the candidates; drop the seen ones and the
+        # near-dups
+        rows = rows.take(np.argsort(rows["doc_id"].to_numpy(),
+                                    kind="stable"))
+        keys = _fp_keys(rows["fp_md5"])
+        cand = np.sort(np.unique(keys, return_index=True)[1])
+        cids = rows["doc_id"].to_numpy()[cand]
+        cfp = rows["fp_md5"].take(cand)
+        drop = state.seen_hits(i, cids, cfp, keys[cand])
         if neardup:
-            from biobloom_ray.stages.dedup import (
-                MinHashSigStage, minhash_pairs_from_sigs)
-
-            # the partition CANDIDATE set's signatures (materialized:
-            # used for within-pairs, cross-probe AND the checkpoint;
-            # partition-bounded by the runner's checkpoint unit)
-            sig_ds = deduped.map_batches(
-                MinHashSigStage("text", "doc_id", shingle_k, num_perm),
-                batch_format="pyarrow").materialize()
-
-        # cross-partition dedup vs the accumulated seen checkpoints
-        seen_files = sorted(
-            glob.glob(os.path.join(state_dir, "seen_*.parquet")))
-        seen_files = [f for f in seen_files
-                      if int(os.path.basename(f)[5:-8]) < i]
-        if seen_files:
-            seen_ds = _rp(seen_files)
-            n_seen = seen_ds.count()
-            if n_seen <= SEEN_BROADCAST_MAX_KEYS:
-                sk = np.sort(seen_ds.to_pandas().fp
-                             .to_numpy(dtype=object))
-                deduped = deduped.map_batches(
-                    _isin_filter("fp_md5", sk, keep=False),
-                    batch_format="pyarrow")
+            if sig_local:
+                sig_src = pa.table({"doc_id": pa.array(cids, pa.int64()),
+                                    "sig": rows["sig"].take(cand)})
+                csig = D._sig_matrix(sig_src["sig"], num_perm)
+                _, id_b, _ = D._band_pairs_np(cids, csig, num_bands,
+                                              neardup_threshold)
             else:
-                def fp_narrow(b: pa.Table) -> pa.Table:
-                    return pa.table({
-                        "fp": b["fp"].cast(pa.string())})
+                csig = None
+                sig_src = (narrow.map_batches(
+                    D._isin_filter("doc_id", cids), batch_format="pyarrow")
+                    .select_columns(["doc_id", "sig"]).materialize())
+                pairs = D.minhash_pairs_from_sigs(
+                    sig_src, len(cids), id_col="doc_id",
+                    threshold=neardup_threshold, num_perm=num_perm,
+                    num_bands=num_bands).to_pandas()
+                id_b = (pairs.id_b.to_numpy(np.int64) if len(pairs)
+                        else np.empty(0, dtype=np.int64))
+            within = np.unique(id_b)
+            drops = np.union1d(within, state.neardup_drops(
+                i, cids, csig, sig_src, neardup_threshold))
+            drop |= np.isin(cids, drops)
+        keep = cids[~drop]
+        t2 = time.perf_counter()
 
-                def key_cast(b: pa.Table) -> pa.Table:
-                    # join keys must not mix string/large_string
-                    i = b.schema.get_field_index("fp_md5")
-                    return b.set_column(
-                        i, "fp_md5", b["fp_md5"].cast(pa.string()))
-
-                deduped = hash_join(
-                    deduped.map_batches(key_cast,
-                                        batch_format="pyarrow"),
-                    seen_ds.map_batches(fp_narrow,
-                                        batch_format="pyarrow"),
-                    on=("fp_md5",), right_on=("fp",),
-                    join_type="left_anti")
-
-        if neardup:
-            # within-partition greedy (drop the larger id of any
-            # est >= threshold pair) + cross-partition drops against
-            # the accumulated signature checkpoints
-            n_cand = sig_ds.count()
-            pairs = minhash_pairs_from_sigs(
-                sig_ds, n_cand, id_col="doc_id",
-                threshold=neardup_threshold, num_perm=num_perm,
-                num_bands=num_bands).to_pandas()
-            drops = (np.unique(pairs.id_b.to_numpy(np.int64))
-                     if len(pairs) else np.empty(0, np.int64))
-            nd_within = int(len(drops))
-            sig_files = sorted(
-                glob.glob(os.path.join(state_dir, "sigs_*.parquet")))
-            sig_files = [f for f in sig_files
-                         if int(os.path.basename(f)[5:-8]) < i]
-            if sig_files:
-                cross = _cross_neardup_drops(
-                    sig_ds, sig_files, neardup_threshold,
-                    num_perm, num_bands)
-                drops = np.union1d(drops, cross)
-            nd_total = int(len(drops))
-            if len(drops):
-                deduped = deduped.map_batches(
-                    _isin_filter("doc_id", drops, keep=False),
-                    batch_format="pyarrow")
-
+        # 3. write: read the fragment again, keep the decided rows
         pdir = partition_dir(out_dir, i)
         tmpdir = pdir + ".tmp"
         if os.path.isdir(tmpdir):
-            import shutil
             shutil.rmtree(tmpdir)
         if not os.path.isdir(pdir):
+            # a published partition whose manifest is missing (killed
+            # between rename and manifest) is complete: reuse it
             os.makedirs(tmpdir, exist_ok=True)
-            deduped.write_parquet(tmpdir)
+            (_rp(frag)
+             .map_batches(D._isin_filter("doc_id", keep),
+                          batch_format="pyarrow")
+             .map_batches(D.add_content_hash, batch_format="pyarrow")
+             .write_parquet(tmpdir))
             os.rename(tmpdir, pdir)
-        out_ds = _rp(pdir)
-        n_out = out_ds.count()
-        # sketch-state checkpoint: the partition's published keys
+        t3 = time.perf_counter()
+
+        # state: the partition's published keys and (near-dup runs) its
+        # candidates' signatures — deterministic, so a crash-resume
+        # rewrite is byte-identical
         seen_path = os.path.join(state_dir, f"seen_{i}.parquet")
         if not os.path.exists(seen_path):
-            tmp = seen_path + ".tmp"
-            kept = out_ds.map_batches(
-                lambda b: pa.table({"fp": b["fp_md5"].cast(
-                    pa.string())}),
-                batch_format="pyarrow").to_pandas()
-            pa_tbl = pa.Table.from_pandas(kept, preserve_index=False)
-            import pyarrow.parquet as pq
-
-            pq.write_table(pa_tbl, tmp)
-            os.replace(tmp, seen_path)
+            pq.write_table(pa.table({"fp": cfp.filter(pa.array(~drop))
+                                     .cast(pa.string())}),
+                           seen_path + ".tmp")
+            os.replace(seen_path + ".tmp", seen_path)
+        state.add_seen(keys[cand][~drop], np.full((~drop).sum(), i))
         blobs = [seen_path]
         if neardup:
-            # NEAR-dup sketch-state checkpoint: the partition's
-            # candidate-set signature table (deterministic, so a
-            # crash-resume rewrite is byte-identical)
             sigs_path = os.path.join(state_dir, f"sigs_{i}.parquet")
             if not os.path.exists(sigs_path):
                 tmp = sigs_path + ".tmp"
-                import pyarrow.parquet as pq
-
-                sig_tbl = pa.concat_tables(list(sig_ds.iter_batches(
-                    batch_size=None, batch_format="pyarrow"))) \
-                    if sig_ds.count() else pa.table(
-                        {"doc_id": pa.array([], pa.int64()),
-                         "sig": pa.array([], pa.large_binary())})
-                pq.write_table(sig_tbl, tmp)
+                if csig is not None:
+                    pq.write_table(sig_src, tmp)
+                else:
+                    shutil.rmtree(tmp, ignore_errors=True)
+                    sig_src.write_parquet(tmp)
                 os.replace(tmp, sigs_path)
+            if csig is not None:
+                state.add_sigs(csig, np.full(len(cids), i))
             blobs.append(sigs_path)
-        metrics = {"wall_s": round(time.perf_counter() - t0, 3),
+        t4 = time.perf_counter()
+
+        # stage seconds as differences of whole-ms marks, so they sum
+        # to wall_s exactly
+        ms = [round((t - t0) * 1000) for t in (t0, t1, t2, t3, t4)]
+        metrics = {"wall_s": ms[-1] / 1000,
                    "rows_in": int(n_in),
-                   "gate_kept": gate_kept,
-                   "exact_kept": exact_kept}
+                   "gate_kept": rows.num_rows,
+                   "exact_kept": len(cids)}
+        for name, a, b in zip(("map_s", "decide_s", "write_s", "state_s"),
+                              ms, ms[1:]):
+            metrics[name] = (b - a) / 1000
         if neardup:
-            metrics["neardup_within_dropped"] = nd_within
-            metrics["neardup_dropped_total"] = nd_total
+            metrics["neardup_within_dropped"] = len(within)
+            metrics["neardup_dropped_total"] = len(drops)
         write_manifest(out_dir, PartitionManifest(
             partition=i,
             inputs=[frag],
-            row_count=int(n_out),
+            row_count=len(keep),
             metrics=metrics,
             sketch_blobs=blobs,
             complete=True,
         ))
         completed.append(i)
-        total_rows += int(n_out)
+        total_rows += len(keep)
         fresh += 1
     return {"completed": completed, "skipped": skipped,
             "rows": total_rows}
@@ -491,7 +687,8 @@ def curation_partition_report(out_dir: str):
     — the operator-facing view of the north-rule requirement that
     "every partition emits lineage + metrics": rows in, quality-gate
     survivors, within-partition exact-dedup winners, published rows
-    (after cross-partition drops), and wall seconds.  Reads only the
+    (after cross-partition drops), wall seconds and the seconds of each
+    step inside them (map, decide, write, state).  Reads only the
     manifests — never the data — so it is instant at any scale."""
     import pandas as pd
 
@@ -506,6 +703,8 @@ def curation_partition_report(out_dir: str):
              "exact_kept": int(m.metrics.get("exact_kept", 0)),
              "rows_out": int(m.row_count),
              "wall_s": float(m.metrics.get("wall_s", 0.0))}
+        for stage in ("map_s", "decide_s", "write_s", "state_s"):
+            r[stage] = float(m.metrics.get(stage, 0.0))
         if "neardup_dropped_total" in m.metrics:
             r["neardup_dropped_total"] = int(
                 m.metrics["neardup_dropped_total"])

@@ -9,10 +9,11 @@ Every variant is expressed Ray-Data-first:
                  below a row gate, partitioned parquet above; 1 KB/doc
                  ≈ 1-3 % of corpus bytes) → NARROW banded rows
                  (band_key, id; 16 B/row, no signature payload) →
-                 three-tier bucketing (driver lexsort below
-                 ``band_driver_limit`` rows; native per-bucket count
-                 aggregate above; candidate pairs as a Dataset
-                 end-to-end past ``broadcast_limit``) → signature
+                 three-tier bucketing (driver band + verify over the
+                 signature matrix below ``band_driver_limit`` band
+                 rows; native per-bucket count aggregate above;
+                 candidate pairs as a Dataset end-to-end past
+                 ``broadcast_limit``) → signature
                  verify (broadcast fetch below the limit, two hash
                  joins above)
 - simhash      — 64-bit fingerprints → band blocking → Hamming verify,
@@ -52,7 +53,7 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import Count, Max, Min
 
-from biobloom_ray.hashing import shingle_hashes
+from biobloom_ray.hashing import U64, shingle_hashes
 from biobloom_ray.sketches.minhash import lsh_band_keys, minhash_signatures
 from biobloom_ray.sketches.simhash import (
     hamming_distance,
@@ -152,21 +153,24 @@ class MinHashSigStage:
         h1, _, nf = shingle_hashes(texts, self.shingle_k)
         # dedup shingles per row BEFORE the num_perm permutation loop:
         # min over a multiset equals min over its set, so the signature
-        # is bit-identical, and web text repeats shingles heavily — one
-        # (row, hash) lexsort here saves its cost ~num_perm times over
+        # is bit-identical, and web text repeats shingles heavily.  One
+        # single-key sort does it: the row sits in the top b bits of the
+        # key and the hash's high 64-b bits below it.  An element goes
+        # only when its key AND full hash equal its predecessor's (a true
+        # duplicate); one left behind by a key tie is harmless
         nrow = len(nf)
-        row_of = np.repeat(np.arange(nrow, dtype=np.int64), nf)
-        order = np.lexsort((h1, row_of))
-        hs, ro = h1[order], row_of[order]
-        if len(hs):
-            first = np.r_[True, (hs[1:] != hs[:-1]) | (ro[1:] != ro[:-1])]
-            h1u = hs[first]
-            nfu = np.zeros(nrow, dtype=np.int64)
-            np.add.at(nfu, ro[first], 1)
-        else:
-            h1u, nfu = hs, np.zeros(nrow, dtype=np.int64)
-        sig = minhash_signatures(h1u, nfu, self.num_perm, self.seed)
-        nf = nfu
+        if len(h1):
+            b = U64(max((nrow - 1).bit_length(), 1))
+            top = U64(64) - b
+            key = (np.repeat(np.arange(nrow, dtype=U64), nf) << top) \
+                | (h1 >> b)
+            order = np.argsort(key)
+            ks, hs = key[order], h1[order]
+            first = np.r_[True, (ks[1:] != ks[:-1]) | (hs[1:] != hs[:-1])]
+            h1 = hs[first]
+            nf = np.bincount((ks[first] >> top).astype(np.int64),
+                             minlength=nrow)
+        sig = minhash_signatures(h1, nf, self.num_perm, self.seed)
         blobs = sig.astype("<u8").tobytes()
         w = self.num_perm * 8
         # int64 offsets + large_binary: int32 offsets would silently wrap
@@ -185,6 +189,8 @@ def _sig_matrix(col, num_perm: int) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
+    if n == 0:
+        return np.empty((0, num_perm), dtype=np.uint64)
     w = num_perm * 8
     off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
     bufs = col.buffers()
@@ -194,8 +200,7 @@ def _sig_matrix(col, num_perm: int) -> np.ndarray:
     if offs[-1] - start == n * w and len(bufs[2]) >= start + n * w:
         return np.frombuffer(bufs[2], dtype="<u8", offset=start,
                              count=n * num_perm).reshape(n, num_perm)
-    return np.stack([np.frombuffer(v.as_py(), dtype="<u8") for v in col]) \
-        if n else np.empty((0, num_perm), dtype=np.uint64)
+    return np.stack([np.frombuffer(v.as_py(), dtype="<u8") for v in col])
 
 
 def _band_rows(batch: pa.Table, id_col: str, num_perm: int,
@@ -389,39 +394,56 @@ def _candidate_pairs_np(dup_ds, band, id_col: str, max_bucket: int):
     return id_a, id_b
 
 
-def _candidate_pairs_band_driver(band, id_col: str, max_bucket: int):
-    """Small-corpus fast path: the WHOLE narrow band table (16 B/row,
-    gated by ``band_driver_limit`` rows ≈ 64 MB) streams to the driver
-    and one lexsort finds every bucket — no Ray shuffle at all.  At
-    bench scale this replaces a ~3 s groupby exchange with ~0.1 s of
-    numpy; above the gate the aggregate paths below take over."""
-    rows = _collect_numpy(band, ["band_key", id_col])
-    ks_raw = rows["band_key"]
-    ids_raw = rows[id_col]
-    order = np.lexsort((ids_raw, ks_raw))
-    ks = ks_raw[order]
-    ids = ids_raw[order]
-    n = len(ks)
+def _sig_agreement(sa: np.ndarray, ia: np.ndarray, sb: np.ndarray,
+                   ib: np.ndarray) -> np.ndarray:
+    """MinHash est-Jaccard of each pair (row ``ia[j]`` of ``sa``, row
+    ``ib[j]`` of ``sb``): the fraction of agreeing components, in pair
+    chunks so a long pair list does not set the driver's peak."""
+    est = np.empty(len(ia), dtype=np.float64)
+    for s in range(0, len(ia), 1 << 13):
+        e = s + (1 << 13)
+        est[s:e] = (sa[ia[s:e]] == sb[ib[s:e]]).mean(axis=1)
+    return est
+
+
+def _band_pairs_np(ids: np.ndarray, sigs: np.ndarray, num_bands: int,
+                   threshold: float, max_bucket: int = 2000):
+    """Driver band → bucket → verify over a signature matrix: the
+    ``(id_a, id_b, est_jaccard)`` pairs with est ≥ ``threshold``, sorted
+    by (id_a, id_b).  One stable sort of the band keys finds every
+    bucket (no Ray shuffle); c==2 buckets pair vectorized, bigger ones
+    via triu capped at the ``max_bucket`` smallest ids.  Zero-shingle
+    rows (all-sentinel signature) never band — see :func:`_band_rows`.
+    """
+    from biobloom_ray.sketches.minhash import _EMPTY_SENTINEL
+
+    ne = sigs[:, 0] != _EMPTY_SENTINEL
+    order = np.argsort(ids[ne], kind="stable")
+    ids, sigs = ids[ne][order], sigs[ne][order]
+    n = len(ids)
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    starts = np.nonzero(np.r_[True, ks[1:] != ks[:-1]])[0]
-    ends = np.r_[starts[1:], n]
-    sizes = ends - starts
-    # c==2 buckets vectorized (the bulk); bigger buckets via capped triu
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64))
+    # rows are in id order, so a row index stands for its id below
+    ks = lsh_band_keys(sigs, num_bands).reshape(-1).view(np.int64)
+    order = np.argsort(ks, kind="stable")
+    ks = ks[order]
+    rows = np.repeat(np.arange(n, dtype=np.int64), num_bands)[order]
+    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    sizes = np.diff(np.r_[starts, len(ks)])
     two = sizes == 2
-    pa_ids = [ids[starts[two]]]
-    pb_ids = [ids[starts[two] + 1]]
-    for s, e in zip(starts[sizes > 2], ends[sizes > 2]):
-        seg = ids[s:min(e, s + max_bucket)]
+    ra = [rows[starts[two]]]
+    rb = [rows[starts[two] + 1]]
+    for s, c in zip(starts[sizes > 2], sizes[sizes > 2]):
+        seg = rows[s:s + min(c, max_bucket)]
         ii, jj = np.triu_indices(len(seg), k=1)
-        pa_ids.append(seg[ii])
-        pb_ids.append(seg[jj])
-    id_a = np.concatenate(pa_ids)
-    id_b = np.concatenate(pb_ids)
-    if len(id_a):
-        both = np.unique(np.stack([id_a, id_b], axis=1), axis=0)
-        id_a, id_b = both[:, 0], both[:, 1]
-    return id_a, id_b
+        ra.append(seg[ii])
+        rb.append(seg[jj])
+    pk = np.unique(np.concatenate(ra) * n + np.concatenate(rb))
+    ra, rb = pk // n, pk % n
+    est = _sig_agreement(sigs, ra, sigs, rb)
+    keep = est >= threshold
+    return ids[ra[keep]], ids[rb[keep]], est[keep]
 
 
 def _candidate_pairs_cluster(dup_ds, band, id_col: str, max_bucket: int,
@@ -517,9 +539,10 @@ def minhash_neardup_pairs_ds(ds, text_col: str = "text",
     bucketing → distinct candidate pairs → signature verify.
 
     Bucketing is three-tier by scale: below ``band_driver_limit`` band
-    rows (≈64 MB of 16 B rows) the whole narrow band table streams to
-    the driver and ONE lexsort finds every bucket (no shuffle at all);
-    above that, ONE native groupby aggregate does the bucketing, and
+    rows the signature table streams to the driver (1 KB/doc at 128
+    perms, ≤ 256 MB at the default gate) and :func:`_band_pairs_np`
+    bands, buckets and verifies it in numpy (no shuffle at all); above
+    that, ONE native groupby aggregate does the bucketing, and
     candidate handling is adaptive like a broadcast-vs-shuffle join
     choice: up to ``broadcast_limit`` dup buckets / candidate pairs
     (the op's OUTPUT scale) the pairs ride through the driver and the
@@ -554,26 +577,28 @@ def minhash_pairs_from_sigs(sig_ds, n_in, id_col: str = "doc_id",
         broadcast_limit = BROADCAST_LIMIT
     if band_driver_limit is None:
         band_driver_limit = BAND_DRIVER_MAX_ROWS
-    band = sig_ds.map_batches(
-        lambda b: _band_rows(b, id_col, num_perm, num_bands),
-        batch_format="pyarrow")
-
     import ray.data as rd
 
     if (n_in is not None and broadcast_limit > 0
             and n_in * num_bands <= band_driver_limit):
-        # small corpus: the whole 16 B/row band table fits a bounded
-        # driver buffer — skip the groupby exchange entirely
-        id_a, id_b = _candidate_pairs_band_driver(band, id_col, max_bucket)
-        n_dup = 0
-    else:
-        dup_ds = _dup_buckets(band, id_col)
-        n_dup = dup_ds.count()  # cheap: materialized
-        if n_dup <= broadcast_limit:
-            id_a, id_b = _candidate_pairs_np(dup_ds, band, id_col,
-                                             max_bucket)
-        else:
-            id_a = None
+        # small corpus: the signature table fits a bounded driver buffer
+        # — band, bucket and verify in numpy, no groupby exchange
+        got = _collect_numpy_sigs(sig_ds, id_col, num_perm)
+        id_a, id_b, est = _band_pairs_np(got["ids"], got["sigs"],
+                                         num_bands, threshold, max_bucket)
+        return rd.from_arrow(pa.table({
+            "id_a": pa.array(id_a, type=pa.int64()),
+            "id_b": pa.array(id_b, type=pa.int64()),
+            "est_jaccard": pa.array(est, type=pa.float64())}))
+
+    band = sig_ds.map_batches(
+        lambda b: _band_rows(b, id_col, num_perm, num_bands),
+        batch_format="pyarrow")
+    dup_ds = _dup_buckets(band, id_col)
+    n_dup = dup_ds.count()  # cheap: materialized
+    id_a = None
+    if n_dup <= broadcast_limit:
+        id_a, id_b = _candidate_pairs_np(dup_ds, band, id_col, max_bucket)
 
     if id_a is not None:
         if len(id_a) == 0:
