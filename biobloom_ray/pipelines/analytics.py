@@ -380,9 +380,8 @@ def hll_distinct_shingles_per_lang(sf_dir: str, k: int = 8, p: int = 14):
         return pa.table({"lang": pa.array(out_l, type=pa.string()),
                          "blob": pa.array(out_b, type=pa.large_binary())})
 
-    # the lang count is unknown up front: size the fold by one lang
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           {"blob": HLL}, key="lang", nbytes=1 << p)
+                           {"blob": HLL}, key="lang")
     return pd.DataFrame({
         "lang": pd.Series(list(folded), dtype=object),
         "distinct_shingles_est": pd.Series(
@@ -6953,7 +6952,7 @@ def sketch_setops_report(sf_dir: str, type_a: str = "click",
     kinds = {"a_hll": HLL, "a_bf": BloomFilter,
              "b_hll": HLL, "b_bf": BloomFilter}
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           kinds, nbytes=2 * ((1 << P) + M_BITS // 8))
+                           kinds)
     if not folded:  # no events: both sets are empty
         return pd.DataFrame(0.0, index=[0], columns=[
             "est_a", "est_b", "est_union", "est_inter_hll", "est_inter_bloom"])
@@ -8304,7 +8303,6 @@ def join_size_cms(sf_dir: str, ta: str = "view", tb: str = "purchase",
     sk = fold_partials(
         ds.map_batches(partial, batch_format="pyarrow"),
         {"a": CountMinSketch, "b": CountMinSketch},
-        nbytes=2 * CountMinSketch.for_error(eps, delta).counts.nbytes,
     ).get(None, {"a": None, "b": None})
     est = sk["a"].inner_product(sk["b"]) if sk["a"] and sk["b"] else 0
     exact = int(join_size_exact(sf_dir, ta, tb).join_size.iloc[0])
@@ -9279,7 +9277,7 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
                                            "revenue": np.int64,
                                            "n_items": np.int64}))
 
-    # cluster tier: distributed key-Bloom build (salted two-level merge)
+    # cluster tier: distributed key-Bloom build (partial filters folded)
     h = calc_optimal_hash_num(BLOOMJOIN_FPR)
     m = calc_optimal_size(max(int(n_ord or 1), 1), BLOOMJOIN_FPR, h)
 
@@ -9294,7 +9292,7 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
 
     folded = fold_partials(
         keys_ds.map_batches(bloom_partial, batch_format="pyarrow"),
-        {"blob": BloomFilter}, nbytes=m // 8)
+        {"blob": BloomFilter})
     bf = (folded[None]["blob"] if folded else
           BloomFilter(m=m, hash_num=h, kmer_size=1, filter_id="bloomjoin"))
     # the words array broadcasts as numpy, so ``ray.get`` maps it
@@ -14479,8 +14477,7 @@ def hll_error_sweep(sf_dir: str, precisions=(8, 10, 12, 14)):
             "blob": pa.array(blobs, pa.large_binary())})
 
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           {"blob": HLL}, key="p",
-                           nbytes=sum(1 << p for p in ps))
+                           {"blob": HLL}, key="p")
     rows = [(int(p), float(r["blob"].estimate()))
             for p, r in folded.items()]
 
@@ -14533,8 +14530,7 @@ def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
                          "blob": pa.array(blobs, pa.large_binary())})
 
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           {"blob": CountMinSketch}, key="w",
-                           nbytes=sum(8 * depth * w for w in ws))
+                           {"blob": CountMinSketch}, key="w")
 
     # exact counts of every token (vocab-scale count table)
     def tok_cnt(b: pa.Table) -> pa.Table:

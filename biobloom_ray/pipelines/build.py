@@ -3,7 +3,7 @@
 Pipeline shape (SURVEY.md §3.1):
     read → [pre-pass: Σ(len−k+1) per filter_id]        (A1, driver fold)
          → map_batches(PartialBloomBuilder)            (partial per block)
-         → fold_partials by filter_id                  (driver or tree OR)
+         → fold_partials by filter_id                  (streamed, no shuffle)
          → artifacts + info sidecars
 
 The input is any Ray Dataset with a text column; ``label_col`` selects
@@ -83,8 +83,7 @@ def build_filters(
         builder.sizes = {"__all__": sizes[filter_id]}
     parts = ds.select_columns(cols).map_batches(
         builder, batch_format="pyarrow", batch_size=cfg.batch_size)
-    merged = fold_partials(parts, PARTIAL_SKETCHES, key="filter_id",
-                           nbytes=sum(m // 8 for m, _ in sizes.values()))
+    merged = fold_partials(parts, PARTIAL_SKETCHES, key="filter_id")
     if label_col is None and not merged:  # an empty reference: no frames
         merged = fold_table(builder(pa.table({text_col: pa.array(
             [], pa.string())})), PARTIAL_SKETCHES, key="filter_id")

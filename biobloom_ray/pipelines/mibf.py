@@ -156,7 +156,7 @@ def build_mibf(
     Tiered: below ``DRIVER_BUILD_MAX_ROWS`` docs (``n_rows`` hint, or
     ``cheap_count`` for pure reads / in-memory inputs) the corpus
     collects once and the build runs locally; above it the distributed
-    3-pass build (tree OR, slot-sharded min, dedup saturation) runs."""
+    3-pass build (folded OR, slot-sharded min, dedup saturation) runs."""
     from biobloom_ray.hashing import DEFAULT_SEED
     from biobloom_ray.io import cheap_count
 
@@ -233,9 +233,8 @@ def build_mibf(
                           spaced_seeds=spaced_seeds)
 
     # ---- pass 1: bit vector (order-free OR fold of partials) ---------------
-    # Dense per-block bitmaps, each a plain Bloom blob, fold on the
-    # driver (small filters) or in the cluster tree (large ones) —
-    # fold_partials picks the tier from the bitmap size.
+    # Dense per-block bitmaps, each a plain Bloom blob, fold through
+    # fold_partials.
     def pass1(b: pa.Table) -> pa.Table:
         part = MIBloomFilter(m=m, hash_num=hash_num, kmer_size=kmer_size,
                              seed=seed, spaced_seeds=spaced_seeds)
@@ -249,7 +248,7 @@ def build_mibf(
 
     p1 = ds.map_batches(pass1, batch_format="pyarrow",
                         batch_size=batch_size)
-    for r in fold_partials(p1, {"blob": BloomFilter}, nbytes=m // 8).values():
+    for r in fold_partials(p1, {"blob": BloomFilter}).values():
         np.bitwise_or(proto.words, r["blob"].words, out=proto.words)
     proto.build_rank()
     n_slots = proto.n_slots

@@ -175,8 +175,8 @@ def progressive_build(
                                batch_size=batch_size)
         before = bf.popcount()
         round_acc = 0
-        for r in fold_partials(parts, {"blob": BloomFilter}, sums=("n_acc",),
-                               nbytes=bf.m // 8).values():
+        for r in fold_partials(parts, {"blob": BloomFilter},
+                               sums=("n_acc",)).values():
             bf.merge(r["blob"])
             round_acc = r["n_acc"]
         # For FIXED-threshold methods (simple/harmonic/length) acceptance

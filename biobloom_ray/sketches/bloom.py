@@ -143,8 +143,13 @@ class BloomFilter:
         n = len(h1)
         if n == 0:
             return (0, 0)
-        uh1, first_idx = np.unique(h1, return_index=True)
-        pre = self.contains(uh1, h2[first_idx])
+        # distinct h1s and their first index, as np.unique(h1,
+        # return_index=True) but with no stable sort: a run's least index
+        order = np.argsort(h1)
+        srt = h1[order]
+        starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+        first_idx = np.minimum.reduceat(order, starts)
+        pre = self.contains(srt[starts], h2[first_idx])
         distinct = int((~pre).sum())
         redundant = n - distinct
         mm = U64(self.m)
@@ -159,7 +164,10 @@ class BloomFilter:
                 for i in range(self.hash_num):
                     np.multiply(ch2, U64(i), out=ix)
                     np.add(ix, ch1, out=ix)
-                    np.mod(ix, mm, out=ix)
+                    # ix mod m as ix - (ix // m)·m (see _probe_slices)
+                    np.floor_divide(ix, mm, out=bits)
+                    np.multiply(bits, mm, out=bits)
+                    np.subtract(ix, bits, out=ix)
                     np.bitwise_and(ix, _M63, out=bits)
                     np.left_shift(_ONE, bits, out=bits)
                     np.right_shift(ix, _SIX, out=ix)

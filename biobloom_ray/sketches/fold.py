@@ -6,18 +6,29 @@ bit-for-bit — the Ray rebuild of the reference maker's one shared bit
 array (``BloomFilterGenerator.h:143-188``).  A partial table has an
 optional key column, one blob column per sketch (an empty blob means
 "no sketch") and int columns that are summed.
+
+:func:`fold_partials` takes the partial blocks' refs as the map
+finishes them: no all-to-all operator sits between the map and the
+fold, which would leave the map's tasks in one worker.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import ray
+from ray.data.block import BlockAccessor
 
-#: folded bytes (summed over keys) at or below which the partials stream
-#: to the driver and fold there; above it a two-level repartition tree
-#: folds them first.  The driver fold touches every partial's
-#: object-store pages, so this also bounds driver memory (module-level
-#: so tests can force the tree)
+#: partial-block bytes (as the blocks' metadata reports them) the driver
+#: fetches and folds itself, as the map finishes them; every block past
+#: this budget goes to fold tasks of ``_FAN_IN`` refs, whose outputs fold
+#: again in groups of ``_FAN_IN``, so the driver fetches at most this
+#: many partial bytes plus ``_FAN_IN`` one-row-per-key outputs
+#: (module-level so tests can force the tasks).  The gate bounds driver
+#: memory, not time: on 4 cpus the driver fold was never slower, but the
+#: driver's peak RSS grows with the partial bytes it fetches (BASELINE.md
+#: "Fold tier crossover"); fan-ins of 4, 8 and 16 timed alike
 DRIVER_FOLD_MAX_BYTES = 1 << 20
+_FAN_IN = 8
 
 
 def fold_table(t: pa.Table, sketches: dict, key: str | None = None,
@@ -53,31 +64,49 @@ def to_table(folded: dict, schema: pa.Schema, sketches: dict,
         data, schema=pa.schema([schema.field(c) for c in data]))
 
 
-def fold_partials(parts, sketches: dict, key: str | None = None, sums=(),
-                  nbytes: int = 0) -> dict:
+def _rows(block) -> pa.Table:
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+@ray.remote
+def _fold_blocks(sketches: dict, key, sums, *blocks) -> pa.Table:
+    """One fold task: its blocks (partials or fold outputs) as one row
+    per key."""
+    acc, tables = {}, [_rows(b) for b in blocks]
+    for t in tables:
+        fold_table(t, sketches, key, sums, acc)
+    return to_table(acc, tables[0].schema, sketches, key, sums)
+
+
+def fold_partials(parts, sketches: dict, key: str | None = None,
+                  sums=()) -> dict:
     """Fold a Dataset of partial rows with :func:`fold_table`; the result
     is sorted by key.  ``sketches`` maps each blob column to a class with
-    ``deserialize``/``merge``/``serialize``; ``nbytes`` is the folded
-    size summed over keys, checked against :data:`DRIVER_FOLD_MAX_BYTES`.
-    A partial's own exception (say a ``ValueError`` from the map that
-    made it) surfaces as itself."""
-    from biobloom_ray.io import cluster_cpus
+    ``deserialize``/``merge``/``serialize``.  A partial's own exception
+    (say a ``ValueError`` from the map that made it) surfaces as itself,
+    and so does a fold task's."""
+    def fold(refs: list) -> list:
+        return [_fold_blocks.remote(sketches, key, sums, *refs)]
 
-    if nbytes > DRIVER_FOLD_MAX_BYTES:
-        def fold_block(b: pa.Table) -> pa.Table:
-            return to_table(fold_table(b, sketches, key, sums), b.schema,
-                            sketches, key, sums)
-
-        tree = dict(batch_format="pyarrow", batch_size=None)
-        parts = (parts.repartition(max(2, cluster_cpus() // 2))
-                 .map_batches(fold_block, **tree)
-                 .repartition(1).map_batches(fold_block, **tree))
-    ctx, acc = parts.context, {}
+    ctx, budget, held, folds, acc = \
+        parts.context, DRIVER_FOLD_MAX_BYTES, [], [], {}
     prev, ctx.raise_original_map_exception = \
         ctx.raise_original_map_exception, True
     try:
-        for b in parts.iter_batches(batch_size=None, batch_format="pyarrow"):
-            fold_table(b, sketches, key, sums, acc)
+        for bundle in parts.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                if meta.num_rows and meta.size_bytes <= budget:
+                    budget -= meta.size_bytes
+                    fold_table(_rows(ray.get(ref)), sketches, key, sums, acc)
+                elif meta.num_rows:
+                    held.append(ref)
+                if len(held) == _FAN_IN:
+                    folds, held = folds + fold(held), []
+                if len(folds) == _FAN_IN:
+                    folds = fold(folds)
+        folds += fold(held) if held else []
+        while folds:
+            fold_table(_rows(ray.get(folds.pop())), sketches, key, sums, acc)
     finally:
         ctx.raise_original_map_exception = prev
     return dict(sorted(acc.items()))

@@ -45,8 +45,7 @@ def build_key_bloom(ds, col: str, expected: int, fpr: float = 0.01,
                     hash_num: int = 3) -> BloomFilter:
     """Distributed Bloom build over a Dataset's int key column:
     per-block partial filters with identical (m, seed) OR-merge
-    word-exactly in any order, through ``fold_partials`` (driver fold,
-    or the repartition tree above its gate)."""
+    word-exactly in any order, through ``fold_partials``."""
     m = calc_optimal_size(max(expected, 1), fpr, hash_num)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -58,7 +57,7 @@ def build_key_bloom(ds, col: str, expected: int, fpr: float = 0.01,
                                           type=pa.large_binary())})
 
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                           {"blob": BloomFilter}, nbytes=m // 8)
+                           {"blob": BloomFilter})
     return (folded[None]["blob"] if folded
             else BloomFilter(m=m, hash_num=hash_num, kmer_size=1))
 

@@ -76,6 +76,8 @@ def _assert_same(got, want):
 
 @pytest.fixture(params=["driver", "tree"])
 def tier(request, monkeypatch):
+    """``driver`` folds at the default gate; ``tree`` forces the gate to
+    0, so every partial block goes to a fold task."""
     if request.param == "tree":
         import biobloom_ray.sketches.fold as F
 
@@ -87,8 +89,7 @@ def tier(request, monkeypatch):
 @pytest.mark.parametrize("n_parts", [0, 1, 9])
 def test_fold_matches_sequential(ray_session, tier, key, n_parts):
     rows = _parts(n_parts, ["b", "a", "c"], seed=n_parts)
-    got = fold_partials(_dataset(rows), SKETCHES, key=key, sums=("n",),
-                        nbytes=1)
+    got = fold_partials(_dataset(rows), SKETCHES, key=key, sums=("n",))
     _assert_same(got, _sequential(rows, key))
 
 
@@ -96,13 +97,104 @@ def test_fold_empty_blob_is_no_sketch(ray_session, tier):
     rows = _parts(4, ["a"])
     for r in rows[::2]:
         r["hll"] = b""
-    got = fold_partials(_dataset(rows), {"hll": HLL}, key="k", nbytes=1)
+    got = fold_partials(_dataset(rows), {"hll": HLL}, key="k")
     want = HLL.deserialize(rows[1]["hll"]).merge(
         HLL.deserialize(rows[3]["hll"]))
     assert np.array_equal(got["a"]["hll"].registers, want.registers)
     none = [dict(r, hll=b"") for r in rows]
-    assert fold_partials(_dataset(none), {"hll": HLL}, key="k",
-                         nbytes=1) == {"a": {"hll": None}}
+    assert fold_partials(_dataset(none), {"hll": HLL},
+                         key="k") == {"a": {"hll": None}}
+
+
+class _SpyFoldTasks:
+    """Stands in for ``fold._fold_blocks``: counts the blocks each fold
+    task is given, then runs the real task."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, []
+
+    def remote(self, sketches, key, sums, *blocks):
+        self.calls.append(len(blocks))
+        return self.real.remote(sketches, key, sums, *blocks)
+
+
+def _bloom_blocks(n_blocks, m):
+    def partial(b: pa.Table) -> pa.Table:
+        bf = BloomFilter(m=m, hash_num=3, kmer_size=8)
+        ids = b["id"].to_numpy().astype(np.uint64)
+        bf.insert(ids * np.uint64(0x9E3779B97F4A7C15), ids + np.uint64(1))
+        return pa.table({"bf": pa.array([bf.serialize()], pa.large_binary()),
+                         "n": pa.array([len(ids)], pa.int64())})
+
+    return ray.data.range(n_blocks * 10, override_num_blocks=n_blocks) \
+        .map_batches(partial, batch_format="pyarrow", batch_size=None)
+
+
+@pytest.mark.parametrize("n_blocks,tasks", [(24, True), (1, False)])
+def test_gate_weighs_shipped_bytes(ray_session, monkeypatch, n_blocks,
+                                   tasks):
+    """The tier follows the bytes the partial blocks ship, not the folded
+    size: of 24 partials of a 64 KiB filter (folded 64 KiB, shipped
+    1.5 MiB) the driver folds the ones that fit the gate and fold tasks
+    take the rest; a single one stays on the driver."""
+    import biobloom_ray.sketches.fold as F
+
+    spy = _SpyFoldTasks(F._fold_blocks)
+    monkeypatch.setattr(F, "_fold_blocks", spy)
+    m = 8 * (64 << 10)
+    got = fold_partials(_bloom_blocks(n_blocks, m), {"bf": BloomFilter},
+                        sums=("n",))
+    assert m // 8 <= F.DRIVER_FOLD_MAX_BYTES
+    assert (0 < sum(spy.calls) < n_blocks) if tasks else not spy.calls
+    want = BloomFilter(m=m, hash_num=3, kmer_size=8)
+    ids = np.arange(n_blocks * 10, dtype=np.uint64)
+    want.insert(ids * np.uint64(0x9E3779B97F4A7C15), ids + np.uint64(1))
+    assert got[None]["n"] == n_blocks * 10
+    assert np.array_equal(got[None]["bf"].words, want.words)
+    assert got[None]["bf"].n_inserted == want.n_inserted
+
+
+def test_fold_tasks_form_a_tree(ray_session, monkeypatch):
+    """Fold task outputs fold again in groups of ``_FAN_IN``, so the
+    driver fetches at most ``_FAN_IN`` of them however many partials
+    there are."""
+    import biobloom_ray.sketches.fold as F
+
+    spy = _SpyFoldTasks(F._fold_blocks)
+    fetched = []
+    monkeypatch.setattr(F, "_fold_blocks", spy)
+    monkeypatch.setattr(F, "_rows", lambda b: fetched.append(b) or
+                        F.BlockAccessor.for_block(b).to_arrow())
+    monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
+    monkeypatch.setattr(F, "_FAN_IN", 2)
+    rows = _parts(9, ["b", "a", "c"], seed=3)
+    got = fold_partials(_dataset(rows, n_blocks=9), SKETCHES, key="k",
+                        sums=("n",))
+    _assert_same(got, _sequential(rows, "k"))
+    assert len(spy.calls) >= 6 and max(spy.calls) == 2
+    assert 1 <= len(fetched) <= 2
+
+
+def test_partial_map_keeps_its_parallelism(ray_session, tier):
+    """No shuffle sits between the partial map and the fold: 8 one-block
+    map tasks of ~0.3 s run side by side at both tiers (each partial row
+    keys itself by the task's pid and run interval)."""
+    import os
+    import time
+
+    def slow(b: pa.Table) -> pa.Table:
+        t0 = time.time()
+        time.sleep(0.3)
+        return pa.table({"iv": [f"{os.getpid()} {t0} {time.time()}"],
+                         "n": pa.array([b.num_rows], pa.int64())})
+
+    parts = ray.data.range(8, override_num_blocks=8).map_batches(
+        slow, batch_format="pyarrow", batch_size=None)
+    got = fold_partials(parts, {}, key="iv", sums=("n",))
+    assert sum(r["n"] for r in got.values()) == 8
+    ivs = sorted(tuple(float(x) for x in k.split()[1:]) for k in got)
+    assert len(ivs) == 8
+    assert any(b[0] < a[1] for a, b in zip(ivs, ivs[1:])), ivs
 
 
 def test_fold_incompatible_bloom_raises(ray_session, tier):
@@ -111,7 +203,7 @@ def test_fold_incompatible_bloom_raises(ray_session, tier):
     rows[3]["bf"] = odd.serialize()
     with pytest.raises(ValueError, match="incompatible Bloom"):
         fold_partials(_dataset(rows, n_blocks=1), {"bf": BloomFilter},
-                      key="k", nbytes=1)
+                      key="k")
 
 
 # ---- build_filters on the fold ---------------------------------------------
@@ -183,6 +275,21 @@ def test_build_filters_null_label_raises(ray_session):
     rows in the pre-pass)."""
     from biobloom_ray.pipelines.build import build_filters
 
+    ds = ray.data.from_arrow(pa.table({
+        "text": ["some reference text", "more reference text"],
+        "lang": ["en", None]}))
+    with pytest.raises(ValueError, match="lang has null values"):
+        build_filters(ds, label_col="lang", cfg=BuildConfig(kmer_size=8))
+
+
+def test_build_filters_null_label_raises_at_cluster_tier(ray_session,
+                                                         monkeypatch):
+    """The null-label ``ValueError`` surfaces as itself through the ref
+    loop with every partial bound for the fold tasks too."""
+    import biobloom_ray.sketches.fold as F
+    from biobloom_ray.pipelines.build import build_filters
+
+    monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
     ds = ray.data.from_arrow(pa.table({
         "text": ["some reference text", "more reference text"],
         "lang": ["en", None]}))

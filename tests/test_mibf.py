@@ -173,7 +173,7 @@ class TestSpacedSeedMIBF:
 class TestClusterPaths:
     def test_sharded_build_matches_driver_reduce(self, ray_session, mibf,
                                                  monkeypatch):
-        """The large-filter cluster paths (tree OR, slot-sharded
+        """The large-filter cluster paths (fold-task OR, slot-sharded
         min-reduce, groupby saturation) must build a bit-identical
         filter to the small-filter driver paths."""
         import biobloom_ray.pipelines.mibf as M

@@ -107,7 +107,7 @@ class TestProgressive:
 
 
     def test_bulk_tree_merge_matches_driver_merge(self, stream, monkeypatch):
-        """Forcing the cluster tree-merge path must give the identical
+        """Forcing the fold tasks must give the identical
         filter and recruit count as the driver-merge path."""
         import biobloom_ray.sketches.fold as F
 

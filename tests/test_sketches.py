@@ -112,6 +112,79 @@ class TestBloom:
         assert calc_approx_fpr(m, 10000, 5) <= 0.012
 
 
+def _reference_insert(bf, h1, h2):
+    """``BloomFilter.insert`` as first written: ``np.unique`` for the
+    redundancy counters, ``np.mod`` and ``np.bitwise_or.at`` for the
+    bits — the reference the sort-based insert must reproduce."""
+    n = len(h1)
+    if n == 0:
+        return (0, 0)
+    uh1, first_idx = np.unique(h1, return_index=True)
+    distinct = int((~bf.contains(uh1, h2[first_idx])).sum())
+    with np.errstate(over="ignore"):
+        for i in range(bf.hash_num):
+            ix = (h1 + np.uint64(i) * h2) % np.uint64(bf.m)
+            np.bitwise_or.at(bf.words, ix >> np.uint64(6),
+                             np.uint64(1) << (ix & np.uint64(63)))
+    bf.n_inserted += n
+    bf.n_distinct += distinct
+    bf.n_redundant += n - distinct
+    return distinct, n - distinct
+
+
+class TestBloomInsertMatchesReference:
+    """Words and all three counters equal the reference insert's."""
+
+    @staticmethod
+    def _pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.integers(0, 2 ** 64, n, dtype=np.uint64),
+                rng.integers(0, 2 ** 64, n, dtype=np.uint64))
+
+    def _check(self, batches, m=4096, hash_num=5):
+        got = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
+        want = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
+        for h1, h2 in batches:
+            assert got.insert(h1, h2) == _reference_insert(want, h1, h2)
+        assert np.array_equal(got.words, want.words)
+        assert (got.n_inserted, got.n_distinct, got.n_redundant) == \
+            (want.n_inserted, want.n_distinct, want.n_redundant)
+        return got
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.uint64)
+        assert self._check([(empty, empty)]).n_inserted == 0
+
+    def test_more_than_one_chunk(self):
+        from biobloom_ray.sketches.bloom import _CHUNK
+
+        self._check([self._pairs(2 * _CHUNK + 123, 1)], m=1 << 20)
+
+    def test_planted_duplicate_frames(self):
+        h1, h2 = self._pairs(5000, 2)
+        dup = np.arange(0, 5000, 7)
+        h1[dup], h2[dup] = h1[dup // 2], h2[dup // 2]
+        assert self._check([(h1, h2)], m=1 << 16).n_redundant > 0
+
+    def test_planted_h1_collisions_with_other_h2(self):
+        """An h1 seen twice with different h2 is judged by the h2 of its
+        first occurrence: present in one batch, absent in the other."""
+        h1, h2 = self._pairs(2500, 3)
+        other = self._pairs(2500, 33)[1]
+        twice = np.concatenate([h1, h1])
+        self._check([(h1, h2), (twice, np.concatenate([other, h2])),
+                     (twice, np.concatenate([h2, other]))], m=1 << 16)
+
+    def test_reinsert_into_non_empty_filter(self):
+        a, b = self._pairs(3000, 4), self._pairs(3000, 5)
+        mixed = (np.concatenate([a[0][:1500], b[0]]),
+                 np.concatenate([a[1][:1500], b[1]]))
+        assert self._check([a, mixed, a], m=1 << 15).n_redundant > 0
+
+    def test_m_not_a_power_of_two(self):
+        self._check([self._pairs(20000, 6)], m=19_300_032, hash_num=7)
+
+
 class TestHLL:
     def test_error_bound(self):
         hll = HLL(p=12)
