@@ -4982,7 +4982,9 @@ def oracle_sql() -> dict[str, str]:
             "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_kept"
             " FROM w WHERE doc_id = win GROUP BY 1 ORDER BY 1",
         # per-partition lineage metrics: SQL replays the runner's
-        # doc_id-ordered halves split, the 82%-alpha gate, the
+        # doc_id-ordered halves split (always partitions 0 and 1, as
+        # the runner writes both fragments even when one is empty),
+        # the 82%-alpha gate, the
         # within-partition first-wins dedup and the non-recursive
         # cross-partition drop rule; the engine side reads the
         # numbers from the published _lineage.json manifests
@@ -5008,13 +5010,15 @@ def oracle_sql() -> dict[str, str]:
             " gate_kept FROM g GROUP BY part), "
             "ek AS (SELECT part, CAST(COUNT(*) AS BIGINT) AS"
             " exact_kept FROM w GROUP BY part) "
-            "SELECT CAST(i.part AS BIGINT) AS part_id, i.rows_in,"
+            "SELECT CAST(q.part AS BIGINT) AS part_id,"
+            " CAST(COALESCE(i.rows_in, 0) AS BIGINT) AS rows_in,"
             " CAST(COALESCE(gk.gate_kept, 0) AS BIGINT) AS gate_kept,"
             " CAST(COALESCE(ek.exact_kept, 0) AS BIGINT) AS"
-            " exact_kept, o.rows_out FROM ins i"
-            " LEFT JOIN gk ON gk.part = i.part"
-            " LEFT JOIN ek ON ek.part = i.part"
-            " JOIN outc o ON o.part = i.part ORDER BY part_id",
+            " exact_kept, o.rows_out FROM (VALUES (0), (1)) q(part)"
+            " LEFT JOIN ins i ON i.part = q.part"
+            " LEFT JOIN gk ON gk.part = q.part"
+            " LEFT JOIN ek ON ek.part = q.part"
+            " JOIN outc o ON o.part = q.part ORDER BY part_id",
         # label-centroid pairwise cosine (mirrored op order: mean =
         # SUM/COUNT per dim, dot over dims, norm = sqrt(sum m^2))
         "label_centroid_affinity":

@@ -130,6 +130,8 @@ def _force_cluster_tiers():
     A.Q11_SUPP_BROADCAST_MAX_ROWS = 0
     D.EXACT_DEDUP_DRIVER_MAX_ROWS = 0
     D.BAND_DRIVER_MAX_ROWS = 0
+    D.BROADCAST_LIMIT = 0
+    D.SIG_CHECKPOINT_MAX_ROWS = 0
     PR.PAIR_BROADCAST_MAX_ROWS = 0
     M.DRIVER_BUILD_MAX_ROWS = 0
     M.DRIVER_REDUCE_MAX_SLOTS = 0

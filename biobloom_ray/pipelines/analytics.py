@@ -14723,8 +14723,9 @@ def _two_fragment_corpus(sf_dir: str):
     doc_id-ordered fragments in a fresh ``mkdtemp`` directory.  Yields
     ``(in_dir, out_dir)`` and removes the directory on exit, so
     concurrent calls never share or delete each other's files."""
-    docs = _read(sf_dir, "documents",
-                 columns=["doc_id", "lang", "text"]).to_pandas() \
+    docs = _parts_pandas(
+        _read(sf_dir, "documents", columns=["doc_id", "lang", "text"]),
+        {"doc_id": np.int64, "lang": object, "text": object}) \
         .sort_values("doc_id").reset_index(drop=True)
     base = tempfile.mkdtemp(prefix="biobloom_curation_")
     try:

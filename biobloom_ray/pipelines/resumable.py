@@ -30,7 +30,9 @@ Two runners share that loop:
   once from the finished partitions' ``state/`` checkpoints, grown by
   each partition, local to the call so runs on different ``out_dir``
   stay independent.  Past its row gates a probe joins against the
-  checkpoint files instead.
+  checkpoint files instead: the seen probe as a ``left_anti`` join, the
+  near-dup probe as one new × prior band-key join whose distinct pairs
+  go to the one pair verifier of ``stages.dedup``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from biobloom_ray.config import CategorizeConfig
 from biobloom_ray.io import hash_join
 from biobloom_ray.io import read_parquet as _rp
 from biobloom_ray.pipelines.categorize import categorize
-from biobloom_ray.stages.dedup import add_content_hash
+from biobloom_ray.stages.dedup import _collect, add_content_hash
 from biobloom_ray.state.lineage import (
     PartitionManifest,
     completed_partitions,
@@ -137,8 +139,8 @@ SEEN_BROADCAST_MAX_KEYS = 2_000_000
 #: accumulated prior-partition signature rows above which the
 #: cross-partition NEAR-dup probe leaves the driver's in-memory band
 #: index (signature matrix + sorted band keys, ~1.2 KB/doc at 128 perms
-#: — ~60 MB at this gate) for band-key hash joins against the signature
-#: checkpoint parquet
+#: — ~60 MB at this gate) for a band-key hash join against the
+#: signature checkpoint parquet and the pair verifier
 NEARDUP_STATE_BROADCAST_MAX_ROWS = 50_000
 
 _STATE_FILE = re.compile(r"(seen|sigs)_(\d+)\.parquet")
@@ -188,13 +190,6 @@ def _fp_keys(fp) -> np.ndarray:
     return out.view("S16").ravel()
 
 
-def _collect(ds) -> pa.Table | None:
-    """A materialized Dataset as one driver table; None when it has no
-    rows."""
-    blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    return pa.concat_tables(blocks) if blocks else None
-
-
 def _gate_fp_sig(min_alpha_pct: int, sig_stage):
     """map_batches callable of the runner's one read: the exact integer
     alpha gate (keep iff 100·n_alpha ≥ min_alpha_pct·n_chars), the
@@ -242,63 +237,28 @@ def _cross_neardup_join(sig_ds, prior_files: list[str], threshold: float,
     """Join tier of the cross-partition near-dup probe: doc_ids of this
     partition's candidates (``sig_ds``: doc_id, sig) with an est-Jaccard
     ≥ ``threshold`` neighbor among the earlier partitions' candidates —
-    band rows hash-join the signature checkpoints, and the signatures
-    attach via two more joins."""
-    from biobloom_ray.io import cheap_count
-    from biobloom_ray.stages.dedup import _band_rows, _sig_matrix
+    new × prior band rows hash-join on the band key, the distinct
+    (doc_id, prior_id) pairs go to ``stages.dedup._verify_pairs``."""
+    from biobloom_ray.stages.dedup import (_band_rows, _distinct_pairs,
+                                           _est_jaccard_from_sigs,
+                                           _verify_pairs)
 
     prior_ds = _rp(prior_files)
-    n_prior = cheap_count(prior_ds)
-    if n_prior is None:
-        n_prior = int(prior_ds.count())
-    if n_prior == 0:
+
+    def bands(side: str):
+        return lambda b: _band_rows(b, "doc_id", num_perm, num_bands) \
+            .rename_columns(["band_key", side])
+
+    cand = _distinct_pairs(hash_join(
+        sig_ds.map_batches(bands("id_a"), batch_format="pyarrow"),
+        prior_ds.map_batches(bands("id_b"), batch_format="pyarrow"),
+        on=("band_key",)).select_columns(["id_a", "id_b"]))
+    pairs = _collect(_verify_pairs(cand, sig_ds, prior_ds,
+                                   _est_jaccard_from_sigs, threshold,
+                                   "est_jaccard"))
+    if pairs is None:
         return np.empty(0, dtype=np.int64)
-
-    def prior_bands(b: pa.Table) -> pa.Table:
-        t = _band_rows(b, "doc_id", num_perm, num_bands)
-        return pa.table({"band_key": t["band_key"],
-                         "prior_id": t["doc_id"]})
-
-    new_band = sig_ds.map_batches(
-        lambda b: _band_rows(b, "doc_id", num_perm, num_bands),
-        batch_format="pyarrow")
-    cand = hash_join(new_band,
-                     prior_ds.map_batches(prior_bands,
-                                          batch_format="pyarrow"),
-                     on=("band_key",))
-
-    def pair_narrow(b: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": b["doc_id"],
-                         "prior_id": b["prior_id"]})
-
-    j1 = hash_join(cand.map_batches(pair_narrow,
-                                    batch_format="pyarrow"),
-                   sig_ds, on=("doc_id",))
-
-    def rename_sig(b: pa.Table) -> pa.Table:
-        i = b.schema.get_field_index("sig")
-        return b.set_column(i, "sig_new", b["sig"])
-
-    def prior_sig_narrow(b: pa.Table) -> pa.Table:
-        return pa.table({"prior_id2": b["doc_id"], "sig": b["sig"]})
-
-    j2 = hash_join(j1.map_batches(rename_sig, batch_format="pyarrow"),
-                   prior_ds.map_batches(prior_sig_narrow,
-                                        batch_format="pyarrow"),
-                   on=("prior_id",), right_on=("prior_id2",))
-
-    def verify(b: pa.Table) -> pa.Table:
-        A = _sig_matrix(b["sig_new"], num_perm)
-        B = _sig_matrix(b["sig"], num_perm)
-        est = (A == B).mean(axis=1) if len(A) else np.empty(0)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(
-            np.unique(ids[est >= threshold]).astype(np.int64))})
-
-    dropped = j2.map_batches(verify, batch_format="pyarrow").to_pandas()
-    if len(dropped) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(dropped.doc_id.to_numpy(np.int64))
+    return np.unique(pairs["id_a"].to_numpy()).astype(np.int64)
 
 
 class _CurationState:
@@ -524,9 +484,12 @@ def run_partitioned_curation(
     checkpoints, then grown by each partition.  Above
     ``SEEN_BROADCAST_MAX_KEYS`` published keys / above
     ``NEARDUP_STATE_BROADCAST_MAX_ROWS`` prior signature rows (or
-    when the signatures stay in the cluster) a probe instead runs as
-    a ``left_anti`` / band-key hash join of the narrow rows against
-    the checkpoint files.  The manifest records each step's seconds
+    when the signatures stay in the cluster) a probe instead runs
+    against the checkpoint files: a ``left_anti`` hash join of the
+    narrow rows, or a new × prior band-key hash join whose distinct
+    pairs ``stages.dedup._verify_pairs`` scores (on the driver up to
+    its ``BROADCAST_LIMIT`` pairs, by two more joins above).  The
+    manifest records each step's seconds
     (``map_s``, ``decide_s``, ``write_s``, ``state_s``) inside
     ``wall_s``."""
     import shutil

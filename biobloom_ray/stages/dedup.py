@@ -2,42 +2,49 @@
 
 Every variant is expressed Ray-Data-first:
 
-- exact        — content-hash per batch → native ``groupby(hash).min(id)``
-                 winners → hash semi-join back to the rows (the shuffle
-                 key is the 32-hex md5, never the text)
+- exact        — content-hash per batch → first-wins winners: per-block
+                 (hash, min-id) partials combine on the driver below
+                 ``EXACT_DEDUP_DRIVER_MAX_ROWS``, a native
+                 ``groupby(hash).min(id)`` + hash semi-join above (the
+                 shuffle key is the 32-hex md5, never the text)
 - minhash-LSH  — shingle → minhash signature checkpoint (object store
-                 below a row gate, partitioned parquet above; 1 KB/doc
-                 ≈ 1-3 % of corpus bytes) → NARROW banded rows
-                 (band_key, id; 16 B/row, no signature payload) →
-                 three-tier bucketing (driver band + verify over the
-                 signature matrix below ``band_driver_limit`` band
-                 rows; native per-bucket count aggregate above;
-                 candidate pairs as a Dataset end-to-end past
-                 ``broadcast_limit``) → signature
-                 verify (broadcast fetch below the limit, two hash
-                 joins above)
-- simhash      — 64-bit fingerprints → band blocking → Hamming verify,
-                 same narrow-row + native-aggregate shape
+                 below ``SIG_CHECKPOINT_MAX_ROWS``, a temporary parquet
+                 directory above; 1 KB/doc ≈ 1-3 % of corpus bytes) →
+                 LSH pairs in two tiers: up to ``BAND_DRIVER_MAX_ROWS``
+                 band rows the signature matrix comes to the driver and
+                 :func:`_band_pairs_np` bands, buckets and verifies it in
+                 numpy; above, NARROW band rows (band_key, id; 16 B/row)
+                 feed one native per-bucket aggregate, the candidate
+                 pairs stay a Dataset (:func:`_candidate_pairs_cluster`)
+                 and the pair verifier scores them
+- simhash      — 64-bit fingerprints → band blocking → Hamming verify;
+                 the same two tiers, with the 8-byte fp riding in the
+                 band rows, so no verifier is needed
+- n-gram       — MinHash candidates → exact shingle-set Jaccard or
+                 containment through the pair verifier
 - embedding    — see :mod:`biobloom_ray.stages.ann`
 
-Scale notes (round-2 redesign, VERDICT.md "Next round" #1):
+Two kernels are shared by every LSH path:
 
-* Band rows carry ONLY (band_key, doc_id[, fp]) — the round-1 design
-  replicated the full 128-perm signature into all 16 band rows
-  (16 KB/doc of shuffle payload); now signatures move at most twice,
-  via hash joins keyed on the candidate ids.
-* The bucket-size aggregate makes the dominant case (bucket of exactly
-  2 docs) fully native: ``groupby(band_key).agg(Count, Min(id),
-  Max(id))`` yields the pair directly with zero per-group Python, and
-  ONLY buckets with ≥2 docs ever leave the cluster — driver traffic is
-  proportional to the op's OUTPUT (near-dup pairs), not the corpus.
-  Buckets with ≥3 docs are a sparse tail (duplicate *clusters*); their
-  keys are broadcast and only those rows re-scanned for pair emission
-  (bounded per bucket by ``max_bucket`` — degenerate keys, e.g.
-  all-empty docs, truncate deterministically on sorted ids).
-* At extreme scale (≥10¹¹ docs) run the banding per band-range so the
-  per-bucket aggregate materializes 1/num_bands at a time; the
-  signature checkpoint is what you would persist to parquet.
+* :func:`_bucket_pairs` turns sorted band keys into the pairs of each
+  bucket — c==2 buckets vectorized, bigger ones via ``triu`` over
+  their ``MAX_BUCKET`` smallest ids (a degenerate key, e.g. boilerplate
+  shared by thousands of docs, truncates deterministically);
+* :func:`_verify_pairs` attaches side a's and side b's ``<u8``-word
+  blobs to candidate pairs and keeps the pairs whose per-metric score
+  passes — on the driver up to ``BROADCAST_LIMIT`` pairs (one filtered
+  scan per side fetches just the needed blobs), through two hash joins
+  above, so nothing driver-bound grows with the corpus.  It serves the
+  MinHash est-Jaccard verify, both n-gram metrics and the curation
+  runner's cross-partition join.
+
+Band rows carry ONLY (band_key, doc_id[, fp]) — signatures move at most
+twice, via hash joins keyed on the candidate ids.  The dominant case,
+a bucket of exactly 2 docs, is a pair straight from the native
+``Count/Min(id)/Max(id)`` aggregate, and only buckets with ≥2 docs
+leave it: driver traffic is proportional to the op's OUTPUT (near-dup
+pairs), not the corpus.  Buckets with ≥3 docs are a sparse tail whose
+rows a semi-join selects for pair expansion.
 
 The reference's only dedup is the Bloom ``insertAndCheck`` first-wins
 shingle dedup (``BloomFilterGenerator.h:171``, SURVEY.md §2.7 D1); the
@@ -45,6 +52,8 @@ exact variant here is its hash-partitioned exact counterpart.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pandas as pd
@@ -65,12 +74,19 @@ from biobloom_ray.textnorm import content_md5_batch
 from biobloom_ray.io import cheap_count as _cheap_count
 from biobloom_ray.io import hash_join as _join
 
-DEFAULT_JOIN_PARTITIONS = None
-
-#: default gates for the LSH tiers (module-level so tests/bench can
-#: force the cluster paths); see minhash_neardup_pairs_ds docstring
+#: band-row gate of the LSH tiers: up to this many band rows (docs ×
+#: bands) a near-dup op buckets on the driver; above, in the cluster.
+#: Module-level, like every gate here, so tests and the bench can force
+#: the cluster tiers
 BAND_DRIVER_MAX_ROWS = 4_000_000
+
+#: candidate-pair gate of :func:`_verify_pairs`: up to this many pairs
+#: they come to the driver and one filtered scan per side fetches their
+#: blobs; above, two hash joins attach the blobs in the cluster
 BROADCAST_LIMIT = 50_000
+
+#: pairs of one LSH bucket come from at most its this-many smallest ids
+MAX_BUCKET = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +107,7 @@ def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
 EXACT_DEDUP_DRIVER_MAX_ROWS = 1_000_000
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                num_partitions: int = DEFAULT_JOIN_PARTITIONS):
+def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """First-wins exact dedup, tiered by scale.
 
     Below ``EXACT_DEDUP_DRIVER_MAX_ROWS`` input rows: per-block
@@ -125,7 +140,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                .groupby("fp_md5")
                .aggregate(Min(id_col, alias_name=id_col))
                .select_columns([id_col]))
-    return _join(ds, winners, on=(id_col,), num_partitions=num_partitions)
+    return _join(ds, winners, on=(id_col,))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +248,12 @@ def _empty_pairs(value_col: str, dtype: str = "float64") -> pd.DataFrame:
                          value_col: pd.Series(dtype=dtype)})
 
 
+def _pairs_table(id_a, id_b, score, score_col: str) -> pa.Table:
+    return pa.table({"id_a": pa.array(id_a, type=pa.int64()),
+                     "id_b": pa.array(id_b, type=pa.int64()),
+                     score_col: pa.array(score, type=pa.float64())})
+
+
 def _isin_filter(col_name: str, sorted_vals: np.ndarray, keep: bool = True):
     """map_batches callable: keep (``keep=True``) or drop the rows whose
     ``col_name`` is in the broadcast sorted array (binary-search
@@ -254,14 +275,20 @@ def _isin_filter(col_name: str, sorted_vals: np.ndarray, keep: bool = True):
     return pick
 
 
+def _collect(ds) -> pa.Table | None:
+    """A (small) Dataset as one driver table; None when it has no
+    rows."""
+    import ray
+
+    blocks = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(blocks) if blocks else None
+
+
 def _collect_numpy(ds, cols: list[str]) -> dict[str, np.ndarray]:
-    """Stream a (small) dataset's columns to driver numpy arrays."""
-    parts: dict[str, list] = {c: [] for c in cols}
-    for blk in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for c in cols:
-            parts[c].append(blk[c].to_numpy(zero_copy_only=False))
-    return {c: (np.concatenate(v) if v else np.empty(0, dtype=np.int64))
-            for c, v in parts.items()}
+    """A (small) Dataset's columns as driver numpy arrays."""
+    t = _collect(ds)
+    return {c: (t[c].to_numpy() if t is not None
+                else np.empty(0, dtype=np.int64)) for c in cols}
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +297,11 @@ def _collect_numpy(ds, cols: list[str]) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _hashset_csr(col) -> tuple[np.ndarray, np.ndarray]:
-    """Binary column of sorted-unique ``<u8`` blobs → (values, offsets in
-    ELEMENTS) read straight off the Arrow offsets/data buffers (honors
-    ``Array.offset``; every blob is a whole number of u8 words so the
-    element offsets divide exactly)."""
+    """Binary column of ``<u8``-word blobs (sorted-unique shingle sets or
+    MinHash signatures) → (values, offsets in ELEMENTS) read straight
+    off the Arrow offsets/data buffers (honors ``Array.offset``; every
+    blob is a whole number of u8 words so the element offsets divide
+    exactly)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
@@ -343,55 +371,123 @@ def _containment_from_sets(va, la, vb, lb) -> np.ndarray:
         return np.where(mn > 0, inter / np.maximum(mn, 1), 1.0)
 
 
-def _dup_buckets(band, id_col: str):
-    """groupby(band_key) → materialized ≥2-doc buckets with native
-    Count/Min/Max.  ONE groupby shuffle of 16 B rows does all the
-    bucketing work; only buckets with ≥2 docs survive (the op's output
-    scale — near-dup candidates — not the corpus scale)."""
-    agg = (band.groupby("band_key")
-           .aggregate(Count(alias_name="c"),
-                      Min(id_col, alias_name="id_a"),
-                      Max(id_col, alias_name="id_b")))
-    return agg.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["c"], 2)),
-        batch_format="pyarrow").materialize()
+def _est_jaccard_from_sigs(va, la, vb, lb) -> np.ndarray:
+    """MinHash est-Jaccard per pair of equal-width signature blobs in
+    the CSR layout of the set scorers: the fraction of agreeing
+    components."""
+    n = len(la)
+    if not n:
+        return np.empty(0, dtype=np.float64)
+    return (va.reshape(n, -1) == vb.reshape(n, -1)).mean(axis=1)
 
 
-def _candidate_pairs_np(dup_ds, band, id_col: str, max_bucket: int):
-    """Driver fast path (below ``broadcast_limit`` dup buckets): distinct
-    candidate (id_a, id_b) pairs as numpy arrays.  c==2 buckets (the
-    bulk) are pairs directly from the native Min/Max aggregate; c≥3
-    bucket keys (sparse dup-cluster tail) trigger one extra narrow scan
-    filtered to those keys, deterministically capped per bucket."""
-    dup = _collect_numpy(dup_ds, ["band_key", "c", "id_a", "id_b"])
+# ---------------------------------------------------------------------------
+# the two shared LSH kernels: bucket → pairs, and the pair verifier
+# ---------------------------------------------------------------------------
 
-    two = dup["c"] == 2
-    pa_ids = [dup["id_a"][two]]
-    pb_ids = [dup["id_b"][two]]
+def _bucket_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of every two positions of
+    ``keys`` in the same bucket.  ``keys`` are band keys sorted so that
+    equal keys are adjacent, in the order the pair sides should take
+    (callers sort ids ascending within a key).  c==2 buckets pair
+    vectorized; bigger ones via ``triu`` over their first
+    ``MAX_BUCKET`` positions."""
+    n = len(keys)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    two = starts[sizes == 2]
+    ia, ib = [two], [two + 1]
+    for s, c in zip(starts[sizes > 2], sizes[sizes > 2]):
+        ii, jj = np.triu_indices(min(c, MAX_BUCKET), k=1)
+        ia.append(s + ii)
+        ib.append(s + jj)
+    return np.concatenate(ia), np.concatenate(ib)
 
-    big_keys = np.sort(dup["band_key"][~two])
-    if len(big_keys):
-        rows = _collect_numpy(
-            band.map_batches(_isin_filter("band_key", big_keys),
-                             batch_format="pyarrow"),
-            ["band_key", id_col])
-        order = np.lexsort((rows[id_col], rows["band_key"]))
-        ks = rows["band_key"][order]
-        ids = rows[id_col][order]
-        starts = np.nonzero(np.r_[True, ks[1:] != ks[:-1]])[0]
-        ends = np.r_[starts[1:], len(ks)]
-        for s, e in zip(starts, ends):
-            seg = ids[s:min(e, s + max_bucket)]
-            ii, jj = np.triu_indices(len(seg), k=1)
-            pa_ids.append(seg[ii])
-            pb_ids.append(seg[jj])
 
-    id_a = np.concatenate(pa_ids)
-    id_b = np.concatenate(pb_ids)
-    if len(id_a):
-        both = np.unique(np.stack([id_a, id_b], axis=1), axis=0)
-        id_a, id_b = both[:, 0], both[:, 1]
-    return id_a, id_b
+def _distinct_pairs(pairs):
+    """Native (id_a, id_b) groupby: one row per pair found in several
+    bands."""
+    return (pairs.groupby(["id_a", "id_b"])
+            .aggregate(Count(alias_name="_n"))
+            .select_columns(["id_a", "id_b"]))
+
+
+def _verify_pairs(cand, side_a, side_b, score, threshold: float,
+                  score_col: str, id_col: str = "doc_id", blob=None):
+    """The pair verifier: attach side a's and side b's ``sig`` blobs
+    (whole ``<u8`` words: MinHash signatures or sorted-unique shingle
+    sets) to the candidate pairs ``cand`` (a Dataset of distinct
+    ``id_a, id_b``) and keep the pairs whose
+    ``score(va, la, vb, lb)`` ≥ ``threshold``, as a Dataset of
+    ``id_a, id_b, score_col``.
+
+    ``side_a`` and ``side_b`` hold the rows the ids index (pass the same
+    Dataset twice for pairs within one table).  ``blob``, when given,
+    maps a side's picked rows to ``id_col, sig`` — so shingle sets are
+    built only for docs in a pair; it needs ``side_a is side_b``.
+
+    Up to ``BROADCAST_LIMIT`` pairs the pairs come to the driver, one
+    filtered scan per side fetches the needed blobs and the score runs
+    over 8,192-pair chunks; above, two hash joins attach the blobs (a
+    ``blob`` side is first semi-joined to the ids in a pair) and the
+    score runs per batch in the cluster."""
+    import ray.data as rd
+
+    cand = cand.materialize()
+    n = cand.count()
+    if n == 0:
+        return rd.from_arrow(_pairs_table([], [], [], score_col))
+    if n <= BROADCAST_LIMIT:
+        got = _collect_numpy(cand, ["id_a", "id_b"])
+        id_a, id_b = got["id_a"], got["id_b"]
+
+        def fetch(side, ids):
+            """CSR of the wanted blobs, and each id's row in it."""
+            picked = side.map_batches(_isin_filter(id_col, np.unique(ids)),
+                                      batch_format="pyarrow")
+            if blob is not None:
+                picked = picked.map_batches(blob, batch_format="pyarrow")
+            t = _collect(picked)
+            have = t[id_col].to_numpy()
+            order = np.argsort(have, kind="stable")
+            rows = order[np.searchsorted(have[order], ids)]
+            return _hashset_csr(t["sig"]), rows
+
+        if side_b is side_a:
+            (vals, offs), rows = fetch(side_a, np.r_[id_a, id_b])
+            csr_a = csr_b = (vals, offs)
+            ra, rb = rows[:n], rows[n:]
+        else:
+            csr_a, ra = fetch(side_a, id_a)
+            csr_b, rb = fetch(side_b, id_b)
+        est = np.concatenate([
+            score(*_segment_gather(*csr_a, ra[s:s + (1 << 13)]),
+                  *_segment_gather(*csr_b, rb[s:s + (1 << 13)]))
+            for s in range(0, n, 1 << 13)])
+        keep = est >= threshold
+        return rd.from_arrow(_pairs_table(id_a[keep], id_b[keep],
+                                          est[keep], score_col))
+
+    if blob is not None:
+        need = (cand.select_columns(["id_a"]).rename_columns({"id_a": id_col})
+                .union(cand.select_columns(["id_b"])
+                       .rename_columns({"id_b": id_col}))
+                .groupby(id_col).aggregate(Count(alias_name="_n"))
+                .select_columns([id_col]))
+        side_a = side_b = _join(side_a, need, on=(id_col,)).map_batches(
+            blob, batch_format="pyarrow")
+    j = _join(cand, side_a, on=("id_a",), right_on=(id_col,))
+    j = _join(j, side_b, on=("id_b",), right_on=(id_col,),
+              left_suffix="_a", right_suffix="_b")
+
+    def verify(b: pa.Table) -> pa.Table:
+        va, oa = _hashset_csr(b["sig_a"])
+        vb, ob = _hashset_csr(b["sig_b"])
+        t = _pairs_table(b["id_a"], b["id_b"],
+                         score(va, np.diff(oa), vb, np.diff(ob)), score_col)
+        return t.filter(pc.greater_equal(t[score_col], threshold))
+
+    return j.map_batches(verify, batch_format="pyarrow")
 
 
 def _sig_agreement(sa: np.ndarray, ia: np.ndarray, sb: np.ndarray,
@@ -407,14 +503,13 @@ def _sig_agreement(sa: np.ndarray, ia: np.ndarray, sb: np.ndarray,
 
 
 def _band_pairs_np(ids: np.ndarray, sigs: np.ndarray, num_bands: int,
-                   threshold: float, max_bucket: int = 2000):
+                   threshold: float):
     """Driver band → bucket → verify over a signature matrix: the
     ``(id_a, id_b, est_jaccard)`` pairs with est ≥ ``threshold``, sorted
     by (id_a, id_b).  One stable sort of the band keys finds every
-    bucket (no Ray shuffle); c==2 buckets pair vectorized, bigger ones
-    via triu capped at the ``max_bucket`` smallest ids.  Zero-shingle
-    rows (all-sentinel signature) never band — see :func:`_band_rows`.
-    """
+    bucket (no Ray shuffle) and :func:`_bucket_pairs` pairs them.
+    Zero-shingle rows (all-sentinel signature) never band — see
+    :func:`_band_rows`."""
     from biobloom_ray.sketches.minhash import _EMPTY_SENTINEL
 
     ne = sigs[:, 0] != _EMPTY_SENTINEL
@@ -427,33 +522,36 @@ def _band_pairs_np(ids: np.ndarray, sigs: np.ndarray, num_bands: int,
     # rows are in id order, so a row index stands for its id below
     ks = lsh_band_keys(sigs, num_bands).reshape(-1).view(np.int64)
     order = np.argsort(ks, kind="stable")
-    ks = ks[order]
     rows = np.repeat(np.arange(n, dtype=np.int64), num_bands)[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    sizes = np.diff(np.r_[starts, len(ks)])
-    two = sizes == 2
-    ra = [rows[starts[two]]]
-    rb = [rows[starts[two] + 1]]
-    for s, c in zip(starts[sizes > 2], sizes[sizes > 2]):
-        seg = rows[s:s + min(c, max_bucket)]
-        ii, jj = np.triu_indices(len(seg), k=1)
-        ra.append(seg[ii])
-        rb.append(seg[jj])
-    pk = np.unique(np.concatenate(ra) * n + np.concatenate(rb))
+    i, j = _bucket_pairs(ks[order])
+    pk = np.unique(rows[i] * n + rows[j])
     ra, rb = pk // n, pk % n
     est = _sig_agreement(sigs, ra, sigs, rb)
     keep = est >= threshold
     return ids[ra[keep]], ids[rb[keep]], est[keep]
 
 
-def _candidate_pairs_cluster(dup_ds, band, id_col: str, max_bucket: int,
-                             num_partitions: int):
-    """Cluster path (above ``broadcast_limit``): distinct candidate
-    pairs as a Dataset end-to-end — the driver never sees a pair
-    (VERDICT r2 "Next round" #4).  c==2 buckets project to pairs
-    natively; c≥3 bucket rows are selected by a hash semi-join on the
-    bucket key and pair-expanded inside ``map_groups``; a final native
-    (id_a, id_b) groupby dedups pairs found in several bands."""
+def _dup_buckets(band, id_col: str):
+    """groupby(band_key) → materialized ≥2-doc buckets with native
+    Count/Min/Max.  ONE groupby shuffle of 16 B rows does all the
+    bucketing work; only buckets with ≥2 docs survive (the op's output
+    scale — near-dup candidates — not the corpus scale)."""
+    agg = (band.groupby("band_key")
+           .aggregate(Count(alias_name="c"),
+                      Min(id_col, alias_name="id_a"),
+                      Max(id_col, alias_name="id_b")))
+    return agg.map_batches(
+        lambda b: b.filter(pc.greater_equal(b["c"], 2)),
+        batch_format="pyarrow").materialize()
+
+
+def _candidate_pairs_cluster(dup_ds, band, id_col: str):
+    """Cluster tier's distinct candidate pairs as a Dataset end-to-end —
+    the driver never sees a pair (VERDICT r2 "Next round" #4).  c==2
+    buckets project to pairs natively; c≥3 bucket rows are selected by
+    a hash semi-join on the bucket key and pair-expanded by
+    :func:`_bucket_pairs` inside ``map_groups``; pairs found in several
+    bands are deduplicated natively."""
 
     def two_pairs(b: pa.Table) -> pa.Table:
         t = b.filter(pc.equal(b["c"], 2))
@@ -465,31 +563,19 @@ def _candidate_pairs_cluster(dup_ds, band, id_col: str, max_bucket: int,
         lambda b: b.filter(pc.greater(b["c"], 2)), batch_format="pyarrow")
         .select_columns(["band_key"]))
     if big_keys.count():  # cheap: parent is materialized
-        rows = _join(band, big_keys, on=("band_key",),
-                     num_partitions=num_partitions)
+        rows = _join(band, big_keys, on=("band_key",))
 
         def expand(g: pa.Table) -> pa.Table:
             ids = np.sort(g[id_col].to_numpy(zero_copy_only=False),
-                          kind="stable")[:max_bucket]
-            ii, jj = np.triu_indices(len(ids), k=1)
-            return pa.table({"id_a": pa.array(ids[ii]),
-                             "id_b": pa.array(ids[jj])})
+                          kind="stable")
+            i, j = _bucket_pairs(g["band_key"].to_numpy())
+            return pa.table({"id_a": pa.array(ids[i]),
+                             "id_b": pa.array(ids[j])})
 
         pairs = pairs.union(
             rows.groupby("band_key").map_groups(expand,
                                                 batch_format="pyarrow"))
-    return (pairs.groupby(["id_a", "id_b"])
-            .aggregate(Count(alias_name="_n"))
-            .select_columns(["id_a", "id_b"]))
-
-
-def _attach_sigs(cand, sig_ds, id_col: str, num_partitions: int):
-    """cand (id_a, id_b) ⋈ sig_ds on both ids → (id_a, id_b, sig_a, sig_b)."""
-    j = _join(cand, sig_ds, on=("id_a",), right_on=(id_col,),
-              num_partitions=num_partitions)
-    return _join(j, sig_ds, on=("id_b",), right_on=(id_col,),
-                 num_partitions=num_partitions,
-                 left_suffix="_a", right_suffix="_b")
+    return _distinct_pairs(pairs)
 
 
 #: above this many signature rows the checkpoint goes to parquet instead
@@ -498,159 +584,83 @@ def _attach_sigs(cand, sig_ds, id_col: str, num_partitions: int):
 SIG_CHECKPOINT_MAX_ROWS = 5_000_000
 
 
-def _sig_checkpoint(ds, stage, checkpoint: str, checkpoint_dir):
-    """Materialize the signature table — in the object store below the
-    row gate, as partitioned parquet (write-then-read-back) above it.
-
-    ``checkpoint``: "auto" (count the input when cheaply possible and
-    gate on SIG_CHECKPOINT_MAX_ROWS), "memory", or "parquet"."""
-    sig_ds = ds.map_batches(stage, batch_format="pyarrow")
-    n = _cheap_count(ds)
-    if checkpoint == "auto":
-        checkpoint = "parquet" if (n is not None
-                                   and n > SIG_CHECKPOINT_MAX_ROWS) \
-            else "memory"
-    if checkpoint == "memory":
-        return sig_ds.materialize(), n
+@contextlib.contextmanager
+def _sig_checkpoint(ds, stage):
+    """Yield the materialized signature table and the input's cheap row
+    count — in the object store up to ``SIG_CHECKPOINT_MAX_ROWS`` rows,
+    above as parquet written to a fresh temporary directory and read
+    back.  The directory is removed on exit, so a caller consumes the
+    signatures inside the ``with`` block."""
+    import shutil
     import tempfile
 
     import ray.data as rd
 
-    d = checkpoint_dir or tempfile.mkdtemp(prefix="minhash_sigs_",
-                                           dir="/tmp")
-    sig_ds.write_parquet(d)
-    return rd.read_parquet(d), n
+    sig_ds = ds.map_batches(stage, batch_format="pyarrow")
+    n = _cheap_count(ds)
+    if n is None or n <= SIG_CHECKPOINT_MAX_ROWS:
+        yield sig_ds.materialize(), n
+        return
+    d = tempfile.mkdtemp(prefix="minhash_sigs_")
+    try:
+        sig_ds.write_parquet(d)
+        yield rd.read_parquet(d), n
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
 
 
 def minhash_neardup_pairs_ds(ds, text_col: str = "text",
                              id_col: str = "doc_id", threshold: float = 0.7,
                              shingle_k: int = 5, num_perm: int = 128,
-                             num_bands: int = 16, max_bucket: int = 2000,
-                             num_partitions: int = DEFAULT_JOIN_PARTITIONS,
-                             broadcast_limit: int | None = None,
-                             checkpoint: str = "auto",
-                             checkpoint_dir: str | None = None,
-                             band_driver_limit: int | None = None):
+                             num_bands: int = 16):
     """Near-duplicate pairs with estimated Jaccard ≥ threshold, as a
-    Dataset (id_a, id_b, est_jaccard).
+    materialized Dataset (id_a, id_b, est_jaccard).
 
-    shingle → minhash signature checkpoint (object store below
-    ``SIG_CHECKPOINT_MAX_ROWS``, parquet above) → narrow band rows →
-    bucketing → distinct candidate pairs → signature verify.
-
-    Bucketing is three-tier by scale: below ``band_driver_limit`` band
-    rows the signature table streams to the driver (1 KB/doc at 128
-    perms, ≤ 256 MB at the default gate) and :func:`_band_pairs_np`
-    bands, buckets and verifies it in numpy (no shuffle at all); above
-    that, ONE native groupby aggregate does the bucketing, and
-    candidate handling is adaptive like a broadcast-vs-shuffle join
-    choice: up to ``broadcast_limit`` dup buckets / candidate pairs
-    (the op's OUTPUT scale) the pairs ride through the driver and the
-    candidate ids are broadcast so one narrow scan fetches just those
-    signatures; beyond the limit candidates stay a Dataset end-to-end
-    (c==2 native projection + map_groups pair expansion + native pair
-    dedup) and the signatures attach via two hash joins, so nothing
-    driver-bound grows with the corpus.
-    """
+    shingle → minhash signature checkpoint (:func:`_sig_checkpoint`) →
+    :func:`minhash_pairs_from_sigs`."""
     stage = MinHashSigStage(text_col, id_col, shingle_k, num_perm)
-    sig_ds, n_in = _sig_checkpoint(ds, stage, checkpoint, checkpoint_dir)
-    return minhash_pairs_from_sigs(
-        sig_ds, n_in, id_col=id_col, threshold=threshold,
-        num_perm=num_perm, num_bands=num_bands, max_bucket=max_bucket,
-        num_partitions=num_partitions, broadcast_limit=broadcast_limit,
-        band_driver_limit=band_driver_limit)
+    with _sig_checkpoint(ds, stage) as (sig_ds, n_in):
+        return minhash_pairs_from_sigs(
+            sig_ds, n_in, id_col=id_col, threshold=threshold,
+            num_perm=num_perm, num_bands=num_bands).materialize()
 
 
 def minhash_pairs_from_sigs(sig_ds, n_in, id_col: str = "doc_id",
                             threshold: float = 0.7, num_perm: int = 128,
-                            num_bands: int = 16, max_bucket: int = 2000,
-                            num_partitions=DEFAULT_JOIN_PARTITIONS,
-                            broadcast_limit: int | None = None,
-                            band_driver_limit: int | None = None):
+                            num_bands: int = 16):
     """The post-signature half of :func:`minhash_neardup_pairs_ds`:
     band → bucket → candidate pairs → signature verify, starting from a
     MATERIALIZED signature Dataset (id, sig blob).  Exposed so callers
     that already hold the signature table — e.g. the resumable curation
     runner, which also checkpoints it per partition — don't pay the
-    shingle+permute scan twice."""
-    if broadcast_limit is None:
-        broadcast_limit = BROADCAST_LIMIT
-    if band_driver_limit is None:
-        band_driver_limit = BAND_DRIVER_MAX_ROWS
+    shingle+permute scan twice.
+
+    Two tiers.  Up to ``BAND_DRIVER_MAX_ROWS`` band rows (``n_in`` known
+    and ``n_in · num_bands`` within the gate) the signature table comes
+    to the driver (1 KB/doc at 128 perms, ≤ 256 MB at the default gate)
+    and :func:`_band_pairs_np` bands, buckets and verifies it in numpy —
+    no shuffle.  Above, ONE native groupby aggregate buckets the narrow
+    band rows, the candidates stay a Dataset
+    (:func:`_candidate_pairs_cluster`) and :func:`_verify_pairs` scores
+    them."""
     import ray.data as rd
 
-    if (n_in is not None and broadcast_limit > 0
-            and n_in * num_bands <= band_driver_limit):
-        # small corpus: the signature table fits a bounded driver buffer
-        # — band, bucket and verify in numpy, no groupby exchange
-        got = _collect_numpy_sigs(sig_ds, id_col, num_perm)
-        id_a, id_b, est = _band_pairs_np(got["ids"], got["sigs"],
-                                         num_bands, threshold, max_bucket)
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array(id_a, type=pa.int64()),
-            "id_b": pa.array(id_b, type=pa.int64()),
-            "est_jaccard": pa.array(est, type=pa.float64())}))
+    if n_in is not None and n_in * num_bands <= BAND_DRIVER_MAX_ROWS:
+        t = _collect(sig_ds)
+        if t is None:
+            return rd.from_arrow(_pairs_table([], [], [], "est_jaccard"))
+        return rd.from_arrow(_pairs_table(
+            *_band_pairs_np(t[id_col].to_numpy(),
+                            _sig_matrix(t["sig"], num_perm), num_bands,
+                            threshold), "est_jaccard"))
 
     band = sig_ds.map_batches(
         lambda b: _band_rows(b, id_col, num_perm, num_bands),
         batch_format="pyarrow")
-    dup_ds = _dup_buckets(band, id_col)
-    n_dup = dup_ds.count()  # cheap: materialized
-    id_a = None
-    if n_dup <= broadcast_limit:
-        id_a, id_b = _candidate_pairs_np(dup_ds, band, id_col, max_bucket)
-
-    if id_a is not None:
-        if len(id_a) == 0:
-            return rd.from_arrow(pa.table({
-                "id_a": pa.array([], type=pa.int64()),
-                "id_b": pa.array([], type=pa.int64()),
-                "est_jaccard": pa.array([], type=pa.float64())}))
-        if len(id_a) <= broadcast_limit:
-            need = np.unique(np.concatenate([id_a, id_b]))
-            got = _collect_numpy_sigs(
-                sig_ds.map_batches(_isin_filter(id_col, need),
-                                   batch_format="pyarrow"), id_col,
-                num_perm)
-            pos = {int(d): i for i, d in enumerate(got["ids"])}
-            A = got["sigs"][[pos[int(x)] for x in id_a]]
-            B = got["sigs"][[pos[int(x)] for x in id_b]]
-            est = (A == B).mean(axis=1)
-            keep = est >= threshold
-            return rd.from_arrow(pa.table({
-                "id_a": pa.array(id_a[keep]),
-                "id_b": pa.array(id_b[keep]),
-                "est_jaccard": pa.array(est[keep], type=pa.float64())}))
-        cand = rd.from_arrow(pa.table({"id_a": pa.array(id_a),
-                                       "id_b": pa.array(id_b)}))
-    else:
-        cand = _candidate_pairs_cluster(dup_ds, band, id_col, max_bucket,
-                                        num_partitions)
-
-    joined = _attach_sigs(cand, sig_ds, id_col, num_partitions)
-
-    def verify(b: pa.Table) -> pa.Table:
-        A = _sig_matrix(b["sig_a"], num_perm)
-        B = _sig_matrix(b["sig_b"], num_perm)
-        est = (A == B).mean(axis=1) if len(A) else np.empty(0)
-        t = pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
-                      "est_jaccard": pa.array(est, type=pa.float64())})
-        return t.filter(pc.greater_equal(t["est_jaccard"], threshold))
-
-    return joined.map_batches(verify, batch_format="pyarrow")
-
-
-def _collect_numpy_sigs(ds, id_col: str, num_perm: int):
-    """Stream a (small, pre-filtered) signature dataset to the driver as
-    id + matrix arrays."""
-    ids, mats = [], []
-    for blk in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        ids.append(blk[id_col].to_numpy(zero_copy_only=False))
-        mats.append(np.array(_sig_matrix(blk["sig"], num_perm)))
-    return {"ids": (np.concatenate(ids) if ids
-                    else np.empty(0, dtype=np.int64)),
-            "sigs": (np.concatenate(mats) if mats
-                     else np.empty((0, num_perm), dtype=np.uint64))}
+    cand = _candidate_pairs_cluster(_dup_buckets(band, id_col), band,
+                                    id_col)
+    return _verify_pairs(cand, sig_ds, sig_ds, _est_jaccard_from_sigs,
+                         threshold, "est_jaccard", id_col)
 
 
 def minhash_neardup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -677,19 +687,8 @@ def minhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     pairs = minhash_neardup_pairs(ds, text_col, id_col, threshold, **kw)
     drop = np.unique(pairs["id_b"].to_numpy()) if len(pairs) else \
         np.empty(0, dtype=np.int64)
-    import ray
-    drop_ref = ray.put(drop)
-
-    def filter_batch(b: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        if not len(d):
-            return b
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(d, ids)
-        idx[idx == len(d)] = 0
-        return b.filter(pa.array(d[idx] != ids))
-
-    return ds.map_batches(filter_batch, batch_format="pyarrow")
+    return ds.map_batches(_isin_filter(id_col, drop, keep=False),
+                          batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -722,67 +721,42 @@ class SimHashStage:
         })
 
 
-def _simhash_pairs_from_rows(rows: dict, id_col: str, max_hamming: int,
-                             max_bucket: int):
+def _simhash_pairs_from_rows(rows: dict, id_col: str, max_hamming: int):
     """Bucket + Hamming-verify pre-collected (band_key, id, fp) rows:
-    one lexsort finds every bucket; c==2 segments verify vectorized,
-    larger ones via capped triu."""
+    one lexsort, then :func:`_bucket_pairs`."""
     order = np.lexsort((rows[id_col], rows["band_key"]))
-    ks = rows["band_key"][order]
-    ids = rows[id_col][order]
-    fp = rows["fp"][order].view(np.uint64)
-    n = len(ks)
-    pa_ids, pb_ids, dists = [], [], []
-    if n:
-        starts = np.nonzero(np.r_[True, ks[1:] != ks[:-1]])[0]
-        ends = np.r_[starts[1:], n]
-        sizes = ends - starts
-        two = starts[sizes == 2]
-        d2 = hamming_distance(fp[two], fp[two + 1])
-        keep2 = d2 <= max_hamming
-        pa_ids.append(ids[two][keep2])
-        pb_ids.append(ids[two + 1][keep2])
-        dists.append(d2[keep2])
-        for s, e in zip(starts[sizes > 2], ends[sizes > 2]):
-            e = min(e, s + max_bucket)
-            ii, jj = np.triu_indices(e - s, k=1)
-            d = hamming_distance(fp[s:e][ii], fp[s:e][jj])
-            keep = d <= max_hamming
-            pa_ids.append(ids[s:e][ii[keep]])
-            pb_ids.append(ids[s:e][jj[keep]])
-            dists.append(d[keep])
-    return pa_ids, pb_ids, dists
+    i, j = _bucket_pairs(rows["band_key"][order])
+    i, j = order[i], order[j]
+    fp = rows["fp"].view(np.uint64)
+    d = hamming_distance(fp[i], fp[j])
+    keep = d <= max_hamming
+    return rows[id_col][i][keep], rows[id_col][j][keep], d[keep]
 
 
 def simhash_neardup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                           max_hamming: int = 3, shingle_k: int = 5,
-                          num_bands: int = 4, max_bucket: int = 2000,
-                          band_driver_limit: int | None = None):
+                          num_bands: int = 4):
     """Pairs within Hamming distance ≤ max_hamming of 64-bit SimHash.
     Blocking: identical band in any of ``num_bands`` bands (covers all
     pairs with < num_bands differing bits by pigeonhole).
 
-    Same tiers as minhash: below ``band_driver_limit`` band rows the
+    Same tiers as minhash: up to ``BAND_DRIVER_MAX_ROWS`` band rows the
     whole narrow (band_key, id, fp) table streams to the driver and one
     lexsort buckets it (no shuffle); above that, ONE narrow
     groupby-aggregate shuffle — c==2 buckets yield (min_id, max_id,
     min_fp, max_fp) natively ({Min(fp), Max(fp)} IS the fp pair for a
     2-row group, and Hamming is symmetric so the id↔fp association is
     irrelevant), only ≥2-doc buckets (output scale) leave the cluster,
-    and the sparse c≥3 tail triggers one extra filtered scan, capped
-    per bucket.
+    and the sparse c≥3 tail triggers one extra filtered scan.
     """
-    if band_driver_limit is None:
-        band_driver_limit = BAND_DRIVER_MAX_ROWS
     stage = SimHashStage(text_col, id_col, shingle_k, num_bands)
     band = ds.map_batches(stage, batch_format="pyarrow")
+    cols = ["band_key", id_col, "fp"]
 
     n_in = _cheap_count(ds)
-    if n_in is not None and n_in * num_bands <= band_driver_limit:
-        rows = _collect_numpy(band, ["band_key", id_col, "fp"])
-        pa_ids, pb_ids, dists = _simhash_pairs_from_rows(
-            rows, id_col, max_hamming, max_bucket)
-        return _finish_simhash_pairs(pa_ids, pb_ids, dists)
+    if n_in is not None and n_in * num_bands <= BAND_DRIVER_MAX_ROWS:
+        return _finish_simhash_pairs([_simhash_pairs_from_rows(
+            _collect_numpy(band, cols), id_col, max_hamming)])
 
     agg = (band.groupby("band_key")
            .aggregate(Count(alias_name="c"),
@@ -799,29 +773,19 @@ def simhash_neardup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     d2 = hamming_distance(dup["fp_a"][two].view(np.uint64),
                           dup["fp_b"][two].view(np.uint64))
     keep2 = d2 <= max_hamming
-    pa_ids = [dup["id_a"][two][keep2]]
-    pb_ids = [dup["id_b"][two][keep2]]
-    dists = [d2[keep2]]
+    parts = [(dup["id_a"][two][keep2], dup["id_b"][two][keep2], d2[keep2])]
 
     big_keys = np.sort(dup["band_key"][~two])
     if len(big_keys):
         rows = _collect_numpy(
             band.map_batches(_isin_filter("band_key", big_keys),
-                             batch_format="pyarrow"),
-            ["band_key", id_col, "fp"])
-        a2, b2, d2_ = _simhash_pairs_from_rows(rows, id_col, max_hamming,
-                                               max_bucket)
-        pa_ids += a2
-        pb_ids += b2
-        dists += d2_
-
-    return _finish_simhash_pairs(pa_ids, pb_ids, dists)
+                             batch_format="pyarrow"), cols)
+        parts.append(_simhash_pairs_from_rows(rows, id_col, max_hamming))
+    return _finish_simhash_pairs(parts)
 
 
-def _finish_simhash_pairs(pa_ids, pb_ids, dists) -> pd.DataFrame:
-    id_a = np.concatenate(pa_ids) if pa_ids else np.empty(0, np.int64)
-    id_b = np.concatenate(pb_ids) if pb_ids else np.empty(0, np.int64)
-    ham = np.concatenate(dists) if dists else np.empty(0, np.int64)
+def _finish_simhash_pairs(parts) -> pd.DataFrame:
+    id_a, id_b, ham = (np.concatenate(p) for p in zip(*parts))
     if len(id_a) == 0:
         return _empty_pairs("hamming", "int64")
     both, first = np.unique(np.stack([id_a, id_b], axis=1), axis=0,
@@ -837,22 +801,17 @@ def _finish_simhash_pairs(pa_ids, pb_ids, dists) -> pd.DataFrame:
 def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                         threshold: float = 0.5, shingle_k: int = 5,
                         num_perm: int = 128, num_bands: int = 16,
-                        candidate_threshold: float = 0.3,
-                        num_partitions: int = DEFAULT_JOIN_PARTITIONS,
-                        broadcast_limit: int = 50_000):
+                        candidate_threshold: float = 0.3):
     return _ngram_metric_pairs(
-        ds, "jaccard", "jaccard", text_col, id_col, threshold, shingle_k,
-        num_perm, num_bands, candidate_threshold, num_partitions,
-        broadcast_limit)
+        ds, "jaccard", text_col, id_col, threshold, shingle_k, num_perm,
+        num_bands, candidate_threshold)
 
 
 def ngram_containment_pairs(ds, text_col: str = "text",
                             id_col: str = "doc_id",
                             threshold: float = 0.8, shingle_k: int = 5,
                             num_perm: int = 128, num_bands: int = 16,
-                            candidate_threshold: float = 0.3,
-                            num_partitions: int = DEFAULT_JOIN_PARTITIONS,
-                            broadcast_limit: int = 50_000):
+                            candidate_threshold: float = 0.3):
     """Asymmetric near-dup: pairs whose exact shingle CONTAINMENT
     |A∩B|/min(|A|,|B|) ≥ threshold — quote/subset detection the
     symmetric Jaccard misses.  Same distributed shape as
@@ -863,42 +822,16 @@ def ngram_containment_pairs(ds, text_col: str = "text",
     band collision; the exact-SQL twin verifies no such pair exists
     in the fixtures."""
     return _ngram_metric_pairs(
-        ds, "containment", "containment", text_col, id_col, threshold,
-        shingle_k, num_perm, num_bands, candidate_threshold,
-        num_partitions, broadcast_limit)
+        ds, "containment", text_col, id_col, threshold, shingle_k,
+        num_perm, num_bands, candidate_threshold)
 
 
-def _ngram_metric_pairs(ds, metric, score_col, text_col="text",
-                        id_col="doc_id", threshold=0.5, shingle_k=5,
-                        num_perm=128, num_bands=16,
-                        candidate_threshold=0.3,
-                        num_partitions=DEFAULT_JOIN_PARTITIONS,
-                        broadcast_limit=50_000):
-    """MinHash-LSH candidates verified with EXACT n-gram Jaccard —
-    fully distributed (round-2 redesign, VERDICT.md "Next round" #4).
-
-    Adaptive like the minhash verify: up to ``broadcast_limit``
-    candidate pairs (the op's OUTPUT scale) the candidate ids are
-    broadcast, one scan computes the needed docs' shingle-hash sets,
-    and the pair loop runs once on the driver over that bounded table;
-    beyond the limit everything stays in the cluster — a hash semi-join
-    selects the candidate docs, their hash sets join onto the pair
-    list, and exact Jaccard runs per batch of pairs."""
-    score_of = (_containment_from_sets if metric == "containment"
-                else _jaccard_from_sets)
-    cand = minhash_neardup_pairs_ds(
-        ds, text_col, id_col, threshold=candidate_threshold,
-        shingle_k=shingle_k, num_perm=num_perm, num_bands=num_bands,
-        num_partitions=num_partitions).materialize()
-
-    n_cand = cand.count()
-    if n_cand == 0:
-        return _empty_pairs(score_col)
+def _hash_set_stage(text_col: str, id_col: str, shingle_k: int):
+    """map_batches callable: per-doc sorted-unique shingle-hash sets as
+    ``<u8`` blobs (``id_col, sig``) — one (row, hash) lexsort dedups
+    every row at once; no per-row Python."""
 
     def hash_sets(b: pa.Table) -> pa.Table:
-        """Per-doc sorted-unique shingle-hash sets as <u8 blobs — one
-        (row, hash) lexsort dedups every row at once; no per-row
-        Python."""
         texts = b[text_col]
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
@@ -924,71 +857,28 @@ def _ngram_metric_pairs(ds, metric, score_col, text_col="text",
              pa.py_buffer(uvals.tobytes())])
         return pa.table({id_col: b[id_col], "sig": sig_arr})
 
-    if n_cand <= broadcast_limit:
-        cp = cand.select_columns(["id_a", "id_b"]).to_pandas()
-        id_a = cp["id_a"].to_numpy()
-        id_b = cp["id_b"].to_numpy()
-        need_ids = np.unique(np.concatenate([id_a, id_b]))
-        picked = (ds.select_columns([id_col, text_col])
-                  .map_batches(_isin_filter(id_col, need_ids),
-                               batch_format="pyarrow")
-                  .map_batches(hash_sets, batch_format="pyarrow"))
-        ids_parts, vals_parts, len_parts = [], [], []
-        for blk in picked.iter_batches(batch_size=None,
-                                       batch_format="pyarrow"):
-            ids_parts.append(blk[id_col].to_numpy(zero_copy_only=False))
-            v, o = _hashset_csr(blk["sig"])
-            vals_parts.append(np.array(v))
-            len_parts.append(np.diff(o))
-        ids_all = np.concatenate(ids_parts)
-        lens_all = np.concatenate(len_parts)
-        vals_all = np.concatenate(vals_parts) if vals_parts \
-            else np.empty(0, dtype=np.uint64)
-        # one CSR over all fetched docs, sorted by id for O(log n) lookup
-        order = np.argsort(ids_all, kind="stable")
-        seg_of = np.zeros(len(ids_all) + 1, dtype=np.int64)
-        np.cumsum(lens_all, out=seg_of[1:])
-        # re-pack values in id order
-        vals_sorted, lens_sorted = _segment_gather(vals_all, seg_of, order)
-        offs_sorted = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(lens_sorted, out=offs_sorted[1:])
-        ids_sorted = ids_all[order]
-        idx_a = np.searchsorted(ids_sorted, id_a)
-        idx_b = np.searchsorted(ids_sorted, id_b)
-        va, la = _segment_gather(vals_sorted, offs_sorted, idx_a)
-        vb, lb = _segment_gather(vals_sorted, offs_sorted, idx_b)
-        jac = score_of(va, la, vb, lb)
-        keep = jac >= threshold
-        out = pd.DataFrame({"id_a": id_a[keep], "id_b": id_b[keep],
-                            score_col: jac[keep]})
-        if out.empty:
-            return _empty_pairs(score_col)
-        return (out.sort_values(["id_a", "id_b"], kind="stable")
-                .reset_index(drop=True))
+    return hash_sets
 
-    need = (cand.select_columns(["id_a"]).rename_columns({"id_a": id_col})
-            .union(cand.select_columns(["id_b"])
-                   .rename_columns({"id_b": id_col}))
-            .groupby(id_col).aggregate(Count(alias_name="_n"))
-            .select_columns([id_col]))
-    docs_needed = _join(ds.select_columns([id_col, text_col]), need,
-                        on=(id_col,), num_partitions=num_partitions)
-    hset_ds = docs_needed.map_batches(hash_sets, batch_format="pyarrow")
-    joined = _attach_sigs(cand.select_columns(["id_a", "id_b"]), hset_ds,
-                          id_col, num_partitions)
 
-    def verify(b: pa.Table) -> pa.Table:
-        # offsets-buffer CSR reads + one batched sorted-intersection —
-        # no per-row Python (VERDICT r2 "Next round" #5)
-        va, oa = _hashset_csr(b["sig_a"])
-        vb, ob = _hashset_csr(b["sig_b"])
-        jac = score_of(va, np.diff(oa), vb, np.diff(ob))
-        t = pa.table({"id_a": b["id_a"], "id_b": b["id_b"],
-                      score_col: pa.array(jac)})
-        return t.filter(pc.greater_equal(t[score_col], threshold))
-
-    out = joined.map_batches(verify, batch_format="pyarrow").to_pandas()
+def _ngram_metric_pairs(ds, metric, text_col="text", id_col="doc_id",
+                        threshold=0.5, shingle_k=5, num_perm=128,
+                        num_bands=16, candidate_threshold=0.3):
+    """MinHash-LSH candidates (est-Jaccard ≥ ``candidate_threshold``)
+    verified with the EXACT n-gram ``metric`` ("jaccard" or
+    "containment") of their shingle-hash sets by :func:`_verify_pairs`
+    — fully distributed above its gate (round-2 redesign, VERDICT.md
+    "Next round" #4)."""
+    score = (_containment_from_sets if metric == "containment"
+             else _jaccard_from_sets)
+    cand = minhash_neardup_pairs_ds(
+        ds, text_col, id_col, threshold=candidate_threshold,
+        shingle_k=shingle_k, num_perm=num_perm, num_bands=num_bands)
+    docs = ds.select_columns([id_col, text_col])
+    out = _verify_pairs(cand.select_columns(["id_a", "id_b"]), docs, docs,
+                        score, threshold, metric, id_col,
+                        blob=_hash_set_stage(text_col, id_col, shingle_k)
+                        ).to_pandas()
     if out.empty:
-        return _empty_pairs(score_col)
+        return _empty_pairs(metric)
     return (out.sort_values(["id_a", "id_b"], kind="stable")
             .reset_index(drop=True))

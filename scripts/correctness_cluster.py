@@ -72,14 +72,17 @@ def main():
     import biobloom_ray.pipelines.mibf as M
     import biobloom_ray.pipelines.progressive as P
     import biobloom_ray.pipelines.resumable as RS
+    import biobloom_ray.sketches.fold as F
     import biobloom_ray.stages.ann as ANN
     import biobloom_ray.stages.dedup as D
     import biobloom_ray.stages.pairs as PR
-    for mod in (A, M, P, RS, ANN, D, PR):
+    for mod in (A, M, P, RS, F, ANN, D, PR):
         for name in dir(mod):
             if (name.isupper() and ("MAX_ROWS" in name or "MAX_M" in name
                                     or "MAX_SLOTS" in name
-                                    or "MAX_KEYS" in name)
+                                    or "MAX_KEYS" in name
+                                    or "MAX_BYTES" in name
+                                    or name == "BROADCAST_LIMIT")
                     and getattr(mod, name) == 0):
                 gates.append(f"{mod.__name__.split('.')[-1]}.{name}")
 

@@ -160,8 +160,9 @@ def test_degenerate_fragments_match_single_shot(ray_session, tmp_path,
 def test_degenerate_fragments_forced_gate_parity(ray_session, tmp_path,
                                                  monkeypatch):
     """Every join tier (seen left_anti, near-dup band join, signatures
-    kept in the cluster) over empty, gated-out, one-row and short-doc
-    partitions publishes what the in-memory tiers publish."""
+    kept in the cluster, the pair verifier's joins) over empty,
+    gated-out, one-row and short-doc partitions publishes what the
+    in-memory tiers publish."""
     import biobloom_ray.pipelines.resumable as RS
     import biobloom_ray.stages.dedup as D
 
@@ -175,6 +176,7 @@ def test_degenerate_fragments_forced_gate_parity(ray_session, tmp_path,
     monkeypatch.setattr(RS, "SEEN_BROADCAST_MAX_KEYS", 0)
     monkeypatch.setattr(RS, "NEARDUP_STATE_BROADCAST_MAX_ROWS", 0)
     monkeypatch.setattr(D, "BAND_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(D, "BROADCAST_LIMIT", 0)
     RS.run_partitioned_curation(in_dir, str(tmp_path / "join"),
                                 neardup=True)
     a = _published(str(tmp_path / "mem"))
@@ -320,12 +322,13 @@ def test_minhash_sig_stage_matches_lexsort_reference(name):
     assert np.array_equal(got, want)
 
 
-def test_minhash_neardup_pairs_unchanged_sf001(ray_session):
+def test_minhash_neardup_pairs_unchanged_sf001(ray_session, monkeypatch):
     """The driver band tier's pairs on sf0.01 equal the cluster tier's
     and the digest recorded before the single-key dedup and the shared
     numpy band core."""
     import ray
 
+    import biobloom_ray.stages.dedup as D
     from biobloom_ray.stages.dedup import (minhash_neardup_pairs,
                                            minhash_neardup_pairs_ds)
 
@@ -339,8 +342,8 @@ def test_minhash_neardup_pairs_unchanged_sf001(ray_session):
     assert len(got) == 25
     assert hashlib.sha256(got.to_csv(index=False).encode()).hexdigest() \
         == "f357fd22a71864ef906f2cafcd6989ce72910df44c568d03bb0a2f21220c01a7"
-    cluster = (minhash_neardup_pairs_ds(ds, threshold=0.6,
-                                        band_driver_limit=0)
+    monkeypatch.setattr(D, "BAND_DRIVER_MAX_ROWS", 0)
+    cluster = (minhash_neardup_pairs_ds(ds, threshold=0.6)
                .to_pandas().sort_values(["id_a", "id_b"])
                .reset_index(drop=True))
     assert cluster.equals(got)

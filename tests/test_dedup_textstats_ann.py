@@ -306,55 +306,124 @@ def test_minhash_empty_docs_never_pair(ray_session):
     assert all(a >= 200 for a, _ in found), f"empty-doc pairs leaked: {found}"
 
 
-def test_minhash_join_path_matches_broadcast(dup_docs):
-    """Above broadcast_limit the verify runs via hash joins — it must
-    produce the identical pair set as the broadcast path."""
-    from biobloom_ray.stages.dedup import minhash_neardup_pairs_ds
+def _lsh_reference(tbl: pa.Table, method: str) -> pd.DataFrame:
+    """Brute-force pairs of ``method`` over a small in-memory table:
+    every two docs sharing a band key (MinHash / SimHash), scored and
+    thresholded like the stages; n-gram candidates are the MinHash pairs
+    at ``candidate_threshold`` 0.3, scored by exact shingle-set Jaccard
+    or containment."""
+    import itertools
+
+    from biobloom_ray.sketches.minhash import _EMPTY_SENTINEL, lsh_band_keys
+    from biobloom_ray.sketches.simhash import simhash_band_keys
+    from biobloom_ray.stages.dedup import MinHashSigStage, _sig_matrix
+
+    ids = tbl["doc_id"].to_numpy()
+    texts = tbl["text"].combine_chunks()
+
+    def banded(keys, ok):
+        pairs = set()
+        for a, b in itertools.combinations(range(len(ids)), 2):
+            if ok[a] and ok[b] and set(keys[a]) & set(keys[b]):
+                pairs.add((a, b))
+        return sorted(pairs)
+
+    if method == "simhash":
+        h1, _, nf = shingle_hashes(texts, 5)
+        fp = simhash_fingerprints(h1, nf)
+        keys = simhash_band_keys(fp, 4)
+        rows = [(ids[a], ids[b], int(hamming_distance(fp[a:a + 1],
+                                                      fp[b:b + 1])[0]))
+                for a, b in banded(keys, np.ones(len(ids), bool))]
+        return pd.DataFrame([r for r in rows if r[2] <= 3],
+                            columns=["id_a", "id_b", "hamming"])
+    sig = _sig_matrix(MinHashSigStage()(tbl)["sig"], 128)
+    keys = lsh_band_keys(sig, 16)
+    cut = 0.6 if method == "minhash" else 0.3
+    rows = [(ids[a], ids[b], (sig[a] == sig[b]).mean())
+            for a, b in banded(keys, sig[:, 0] != _EMPTY_SENTINEL)]
+    rows = [r for r in rows if r[2] >= cut]
+    if method == "minhash":
+        return pd.DataFrame(rows, columns=["id_a", "id_b", "est_jaccard"])
+    h1, _, nf = shingle_hashes(texts, 5)
+    offs = np.r_[0, np.cumsum(nf)]
+    sets = {ids[r]: set(h1[offs[r]:offs[r + 1]].tolist())
+            for r in range(len(ids))}
+    metric, threshold = method.split("_")[1], \
+        (0.5 if method == "ngram_jaccard" else 0.8)
+    out = []
+    for a, b, _ in rows:
+        inter = len(sets[a] & sets[b])
+        den = (len(sets[a] | sets[b]) if metric == "jaccard"
+               else min(len(sets[a]), len(sets[b])))
+        score = inter / den if den else 1.0
+        if score >= threshold:
+            out.append((a, b, score))
+    return pd.DataFrame(out, columns=["id_a", "id_b", metric])
+
+
+@pytest.mark.parametrize("method", ["minhash", "simhash", "ngram_jaccard",
+                                    "ngram_containment"])
+@pytest.mark.parametrize("tier", ["driver", "cluster"])
+def test_lsh_pairs_tier_parity(dup_docs, tmp_path, monkeypatch, tier,
+                               method):
+    """Each LSH pair op at each tier equals a brute-force reference.
+    ``cluster`` zeroes every dedup gate: cluster bucketing, the join
+    tier of the pair verifier and the parquet signature checkpoint."""
+    import tempfile
+
+    import biobloom_ray.stages.dedup as D
 
     ds, rows = dup_docs
-    via_join = (minhash_neardup_pairs_ds(ds, threshold=0.6,
-                                         broadcast_limit=0)
-                .to_pandas().sort_values(["id_a", "id_b"])
-                .reset_index(drop=True))
-    via_bcast = (minhash_neardup_pairs_ds(ds, threshold=0.6)
-                 .to_pandas().sort_values(["id_a", "id_b"])
-                 .reset_index(drop=True))
-    assert len(via_join) > 0
-    assert via_join[["id_a", "id_b"]].equals(via_bcast[["id_a", "id_b"]])
-    assert np.allclose(via_join.est_jaccard, via_bcast.est_jaccard)
+    if tier == "cluster":
+        for gate in ("BAND_DRIVER_MAX_ROWS", "BROADCAST_LIMIT",
+                     "SIG_CHECKPOINT_MAX_ROWS"):
+            monkeypatch.setattr(D, gate, 0)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    got = {"minhash": lambda: D.minhash_neardup_pairs(ds, threshold=0.6),
+           "simhash": lambda: D.simhash_neardup_pairs(ds, max_hamming=3),
+           "ngram_jaccard": lambda: D.ngram_jaccard_pairs(ds, threshold=0.5),
+           "ngram_containment":
+               lambda: D.ngram_containment_pairs(ds, threshold=0.8)}[method]()
+    want = _lsh_reference(pa.concat_tables(ray.get(ds.to_arrow_refs())),
+                          method)
+    assert len(want) > 0
+    got = got.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    assert got.columns.tolist() == want.columns.tolist()
+    assert got[["id_a", "id_b"]].equals(want[["id_a", "id_b"]])
+    score = want.columns[2]
+    assert np.allclose(got[score], want[score], rtol=0, atol=1e-12)
 
 
-def test_ngram_join_path_matches_broadcast(dup_docs):
-    """Forcing broadcast_limit=0 exercises the distributed hash-join
-    verify; it must agree exactly with the broadcast path."""
-    from biobloom_ray.stages.dedup import ngram_jaccard_pairs
-
-    ds, rows = dup_docs
-    a = ngram_jaccard_pairs(ds, threshold=0.5)
-    b = ngram_jaccard_pairs(ds, threshold=0.5, broadcast_limit=0)
-    assert len(a) > 0
-    assert a[["id_a", "id_b"]].equals(b[["id_a", "id_b"]])
-    assert np.allclose(a.jaccard, b.jaccard)
-
-
-def test_minhash_parquet_checkpoint_parity(dup_docs, tmp_path):
-    """Forcing the signature checkpoint to parquet (the >gate path at
-    real scale) must yield the identical pair set as the in-memory
-    materialization."""
-    from biobloom_ray.stages.dedup import minhash_neardup_pairs_ds
-
-    ds, rows = dup_docs
-    mem = (minhash_neardup_pairs_ds(ds, threshold=0.6, checkpoint="memory")
-           .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
-    pq_ = (minhash_neardup_pairs_ds(ds, threshold=0.6, checkpoint="parquet",
-                                    checkpoint_dir=str(tmp_path / "sigs"))
-           .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
-    assert len(mem) > 0
-    assert mem[["id_a", "id_b"]].equals(pq_[["id_a", "id_b"]])
-    assert np.allclose(mem.est_jaccard, pq_.est_jaccard)
-    # the checkpoint really landed on disk
+def test_sig_checkpoint_parquet_tier_removes_its_dir(dup_docs, tmp_path,
+                                                    monkeypatch):
+    """Above ``SIG_CHECKPOINT_MAX_ROWS`` the signatures go through a
+    temporary parquet directory under the default temp dir: the pairs
+    equal the in-memory tier's and the directory is gone afterwards."""
     import glob
-    assert glob.glob(str(tmp_path / "sigs" / "*.parquet"))
+    import os
+    import tempfile
+
+    import biobloom_ray.stages.dedup as D
+
+    ds, rows = dup_docs
+    mem = D.minhash_neardup_pairs(ds, threshold=0.6)
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def spy(*a, **kw):
+        made.append(mkdtemp(*a, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    monkeypatch.setattr(D, "SIG_CHECKPOINT_MAX_ROWS", 0)
+    got = D.minhash_neardup_pairs(ds, threshold=0.6)
+    assert len(mem) > 0 and got.equals(mem)
+    sig_dirs = [d for d in made if "minhash_sigs_" in os.path.basename(d)]
+    assert len(sig_dirs) == 1
+    assert os.path.dirname(sig_dirs[0]) == str(tmp_path)
+    assert not glob.glob(str(tmp_path / "minhash_sigs_*"))
 
 
 def test_jaccard_csr_kernels_match_naive():
@@ -379,33 +448,6 @@ def test_jaccard_csr_kernels_match_naive():
         assert inter[t] == want
         u = la[t] + lb[t] - want
         assert jac[t] == (want / u if u else 1.0)
-
-
-def test_minhash_band_driver_path_matches_groupby_path(dup_docs):
-    """The three bucketing tiers (driver lexsort / groupby+driver pairs /
-    full cluster) must produce identical pair sets."""
-    from biobloom_ray.stages.dedup import minhash_neardup_pairs_ds
-
-    ds, rows = dup_docs
-    fast = (minhash_neardup_pairs_ds(ds, threshold=0.6)  # band-driver tier
-            .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
-    grp = (minhash_neardup_pairs_ds(ds, threshold=0.6, band_driver_limit=0)
-           .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True))
-    assert len(fast) > 0
-    assert fast[["id_a", "id_b"]].equals(grp[["id_a", "id_b"]])
-    assert np.allclose(fast.est_jaccard, grp.est_jaccard)
-
-
-def test_simhash_band_driver_path_matches_groupby_path(dup_docs):
-    from biobloom_ray.stages.dedup import simhash_neardup_pairs
-
-    ds, rows = dup_docs
-    fast = simhash_neardup_pairs(ds, max_hamming=3)
-    grp = simhash_neardup_pairs(ds, max_hamming=3, band_driver_limit=0)
-    assert len(fast) > 0
-    assert fast[["id_a", "id_b"]].reset_index(drop=True).equals(
-        grp[["id_a", "id_b"]].reset_index(drop=True))
-    assert (fast.hamming.to_numpy() == grp.hamming.to_numpy()).all()
 
 
 def test_exact_dedup_tiers_agree(dup_docs, monkeypatch):

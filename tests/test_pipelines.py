@@ -508,6 +508,17 @@ def test_hash_join_sparse_right_side(ray_session):
     assert out0.count() == 0
 
 
+def test_join_guard_installed():
+    """The empty-partition inner-join guard is in place: ``io`` only
+    warns when it cannot install it, and the dedup cluster tiers, the
+    pair verifier and the curation runner's join tiers rely on it."""
+    from ray.data._internal.execution.operators import join as J
+
+    import biobloom_ray.io as io
+
+    assert J.JoiningShuffleAggregation is io._GuardedJoinAggregation
+
+
 def test_bm25_topk_ranking_and_brute_force(ray_session):
     import re
 

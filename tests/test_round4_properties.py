@@ -448,6 +448,39 @@ def test_wave57plus_ops_empty_inputs(ray_session):
         assert len(A.vocab_coverage_topp(td)) == 0
         assert len(A.quality_gate_sweep(td)) == 0
         assert len(A.order_fulfillment_latency(td)) == 0
+        assert _partition_metrics_match_sql(td) == [0, 0]
+
+
+def _partition_metrics_match_sql(sf_dir: str) -> list[int]:
+    """``curation_partition_metrics`` on ``sf_dir`` equals its oracle
+    SQL; returns the engine's rows_in per partition."""
+    import duckdb
+
+    import biobloom_ray.pipelines.analytics as A
+    from __ray_entry__ import oracle_sql
+
+    got = A.curation_partition_metrics(sf_dir)
+    con = duckdb.connect()
+    # an empty pandas string column lands in parquet as type null
+    con.sql("CREATE VIEW documents AS SELECT * REPLACE "
+            "(CAST(text AS VARCHAR) AS text) FROM "
+            f"'{os.path.join(sf_dir, 'documents.parquet')}'")
+    want = con.sql(oracle_sql()["curation_partition_metrics"]).df()
+    assert got.columns.tolist() == want.columns.tolist()
+    assert got.astype(np.int64).equals(want.astype(np.int64))
+    return got.rows_in.tolist()
+
+
+def test_curation_partition_metrics_one_doc(ray_session):
+    """One doc: the runner writes an empty first fragment and a one-doc
+    second one, and the SQL twin reports both partitions."""
+    with tempfile.TemporaryDirectory() as td:
+        pd.DataFrame({"doc_id": np.array([7], dtype=np.int64),
+                      "lang": ["en"], "source": ["web"],
+                      "text": ["a plain english sentence"],
+                      "n_chars": np.array([24], dtype=np.int64)}
+                     ).to_parquet(os.path.join(td, "documents.parquet"))
+        assert _partition_metrics_match_sql(td) == [0, 1]
 
 
 @settings(max_examples=15, deadline=None,
