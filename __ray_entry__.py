@@ -16,6 +16,7 @@ here calls ray.init()/ray.shutdown().
 from __future__ import annotations
 
 from biobloom_ray.io import read_parquet as _rp
+from biobloom_ray.sketches.fold import fold_partials
 from collections.abc import Callable
 from typing import Any
 
@@ -700,8 +701,6 @@ def _tdigest_quantiles(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    import ray.data
-
     from biobloom_ray.sketches.tdigest import TDigest
 
     ds = _rp(f"{sf_dir}/documents.parquet",
@@ -713,12 +712,13 @@ def _tdigest_quantiles(sf_dir: str):
         return pa.table({"blob": pa.array([td.serialize()],
                                           type=pa.large_binary())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    acc = TDigest.deserialize(rows[0]["blob"])
-    for r in rows[1:]:
-        acc.merge(TDigest.deserialize(r["blob"]))
-    qs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-    return pd.DataFrame({"q": qs, "n_chars_est": [acc.quantile(q) for q in qs]})
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": TDigest})
+    qs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] if folded else []
+    return pd.DataFrame({
+        "q": pd.Series(qs, dtype=float),
+        "n_chars_est": pd.Series([folded[None]["blob"].quantile(q)
+                                  for q in qs], dtype=float)})
 
 
 def _spaced_seed_distinct(sf_dir: str):
@@ -727,8 +727,6 @@ def _spaced_seed_distinct(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-
-    import ray.data
 
     from biobloom_ray.hashing import spaced_seed_hashes
     from biobloom_ray.sketches.hll import HLL
@@ -753,16 +751,12 @@ def _spaced_seed_distinct(sf_dir: str):
         return pa.table({"lang": pa.array(out_l, type=pa.string()),
                          "blob": pa.array(out_b, type=pa.large_binary())})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        acc = HLL.deserialize(g["blob"].iloc[0])
-        for blob in g["blob"].iloc[1:]:
-            acc.merge(HLL.deserialize(blob))
-        return pd.DataFrame({"lang": [g["lang"].iloc[0]],
-                             "spaced_distinct_est": [acc.estimate()]})
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("lang").map_groups(merge, batch_format="pandas")
-            .to_pandas())
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": HLL}, key="lang")
+    return pd.DataFrame({
+        "lang": pd.Series(list(folded), dtype=object),
+        "spaced_distinct_est": pd.Series(
+            [r["blob"].estimate() for r in folded.values()], dtype=float)})
 
 
 def _spaced_seed_distinct_exact(sf_dir: str):

@@ -3,11 +3,13 @@
 Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) plus the flagship build→categorize over the
 deterministic 100k-page fixture (FIXTURES.md F1 bench size), under
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS | 32)``, and prints
-ONE JSON line::
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS | 32)``.  It writes
+the per-query seconds to ``bench_queries.json`` next to this file and
+ends stdout with ONE short JSON line::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, "pages_per_sec": ...}
+     "pages_per_sec": ..., "num_cpus": N, "sf": ..., "n_queries": ...,
+     "queries_total_s": ..., "queries_file": ".../bench_queries.json"}
 
 ``--scaling``: reruns the headline job in fresh interleaved processes
 at both admissible N→4N pairs (num_cpus 4→16 and 8→32) on the same
@@ -30,6 +32,9 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "100000"))
+#: per-query seconds of the default mode (the headline line stays short)
+QUERIES_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "bench_queries.json")
 
 
 def _init_ray(num_cpus: int):
@@ -329,14 +334,19 @@ def main():
     _init_ray(NUM_CPUS)
     headline_sec, n_pages = headline_categorize(NUM_CPUS)
     queries = run_queries()
+    with open(QUERIES_FILE, "w") as f:
+        json.dump({"sf": SF_DIR, "num_cpus": NUM_CPUS, "queries": queries},
+                  f, indent=1)
     result = {
         "metric": f"categorize {BENCH_PAGES} synthetic CC pages (build+classify, std/simple) wall time",
         "value": headline_sec,
         "unit": "sec",
-        "queries": queries,
-        "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
         "pages_per_sec": round(n_pages / headline_sec, 1),
+        "num_cpus": NUM_CPUS,
+        "sf": SF_DIR,
+        "n_queries": len(queries),
+        "queries_total_s": round(sum(queries.values()), 3),
+        "queries_file": QUERIES_FILE,
     }
     print(json.dumps(result))
     import ray

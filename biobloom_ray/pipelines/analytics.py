@@ -389,45 +389,47 @@ def hll_distinct_shingles_per_lang(sf_dir: str, k: int = 8, p: int = 14):
             dtype=np.float64)})
 
 
-def cms_heavy_hitters(sf_dir: str, k: int = 20, eps: float = 0.001,
-                      delta: float = 0.01):
-    """CMS heavy hitters: per-batch partial CMS + local candidate tokens →
-    merged CMS estimates the final counts; top-k by estimate."""
+def _heavy_hitters(sf_dir: str, k: int, sketch) -> pd.DataFrame:
+    """Top-k tokens by a frequency sketch's estimate.  Each block emits
+    its sketch (``sketch()``, updated with the block's token counts) on
+    the key row ``""``, which no ``\\S+`` token can take, and its local
+    top ``4k`` tokens as key rows with no sketch; ``fold_partials``
+    merges the sketches, and the folded keys are the candidates."""
     from biobloom_ray.hashing import hash_strings
-    from biobloom_ray.sketches.cms import CountMinSketch
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def partial(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        toks = s.str.findall(r"\S+").explode().dropna()
+        toks = b["text"].to_pandas().str.findall(r"\S+").explode().dropna()
         vc = toks.value_counts()
-        cms = CountMinSketch.for_error(eps, delta)
-        keys = hash_strings(vc.index.tolist())
-        cms.update(keys, vc.to_numpy().astype(np.int64))
-        cands = vc.head(4 * k)
+        sk = sketch()
+        sk.update(hash_strings(vc.index.tolist()),
+                  vc.to_numpy().astype(np.int64))
+        cands = vc.head(4 * k).index.astype(str).tolist()
         return pa.table({
-            "kind": pa.array(["cms"] + ["cand"] * len(cands)),
-            "token": pa.array([""] + cands.index.astype(str).tolist()),
-            "cnt": pa.array([0] + cands.to_numpy().astype(np.int64).tolist()),
-            "blob": pa.array([cms.serialize()] + [b""] * len(cands),
-                             type=pa.large_binary()),
-        })
+            "token": pa.array([""] + cands, pa.string()),
+            "blob": pa.array([sk.serialize()] + [b""] * len(cands),
+                             pa.large_binary())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    cms_all = None
-    cand_tokens = set()
-    for r in rows:
-        if r["kind"] == "cms":
-            c = CountMinSketch.deserialize(r["blob"])
-            cms_all = c if cms_all is None else cms_all.merge(c)
-        else:
-            cand_tokens.add(r["token"])
-    cand = sorted(cand_tokens)
-    est = cms_all.query(hash_strings(cand)) if cand else np.empty(0, np.int64)
-    df = pd.DataFrame({"token": cand, "est_cnt": est})
-    df = df.sort_values(["est_cnt", "token"], ascending=[False, True]).head(k)
-    return df.reset_index(drop=True)
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": type(sketch())}, key="token")
+    sk = folded.pop("", {"blob": None})["blob"]
+    cand = list(folded)
+    est = sk.query(hash_strings(cand)) if cand else []
+    df = pd.DataFrame({"token": pd.Series(cand, dtype=object),
+                       "est_cnt": np.asarray(est, np.int64)})
+    return (df.sort_values(["est_cnt", "token"], ascending=[False, True])
+            .head(k).reset_index(drop=True))
+
+
+def cms_heavy_hitters(sf_dir: str, k: int = 20, eps: float = 0.001,
+                      delta: float = 0.01):
+    """CMS heavy hitters: per-block partial CMS + local candidate tokens →
+    merged CMS estimates the final counts; top-k by estimate."""
+    from biobloom_ray.sketches.cms import CountMinSketch
+
+    return _heavy_hitters(
+        sf_dir, k, lambda: CountMinSketch.for_error(eps, delta))
 
 
 def kll_nchars_quantiles(sf_dir: str, qs=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99)):
@@ -441,12 +443,12 @@ def kll_nchars_quantiles(sf_dir: str, qs=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99)):
         sk.update(b["n_chars"].to_numpy(zero_copy_only=False).astype(np.float64))
         return pa.table({"blob": pa.array([sk.serialize()], type=pa.large_binary())})
 
-    blobs = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    acc = KLL.deserialize(blobs[0]["blob"])
-    for r in blobs[1:]:
-        acc.merge(KLL.deserialize(r["blob"]))
-    return pd.DataFrame({"q": list(qs),
-                         "n_chars_est": [acc.quantile(q) for q in qs]})
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": KLL})
+    est = [folded[None]["blob"].quantile(q) for q in qs] if folded else []
+    return pd.DataFrame({"q": pd.Series(list(qs) if folded else [],
+                                        dtype=np.float64),
+                         "n_chars_est": pd.Series(est, dtype=np.float64)})
 
 
 # -- relational pipelines over the TPC-H-ish tables ---------------------------
@@ -6303,9 +6305,9 @@ def acctbal_robust_stats(sf_dir: str):
 def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     """Misra–Gries heavy hitters — the deterministic counter-based
     twin of ``cms_heavy_hitters`` (sixth mergeable sketch family):
-    per-block partial MG summaries merge associatively on the driver
-    (#blocks blob rows, like every sketch pipeline here), candidates
-    ride along as per-block local top lists.  With ``capacity`` ≥ the
+    per-block partial MG summaries fold through ``_heavy_hitters``
+    (``fold_partials``, in input order), candidates ride along as
+    per-block local top lists.  With ``capacity`` ≥ the
     corpus vocabulary the sketch NEVER truncates and every estimate is
     the exact count under any merge order — the regime the SQL oracle
     pins; the under-count bound N/(capacity+1) in the sketchy regime
@@ -6313,44 +6315,9 @@ def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     the CMS query: per-block top lists can miss a globally-heavy but
     everywhere-locally-light token (documented, inherent to all
     candidate+sketch designs)."""
-    from biobloom_ray.hashing import hash_strings
     from biobloom_ray.sketches.misra_gries import MisraGries
 
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        toks = s.str.findall(r"\S+").explode().dropna()
-        vc = toks.value_counts()
-        mg = MisraGries(capacity=capacity)
-        mg.update(hash_strings(vc.index.tolist()),
-                  vc.to_numpy().astype(np.int64))
-        cands = vc.head(4 * k)
-        return pa.table({
-            "kind": pa.array(["mg"] + ["cand"] * len(cands)),
-            "token": pa.array([""] + cands.index.astype(str).tolist()),
-            "blob": pa.array([mg.serialize()] + [b""] * len(cands),
-                             type=pa.large_binary()),
-        })
-
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    acc = None
-    cand_tokens = set()
-    for r in rows:
-        if r["kind"] == "mg":
-            m = MisraGries.deserialize(r["blob"])
-            acc = m if acc is None else acc.merge(m)
-        else:
-            cand_tokens.add(r["token"])
-    cand = sorted(cand_tokens)
-    from biobloom_ray.hashing import hash_strings as _hs
-
-    est = acc.query(_hs(cand)) if cand else np.empty(0, np.int64)
-    df = pd.DataFrame({"token": cand, "est_cnt": est})
-    df = df.sort_values(["est_cnt", "token"],
-                        ascending=[False, True]).head(k)
-    df["est_cnt"] = df["est_cnt"].astype(np.int64)
-    return df.reset_index(drop=True)
+    return _heavy_hitters(sf_dir, k, lambda: MisraGries(capacity=capacity))
 
 def diversified_top_docs(sf_dir: str, k: int = 10, per_source: int = 2):
     """Diversified top-k (the sampling-with-source-diversity shape):
@@ -7076,11 +7043,11 @@ def funnel_latency_quantiles(sf_dir: str):
 
 def lang_nchars_tdigest(sf_dir: str, qs=(0.5, 0.9)):
     """GROUPED sketch quantiles: one mergeable t-digest per language
-    over document length — per-block (lang, digest-blob) partials, a
-    per-lang blob merge (groupby(lang).map_groups over #blocks·#langs
-    sketch rows), estimates per requested quantile.  Rows-only (sketch
-    output); pytest pins each estimate inside the published t-digest
-    band against the exact per-lang PERCENTILE_DISC."""
+    over document length — per-block (lang, digest-blob) partials,
+    folded per lang by ``fold_partials(key="lang")``, estimates per
+    requested quantile.  Rows-only (sketch output); pytest pins each
+    estimate inside the published t-digest band against the exact
+    per-lang PERCENTILE_DISC."""
     from biobloom_ray.sketches.tdigest import TDigest
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
@@ -7095,25 +7062,18 @@ def lang_nchars_tdigest(sf_dir: str, qs=(0.5, 0.9)):
             td.update(g["n"].to_numpy(np.float64))
             langs.append(lang)
             blobs.append(td.serialize())
-        return pa.table({"lang": pa.array(langs),
+        return pa.table({"lang": pa.array(langs, pa.string()),
                          "blob": pa.array(blobs,
                                           type=pa.large_binary())})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        from biobloom_ray.sketches.tdigest import TDigest as TD
-
-        acc = TD.deserialize(g["blob"].iloc[0])
-        for blob in g["blob"].iloc[1:]:
-            acc.merge(TD.deserialize(blob))
-        row = {"lang": [g["lang"].iloc[0]]}
-        for q in qs:
-            row[f"p{int(q * 100)}_est"] = [acc.quantile(q)]
-        return pd.DataFrame(row)
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("lang").map_groups(merge, batch_format="pandas")
-           .to_pandas())
-    return out.sort_values("lang").reset_index(drop=True)
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"blob": TDigest}, key="lang")
+    out = {"lang": pd.Series(list(folded), dtype=object)}
+    for q in qs:
+        out[f"p{int(q * 100)}_est"] = pd.Series(
+            [r["blob"].quantile(q) for r in folded.values()],
+            dtype=np.float64)
+    return pd.DataFrame(out)
 
 
 def nchars_robust_outliers(sf_dir: str):
@@ -8612,44 +8572,34 @@ def hll_weekly_union(sf_dir: str, p: int = 14):
         et = b["event_type"].to_numpy(zero_copy_only=False)
         uid = b["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        kinds, weeks, blobs = [], [], []
+        cells, blobs = [], []
         df = pd.DataFrame({"et": et, "wk": week})
         for (t, w), g in df.groupby(["et", "wk"], sort=False):
             h = HLL(p=p)
             h.update(splitmix64(uid[g.index.to_numpy()]))
-            kinds.append(t)
-            weeks.append(int(w))
-            blobs.append(h.registers.tobytes())
-        return pa.table({"event_type": pa.array(kinds),
-                         "week_epoch": pa.array(weeks, pa.int64()),
+            cells.append(f"{t} {int(w)}")
+            blobs.append(h.serialize())
+        return pa.table({"cell": pa.array(cells, pa.string()),
                          "blob": pa.array(blobs, pa.large_binary())})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow").take_all()
-    cells: dict = {}
-    for r in rows:
-        h = HLL(p=p, registers=np.frombuffer(
-            r["blob"], dtype=np.uint8).copy())
-        key = (r["event_type"], r["week_epoch"])
-        if key in cells:
-            cells[key].merge(h)
-        else:
-            cells[key] = h
-    # union across the week cells of each type
+    # one HLL per "<event_type> <week_epoch>" cell, then the union
+    # across the week cells of each type
     per_type: dict = {}
     n_weeks: dict = {}
-    for (t, _w), h in cells.items():
+    for cell, r in fold_partials(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            {"blob": HLL}, key="cell").items():
+        t = cell.rsplit(" ", 1)[0]
         n_weeks[t] = n_weeks.get(t, 0) + 1
-        if t in per_type:
-            per_type[t].merge(h)
-        else:
-            per_type[t] = HLL(p=p, registers=h.registers.copy())
-    out = pd.DataFrame({
-        "event_type": sorted(per_type),
-        "n_weeks": [np.int64(n_weeks[t]) for t in sorted(per_type)],
-        "est_distinct_users": [
-            np.int64(round(per_type[t].estimate()))
-            for t in sorted(per_type)]})
-    return out
+        per_type[t] = per_type[t].merge(r["blob"]) if t in per_type \
+            else r["blob"]
+    types = sorted(per_type)
+    return pd.DataFrame({
+        "event_type": pd.Series(types, dtype=object),
+        "n_weeks": pd.Series([n_weeks[t] for t in types], dtype=np.int64),
+        "est_distinct_users": pd.Series(
+            [round(per_type[t].estimate()) for t in types],
+            dtype=np.int64)})
 
 
 def byte_median_doc_size(sf_dir: str):
@@ -9576,55 +9526,42 @@ def late_sole_supplier_counts(sf_dir: str, late_days: int = 90,
 KMV_K = 64
 
 
-def _kmv_userday_partial(b: pa.Table, k: int) -> pa.Table:
-    """Per-block bottom-k partial of the (user, day) KMV sketch:
-    block-dedupe pairs, 60-bit md5 hash, keep the k smallest distinct
-    hashes per event type.  Shared by ``kmv_distinct_userdays`` and
-    ``kmv_type_jaccard``."""
+def _kmv_type_sets(sf_dir: str, k: int) -> dict:
+    """Bottom-k sketch of the (user, day) pairs per event type →
+    {event_type: sorted int64 hash array (≤ k)}.  Each block dedupes
+    its pairs, hashes them (60-bit md5 prefix) and emits one ``KMV``
+    per type, folded by ``fold_partials(key="event_type")``.  Shared by
+    ``kmv_distinct_userdays`` and ``kmv_type_jaccard``; output scale is
+    k × |types| at any corpus size."""
     import hashlib
 
-    ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-          .to_numpy(zero_copy_only=False))
-    day = (ts // 86_400_000_000) * 86_400
-    df = pd.DataFrame({
-        "event_type": pd.Series(b["event_type"].to_pandas())
-        .to_numpy(dtype=object),
-        "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-        "day": day}).drop_duplicates()
-    hv = np.fromiter(
-        (int(hashlib.md5(f"{u}|{d}".encode()).hexdigest()[:15], 16)
-         for u, d in zip(df.user_id, df.day)),
-        dtype=np.int64, count=len(df))
-    df["hv"] = hv
-    keep = (df.drop_duplicates(["event_type", "hv"])
-            .sort_values(["event_type", "hv"])
-            .groupby("event_type").head(k))
-    return pa.Table.from_pandas(keep[["event_type", "hv"]],
-                                preserve_index=False)
+    from biobloom_ray.sketches.kmv import KMV
 
+    def partial(b: pa.Table) -> pa.Table:
+        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
+              .to_numpy(zero_copy_only=False))
+        df = pd.DataFrame({
+            "event_type": pd.Series(b["event_type"].to_pandas())
+            .to_numpy(dtype=object),
+            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
+            "day": (ts // 86_400_000_000) * 86_400}).drop_duplicates()
+        df["hv"] = np.fromiter(
+            (int(hashlib.md5(f"{u}|{d}".encode()).hexdigest()[:15], 16)
+             for u, d in zip(df.user_id, df.day)),
+            dtype=np.int64, count=len(df))
+        types, blobs = [], []
+        for t, g in df.groupby("event_type", sort=True):
+            sk = KMV(k=k)
+            sk.update(g.hv.to_numpy(np.int64))
+            types.append(t)
+            blobs.append(sk.serialize())
+        return pa.table({"event_type": pa.array(types, pa.string()),
+                         "kmv": pa.array(blobs, pa.large_binary())})
 
-def _kmv_type_sets(sf_dir: str, k: int) -> dict:
-    """Tiered bottom-k-per-type fold → {event_type: sorted int64 hash
-    array (≤ k)}.  Output scale is k × |types| rows at any corpus
-    size."""
     ds = _read(sf_dir, "events", columns=["event_type", "user_id", "ts"])
-    parts_ds = ds.map_batches(lambda b: _kmv_userday_partial(b, k),
-                              batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        parts = _parts_pandas(parts_ds, {"event_type": object,
-                                         "hv": np.int64})
-    else:
-        def fold_set(df: pd.DataFrame) -> pd.DataFrame:
-            hv = np.unique(df.hv.to_numpy(np.int64))[:k]
-            return pd.DataFrame({
-                "event_type": df.event_type.iloc[0], "hv": hv})
-
-        parts = (parts_ds.groupby("event_type")
-                 .map_groups(fold_set, batch_format="pandas")
-                 .to_pandas())
-    return {t: np.unique(g.hv.to_numpy(np.int64))[:k]
-            for t, g in parts.groupby("event_type", sort=True)}
+    return {t: r["kmv"].hashes for t, r in fold_partials(
+        ds.map_batches(partial, batch_format="pyarrow"), {"kmv": KMV},
+        key="event_type").items()}
 
 
 def kmv_distinct_userdays(sf_dir: str, k: int = KMV_K):
@@ -9634,43 +9571,20 @@ def kmv_distinct_userdays(sf_dir: str, k: int = KMV_K):
     is a deterministic function of the input set, so DuckDB replays the
     exact hash, the exact k-th order statistic, AND the exact estimate
     ((k−1)/normalized kth hash; exact count when fewer than k distinct
-    hashes survive).  Merge is keep-k-smallest-of-union — associative,
-    and lossless in the <k regime (no partial ever truncates before the
-    union does).  Partials are ≤ k rows per (block, type); the combine
-    shuffles nothing fact-scale (below the gate they fold on the
-    driver, above it one ``groupby(type).map_groups`` whose groups are
-    #types).  md5 is inherently per-item (same class as
-    ``table_fingerprint``); it runs on block-DEDUPED pairs only."""
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id", "ts"])
+    hashes survive).  The per-type sketches come from
+    ``_kmv_type_sets``; md5 is inherently per-item (same class as
+    ``table_fingerprint``), and it runs on block-DEDUPED pairs only."""
     two60 = float(1 << 60)
-
-    def partial(b: pa.Table) -> pa.Table:
-        return _kmv_userday_partial(b, k)
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        hv = np.unique(df.hv.to_numpy(np.int64))[:k]
-        m = len(hv)
-        kth = int(hv[-1]) if m else 0
-        est = float(m) if m < k else (k - 1) / (kth / two60)
-        return pd.DataFrame({
-            "event_type": [df.event_type.iloc[0]],
-            "n_kept": np.asarray([m], np.int64),
-            "kth_hash": np.asarray([kth], np.int64),
-            "kmv_distinct_r6": [round(est, 6)]})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        parts = _parts_pandas(parts_ds, {"event_type": object,
-                                         "hv": np.int64})
-        out = (parts.groupby("event_type", group_keys=False, sort=True)
-               [["event_type", "hv"]].apply(fold).reset_index(drop=True))
-    else:
-        out = (parts_ds.groupby("event_type")
-               .map_groups(fold, batch_format="pandas").to_pandas())
-    out["n_kept"] = out.n_kept.astype(np.int64)
-    out["kth_hash"] = out.kth_hash.astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
+    sets = _kmv_type_sets(sf_dir, k)
+    kept = [len(hv) for hv in sets.values()]
+    kth = [int(hv[-1]) if len(hv) else 0 for hv in sets.values()]
+    return pd.DataFrame({
+        "event_type": pd.Series(list(sets), dtype=object),
+        "n_kept": pd.Series(kept, dtype=np.int64),
+        "kth_hash": pd.Series(kth, dtype=np.int64),
+        "kmv_distinct_r6": pd.Series(
+            [round(float(m) if m < k else (k - 1) / (h / two60), 6)
+             for m, h in zip(kept, kth)], dtype=np.float64)})
 
 
 def part_skyline(sf_dir: str):
@@ -9835,7 +9749,7 @@ def kmv_type_jaccard(sf_dir: str, k: int = KMV_K):
     union, so the match fraction is an unbiased Jaccard estimate.
     Deterministic given the hash ⇒ DuckDB replays the whole
     computation bit-exactly (the sketch is SQL-oracled, not just
-    bounded).  The per-type sets come from the shared tiered fold
+    bounded).  The per-type sets come from the shared fold
     (``_kmv_type_sets``); the pair math runs on k × |types| rows."""
     sets = _kmv_type_sets(sf_dir, k)
     types = sorted(sets)
@@ -9852,6 +9766,7 @@ def kmv_type_jaccard(sf_dir: str, k: int = KMV_K):
                                       "jaccard_r6"])
     out["n_union_kept"] = out.n_union_kept.astype(np.int64)
     out["n_matches"] = out.n_matches.astype(np.int64)
+    out["jaccard_r6"] = out.jaccard_r6.astype(np.float64)
     return (out.sort_values(["type_a", "type_b"])
             .reset_index(drop=True))
 
@@ -14572,8 +14487,9 @@ def quantile_sketch_calibration(sf_dir: str,
     sketches: per q, both sketch estimates, the exact value (count-
     table rank walk, PERCENTILE_DISC convention), and each estimate's
     RANK error (|rank(est) − q·n|/n — the metric KLL's guarantee is
-    stated in).  One scan folds both sketches per block; the exact
-    side is the (n_chars → count) table.  Pytest asserts rank error
+    stated in).  One scan's per-block KLL and t-digest partials fold
+    through ``fold_partials``; the exact side is the (n_chars → count)
+    table.  Pytest asserts rank error
     ≤ 3 % for KLL(k=200) and ≤ 5 % for t-digest at every q."""
     from biobloom_ray.sketches.kll import KLL
     from biobloom_ray.sketches.tdigest import TDigest
@@ -14591,14 +14507,14 @@ def quantile_sketch_calibration(sf_dir: str,
             "kll": pa.array([kll.serialize()], pa.large_binary()),
             "td": pa.array([td.serialize()], pa.large_binary())})
 
-    parts = _parts_pandas(ds.map_batches(partial,
-                                         batch_format="pyarrow"),
-                          {"kll": object, "td": object})
-    kll = KLL.deserialize(parts.kll.iloc[0])
-    td = TDigest.deserialize(parts.td.iloc[0])
-    for i in range(1, len(parts)):
-        kll = kll.merge(KLL.deserialize(parts.kll.iloc[i]))
-        td = td.merge(TDigest.deserialize(parts.td.iloc[i]))
+    cols = ["q", "exact", "kll_est_r6", "tdigest_est_r6",
+            "kll_rank_err_r6", "tdigest_rank_err_r6"]
+    folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           {"kll": KLL, "td": TDigest})
+    if not folded:
+        return pd.DataFrame({c: pd.Series([], dtype=np.int64 if c == "exact"
+                                          else np.float64) for c in cols})
+    kll, td = folded[None]["kll"], folded[None]["td"]
 
     def cpartial(b: pa.Table) -> pa.Table:
         v, c = np.unique(
@@ -14627,10 +14543,7 @@ def quantile_sketch_calibration(sf_dir: str,
         rows.append((q, exact, round(e_kll, 6), round(e_td, 6),
                      round(abs(rank_of(e_kll) - q * n) / n, 6),
                      round(abs(rank_of(e_td) - q * n) / n, 6)))
-    out = pd.DataFrame(rows, columns=["q", "exact", "kll_est_r6",
-                                      "tdigest_est_r6",
-                                      "kll_rank_err_r6",
-                                      "tdigest_rank_err_r6"])
+    out = pd.DataFrame(rows, columns=cols)
     out["exact"] = out.exact.astype(np.int64)
     return out
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -185,15 +186,14 @@ def build_mibf(
     # the distinct labels (id table, ≤ 32767, Doc/MultiIndex.md:165) and
     # the HLL sizing sketch — instead of two Dataset executions; each
     # pass over the input costs ~1 s fixed at sf0.1, so fusing halves
-    # the pre-pass cost
+    # the pre-pass cost.  A block emits one row per label it holds and
+    # its HLL on the first of them, so the folded keys are the label
+    # names and the union of the folded HLLs is the corpus HLL
     import math
 
     from biobloom_ray.sketches.hll import HLL
 
     def pass0(b: pa.Table) -> pa.Table:
-        col = b[label_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
         hll = HLL(p=14)
         texts = _texts(b, text_col, normalize)
         if spaced_seeds:
@@ -204,23 +204,27 @@ def build_mibf(
         else:
             h1, _, _ = shingle_hashes(texts, kmer_size, seed)
             hll.update(h1)
-        return pa.table({
-            "labels": pa.array([col.unique().to_pylist()],
-                               type=pa.large_list(pa.large_string())),
-            "blob": pa.array([hll.serialize()], type=pa.large_binary())})
+        labels = pc.unique(b[label_col]).cast(pa.large_string())
+        blobs = [b""] * len(labels)
+        if blobs:
+            blobs[0] = hll.serialize()
+        return pa.table({"label": labels,
+                         "blob": pa.array(blobs, type=pa.large_binary())})
 
-    rows = ds.map_batches(pass0, batch_format="pyarrow",
-                          batch_size=batch_size).take_all()
-    names = sorted({l for r in rows for l in r["labels"]})
+    folded = fold_partials(ds.map_batches(pass0, batch_format="pyarrow",
+                                          batch_size=batch_size),
+                           {"blob": HLL}, key="label")
+    names = list(folded)
     if len(names) > MAX_IDS:
         raise ValueError(f"miBF supports at most {MAX_IDS} labels")
     name_to_id = {n: i + 1 for i, n in enumerate(names)}
 
     # size for the target occupancy from the DISTINCT shingle count:
     # popcount/m = occupancy ⇒ m = n·h / ln(1/(1−occ))
-    hacc = HLL.deserialize(rows[0]["blob"])
-    for r in rows[1:]:
-        hacc.merge(HLL.deserialize(r["blob"]))
+    hacc = HLL(p=14)
+    for r in folded.values():
+        if r["blob"] is not None:
+            hacc.merge(r["blob"])
     n_distinct = max(int(hacc.estimate()), 64)
     # distinct spaced hashes ARE the set positions; k-mer mode sets
     # hash_num positions per distinct shingle

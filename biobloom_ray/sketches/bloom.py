@@ -331,7 +331,7 @@ class BloomFilter:
     @classmethod
     def deserialize(cls, blob: bytes) -> "BloomFilter":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         words = np.frombuffer(blob[4 + hlen:], dtype=U64).copy()
         bf = cls(m=meta["m"], hash_num=meta["hash_num"],
                  kmer_size=meta["kmer_size"], seed=meta["seed"],

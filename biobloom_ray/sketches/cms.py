@@ -100,7 +100,7 @@ class CountMinSketch:
     @classmethod
     def deserialize(cls, blob: bytes) -> "CountMinSketch":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         counts = np.frombuffer(blob[4 + hlen:], dtype=np.int64).reshape(
             meta["depth"], meta["width"]).copy()
         return cls(depth=meta["depth"], width=meta["width"], seed=meta["seed"],

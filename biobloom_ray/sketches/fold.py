@@ -1,11 +1,17 @@
-"""One order-free fold for partial sketches.
+"""One deterministic fold for partial sketches.
 
-Bloom OR, HLL register max and count-min add are associative and
-commutative, so per-block partial sketches combine in any order
-bit-for-bit — the Ray rebuild of the reference maker's one shared bit
-array (``BloomFilterGenerator.h:143-188``).  A partial table has an
-optional key column, one blob column per sketch (an empty blob means
-"no sketch") and int columns that are summed.
+Bloom OR, HLL register max, count-min add and KMV keep-k-smallest are
+associative and commutative, so per-block partial sketches combine in
+any order bit-for-bit — the Ray rebuild of the reference maker's one
+shared bit array (``BloomFilterGenerator.h:143-188``).  KLL, t-digest
+and Misra–Gries (past its capacity) merge within their error bounds
+under any merge tree, but not to the same bytes, so the fold merges in
+input order: the partial Dataset runs with ``preserve_order`` for the
+fold and fold-task outputs merge in the order the tasks were issued.
+The same input then gives the same sketch in every run, whichever task
+finishes first.  A partial table has an optional key column, one blob
+column per sketch (an empty blob means "no sketch") and int columns
+that are summed.
 
 :func:`fold_partials` takes the partial blocks' refs as the map
 finishes them: no all-to-all operator sits between the map and the
@@ -14,6 +20,7 @@ fold, which would leave the map's tasks in one worker.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import ray
 from ray.data.block import BlockAccessor
@@ -31,22 +38,40 @@ DRIVER_FOLD_MAX_BYTES = 1 << 20
 _FAN_IN = 8
 
 
+def _blobs(col: pa.ChunkedArray) -> list:
+    """A binary column's values as views into its Arrow buffers (a null
+    reads as empty), so a sketch's own ``deserialize`` copy is the only
+    copy of its blob."""
+    views = []
+    for a in col.chunks:
+        if a.null_count:
+            a = a.cast(pa.large_binary()).fill_null(b"")
+        wide = pa.types.is_large_binary(a.type)
+        _, offsets, data = a.buffers()
+        off = np.frombuffer(offsets, np.int64 if wide else np.int32)[
+            a.offset:a.offset + len(a) + 1].tolist()
+        data = memoryview(data or b"")
+        views += [data[s:e] for s, e in zip(off[:-1], off[1:])]
+    return views
+
+
 def fold_table(t: pa.Table, sketches: dict, key: str | None = None,
                sums=(), acc: dict | None = None) -> dict:
-    """Fold one table of partial rows into ``acc``: ``{key: {col:
-    sketch | None, sum_col: int}}`` (key ``None`` when unkeyed)."""
+    """Fold one table of partial rows into ``acc`` in row order: ``{key:
+    {col: sketch | None, sum_col: int}}`` (key ``None`` when unkeyed)."""
     acc = {} if acc is None else acc
     keys = t[key].to_pylist() if key else [None] * t.num_rows
+    blobs = {col: _blobs(t[col]) for col in sketches}
+    counts = {col: t[col].to_pylist() for col in sums}
     for i, k in enumerate(keys):
         row = acc.setdefault(k, {**dict.fromkeys(sketches),
                                  **dict.fromkeys(sums, 0)})
         for col, cls in sketches.items():
-            blob = t[col][i].as_py()
-            if blob:
-                sk = cls.deserialize(blob)
+            if blobs[col][i]:
+                sk = cls.deserialize(blobs[col][i])
                 row[col] = sk if row[col] is None else row[col].merge(sk)
         for col in sums:
-            row[col] += t[col][i].as_py()
+            row[col] += counts[col][i]
     return acc
 
 
@@ -80,18 +105,19 @@ def _fold_blocks(sketches: dict, key, sums, *blocks) -> pa.Table:
 
 def fold_partials(parts, sketches: dict, key: str | None = None,
                   sums=()) -> dict:
-    """Fold a Dataset of partial rows with :func:`fold_table`; the result
-    is sorted by key.  ``sketches`` maps each blob column to a class with
-    ``deserialize``/``merge``/``serialize``.  A partial's own exception
-    (say a ``ValueError`` from the map that made it) surfaces as itself,
-    and so does a fold task's."""
+    """Fold a Dataset of partial rows with :func:`fold_table` in input
+    order; the result is sorted by key.  ``sketches`` maps each blob
+    column to a class with ``deserialize``/``merge``/``serialize``.  A
+    partial's own exception (say a ``ValueError`` from the map that
+    made it) surfaces as itself, and so does a fold task's."""
     def fold(refs: list) -> list:
         return [_fold_blocks.remote(sketches, key, sums, *refs)]
 
     ctx, budget, held, folds, acc = \
         parts.context, DRIVER_FOLD_MAX_BYTES, [], [], {}
-    prev, ctx.raise_original_map_exception = \
-        ctx.raise_original_map_exception, True
+    opts = ctx.execution_options
+    prev = ctx.raise_original_map_exception, opts.preserve_order
+    ctx.raise_original_map_exception = opts.preserve_order = True
     try:
         for bundle in parts.iter_internal_ref_bundles():
             for ref, meta in bundle.blocks:
@@ -105,8 +131,8 @@ def fold_partials(parts, sketches: dict, key: str | None = None,
                 if len(folds) == _FAN_IN:
                     folds = fold(folds)
         folds += fold(held) if held else []
-        while folds:
-            fold_table(_rows(ray.get(folds.pop())), sketches, key, sums, acc)
+        for ref in folds:
+            fold_table(_rows(ray.get(ref)), sketches, key, sums, acc)
     finally:
-        ctx.raise_original_map_exception = prev
+        ctx.raise_original_map_exception, opts.preserve_order = prev
     return dict(sorted(acc.items()))

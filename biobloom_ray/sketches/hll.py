@@ -102,7 +102,7 @@ class HLL:
     @classmethod
     def deserialize(cls, blob: bytes) -> "HLL":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         regs = np.frombuffer(blob[4 + hlen:], dtype=np.uint8).copy()
         if len(regs) != 1 << meta["p"]:
             raise ValueError(

@@ -12,8 +12,9 @@ Merging concatenates compactor levels then re-compresses.  Like every
 random-compaction sketch (and unlike Bloom/HLL/CMS whose merges are
 bit-exact under reordering), KLL merge is associative *in distribution*,
 not bit-for-bit; compaction parity here is drawn from a deterministic
-splitmix64 counter so a fixed update/merge order reproduces exactly
-(determinism under Ray task retries).
+splitmix64 counter so a fixed update/merge order reproduces exactly.
+``sketches/fold.fold_partials`` fixes that order: it merges partials in
+input order, whichever Ray task finishes first or is retried.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class KLL:
     @classmethod
     def deserialize(cls, blob: bytes) -> "KLL":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         flat = np.frombuffer(blob[4 + hlen:], dtype=np.float64)
         levels, pos = [], 0
         for s in meta["sizes"]:

@@ -201,7 +201,7 @@ class MIBloomFilter:
     @classmethod
     def deserialize(cls, blob: bytes) -> "MIBloomFilter":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         off = 4 + hlen
         nwords = meta["m"] // 64
         words = np.frombuffer(blob[off:off + nwords * 8], dtype=U64).copy()

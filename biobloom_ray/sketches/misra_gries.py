@@ -110,7 +110,7 @@ class MisraGries:
     @classmethod
     def deserialize(cls, blob: bytes) -> "MisraGries":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         m = meta["m"]
         off = 4 + hlen
         keys = np.frombuffer(blob[off:off + 8 * m], dtype=np.uint64).copy()

@@ -111,7 +111,7 @@ class TDigest:
     @classmethod
     def deserialize(cls, blob: bytes) -> "TDigest":
         hlen = int.from_bytes(blob[:4], "little")
-        meta = json.loads(blob[4:4 + hlen].decode())
+        meta = json.loads(bytes(blob[4:4 + hlen]))
         flat = np.frombuffer(blob[4 + hlen:], dtype=np.float64)
         sz = meta["size"]
         return cls(delta=meta["delta"], means=flat[:sz].copy(),

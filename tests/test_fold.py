@@ -1,6 +1,6 @@
-"""fold_partials: the one order-free fold of partial Bloom/HLL/CMS
-sketches, at both tiers, against a sequential fold — and the Bloom
-build that runs on it (forced-gate parity, empty reference, null
+"""fold_partials: the one fold of partial sketches, at both tiers,
+against a sequential fold and under permuted task completion — and the
+Bloom build that runs on it (forced-gate parity, empty reference, null
 labels)."""
 
 import numpy as np
@@ -195,6 +195,59 @@ def test_partial_map_keeps_its_parallelism(ray_session, tier):
     ivs = sorted(tuple(float(x) for x in k.split()[1:]) for k in got)
     assert len(ivs) == 8
     assert any(b[0] < a[1] for a, b in zip(ivs, ivs[1:])), ivs
+
+
+def _sleepy_partials(perm, log):
+    """8 one-block map tasks; block ``i`` sleeps ``perm[i]`` steps,
+    appends ``i`` to ``log`` as it finishes and emits KLL, t-digest and
+    Misra–Gries partials of its own values.  The MG capacity is far
+    below the 200-key domain, so its merges truncate (order-dependent),
+    and so do KLL's compactions at k=16."""
+    import time
+
+    from biobloom_ray.sketches.kll import KLL
+    from biobloom_ray.sketches.misra_gries import MisraGries
+    from biobloom_ray.sketches.tdigest import TDigest
+
+    def partial(b: pa.Table) -> pa.Table:
+        i = b["id"][0].as_py() // 500
+        time.sleep(0.15 * perm[i])
+        rng = np.random.default_rng(i)
+        kll, td, mg = KLL(k=16), TDigest(delta=20), MisraGries(capacity=8)
+        v = rng.lognormal(6.0, 1.0, 500)
+        kll.update(v)
+        td.update(v)
+        mg.update(rng.zipf(1.3, 500).astype(np.uint64) % np.uint64(200))
+        with open(log, "a") as f:
+            f.write(f"{i}\n")
+        return pa.table({c: pa.array([sk.serialize()], pa.large_binary())
+                         for c, sk in (("kll", kll), ("td", td),
+                                       ("mg", mg))})
+
+    return ray.data.range(4000, override_num_blocks=8).map_batches(
+        partial, batch_format="pyarrow", batch_size=None)
+
+
+def test_fold_order_is_input_order(ray_session, tier, tmp_path):
+    """KLL, t-digest and Misra–Gries merges depend on merge order; the
+    fold merges in input order, so partials that finish in different
+    orders still fold to byte-identical sketches."""
+    from biobloom_ray.sketches.kll import KLL
+    from biobloom_ray.sketches.misra_gries import MisraGries
+    from biobloom_ray.sketches.tdigest import TDigest
+
+    sketches = {"kll": KLL, "td": TDigest, "mg": MisraGries}
+    got, finished = [], []
+    for j, perm in enumerate([range(8), range(7, -1, -1),
+                              [3, 7, 0, 5, 1, 6, 2, 4]]):
+        log = tmp_path / f"finished_{j}"
+        folded = fold_partials(_sleepy_partials(list(perm), str(log)),
+                               sketches)
+        got.append({c: sk.serialize() for c, sk in folded[None].items()})
+        finished.append(log.read_text().split())
+    assert len({tuple(f) for f in finished}) > 1, finished
+    for col in sketches:
+        assert len({g[col] for g in got}) == 1, col
 
 
 def test_fold_incompatible_bloom_raises(ray_session, tier):

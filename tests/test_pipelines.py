@@ -1995,19 +1995,20 @@ def test_round4_wave36b_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave38_tiers_agree(ray_session, monkeypatch):
-    """kmv_distinct_userdays (driver fold vs groupby(type).map_groups
-    keep-k-smallest merge), part_skyline (gate-free associative
+    """kmv_distinct_userdays (driver fold vs fold tasks of the
+    keep-k-smallest KMV merge), part_skyline (gate-free associative
     merge — asserted against a brute-force domination check),
     large_quantity_orders (driver combine vs native Sum + hash join +
     block top-k)."""
     import biobloom_ray.pipelines.analytics as A
+    import biobloom_ray.sketches.fold as F
 
     sf = "/root/testdata/sf0.01"
     fast_kmv = A.kmv_distinct_userdays(sf)
     fast_sky = A.part_skyline(sf)
     fast_q18 = A.large_quantity_orders(sf)
 
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
     monkeypatch.setattr(A, "LINEITEM_DRIVER_MAX_ROWS", 0)
     slow_kmv = A.kmv_distinct_userdays(sf)[list(fast_kmv.columns)]
     slow_q18 = A.large_quantity_orders(sf)[list(fast_q18.columns)]
@@ -2047,11 +2048,12 @@ def test_round4_wave38_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave39_tiers_agree(ray_session, monkeypatch):
-    """kmv_type_jaccard (driver fold vs map_groups bottom-k sets),
-    repeat_purchase_pairs (driver customer-slice loop vs per-customer
-    map_groups + native Sum), strict_funnel_users (driver loop vs
-    per-user 0/1 partials)."""
+    """kmv_type_jaccard (driver fold vs fold tasks of the bottom-k
+    sets), repeat_purchase_pairs (driver customer-slice loop vs
+    per-customer map_groups + native Sum), strict_funnel_users (driver
+    loop vs per-user 0/1 partials)."""
     import biobloom_ray.pipelines.analytics as A
+    import biobloom_ray.sketches.fold as F
 
     sf = "/root/testdata/sf0.01"
     fast_j = A.kmv_type_jaccard(sf)
@@ -2059,6 +2061,7 @@ def test_round4_wave39_tiers_agree(ray_session, monkeypatch):
     fast_f = A.strict_funnel_users(sf)
 
     monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
     slow_j = A.kmv_type_jaccard(sf)[list(fast_j.columns)]
     slow_b = A.repeat_purchase_pairs(sf)[list(fast_b.columns)]
     slow_f = A.strict_funnel_users(sf)[list(fast_f.columns)]

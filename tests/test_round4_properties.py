@@ -449,6 +449,30 @@ def test_wave57plus_ops_empty_inputs(ray_session):
         assert len(A.quality_gate_sweep(td)) == 0
         assert len(A.order_fulfillment_latency(td)) == 0
         assert _partition_metrics_match_sql(td) == [0, 0]
+        # the sketch queries folded by fold_partials: an empty fold is
+        # a 0-row frame with the usual columns and dtypes
+        i64, f64, obj = "int64", "float64", "object"
+        for fn, cols in {
+                A.cms_heavy_hitters: {"token": obj, "est_cnt": i64},
+                A.mg_heavy_tokens: {"token": obj, "est_cnt": i64},
+                A.kll_nchars_quantiles: {"q": f64, "n_chars_est": f64},
+                A.lang_nchars_tdigest: {"lang": obj, "p50_est": f64,
+                                        "p90_est": f64},
+                A.hll_weekly_union: {"event_type": obj, "n_weeks": i64,
+                                     "est_distinct_users": i64},
+                A.quantile_sketch_calibration: {
+                    "q": f64, "exact": i64, "kll_est_r6": f64,
+                    "tdigest_est_r6": f64, "kll_rank_err_r6": f64,
+                    "tdigest_rank_err_r6": f64},
+                A.kmv_distinct_userdays: {
+                    "event_type": obj, "n_kept": i64, "kth_hash": i64,
+                    "kmv_distinct_r6": f64},
+                A.kmv_type_jaccard: {
+                    "type_a": obj, "type_b": obj, "n_union_kept": i64,
+                    "n_matches": i64, "jaccard_r6": f64}}.items():
+            got = fn(td)
+            assert len(got) == 0, fn.__name__
+            assert got.dtypes.astype(str).to_dict() == cols, fn.__name__
 
 
 def _partition_metrics_match_sql(sf_dir: str) -> list[int]:

@@ -454,3 +454,42 @@ class TestGroupedTDigest:
             # generous 5% of the value plus a small absolute floor
             assert abs(e.p50_est - r.p50) <= 0.05 * r.p50 + 5
             assert abs(e.p90_est - r.p90) <= 0.05 * r.p90 + 5
+
+
+class TestSketchQueryBounds:
+    def test_kll_quantiles_within_rank_bound(self, ray_session):
+        """kll_nchars_quantiles: each estimate's rank in the exact
+        distribution is within 3% of the exact PERCENTILE_DISC's."""
+        import duckdb
+
+        import biobloom_ray.pipelines.analytics as A
+
+        sf = "/root/testdata/sf0.01"
+        est = A.kll_nchars_quantiles(sf)
+        v = np.sort(duckdb.sql(f"SELECT n_chars FROM '{sf}/documents.parquet'")
+                    .df().n_chars.to_numpy(np.float64))
+        assert len(est) == 6 and len(v) > 0
+        for q, e in zip(est.q, est.n_chars_est):
+            exact = duckdb.sql(
+                f"SELECT PERCENTILE_DISC({q}) WITHIN GROUP (ORDER BY n_chars)"
+                f" FROM '{sf}/documents.parquet'").fetchone()[0]
+            rank = np.searchsorted(v, [e, exact], side="right") / len(v)
+            assert abs(rank[0] - rank[1]) <= 0.03, (q, e, exact)
+
+    def test_cms_heavy_hitters_overcount_bound(self, ray_session):
+        """cms_heavy_hitters: no returned token is under-counted, and
+        none is over-counted by more than eps·N (N = total tokens)."""
+        import pandas as pd
+
+        import biobloom_ray.pipelines.analytics as A
+
+        sf = "/root/testdata/sf0.01"
+        eps = 0.001
+        got = A.cms_heavy_hitters(sf, k=20, eps=eps)
+        toks = (pd.read_parquet(f"{sf}/documents.parquet", columns=["text"])
+                .text.str.findall(r"\S+").explode().dropna())
+        exact = toks.value_counts()
+        assert len(got) == 20
+        over = got.est_cnt.to_numpy() - exact[got.token].to_numpy()
+        assert (over >= 0).all()
+        assert (over <= eps * len(toks)).all()
