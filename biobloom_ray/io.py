@@ -1,14 +1,21 @@
 """Parquet read helper.
 
+``read_parquet`` picks the read's block count so that a read over many
+local files fuses with the map after it (see its docstring).
+
 The driver's test parquet carries pandas schema metadata whose nested
 dict makes ``hash(pa.Schema)`` raise on this pyarrow version; Ray Data
 hashes schemas to dedup them when unioning block metadata, so every
 pipeline over a raw read spams "Failed to hash the schemas" warnings.
-Stripping the metadata at the read (a zero-copy table rewrap that fuses
-into the next map stage) fixes the noise at the source.
+The package ``__init__`` installs a logging filter for exactly that
+message; a metadata-strip stage after the read was tried and reverted,
+because it cannot fuse with the read and one extra task hop per block
+costs more than the warning it silenced.
 """
 
 from __future__ import annotations
+
+import os
 
 import pyarrow as pa
 
@@ -21,11 +28,45 @@ import ray.data
 import biobloom_ray  # noqa: F401  (installs the _SchemaHashNoise filter)
 
 
+def _local_parquet_files(paths) -> int:
+    """Number of local ``*.parquet`` files under ``paths`` (a path or a
+    list of paths; directories are walked); 0 if any path is a URI."""
+    n = 0
+    for p in [paths] if isinstance(paths, (str, os.PathLike)) else paths:
+        p = os.fspath(p)
+        if "://" in p:
+            return 0
+        if os.path.isdir(p):
+            n += sum(f.endswith(".parquet")
+                     for _, _, files in os.walk(p) for f in files)
+        elif os.path.isfile(p):
+            n += 1
+    return n
+
+
 def read_parquet(paths, columns=None, **kwargs) -> "ray.data.Dataset":
-    """``ray.data.read_parquet``.  (A dedicated metadata-strip stage was
-    tried and reverted: it cannot fuse with the read operator, and one
-    extra task hop per block costs more than the warning it silenced —
-    the targeted logging filter is the whole fix.)"""
+    """``ray.data.read_parquet``, reading whole files once the files alone
+    fill the cluster.
+
+    When the caller passes no ``override_num_blocks`` and ``paths`` hold
+    at least ``cluster_cpus()`` local ``*.parquet`` files, the read asks
+    for ``min(n_files, 2 * cluster_cpus())`` blocks: no file is split, and
+    there are never more read tasks than Ray's own 2x-cpus baseline.
+    Ray's default can ask for more blocks than there are files and then
+    splits each read task's output (``ReadParquet->SplitBlocks(k)``), and a split
+    read never fuses with the next map: Ray's ``operator_fusion.py``
+    refuses when ``get_additional_split_factor() > 1``.  Unsplit, the read
+    and the maps after it (categorize, its checks and the summary
+    partial) run as one task per block, so a block is read and processed
+    in the same worker.  Fewer files than cpus (a single file, one
+    curation partition) or a remote URI keep Ray's default, which splits
+    a large file for parallelism; a caller's ``override_num_blocks``
+    always wins."""
+    if "override_num_blocks" not in kwargs:
+        cpus = cluster_cpus()
+        n_files = _local_parquet_files(paths)
+        if n_files >= cpus:
+            kwargs["override_num_blocks"] = min(n_files, 2 * cpus)
     return ray.data.read_parquet(paths, columns=columns, **kwargs)
 
 

@@ -15,6 +15,8 @@ from biobloom_ray.stages.categorize import (
     CategorizerActor,
     PairedCategorizerActor,
     broadcast_bank,
+    check_bank,
+    summary_from_partials,
     summary_table,
 )
 
@@ -32,9 +34,16 @@ def categorize(
 
     The bank is ``ray.put`` once (one plasma copy per node); the actor
     pool (`concurrency` from cfg) deserializes nothing per batch (T1).
+    A bank passed as a list is checked here, on the driver, so an empty,
+    >64-filter or mixed-(k, seed) bank raises ``ValueError`` before any
+    task runs.
     """
     cfg = cfg or CategorizeConfig()
-    bank_ref = bank if isinstance(bank, ray.ObjectRef) else broadcast_bank(bank)
+    if isinstance(bank, ray.ObjectRef):
+        bank_ref = bank
+    else:
+        check_bank(bank)
+        bank_ref = broadcast_bank(bank)
     sub_ref = ray.put(subtract) if subtract is not None else None
     if cfg.use_actors:
         # explicit actor pool (T1): pays one process + import per actor —
@@ -84,8 +93,11 @@ def categorize_with_summary(
         # thousand tiny files (write throughput + downstream read cost)
         labeled.write_parquet(out_dir, partition_cols=["label"],
                               min_rows_per_file=200_000)
-        stats_ds = _rp(out_dir, columns=["label", "hit_mask"])
-        summary = summary_table(stats_ds, fids)
-        return None, summary
+        try:
+            stats_ds = _rp(out_dir, columns=["label", "hit_mask"])
+        except FileNotFoundError:
+            # a write of 0 rows leaves no output directory
+            return None, summary_from_partials([], fids)
+        return None, summary_table(stats_ds, fids)
     summary = summary_table(labeled, fids)
     return labeled, summary

@@ -60,6 +60,17 @@ def labels_from_hits(hit_matrix: np.ndarray, filter_ids: list[str]) -> np.ndarra
     return out.astype(object)
 
 
+def check_bank(bank: list[BloomFilter]) -> None:
+    """Raise ``ValueError`` unless ``bank`` can run one categorize pass:
+    1 to 64 filters (``hit_mask`` is a uint64) sharing one (k, seed)."""
+    if not bank:
+        raise ValueError("a filter bank needs at least one filter")
+    if len(bank) > 64:
+        raise ValueError("hit_mask supports at most 64 filters per run")
+    if len({(bf.kmer_size, bf.seed) for bf in bank}) > 1:
+        raise ValueError("all filters in a bank must share (k, seed)")
+
+
 def _hit_mask(hit_matrix: np.ndarray) -> np.ndarray:
     weights = (np.uint64(1) << np.arange(hit_matrix.shape[1], dtype=np.uint64))
     with np.errstate(over="ignore"):
@@ -72,20 +83,15 @@ class CategorizerActor:
     concurrency=N, batch_size=B, batch_format="pyarrow")``."""
 
     def __init__(self, bank_ref, cfg: CategorizeConfig, text_col: str = "text",
-                 subtract_ref=None, normalize: bool = True,
-                 kmer_size: int | None = None, seed: int | None = None):
+                 subtract_ref=None, normalize: bool = True):
         bank = ray.get(bank_ref) if isinstance(bank_ref, ray.ObjectRef) else bank_ref
-        if len(bank) > 64:
-            raise ValueError("hit_mask supports at most 64 filters per run")
+        check_bank(bank)
         self.fids = [bf.filter_id for bf in bank]
         self.cfg = cfg
         self.text_col = text_col
         self.normalize = normalize
-        self.k = kmer_size if kmer_size is not None else bank[0].kmer_size
-        self.seed = seed if seed is not None else bank[0].seed
-        for bf in bank:
-            if bf.kmer_size != self.k or bf.seed != self.seed:
-                raise ValueError("all filters in a bank must share (k, seed)")
+        self.k = bank[0].kmer_size
+        self.seed = bank[0].seed
         self.subtract = (ray.get(subtract_ref)
                          if isinstance(subtract_ref, ray.ObjectRef)
                          else subtract_ref)
@@ -390,11 +396,18 @@ def summary_table(labeled_ds, filter_ids: list[str]):
     """Reference summary.tsv shape (``ResultsManager.hpp:191-237``):
     one row per filter + multiMatch + noMatch, columns
     filter_id, hits, misses, shared, rate_hit, rate_miss, rate_shared."""
-    import pandas as pd
-
     nf = len(filter_ids)
     partials = labeled_ds.map_batches(
         lambda b: summary_partial(b, nf), batch_format="pyarrow").take_all()
+    return summary_from_partials(partials, filter_ids)
+
+
+def summary_from_partials(partials, filter_ids: list[str]):
+    """Sum ``summary_partial`` rows into the summary table; no partials
+    give the zero-total table (NaN rates)."""
+    import pandas as pd
+
+    nf = len(filter_ids)
     above = np.zeros(nf, dtype=np.int64)
     unique = np.zeros(nf, dtype=np.int64)
     multi = no = total = 0

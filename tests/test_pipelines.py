@@ -235,6 +235,125 @@ def test_emit_matching_streams(corpora_bank, pages_ds):
     assert len(en_only) == len(pdf) - len(en)
 
 
+@pytest.fixture(scope="module")
+def pages_dir(ray_session, tmp_path_factory):
+    """The 2000 test pages as 6 parquet files: at least the conftest's 4
+    cpus, so ``io.read_parquet`` reads whole files, and fewer than the 8
+    blocks Ray's default asks for on 4 cpus, which would split them."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("pages6")
+    t = generate_pages(2000, seed=42)
+    for i, s in enumerate(range(0, 2000, 334)):
+        pq.write_table(t.slice(s, 334), d / f"part-{i}.parquet")
+    return str(d)
+
+
+def test_read_many_files_fuses_with_map(pages_dir):
+    from biobloom_ray.io import read_parquet
+
+    def f(b):
+        return b
+
+    ds = read_parquet(pages_dir).map_batches(f, batch_format="pyarrow")
+    ds = ds.materialize()
+    stats = ds.stats()
+    assert ds.count() == 2000
+    assert "ReadParquet->MapBatches(f)" in stats
+    assert "SplitBlocks" not in stats
+
+
+def test_read_block_count_rule(pages_dir, monkeypatch, tmp_path):
+    """Whole files once the files fill the cluster; a caller's block count,
+    a single file and a remote URI keep what Ray would do."""
+    import pyarrow.parquet as pq
+
+    import biobloom_ray.io as bio
+
+    seen = []
+    monkeypatch.setattr(bio.ray.data, "read_parquet",
+                        lambda paths, **kw: seen.append(kw))
+    cpus = bio.cluster_cpus()
+    assert cpus <= 6
+    bio.read_parquet(pages_dir)
+    bio.read_parquet(pages_dir, override_num_blocks=3)
+    one = tmp_path / "one.parquet"
+    pq.write_table(generate_pages(10, seed=1), one)
+    bio.read_parquet(str(one))
+    bio.read_parquet(["s3://bucket/a.parquet"] * 8)
+    assert seen[0]["override_num_blocks"] == min(6, 2 * cpus)
+    assert seen[1]["override_num_blocks"] == 3
+    assert "override_num_blocks" not in seen[2]
+    assert "override_num_blocks" not in seen[3]
+
+
+def test_read_single_large_file_still_splits(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from biobloom_ray.io import read_parquet
+
+    rng = np.random.default_rng(0)
+    f = tmp_path / "big.parquet"
+    pq.write_table(pa.table({"x": rng.random(400_000)}), f)
+    assert f.stat().st_size >= 1 << 20
+    assert read_parquet(str(f)).materialize().num_blocks() > 1
+
+
+def test_categorize_same_for_fused_and_split_reads(corpora_bank, pages_dir):
+    from biobloom_ray.io import read_parquet
+
+    _, bank = corpora_bank
+    fids = [bf.filter_id for bf in bank]
+    cfg = CategorizeConfig(mode="std", batch_size=512)
+    split = read_parquet(pages_dir, override_num_blocks=48)
+    assert "SplitBlocks" in split.materialize().stats()
+    out = []
+    for ds in (read_parquet(pages_dir), split):
+        labeled = categorize(ds, bank, cfg)
+        pdf = labeled.to_pandas().sort_values("url")
+        out.append((pdf, summary_table(labeled, fids)))
+    (a, sa), (b, sb) = out
+    assert len(a) == 2000
+    assert (a.label.values == b.label.values).all()
+    assert (a.hit_mask.values == b.hit_mask.values).all()
+    pd.testing.assert_frame_equal(sa, sb)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_categorize_with_summary_degenerate_inputs(corpora_bank, tmp_path,
+                                                   n_rows):
+    """0- and 1-row inputs give the same summary in memory and through the
+    partitioned sink; 0 rows give the zero-total table."""
+    from biobloom_ray.pipelines import categorize_with_summary
+
+    _, bank = corpora_bank
+    ds = ray.data.from_arrow(generate_pages(10, seed=1).slice(0, n_rows))
+    labeled, mem = categorize_with_summary(ds, bank)
+    none, sink = categorize_with_summary(ds, bank,
+                                         out_dir=str(tmp_path / "out"))
+    assert none is None
+    pd.testing.assert_frame_equal(mem, sink)
+    assert (mem.hits + mem.misses == n_rows).all()
+    if n_rows == 0:
+        assert (mem.hits == 0).all()
+        assert mem.rate_hit.isna().all()
+
+
+def test_categorize_rejects_bad_bank_on_driver(corpora_bank, pages_ds):
+    """Each bank check raises ValueError at ``categorize()`` itself, before
+    the lazy dataset runs anything."""
+    from biobloom_ray.sketches.bloom import BloomFilter
+
+    _, bank = corpora_bank
+    too_many = [BloomFilter(64, 1, K, filter_id=f"f{i}") for i in range(65)]
+    mixed = bank + [BloomFilter(64, 1, K + 1, filter_id="k9")]
+    for bad, msg in (([], "at least one"), (too_many, "at most 64"),
+                     (mixed, "share")):
+        with pytest.raises(ValueError, match=msg):
+            categorize(pages_ds, bad)
+
+
 def test_asof_join_duplicate_ts_deterministic(ray_session, tmp_path):
     """Purchases sharing a (user, ts) must collapse to the MAX value
     before the as-of pick, matching the oracle SQL's GROUP BY (ADVICE
