@@ -351,209 +351,6 @@ def _langid_confusion(sf_dir: str):
     return out.sort_values(["lang", "lang_pred"]).reset_index(drop=True)
 
 
-def _multimodal_features(sf_dir: str):
-    """REAL image decode through the actor pool: each document's text
-    bytes are tiled into a deterministic 8x8 24-bit BMP payload, and
-    ``DecodeFeatureActor(use_fake=False)`` decodes the actual BMP
-    container (stdlib codec — stages/multimodal.StdlibImageCodec) into
-    intensity-histogram features.  The payload column is an opaque
-    ``large_binary`` and is dropped the moment features exist."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    from biobloom_ray.stages.multimodal import DecodeFeatureActor, encode_bmp
-
-    docs = _rp(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-
-    def to_payload(b: pa.Table) -> pa.Table:
-        payloads = []
-        for t in b["text"].to_pylist():
-            raw = np.frombuffer(t.encode(), dtype=np.uint8)
-            if raw.size == 0:
-                raw = np.zeros(1, dtype=np.uint8)
-            payloads.append(encode_bmp(np.resize(raw, 8 * 8 * 3)
-                                       .reshape(8, 8, 3)))
-        payload = pa.array(payloads, type=pa.large_binary())
-        return pa.table({"doc_id": b["doc_id"], "payload": payload})
-
-    ds = docs.map_batches(to_payload, batch_format="pyarrow")
-    out = ds.map_batches(DecodeFeatureActor,
-                         fn_constructor_kwargs={"feature_dim": 16,
-                                                "use_fake": False},
-                         batch_size=256, concurrency=2,
-                         batch_format="pyarrow")
-    return out.to_pandas()
-
-
-def _multimodal_resize(sf_dir: str):
-    """REAL image decode + RESIZE through the actor pool: the same
-    deterministic 8x8 BMP payloads as multimodal_features, resized to
-    4x4 grayscale by the vectorized nearest-neighbor gather
-    (stages/multimodal.ResizeActor).  Returns per-doc mean resized
-    intensity (6 dp) — pixel-exact contract pinned in
-    tests/test_multimodal_real.py against a direct numpy reference."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    from biobloom_ray.stages.multimodal import ResizeActor, encode_bmp
-
-    docs = _rp(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-
-    def to_payload(b: pa.Table) -> pa.Table:
-        payloads = []
-        for t in b["text"].to_pylist():
-            raw = np.frombuffer(t.encode(), dtype=np.uint8)
-            if raw.size == 0:
-                raw = np.zeros(1, dtype=np.uint8)
-            payloads.append(encode_bmp(np.resize(raw, 8 * 8 * 3)
-                                       .reshape(8, 8, 3)))
-        payload = pa.array(payloads, type=pa.large_binary())
-        return pa.table({"doc_id": b["doc_id"], "payload": payload})
-
-    ds = docs.map_batches(to_payload, batch_format="pyarrow")
-    out = ds.map_batches(ResizeActor,
-                         fn_constructor_kwargs={"out_h": 4, "out_w": 4},
-                         batch_size=256, concurrency=2,
-                         batch_format="pyarrow")
-
-    def stats(b: pa.Table) -> pa.Table:
-        import numpy as _np
-
-        px = _np.stack([_np.asarray(v) for v in
-                        b["pixels"].to_pylist()]) if b.num_rows else             _np.zeros((0, 16), dtype=_np.float32)
-        return pa.table({
-            "doc_id": b["doc_id"],
-            "mean_px_r6": pa.array(_np.round(
-                px.mean(axis=1).astype(_np.float64), 6))})
-
-    return (out.map_batches(stats, batch_format="pyarrow").to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-def _audio_features(sf_dir: str):
-    """REAL audio decode through the actor pool: each document gets a
-    deterministic synthetic sine-mix waveform (frequency/length keyed
-    by doc_id), encoded to actual 16-bit PCM WAV bytes and decoded
-    back by the stdlib `wave` parser inside AudioFeatureActor; output
-    is 4 waveform features per doc.  Exactness pinned in
-    tests/test_multimodal_real.py against a direct numpy reference."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    from biobloom_ray.stages.multimodal import AudioFeatureActor, encode_wav
-
-    docs = _rp(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def to_payload(b: pa.Table) -> pa.Table:
-        payloads = []
-        for i in b["doc_id"].to_pylist():
-            n = 200 + (int(i) % 17) * 10
-            t = np.arange(n, dtype=np.float64)
-            f = 0.02 + (int(i) % 7) * 0.01
-            payloads.append(encode_wav(0.7 * np.sin(2 * np.pi * f * t)))
-        return pa.table({"doc_id": b["doc_id"],
-                         "payload": pa.array(payloads,
-                                             type=pa.large_binary())})
-
-    ds = docs.map_batches(to_payload, batch_format="pyarrow")
-    out = ds.map_batches(AudioFeatureActor, batch_size=256,
-                         concurrency=2, batch_format="pyarrow")
-
-    def stats(b: pa.Table) -> pa.Table:
-        import numpy as _np
-
-        f = (_np.stack([_np.asarray(v) for v in
-                        b["audio_features"].to_pylist()])
-             if b.num_rows else _np.zeros((0, 4), dtype=_np.float32))
-        return pa.table({
-            "doc_id": b["doc_id"],
-            "rms_r6": pa.array(_np.round(f[:, 0].astype(_np.float64), 6)),
-            "zcr_r6": pa.array(_np.round(f[:, 3].astype(_np.float64), 6))})
-
-    return (out.map_batches(stats, batch_format="pyarrow").to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-def _video_frame_features(sf_dir: str):
-    """REAL video-analogue pipeline: deterministic MBMP containers
-    (doc_id-keyed frame counts, real BMP frames) demuxed and decoded
-    by VideoFrameSampleActor — one feature row per sampled frame.
-    Exactness pinned in tests/test_multimodal_real.py."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    from biobloom_ray.stages.multimodal import (
-        VideoFrameSampleActor, encode_mbmp)
-
-    docs = _rp(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-
-    def to_payload(b: pa.Table) -> pa.Table:
-        payloads = []
-        for i in b["doc_id"].to_pylist():
-            nf = 1 + (int(i) % 5)
-            rng = np.random.default_rng(int(i))
-            frames = [rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-                      for _ in range(nf)]
-            payloads.append(encode_mbmp(frames))
-        return pa.table({"media_id": b["doc_id"],
-                         "payload": pa.array(payloads,
-                                             type=pa.large_binary())})
-
-    ds = docs.map_batches(to_payload, batch_format="pyarrow")
-    out = ds.map_batches(VideoFrameSampleActor,
-                         fn_constructor_kwargs={"every": 2,
-                                                "feature_dim": 16},
-                         batch_size=128, concurrency=2,
-                         batch_format="pyarrow")
-
-    def stats(b: pa.Table) -> pa.Table:
-        return pa.table({"media_id": b["media_id"],
-                         "frame_idx": b["frame_idx"]})
-
-    return (out.map_batches(stats, batch_format="pyarrow").to_pandas()
-            .sort_values(["media_id", "frame_idx"])
-            .reset_index(drop=True))
-
-
-def _frame_sample_features(sf_dir: str):
-    """Multimodal frame-sampling plumbing: documents' text bytes pose as
-    fixed-frame "video" payloads; every 2nd frame explodes into a
-    (media_id, frame_idx, features) row (rows-only; FakeCodec — real
-    demuxers absent here, see stages/multimodal.py)."""
-    import pyarrow as pa
-
-    from biobloom_ray.stages.multimodal import FrameSampleActor
-
-    docs = _rp(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def to_payload(b: pa.Table) -> pa.Table:
-        texts = b["text"].to_pylist()
-        payload = pa.array([t.encode() for t in texts],
-                           type=pa.large_binary())
-        n_frames = pa.array([max(len(t) // 64, 1) for t in texts],
-                            type=pa.int64())
-        return pa.table({"media_id": b["doc_id"], "n_frames": n_frames,
-                         "payload": payload})
-
-    ds = docs.map_batches(to_payload, batch_format="pyarrow")
-    out = ds.map_batches(FrameSampleActor,
-                         fn_constructor_kwargs={"every": 2,
-                                                "feature_dim": 16},
-                         batch_size=256, concurrency=2,
-                         batch_format="pyarrow")
-    return out.select_columns(["media_id", "frame_idx"]).to_pandas()
-
-
 def _exact_dedup_ds(sf_dir: str):
     from biobloom_ray.pipelines.analytics import exact_dedup_docs
 
@@ -1103,21 +900,13 @@ def _event_type_daily(sf_dir: str):
 def queries() -> dict[str, Callable[[str], Any]]:
     from biobloom_ray.pipelines import analytics as A
 
-    # Ordering contract: the driver records correctness rows for (at
-    # most) the first 50 entries.  All oracled queries are DuckDB-
-    # checked on every pytest run (tests/test_oracle_parity.py); the
-    # driver rows are rotated per round so every oracled query
-    # accumulates driver-visible evidence.  Round 5 (VERDICT r4 #5)
-    # gives slots 1-7 to the engine's NAMESAKE sketch family
-    # (categorize / miBF / bloom-FPR / published-error-bound sweeps)
-    # — these have no SQL oracle by nature, so the driver records the
-    # rows-only check for them; their value correctness is pinned by
-    # golden-summary, bit-parity and published-bound tests on every
-    # pytest run.  Slots 8-50 stay DuckDB-oracled.  After the oracled
-    # block come the remaining sketch/LSH/model pipelines.
+    # Slot contract: the driver records correctness rows for the first
+    # 50 entries.  Slots 1-7 are the namesake sketch family, which no
+    # SQL oracle can express (golden, bound and bit-parity tests pin
+    # them); slots 8-50 are DuckDB-oracled engine queries.  The other
+    # oracled queries follow, then the rows-only sketch/LSH/model
+    # pipelines (pinned by pytest bounds, parity and goldens).
     return {
-        # --- slots 1-7: namesake sketch family (rows-only driver
-        # check; pytest golden/bound/parity oracles) ---
         "categorize_summary": _categorize_summary,
         "mibf_classify": _mibf_classify,
         "bloom_build_info": _bloom_build_info,
@@ -1125,351 +914,203 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_error_sweep": A.hll_error_sweep,
         "cms_error_sweep": A.cms_error_sweep,
         "quantile_sketch_calibration": A.quantile_sketch_calibration,
-        # --- slots 8-50: SQL-oracled, driver-row priority ---
-        "q11_important_stock": A.q11_important_stock,
+        # --- slots 8-50: oracled engine queries ---
         "curation_neardup_summary": A.curation_neardup_summary,
-        "lang_counts": A.lang_counts,
-        "frame_counts": A.frame_counts,
+        "curation_run_summary": A.curation_run_summary,
+        "curation_partition_metrics": A.curation_partition_metrics,
         "exact_dedup": _exact_dedup_ds,
-        "token_rarity_scores": A.token_rarity_scores,
-        "repetition_stats": A.repetition_stats,
+        "minhash_dedup_kept": _minhash_dedup_kept,
+        "ngram_jaccard_pairs": _ngram_jaccard,
+        "ngram_containment_pairs": _ngram_containment,
+        "dup_clusters": A.dup_clusters,
+        "dup_cluster_representatives": A.dup_cluster_representatives,
+        "dup_group_size_histogram": A.dup_group_size_histogram,
+        "source_dup_report": A.source_dup_report,
+        "cross_lang_dup_matrix": A.cross_lang_dup_matrix,
+        "incremental_dedup_report": A.incremental_dedup_report,
+        "mg_heavy_tokens": A.mg_heavy_tokens,
+        "kmv_distinct_userdays": A.kmv_distinct_userdays,
+        "kmv_type_jaccard": A.kmv_type_jaccard,
+        "bloom_prune_join_revenue": A.bloom_prune_join_revenue,
+        "region_revenue": A.region_revenue,
+        "segment_revenue_topk": A.segment_revenue_topk,
+        "user_event_counts_salted": _user_event_counts_salted,
+        "spaced_seed_distinct_exact": _spaced_seed_distinct_exact,
+        "doc_fingerprint": A.doc_fingerprints,
+        "distinct_text_per_lang": A.distinct_text_per_lang,
+        "deterministic_sample_hash": A.deterministic_sample_hash,
+        "stratified_sample": A.stratified_sample,
+        "shard_assignment_counts": A.shard_assignment_counts,
         "decontaminate": A.decontaminate,
+        "contamination_topk": A.contamination_topk,
         "repeated_substrings": A.repeated_substrings,
+        "remove_boilerplate_ngrams": A.remove_boilerplate_ngrams,
         "pii_redact": A.pii_redact,
         "gopher_quality_flags": A.gopher_quality_flags,
-        "remove_boilerplate_ngrams": A.remove_boilerplate_ngrams,
-        "bigram_lm_scores": A.bigram_lm_scores,
-        "chunk_documents": A.chunk_documents,
-        "tfidf_top_terms": A.tfidf_top_terms,
-        "bigram_ppl_buckets": A.bigram_ppl_buckets,
-        "dup_clusters": A.dup_clusters,
-        "source_stats": A.source_stats,
+        "repetition_stats": A.repetition_stats,
+        "clean_corpus": A.clean_corpus,
+        "curation_funnel": A.curation_funnel,
+        "curation_funnel_by_source": A.curation_funnel_by_source,
         "source_quality_gate": A.source_quality_gate,
+        "quality_weighted_sample": A.quality_weighted_sample,
+        "source_overlap": A.source_overlap,
+        "corpus_report": A.corpus_report,
+        "bigram_lm_scores": A.bigram_lm_scores,
+        "bigram_ppl_buckets": A.bigram_ppl_buckets,
+        "tfidf_top_terms": A.tfidf_top_terms,
+        # --- oracled, past the driver's 50 rows ---
+        "lang_counts": A.lang_counts,
+        "frame_counts": A.frame_counts,
+        "token_rarity_scores": A.token_rarity_scores,
+        "chunk_documents": A.chunk_documents,
+        "source_stats": A.source_stats,
         "token_freq_histogram": A.token_freq_histogram,
         "inverted_index": A.inverted_index,
         "bm25_topk": A.bm25_topk,
         "source_mix_sample": A.source_mix_sample,
         "lang_centroids": A.lang_centroids,
         "epoch_shuffle_head": A.epoch_shuffle_head,
-        "clean_corpus": A.clean_corpus,
-        "curation_funnel": A.curation_funnel,
-        "curation_funnel_by_source": A.curation_funnel_by_source,
-        "contamination_topk": A.contamination_topk,
-        "dup_group_size_histogram": A.dup_group_size_histogram,
-        "source_overlap": A.source_overlap,
-        "quality_weighted_sample": A.quality_weighted_sample,
         "token_entropy": A.token_entropy,
-        "corpus_report": A.corpus_report,
-        # round-4 promotions: seven new-this-round operators take
-        # driver-row slots vacated by queries holding TWO consecutive
-        # green driver rows (r02+r03) whose operator families remain
-        # top-50-covered (joins: region_revenue; temporal:
-        # events_sliding_window + events_range_join; dedup: exact_dedup
-        # + dup_clusters); the demoted seven keep their pytest oracle
-        # and sit just past the cap
-        "region_revenue": A.region_revenue,
-        "orders_priority_semijoin": A.orders_priority_semijoin,
-        "customers_without_orders": A.customers_without_orders,
-        "event_transitions": A.event_transitions,
-        "funnel_conversion": A.funnel_conversion,
-        "acctbal_percentiles_per_nation": A.acctbal_percentiles_per_nation,
-        "shard_assignment_counts": A.shard_assignment_counts,
-        "user_event_counts_salted": _user_event_counts_salted,
-        "events_sliding_window": A.events_sliding_window,
-        "stratified_sample": A.stratified_sample,
         "pack_documents": A.pack_documents,
-        "deterministic_sample_hash": A.deterministic_sample_hash,
-        "events_range_join": A.events_range_join,
-        # round-4 rotation twins, demoted with a green r04 driver row
-        # each (slots 1-9 took their places); pytest-oracled every run
-        "user_event_counts": _user_event_counts,
-        "events_hourly": A.events_hourly,
         "quality_scores": A.quality_scores,
         "bpe_token_counts": _bpe_token_counts,
-        "deterministic_sample": A.deterministic_sample,
-        "spaced_seed_distinct_exact": _spaced_seed_distinct_exact,
         "top_docs_per_lang": A.top_docs_per_lang,
-        "event_type_daily": _event_type_daily,
-        "doc_fingerprint": A.doc_fingerprints,
-        # --- SQL-oracled twins/overlap variants (past the ~50-row
-        # driver-CORRECTNESS cap this round; each has 1-2 green driver
-        # rows from r02/r03 and a still-rowed twin in the same operator
-        # family; all remain DuckDB-checked on every pytest run via
-        # tests/test_oracle_parity.py) ---
         "median_nchars_by_lang": A.median_nchars_by_lang,
-        "distinct_text_per_lang": A.distinct_text_per_lang,
         "token_counts": A.token_counts,
         "heavy_tokens_topk": A.heavy_tokens_topk,
         "ann_topk_filtered": _ann_topk_filtered,
         "ann_topk_multi": _ann_topk_multi,
-        "top_users_by_events": _top_users_by_events,
-        "top_parts_by_revenue": A.top_parts_by_revenue,
-        "events_asof_join": A.events_asof_join,
-        # round-4 oracle additions (r3 verdict #9)
         "epoch_shuffle_full": A.epoch_shuffle_full,
         "ann_ivf_exact": _ann_ivf_exact,
-        # round-4 operator additions: semi-structured extraction,
-        # per-group heavy hitters, window rank, non-parquet formats
-        "events_props_stats": A.events_props_stats,
         "top_bigrams_per_lang": A.top_bigrams_per_lang,
         "nchars_rank_in_source": A.nchars_rank_in_source,
         "jsonl_roundtrip_lang_counts": A.jsonl_roundtrip_lang_counts,
-        "csv_roundtrip_event_counts": A.csv_roundtrip_event_counts,
-        "windowed_distinct_users": A.windowed_distinct_users,
-        "segment_revenue_topk": A.segment_revenue_topk,
         "nb_class_scores": A.nb_class_scores,
-        "user_event_pivot": A.user_event_pivot,
         "token_drift_topk": A.token_drift_topk,
-        "latest_event_per_user_type": A.latest_event_per_user_type,
-        "events_hourly_anomaly": A.events_hourly_anomaly,
         "docs_rollup_cube": A.docs_rollup_cube,
         "nchars_ntile_buckets": A.nchars_ntile_buckets,
-        # demoted with two consecutive green driver rows (r02+r03) to
-        # make room for the round-4 promotions above; pytest-oracled
-        # on every run
         "ann_topk": _ann_topk,
-        "lineitem_pricing_summary": A.lineitem_pricing_summary,
-        "orders_per_nation": A.orders_per_nation,
-        "events_sessionize": A.events_sessionize,
         "paired_join": _paired_join,
-        "minhash_dedup_kept": _minhash_dedup_kept,
-        "ngram_jaccard_pairs": _ngram_jaccard,
-        # round-4 wave 7-8 remainder (pytest-oracled)
-        "event_type_daily_ma7": A.event_type_daily_ma7,
         "partitioned_roundtrip_source_counts":
             A.partitioned_roundtrip_source_counts,
-        # round-4 wave 9: LAG delta / union rollup / multi-distinct
-        "nation_monthly_revenue_delta": A.nation_monthly_revenue_delta,
-        "nation_balance_union": A.nation_balance_union,
-        "brand_distinct_sizes": A.brand_distinct_sizes,
-        # round-4 wave 10: Pareto cum-share / diversity / supplier topk
-        "revenue_pareto_nations": A.revenue_pareto_nations,
         "source_lang_entropy": A.source_lang_entropy,
-        "top_suppliers_by_quantity": A.top_suppliers_by_quantity,
-        # round-4 wave 11: decile stats / DENSE_RANK ties / correlated
-        "value_decile_stats": A.value_decile_stats,
-        "top_size_modes_per_brand": A.top_size_modes_per_brand,
-        "parts_above_type_avg": A.parts_above_type_avg,
-        # round-4 wave 12: set-ops / dense grid / grouped correlation
         "event_user_setops": A.event_user_setops,
-        "type_day_dense_counts": A.type_day_dense_counts,
-        "lineitem_corr_stats": A.lineitem_corr_stats,
-        # round-4 wave 13: CDC diff / sweep-line / PMI collocations
-        "snapshot_user_diff": A.snapshot_user_diff,
-        "max_concurrent_sessions": A.max_concurrent_sessions,
         "pmi_top_bigrams": A.pmi_top_bigrams,
-        # round-4 wave 14: Gini / cross-lang dup matrix / CUME_DIST
         "doc_length_gini": A.doc_length_gini,
-        "cross_lang_dup_matrix": A.cross_lang_dup_matrix,
         "nchars_cume_dist": A.nchars_cume_dist,
-        # round-4 wave 15: cohort retention / χ² / fuzzy join
-        "cohort_retention": A.cohort_retention,
         "source_lang_chi2": A.source_lang_chi2,
-        "name_typo_pairs": A.name_typo_pairs,
-        # round-4 wave 16: profiling / constraint suite / robust stats
-        "orders_profile": A.orders_profile,
-        "orders_quality_checks": A.orders_quality_checks,
-        "acctbal_robust_stats": A.acctbal_robust_stats,
-        # round-4 wave 17: sixth mergeable sketch family (Misra–Gries)
-        # — exact regime (capacity ≥ vocab) pinned by the SQL oracle,
-        # under-count bound pinned in test_sketches.py
-        "mg_heavy_tokens": A.mg_heavy_tokens,
-        # round-4 wave 18: diversified top-k / exact-int decay
         "diversified_top_docs": A.diversified_top_docs,
-        "event_decayed_counts": A.event_decayed_counts,
-        # round-4 wave 19: latest-N compaction / gap quantiles
-        "latest_events_per_user": A.latest_events_per_user,
-        "event_gap_quantiles": A.event_gap_quantiles,
-        # round-4 wave 20: hybrid retrieval / no-leakage split
         "rrf_hybrid_topk": A.rrf_hybrid_topk,
         "grouped_split_counts": A.grouped_split_counts,
-        # round-4 wave 21: BSP graph traversal / journey mining
-        "user_bfs_hops": A.user_bfs_hops,
-        "top_session_journeys": A.top_session_journeys,
-        # round-4 wave 22: A-ES weighted sample / ffill resample
         "weighted_sample_topk": A.weighted_sample_topk,
-        "event_value_ffill_hourly": A.event_value_ffill_hourly,
-        # round-4 wave 23: sketch set algebra (rows-only — exact twin
-        # event_user_setops pins the bounds in test_sketches.py)
-        "sketch_setops_report": A.sketch_setops_report,
-        # round-4 wave 24: Z-order layout / funnel latency
-        "zorder_bucket_counts": A.zorder_bucket_counts,
-        "funnel_latency_quantiles": A.funnel_latency_quantiles,
-        # round-4 wave 25: grouped t-digest (rows-only, bound-pinned)
-        # + robust outliers (exact-integer modified z)
-        "lang_nchars_tdigest": A.lang_nchars_tdigest,
         "nchars_robust_outliers": A.nchars_robust_outliers,
-        # round-4 wave 26: per-source dup report / DoD retention
-        "source_dup_report": A.source_dup_report,
-        "returning_users_daily": A.returning_users_daily,
-        # round-4 wave 27: TPC-H join-graph trio (Q7 / Q14 / Q10)
-        "nation_trade_volume": A.nation_trade_volume,
-        "promo_revenue_share": A.promo_revenue_share,
-        "top_returned_customers": A.top_returned_customers,
-        # round-4 wave 28: graph analytics + table integrity
-        "user_pagerank": A.user_pagerank,
-        "user_triangle_stats": A.user_triangle_stats,
         "table_fingerprint": A.table_fingerprint,
-        # round-4 wave 29: retrieval index self-join + readability +
-        # char-class profile
         "term_overlap_topk": A.term_overlap_topk,
         "readability_scores": A.readability_scores,
         "charclass_stats": A.charclass_stats,
-        # round-4 wave 30: range partitioner / CUSUM / seasonality
-        "range_shard_bounds": A.range_shard_bounds,
-        "cusum_changepoints": A.cusum_changepoints,
-        "hour_of_day_profile": A.hour_of_day_profile,
-        # round-4 wave 31: distinct-over-join / join-size / PCA
-        "supplier_part_coverage": A.supplier_part_coverage,
         "join_size_exact": A.join_size_exact,
-        "join_size_cms": A.join_size_cms,
-        "embedding_top_pc": A.embedding_top_pc,
-        # round-4 wave 32: gaps-and-islands / SLA join / Benford
-        "user_activity_streaks": A.user_activity_streaks,
-        "order_fill_rate": A.order_fill_rate,
-        "value_benford_deviation": A.value_benford_deviation,
-        # round-4 wave 33: grid HLL union / weighted median / Q19
-        "weekly_distinct_users": A.weekly_distinct_users,
-        "hll_weekly_union": A.hll_weekly_union,
         "byte_median_doc_size": A.byte_median_doc_size,
-        "multi_predicate_revenue": A.multi_predicate_revenue,
-        # round-4 wave 34: market basket / containment / provenance
-        "copurchase_type_pairs": A.copurchase_type_pairs,
-        "ngram_containment_pairs": _ngram_containment,
         "source_exclusive_tokens": A.source_exclusive_tokens,
-        # round-4 wave 35: FK audit / log2 histogram / model eval
-        "fk_orphan_counts": A.fk_orphan_counts,
         "nchars_histogram_log2": A.nchars_histogram_log2,
-        "langid_confusion_matrix": _langid_confusion,
-        # round-4 wave 36: Q13 counts-of-counts / Q22 scalar-gated
-        # anti-join / Bloom-pruned join (runtime-filter pushdown)
-        "customer_order_distribution": A.customer_order_distribution,
-        "cold_customers_by_nation": A.cold_customers_by_nation,
-        "bloom_prune_join_revenue": A.bloom_prune_join_revenue,
-        # round-4 wave 37: interval-overlap join / rolling exact
-        # median / Q21 sole-blame decorrelation
-        "session_overlap_pairs": A.session_overlap_pairs,
-        "rolling_median_daily_revenue": A.rolling_median_daily_revenue,
-        "late_sole_supplier_counts": A.late_sole_supplier_counts,
-        # round-4 wave 38: KMV bottom-k sketch (bit-exact SQL replay)
-        # / Pareto skyline / Q18 HAVING-rollup chain
-        "kmv_distinct_userdays": A.kmv_distinct_userdays,
-        "part_skyline": A.part_skyline,
-        "large_quantity_orders": A.large_quantity_orders,
-        # round-4 wave 39: KMV set algebra / band self-join / strict
-        # sequence funnel
-        "kmv_type_jaccard": A.kmv_type_jaccard,
-        "repeat_purchase_pairs": A.repeat_purchase_pairs,
-        "strict_funnel_users": A.strict_funnel_users,
-        # round-4 wave 40: pairwise JSD / Q5 4-way star join / Q2
-        # argmin-over-join
         "lang_bigram_jsd": A.lang_bigram_jsd,
-        "local_supplier_revenue": A.local_supplier_revenue,
-        "cheapest_shipper_per_brand": A.cheapest_shipper_per_brand,
-        # round-4 wave 41: higher moments / sliding distinct /
-        # relational division
-        "grouped_higher_moments": A.grouped_higher_moments,
-        "sliding_distinct_users": A.sliding_distinct_users,
-        "full_quarter_customers": A.full_quarter_customers,
-        # round-4 wave 42: adaptive selection / temporal negation /
-        # interpolated quantiles
-        "exact_median_bisect": A.exact_median_bisect,
-        "clean_conversion_users": A.clean_conversion_users,
-        "acctbal_cont_quantiles": A.acctbal_cont_quantiles,
-        # round-4 wave 43: exact KS test / robust trimmed means /
-        # Markov conditional entropy
-        "value_ks_matrix": A.value_ks_matrix,
-        "acctbal_trimmed_stats": A.acctbal_trimmed_stats,
-        "transition_cond_entropy": A.transition_cond_entropy,
-        # round-4 wave 44: hierarchy shares / reconciliation audit /
-        # Haar pyramid
-        "region_share_rollup": A.region_share_rollup,
-        "order_price_reconciliation": A.order_price_reconciliation,
-        "daily_revenue_haar": A.daily_revenue_haar,
-        # round-4 wave 45: temporal drift / WITH TIES / exact overlap
-        "value_drift_by_half": A.value_drift_by_half,
-        "top_value_days_with_ties": A.top_value_days_with_ties,
         "type_user_overlap_exact": A.type_user_overlap_exact,
-        # round-4 wave 46: session attribution / multiplicative means
-        "view_attribution_credit": A.view_attribution_credit,
-        "acctbal_mean_family": A.acctbal_mean_family,
-        # round-4 wave 47: TPC-H Q4 / Q6 / Q17 shapes
-        "discounted_smallqty_revenue": A.discounted_smallqty_revenue,
-        "late_line_orders_by_priority": A.late_line_orders_by_priority,
-        "smallqty_brand_revenue": A.smallqty_brand_revenue,
-        # round-4 wave 48: TPC-H Q8 / Q15 / Q12 shapes
-        "nation_market_share": A.nation_market_share,
-        "top_supplier_revenue_with_ties":
-            A.top_supplier_revenue_with_ties,
-        "late_urgent_mix_by_status": A.late_urgent_mix_by_status,
-        # round-4 wave 49: autocorrelation / reciprocity / HHI
-        "daily_revenue_autocorr": A.daily_revenue_autocorr,
-        "transition_reciprocity": A.transition_reciprocity,
-        "supplier_hhi_by_nation": A.supplier_hhi_by_nation,
-        # round-4 wave 50: Q20 share gate / keyset page / running
-        # distinct
-        "dominant_supplier_parts": A.dominant_supplier_parts,
-        "parts_keyset_page": A.parts_keyset_page,
-        "cumulative_parts_catalog": A.cumulative_parts_catalog,
-        # round-4 wave 51: text curation (prefix dedup / token-length
-        # profile / Heaps-law vocab growth)
         "prefix_dup_groups": A.prefix_dup_groups,
         "token_len_histogram": A.token_len_histogram,
         "vocab_growth_by_docs": A.vocab_growth_by_docs,
-        # round-4 wave 52: FD discovery / bipartite degree profile
+        "lang_temperature_mix": A.lang_temperature_mix,
+        "vocab_coverage_topp": A.vocab_coverage_topp,
+        "knn_label_accuracy": A.knn_label_accuracy,
+        "sample_budget_allocation": A.sample_budget_allocation,
+        "quality_gate_sweep": A.quality_gate_sweep,
+        "label_centroid_affinity": A.label_centroid_affinity,
+        "event_transitions": A.event_transitions,
+        "funnel_conversion": A.funnel_conversion,
+        "events_sliding_window": A.events_sliding_window,
+        "events_range_join": A.events_range_join,
+        "user_event_counts": _user_event_counts,
+        "events_hourly": A.events_hourly,
+        "event_type_daily": _event_type_daily,
+        "top_users_by_events": _top_users_by_events,
+        "top_parts_by_revenue": A.top_parts_by_revenue,
+        "events_asof_join": A.events_asof_join,
+        "events_props_stats": A.events_props_stats,
+        "csv_roundtrip_event_counts": A.csv_roundtrip_event_counts,
+        "windowed_distinct_users": A.windowed_distinct_users,
+        "user_event_pivot": A.user_event_pivot,
+        "latest_event_per_user_type": A.latest_event_per_user_type,
+        "events_hourly_anomaly": A.events_hourly_anomaly,
+        "lineitem_pricing_summary": A.lineitem_pricing_summary,
+        "orders_per_nation": A.orders_per_nation,
+        "events_sessionize": A.events_sessionize,
+        "event_type_daily_ma7": A.event_type_daily_ma7,
+        "nation_monthly_revenue_delta": A.nation_monthly_revenue_delta,
+        "nation_balance_union": A.nation_balance_union,
+        "brand_distinct_sizes": A.brand_distinct_sizes,
+        "revenue_pareto_nations": A.revenue_pareto_nations,
+        "top_suppliers_by_quantity": A.top_suppliers_by_quantity,
+        "value_decile_stats": A.value_decile_stats,
+        "top_size_modes_per_brand": A.top_size_modes_per_brand,
+        "parts_above_type_avg": A.parts_above_type_avg,
+        "snapshot_user_diff": A.snapshot_user_diff,
+        "max_concurrent_sessions": A.max_concurrent_sessions,
+        "cohort_retention": A.cohort_retention,
+        "name_typo_pairs": A.name_typo_pairs,
+        "orders_profile": A.orders_profile,
+        "orders_quality_checks": A.orders_quality_checks,
+        "acctbal_robust_stats": A.acctbal_robust_stats,
+        "event_decayed_counts": A.event_decayed_counts,
+        "latest_events_per_user": A.latest_events_per_user,
+        "event_gap_quantiles": A.event_gap_quantiles,
+        "zorder_bucket_counts": A.zorder_bucket_counts,
+        "funnel_latency_quantiles": A.funnel_latency_quantiles,
+        "returning_users_daily": A.returning_users_daily,
+        "range_shard_bounds": A.range_shard_bounds,
+        "cusum_changepoints": A.cusum_changepoints,
+        "hour_of_day_profile": A.hour_of_day_profile,
+        "user_activity_streaks": A.user_activity_streaks,
+        "order_fill_rate": A.order_fill_rate,
+        "value_benford_deviation": A.value_benford_deviation,
+        "weekly_distinct_users": A.weekly_distinct_users,
+        "multi_predicate_revenue": A.multi_predicate_revenue,
+        "part_skyline": A.part_skyline,
+        "large_quantity_orders": A.large_quantity_orders,
+        "repeat_purchase_pairs": A.repeat_purchase_pairs,
+        "strict_funnel_users": A.strict_funnel_users,
+        "exact_median_bisect": A.exact_median_bisect,
+        "clean_conversion_users": A.clean_conversion_users,
+        "acctbal_cont_quantiles": A.acctbal_cont_quantiles,
+        "value_ks_matrix": A.value_ks_matrix,
+        "acctbal_trimmed_stats": A.acctbal_trimmed_stats,
+        "transition_cond_entropy": A.transition_cond_entropy,
+        "region_share_rollup": A.region_share_rollup,
+        "order_price_reconciliation": A.order_price_reconciliation,
+        "daily_revenue_haar": A.daily_revenue_haar,
+        "view_attribution_credit": A.view_attribution_credit,
+        "acctbal_mean_family": A.acctbal_mean_family,
+        "daily_revenue_autocorr": A.daily_revenue_autocorr,
+        "transition_reciprocity": A.transition_reciprocity,
+        "supplier_hhi_by_nation": A.supplier_hhi_by_nation,
+        "dominant_supplier_parts": A.dominant_supplier_parts,
+        "parts_keyset_page": A.parts_keyset_page,
+        "cumulative_parts_catalog": A.cumulative_parts_catalog,
         "fd_violation_audit": A.fd_violation_audit,
         "bipartite_degree_dist": A.bipartite_degree_dist,
-        # round-4 wave 53: monotone runs / goodness-of-fit chi2
         "revenue_up_run_lengths": A.revenue_up_run_lengths,
         "weekday_uniformity_chi2": A.weekday_uniformity_chi2,
-        # round-4 wave 54: time-weighted average (step integral)
         "value_twap_by_type": A.value_twap_by_type,
-        # round-4 wave 56: STL-lite seasonal decomposition
         "revenue_seasonal_decomposition":
             A.revenue_seasonal_decomposition,
-        # round-4 wave 57: Q9-shape profit / incremental dedup /
-        # temperature mix
-        "nation_year_profit": A.nation_year_profit,
-        "incremental_dedup_report": A.incremental_dedup_report,
-        "lang_temperature_mix": A.lang_temperature_mix,
-        # round-4 wave 58: Q3-shape top-k / time-in-state / exact
-        # weighted median
-        "segment_unshipped_topk": A.segment_unshipped_topk,
-        "state_dwell_times": A.state_dwell_times,
-        "weighted_median_quantity": A.weighted_median_quantity,
-        # round-4 wave 59: nucleus vocab coverage / fulfillment
-        # latency (the sketch-side bloom_fpr_report is registered in
-        # the no-SQL-oracle section below)
-        "vocab_coverage_topp": A.vocab_coverage_topp,
-        "order_fulfillment_latency": A.order_fulfillment_latency,
-        # round-4 wave 60: RFM cube / kNN label-vote eval
-        "rfm_segments": A.rfm_segments,
-        "knn_label_accuracy": A.knn_label_accuracy,
-        # round-4 wave 61: value migration / canonical dup docs
-        "customer_value_migration": A.customer_value_migration,
-        "dup_cluster_representatives": A.dup_cluster_representatives,
-        # round-4 wave 62: apportionment / concentration risk
-        "sample_budget_allocation": A.sample_budget_allocation,
-        "nation_whale_share": A.nation_whale_share,
-        # round-4 wave 63: session bounce rate (the quantization
-        # report is registered in the no-SQL-oracle section below)
         "session_bounce_rate": A.session_bounce_rate,
-        # round-4 wave 64: gate-tuning threshold sweep
-        "quality_gate_sweep": A.quality_gate_sweep,
-        # round-4 wave 67: tenure histogram / order-size dispersion
         "user_tenure_distribution": A.user_tenure_distribution,
         "order_size_distribution": A.order_size_distribution,
-        # round-4: the resumable curation RUNNER under the oracle
-        "curation_run_summary": A.curation_run_summary,
-        # round-5: the runner's per-partition lineage manifests
-        # themselves under the oracle
-        "curation_partition_metrics": A.curation_partition_metrics,
-        # round-4 wave 69: class-confusability affinity matrix
-        "label_centroid_affinity": A.label_centroid_affinity,
-        # round-4 wave 70: exact-integer Spearman rank correlation
         "supplier_rank_correlation": A.supplier_rank_correlation,
-        # --- sketch/LSH/model pipelines (no SQL oracle can exist;
-        # pytest bounds/parity/golden) ---
+        # --- rows-only: no SQL oracle can express these ---
+        "sketch_setops_report": A.sketch_setops_report,
+        "lang_nchars_tdigest": A.lang_nchars_tdigest,
+        "join_size_cms": A.join_size_cms,
+        "embedding_top_pc": A.embedding_top_pc,
+        "hll_weekly_union": A.hll_weekly_union,
+        "langid_confusion_matrix": _langid_confusion,
         "doc_compression_ratio": A.doc_compression_ratio,
         "embedding_quantization_report": A.embedding_quantization_report,
         "neardup_calibration_report": A.neardup_calibration_report,
@@ -1496,11 +1137,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "spaced_seed_distinct": _spaced_seed_distinct,
         "categorize_labels": _categorize_labels,
         "categorize_besthit": _categorize_besthit,
-        "multimodal_features": _multimodal_features,
-        "multimodal_resize": _multimodal_resize,
-        "audio_features": _audio_features,
-        "video_frame_features": _video_frame_features,
-        "frame_sample_features": _frame_sample_features,
     }
 
 
@@ -1612,9 +1248,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM (SELECT user_id, ts, "
             "LAG(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev_ts "
             "FROM events)) GROUP BY user_id",
-        "deterministic_sample":
-            "SELECT doc_id, lang FROM documents "
-            "WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1) IN ('0', '1')",
         # bit-exact 128-bit-arithmetic re-implementation of the engine's
         # vectorized splitmix64 (hashing.py:65): wrapping 64x64 multiply
         # as lo*Mlo + 2^32*((lo*Mhi + hi*Mlo) mod 2^32), all in HUGEINT
@@ -2646,16 +2279,6 @@ def oracle_sql() -> dict[str, str]:
             " n_dup_docs,"
             " CAST(SUM(CASE WHEN doc_id % 97 = 0 THEN 1 ELSE 0 END)"
             " AS BIGINT) AS n_bench_docs FROM documents",
-        # distributed anti-join: customers with no order in one year
-        # (lapsed customers); exact cents
-        "customers_without_orders":
-            "SELECT c_custkey, c_name,"
-            " CAST(ROUND(c_acctbal * 100) AS BIGINT) AS acctbal_cents"
-            " FROM customer c WHERE NOT EXISTS (SELECT 1 FROM orders o"
-            " WHERE o.o_custkey = c.c_custkey"
-            " AND o.o_orderdate >= DATE '1996-01-01'"
-            " AND o.o_orderdate < DATE '1997-01-01')"
-            " ORDER BY c_custkey",
         # TPC-H Q5 shape: 5-table join, revenue per region for one
         # order year, exact 10^-4-dollar units
         "region_revenue":
@@ -2672,13 +2295,6 @@ def oracle_sql() -> dict[str, str]:
             " WHERE o_orderdate >= DATE '1996-01-01'"
             " AND o_orderdate < DATE '1997-01-01'"
             " GROUP BY r_name ORDER BY r_name",
-        # TPC-H Q4 shape: EXISTS as an aggregate semi-join
-        "orders_priority_semijoin":
-            "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM orders o WHERE EXISTS (SELECT 1 FROM lineitem l"
-            " WHERE l.l_orderkey = o.o_orderkey"
-            " AND l.l_shipdate > o.o_orderdate)"
-            " GROUP BY o_orderpriority ORDER BY o_orderpriority",
         # Markov transition counts, exact LAG semantics per user
         "event_transitions":
             "WITH s AS (SELECT user_id, event_type,"
@@ -2718,18 +2334,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(SUM(CASE WHEN mv IS NOT NULL AND mc IS NOT NULL"
             " AND mv < mc AND mp IS NOT NULL AND mc < mp THEN 1 ELSE 0"
             " END) AS BIGINT) AS n_full_funnel FROM m",
-        # exact distributed PERCENTILE_DISC, integer-cents domain
-        "acctbal_percentiles_per_nation":
-            "SELECT n_name,"
-            " PERCENTILE_DISC(0.1) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT)) AS p10_cents,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT)) AS p50_cents,"
-            " PERCENTILE_DISC(0.9) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT)) AS p90_cents,"
-            " CAST(COUNT(*) AS BIGINT) AS n_cust"
-            " FROM customer JOIN nation ON c_nationkey = n_nationkey"
-            " GROUP BY n_name ORDER BY n_name",
         # rendezvous sharding: bit-exact splitmix64 replay over
         # doc_id*16+s, argmax weight per doc (hashing.py:65 contract)
         "shard_assignment_counts":
@@ -2878,40 +2482,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(SUM((1 - a) * b) AS BIGINT) AS n_only_b,"
             " CAST(SUM((1 - a) * (1 - b)) AS BIGINT) AS n_neither"
             " FROM u",
-        # gap-filled dense grid: observed types × observed days,
-        # zero-filled where no events landed
-        "type_day_dense_counts":
-            "WITH c AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS"
-            " day_epoch, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM events GROUP BY 1, 2), "
-            "g AS (SELECT t.event_type, d.day_epoch"
-            " FROM (SELECT DISTINCT event_type FROM c) t"
-            " CROSS JOIN (SELECT DISTINCT day_epoch FROM c) d) "
-            "SELECT g.event_type, g.day_epoch,"
-            " CAST(COALESCE(c.n, 0) AS BIGINT) AS n"
-            " FROM g LEFT JOIN c ON g.event_type = c.event_type"
-            " AND g.day_epoch = c.day_epoch"
-            " ORDER BY g.event_type, g.day_epoch",
-        # grouped Pearson r + slope via the SAME explicit moment
-        # algebra the pipeline uses (not the builtin CORR): exact-int
-        # sums, doubles only where the pipeline goes double
-        "lineitem_corr_stats":
-            "WITH b AS (SELECT l_returnflag,"
-            " CAST(l_quantity AS BIGINT) AS x,"
-            " CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS y"
-            " FROM lineitem), "
-            "m AS (SELECT l_returnflag,"
-            " CAST(COUNT(*) AS BIGINT) AS n, SUM(x) AS sx,"
-            " SUM(y) AS sy, SUM(x * y) AS sxy, SUM(x * x) AS sx2,"
-            " SUM(CAST(y AS DOUBLE) * y) AS sy2 FROM b GROUP BY 1) "
-            "SELECT l_returnflag, n,"
-            " ROUND(CAST(n * sxy - sx * sy AS DOUBLE)"
-            " / SQRT(CAST(n * sx2 - sx * sx AS DOUBLE)"
-            " * (n * sy2 - CAST(sy * sy AS DOUBLE))), 6) AS corr_r6,"
-            " ROUND(CAST(n * sxy - sx * sy AS DOUBLE)"
-            " / CAST(n * sx2 - sx * sx AS DOUBLE), 6) AS slope_r6"
-            " FROM m ORDER BY l_returnflag",
         # CDC snapshot diff: the oracle is the literal FULL OUTER JOIN
         # the pipeline's single conditional rollup is equivalent to
         "snapshot_user_diff":
@@ -3168,36 +2738,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(COUNT(*) AS BIGINT) AS n_sources,"
             " CAST(SUM(n) AS BIGINT) AS n_docs"
             " FROM s GROUP BY 1 ORDER BY split",
-        # BFS hops over the co-presence graph: bounded recursive CTE
-        # taking MIN(hop) — the BSP pipeline's shortest-path semantics
-        "user_bfs_hops":
-            "WITH RECURSIVE c AS (SELECT DISTINCT"
-            " date_trunc('minute', ts) AS h, user_id FROM events), "
-            "e AS (SELECT DISTINCT a.user_id AS ua, b.user_id AS ub"
-            " FROM c a JOIN c b ON a.h = b.h AND"
-            " a.user_id <> b.user_id), "
-            "seed AS (SELECT MIN(user_id) AS u FROM events), "
-            "bfs(user_id, hop) AS (SELECT u, 0 FROM seed"
-            " UNION ALL SELECT e.ub, bfs.hop + 1 FROM bfs"
-            " JOIN e ON e.ua = bfs.user_id WHERE bfs.hop < 3) "
-            "SELECT user_id, CAST(MIN(hop) AS BIGINT) AS hop"
-            " FROM bfs GROUP BY user_id ORDER BY user_id",
-        # session journey mining: string_agg over the sessionize CTE
-        "top_session_journeys":
-            "WITH x AS (SELECT user_id, event_id, ts, event_type,"
-            " CASE WHEN prev_ts IS NULL OR ts - prev_ts >"
-            " INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_s"
-            " FROM (SELECT user_id, event_id, ts, event_type,"
-            " LAG(ts) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS prev_ts FROM events)), "
-            "s AS (SELECT user_id, event_id, ts, event_type,"
-            " SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts,"
-            " event_id ROWS UNBOUNDED PRECEDING) AS sid FROM x), "
-            "j AS (SELECT user_id, sid, string_agg(event_type, '>'"
-            " ORDER BY ts, event_id) AS journey FROM s"
-            " GROUP BY user_id, sid) "
-            "SELECT journey, CAST(COUNT(*) AS BIGINT) AS cnt FROM j"
-            " GROUP BY journey ORDER BY cnt DESC, journey LIMIT 10",
         # Efraimidis–Spirakis weighted sample: same bit-exact
         # splitmix64 chain as the sampler family; key = LN(u)/w with
         # the identical double composition
@@ -3295,112 +2835,6 @@ def oracle_sql() -> dict[str, str]:
             " ON a.user_id = b.user_id AND"
             " b.day_epoch = a.day_epoch + 86400"
             " GROUP BY b.day_epoch ORDER BY b.day_epoch",
-        # video demux+sampling contract: which (media, frame) rows
-        # exist is pure arithmetic on doc_id (features stay
-        # pytest-exact through the real BMP decode)
-        "video_frame_features":
-            "WITH f AS (SELECT doc_id AS media_id,"
-            " 1 + (doc_id % 5) AS nf FROM documents) "
-            "SELECT media_id, CAST(unnest(range(0, nf, 2)) AS BIGINT)"
-            " AS frame_idx FROM f ORDER BY media_id, frame_idx",
-        # Q7 shape: cross-nation trade volume, exact 10^-4-dollar
-        # integer revenue (cents x (100 - disc-cents))
-        "nation_trade_volume":
-            "SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,"
-            " CAST(SUM(CAST(ROUND(l.l_extendedprice * 100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l.l_discount * 100) AS BIGINT)))"
-            " AS BIGINT) AS revenue_e4,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem l"
-            " JOIN orders o ON l.l_orderkey = o.o_orderkey"
-            " JOIN customer c ON o.o_custkey = c.c_custkey"
-            " JOIN supplier s ON l.l_suppkey = s.s_suppkey"
-            " JOIN nation cn ON c.c_nationkey = cn.n_nationkey"
-            " JOIN nation sn ON s.s_nationkey = sn.n_nationkey"
-            " WHERE s.s_nationkey <> c.c_nationkey"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
-        # Q14 shape: per ship-month promo revenue share; numerator and
-        # denominator exact integer, only the 6-dp share divides
-        "promo_revenue_share":
-            "WITH j AS (SELECT"
-            " CAST(epoch(date_trunc('month', l.l_shipdate)) AS BIGINT)"
-            " AS month_epoch,"
-            " CAST(ROUND(l.l_extendedprice * 100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l.l_discount * 100) AS BIGINT)) AS rev,"
-            " CASE WHEN p.p_type = 'PROMO' THEN 1 ELSE 0 END AS promo"
-            " FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey) "
-            "SELECT month_epoch,"
-            " CAST(SUM(promo * rev) AS BIGINT) AS promo_rev_e4,"
-            " CAST(SUM(rev) AS BIGINT) AS total_rev_e4,"
-            " ROUND(CAST(SUM(promo * rev) AS DOUBLE)"
-            " / CAST(SUM(rev) AS DOUBLE), 6) AS promo_share_r6"
-            " FROM j GROUP BY 1 ORDER BY 1",
-        # Q10 shape: top-20 customers by returned-item revenue
-        "top_returned_customers":
-            "SELECT c.c_custkey, c.c_name, n.n_name,"
-            " CAST(SUM(CAST(ROUND(l.l_extendedprice * 100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l.l_discount * 100) AS BIGINT)))"
-            " AS BIGINT) AS revenue_e4,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem l"
-            " JOIN orders o ON l.l_orderkey = o.o_orderkey"
-            " JOIN customer c ON o.o_custkey = c.c_custkey"
-            " JOIN nation n ON c.c_nationkey = n.n_nationkey"
-            " WHERE l.l_returnflag = 'R'"
-            " GROUP BY 1, 2, 3"
-            " ORDER BY revenue_e4 DESC, c.c_custkey LIMIT 20",
-        # PageRank, 3 unrolled power iterations over the co-presence
-        # graph (same edge CTE as user_bfs_hops); 6-dp score contract
-        "user_pagerank":
-            "WITH cells AS (SELECT DISTINCT"
-            " CAST(epoch(date_trunc('minute', ts)) AS BIGINT) AS cell,"
-            " user_id FROM events), "
-            "e AS (SELECT DISTINCT a.user_id AS ua, b.user_id AS ub"
-            " FROM cells a JOIN cells b USING (cell)"
-            " WHERE a.user_id <> b.user_id), "
-            "deg AS (SELECT ua, CAST(COUNT(*) AS BIGINT) AS d"
-            " FROM e GROUP BY 1), "
-            "nn AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM deg), "
-            "p0 AS (SELECT ua AS u, 1.0 / (SELECT n FROM nn) AS pr"
-            " FROM deg), "
-            "p1 AS (SELECT e.ub AS u, 0.15 / (SELECT n FROM nn)"
-            " + 0.85 * SUM(p0.pr / deg.d) AS pr FROM e"
-            " JOIN p0 ON p0.u = e.ua JOIN deg ON deg.ua = e.ua"
-            " GROUP BY e.ub), "
-            "p2 AS (SELECT e.ub AS u, 0.15 / (SELECT n FROM nn)"
-            " + 0.85 * SUM(p1.pr / deg.d) AS pr FROM e"
-            " JOIN p1 ON p1.u = e.ua JOIN deg ON deg.ua = e.ua"
-            " GROUP BY e.ub), "
-            "p3 AS (SELECT e.ub AS u, 0.15 / (SELECT n FROM nn)"
-            " + 0.85 * SUM(p2.pr / deg.d) AS pr FROM e"
-            " JOIN p2 ON p2.u = e.ua JOIN deg ON deg.ua = e.ua"
-            " GROUP BY e.ub) "
-            "SELECT p3.u AS user_id, deg.d AS degree,"
-            " ROUND(p3.pr, 6) AS pr_r6 FROM p3"
-            " JOIN deg ON deg.ua = p3.u ORDER BY user_id",
-        # triangle census: canonical a<b<c two-hop join; wedges from
-        # the degree table; exact counts + 6-dp clustering coefficient
-        "user_triangle_stats":
-            "WITH cells AS (SELECT DISTINCT"
-            " CAST(epoch(date_trunc('minute', ts)) AS BIGINT) AS cell,"
-            " user_id FROM events), "
-            "e AS (SELECT DISTINCT a.user_id AS ua, b.user_id AS ub"
-            " FROM cells a JOIN cells b USING (cell)"
-            " WHERE a.user_id < b.user_id), "
-            "deg AS (SELECT u, COUNT(*) AS d FROM"
-            " (SELECT ua AS u FROM e UNION ALL SELECT ub AS u FROM e)"
-            " GROUP BY 1), "
-            "tri AS (SELECT CAST(COUNT(*) AS BIGINT) AS c FROM e e1"
-            " JOIN e e2 ON e2.ua = e1.ub"
-            " JOIN e e3 ON e3.ua = e1.ua AND e3.ub = e2.ub) "
-            "SELECT CAST((SELECT COUNT(*) FROM deg) AS BIGINT)"
-            " AS n_nodes,"
-            " CAST((SELECT COUNT(*) FROM e) AS BIGINT) AS n_edges,"
-            " CAST((SELECT SUM(d * (d - 1) // 2) FROM deg) AS BIGINT)"
-            " AS n_wedges,"
-            " (SELECT c FROM tri) AS n_triangles,"
-            " ROUND(3.0 * (SELECT c FROM tri)"
-            " / (SELECT SUM(d * (d - 1) // 2) FROM deg), 6) AS gcc_r6",
         # order-invariant per-source integrity fingerprint: XOR of a
         # 60-bit md5 prefix over the canonical row string (exact
         # same hash replayed: md5 + hex-prefix cast)
@@ -3513,17 +2947,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(n AS DOUBLE) / SUM(n) OVER"
             " (PARTITION BY event_type), 6) AS share_r6"
             " FROM g ORDER BY event_type, hod",
-        # Q16 shape: distinct suppliers/parts per (brand, type) from
-        # the deduped lineitem pair table
-        "supplier_part_coverage":
-            "WITH lp AS (SELECT DISTINCT l_partkey AS pk,"
-            " l_suppkey AS sk FROM lineitem) "
-            "SELECT p.p_brand, p.p_type,"
-            " CAST(COUNT(DISTINCT lp.sk) AS BIGINT) AS n_suppliers,"
-            " CAST(COUNT(DISTINCT lp.pk) AS BIGINT) AS n_parts,"
-            " CAST(COUNT(*) AS BIGINT) AS n_pairs"
-            " FROM lp JOIN part p ON lp.pk = p.p_partkey"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
         # exact equi-join cardinality: sum of per-user count products
         "join_size_exact":
             "WITH a AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS c"
@@ -3614,16 +3037,6 @@ def oracle_sql() -> dict[str, str]:
             " AND l.l_quantity BETWEEN 1 AND 20)"
             " OR (p.p_brand = 'Brand#2' AND p.p_size <= 20"
             " AND l.l_quantity BETWEEN 5 AND 30)",
-        # market basket: top part-type pairs co-occurring per order
-        "copurchase_type_pairs":
-            "WITH ot AS (SELECT DISTINCT l.l_orderkey AS o,"
-            " p.p_type AS t FROM lineitem l"
-            " JOIN part p ON l.l_partkey = p.p_partkey), "
-            "pr AS (SELECT a.t AS ta, b.t AS tb,"
-            " CAST(COUNT(*) AS BIGINT) AS n_orders FROM ot a"
-            " JOIN ot b ON a.o = b.o AND a.t < b.t GROUP BY 1, 2) "
-            "SELECT ta, tb, n_orders FROM pr"
-            " ORDER BY n_orders DESC, ta, tb LIMIT 20",
         # asymmetric near-dup: exact shingle containment
         # |A∩B|/min(|A|,|B|) — same 5-gram shingle CTE as the
         # jaccard twin, LEAST in place of the union
@@ -3659,34 +3072,6 @@ def oracle_sql() -> dict[str, str]:
             " AS DOUBLE) / CAST(SUM(n) AS DOUBLE), 6)"
             " AS exclusive_share_r6"
             " FROM j GROUP BY source ORDER BY source",
-        # referential-integrity audit: per-FK-edge orphan counts
-        "fk_orphan_counts":
-            "WITH lo AS (SELECT CAST(COUNT(*) AS BIGINT) AS fr,"
-            " CAST(COALESCE(SUM(CASE WHEN o.o_orderkey IS NULL"
-            " THEN 1 ELSE 0 END), 0) AS BIGINT) AS orow,"
-            " CAST(COUNT(DISTINCT CASE WHEN o.o_orderkey IS NULL"
-            " THEN l.l_orderkey END) AS BIGINT) AS okey"
-            " FROM lineitem l LEFT JOIN orders o"
-            " ON l.l_orderkey = o.o_orderkey), "
-            "lp AS (SELECT CAST(COUNT(*) AS BIGINT) AS fr,"
-            " CAST(COALESCE(SUM(CASE WHEN p.p_partkey IS NULL"
-            " THEN 1 ELSE 0 END), 0) AS BIGINT) AS orow,"
-            " CAST(COUNT(DISTINCT CASE WHEN p.p_partkey IS NULL"
-            " THEN l.l_partkey END) AS BIGINT) AS okey"
-            " FROM lineitem l LEFT JOIN part p"
-            " ON l.l_partkey = p.p_partkey), "
-            "oc AS (SELECT CAST(COUNT(*) AS BIGINT) AS fr,"
-            " CAST(COALESCE(SUM(CASE WHEN c.c_custkey IS NULL"
-            " THEN 1 ELSE 0 END), 0) AS BIGINT) AS orow,"
-            " CAST(COUNT(DISTINCT CASE WHEN c.c_custkey IS NULL"
-            " THEN o.o_custkey END) AS BIGINT) AS okey"
-            " FROM orders o LEFT JOIN customer c"
-            " ON o.o_custkey = c.c_custkey) "
-            "SELECT 'lineitem->orders' AS fk_edge, fr AS n_fact_rows,"
-            " orow AS n_orphan_rows, okey AS n_orphan_keys FROM lo"
-            " UNION ALL SELECT 'lineitem->part', fr, orow, okey FROM lp"
-            " UNION ALL SELECT 'orders->customer', fr, orow, okey"
-            " FROM oc ORDER BY fk_edge",
         # exact log2-bucket histogram: bucket = len(bin(x)) - 1,
         # integer on both sides (searchsorted vs power table / binary
         # string length — no float log anywhere)
@@ -3695,37 +3080,6 @@ def oracle_sql() -> dict[str, str]:
             " AS bucket, CAST(COUNT(*) AS BIGINT) AS n"
             " FROM documents WHERE n_chars > 0"
             " GROUP BY 1, 2 ORDER BY 1, 2",
-        # TPC-H Q13 shape: counts-of-counts over a LEFT join, zero
-        # bucket included
-        "customer_order_distribution":
-            "WITH oc AS (SELECT o_custkey, CAST(COUNT(*) AS BIGINT)"
-            " AS n FROM orders GROUP BY 1), "
-            "co AS (SELECT c.c_custkey, COALESCE(oc.n, 0) AS c_count"
-            " FROM customer c LEFT JOIN oc"
-            " ON c.c_custkey = oc.o_custkey) "
-            "SELECT CAST(c_count AS BIGINT) AS c_count,"
-            " CAST(COUNT(*) AS BIGINT) AS custdist"
-            " FROM co GROUP BY 1 ORDER BY 1",
-        # TPC-H Q22 shape: global-average threshold decided by the
-        # exact-integer cross-multiplication rule (cents*n > sum) on
-        # BOTH sides — no float average anywhere
-        "cold_customers_by_nation":
-            "WITH pos AS (SELECT CAST(SUM(CAST(ROUND(c_acctbal*100)"
-            " AS BIGINT)) AS BIGINT) AS s, CAST(COUNT(*) AS BIGINT)"
-            " AS c FROM customer"
-            " WHERE CAST(ROUND(c_acctbal*100) AS BIGINT) > 0), "
-            "cold AS (SELECT c.c_nationkey,"
-            " CAST(ROUND(c.c_acctbal*100) AS BIGINT) AS cents"
-            " FROM customer c, pos"
-            " WHERE CAST(ROUND(c.c_acctbal*100) AS BIGINT) * pos.c"
-            " > pos.s AND NOT EXISTS (SELECT 1 FROM orders o"
-            " WHERE o.o_custkey = c.c_custkey"
-            " AND o.o_orderdate >= TIMESTAMP '1999-01-01')) "
-            "SELECT n.n_name, CAST(COUNT(*) AS BIGINT) AS n_cold,"
-            " CAST(SUM(cold.cents) AS BIGINT) AS sum_acctbal_cents"
-            " FROM cold JOIN nation n"
-            " ON cold.c_nationkey = n.n_nationkey"
-            " GROUP BY 1 ORDER BY 1",
         # Bloom-pruned join: the sketch only shrinks the shuffle, the
         # result is the plain exact join
         "bloom_prune_join_revenue":
@@ -3740,56 +3094,6 @@ def oracle_sql() -> dict[str, str]:
             " AND o.o_orderdate >= TIMESTAMP '1995-01-01'"
             " AND o.o_orderdate < TIMESTAMP '1996-01-01'"
             " GROUP BY 1 ORDER BY 1",
-        # interval-overlap join: sessionized episodes per (user, type),
-        # cross-type same-user interval intersections
-        "session_overlap_pairs":
-            "WITH x AS (SELECT user_id, event_type, ts,"
-            " CASE WHEN LAG(ts) OVER (PARTITION BY user_id, event_type"
-            " ORDER BY ts) IS NULL OR ts - LAG(ts) OVER (PARTITION BY"
-            " user_id, event_type ORDER BY ts) > INTERVAL 72 HOUR"
-            " THEN 1 ELSE 0 END AS new_s FROM events), "
-            "y AS (SELECT user_id, event_type, ts, SUM(new_s) OVER"
-            " (PARTITION BY user_id, event_type ORDER BY ts) AS sid"
-            " FROM x), "
-            "s AS (SELECT user_id, event_type, sid, MIN(ts) AS st,"
-            " MAX(ts) AS en FROM y GROUP BY 1, 2, 3) "
-            "SELECT a.event_type AS type_a, b.event_type AS type_b,"
-            " CAST(COUNT(*) AS BIGINT) AS n_overlaps"
-            " FROM s a JOIN s b ON a.user_id = b.user_id"
-            " AND a.event_type < b.event_type"
-            " AND a.st <= b.en AND b.st <= a.en"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
-        # rows-based rolling exact median (PERCENTILE_DISC over the
-        # trailing-7-observed-days frame, decorrelated via rn self-join
-        # because DuckDB lacks ordered-set window aggregates)
-        "rolling_median_daily_revenue":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS day_epoch,"
-            " CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT)"
-            " AS rev FROM events GROUP BY 1, 2), "
-            "r AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY event_type"
-            " ORDER BY day_epoch) AS rn FROM d) "
-            "SELECT r1.event_type, r1.day_epoch,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY r2.rev)"
-            " AS BIGINT) AS med_rev_cents"
-            " FROM r r1 JOIN r r2 ON r1.event_type = r2.event_type"
-            " AND r2.rn BETWEEN r1.rn - 6 AND r1.rn"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
-        # TPC-H Q21 shape: sole-late supplier in multi-supplier orders
-        "late_sole_supplier_counts":
-            "WITH pr AS (SELECT l_orderkey, l_suppkey,"
-            " MAX(l_shipdate) AS mx FROM lineitem GROUP BY 1, 2), "
-            "f AS (SELECT pr.l_orderkey, pr.l_suppkey,"
-            " CASE WHEN pr.mx > o.o_orderdate + INTERVAL 90 DAY"
-            " THEN 1 ELSE 0 END AS late FROM pr JOIN orders o"
-            " ON pr.l_orderkey = o.o_orderkey), "
-            "po AS (SELECT l_orderkey, COUNT(*) AS ns, SUM(late) AS nl"
-            " FROM f GROUP BY 1) "
-            "SELECT s.s_name, CAST(COUNT(*) AS BIGINT) AS numwait"
-            " FROM f JOIN po USING (l_orderkey)"
-            " JOIN supplier s ON f.l_suppkey = s.s_suppkey"
-            " WHERE f.late = 1 AND po.ns >= 2 AND po.nl = 1"
-            " GROUP BY 1 ORDER BY numwait DESC, s_name ASC LIMIT 10",
         # KMV bottom-k distinct sketch: DuckDB replays the exact md5
         # 60-bit hash, the exact k-th order statistic AND the exact
         # estimate — a fully SQL-oracled sketch (k = 64)
@@ -3922,85 +3226,6 @@ def oracle_sql() -> dict[str, str]:
             " (0.5 * (p + q))) ELSE 0 END + CASE WHEN q > 0 THEN"
             " 0.5 * q * ln(q / (0.5 * (p + q))) ELSE 0 END), 6)"
             " AS jsd_r6 FROM t GROUP BY 1, 2 ORDER BY 1, 2",
-        # TPC-H Q5 shape: 4-way star join with co-nationality
-        "local_supplier_revenue":
-            "SELECT n.n_name,"
-            " CAST(SUM(CAST(ROUND(l.l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l.l_discount*100) AS BIGINT)))"
-            " AS BIGINT) AS revenue,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem l JOIN orders o"
-            " ON l.l_orderkey = o.o_orderkey"
-            " JOIN customer c ON o.o_custkey = c.c_custkey"
-            " JOIN supplier s ON l.l_suppkey = s.s_suppkey"
-            " JOIN nation n ON c.c_nationkey = n.n_nationkey"
-            " JOIN region r ON n.n_regionkey = r.r_regionkey"
-            " WHERE c.c_nationkey = s.s_nationkey"
-            " AND r.r_name = 'ASIA' GROUP BY 1 ORDER BY 1",
-        # TPC-H Q2 shape: argmin over a join (ties -> smaller suppkey)
-        "cheapest_shipper_per_brand":
-            "WITH links AS (SELECT DISTINCT p.p_brand, l.l_suppkey"
-            " FROM lineitem l JOIN part p"
-            " ON l.l_partkey = p.p_partkey), "
-            "r AS (SELECT links.p_brand, links.l_suppkey AS s_suppkey,"
-            " CAST(ROUND(s.s_acctbal*100) AS BIGINT) AS acctbal_cents,"
-            " ROW_NUMBER() OVER (PARTITION BY links.p_brand ORDER BY"
-            " CAST(ROUND(s.s_acctbal*100) AS BIGINT) ASC,"
-            " links.l_suppkey ASC) AS rn"
-            " FROM links JOIN supplier s"
-            " ON links.l_suppkey = s.s_suppkey) "
-            "SELECT p_brand, s_suppkey, acctbal_cents FROM r"
-            " WHERE rn = 1 ORDER BY p_brand",
-        # grouped skewness / excess kurtosis from power sums; term op
-        # order mirrors the pipeline exactly (min-shifted dollars)
-        "grouped_higher_moments":
-            "WITH c AS (SELECT event_type,"
-            " CAST(ROUND(value*100) AS BIGINT) AS cents FROM events), "
-            "mn AS (SELECT event_type, MIN(cents) AS m0 FROM c"
-            " GROUP BY 1), "
-            "x AS (SELECT c.event_type,"
-            " (c.cents - mn.m0) / 100.0 AS x FROM c JOIN mn"
-            " ON c.event_type = mn.event_type), "
-            "p AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,"
-            " SUM(x) AS s1, SUM(x*x) AS s2, SUM((x*x)*x) AS s3,"
-            " SUM((x*x)*(x*x)) AS s4 FROM x GROUP BY 1), "
-            "m AS (SELECT event_type, n, s1 / n AS mu, s2, s3, s4"
-            " FROM p), "
-            "mm AS (SELECT event_type, n, mu,"
-            " s2 / n - mu * mu AS m2,"
-            " s3 / n - 3 * mu * (s2 / n) + 2 * (mu * mu * mu) AS m3,"
-            " s4 / n - 4 * mu * (s3 / n) + 6 * (mu * mu) * (s2 / n)"
-            " - 3 * (mu * mu * mu * mu) AS m4 FROM m) "
-            "SELECT event_type, n,"
-            " ROUND(m3 / (m2 * sqrt(m2)), 6) AS skew_r6,"
-            " ROUND(m4 / (m2 * m2) - 3.0, 6) AS exkurt_r6"
-            " FROM mm ORDER BY event_type",
-        # sliding exact distinct: trailing-6h users per (type, hour)
-        # via halo expansion of the deduped (type, user, hour) triples
-        "sliding_distinct_users":
-            "WITH tr AS (SELECT DISTINCT event_type, user_id,"
-            " CAST(epoch(date_trunc('hour', ts)) AS BIGINT) / 3600"
-            " AS h FROM events), "
-            "b AS (SELECT MAX(h) AS hi FROM tr), "
-            "x AS (SELECT DISTINCT event_type, user_id,"
-            " h + t.o AS target FROM tr CROSS JOIN b"
-            " CROSS JOIN range(0, 6) t(o) WHERE h + t.o <= b.hi) "
-            "SELECT event_type, CAST(target * 3600 AS BIGINT)"
-            " AS hour_epoch, CAST(COUNT(DISTINCT user_id) AS BIGINT)"
-            " AS n_users FROM x GROUP BY 1, 2 ORDER BY 1, 2",
-        # relational division (FOR ALL): customers ordering in every
-        # quarter of 1997, per nation
-        "full_quarter_customers":
-            "WITH q AS (SELECT DISTINCT o_custkey,"
-            " quarter(o_orderdate) AS q FROM orders"
-            " WHERE o_orderdate >= TIMESTAMP '1997-01-01'"
-            " AND o_orderdate < TIMESTAMP '1998-01-01'), "
-            "w AS (SELECT o_custkey FROM q GROUP BY 1"
-            " HAVING COUNT(*) = 4) "
-            "SELECT n.n_name, CAST(COUNT(*) AS BIGINT) AS n_customers"
-            " FROM w JOIN customer c ON w.o_custkey = c.c_custkey"
-            " JOIN nation n ON c.c_nationkey = n.n_nationkey"
-            " GROUP BY 1 ORDER BY 1",
         # adaptive multi-pass selection: exact lower median in cents
         "exact_median_bisect":
             "SELECT CAST(COUNT(*) AS BIGINT) AS n,"
@@ -4166,53 +3391,6 @@ def oracle_sql() -> dict[str, str]:
             " CROSS JOIN p GROUP BY 1, p.levels) "
             "SELECT * FROM dd UNION ALL SELECT * FROM ap"
             " ORDER BY event_type, level, pos",
-        # within-type temporal drift: half-vs-half exact medians + KS
-        "value_drift_by_half":
-            "WITH b AS (SELECT (epoch_us(MIN(ts))"
-            " + epoch_us(MAX(ts)))"
-            " // 2 AS mid FROM events), "
-            "c AS (SELECT event_type AS t, CASE WHEN"
-            " epoch_us(ts) >= b.mid THEN 1"
-            " ELSE 0 END AS half, CAST(ROUND(value*100) AS BIGINT)"
-            " AS v, CAST(COUNT(*) AS BIGINT) AS n FROM events"
-            " CROSS JOIN b GROUP BY 1, 2, 3), "
-            "tot AS (SELECT t, half, SUM(n) AS s FROM c GROUP BY 1, 2), "
-            "med AS (SELECT t, half, PERCENTILE_DISC(0.5) WITHIN GROUP"
-            " (ORDER BY v) AS m FROM (SELECT t, half, v,"
-            " unnest(range(n)) FROM c) GROUP BY 1, 2), "
-            "grid AS (SELECT c.t, c.v,"
-            " SUM(CASE WHEN half = 0 THEN n ELSE 0 END) AS n0,"
-            " SUM(CASE WHEN half = 1 THEN n ELSE 0 END) AS n1"
-            " FROM c GROUP BY 1, 2), "
-            "cum AS (SELECT t, v,"
-            " SUM(n0) OVER (PARTITION BY t ORDER BY v) AS c0,"
-            " SUM(n1) OVER (PARTITION BY t ORDER BY v) AS c1"
-            " FROM grid), "
-            "ks AS (SELECT cum.t, MAX(ABS(t1.s * cum.c0"
-            " - t0.s * cum.c1)) AS num, ANY_VALUE(t0.s) AS s0,"
-            " ANY_VALUE(t1.s) AS s1 FROM cum"
-            " JOIN tot t0 ON t0.t = cum.t AND t0.half = 0"
-            " JOIN tot t1 ON t1.t = cum.t AND t1.half = 1"
-            " GROUP BY 1) "
-            "SELECT ks.t AS event_type, CAST(ks.s0 AS BIGINT)"
-            " AS n_first, CAST(ks.s1 AS BIGINT) AS n_second,"
-            " CAST(m0.m AS BIGINT) AS med_first_cents,"
-            " CAST(m1.m AS BIGINT) AS med_second_cents,"
-            " ROUND(CAST(ks.num AS DOUBLE) / (ks.s0 * ks.s1), 6)"
-            " AS ks_r6 FROM ks"
-            " JOIN med m0 ON m0.t = ks.t AND m0.half = 0"
-            " JOIN med m1 ON m1.t = ks.t AND m1.half = 1"
-            " ORDER BY 1",
-        # top-k WITH TIES: RANK() <= 3 keeps boundary ties
-        "top_value_days_with_ties":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS day_epoch,"
-            " CAST(SUM(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT)"
-            " AS rev FROM events GROUP BY 1, 2), "
-            "r AS (SELECT *, CAST(RANK() OVER (PARTITION BY event_type"
-            " ORDER BY rev DESC) AS BIGINT) AS rnk FROM d) "
-            "SELECT event_type, day_epoch, rev, rnk FROM r"
-            " WHERE rnk <= 3 ORDER BY event_type, rnk, day_epoch",
         # exact set-overlap matrix (the KMV Jaccard's exact twin)
         "type_user_overlap_exact":
             "WITH p AS (SELECT DISTINCT event_type, user_id,"
@@ -4274,94 +3452,6 @@ def oracle_sql() -> dict[str, str]:
             " AS geo_r6,"
             " ROUND(COUNT(*) / SUM(1.0 / cents), 6) AS harm_r6"
             " FROM v GROUP BY 1 ORDER BY 1",
-        # TPC-H Q6 shape: map-only predicate aggregate, 10^-4-dollar
-        # exact integer revenue term
-        "discounted_smallqty_revenue":
-            "SELECT CAST(COALESCE(SUM("
-            "CAST(ROUND(l_extendedprice*100) AS BIGINT)"
-            " * CAST(ROUND(l_discount*100) AS BIGINT)), 0) AS BIGINT)"
-            " AS revenue_e4, CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem"
-            " WHERE l_shipdate >= TIMESTAMP '1996-01-01'"
-            " AND l_shipdate < TIMESTAMP '1997-01-01'"
-            " AND CAST(ROUND(l_discount*100) AS BIGINT) BETWEEN 5 AND 7"
-            " AND CAST(ROUND(l_quantity) AS BIGINT) < 24",
-        # TPC-H Q4 shape: EXISTS decorrelated via per-order Max
-        "late_line_orders_by_priority":
-            "SELECT o.o_orderpriority, CAST(COUNT(*) AS BIGINT)"
-            " AS n_orders FROM orders o"
-            " WHERE o.o_orderdate >= TIMESTAMP '1996-01-01'"
-            " AND o.o_orderdate < TIMESTAMP '1996-07-01'"
-            " AND EXISTS (SELECT 1 FROM lineitem l"
-            " WHERE l.l_orderkey = o.o_orderkey"
-            " AND l.l_shipdate > o.o_orderdate + INTERVAL 60 DAY)"
-            " GROUP BY 1 ORDER BY 1",
-        # TPC-H Q17 shape: correlated-average gate by exact-integer
-        # cross-multiplication (2*qty*n < sum_qty per part)
-        "smallqty_brand_revenue":
-            "WITH pq AS (SELECT l_partkey,"
-            " CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT)"
-            " AS s, CAST(COUNT(*) AS BIGINT) AS c FROM lineitem"
-            " GROUP BY 1) "
-            "SELECT p.p_brand,"
-            " CAST(SUM(CAST(ROUND(l.l_extendedprice*100) AS BIGINT))"
-            " AS BIGINT) AS revenue_cents,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem l JOIN pq ON l.l_partkey = pq.l_partkey"
-            " JOIN part p ON l.l_partkey = p.p_partkey"
-            " WHERE 2 * CAST(ROUND(l.l_quantity) AS BIGINT) * pq.c"
-            " < pq.s GROUP BY 1 ORDER BY 1",
-        # TPC-H Q8 shape: market share by year, exact integer
-        # numerator/denominator
-        "nation_market_share":
-            "SELECT CAST(year(o.o_orderdate) AS BIGINT) AS o_year,"
-            " CAST(SUM(CASE WHEN sn.n_name = 'NATION_2' THEN"
-            " CAST(ROUND(l.l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l.l_discount*100) AS BIGINT))"
-            " ELSE 0 END) AS BIGINT) AS num_rev,"
-            " CAST(SUM(CAST(ROUND(l.l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l.l_discount*100) AS BIGINT)))"
-            " AS BIGINT) AS den_rev,"
-            " ROUND(CAST(SUM(CASE WHEN sn.n_name = 'NATION_2' THEN"
-            " CAST(ROUND(l.l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l.l_discount*100) AS BIGINT))"
-            " ELSE 0 END) AS DOUBLE) /"
-            " SUM(CAST(ROUND(l.l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l.l_discount*100) AS BIGINT))), 6)"
-            " AS share_r6"
-            " FROM lineitem l JOIN orders o"
-            " ON l.l_orderkey = o.o_orderkey"
-            " JOIN customer c ON o.o_custkey = c.c_custkey"
-            " JOIN nation cn ON c.c_nationkey = cn.n_nationkey"
-            " JOIN region r ON cn.n_regionkey = r.r_regionkey"
-            " JOIN supplier s ON l.l_suppkey = s.s_suppkey"
-            " JOIN nation sn ON s.s_nationkey = sn.n_nationkey"
-            " WHERE r.r_name = 'ASIA' GROUP BY 1 ORDER BY 1",
-        # TPC-H Q15 shape: argmax WITH TIES over the revenue view
-        "top_supplier_revenue_with_ties":
-            "WITH sr AS (SELECT l_suppkey,"
-            " CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l_discount*100) AS BIGINT)))"
-            " AS BIGINT) AS revenue FROM lineitem"
-            " WHERE l_shipdate >= TIMESTAMP '1996-01-01'"
-            " AND l_shipdate < TIMESTAMP '1996-04-01' GROUP BY 1) "
-            "SELECT s.s_name, sr.revenue FROM sr JOIN supplier s"
-            " ON sr.l_suppkey = s.s_suppkey"
-            " WHERE sr.revenue = (SELECT MAX(revenue) FROM sr)"
-            " ORDER BY s.s_name",
-        # TPC-H Q12 shape: urgent/other mix among late lines
-        "late_urgent_mix_by_status":
-            "SELECT l.l_linestatus,"
-            " CAST(SUM(CASE WHEN o.o_orderpriority IN"
-            " ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT)"
-            " AS n_urgent,"
-            " CAST(SUM(CASE WHEN o.o_orderpriority IN"
-            " ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END) AS BIGINT)"
-            " AS n_other"
-            " FROM lineitem l JOIN orders o"
-            " ON l.l_orderkey = o.o_orderkey"
-            " WHERE l.l_shipdate > o.o_orderdate + INTERVAL 60 DAY"
-            " GROUP BY 1 ORDER BY 1",
         # lagged autocorrelation of daily revenue (observed-day pairs,
         # Pearson from double sums, term op order mirrored)
         "daily_revenue_autocorr":
@@ -4618,28 +3708,6 @@ def oracle_sql() -> dict[str, str]:
             " JOIN m ON seas.event_type = m.event_type"
             " JOIN v ON seas.event_type = v.event_type"
             " ORDER BY 1, 2",
-        # TPC-H Q9 shape (adapted: no partsupp table in the fixture
-        # set — unit cost = the part's retail price): profit by
-        # supplier nation and order year over name-filtered parts;
-        # exact integer cent·percent amounts
-        "nation_year_profit":
-            "WITH pr AS (SELECT p_partkey,"
-            " CAST(ROUND(p_retailprice*100) AS BIGINT) AS rc"
-            " FROM part WHERE p_name LIKE '%red%'), "
-            "l AS (SELECT li.l_orderkey AS ok,"
-            " s.s_nationkey AS snat,"
-            " CAST(ROUND(li.l_extendedprice*100) AS BIGINT)"
-            " * (100 - CAST(ROUND(li.l_discount*100) AS BIGINT))"
-            " - CAST(li.l_quantity AS BIGINT) * pr.rc * 100 AS amount"
-            " FROM lineitem li JOIN pr ON li.l_partkey = pr.p_partkey"
-            " JOIN supplier s ON li.l_suppkey = s.s_suppkey) "
-            "SELECT n.n_name,"
-            " CAST(year(o.o_orderdate) AS BIGINT) AS o_year,"
-            " CAST(SUM(l.amount) AS BIGINT) AS profit,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM l JOIN orders o ON l.ok = o.o_orderkey"
-            " JOIN nation n ON l.snat = n.n_nationkey"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
         # incremental ingestion dedup report: day 1 = even doc_ids,
         # day 2 = odd; C4-style 64-char-prefix fingerprint (same key
         # as prefix_dup_groups); each day-2 doc is dup_day1 /
@@ -4675,52 +3743,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND((POW(CAST(c.n_docs AS DOUBLE), 0.5) / t.tw)"
             " / (CAST(c.n_docs AS DOUBLE) / t.tn), 6) AS boost_r6"
             " FROM c, t ORDER BY c.lang",
-        # TPC-H Q3 shape: segment customers' pre-cutoff orders, revenue
-        # of post-cutoff-shipped lineitems, top-10 by revenue
-        "segment_unshipped_topk":
-            "WITH o AS (SELECT o_orderkey, o_orderdate,"
-            " o_orderpriority FROM orders"
-            " JOIN customer ON o_custkey = c_custkey"
-            " WHERE c_mktsegment = 'BUILDING'"
-            " AND o_orderdate < TIMESTAMP '1998-07-01'), "
-            "l AS (SELECT l_orderkey,"
-            " SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l_discount*100) AS BIGINT)))"
-            " AS revenue, CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem WHERE l_shipdate > TIMESTAMP '1998-07-01'"
-            " GROUP BY 1) "
-            "SELECT o.o_orderkey AS l_orderkey,"
-            " CAST(l.revenue AS BIGINT) AS revenue, l.n_items,"
-            " o.o_orderdate, o.o_orderpriority"
-            " FROM l JOIN o ON l.l_orderkey = o.o_orderkey"
-            " ORDER BY l.revenue DESC, o.o_orderkey LIMIT 10",
-        # time-in-state: whole-second gap to the user's next event
-        # (per-gap floor), attributed to the opening event's type
-        "state_dwell_times":
-            "WITH s AS (SELECT event_type, epoch_us(ts) AS cur,"
-            " LEAD(epoch_us(ts)) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS nxt FROM events) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_gaps,"
-            " CAST(SUM((nxt - cur) // 1000000) AS BIGINT)"
-            " AS total_dwell_s,"
-            " ROUND(CAST(SUM((nxt - cur) // 1000000) AS DOUBLE)"
-            " / COUNT(*), 6) AS mean_dwell_r6"
-            " FROM s WHERE nxt IS NOT NULL GROUP BY 1 ORDER BY 1",
-        # exact weighted median: smallest qty whose cumulative revenue
-        # weight reaches half the flag's total (pure integer ranks)
-        "weighted_median_quantity":
-            "WITH c AS (SELECT l_returnflag AS rf,"
-            " CAST(l_quantity AS BIGINT) AS qty,"
-            " SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) AS w"
-            " FROM lineitem GROUP BY 1, 2), "
-            "t AS (SELECT rf, SUM(w) AS tw FROM c GROUP BY 1), "
-            "cum AS (SELECT c.rf, c.qty, SUM(c.w) OVER ("
-            "PARTITION BY c.rf ORDER BY c.qty) AS cw, t.tw AS tw"
-            " FROM c JOIN t ON c.rf = t.rf) "
-            "SELECT rf AS l_returnflag,"
-            " CAST(MIN(CASE WHEN 2*cw >= tw THEN qty END) AS BIGINT)"
-            " AS wmedian_qty, CAST(MIN(tw) AS BIGINT) AS total_w"
-            " FROM cum GROUP BY rf ORDER BY rf",
         # nucleus (top-90%) vocabulary coverage: minimal distinct-token
         # prefix (ordered by cnt desc) reaching 90% of the lang's token
         # mass; integer threshold 100·cum >= 90·tot == cum >= ceil
@@ -4743,63 +3765,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT t.lang, t.n_vocab, t.total_tokens,"
             " CAST(m.n_cover AS BIGINT) AS n_cover FROM t"
             " JOIN m ON t.lang = m.lang ORDER BY 1",
-        # fulfillment latency: whole days from order date to the LAST
-        # lineitem ship date; exact lower median from the count table
-        "order_fulfillment_latency":
-            "WITH lm AS (SELECT l_orderkey,"
-            " MAX(epoch_us(l_shipdate)) AS ms FROM lineitem"
-            " GROUP BY 1), "
-            "g AS (SELECT o.o_orderpriority AS pr,"
-            " (lm.ms - epoch_us(o.o_orderdate)) // 86400000000"
-            " AS days FROM orders o JOIN lm"
-            " ON o.o_orderkey = lm.l_orderkey), "
-            "c AS (SELECT pr, days, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM g GROUP BY 1, 2), "
-            "t AS (SELECT pr, SUM(n) AS tot, SUM(days*n) AS sd,"
-            " MAX(days) AS mx FROM c GROUP BY 1), "
-            "cum AS (SELECT c.pr, c.days, SUM(c.n) OVER ("
-            "PARTITION BY c.pr ORDER BY c.days) AS cw, t.tot AS tot"
-            " FROM c JOIN t ON c.pr = t.pr), "
-            "med AS (SELECT pr, MIN(CASE WHEN 2*cw >= tot"
-            " THEN days END) AS md FROM cum GROUP BY 1) "
-            "SELECT t.pr AS o_orderpriority,"
-            " CAST(t.tot AS BIGINT) AS n_orders,"
-            " CAST(t.mx AS BIGINT) AS max_days,"
-            " CAST(med.md AS BIGINT) AS median_days,"
-            " ROUND(CAST(t.sd AS DOUBLE) / t.tot, 6) AS mean_days_r6"
-            " FROM t JOIN med ON t.pr = med.pr ORDER BY 1",
-        # RFM cube: per-customer recency/frequency/monetary, exact
-        # value-threshold quartiles (PERCENTILE_DISC semantics — same
-        # rank rule as the pipeline's 4·cum >= j·tot walk)
-        "rfm_segments":
-            "WITH c AS (SELECT o_custkey AS ck,"
-            " CAST(COUNT(*) AS BIGINT) AS f,"
-            " SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) AS m,"
-            " MAX(epoch_us(o_orderdate)) AS last_us FROM orders"
-            " GROUP BY 1), "
-            "g AS (SELECT MAX(last_us) AS mx FROM c), "
-            "b AS (SELECT ck, f, m,"
-            " (g.mx - c.last_us) // 86400000000 AS r FROM c, g), "
-            "t AS (SELECT"
-            " PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY r) AS r1,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY r) AS r2,"
-            " PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY r) AS r3,"
-            " PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY f) AS f1,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY f) AS f2,"
-            " PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY f) AS f3,"
-            " PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY m) AS m1,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY m) AS m2,"
-            " PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY m) AS m3"
-            " FROM b) "
-            "SELECT CAST(1 + CAST(r > t.r1 AS INT)"
-            " + CAST(r > t.r2 AS INT) + CAST(r > t.r3 AS INT)"
-            " AS BIGINT) AS r_q,"
-            " CAST(1 + CAST(f > t.f1 AS INT) + CAST(f > t.f2 AS INT)"
-            " + CAST(f > t.f3 AS INT) AS BIGINT) AS f_q,"
-            " CAST(1 + CAST(m > t.m1 AS INT) + CAST(m > t.m2 AS INT)"
-            " + CAST(m > t.m3 AS INT) AS BIGINT) AS m_q,"
-            " CAST(COUNT(*) AS BIGINT) AS n_customers"
-            " FROM b, t GROUP BY 1, 2, 3 ORDER BY 1, 2, 3",
         # kNN label-vote accuracy: ranks over the 6-dp ROUNDED cosine
         # (tie → neighbour id) so a last-ulp engine difference cannot
         # flip a rank — same contract as the retrieval oracles
@@ -4823,38 +3788,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(SUM(CASE WHEN nl = ql THEN 1 ELSE 0 END)"
             " AS DOUBLE) / COUNT(*), 6) AS accuracy_r6"
             " FROM w WHERE rw = 1 GROUP BY 1 ORDER BY 1",
-        # customer value migration: half-over-half spend quartile
-        # transition (mid = (min+max)//2 like value_drift_by_half;
-        # PERCENTILE_DISC over each half's spenders; 0 = no spend)
-        "customer_value_migration":
-            "WITH b AS (SELECT (epoch_us(MIN(o_orderdate))"
-            " + epoch_us(MAX(o_orderdate))) // 2 AS mid FROM orders), "
-            "c AS (SELECT o_custkey AS ck,"
-            " SUM(CASE WHEN epoch_us(o_orderdate) >= b.mid THEN 0"
-            " ELSE CAST(ROUND(o_totalprice*100) AS BIGINT) END)"
-            " AS s0,"
-            " SUM(CASE WHEN epoch_us(o_orderdate) >= b.mid"
-            " THEN CAST(ROUND(o_totalprice*100) AS BIGINT)"
-            " ELSE 0 END) AS s1"
-            " FROM orders CROSS JOIN b GROUP BY 1), "
-            "t0 AS (SELECT"
-            " PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY s0) AS a,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY s0) AS bq,"
-            " PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY s0) AS cq"
-            " FROM c WHERE s0 > 0), "
-            "t1 AS (SELECT"
-            " PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY s1) AS a,"
-            " PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY s1) AS bq,"
-            " PERCENTILE_DISC(0.75) WITHIN GROUP (ORDER BY s1) AS cq"
-            " FROM c WHERE s1 > 0) "
-            "SELECT CAST(CASE WHEN s0 = 0 THEN 0 ELSE 1"
-            " + CAST(s0 > t0.a AS INT) + CAST(s0 > t0.bq AS INT)"
-            " + CAST(s0 > t0.cq AS INT) END AS BIGINT) AS q_first,"
-            " CAST(CASE WHEN s1 = 0 THEN 0 ELSE 1"
-            " + CAST(s1 > t1.a AS INT) + CAST(s1 > t1.bq AS INT)"
-            " + CAST(s1 > t1.cq AS INT) END AS BIGINT) AS q_second,"
-            " CAST(COUNT(*) AS BIGINT) AS n_customers"
-            " FROM c, t0, t1 GROUP BY 1, 2 ORDER BY 1, 2",
         # largest-remainder (Hamilton) apportionment of 997 sample
         # slots: pure integer quota/remainder; ties -> source asc
         "sample_budget_allocation":
@@ -4873,28 +3806,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(r.fq AS BIGINT) AS floor_quota,"
             " CAST(r.rem AS BIGINT) AS remainder"
             " FROM r, s ORDER BY r.source",
-        # whale dependence: max-of-sums customer revenue share per
-        # nation (argmax tie -> smallest custkey)
-        "nation_whale_share":
-            "WITH pc AS (SELECT o_custkey AS ck,"
-            " SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) AS cents"
-            " FROM orders GROUP BY 1), "
-            "j AS (SELECT pc.ck, pc.cents, c.c_nationkey AS nat"
-            " FROM pc JOIN customer c ON pc.ck = c.c_custkey), "
-            "r AS (SELECT j.*, ROW_NUMBER() OVER (PARTITION BY nat"
-            " ORDER BY cents DESC, ck) AS rn FROM j), "
-            "tot AS (SELECT nat, CAST(COUNT(*) AS BIGINT)"
-            " AS n_customers, SUM(cents) AS total_cents FROM j"
-            " GROUP BY 1) "
-            "SELECT n.n_name, tot.n_customers,"
-            " CAST(tot.total_cents AS BIGINT) AS total_cents,"
-            " CAST(r.ck AS BIGINT) AS top_custkey,"
-            " CAST(r.cents AS BIGINT) AS top_cents,"
-            " ROUND(CAST(r.cents AS DOUBLE) / tot.total_cents, 6)"
-            " AS whale_share_r6"
-            " FROM tot JOIN r ON tot.nat = r.nat AND r.rn = 1"
-            " JOIN nation n ON tot.nat = n.n_nationkey"
-            " ORDER BY n.n_name",
         # bounce rate by session entry type: >30-min-gap sessions
         # (events_sessionize rule, ties by (ts, event_id)); entry =
         # first event's type; bounce = single-event session
@@ -5053,58 +3964,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT n AS n_suppliers, s AS sum_d2_4x,"
             " ROUND(1.0 - 3.0*s / (2.0*n*(n*n - 1)), 6)"
             " AS spearman_r6 FROM t",
-        # hourly forward-fill resample: LAST_VALUE IGNORE NULLS over
-        # the dense (type, hour) grid
-        "event_value_ffill_hourly":
-            "WITH c AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('hour', ts)) AS BIGINT)"
-            " AS hour_epoch,"
-            " CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT)"
-            " AS sum_cents, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM events GROUP BY 1, 2), "
-            "b AS (SELECT MIN(hour_epoch) AS lo, MAX(hour_epoch) AS hi"
-            " FROM c), "
-            "d AS (SELECT unnest(range(b.lo, b.hi + 3600, 3600))"
-            " AS hour_epoch FROM b), "
-            "t AS (SELECT DISTINCT event_type FROM c), "
-            "g AS (SELECT t.event_type, d.hour_epoch FROM t"
-            " CROSS JOIN d), "
-            "m AS (SELECT g.event_type, g.hour_epoch, c.sum_cents,"
-            " c.n, CASE WHEN c.n IS NULL THEN 1 ELSE 0 END AS filled"
-            " FROM g LEFT JOIN c USING (event_type, hour_epoch)) "
-            "SELECT event_type, hour_epoch,"
-            " CAST(COALESCE(LAST_VALUE(sum_cents IGNORE NULLS)"
-            " OVER w, 0) AS BIGINT) AS sum_cents,"
-            " CAST(COALESCE(LAST_VALUE(n IGNORE NULLS) OVER w, 0)"
-            " AS BIGINT) AS n, CAST(filled AS BIGINT) AS filled"
-            " FROM m WINDOW w AS (PARTITION BY event_type"
-            " ORDER BY hour_epoch ROWS UNBOUNDED PRECEDING)"
-            " ORDER BY event_type, hour_epoch",
-        # TPC-H Q11 shape over the KEY-DERIVED partsupp: the CTE `ps`
-        # mirrors analytics._partsupp_terms EXACTLY (4 suppliers per
-        # part at stride n//4+1, arithmetic availqty / cost-in-cents);
-        # HAVING is the exact-integer mean gate value*ng > tot
-        "q11_important_stock":
-            "WITH sc AS (SELECT COUNT(*) AS n FROM supplier), "
-            "ps AS (SELECT p_partkey AS ps_partkey,"
-            " (p_partkey + t.i * (sc.n // 4 + 1)) % sc.n AS ps_suppkey,"
-            " (p_partkey * 7 + t.i * 131 + (p_partkey + t.i *"
-            " (sc.n // 4 + 1)) % sc.n) % 9999 + 1 AS ps_availqty,"
-            " (p_partkey * 31 + ((p_partkey + t.i * (sc.n // 4 + 1))"
-            " % sc.n) * 17 + t.i) % 99900 + 100 AS ps_supplycost_cents"
-            " FROM part, sc, (VALUES (0),(1),(2),(3)) AS t(i)), "
-            "j AS (SELECT ps.ps_partkey,"
-            " ps.ps_supplycost_cents * ps.ps_availqty AS v"
-            " FROM ps JOIN supplier s ON ps.ps_suppkey = s.s_suppkey"
-            " JOIN nation n ON s.s_nationkey = n.n_nationkey"
-            " WHERE n.n_name = 'NATION_7'), "
-            "g AS (SELECT ps_partkey, CAST(SUM(v) AS BIGINT)"
-            " AS value_cents FROM j GROUP BY ps_partkey) "
-            "SELECT g.ps_partkey, g.value_cents FROM g,"
-            " (SELECT CAST(SUM(value_cents) AS BIGINT) AS tot,"
-            " COUNT(*) AS ng FROM g) s"
-            " WHERE g.value_cents * s.ng > s.tot"
-            " ORDER BY g.value_cents DESC, g.ps_partkey",
         # the curation runner WITH the MinHash near-dup stage: with
         # doc_id-ordered fragments the runner's survivors equal the
         # plain greedy min-neighbor rule over the gated corpus (drop a

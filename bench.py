@@ -132,7 +132,6 @@ def _force_cluster_tiers():
     A.NB_BROADCAST_MAX_ROWS = 0
     A.ANTI_BROADCAST_MAX_ROWS = 0
     A.PART_DRIVER_MAX_ROWS = 0
-    A.Q11_SUPP_BROADCAST_MAX_ROWS = 0
     D.EXACT_DEDUP_DRIVER_MAX_ROWS = 0
     D.BAND_DRIVER_MAX_ROWS = 0
     D.BROADCAST_LIMIT = 0
@@ -147,167 +146,105 @@ def _force_cluster_tiers():
 #: bench query order (module-level so the contract test can check
 #: it stays a subset of the registry)
 QUERIES = ["lang_counts", "frame_counts", "exact_dedup",
-               "distinct_text_per_lang", "token_counts", "quality_scores",
-               "heavy_tokens_topk", "median_nchars_by_lang", "events_hourly",
-               "doc_fingerprint", "ann_topk", "ann_ivf_topk",
-               "hll_distinct_per_lang", "cms_heavy_hitters",
-               "kll_nchars_quantiles", "minhash_neardup_pairs",
-               "simhash_neardup_pairs", "embedding_neardup_pairs",
-               "lang_id_pred", "bloom_build_info", "categorize_summary",
-               # round-2 additions
-               "ngram_jaccard_pairs", "bpe_token_counts",
-               "lineitem_pricing_summary", "orders_per_nation",
-               "top_parts_by_revenue", "events_sessionize", "paired_join",
-               "mibf_classify", "mibf_classify_paired", "categorize_length",
-               "ann_topk_multi", "deterministic_sample", "events_asof_join",
-               "dust_masked_categorize", "frame_sample_features",
-               # round-3 additions + previously-unbenched registry entries
-               "deterministic_sample_hash", "minhash_dedup_kept",
-               "user_event_counts", "top_users_by_events",
-               "event_type_daily", "top_docs_per_lang",
-               "paired_categorize", "categorize_besthit",
-               "categorize_ordered", "categorize_binomial",
-               "categorize_harmonic", "masked_categorize",
-               "tdigest_nchars_quantiles", "spaced_seed_distinct",
-               "progressive_build_info", "multimodal_features",
-               "token_rarity_scores", "events_sliding_window",
-               "stratified_sample", "embedding_kmeans",
-               "user_event_counts_salted", "pack_documents",
-               "repetition_stats", "decontaminate", "repeated_substrings",
-               "pii_redact", "gopher_quality_flags",
-               "remove_boilerplate_ngrams", "bigram_lm_scores",
-               "chunk_documents", "tfidf_top_terms",
-               "bigram_ppl_buckets", "dup_clusters", "source_stats",
-               "source_quality_gate", "token_freq_histogram",
-               "inverted_index", "bm25_topk", "source_mix_sample",
-               "lang_centroids", "epoch_shuffle_head", "clean_corpus",
-               "curation_funnel", "curation_funnel_by_source",
-               "contamination_topk", "dup_group_size_histogram",
-               "source_overlap", "quality_weighted_sample",
-               "ann_topk_filtered", "token_entropy", "corpus_report",
-               "events_range_join",
-               # round-4 additions
-               "epoch_shuffle_full", "ann_ivf_exact",
-               "events_props_stats", "top_bigrams_per_lang",
-               "nchars_rank_in_source", "jsonl_roundtrip_lang_counts",
-               "csv_roundtrip_event_counts", "windowed_distinct_users",
-               "segment_revenue_topk", "nb_class_scores",
-               "user_event_pivot", "token_drift_topk",
-               "latest_event_per_user_type", "events_hourly_anomaly",
-               "docs_rollup_cube", "nchars_ntile_buckets",
-               # round-4 waves 6-8
-               "customers_without_orders", "region_revenue",
-               "orders_priority_semijoin", "event_transitions",
-               "event_type_daily_ma7", "funnel_conversion",
-               "acctbal_percentiles_per_nation", "shard_assignment_counts",
-               "partitioned_roundtrip_source_counts",
-               "nation_monthly_revenue_delta", "nation_balance_union",
-               "brand_distinct_sizes",
-               "revenue_pareto_nations", "source_lang_entropy",
-               "top_suppliers_by_quantity",
-               "value_decile_stats", "top_size_modes_per_brand",
-               "parts_above_type_avg",
-               # round-4 waves 12-14
-               "event_user_setops", "type_day_dense_counts",
-               "lineitem_corr_stats", "snapshot_user_diff",
-               "max_concurrent_sessions", "pmi_top_bigrams",
-               "doc_length_gini", "cross_lang_dup_matrix",
-               "nchars_cume_dist", "cohort_retention",
-               "source_lang_chi2", "name_typo_pairs",
-               "orders_profile", "orders_quality_checks",
-               "acctbal_robust_stats", "mg_heavy_tokens",
-               "diversified_top_docs", "event_decayed_counts",
-               "latest_events_per_user", "event_gap_quantiles",
-               "rrf_hybrid_topk", "grouped_split_counts",
-               "user_bfs_hops", "top_session_journeys",
-               "weighted_sample_topk", "event_value_ffill_hourly",
-               "sketch_setops_report", "zorder_bucket_counts",
-               "funnel_latency_quantiles", "lang_nchars_tdigest",
-               "nchars_robust_outliers", "source_dup_report",
-               "returning_users_daily", "multimodal_resize",
-               "audio_features", "video_frame_features",
-               "nation_trade_volume", "promo_revenue_share",
-               "top_returned_customers", "user_pagerank",
-               "user_triangle_stats", "table_fingerprint",
-               "term_overlap_topk", "readability_scores",
-               "charclass_stats", "range_shard_bounds",
-               "cusum_changepoints", "hour_of_day_profile",
-               "supplier_part_coverage", "join_size_exact",
-               "join_size_cms", "embedding_top_pc",
-               "user_activity_streaks", "order_fill_rate",
-               "value_benford_deviation", "weekly_distinct_users",
-               "hll_weekly_union", "byte_median_doc_size",
-               "multi_predicate_revenue", "copurchase_type_pairs",
-               "ngram_containment_pairs", "source_exclusive_tokens",
-               "fk_orphan_counts", "nchars_histogram_log2",
-               "langid_confusion_matrix",
-               "customer_order_distribution",
-               "cold_customers_by_nation",
-               "bloom_prune_join_revenue",
-               "session_overlap_pairs",
-               "rolling_median_daily_revenue",
-               "late_sole_supplier_counts",
-               "kmv_distinct_userdays", "part_skyline",
-               "large_quantity_orders",
-               "kmv_type_jaccard", "repeat_purchase_pairs",
-               "strict_funnel_users",
-               "lang_bigram_jsd", "local_supplier_revenue",
-               "cheapest_shipper_per_brand",
-               "grouped_higher_moments",
-               "sliding_distinct_users",
-               "full_quarter_customers",
-               "exact_median_bisect", "clean_conversion_users",
-               "acctbal_cont_quantiles",
-               "value_ks_matrix", "acctbal_trimmed_stats",
-               "transition_cond_entropy",
-               "region_share_rollup",
-               "order_price_reconciliation",
-               "daily_revenue_haar",
-               "value_drift_by_half",
-               "top_value_days_with_ties",
-               "type_user_overlap_exact",
-               "view_attribution_credit",
-               "acctbal_mean_family",
-               "discounted_smallqty_revenue",
-               "late_line_orders_by_priority",
-               "smallqty_brand_revenue",
-               "nation_market_share",
-               "top_supplier_revenue_with_ties",
-               "late_urgent_mix_by_status",
-               "daily_revenue_autocorr",
-               "transition_reciprocity",
-               "supplier_hhi_by_nation",
-               "dominant_supplier_parts",
-               "parts_keyset_page",
-               "cumulative_parts_catalog",
-               "prefix_dup_groups", "token_len_histogram",
-               "vocab_growth_by_docs",
-               "fd_violation_audit", "bipartite_degree_dist",
-               "revenue_up_run_lengths",
-               "weekday_uniformity_chi2",
-               "value_twap_by_type",
-               "doc_compression_ratio",
-               "revenue_seasonal_decomposition",
-               # round-4 waves 57-61
-               "nation_year_profit", "incremental_dedup_report",
-               "lang_temperature_mix", "segment_unshipped_topk",
-               "state_dwell_times", "weighted_median_quantity",
-               "vocab_coverage_topp", "order_fulfillment_latency",
-               "bloom_fpr_report", "rfm_segments",
-               "knn_label_accuracy", "customer_value_migration",
-               "dup_cluster_representatives",
-               "sample_budget_allocation", "nation_whale_share",
-               "session_bounce_rate", "embedding_quantization_report",
-               "quality_gate_sweep",
-               "neardup_calibration_report", "hll_error_sweep",
-               "cms_error_sweep", "quantile_sketch_calibration",
-               "user_tenure_distribution", "order_size_distribution",
-               "curation_run_summary", "kmeans_quality_report",
-               "label_centroid_affinity", "supplier_rank_correlation",
-               # round-5: TPC-H Q11 over the key-derived partsupp;
-               # near-dup curation runner
-               "q11_important_stock", "curation_neardup_summary",
-               "curation_partition_metrics"]
+           "distinct_text_per_lang", "token_counts", "quality_scores",
+           "heavy_tokens_topk", "median_nchars_by_lang", "events_hourly",
+           "doc_fingerprint", "ann_topk", "ann_ivf_topk",
+           "hll_distinct_per_lang", "cms_heavy_hitters",
+           "kll_nchars_quantiles", "minhash_neardup_pairs",
+           "simhash_neardup_pairs", "embedding_neardup_pairs", "lang_id_pred",
+           "bloom_build_info", "categorize_summary",
+           # round-2 additions
+           "ngram_jaccard_pairs", "bpe_token_counts",
+           "lineitem_pricing_summary", "orders_per_nation",
+           "top_parts_by_revenue", "events_sessionize", "paired_join",
+           "mibf_classify", "mibf_classify_paired", "categorize_length",
+           "ann_topk_multi", "events_asof_join", "dust_masked_categorize",
+           # round-3 additions + previously-unbenched registry entries
+           "deterministic_sample_hash", "minhash_dedup_kept",
+           "user_event_counts", "top_users_by_events", "event_type_daily",
+           "top_docs_per_lang", "paired_categorize", "categorize_besthit",
+           "categorize_ordered", "categorize_binomial", "categorize_harmonic",
+           "masked_categorize", "tdigest_nchars_quantiles",
+           "spaced_seed_distinct", "progressive_build_info",
+           "token_rarity_scores", "events_sliding_window", "stratified_sample",
+           "embedding_kmeans", "user_event_counts_salted", "pack_documents",
+           "repetition_stats", "decontaminate", "repeated_substrings",
+           "pii_redact", "gopher_quality_flags", "remove_boilerplate_ngrams",
+           "bigram_lm_scores", "chunk_documents", "tfidf_top_terms",
+           "bigram_ppl_buckets", "dup_clusters", "source_stats",
+           "source_quality_gate", "token_freq_histogram", "inverted_index",
+           "bm25_topk", "source_mix_sample", "lang_centroids",
+           "epoch_shuffle_head", "clean_corpus", "curation_funnel",
+           "curation_funnel_by_source", "contamination_topk",
+           "dup_group_size_histogram", "source_overlap",
+           "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
+           "corpus_report", "events_range_join",
+           # round-4 additions
+           "epoch_shuffle_full", "ann_ivf_exact", "events_props_stats",
+           "top_bigrams_per_lang", "nchars_rank_in_source",
+           "jsonl_roundtrip_lang_counts", "csv_roundtrip_event_counts",
+           "windowed_distinct_users", "segment_revenue_topk",
+           "nb_class_scores", "user_event_pivot", "token_drift_topk",
+           "latest_event_per_user_type", "events_hourly_anomaly",
+           "docs_rollup_cube", "nchars_ntile_buckets",
+           # round-4 waves 6-8
+           "region_revenue", "event_transitions", "event_type_daily_ma7",
+           "funnel_conversion", "shard_assignment_counts",
+           "partitioned_roundtrip_source_counts",
+           "nation_monthly_revenue_delta", "nation_balance_union",
+           "brand_distinct_sizes", "revenue_pareto_nations",
+           "source_lang_entropy", "top_suppliers_by_quantity",
+           "value_decile_stats", "top_size_modes_per_brand",
+           "parts_above_type_avg",
+           # round-4 waves 12-14
+           "event_user_setops", "snapshot_user_diff",
+           "max_concurrent_sessions", "pmi_top_bigrams", "doc_length_gini",
+           "cross_lang_dup_matrix", "nchars_cume_dist", "cohort_retention",
+           "source_lang_chi2", "name_typo_pairs", "orders_profile",
+           "orders_quality_checks", "acctbal_robust_stats", "mg_heavy_tokens",
+           "diversified_top_docs", "event_decayed_counts",
+           "latest_events_per_user", "event_gap_quantiles", "rrf_hybrid_topk",
+           "grouped_split_counts", "weighted_sample_topk",
+           "sketch_setops_report", "zorder_bucket_counts",
+           "funnel_latency_quantiles", "lang_nchars_tdigest",
+           "nchars_robust_outliers", "source_dup_report",
+           "returning_users_daily", "table_fingerprint", "term_overlap_topk",
+           "readability_scores", "charclass_stats", "range_shard_bounds",
+           "cusum_changepoints", "hour_of_day_profile", "join_size_exact",
+           "join_size_cms", "embedding_top_pc", "user_activity_streaks",
+           "order_fill_rate", "value_benford_deviation",
+           "weekly_distinct_users", "hll_weekly_union", "byte_median_doc_size",
+           "multi_predicate_revenue", "ngram_containment_pairs",
+           "source_exclusive_tokens", "nchars_histogram_log2",
+           "langid_confusion_matrix", "bloom_prune_join_revenue",
+           "kmv_distinct_userdays", "part_skyline", "large_quantity_orders",
+           "kmv_type_jaccard", "repeat_purchase_pairs", "strict_funnel_users",
+           "lang_bigram_jsd", "exact_median_bisect", "clean_conversion_users",
+           "acctbal_cont_quantiles", "value_ks_matrix",
+           "acctbal_trimmed_stats", "transition_cond_entropy",
+           "region_share_rollup", "order_price_reconciliation",
+           "daily_revenue_haar", "type_user_overlap_exact",
+           "view_attribution_credit", "acctbal_mean_family",
+           "daily_revenue_autocorr", "transition_reciprocity",
+           "supplier_hhi_by_nation", "dominant_supplier_parts",
+           "parts_keyset_page", "cumulative_parts_catalog",
+           "prefix_dup_groups", "token_len_histogram", "vocab_growth_by_docs",
+           "fd_violation_audit", "bipartite_degree_dist",
+           "revenue_up_run_lengths", "weekday_uniformity_chi2",
+           "value_twap_by_type", "doc_compression_ratio",
+           "revenue_seasonal_decomposition",
+           # round-4 waves 57-61
+           "incremental_dedup_report", "lang_temperature_mix",
+           "vocab_coverage_topp", "bloom_fpr_report", "knn_label_accuracy",
+           "dup_cluster_representatives", "sample_budget_allocation",
+           "session_bounce_rate", "embedding_quantization_report",
+           "quality_gate_sweep", "neardup_calibration_report",
+           "hll_error_sweep", "cms_error_sweep", "quantile_sketch_calibration",
+           "user_tenure_distribution", "order_size_distribution",
+           "curation_run_summary", "kmeans_quality_report",
+           "label_centroid_affinity", "supplier_rank_correlation",
+           # round-5: near-dup curation runner
+           "curation_neardup_summary", "curation_partition_metrics"]
 
 
 def run_queries() -> dict[str, float]:

@@ -821,29 +821,6 @@ def deterministic_sample_hash(sf_dir: str, rate: float = 0.125):
     return ds.map_batches(pick, batch_format="pyarrow").to_pandas()
 
 
-def deterministic_sample(sf_dir: str, keep_hex: str = "01"):
-    """Hash-bucket downsampling — md5-keyed ORACLE TWIN of
-    :func:`deterministic_sample_hash` (kept because the md5 keep rule is
-    trivially expressible in any engine's SQL; the per-row hashlib loop
-    makes it the verification variant, not the production path): keep a
-    row iff the first hex digit of md5(doc_id) is in ``keep_hex``
-    (2 of 16 digits ≈ 12.5 %).  Pure map-side filter; stratification
-    falls out of hash uniformity."""
-    import hashlib
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    keep = frozenset(keep_hex)
-
-    def pick(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        mask = np.fromiter(
-            (hashlib.md5(str(int(i)).encode()).hexdigest()[0] in keep
-             for i in ids), dtype=bool, count=len(ids))
-        return b.filter(pa.array(mask))
-
-    return ds.map_batches(pick, batch_format="pyarrow").to_pandas()
-
-
 #: total-event-row gate for the direct (unsalted) temporal-join plans:
 #: below this many input rows every entity's history trivially fits one
 #: ``map_groups`` block, so the joins run as ONE groupby(user_id); above
@@ -4172,81 +4149,13 @@ def nchars_ntile_buckets(sf_dir: str, n_buckets: int = 4):
             [["doc_id", "source", "n_chars", "bucket"]])
 
 
-# -- round-4 wave 6: relational anti-join / multi-way join / EXISTS ----------
+# -- round-4 wave 6: multi-way join ------------------------------------------
 
-#: orders-side row gate: below it the distinct-buyer key set (bounded
-#: by #customers, referential integrity) broadcasts once and the
-#: anti-probe is a map-side sorted-array miss test; above it Ray's
-#: native left_anti hash join shuffles both sides by key once
+#: orders-side row gate of ``region_revenue``: below it the year's
+#: orderkey→region link table broadcasts once and lineitem reduces
+#: map-side; above it orders, customer and lineitem go through
+#: ``io.hash_join``
 ANTI_BROADCAST_MAX_ROWS = 2_000_000
-
-
-def customers_without_orders(sf_dir: str, year: int = 1996):
-    """Distributed ANTI-join (SQL NOT EXISTS): customers who placed no
-    order in one calendar year (lapsed-customer shape).  A Bloom
-    filter is deliberately NOT used on this path — in the anti
-    direction a Bloom false positive would wrongly DROP a customer, so
-    the exact key set is required (contrast ``segment_revenue_topk``'s
-    FP-safe semi-join pushdown).  Below the gate, per-block distinct
-    in-year o_custkey partials reduce on the driver and broadcast once
-    (``ray.put``); the probe is ``searchsorted`` misses — zero
-    shuffle.  Above it the per-block-deduped buyer keys hash-join
-    ``customer`` with ``join_type="left_anti"`` (duplicate right keys
-    are anti-join-neutral, so block-local dedup suffices — no global
-    distinct pass)."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_name", "c_acctbal"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
-    hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
-
-    def buyer_keys(b: pa.Table) -> pa.Table:
-        ts = (b["o_orderdate"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-        k = np.unique(ck[(ts >= lo) & (ts < hi)])
-        return pa.table({"o_custkey": pa.array(k)})
-
-    keys_ds = orders.map_batches(buyer_keys, batch_format="pyarrow")
-
-    def project(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_custkey": b["c_custkey"],
-            "c_name": b["c_name"],
-            "acctbal_cents": pa.array(_cents_away(
-                b["c_acctbal"].to_numpy(zero_copy_only=False)))})
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= ANTI_BROADCAST_MAX_ROWS:
-        buyers = np.unique(keys_ds.to_pandas()["o_custkey"].to_numpy())
-        b_ref = ray.put(buyers)
-
-        def anti_probe(b: pa.Table) -> pa.Table:
-            keys = ray.get(b_ref)
-            ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys) == 0:
-                return project(b)
-            pos = np.searchsorted(keys, ck)
-            pos[pos >= len(keys)] = 0
-            miss = keys[pos] != ck
-            return project(b.filter(pa.array(miss)))
-
-        out = (cust.map_batches(anti_probe, batch_format="pyarrow")
-               .to_pandas())
-    else:
-        anti = hash_join(cust, keys_ds, on=("c_custkey",),
-                         right_on=("o_custkey",), join_type="left_anti")
-        out = anti.map_batches(project, batch_format="pyarrow").to_pandas()
-    if out.empty:  # an all-buyers corpus: keep the output schema stable
-        out = pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64),
-                            "c_name": pd.Series([], dtype=object),
-                            "acctbal_cents": pd.Series([], dtype=np.int64)})
-    return (out.sort_values("c_custkey").reset_index(drop=True)
-            [["c_custkey", "c_name", "acctbal_cents"]])
 
 
 def region_revenue(sf_dir: str, year: int = 1996):
@@ -4392,111 +4301,6 @@ def region_revenue(sf_dir: str, year: int = 1996):
     parts = (joined.map_batches(reg_partial, batch_format="pyarrow")
              .to_pandas())
     return finish(parts)
-
-
-def orders_priority_semijoin(sf_dir: str):
-    """TPC-H Q4 shape — EXISTS rewritten as an aggregate semi-join:
-    count orders per priority where some line item shipped AFTER the
-    order date.  ``EXISTS(l_shipdate > o_orderdate)`` ⇔
-    ``MAX(l_shipdate) per orderkey > o_orderdate``, so the fact table
-    reduces FIRST (per-block max partials → tiered combine: driver
-    fold below ``LINEITEM_DRIVER_MAX_ROWS``, native Max groupby above)
-    and only one row per orderkey reaches the join.  The join is
-    tiered on the orders side: the orderkey→max-shipdate table
-    broadcasts below ``ANTI_BROADCAST_MAX_ROWS`` (map-side probe, ≤5
-    rows out per block); above it an ``io.hash_join`` + the same
-    5-row rollup."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-
-    def max_partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us")).cast(pa.int64())
-                .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "l_orderkey": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "max_ship_us": ship})
-        agg = df.groupby("l_orderkey", as_index=False)["max_ship_us"].max()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(max_partial, batch_format="pyarrow")
-
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        maxship = (parts_ds.to_pandas()
-                   .groupby("l_orderkey", as_index=False)["max_ship_us"]
-                   .max())
-    else:
-        maxship = None  # stays a Dataset below
-
-    def count_partial(prio, hit_mask) -> pa.Table:
-        s = pd.Series(prio)[hit_mask]
-        vc = s.value_counts()
-        return pa.table({
-            "o_orderpriority": pa.array(vc.index.to_numpy(dtype=object)
-                                        .tolist(), type=pa.string()),
-            "n": pa.array(vc.to_numpy(np.int64))})
-
-    n_ord = _cheap_count(orders)
-    if (maxship is not None and n_ord is not None
-            and n_ord <= ANTI_BROADCAST_MAX_ROWS):
-        order_ = np.argsort(maxship.l_orderkey.to_numpy())
-        ms_ref = ray.put((maxship.l_orderkey.to_numpy()[order_],
-                          maxship.max_ship_us.to_numpy()[order_]))
-
-        def probe(b: pa.Table) -> pa.Table:
-            keys, ms = ray.get(ms_ref)
-            ok = b["o_orderkey"].to_numpy(zero_copy_only=False)
-            od = (b["o_orderdate"].cast(pa.timestamp("us"))
-                  .cast(pa.int64()).to_numpy(zero_copy_only=False))
-            if len(keys) == 0 or len(ok) == 0:
-                return pa.table({
-                    "o_orderpriority": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64())})
-            pos = np.searchsorted(keys, ok)
-            pos[pos >= len(keys)] = 0
-            hit = (keys[pos] == ok) & (ms[pos] > od)
-            return count_partial(
-                b["o_orderpriority"].to_numpy(zero_copy_only=False), hit)
-
-        parts = (orders.map_batches(probe, batch_format="pyarrow")
-                 .to_pandas())
-    else:
-        if maxship is not None:
-            ms_ds = ray.data.from_arrow(
-                pa.Table.from_pandas(maxship, preserve_index=False))
-        else:
-            ms_ds = (parts_ds.groupby("l_orderkey")
-                     .aggregate(Max("max_ship_us",
-                                    alias_name="max_ship_us")))
-
-        def order_proj(b: pa.Table) -> pa.Table:
-            od = (b["o_orderdate"].cast(pa.timestamp("us"))
-                  .cast(pa.int64()))
-            return pa.table({"o_orderkey": b["o_orderkey"],
-                             "od_us": od,
-                             "o_orderpriority": b["o_orderpriority"]})
-
-        joined = hash_join(orders.map_batches(order_proj,
-                                              batch_format="pyarrow"),
-                           ms_ds, on=("o_orderkey",),
-                           right_on=("l_orderkey",))
-
-        def filt_count(b: pa.Table) -> pa.Table:
-            hit = (b["max_ship_us"].to_numpy(zero_copy_only=False)
-                   > b["od_us"].to_numpy(zero_copy_only=False))
-            return count_partial(
-                b["o_orderpriority"].to_numpy(zero_copy_only=False), hit)
-
-        parts = (joined.map_batches(filt_count, batch_format="pyarrow")
-                 .to_pandas())
-    out = parts.groupby("o_orderpriority", as_index=False)["n"].sum()
-    return (out.sort_values("o_orderpriority").reset_index(drop=True)
-            [["o_orderpriority", "n"]])
 
 
 # -- round-4 wave 7: event-stream operators ----------------------------------
@@ -4757,63 +4561,6 @@ def funnel_conversion(sf_dir: str):
 
 
 # -- round-4 wave 8: exact quantiles / rendezvous sharding / partitioned sink -
-
-PCTL_QS = ((1, 10), (1, 2), (9, 10))  # exact rationals: p10, p50, p90
-
-
-def acctbal_percentiles_per_nation(sf_dir: str):
-    """EXACT distributed PERCENTILE_DISC (p10/p50/p90 of customer
-    account balance per nation) — the exact twin of the KLL/t-digest
-    sketch quantiles.  The corpus reduces to a value-cardinality count
-    table ((nationkey, cents) → n; same move as ``nchars_ntile``):
-    driver fold below ``RANK_DRIVER_MAX_ROWS``, native Sum groupby
-    above.  The percentile pass walks the output-scale count table
-    (bounded by the value domain ≈ distinct cent amounts, not by
-    customer count) with integer-exact rank thresholds
-    ``ceil(q_num·n / q_den)`` — no float boundary can flip the picked
-    rank."""
-    cust = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    name_of = dict(zip(nation.n_nationkey.astype(np.int64), nation.n_name))
-
-    def cpartial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "nationkey": b["c_nationkey"].to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            "cents": _cents_away(
-                b["c_acctbal"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["nationkey", "cents"], as_index=False)
-               .size().rename(columns={"size": "cnt"}))
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = cust.map_batches(cpartial, batch_format="pyarrow")
-    n_rows = _cheap_count(cust)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["nationkey", "cents"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["nationkey", "cents"])
-                  .aggregate(Sum("cnt", alias_name="cnt")).to_pandas())
-    counts = (counts.sort_values(["nationkey", "cents"])
-              .reset_index(drop=True))
-    rows = []
-    for nk, g in counts.groupby("nationkey"):
-        cum = g["cnt"].cumsum().to_numpy(np.int64)
-        vals = g["cents"].to_numpy(np.int64)
-        n = int(cum[-1])
-        picks = []
-        for num, den in PCTL_QS:
-            rank = max(-((-num * n) // den), 1)  # ceil, integer-exact
-            picks.append(int(vals[np.searchsorted(cum, rank)]))
-        rows.append((name_of[int(nk)], *picks, np.int64(n)))
-    out = pd.DataFrame(rows, columns=["n_name", "p10_cents", "p50_cents",
-                                      "p90_cents", "n_cust"])
-    for c in out.columns[1:]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
 SHARD_COUNT = 16
@@ -5408,106 +5155,6 @@ def event_user_setops(sf_dir: str, type_a: str = "click",
         "n_only_b": [np.int64(int(((1 - a) & b).sum()))],
         "n_neither": [np.int64(int(((1 - a) & (1 - b)).sum()))]})
 
-
-def type_day_dense_counts(sf_dir: str):
-    """Gap-filled dense time series (the warehouse "calendar cross
-    join"): every (event_type × day) cell of the observed grid gets a
-    row, zero-filled where no events landed.  Corpus work is the SAME
-    tiered (type, day) count rollup every daily operator uses; the
-    dense grid is the cartesian product of the two OUTPUT-scale
-    distinct lists (#types × #days rows), built driver-side with a
-    left merge + fillna(0) — no corpus-scale cross join ever runs."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"event_type": object, "day_epoch": np.int64, "n": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby(["event_type", "day_epoch"], as_index=False)
-                  ["n"].sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby(["event_type", "day_epoch"])
-            .aggregate(Sum("n", alias_name="n")), schema)
-    types = np.sort(counts["event_type"].unique())
-    days = np.sort(counts["day_epoch"].unique())
-    grid = pd.MultiIndex.from_product(
-        [types, days], names=["event_type", "day_epoch"]).to_frame(
-        index=False)
-    out = grid.merge(counts, on=["event_type", "day_epoch"], how="left")
-    out["n"] = out["n"].fillna(0).astype(np.int64)
-    out["day_epoch"] = out["day_epoch"].astype(np.int64)
-    return out.sort_values(["event_type", "day_epoch"]).reset_index(
-        drop=True)
-
-
-def lineitem_corr_stats(sf_dir: str):
-    """Grouped Pearson correlation + least-squares slope
-    (CORR / REGR_SLOPE shape) of extendedprice-cents against quantity
-    per returnflag, from ONE pass of moment partials: n, Σx, Σy, Σxy,
-    Σx² are exact int64 per block (quantity ≤ 50 keeps Σxy far from
-    overflow), Σy² is float64 (y² up to 10¹⁴ would overflow int64 at
-    corpus scale; the 6-dp ratio contract absorbs the ~1e-16 relative
-    summation error).  Final r and slope are computed from the merged
-    moments with exact-int numerators (Python int, no int64 overflow
-    on n·Σxy or (Σy)²) and rounded to 6 dp — the oracle spells out the
-    identical moment formula instead of the builtin CORR so both sides
-    share one algebra."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        x = b["l_quantity"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        y = _cents_away(b["l_extendedprice"].to_numpy(
-            zero_copy_only=False))
-        df = pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_pandas(),
-            "n": np.ones(len(x), dtype=np.int64),
-            "sx": x, "sy": y, "sxy": x * y, "sx2": x * x,
-            "sy2": y.astype(np.float64) ** 2})
-        agg = df.groupby("l_returnflag", as_index=False).sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        m = (parts_ds.to_pandas()
-             .groupby("l_returnflag", as_index=False).sum())
-    else:
-        m = (parts_ds.groupby("l_returnflag")
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("sx", alias_name="sx"),
-                        Sum("sy", alias_name="sy"),
-                        Sum("sxy", alias_name="sxy"),
-                        Sum("sx2", alias_name="sx2"),
-                        Sum("sy2", alias_name="sy2")).to_pandas())
-    m = m.sort_values("l_returnflag").reset_index(drop=True)
-    corr, slope = [], []
-    for _, r in m.iterrows():
-        n, sx, sy = int(r.n), int(r.sx), int(r.sy)
-        sxy, sx2, sy2 = int(r.sxy), int(r.sx2), float(r.sy2)
-        num = float(n * sxy - sx * sy)          # exact int → double
-        dx = float(n * sx2 - sx * sx)           # exact int → double
-        dy = n * sy2 - float(sy * sy)           # double (matches SQL)
-        corr.append(num / np.sqrt(dx * dy))
-        slope.append(num / dx)
-    m["corr_r6"] = np.round(np.array(corr), 6)
-    m["slope_r6"] = np.round(np.array(slope), 6)
-    m["n"] = m["n"].astype(np.int64)
-    return m[["l_returnflag", "n", "corr_r6", "slope_r6"]]
 
 def snapshot_user_diff(sf_dir: str):
     """CDC / snapshot-diff (the FULL OUTER JOIN shape): compare two
@@ -6278,9 +5925,8 @@ def acctbal_robust_stats(sf_dir: str):
         v, c = v[order], c[order]
         cum = np.cumsum(c)
         n = int(cum[-1])
-        # DuckDB PERCENTILE_DISC(0.5) picks rank ceil(0.5 * n) — the
-        # same integer-exact ceil rule acctbal_percentiles_per_nation
-        # pins against the oracle
+        # DuckDB PERCENTILE_DISC(0.5) picks rank ceil(0.5 * n), an
+        # integer-exact ceil rule
         target = -(-n // 2)
         return int(v[np.searchsorted(cum, target)])
 
@@ -6601,181 +6247,6 @@ def grouped_split_counts(sf_dir: str):
     out["n_docs"] = out["n_docs"].astype(np.int64)
     return out.sort_values("split").reset_index(drop=True)
 
-def user_bfs_hops(sf_dir: str, max_hops: int = 3):
-    """Multi-round BSP graph traversal — BFS hop counts from the
-    lowest-id user over the co-presence graph (users sharing a
-    (minute, user) activity cell), the iterative-frontier shape
-    connected components (dup_clusters) doesn't exercise.  Edges come
-    from ONE deduped (minute, user) rollup + per-cell pair expansion
-    (cells are bounded by per-minute activity — documented, same
-    class as the LSH bucket assumption); each BSP round is a
-    frontier⋈edges hash join + anti-join against the visited set on
-    the cluster path, or one numpy adjacency pass on the driver below
-    the shared events gate.  Oracle: a bounded recursive CTE taking
-    MIN(hop)."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def cell_partial(b: pa.Table) -> pa.Table:
-        minute = (pc.floor_temporal(b["ts"], unit="minute")
-                  .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "cell": minute.to_numpy(zero_copy_only=False),
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    n_rows = _cheap_count(ds)
-    seed_df = _parts_pandas(
-        ds.map_batches(
-            lambda b: pa.table({"m": pa.array(
-                [int(b["user_id"].to_numpy(
-                    zero_copy_only=False).min())]
-                if b.num_rows else [], type=pa.int64())}),
-            batch_format="pyarrow"), {"m": np.int64})
-    if len(seed_df) == 0:
-        return pd.DataFrame({"user_id": pd.Series([], dtype=np.int64),
-                             "hop": pd.Series([], dtype=np.int64)})
-    seed = int(seed_df.m.min())
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        # driver tier: ONE Dataset pass (the deduped cell partials);
-        # pair expansion and the whole BSP run on the cell-scale table
-        cdf = (_parts_pandas(
-            ds.map_batches(cell_partial, batch_format="pyarrow"),
-            {"cell": np.int64, "user_id": np.int64})
-            .drop_duplicates().sort_values(["cell", "user_id"]))
-        adj: dict = {}
-        for _cell, g in cdf.groupby("cell", sort=False):
-            u = g["user_id"].to_numpy(np.int64)
-            if len(u) < 2:
-                continue
-            su = set(u.tolist())
-            for x in u.tolist():
-                s = adj.setdefault(x, set())
-                s |= su
-        for x, s in adj.items():
-            s.discard(x)
-        hop_of = {seed: 0}
-        frontier = {seed}
-        for h in range(1, max_hops + 1):
-            nxt = set()
-            for u in frontier:
-                nxt |= adj.get(u, set())
-            nxt -= hop_of.keys()
-            for u in nxt:
-                hop_of[u] = h
-            frontier = nxt
-            if not frontier:
-                break
-        out = pd.DataFrame(sorted(hop_of.items()),
-                           columns=["user_id", "hop"])
-        out["user_id"] = out["user_id"].astype(np.int64)
-        out["hop"] = out["hop"].astype(np.int64)
-        return out
-
-    # cluster tier: deduped cell rollup → per-cell pair expansion →
-    # edge dedup, then BSP rounds as Dataset joins — frontier⋈edges
-    # for the next frontier, left_anti against visited to dedup
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    cells = (ds.map_batches(cell_partial, batch_format="pyarrow")
-             .groupby(["cell", "user_id"])
-             .aggregate(Count(alias_name="_c")))
-
-    def pair_expand(g: pa.Table) -> pa.Table:
-        u = np.unique(g["user_id"].to_numpy(zero_copy_only=False))
-        if len(u) < 2:
-            return pa.table({"ua": pa.array([], pa.int64()),
-                             "ub": pa.array([], pa.int64())})
-        iu, ju = np.triu_indices(len(u), 1)
-        a, b2 = u[iu], u[ju]
-        return pa.table({"ua": pa.array(np.r_[a, b2]),
-                         "ub": pa.array(np.r_[b2, a])})
-
-    edges = (cells.groupby("cell")
-             .map_groups(pair_expand, batch_format="pyarrow")
-             .groupby(["ua", "ub"]).aggregate(Count(alias_name="_c")))
-    edges_m = edges.map_batches(
-        lambda b: b.drop_columns(["_c"]), batch_format="pyarrow"
-    ).materialize()
-    visited = pd.DataFrame({"user_id": [seed],
-                            "hop": np.int64(0)})
-    frontier_ds = ray.data.from_pandas(
-        pd.DataFrame({"ua": pd.Series([seed], dtype=np.int64)}))
-    for h in range(1, max_hops + 1):
-        nxt = hash_join(edges_m, frontier_ds, on=("ua",))
-        nxt = nxt.map_batches(
-            lambda b: pa.table({"user_id": b["ub"]}),
-            batch_format="pyarrow")
-        nxt = (nxt.groupby("user_id").aggregate(Count(alias_name="_c"))
-               .map_batches(lambda b: b.drop_columns(["_c"]),
-                            batch_format="pyarrow"))
-        vis_ds = ray.data.from_pandas(visited[["user_id"]])
-        nxt = hash_join(nxt, vis_ds, on=("user_id",),
-                        join_type="left_anti")
-        ndf = _parts_pandas(nxt, {"user_id": np.int64})
-        if len(ndf) == 0:
-            break
-        ndf = ndf.drop_duplicates()
-        ndf["hop"] = np.int64(h)
-        visited = pd.concat([visited, ndf], ignore_index=True)
-        frontier_ds = ray.data.from_pandas(
-            ndf[["user_id"]].rename(columns={"user_id": "ua"}))
-    out = visited.sort_values("user_id").reset_index(drop=True)
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["hop"] = out["hop"].astype(np.int64)
-    return out
-
-
-def top_session_journeys(sf_dir: str, k: int = 10):
-    """Session journey mining: the k most common event-type paths
-    (">"-joined, deterministic (ts, event_id) order) across the same
-    30-min-gap sessions the sessionize operator defines — the "what do
-    users actually do" report.  Per-user map_groups emits one row per
-    SESSION (output-scale); journey-count partials reduce through the
-    shared events tier and a top-k finishes."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
-                                          "event_type"])
-    gap_ns = 30 * 60 * 1_000_000_000
-
-    def journeys(g: pa.Table) -> pa.Table:
-        ts = (g["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        et = g["event_type"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts, et = ts[order], et[order]
-        if len(ts) == 0:
-            return pa.table({"journey": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
-        new_s = np.empty(len(ts), dtype=bool)
-        new_s[0] = True
-        new_s[1:] = np.diff(ts) > gap_ns
-        sid = np.cumsum(new_s) - 1
-        df = pd.DataFrame({"sid": sid, "et": et})
-        j = df.groupby("sid")["et"].agg(">".join)
-        vc = j.value_counts()
-        return pa.table({"journey": pa.array(vc.index.astype(str)),
-                         "cnt": pa.array(vc.to_numpy().astype(
-                             np.int64))})
-
-    parts_ds = ds.groupby("user_id").map_groups(
-        journeys, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"journey": object, "cnt": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby("journey", as_index=False)["cnt"].sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby("journey")
-            .aggregate(Sum("cnt", alias_name="cnt")), schema)
-    out = counts.sort_values(["cnt", "journey"],
-                             ascending=[False, True]).head(k)
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out.reset_index(drop=True)[["journey", "cnt"]]
 
 def weighted_sample_topk(sf_dir: str, k: int = 20):
     """Weighted sampling WITHOUT replacement (Efraimidis–Spirakis
@@ -6813,68 +6284,6 @@ def weighted_sample_topk(sf_dir: str, k: int = 20):
     return (pooled.reset_index(drop=True)[["doc_id", "n_chars"]]
             .astype(np.int64))
 
-
-def event_value_ffill_hourly(sf_dir: str):
-    """Time-series resampling with forward fill (the LAST_VALUE IGNORE
-    NULLS window): per event type, the DENSE hourly grid of
-    cents aggregates (exact-integer sum/count carried separately),
-    where an hour with no events inherits the most recent previous
-    hour's aggregate — the
-    gap-repair step before any rolling model sees the series.  Corpus
-    work is the shared tiered (type, hour) rollup; the grid + fill run
-    on the output-scale table."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        hour = (pc.floor_temporal(b["ts"], unit="hour")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "hour_epoch": hour.to_numpy(zero_copy_only=False),
-            "sum_cents": cents,
-            "n": np.ones(len(cents), dtype=np.int64)})
-        agg = (df.groupby(["event_type", "hour_epoch"], as_index=False)
-               .sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"event_type": object, "hour_epoch": np.int64,
-              "sum_cents": np.int64, "n": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby(["event_type", "hour_epoch"], as_index=False)
-                  .sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby(["event_type", "hour_epoch"])
-            .aggregate(Sum("sum_cents", alias_name="sum_cents"),
-                       Sum("n", alias_name="n")), schema)
-    if len(counts) == 0:
-        return pd.DataFrame({
-            "event_type": pd.Series([], dtype=object),
-            "hour_epoch": pd.Series([], dtype=np.int64),
-            "sum_cents": pd.Series([], dtype=np.int64),
-            "n": pd.Series([], dtype=np.int64),
-            "filled": pd.Series([], dtype=np.int64)})
-    days = np.arange(counts.hour_epoch.min(),
-                     counts.hour_epoch.max() + 1, 3600, dtype=np.int64)
-    types = np.sort(counts.event_type.unique())
-    grid = pd.MultiIndex.from_product(
-        [types, days], names=["event_type", "hour_epoch"]).to_frame(
-        index=False)
-    out = grid.merge(counts, on=["event_type", "hour_epoch"],
-                     how="left")
-    out["filled"] = out["sum_cents"].isna().astype(np.int64)
-    out = out.sort_values(["event_type", "hour_epoch"])
-    g = out.groupby("event_type")
-    out["sum_cents"] = (g["sum_cents"].ffill().fillna(0)
-                        .astype(np.int64))
-    out["n"] = g["n"].ffill().fillna(0).astype(np.int64)
-    out["hour_epoch"] = out["hour_epoch"].astype(np.int64)
-    return (out.reset_index(drop=True)
-            [["event_type", "hour_epoch", "sum_cents", "n", "filled"]])
 
 def sketch_setops_report(sf_dir: str, type_a: str = "click",
                          type_b: str = "purchase"):
@@ -7231,512 +6640,7 @@ def returning_users_daily(sf_dir: str):
     return out.sort_values("day_epoch").reset_index(drop=True)
 
 
-# -- round-4 wave 27: TPC-H join-graph trio (Q7 / Q14 / Q10 shapes) ----------
-
-def nation_trade_volume(sf_dir: str):
-    """TPC-H Q7 shape — cross-nation trade volume: revenue between
-    every (supplier nation, customer nation) pair with DIFFERENT
-    nations.  Two dimension paths meet on the fact table: suppkey→
-    supp-nation rides as a sorted-array broadcast (searchsorted per
-    block, no shuffle), custkey→cust-nation travels through orders.
-    Below the orders gate the orderkey→cust-nation link also
-    broadcasts and lineitem reduces map-side straight to ≤nations²
-    rows per block (ZERO shuffle on the fact table); above it,
-    orders ⋈ customer hash-joins, the supplier-tagged lineitem
-    partial hash-joins the link on orderkey, and a native Sum groupby
-    finishes over (snat, cnat) partials.  Revenue is exact integer
-    10⁻⁴-dollar units (cents × (100 − disc-cents))."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    name_of_nat = dict(zip(nation.n_nationkey.astype(np.int64),
-                           nation.n_name))
-    # supplier dim: sorted key/value arrays once in plasma, probed with
-    # one searchsorted per block (supplier ≪ lineitem at every sf)
-    so = np.argsort(supp.s_suppkey.to_numpy())
-    supp_ref = ray.put((supp.s_suppkey.to_numpy(np.int64)[so],
-                        supp.s_nationkey.to_numpy(np.int64)[so]))
-    # composite (snat, cnat) code for the bincount partial
-    NAT_BASE = int(nation.n_nationkey.max()) + 1
-
-    def pair_partial(okeys_sorted, cnat_sorted):
-        def fn(b: pa.Table) -> pa.Table:
-            sk_keys, sk_nat = ray.get(supp_ref)
-            lk = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            if len(okeys_sorted) == 0 or len(lk) == 0:
-                return pa.table({"code": pa.array([], pa.int64()),
-                                 "revenue_e4": pa.array([], pa.int64()),
-                                 "n_items": pa.array([], pa.int64())})
-            pos = np.searchsorted(okeys_sorted, lk)
-            pos[pos >= len(okeys_sorted)] = 0
-            hit = okeys_sorted[pos] == lk
-            sk = b["l_suppkey"].to_numpy(zero_copy_only=False)[hit]
-            spos = np.searchsorted(sk_keys, sk)
-            spos[spos >= len(sk_keys)] = 0
-            snat = sk_nat[spos]
-            cnat = cnat_sorted[pos[hit]]
-            keep = snat != cnat
-            cents = _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))[hit][keep]
-            disc = _cents_away(
-                b["l_discount"].to_numpy(zero_copy_only=False))[hit][keep]
-            rev = cents * (100 - disc)
-            code = snat[keep] * NAT_BASE + cnat[keep]
-            if len(code) == 0:
-                return pa.table({"code": pa.array([], pa.int64()),
-                                 "revenue_e4": pa.array([], pa.int64()),
-                                 "n_items": pa.array([], pa.int64())})
-            nbins = NAT_BASE * NAT_BASE
-            n_per = np.bincount(code, minlength=nbins)
-            rev_per = np.zeros(nbins, dtype=np.int64)
-            np.add.at(rev_per, code, rev)
-            nz = np.nonzero(n_per)[0]
-            return pa.table({"code": pa.array(nz.astype(np.int64)),
-                             "revenue_e4": pa.array(rev_per[nz]),
-                             "n_items": pa.array(n_per[nz].astype(np.int64))})
-        return fn
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= ANTI_BROADCAST_MAX_ROWS:
-        od = orders.to_pandas()
-        cd = cust.to_pandas()
-        nat_of_cust = dict(zip(cd.c_custkey.astype(np.int64),
-                               cd.c_nationkey.astype(np.int64)))
-        cnat = od.o_custkey.map(nat_of_cust).to_numpy(np.int64)
-        order_ = np.argsort(od.o_orderkey.to_numpy())
-        parts = li.map_batches(
-            pair_partial(od.o_orderkey.to_numpy(np.int64)[order_],
-                         cnat[order_]),
-            batch_format="pyarrow").to_pandas()
-        agg = (parts.groupby("code", as_index=False)
-               [["revenue_e4", "n_items"]].sum())
-    else:
-        link = hash_join(orders, cust, on=("o_custkey",),
-                         right_on=("c_custkey",))
-
-        def tag_snat(b: pa.Table) -> pa.Table:
-            sk_keys, sk_nat = ray.get(supp_ref)
-            sk = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            spos = np.searchsorted(sk_keys, sk)
-            spos[spos >= len(sk_keys)] = 0
-            cents = _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))
-            disc = _cents_away(
-                b["l_discount"].to_numpy(zero_copy_only=False))
-            return pa.table({"l_orderkey": b["l_orderkey"],
-                             "snat": pa.array(sk_nat[spos]),
-                             "rev": pa.array(cents * (100 - disc))})
-
-        li_tag = li.map_batches(tag_snat, batch_format="pyarrow")
-        joined = hash_join(li_tag, link, on=("l_orderkey",),
-                           right_on=("o_orderkey",))
-
-        def pair_rollup(b: pa.Table) -> pa.Table:
-            snat = b["snat"].to_numpy(zero_copy_only=False)
-            cnat = b["c_nationkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            keep = snat != cnat
-            code = snat[keep] * NAT_BASE + cnat[keep]
-            rev = b["rev"].to_numpy(zero_copy_only=False)[keep]
-            if len(code) == 0:
-                return pa.table({"code": pa.array([], pa.int64()),
-                                 "revenue_e4": pa.array([], pa.int64()),
-                                 "n_items": pa.array([], pa.int64())})
-            nbins = NAT_BASE * NAT_BASE
-            n_per = np.bincount(code, minlength=nbins)
-            rev_per = np.zeros(nbins, dtype=np.int64)
-            np.add.at(rev_per, code, rev)
-            nz = np.nonzero(n_per)[0]
-            return pa.table({"code": pa.array(nz.astype(np.int64)),
-                             "revenue_e4": pa.array(rev_per[nz]),
-                             "n_items": pa.array(n_per[nz].astype(np.int64))})
-
-        agg = (joined.map_batches(pair_rollup, batch_format="pyarrow")
-               .groupby("code")
-               .aggregate(Sum("revenue_e4", alias_name="revenue_e4"),
-                          Sum("n_items", alias_name="n_items"))
-               .to_pandas())
-    agg["supp_nation"] = (agg.code // NAT_BASE).map(name_of_nat)
-    agg["cust_nation"] = (agg.code % NAT_BASE).map(name_of_nat)
-    agg["revenue_e4"] = agg["revenue_e4"].astype(np.int64)
-    agg["n_items"] = agg["n_items"].astype(np.int64)
-    return (agg[["supp_nation", "cust_nation", "revenue_e4", "n_items"]]
-            .sort_values(["supp_nation", "cust_nation"])
-            .reset_index(drop=True))
-
-
-def promo_revenue_share(sf_dir: str, promo_type: str = "PROMO"):
-    """TPC-H Q14 shape — per ship-month promotional revenue share.
-    The part dimension collapses to a sorted promo-flag array
-    broadcast once (searchsorted per block); lineitem reduces
-    map-side to (month, promo?) partials — at most 2·months rows per
-    block, zero fact-table shuffle at every tier (driver fold below
-    the lineitem gate, native Sum groupby above).  Numerator and
-    denominator stay exact integer 10⁻⁴-dollar units; only the final
-    output-scale share divides (6-dp contract)."""
-    import ray
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_shipdate", "l_extendedprice",
-                        "l_discount"])
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_type"]).to_pandas()
-    po = np.argsort(part.p_partkey.to_numpy())
-    part_ref = ray.put((
-        part.p_partkey.to_numpy(np.int64)[po],
-        (part.p_type.to_numpy() == promo_type)[po]))
-
-    def partial(b: pa.Table) -> pa.Table:
-        pk_keys, pk_promo = ray.get(part_ref)
-        month = (pc.floor_temporal(b["l_shipdate"], unit="month")
-                 .cast(pa.timestamp("s")).cast(pa.int64())
-                 .to_numpy(zero_copy_only=False))
-        pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(pk_keys, pk)
-        pos[pos >= len(pk_keys)] = 0
-        promo = pk_promo[pos] & (pk_keys[pos] == pk)
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(b["l_discount"].to_numpy(zero_copy_only=False))
-        rev = cents * (100 - disc)
-        df = pd.DataFrame({"month_epoch": month, "promo": promo,
-                           "rev": rev})
-        agg = (df.groupby(["month_epoch", "promo"], as_index=False)
-               .agg(rev=("rev", "sum"), n=("rev", "size")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-    schema = {"month_epoch": np.int64, "promo": np.bool_,
-              "rev": np.int64, "n": np.int64}
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        parts = _parts_pandas(parts_ds, schema)
-    else:
-        parts = (parts_ds.groupby(["month_epoch", "promo"])
-                 .aggregate(Sum("rev", alias_name="rev"),
-                            Sum("n", alias_name="n")).to_pandas())
-    agg = parts.groupby(["month_epoch", "promo"], as_index=False).sum()
-    piv = agg.pivot_table(index="month_epoch", columns="promo",
-                          values="rev", aggfunc="sum", fill_value=0)
-    out = pd.DataFrame({"month_epoch": piv.index.to_numpy(np.int64)})
-    promo_rev = (piv[True].to_numpy(np.int64) if True in piv.columns
-                 else np.zeros(len(piv), np.int64))
-    other_rev = (piv[False].to_numpy(np.int64) if False in piv.columns
-                 else np.zeros(len(piv), np.int64))
-    out["promo_rev_e4"] = promo_rev
-    out["total_rev_e4"] = promo_rev + other_rev
-    out["promo_share_r6"] = np.round(
-        promo_rev.astype(np.float64) / out.total_rev_e4.to_numpy(np.float64),
-        6)
-    return out.sort_values("month_epoch").reset_index(drop=True)
-
-
-def top_returned_customers(sf_dir: str, k: int = 20):
-    """TPC-H Q10 shape — top-k customers by RETURNED-item revenue
-    (l_returnflag = 'R'), nation name attached.  Lineitem pre-reduces
-    per block to (orderkey, rev) partials on the filtered rows;
-    below the orders gate the orderkey→custkey link broadcasts and
-    the rollup folds on the driver; above it the partial hash-joins
-    orders and a native Sum groupby over custkey finishes, with a
-    per-block exact top-k on the disjoint-key post-groupby blocks so
-    only ≤k·#blocks candidate rows reach the driver.  Names attach
-    via pruned broadcast reads on the ≤k-row result."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_returnflag", "l_extendedprice",
-                        "l_discount"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        m = pc.equal(b["l_returnflag"], "R").to_numpy(zero_copy_only=False)
-        lk = b["l_orderkey"].to_numpy(zero_copy_only=False)[m]
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))[m]
-        disc = _cents_away(b["l_discount"].to_numpy(zero_copy_only=False))[m]
-        rev = cents * (100 - disc)
-        df = pd.DataFrame({"l_orderkey": lk, "rev": rev})
-        agg = (df.groupby("l_orderkey", as_index=False)
-               .agg(rev=("rev", "sum"), n_items=("rev", "size")))
-        agg["n_items"] = agg["n_items"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    schema = {"l_orderkey": np.int64, "rev": np.int64, "n_items": np.int64}
-    if n_ord is not None and n_ord <= ANTI_BROADCAST_MAX_ROWS:
-        od = orders.to_pandas()
-        cust_of = dict(zip(od.o_orderkey.astype(np.int64),
-                           od.o_custkey.astype(np.int64)))
-        parts = _parts_pandas(parts_ds, schema)
-        parts["c_custkey"] = parts.l_orderkey.map(cust_of).astype(np.int64)
-        agg = (parts.groupby("c_custkey", as_index=False)
-               [["rev", "n_items"]].sum())
-        top = (agg.sort_values(["rev", "c_custkey"],
-                               ascending=[False, True]).head(k))
-    else:
-        joined = hash_join(parts_ds, orders, on=("l_orderkey",),
-                           right_on=("o_orderkey",))
-
-        def cust_rollup(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "c_custkey": b["o_custkey"].to_numpy(zero_copy_only=False),
-                "rev": b["rev"].to_numpy(zero_copy_only=False),
-                "n_items": b["n_items"].to_numpy(zero_copy_only=False)})
-            agg = (df.groupby("c_custkey", as_index=False)
-                   [["rev", "n_items"]].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        summed = (joined.map_batches(cust_rollup, batch_format="pyarrow")
-                  .groupby("c_custkey")
-                  .aggregate(Sum("rev", alias_name="rev"),
-                             Sum("n_items", alias_name="n_items")))
-
-        def local_topk(b: pa.Table) -> pa.Table:
-            rv = b["rev"].to_numpy(zero_copy_only=False)
-            keys = b["c_custkey"].to_numpy(zero_copy_only=False)
-            ni = b["n_items"].to_numpy(zero_copy_only=False)
-            idx = np.lexsort((keys, -rv))[:k]
-            return pa.table({"c_custkey": pa.array(keys[idx]),
-                             "rev": pa.array(rv[idx]),
-                             "n_items": pa.array(ni[idx])})
-
-        top = (summed.map_batches(local_topk, batch_format="pyarrow")
-               .to_pandas()
-               .sort_values(["rev", "c_custkey"],
-                            ascending=[False, True]).head(k))
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_name", "c_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    meta = cust.merge(nation, left_on="c_nationkey",
-                      right_on="n_nationkey")
-    top = top.reset_index(drop=True)
-    top = top.merge(meta[["c_custkey", "c_name", "n_name"]], on="c_custkey",
-                    how="left")
-    top["revenue_e4"] = top["rev"].astype(np.int64)
-    top["n_items"] = top["n_items"].astype(np.int64)
-    return top[["c_custkey", "c_name", "n_name", "revenue_e4", "n_items"]]
-
-
-# -- round-4 wave 28: graph analytics (PageRank / triangles) + integrity ----
-
-def _copresence_cells(sf_dir: str):
-    """Deduped (minute, user) activity cells — the shared edge source
-    for the co-presence graph family (BFS / PageRank / triangles)."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def cell_partial(b: pa.Table) -> pa.Table:
-        minute = (pc.floor_temporal(b["ts"], unit="minute")
-                  .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "cell": minute.to_numpy(zero_copy_only=False),
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    return ds, ds.map_batches(cell_partial, batch_format="pyarrow")
-
-
-def _copresence_edges_ds(cells_parts):
-    """Cluster-tier distinct directed edge Dataset from cell partials:
-    dedup rollup → per-cell pair expansion (cells bounded by
-    per-minute activity, the documented LSH-bucket-class assumption)
-    → edge dedup.  Both directions are emitted."""
-    cells = (cells_parts.groupby(["cell", "user_id"])
-             .aggregate(Count(alias_name="_c")))
-
-    def pair_expand(g: pa.Table) -> pa.Table:
-        u = np.unique(g["user_id"].to_numpy(zero_copy_only=False))
-        if len(u) < 2:
-            return pa.table({"ua": pa.array([], pa.int64()),
-                             "ub": pa.array([], pa.int64())})
-        iu, ju = np.triu_indices(len(u), 1)
-        a, b2 = u[iu], u[ju]
-        return pa.table({"ua": pa.array(np.r_[a, b2]),
-                         "ub": pa.array(np.r_[b2, a])})
-
-    return (cells.groupby("cell")
-            .map_groups(pair_expand, batch_format="pyarrow")
-            .groupby(["ua", "ub"]).aggregate(Count(alias_name="_c"))
-            .map_batches(lambda b: b.drop_columns(["_c"]),
-                         batch_format="pyarrow"))
-
-
-def user_pagerank(sf_dir: str, n_iter: int = 3, damping: float = 0.85):
-    """PageRank over the user co-presence graph, n_iter synchronous
-    power iterations from the uniform vector (the BSP iterate the
-    BFS frontier walk doesn't exercise: every round re-weights EVERY
-    node, not just a frontier).  Driver tier (below the shared events
-    gate): one Dataset pass for the deduped cells, then factorized
-    numpy bincount iterations.  Cluster tier: the distinct-edge
-    Dataset stays resident; each iteration is ONE edges⋈rank hash
-    join → (dst, pr/deg) partial rollup → native Sum groupby → one
-    rank⋈degree join — rank/degree tables are node-scale, edges never
-    leave the cluster.  Isolated users (no co-presence partner) are
-    outside the graph by construction, exactly as in the oracle's
-    edge-derived node set.  Scores carry a 6-dp contract; degree and
-    node count are exact."""
-    ds, cells_parts = _copresence_cells(sf_dir)
-    n_rows = _cheap_count(ds)
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        cdf = (_parts_pandas(cells_parts,
-                             {"cell": np.int64, "user_id": np.int64})
-               .drop_duplicates())
-        j = cdf.merge(cdf, on="cell", suffixes=("_a", "_b"))
-        j = j[j.user_id_a != j.user_id_b]
-        e = (j[["user_id_a", "user_id_b"]].drop_duplicates())
-        if len(e) == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype=np.int64),
-                "degree": pd.Series([], dtype=np.int64),
-                "pr_r6": pd.Series([], dtype=np.float64)})
-        nodes, src = np.unique(e.user_id_a.to_numpy(np.int64),
-                               return_inverse=True)
-        dst = np.searchsorted(nodes, e.user_id_b.to_numpy(np.int64))
-        n = len(nodes)
-        deg = np.bincount(src, minlength=n).astype(np.int64)
-        pr = np.full(n, 1.0 / n)
-        for _ in range(n_iter):
-            contrib = pr[src] / deg[src]
-            inflow = np.bincount(dst, weights=contrib, minlength=n)
-            pr = (1.0 - damping) / n + damping * inflow
-        return pd.DataFrame({
-            "user_id": nodes, "degree": deg,
-            "pr_r6": np.round(pr, 6)})
-
-    # cluster tier: resident edge Dataset + per-iteration join rounds
-    from biobloom_ray.io import hash_join
-
-    edges_m = _copresence_edges_ds(cells_parts).materialize()
-    deg_ds = (edges_m.groupby("ua").aggregate(Count(alias_name="degree"))
-              .materialize())
-    n = _cheap_count(deg_ds) or deg_ds.count()
-
-    rank = deg_ds.map_batches(
-        lambda b: pa.table({"u": b["ua"],
-                            "pr": pa.array(np.full(b.num_rows, 1.0 / n)),
-                            "degree": b["degree"]}),
-        batch_format="pyarrow")
-    for _ in range(n_iter):
-        contrib = hash_join(edges_m, rank, on=("ua",), right_on=("u",))
-
-        def to_contrib(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "u": b["ub"].to_numpy(zero_copy_only=False),
-                "c": b["pr"].to_numpy(zero_copy_only=False)
-                / b["degree"].to_numpy(zero_copy_only=False)})
-            agg = df.groupby("u", as_index=False)["c"].sum()
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        inflow = (contrib.map_batches(to_contrib, batch_format="pyarrow")
-                  .groupby("u").aggregate(Sum("c", alias_name="c")))
-        joined = hash_join(inflow, deg_ds, on=("u",), right_on=("ua",))
-        base = (1.0 - damping) / n
-        rank = joined.map_batches(
-            lambda b, _base=base: pa.table({
-                "u": b["u"],
-                "pr": pa.array(_base + damping * b["c"]
-                               .to_numpy(zero_copy_only=False)),
-                "degree": b["degree"]}),
-            batch_format="pyarrow")
-    out = rank.to_pandas()
-    out["pr_r6"] = np.round(out.pr.to_numpy(np.float64), 6)
-    out["user_id"] = out.u.astype(np.int64)
-    out["degree"] = out.degree.astype(np.int64)
-    return (out[["user_id", "degree", "pr_r6"]]
-            .sort_values("user_id").reset_index(drop=True))
-
-
-def user_triangle_stats(sf_dir: str):
-    """Global triangle census of the co-presence graph: node/edge
-    counts, wedge count Σ d(d−1)/2, triangle count via the canonical
-    a<b<c two-hop join, and the global clustering coefficient
-    3·Δ/wedges (6-dp contract; counts exact).  Driver tier: two
-    pandas merges on the cell-scale edge table.  Cluster tier: the
-    canonical edge Dataset self-joins on the wedge midpoint, the
-    open wedge closes against a third edge join, and per-block COUNT
-    partials fold — triangles are never materialized row-per-row on
-    the driver."""
-    ds, cells_parts = _copresence_cells(sf_dir)
-    n_rows = _cheap_count(ds)
-
-    def stats_from(n_nodes, n_edges, wedges, tri):
-        gcc = float(np.round(3.0 * tri / wedges, 6)) if wedges else 0.0
-        return pd.DataFrame({
-            "n_nodes": [np.int64(n_nodes)],
-            "n_edges": [np.int64(n_edges)],
-            "n_wedges": [np.int64(wedges)],
-            "n_triangles": [np.int64(tri)],
-            "gcc_r6": [gcc]})
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        cdf = (_parts_pandas(cells_parts,
-                             {"cell": np.int64, "user_id": np.int64})
-               .drop_duplicates())
-        j = cdf.merge(cdf, on="cell", suffixes=("_a", "_b"))
-        j = j[j.user_id_a < j.user_id_b]
-        e = (j[["user_id_a", "user_id_b"]].drop_duplicates()
-             .rename(columns={"user_id_a": "ua", "user_id_b": "ub"}))
-        if len(e) == 0:
-            return stats_from(0, 0, 0, 0)
-        nodes, ia = np.unique(
-            np.r_[e.ua.to_numpy(np.int64), e.ub.to_numpy(np.int64)],
-            return_inverse=True)
-        n = len(nodes)
-        deg = np.bincount(ia, minlength=n).astype(np.int64)
-        wedges = int((deg * (deg - 1) // 2).sum())
-        src, dst = ia[:len(e)], ia[len(e):]
-        if n <= 4096:
-            # dense adjacency: Δ = Σ (A²∘A)/6 — one float64 matmul
-            # (counts ≪ 2^53, exact) beats the two merges ~20×
-            A = np.zeros((n, n), dtype=np.float64)
-            A[src, dst] = 1.0
-            A[dst, src] = 1.0
-            tri = int(round(((A @ A) * A).sum() / 6.0))
-        else:
-            ed = pd.DataFrame({"ua": src, "ub": dst})
-            w = ed.merge(ed, left_on="ub", right_on="ua",
-                         suffixes=("_1", "_2"))
-            tri = len(w.merge(ed, left_on=["ua_1", "ub_2"],
-                              right_on=["ua", "ub"]))
-        return stats_from(n, len(e), wedges, tri)
-
-    from biobloom_ray.io import hash_join
-
-    edges_dir = _copresence_edges_ds(cells_parts).materialize()
-    canon = edges_dir.map_batches(
-        lambda b: b.filter(pc.less(b["ua"], b["ub"])),
-        batch_format="pyarrow").materialize()
-    n_edges = canon.count()
-    degs = (edges_dir.groupby("ua").aggregate(Count(alias_name="d"))
-            .to_pandas())
-    n_nodes = len(degs)
-    d = degs.d.to_numpy(np.int64)
-    wedges = int((d * (d - 1) // 2).sum())
-    w = hash_join(canon, canon, on=("ub",), right_on=("ua",),
-                  left_suffix="_1", right_suffix="_2")
-    w = w.map_batches(
-        lambda b: pa.table({"ua": b["ua"], "ub": b["ub_2"]}),
-        batch_format="pyarrow")
-    closed = hash_join(w, canon, on=("ua", "ub"))
-    tri_parts = closed.map_batches(
-        lambda b: pa.table({"n": pa.array([b.num_rows], pa.int64())}),
-        batch_format="pyarrow").to_pandas()
-    tri = int(tri_parts.n.sum()) if len(tri_parts) else 0
-    return stats_from(n_nodes, n_edges, wedges, tri)
+# -- round-4 wave 28: table integrity ----------------------------------------
 
 
 def table_fingerprint(sf_dir: str):
@@ -8094,103 +6998,7 @@ def hour_of_day_profile(sf_dir: str):
             .reset_index(drop=True))
 
 
-# -- round-4 wave 31: distinct-over-join / sketch join-size / PCA -----------
-
-def supplier_part_coverage(sf_dir: str):
-    """TPC-H Q16 shape — per (brand, type): distinct suppliers,
-    distinct parts, and distinct (part, supplier) pair count observed
-    in lineitem.  The fact table reduces per block to distinct
-    (partkey, suppkey) pairs; below the gate the driver folds them
-    with the part dims broadcast; above it ONE native pair dedup
-    groupby, a hash join against the pruned part table, and two
-    disjoint-key distinct rollups finish — every shuffled row is a
-    narrow pair, never a lineitem."""
-    li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_brand", "p_type"])
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    pairs_ds = li.map_batches(pair_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-
-    def finish(tagged: pd.DataFrame) -> pd.DataFrame:
-        out = (tagged.groupby(["p_brand", "p_type"], as_index=False)
-               .agg(n_suppliers=("sk", "nunique"),
-                    n_parts=("pk", "nunique"),
-                    n_pairs=("sk", "size")))
-        for c in ["n_suppliers", "n_parts", "n_pairs"]:
-            out[c] = out[c].astype(np.int64)
-        return (out.sort_values(["p_brand", "p_type"])
-                .reset_index(drop=True))
-
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        pairs = (_parts_pandas(pairs_ds, {"pk": np.int64, "sk": np.int64})
-                 .drop_duplicates())
-        pd_ = part.to_pandas()
-        tagged = pairs.merge(pd_, left_on="pk", right_on="p_partkey")
-        return finish(tagged)
-
-    from biobloom_ray.io import hash_join
-
-    dedup = (pairs_ds.groupby(["pk", "sk"])
-             .aggregate(Count(alias_name="_c"))
-             .map_batches(lambda b: b.drop_columns(["_c"]),
-                          batch_format="pyarrow"))
-    tagged = hash_join(dedup, part, on=("pk",), right_on=("p_partkey",))
-
-    def bt_partial(cols):
-        def fn(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({c: (b[c].to_pandas() if c.startswith("p_")
-                                   else b[c].to_numpy(
-                                       zero_copy_only=False))
-                               for c in cols})
-            return pa.Table.from_pandas(df.drop_duplicates(),
-                                        preserve_index=False)
-        return fn
-
-    # the tagged pair table is already distinct on (pk, sk); the two
-    # distinct rollups dedup on their own key then count per group
-    sup = (tagged.map_batches(bt_partial(["p_brand", "p_type", "sk"]),
-                              batch_format="pyarrow")
-           .groupby(["p_brand", "p_type", "sk"])
-           .aggregate(Count(alias_name="_c"))
-           .map_batches(lambda b: pa.table({
-               "p_brand": b["p_brand"], "p_type": b["p_type"],
-               "one": pa.array(np.ones(b.num_rows, np.int64))}),
-               batch_format="pyarrow")
-           .groupby(["p_brand", "p_type"])
-           .aggregate(Sum("one", alias_name="n_suppliers")).to_pandas())
-    prt = (tagged.map_batches(bt_partial(["p_brand", "p_type", "pk"]),
-                              batch_format="pyarrow")
-           .groupby(["p_brand", "p_type", "pk"])
-           .aggregate(Count(alias_name="_c"))
-           .map_batches(lambda b: pa.table({
-               "p_brand": b["p_brand"], "p_type": b["p_type"],
-               "one": pa.array(np.ones(b.num_rows, np.int64))}),
-               batch_format="pyarrow")
-           .groupby(["p_brand", "p_type"])
-           .aggregate(Sum("one", alias_name="n_parts")).to_pandas())
-    npair = (tagged.map_batches(
-        lambda b: pa.table({"p_brand": b["p_brand"],
-                            "p_type": b["p_type"],
-                            "one": pa.array(np.ones(b.num_rows,
-                                                    np.int64))}),
-        batch_format="pyarrow")
-        .groupby(["p_brand", "p_type"])
-        .aggregate(Sum("one", alias_name="n_pairs")).to_pandas())
-    out = (sup.merge(prt, on=["p_brand", "p_type"])
-           .merge(npair, on=["p_brand", "p_type"]))
-    for c in ["n_suppliers", "n_parts", "n_pairs"]:
-        out[c] = out[c].astype(np.int64)
-    out = out[["p_brand", "p_type", "n_suppliers", "n_parts", "n_pairs"]]
-    return (out.sort_values(["p_brand", "p_type"])
-            .reset_index(drop=True))
+# -- round-4 wave 31: sketch join-size / PCA ---------------------------------
 
 
 def _user_type_counts(sf_dir: str, ta: str, tb: str) -> pd.DataFrame:
@@ -8507,7 +7315,7 @@ def value_benford_deviation(sf_dir: str):
             .reset_index(drop=True))
 
 
-# -- round-4 wave 33: grid HLL union / weighted median / Q19 predicate ------
+# -- round-4 wave 33: grid HLL union / Q19 predicate -------------------------
 
 def weekly_distinct_users(sf_dir: str):
     """Exact distinct users per (event_type, ISO week) — the exact
@@ -8693,89 +7501,7 @@ def multi_predicate_revenue(sf_dir: str):
         "n_items": [np.int64(parts.n_items.sum())]})
 
 
-# -- round-4 wave 34: market basket / containment / exclusive vocab ---------
-
-def copurchase_type_pairs(sf_dir: str, k: int = 20):
-    """Market-basket pair mining: the top-k part-TYPE pairs
-    co-occurring in the same order, counted once per order.  The
-    fact table reduces per block to distinct (order, type) rows
-    (types per order are bounded by the type domain — the documented
-    small-group class); pair expansion runs per order group and the
-    (ta, tb) support rollup is native.  Exact counts; ties break on
-    the pair."""
-    import ray
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_type"]).to_pandas()
-    po = np.argsort(part.p_partkey.to_numpy())
-    pk = part.p_partkey.to_numpy(np.int64)[po]
-    ptype = part.p_type.to_numpy()[po]
-    part_ref = ray.put((pk, ptype))
-
-    def ot_partial(b: pa.Table) -> pa.Table:
-        keys, types = ray.get(part_ref)
-        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lpk)
-        pos[pos >= len(keys)] = 0
-        df = pd.DataFrame({
-            "o": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "t": types[pos]})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    parts_ds = li.map_batches(ot_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-
-    def pairs_from(ot: pd.DataFrame) -> pd.DataFrame:
-        j = ot.merge(ot, on="o")
-        j = j[j.t_x < j.t_y]
-        out = (j.groupby(["t_x", "t_y"], as_index=False)
-               .size().rename(columns={"t_x": "ta", "t_y": "tb",
-                                       "size": "n_orders"}))
-        out["n_orders"] = out["n_orders"].astype(np.int64)
-        return (out.sort_values(["n_orders", "ta", "tb"],
-                                ascending=[False, True, True])
-                .head(k).reset_index(drop=True))
-
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        ot = _parts_pandas(parts_ds, {"o": np.int64, "t": object}) \
-            .drop_duplicates()
-        return pairs_from(ot)
-
-    ot_ds = (parts_ds.groupby(["o", "t"])
-             .aggregate(Count(alias_name="_c")))
-
-    def pair_expand(g: pa.Table) -> pa.Table:
-        t = np.unique(g["t"].to_numpy(zero_copy_only=False))
-        if len(t) < 2:
-            return pa.table({"ta": pa.array([], pa.string()),
-                             "tb": pa.array([], pa.string()),
-                             "one": pa.array([], pa.int64())})
-        iu, ju = np.triu_indices(len(t), 1)
-        return pa.table({"ta": pa.array(t[iu]), "tb": pa.array(t[ju]),
-                         "one": pa.array(np.ones(len(iu), np.int64))})
-
-    sup = (ot_ds.groupby("o").map_groups(pair_expand,
-                                         batch_format="pyarrow")
-           .groupby(["ta", "tb"])
-           .aggregate(Sum("one", alias_name="n_orders")))
-
-    def local_topk(b: pa.Table) -> pa.Table:
-        n = b["n_orders"].to_numpy(zero_copy_only=False)
-        ta = b["ta"].to_numpy(zero_copy_only=False)
-        tb = b["tb"].to_numpy(zero_copy_only=False)
-        idx = np.lexsort((tb, ta, -n))[:k]
-        return pa.table({"ta": pa.array(ta[idx]),
-                         "tb": pa.array(tb[idx]),
-                         "n_orders": pa.array(n[idx])})
-
-    out = (sup.map_batches(local_topk, batch_format="pyarrow")
-           .to_pandas()
-           .sort_values(["n_orders", "ta", "tb"],
-                        ascending=[False, True, True]).head(k))
-    out["n_orders"] = out.n_orders.astype(np.int64)
-    return out.reset_index(drop=True)
+# -- round-4 wave 34: exclusive vocab ----------------------------------------
 
 
 def source_exclusive_tokens(sf_dir: str):
@@ -8829,86 +7555,7 @@ def source_exclusive_tokens(sf_dir: str):
     return out.sort_values("source").reset_index(drop=True)
 
 
-# -- round-4 wave 35: FK audit / log2 histogram ------------------------------
-
-def fk_orphan_counts(sf_dir: str):
-    """Referential-integrity audit in one rollup per edge: orphan
-    counts for the three star-schema FKs (lineitem→orders,
-    lineitem→part, orders→customer).  Each fact side reduces per
-    block to its distinct key partials; the key sets are dimension-
-    scale, so membership is one sorted-array broadcast probe below
-    the gate and a left-anti hash join above (the same tier pair the
-    subtract/decontaminate ops use).  Output: one exact row per
-    edge."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    edges = [
-        ("lineitem->orders", "lineitem", "l_orderkey",
-         "orders", "o_orderkey"),
-        ("lineitem->part", "lineitem", "l_partkey",
-         "part", "p_partkey"),
-        ("orders->customer", "orders", "o_custkey",
-         "customer", "c_custkey"),
-    ]
-    rows = []
-    for name, fact, fkey, dim, dkey in edges:
-        fds = _read(sf_dir, fact, columns=[fkey])
-
-        def key_partial(b: pa.Table, _k=fkey) -> pa.Table:
-            u = np.unique(b[_k].to_numpy(zero_copy_only=False))
-            return pa.table({"k": pa.array(u.astype(np.int64)),
-                             "n": pa.array(
-                                 pd.Series(b[_k].to_numpy(
-                                     zero_copy_only=False))
-                                 .value_counts().sort_index()
-                                 .to_numpy(np.int64))})
-
-        parts_ds = fds.map_batches(key_partial, batch_format="pyarrow")
-        n_rows = _cheap_count(fds)
-        if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-            keys = (_parts_pandas(parts_ds, {"k": np.int64,
-                                             "n": np.int64})
-                    .groupby("k", as_index=False)["n"].sum())
-            dset = np.sort(_read(sf_dir, dim, columns=[dkey])
-                           .to_pandas()[dkey].to_numpy(np.int64))
-            kk = keys.k.to_numpy(np.int64)
-            pos = np.searchsorted(dset, kk)
-            pos[pos >= len(dset)] = max(len(dset) - 1, 0)
-            orphan = (dset[pos] != kk) if len(dset) else \
-                np.ones(len(kk), dtype=bool)
-            rows.append((name,
-                         int(keys.n.sum()),
-                         int(keys.n.to_numpy(np.int64)[orphan].sum()),
-                         int(orphan.sum())))
-            continue
-        # cluster tier: distinct-key rollup stays a Dataset; orphans
-        # via a left-anti hash join against the dimension key column
-        keys_ds = (parts_ds.groupby("k")
-                   .aggregate(Sum("n", alias_name="n")).materialize())
-
-        def _sums(b: pa.Table) -> pa.Table:
-            nn = b["n"].to_numpy(zero_copy_only=False)
-            return pa.table({"rows": pa.array([int(nn.sum())], pa.int64()),
-                             "keys": pa.array([b.num_rows], pa.int64())})
-
-        tot = keys_ds.map_batches(_sums, batch_format="pyarrow") \
-            .to_pandas()
-        dds = _read(sf_dir, dim, columns=[dkey])
-        anti = hash_join(keys_ds, dds, on=("k",), right_on=(dkey,),
-                         join_type="left_anti")
-        orph = anti.map_batches(_sums, batch_format="pyarrow").to_pandas()
-        rows.append((name,
-                     int(tot.rows.sum()),
-                     int(orph.rows.sum()) if len(orph) else 0,
-                     int(orph.keys.sum()) if len(orph) else 0))
-    out = pd.DataFrame(rows, columns=["fk_edge", "n_fact_rows",
-                                      "n_orphan_rows",
-                                      "n_orphan_keys"])
-    for c in ["n_fact_rows", "n_orphan_rows", "n_orphan_keys"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fk_edge").reset_index(drop=True)
+# -- round-4 wave 35: log2 histogram -----------------------------------------
 
 
 def nchars_histogram_log2(sf_dir: str):
@@ -8949,170 +7596,6 @@ def nchars_histogram_log2(sf_dir: str):
     agg["n"] = agg.n.astype(np.int64)
     return (agg.sort_values(["lang", "bucket"])
             .reset_index(drop=True))
-
-
-def customer_order_distribution(sf_dir: str):
-    """TPC-H Q13 shape — counts-of-counts over a LEFT join: how many
-    customers placed exactly N orders, INCLUDING the zero-order bucket
-    (the left-join rows the fact table never sees).  The orders side
-    pre-reduces per block to (custkey, n) partials; the second rollup
-    (count values → customer tallies) is output-scale (bounded by the
-    max orders per customer), so it always combines as tiny partials.
-    The zero bucket is computed as |customer| − |distinct buyers| —
-    valid under the star schema's FK integrity, which
-    ``fk_orphan_counts`` audits (0 orphans on the fixture).  Cluster
-    tier: native Sum groupby on custkey, then per-block counts-of-
-    counts partials; nothing customer-scale ever reaches the driver."""
-    orders = _read(sf_dir, "orders", columns=["o_custkey"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey"])
-
-    def cnt_partial(b: pa.Table) -> pa.Table:
-        vc = (pd.Series(b["o_custkey"].to_numpy(zero_copy_only=False))
-              .value_counts().sort_index())
-        return pa.table({"ck": pa.array(vc.index.to_numpy(np.int64)),
-                         "n": pa.array(vc.to_numpy(np.int64))})
-
-    parts_ds = orders.map_batches(cnt_partial, batch_format="pyarrow")
-
-    def rowcount_partial(b: pa.Table) -> pa.Table:
-        return pa.table({"rows": pa.array([b.num_rows], pa.int64())})
-
-    n_cust = _cheap_count(cust)
-    if n_cust is None:
-        n_cust = int(cust.map_batches(rowcount_partial,
-                                      batch_format="pyarrow")
-                     .to_pandas().rows.sum())
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= LINEITEM_DRIVER_MAX_ROWS:
-        per_cust = (_parts_pandas(parts_ds, {"ck": np.int64,
-                                             "n": np.int64})
-                    .groupby("ck", as_index=False)["n"].sum())
-        dist = (per_cust.groupby("n", as_index=False)
-                .size().rename(columns={"n": "c_count",
-                                        "size": "custdist"}))
-        n_buyers = len(per_cust)
-    else:
-        counts_ds = (parts_ds.groupby("ck")
-                     .aggregate(Sum("n", alias_name="n")).materialize())
-
-        def dist_partial(b: pa.Table) -> pa.Table:
-            vc = (pd.Series(b["n"].to_numpy(zero_copy_only=False))
-                  .value_counts().sort_index())
-            return pa.table({
-                "c_count": pa.array(vc.index.to_numpy(np.int64)),
-                "custdist": pa.array(vc.to_numpy(np.int64))})
-
-        dist = (_parts_pandas(
-            counts_ds.map_batches(dist_partial, batch_format="pyarrow"),
-            {"c_count": np.int64, "custdist": np.int64})
-            .groupby("c_count", as_index=False)["custdist"].sum())
-        n_buyers = int(dist.custdist.sum())
-    zero = int(n_cust) - int(n_buyers)
-    if zero > 0:
-        dist = pd.concat([dist, pd.DataFrame(
-            {"c_count": [0], "custdist": [zero]})], ignore_index=True)
-    dist["c_count"] = dist.c_count.astype(np.int64)
-    dist["custdist"] = dist.custdist.astype(np.int64)
-    return (dist.sort_values("c_count").reset_index(drop=True)
-            [["c_count", "custdist"]])
-
-
-def cold_customers_by_nation(sf_dir: str, cutoff: str = "1999-01-01"):
-    """TPC-H Q22 shape — anti-join gated by a GLOBAL scalar threshold:
-    high-balance customers with no order since ``cutoff`` (lapsed
-    wealth), rolled up per nation.  The threshold (mean of positive
-    balances) is decided with the exact-integer cross-multiplication
-    rule ``cents·n_pos > sum_pos_cents`` — no float average anywhere,
-    so the borderline customer is bit-deterministic on both the
-    pipeline and the DuckDB oracle.  The threshold filter pushes down
-    map-side BEFORE the anti-join (FP-free: the rule is row-local).
-    Below the gate the recent-buyer key set broadcasts once and the
-    probe is searchsorted misses; above it block-deduped buyer keys
-    feed a ``left_anti`` hash join (duplicate right keys are
-    anti-neutral).  The final rollup keys on c_nationkey (≤ dimension
-    cardinality) and maps names from the tiny nation table."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey", "c_acctbal"])
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    lo = np.datetime64(cutoff, "us").astype(np.int64)
-
-    def pos_partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["c_acctbal"].to_numpy(zero_copy_only=False))
-        p = cents[cents > 0]
-        return pa.table({"s": pa.array([int(p.sum())], pa.int64()),
-                         "c": pa.array([len(p)], pa.int64())})
-
-    pos = _parts_pandas(cust.map_batches(pos_partial,
-                                         batch_format="pyarrow"),
-                        {"s": np.int64, "c": np.int64})
-    sum_pos, n_pos = int(pos.s.sum()), int(pos.c.sum())
-
-    def rich(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["c_acctbal"].to_numpy(zero_copy_only=False))
-        keep = cents * n_pos > sum_pos
-        return pa.table({
-            "c_custkey": b["c_custkey"].filter(pa.array(keep)),
-            "c_nationkey": b["c_nationkey"].filter(pa.array(keep)),
-            "cents": pa.array(cents[keep])})
-
-    rich_ds = cust.map_batches(rich, batch_format="pyarrow")
-
-    def recent_keys(b: pa.Table) -> pa.Table:
-        ts = (b["o_orderdate"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table({"o_custkey": pa.array(np.unique(ck[ts >= lo]))})
-
-    keys_ds = orders.map_batches(recent_keys, batch_format="pyarrow")
-
-    def nation_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "c_nationkey": b["c_nationkey"].to_numpy(zero_copy_only=False),
-            "cents": b["cents"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("c_nationkey", as_index=False)
-               .agg(n_cold=("cents", "size"),
-                    sum_acctbal_cents=("cents", "sum")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= ANTI_BROADCAST_MAX_ROWS:
-        buyers = np.unique(_parts_pandas(keys_ds, {"o_custkey": np.int64})
-                           ["o_custkey"].to_numpy(np.int64))
-        b_ref = ray.put(buyers)
-
-        def anti_probe(b: pa.Table) -> pa.Table:
-            keys = ray.get(b_ref)
-            ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys) == 0:
-                return nation_partial(b)
-            pos_ = np.searchsorted(keys, ck)
-            pos_[pos_ >= len(keys)] = 0
-            miss = keys[pos_] != ck
-            return nation_partial(b.filter(pa.array(miss)))
-
-        parts = rich_ds.map_batches(anti_probe, batch_format="pyarrow")
-    else:
-        anti = hash_join(rich_ds, keys_ds, on=("c_custkey",),
-                         right_on=("o_custkey",), join_type="left_anti")
-        parts = anti.map_batches(nation_partial, batch_format="pyarrow")
-    agg = (_parts_pandas(parts, {"c_nationkey": np.int64,
-                                 "n_cold": np.int64,
-                                 "sum_acctbal_cents": np.int64})
-           .groupby("c_nationkey", as_index=False)
-           [["n_cold", "sum_acctbal_cents"]].sum())
-    names = (_read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas())
-    out = agg.merge(names, left_on="c_nationkey",
-                    right_on="n_nationkey")[["n_name", "n_cold",
-                                             "sum_acctbal_cents"]]
-    out["n_cold"] = out.n_cold.astype(np.int64)
-    out["sum_acctbal_cents"] = out.sum_acctbal_cents.astype(np.int64)
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
 #: FPR for the key-Bloom the pruned join broadcasts (2^-8: ~11 bits/key,
@@ -9267,258 +7750,6 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
                       Sum("n_items", alias_name="n_items"))
            .to_pandas())
     return final(agg)
-
-
-def session_overlap_pairs(sf_dir: str, gap_hours: int = 72):
-    """Interval-OVERLAP join (interval × interval, not the point-in-
-    range shape of ``events_range_join``): sessionize each user's
-    stream per event type (episode break at > ``gap_hours``), then
-    count, per unordered type pair, the cross-type episode pairs of
-    the same user whose [start, end] intervals intersect.  Per-user
-    work is one vectorized kernel — boundary detection by ``diff``,
-    episode bounds by ``reduceat``, and per type pair TWO
-    searchsorteds (episodes of one type are disjoint ⇒ starts AND
-    ends are each sorted, so overlap count = rank(b.end in A.start)
-    − rank(b.start in A.end)); no per-interval Python.  Cluster tier:
-    ``groupby(user).map_groups`` (per-user history fits a block —
-    the same bounded-entity assumption ``events_sessionize``
-    documents) emitting per-user pair counts, then a native Sum
-    groupby over ≤ |types|² rows per user.  Driver tier: one sorted
-    pull + the same kernel per user slice."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-    gap_us = int(gap_hours) * 3_600_000_000
-
-    def user_kernel(tp: np.ndarray, ts: np.ndarray) -> dict:
-        """(type, ts)-sorted arrays of ONE user → {(a, b): n}."""
-        if len(ts) == 0:
-            return {}
-        new = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            new[1:] = (tp[1:] != tp[:-1]) | (np.diff(ts) > gap_us)
-        starts_i = np.nonzero(new)[0]
-        ends_i = np.append(starts_i[1:] - 1, len(ts) - 1)
-        st, en, ty = ts[starts_i], ts[ends_i], tp[starts_i]
-        out = {}
-        utypes = np.unique(ty)
-        for ai in range(len(utypes)):
-            a_m = ty == utypes[ai]
-            a_st, a_en = st[a_m], en[a_m]
-            for bi in range(ai + 1, len(utypes)):
-                b_m = ty == utypes[bi]
-                n = int((np.searchsorted(a_st, en[b_m], side="right")
-                         - np.searchsorted(a_en, st[b_m], side="left"))
-                        .sum())
-                if n:
-                    out[(str(utypes[ai]), str(utypes[bi]))] = n
-        return out
-
-    def pairs_frame(acc: dict) -> pd.DataFrame:
-        if not acc:
-            return pd.DataFrame({"type_a": pd.Series([], dtype=object),
-                                 "type_b": pd.Series([], dtype=object),
-                                 "n_overlaps": pd.Series([],
-                                                         dtype=np.int64)})
-        ks = sorted(acc)
-        return pd.DataFrame({"type_a": [k[0] for k in ks],
-                             "type_b": [k[1] for k in ks],
-                             "n_overlaps": np.asarray(
-                                 [acc[k] for k in ks], np.int64)})
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values(["user_id", "event_type", "ts"])
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        tp = df.event_type.to_numpy(dtype=object)
-        uid = df.user_id.to_numpy()
-        cuts = np.nonzero(np.r_[True, uid[1:] != uid[:-1]])[0]
-        acc: dict = {}
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(uid))):
-            for k, v in user_kernel(tp[lo:hi], ts[lo:hi]).items():
-                acc[k] = acc.get(k, 0) + v
-        return pairs_frame(acc)
-
-    def per_user(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["event_type", "ts"])
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        return pairs_frame(user_kernel(df.event_type
-                                       .to_numpy(dtype=object), ts))
-
-    parts = (ds.groupby("user_id")
-             .map_groups(per_user, batch_format="pandas"))
-    agg = (parts.groupby(["type_a", "type_b"])
-           .aggregate(Sum("n_overlaps", alias_name="n_overlaps"))
-           .to_pandas())
-    agg["n_overlaps"] = agg.n_overlaps.astype(np.int64)
-    return (agg.sort_values(["type_a", "type_b"])
-            .reset_index(drop=True))
-
-
-def rolling_median_daily_revenue(sf_dir: str, window: int = 7):
-    """Rows-based rolling EXACT median — the robust twin of the
-    ``event_type_daily_ma7`` moving average: per event type, the
-    PERCENTILE_DISC(0.5) of the trailing ``window`` OBSERVED daily
-    revenue sums (row frame, not a dense calendar range).  The daily
-    rollup pre-reduces per block and combines tiered (native Sum
-    groupby above the gate); the rolling pass runs on the
-    output-scale (type, day) table — full windows via one
-    ``sliding_window_view`` sort, the < window heads via a short
-    per-type loop.  Discrete-quantile contract: element at 0-based
-    index ⌈n/2⌉−1 of the sorted window, exact int64 cents on both
-    sides."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = (ts // 86_400_000_000) * 86_400
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object),
-            "day_epoch": day, "rev": cents})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day_epoch": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day_epoch"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day_epoch"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    daily = daily.sort_values(["event_type", "day_epoch"])
-    out_rows = []
-    for et, g in daily.groupby("event_type", sort=True):
-        rv = g.rev.to_numpy(np.int64)
-        de = g.day_epoch.to_numpy(np.int64)
-        med = np.empty(len(rv), dtype=np.int64)
-        head = min(window - 1, len(rv))
-        for i in range(head):  # < window-row heads (≤ 6 per type)
-            w = np.sort(rv[:i + 1])
-            med[i] = w[(len(w) - 1) // 2]
-        if len(rv) >= window:
-            from numpy.lib.stride_tricks import sliding_window_view
-
-            sw = np.sort(sliding_window_view(rv, window), axis=1)
-            med[window - 1:] = sw[:, (window - 1) // 2]
-        out_rows.append(pd.DataFrame({
-            "event_type": et, "day_epoch": de, "med_rev_cents": med}))
-    out = pd.concat(out_rows, ignore_index=True)
-    out["day_epoch"] = out.day_epoch.astype(np.int64)
-    out["med_rev_cents"] = out.med_rev_cents.astype(np.int64)
-    return (out.sort_values(["event_type", "day_epoch"])
-            .reset_index(drop=True))
-
-
-def late_sole_supplier_counts(sf_dir: str, late_days: int = 90,
-                              k: int = 10):
-    """TPC-H Q21 shape — the sole-blame double-EXISTS, decorrelated
-    into two disjoint-key rollups instead of correlated subqueries:
-    a supplier "kept the order waiting" when its latest line shipped
-    > ``late_days`` after the order date, the order used ≥ 2
-    suppliers, and NO other supplier was late on it.  Plan: (1)
-    per-block (orderkey, suppkey) Max(shipdate) partials → tiered
-    pair rollup; (2) order dates attach by broadcast searchsorted
-    below the gate / hash join above; (3) per-order (n_suppliers,
-    n_late) from the pair table; (4) qualifying = late pairs in
-    (ns ≥ 2, nl = 1) orders → per-supplier counts → exact block
-    top-k (ties broken by suppkey; supplier names are key-monotonic,
-    so the SQL name tiebreak is identical) → names map on the k-row
-    result."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate"])
-    late_us = int(late_days) * 86_400_000_000
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-            "mx": ship})
-        agg = df.groupby(["ok", "sk"], as_index=False)["mx"].max()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(pair_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    driver = n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS
-    if driver:
-        pairs = (_parts_pandas(parts_ds, {"ok": np.int64, "sk": np.int64,
-                                          "mx": np.int64})
-                 .groupby(["ok", "sk"], as_index=False)["mx"].max())
-        od = orders.to_pandas()
-        okeys = od.o_orderkey.to_numpy(np.int64)
-        order_sort = np.argsort(okeys)
-        okeys = okeys[order_sort]
-        odates = (od.o_orderdate.astype("datetime64[us]")
-                  .astype(np.int64).to_numpy()[order_sort])
-        pos = np.searchsorted(okeys, pairs.ok.to_numpy(np.int64))
-        pairs["late"] = (pairs.mx.to_numpy(np.int64)
-                         > odates[pos] + late_us).astype(np.int64)
-        po = (pairs.groupby("ok", as_index=False)
-              .agg(ns=("sk", "size"), nl=("late", "sum")))
-        q = pairs.merge(po, on="ok")
-        q = q[(q.late == 1) & (q.ns >= 2) & (q.nl == 1)]
-        counts = (q.groupby("sk", as_index=False)
-                  .size().rename(columns={"size": "numwait"}))
-    else:
-        pair_ds = (parts_ds.groupby(["ok", "sk"])
-                   .aggregate(Max("mx", alias_name="mx")))
-        joined = hash_join(pair_ds, orders, on=("ok",),
-                           right_on=("o_orderkey",))
-
-        def flag(b: pa.Table) -> pa.Table:
-            od_ = (b["o_orderdate"].cast(pa.timestamp("us"))
-                   .cast(pa.int64()).to_numpy(zero_copy_only=False))
-            late = (b["mx"].to_numpy(zero_copy_only=False)
-                    > od_ + late_us).astype(np.int64)
-            return pa.table({"ok": b["ok"], "sk": b["sk"],
-                             "late": pa.array(late)})
-
-        flagged = joined.map_batches(flag, batch_format="pyarrow") \
-            .materialize()
-        po_ds = (flagged.groupby("ok")
-                 .aggregate(Count(alias_name="ns"),
-                            Sum("late", alias_name="nl")))
-        qual = hash_join(flagged, po_ds, on=("ok",))
-
-        def supp_partial(b: pa.Table) -> pa.Table:
-            m = (pc.and_(pc.and_(pc.equal(b["late"], 1),
-                                 pc.greater_equal(b["ns"], 2)),
-                         pc.equal(b["nl"], 1)))
-            sk = b.filter(m)["sk"].to_numpy(zero_copy_only=False)
-            vc = pd.Series(sk).value_counts().sort_index()
-            return pa.table({
-                "sk": pa.array(vc.index.to_numpy(np.int64)),
-                "numwait": pa.array(vc.to_numpy(np.int64))})
-
-        counts = (_parts_pandas(
-            qual.map_batches(supp_partial, batch_format="pyarrow")
-            .groupby("sk").aggregate(Sum("numwait",
-                                         alias_name="numwait")),
-            {"sk": np.int64, "numwait": np.int64}))
-    if len(counts) == 0:
-        return pd.DataFrame({"s_name": pd.Series([], dtype=object),
-                             "numwait": pd.Series([], dtype=np.int64)})
-    top = (counts.sort_values(["numwait", "sk"],
-                              ascending=[False, True]).head(k))
-    names = _read(sf_dir, "supplier",
-                  columns=["s_suppkey", "s_name"]).to_pandas()
-    out = top.merge(names, left_on="sk",
-                    right_on="s_suppkey")[["s_name", "numwait"]]
-    out["numwait"] = out.numwait.astype(np.int64)
-    return out.reset_index(drop=True)
 
 
 #: KMV (k-minimum-values / bottom-k) sketch size — 7th mergeable
@@ -10013,505 +8244,6 @@ def lang_bigram_jsd(sf_dir: str):
         {"lang_a": object, "lang_b": object, "term": np.float64,
          "n_union": np.int64, "n_common": np.int64})
     return finish(parts)
-
-
-def local_supplier_revenue(sf_dir: str, region: str = "ASIA"):
-    """TPC-H Q5 shape — the FOUR-way star join (lineitem ⋈ orders ⋈
-    customer ⋈ supplier) with the cross-dimension equality
-    c_nationkey = s_nationkey and a region filter: revenue by nation
-    where the customer and the shipping supplier are co-national.
-    Plan: the region's nation keys broadcast (tiny); the supplier →
-    nation map attaches MAP-SIDE to lineitem (dimension broadcast
-    below the gate, hash join above) with non-region rows dropped
-    before any shuffle; customers prune to the region BEFORE the
-    orders join; the two fact-scale sides meet in ONE orderkey hash
-    join of pre-reduced (orderkey, nation, revenue) partials, and the
-    co-nationality predicate applies map-side on the join output."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name", "n_regionkey"]) \
-        .to_pandas()
-    reg = _read(sf_dir, "region",
-                columns=["r_regionkey", "r_name"]).to_pandas()
-    rkey = int(reg[reg.r_name == region].r_regionkey.iloc[0])
-    nkeys = np.sort(nat[nat.n_regionkey == rkey]
-                    .n_nationkey.to_numpy(np.int64))
-    names = dict(zip(nat.n_nationkey.to_numpy(np.int64),
-                     nat.n_name.to_numpy(dtype=object)))
-    nk_ref = ray.put(nkeys)
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"])
-
-    def in_region(b: pa.Table, col: str) -> pa.Table:
-        keys = ray.get(nk_ref)
-        v = b[col].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, v)
-        pos[pos >= len(keys)] = 0
-        return b.filter(pa.array(keys[pos] == v))
-
-    cust_r = cust.map_batches(lambda b: in_region(b, "c_nationkey"),
-                              batch_format="pyarrow")
-    supp_r = supp.map_batches(lambda b: in_region(b, "s_nationkey"),
-                              batch_format="pyarrow")
-
-    n_cust = _cheap_count(cust)
-    broadcast = (n_cust is not None
-                 and n_cust <= CUST_BROADCAST_MAX_ROWS)
-    # supplier → nation map for the lineitem side
-    sp = supp_r.to_pandas() if broadcast else None
-
-    def li_partial(b: pa.Table, smap) -> pa.Table:
-        sk = np.sort(smap.s_suppkey.to_numpy(np.int64))
-        order = np.argsort(smap.s_suppkey.to_numpy(np.int64))
-        sn = smap.s_nationkey.to_numpy(np.int64)[order]
-        v = b["l_suppkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(sk, v)
-        pos[pos >= len(sk)] = 0
-        hit = (sk[pos] == v) if len(sk) else np.zeros(len(v), bool)
-        sub = b.filter(pa.array(hit))
-        if sub.num_rows == 0:
-            return pa.table({"ok": pa.array([], pa.int64()),
-                             "snat": pa.array([], pa.int64()),
-                             "rev": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        snat = sn[pos[hit]]
-        cents = _cents_away(
-            sub["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(sub["l_discount"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "ok": sub["l_orderkey"].to_numpy(zero_copy_only=False),
-            "snat": snat, "rev": cents * (100 - disc)})
-        agg = (df.groupby(["ok", "snat"], as_index=False)
-               .agg(rev=("rev", "sum"), n=("rev", "size")))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    if broadcast:
-        sp_ref = ray.put(sp)
-        li_parts = li.map_batches(
-            lambda b: li_partial(b, ray.get(sp_ref)),
-            batch_format="pyarrow")
-        cu = cust_r.to_pandas()
-        ck = np.sort(cu.c_custkey.to_numpy(np.int64))
-        order = np.argsort(cu.c_custkey.to_numpy(np.int64))
-        cn = cu.c_nationkey.to_numpy(np.int64)[order]
-        cu_ref = ray.put((ck, cn))
-
-        def ord_map(b: pa.Table) -> pa.Table:
-            kk, nn = ray.get(cu_ref)
-            v = b["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
-            sub = b.filter(pa.array(hit))
-            return pa.table({
-                "ok2": sub["o_orderkey"].cast(pa.int64()),
-                "cnat": pa.array(nn[pos[hit]].astype(np.int64))})
-
-        # the region-filtered (orderkey -> customer-nation) link is
-        # bounded by the SAME orders gate this tier requires, so it
-        # broadcasts as sorted arrays and the attach + co-nationality
-        # predicate run map-side — no orderkey exchange below the
-        # gate (the hash-join plan remains the at-scale else branch)
-        op = (orders.map_batches(ord_map, batch_format="pyarrow")
-              .to_pandas())
-        oo = np.argsort(op.ok2.to_numpy(np.int64))
-        ok_arr = op.ok2.to_numpy(np.int64)[oo]
-        cn_arr = op.cnat.to_numpy(np.int64)[oo]
-        oy_ref = ray.put((ok_arr, cn_arr))
-
-        def cnat_attach(b: pa.Table) -> pa.Table:
-            kk, nn = ray.get(oy_ref)
-            v = b["ok"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
-            sub = b.filter(pa.array(hit))
-            return sub.append_column(
-                "cnat", pa.array(nn[pos[hit]].astype(np.int64)))
-
-        joined = li_parts.map_batches(cnat_attach,
-                                      batch_format="pyarrow")
-    else:
-        # cluster tier: both attaches are hash joins; lineitem first
-        # pre-reduces per block on (orderkey, suppkey)
-        def li_pre(b: pa.Table) -> pa.Table:
-            cents = _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))
-            disc = _cents_away(
-                b["l_discount"].to_numpy(zero_copy_only=False))
-            df = pd.DataFrame({
-                "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-                "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-                "rev": cents * (100 - disc)})
-            agg = (df.groupby(["ok", "sk"], as_index=False)
-                   .agg(rev=("rev", "sum"), n=("rev", "size")))
-            agg["n"] = agg.n.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        li_sup = hash_join(li.map_batches(li_pre,
-                                          batch_format="pyarrow"),
-                           supp_r, on=("sk",), right_on=("s_suppkey",))
-
-        def li_rename(b: pa.Table) -> pa.Table:
-            return pa.table({"ok": b["ok"],
-                             "snat": b["s_nationkey"].cast(pa.int64()),
-                             "rev": b["rev"], "n": b["n"]})
-
-        li_parts = li_sup.map_batches(li_rename, batch_format="pyarrow")
-        ords_j = hash_join(orders, cust_r, on=("o_custkey",),
-                           right_on=("c_custkey",))
-
-        def ord_rename(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "ok2": b["o_orderkey"].cast(pa.int64()),
-                "cnat": b["c_nationkey"].cast(pa.int64())})
-
-        ords = ords_j.map_batches(ord_rename, batch_format="pyarrow")
-        joined = hash_join(li_parts, ords, on=("ok",), right_on=("ok2",))
-
-    def conational(b: pa.Table) -> pa.Table:
-        m = pc.equal(b["snat"], b["cnat"])
-        sub = b.filter(m)
-        df = pd.DataFrame({
-            "nat": sub["snat"].to_numpy(zero_copy_only=False),
-            "revenue": sub["rev"].to_numpy(zero_copy_only=False),
-            "n_items": sub["n"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("nat", as_index=False)
-               [["revenue", "n_items"]].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts = _parts_pandas(
-        joined.map_batches(conational, batch_format="pyarrow"),
-        {"nat": np.int64, "revenue": np.int64, "n_items": np.int64})
-    agg = (parts.groupby("nat", as_index=False)
-           [["revenue", "n_items"]].sum())
-    agg["n_name"] = agg.nat.map(names)
-    out = agg[["n_name", "revenue", "n_items"]] \
-        .sort_values("n_name").reset_index(drop=True)
-    out["revenue"] = out.revenue.astype(np.int64)
-    out["n_items"] = out.n_items.astype(np.int64)
-    return out
-
-
-def cheapest_shipper_per_brand(sf_dir: str):
-    """TPC-H Q2 shape — ARGMIN over a join: for every part brand, the
-    supplier with the minimum account balance among suppliers that
-    ever shipped that brand (ties → smaller suppkey).  The
-    (brand, suppkey) link table block-dedupes before any shuffle
-    (duplicate links are argmin-neutral); brand attaches from the
-    part dimension (driver merge below the gate, hash join above);
-    the argmin itself folds associatively — per-block argmin partials
-    → a ≤ |brands| driver resolve.  The supplier balance map
-    broadcasts below the dimension gate and hash-joins above it."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
-
-    def link_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False)}) \
-            .drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    links = li.map_batches(link_partial, batch_format="pyarrow")
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(["p_brand", "cents", "sk"])
-                .drop_duplicates("p_brand")
-                [["p_brand", "sk", "cents"]])
-
-    n_supp = _cheap_count(supp)
-    small_supp = (n_supp is not None
-                  and n_supp <= CUST_BROADCAST_MAX_ROWS)
-    sb_ref = None
-    if small_supp:
-        sp = supp.to_pandas()
-        order = np.argsort(sp.s_suppkey.to_numpy(np.int64))
-        sb_ref = ray.put((sp.s_suppkey.to_numpy(np.int64)[order],
-                          _cents_away(sp.s_acctbal.to_numpy())[order]))
-
-    def attach_bal(df: pd.DataFrame) -> pd.DataFrame:
-        kk, bal = ray.get(sb_ref)
-        pos = np.searchsorted(kk, df.sk.to_numpy(np.int64))
-        pos[pos >= len(kk)] = 0
-        return df.assign(cents=bal[pos])
-
-    n_li = _cheap_count(li)
-    if (n_li is not None and n_li <= PART_DRIVER_MAX_ROWS
-            and small_supp):
-        pt = part.to_pandas()
-        ln = (links.to_pandas().drop_duplicates()
-              .merge(pt, left_on="pk", right_on="p_partkey"))
-        resolved = resolve(attach_bal(ln[["p_brand", "sk"]]))
-    else:
-        branded = hash_join(links, part, on=("pk",),
-                            right_on=("p_partkey",))
-        if not small_supp:  # dimension too big to broadcast: join it
-            branded = hash_join(branded, supp, on=("sk",),
-                                right_on=("s_suppkey",))
-
-        def blk(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "p_brand": pd.Series(b["p_brand"].to_pandas())
-                .to_numpy(dtype=object),
-                "sk": b["sk"].to_numpy(zero_copy_only=False)})
-            if small_supp:
-                df = attach_bal(df)
-            else:
-                df = df.assign(cents=_cents_away(
-                    b["s_acctbal"].to_numpy(zero_copy_only=False)))
-            return pa.Table.from_pandas(resolve(df),
-                                        preserve_index=False)
-
-        parts = _parts_pandas(
-            branded.map_batches(blk, batch_format="pyarrow"),
-            {"p_brand": object, "sk": np.int64, "cents": np.int64})
-        resolved = (parts.sort_values(["p_brand", "cents", "sk"])
-                    .drop_duplicates("p_brand"))
-    out = resolved.rename(columns={"sk": "s_suppkey",
-                                   "cents": "acctbal_cents"})
-    out["s_suppkey"] = out.s_suppkey.astype(np.int64)
-    out["acctbal_cents"] = out.acctbal_cents.astype(np.int64)
-    return (out[["p_brand", "s_suppkey", "acctbal_cents"]]
-            .sort_values("p_brand").reset_index(drop=True))
-
-
-def grouped_higher_moments(sf_dir: str):
-    """Grouped 3rd/4th-moment statistics — population skewness and
-    excess kurtosis of ``value`` per event type — from ASSOCIATIVE
-    power-sum partials (n, Σx, Σx², Σx³, Σx⁴), the same
-    moment-partial shape as the distributed PCA.  Conditioning: x is
-    shifted by the exact per-type integer cent MINIMUM (a tiny exact
-    pre-pass) and scaled to dollars, so every x⁴ stays below 2⁵³ and
-    each element's powers are bit-identical on the pipeline and the
-    DuckDB oracle (powers composed as (x·x)·(x·x) on both sides);
-    only the final fold order differs, absorbed by the 6-dp
-    contract."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def min_partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object), "mn": cents})
-        return pa.Table.from_pandas(
-            df.groupby("event_type", as_index=False)["mn"].min(),
-            preserve_index=False)
-
-    mins = (_parts_pandas(ds.map_batches(min_partial,
-                                         batch_format="pyarrow"),
-                          {"event_type": object, "mn": np.int64})
-            .groupby("event_type", as_index=False)["mn"].min())
-    mmap = dict(zip(mins.event_type, mins.mn.astype(np.int64)))
-    import ray as _ray
-
-    mm_ref = _ray.put(mmap)
-
-    def pow_partial(b: pa.Table) -> pa.Table:
-        mm = _ray.get(mm_ref)
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        et = pd.Series(b["event_type"].to_pandas()) \
-            .to_numpy(dtype=object)
-        shift = np.fromiter((mm[t] for t in et), dtype=np.int64,
-                            count=len(et))
-        x = (cents - shift) / 100.0
-        x2 = x * x
-        x4 = x2 * x2
-        df = pd.DataFrame({"event_type": et, "n": np.int64(1),
-                           "s1": x, "s2": x2, "s3": x2 * x, "s4": x4})
-        agg = (df.groupby("event_type", as_index=False)
-               .agg(n=("n", "sum"), s1=("s1", "sum"), s2=("s2", "sum"),
-                    s3=("s3", "sum"), s4=("s4", "sum")))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts = _parts_pandas(
-        ds.map_batches(pow_partial, batch_format="pyarrow"),
-        {"event_type": object, "n": np.int64, "s1": np.float64,
-         "s2": np.float64, "s3": np.float64, "s4": np.float64})
-    agg = (parts.groupby("event_type", as_index=False)
-           [["n", "s1", "s2", "s3", "s4"]].sum())
-    n = agg.n.to_numpy(np.float64)
-    mu = agg.s1 / n
-    # explicit multiply chains, mirrored verbatim in the SQL oracle so
-    # each term is the same IEEE op sequence; only fold order differs
-    m2 = agg.s2 / n - mu * mu
-    m3 = agg.s3 / n - 3 * mu * (agg.s2 / n) + 2 * (mu * mu * mu)
-    m4 = (agg.s4 / n - 4 * mu * (agg.s3 / n)
-          + 6 * (mu * mu) * (agg.s2 / n) - 3 * (mu * mu * mu * mu))
-    out = pd.DataFrame({
-        "event_type": agg.event_type,
-        "n": agg.n.astype(np.int64),
-        "skew_r6": (m3 / (m2 * np.sqrt(m2))).round(6),
-        "exkurt_r6": (m4 / (m2 * m2) - 3.0).round(6)})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def sliding_distinct_users(sf_dir: str, window_hours: int = 6):
-    """SLIDING exact distinct (vs the tumbling `windowed_distinct_
-    users`): per (event_type, hour) on the dense hour grid, the
-    distinct users seen in the TRAILING ``window_hours`` hours.  Halo
-    expansion makes it shuffle-native: each block-deduped (type,
-    user, hour) triple replicates to its ≤ W target hours, then the
-    same two chained native groupbys as every exact-distinct op
-    (cluster-wide dedup of (type, target, user), then count per
-    window).  The expansion factor is the window length — bounded and
-    chosen, not data-driven."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "user_id"])
-    span = _read(sf_dir, "events", columns=["ts"])
-
-    def ts_bounds(b: pa.Table) -> pa.Table:
-        t = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-             .to_numpy(zero_copy_only=False)) // 3_600_000_000
-        return pa.table({"lo": pa.array([int(t.min())], pa.int64()),
-                         "hi": pa.array([int(t.max())], pa.int64())})
-
-    bounds = _parts_pandas(span.map_batches(ts_bounds,
-                                            batch_format="pyarrow"),
-                           {"lo": np.int64, "hi": np.int64})
-    lo_h, hi_h = int(bounds.lo.min()), int(bounds.hi.max())
-    w = int(window_hours)
-
-    def halo_partial(b: pa.Table) -> pa.Table:
-        t = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-             .to_numpy(zero_copy_only=False)) // 3_600_000_000
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object),
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "h": t}).drop_duplicates()
-        rep = df.loc[df.index.repeat(w)].reset_index(drop=True)
-        rep["target"] = (rep.h.to_numpy(np.int64)
-                         + np.tile(np.arange(w, dtype=np.int64),
-                                   len(df)))
-        rep = rep[rep.target <= hi_h]
-        out = (rep[["event_type", "user_id", "target"]]
-               .drop_duplicates())
-        out["target"] = out.target.astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    parts_ds = ds.map_batches(halo_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        trip = (_parts_pandas(parts_ds, {"event_type": object,
-                                         "user_id": np.int64,
-                                         "target": np.int64})
-                .drop_duplicates())
-        agg = (trip.groupby(["event_type", "target"], as_index=False)
-               .agg(n_users=("user_id", "size")))
-    else:
-        dedup = (parts_ds.groupby(["event_type", "target", "user_id"])
-                 .aggregate(Count(alias_name="_c")))
-        agg = (dedup.groupby(["event_type", "target"])
-               .aggregate(Count(alias_name="n_users")).to_pandas())
-    agg = agg.rename(columns={"target": "hour_epoch"})
-    agg["hour_epoch"] = agg.hour_epoch.astype(np.int64) * 3600
-    agg["n_users"] = agg.n_users.astype(np.int64)
-    return (agg.sort_values(["event_type", "hour_epoch"])
-            .reset_index(drop=True))
-
-
-def full_quarter_customers(sf_dir: str, year: int = 1997):
-    """RELATIONAL DIVISION (the FOR-ALL operator): customers who
-    ordered in EVERY quarter of ``year``, counted per nation.  Plan:
-    in-year orders block-dedupe to (custkey, quarter) links (≤ 4 per
-    customer per block), a native dedup groupby makes them cluster-
-    wide distinct, a second rollup counts quarters per customer, the
-    ==4 survivors attach their nation from the customer table
-    (broadcast probe below the gate, hash join above), and the
-    nation rollup is dimension-sized."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
-    hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
-
-    def link_partial(b: pa.Table) -> pa.Table:
-        ts = (b["o_orderdate"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        m = (ts >= lo) & (ts < hi)
-        month = (ts[m].astype("datetime64[us]")
-                 .astype("datetime64[M]").astype(np.int64) % 12)
-        df = pd.DataFrame({
-            "ck": b["o_custkey"].to_numpy(zero_copy_only=False)[m],
-            "q": (month // 3 + 1).astype(np.int64)}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    links = orders.map_batches(link_partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= ANTI_BROADCAST_MAX_ROWS:
-        ln = (_parts_pandas(links, {"ck": np.int64, "q": np.int64})
-              .drop_duplicates())
-        qc = ln.groupby("ck", as_index=False).agg(nq=("q", "size"))
-        winners = np.sort(qc[qc.nq == 4].ck.to_numpy(np.int64))
-        w_ref = ray.put(winners)
-
-        def nat_partial(b: pa.Table) -> pa.Table:
-            keys = ray.get(w_ref)
-            ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys) == 0:
-                sub = b.slice(0, 0)
-            else:
-                pos = np.searchsorted(keys, ck)
-                pos[pos >= len(keys)] = 0
-                sub = b.filter(pa.array(keys[pos] == ck))
-            df = pd.DataFrame({"nk": sub["c_nationkey"]
-                               .to_numpy(zero_copy_only=False)
-                               .astype(np.int64)})
-            agg = (df.groupby("nk", as_index=False)
-                   .size().rename(columns={"size": "n_customers"}))
-            agg["n_customers"] = agg.n_customers.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = cust.map_batches(nat_partial, batch_format="pyarrow")
-    else:
-        dedup = (links.groupby(["ck", "q"])
-                 .aggregate(Count(alias_name="_c")))
-        qc = dedup.groupby("ck").aggregate(Count(alias_name="nq"))
-
-        def keep4(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b["nq"], 4)).select(["ck"])
-
-        winners_ds = qc.map_batches(keep4, batch_format="pyarrow")
-        joined = hash_join(winners_ds, cust, on=("ck",),
-                           right_on=("c_custkey",))
-
-        def nat_partial2(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({"nk": b["c_nationkey"]
-                               .to_numpy(zero_copy_only=False)
-                               .astype(np.int64)})
-            agg = (df.groupby("nk", as_index=False)
-                   .size().rename(columns={"size": "n_customers"}))
-            agg["n_customers"] = agg.n_customers.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = joined.map_batches(nat_partial2, batch_format="pyarrow")
-    agg = (_parts_pandas(parts, {"nk": np.int64,
-                                 "n_customers": np.int64})
-           .groupby("nk", as_index=False)["n_customers"].sum())
-    names = _read(sf_dir, "nation",
-                  columns=["n_nationkey", "n_name"]).to_pandas()
-    out = agg.merge(names, left_on="nk",
-                    right_on="n_nationkey")[["n_name", "n_customers"]]
-    out["n_customers"] = out.n_customers.astype(np.int64)
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
 def exact_median_bisect(sf_dir: str, n_buckets: int = 1024):
@@ -11049,144 +8781,6 @@ def daily_revenue_haar(sf_dir: str):
             .reset_index(drop=True))
 
 
-def value_drift_by_half(sf_dir: str):
-    """Within-type TEMPORAL DRIFT screen (train/test shift monitor):
-    split each event type's stream at the GLOBAL midpoint time, then
-    compare the two halves' value distributions — exact lower medians
-    (PERCENTILE_DISC) from cent count tables plus the exact-integer
-    KS supremum between the halves (the same cross-multiplied form as
-    ``value_ks_matrix``, here across TIME instead of across types).
-    One pass builds (type, half, cents) count tables tiered; the walk
-    runs on the value-cardinality table."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    span = _read(sf_dir, "events", columns=["ts"])
-
-    def ts_bounds(b: pa.Table) -> pa.Table:
-        t = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-             .to_numpy(zero_copy_only=False))
-        return pa.table({"lo": pa.array([int(t.min())], pa.int64()),
-                         "hi": pa.array([int(t.max())], pa.int64())})
-
-    bounds = _parts_pandas(span.map_batches(ts_bounds,
-                                            batch_format="pyarrow"),
-                           {"lo": np.int64, "hi": np.int64})
-    mid = (int(bounds.lo.min()) + int(bounds.hi.max())) // 2
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-             .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "t": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object),
-            "half": (t >= mid).astype(np.int64),
-            "v": _cents_away(b["value"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["t", "half", "v"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        ct = (_parts_pandas(parts_ds, {"t": object, "half": np.int64,
-                                       "v": np.int64, "n": np.int64})
-              .groupby(["t", "half", "v"], as_index=False)["n"].sum())
-    else:
-        ct = (parts_ds.groupby(["t", "half", "v"])
-              .aggregate(Sum("n", alias_name="n")).to_pandas())
-
-    def disc_median(g: pd.DataFrame) -> int:
-        g = g.sort_values("v")
-        cum = g.n.to_numpy(np.int64).cumsum()
-        k = (int(cum[-1]) + 1) // 2
-        return int(g.v.to_numpy(np.int64)[np.searchsorted(cum, k)])
-
-    rows = []
-    for t, gt in ct.groupby("t", sort=True):
-        g0 = gt[gt.half == 0]
-        g1 = gt[gt.half == 1]
-        n0, n1 = int(g0.n.sum()), int(g1.n.sum())
-        grid = np.union1d(g0.v.to_numpy(np.int64),
-                          g1.v.to_numpy(np.int64))
-        c0 = np.zeros(len(grid), np.int64)
-        c1 = np.zeros(len(grid), np.int64)
-        c0[np.searchsorted(grid, g0.v.to_numpy(np.int64))] = \
-            g0.n.to_numpy(np.int64)
-        c1[np.searchsorted(grid, g1.v.to_numpy(np.int64))] = \
-            g1.n.to_numpy(np.int64)
-        c0, c1 = np.cumsum(c0), np.cumsum(c1)
-        num = int(np.abs(n1 * c0 - n0 * c1).max())
-        rows.append((t, np.int64(n0), np.int64(n1),
-                     np.int64(disc_median(g0.sort_values("v"))),
-                     np.int64(disc_median(g1.sort_values("v"))),
-                     round(num / (n0 * n1), 6)))
-    out = pd.DataFrame(rows, columns=[
-        "event_type", "n_first", "n_second", "med_first_cents",
-        "med_second_cents", "ks_r6"])
-    for c in ["n_first", "n_second", "med_first_cents",
-              "med_second_cents"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def top_value_days_with_ties(sf_dir: str, k: int = 3):
-    """Top-k WITH TIES (the RANK window semantic — every existing
-    top-k uses a ROW_NUMBER tiebreak; this one KEEPS all rows tied at
-    the boundary): per event type, the days whose daily revenue ranks
-    in the top ``k`` by RANK() (gaps on ties, boundary ties all
-    retained).  The daily rollup combines tiered; the rank filter
-    runs per type on the output-scale table using a sorted-unique
-    threshold (the k-th distinct rank's value), which is exactly the
-    SQL RANK() <= k predicate when duplicate revenues share a
-    rank."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = (ts // 86_400_000_000) * 86_400
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object),
-            "day_epoch": day,
-            "rev": _cents_away(b["value"]
-                               .to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day_epoch": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day_epoch"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day_epoch"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    frames = []
-    for t, g in daily.groupby("event_type", sort=True):
-        rv = g.rev.to_numpy(np.int64)
-        # RANK() <= k keeps every row whose revenue is >= the k-th
-        # ranked row's revenue (1-based rank over rev DESC)
-        order = np.sort(rv)[::-1]
-        thr = order[min(k, len(order)) - 1]
-        sel = g[g.rev >= thr].copy()
-        ranks = 1 + (order > sel.rev.to_numpy(np.int64)[:, None]) \
-            .sum(axis=1)
-        sel["rnk"] = ranks.astype(np.int64)
-        frames.append(sel)
-    out = pd.concat(frames, ignore_index=True)
-    out["day_epoch"] = out.day_epoch.astype(np.int64)
-    out["rev"] = out.rev.astype(np.int64)
-    out["rnk"] = out.rnk.astype(np.int64)
-    return (out.sort_values(["event_type", "rnk", "day_epoch"])
-            [["event_type", "day_epoch", "rev", "rnk"]]
-            .reset_index(drop=True))
-
-
 def type_user_overlap_exact(sf_dir: str):
     """EXACT set-overlap matrix between event types over (user, day)
     activity sets — the exact twin the KMV Jaccard estimates
@@ -11389,578 +8983,14 @@ def acctbal_mean_family(sf_dir: str):
     return out.sort_values("c_nationkey").reset_index(drop=True)
 
 
-def discounted_smallqty_revenue(sf_dir: str, year: int = 1996,
-                                disc_lo: int = 5, disc_hi: int = 7,
-                                max_qty: int = 24):
-    """TPC-H Q6 shape — the pure MAP-ONLY predicate aggregate (the
-    scan-efficiency baseline every optimizer paper quotes): potential
-    revenue increase from discounted small-quantity lines shipped in
-    one year.  Exact integers: the revenue term extprice·discount is
-    kept in cents×cents (10⁻⁴-dollar) units; the discount band and
-    quantity gate compare rounded int64 cents/units on both sides.
-    One pass, no shuffle at any scale — partials are a single
-    (sum, count) row per block."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_shipdate", "l_discount", "l_quantity",
-                        "l_extendedprice"])
-    lo = np.datetime64(f"{year}-01-01", "us").astype(np.int64)
-    hi = np.datetime64(f"{year + 1}-01-01", "us").astype(np.int64)
-
-    def partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        disc = _cents_away(b["l_discount"].to_numpy(zero_copy_only=False))
-        qty = np.floor(np.abs(b["l_quantity"]
-                              .to_numpy(zero_copy_only=False)) + 0.5) \
-            .astype(np.int64)
-        ext = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))
-        m = ((ship >= lo) & (ship < hi) & (disc >= disc_lo)
-             & (disc <= disc_hi) & (qty < max_qty))
-        return pa.table({
-            "revenue_e4": pa.array([int((ext[m] * disc[m]).sum())],
-                                   pa.int64()),
-            "n_items": pa.array([int(m.sum())], pa.int64())})
-
-    parts = _parts_pandas(li.map_batches(partial,
-                                         batch_format="pyarrow"),
-                          {"revenue_e4": np.int64, "n_items": np.int64})
-    return pd.DataFrame({
-        "revenue_e4": np.asarray([int(parts.revenue_e4.sum())],
-                                 np.int64),
-        "n_items": np.asarray([int(parts.n_items.sum())], np.int64)})
-
-
-def late_line_orders_by_priority(sf_dir: str, late_days: int = 60,
-                                 lo: str = "1996-01-01",
-                                 hi: str = "1996-07-01"):
-    """TPC-H Q4 shape — EXISTS semi-join counted per group: in-window
-    orders with at least one line shipped > ``late_days`` after the
-    order date, per priority.  The EXISTS decorrelates into ONE
-    per-order Max(shipdate) rollup (any-late ⇔ max-late, the same
-    reduction Q21 uses), joined to the date-filtered orders; below
-    the gate the order (date, priority) map broadcasts and the
-    comparison is map-side."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"])
-    tlo = np.datetime64(lo, "us").astype(np.int64)
-    thi = np.datetime64(hi, "us").astype(np.int64)
-    late_us = int(late_days) * 86_400_000_000
-
-    def mx_partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "mx": ship})
-        agg = df.groupby("ok", as_index=False)["mx"].max()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(mx_partial, batch_format="pyarrow")
-
-    def sel_orders(b: pa.Table) -> pa.Table:
-        od = (b["o_orderdate"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        keep = (od >= tlo) & (od < thi)
-        sub = b.filter(pa.array(keep))
-        return pa.table({
-            "ok2": sub["o_orderkey"].cast(pa.int64()),
-            "od": pa.array(od[keep]),
-            "pr": sub["o_orderpriority"]})
-
-    ords = orders.map_batches(sel_orders, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        mx = (_parts_pandas(parts_ds, {"ok": np.int64, "mx": np.int64})
-              .groupby("ok", as_index=False)["mx"].max())
-        od = ords.to_pandas()
-        j = od.merge(mx, left_on="ok2", right_on="ok", how="inner")
-        late = j[j.mx > j.od + late_us]
-        counts = (late.groupby("pr", as_index=False)
-                  .size().rename(columns={"size": "n_orders",
-                                          "pr": "o_orderpriority"}))
-    else:
-        mx_ds = (parts_ds.groupby("ok")
-                 .aggregate(Max("mx", alias_name="mx")))
-        joined = hash_join(ords, mx_ds, on=("ok2",), right_on=("ok",))
-
-        def late_partial(b: pa.Table) -> pa.Table:
-            m = (b["mx"].to_numpy(zero_copy_only=False)
-                 > b["od"].to_numpy(zero_copy_only=False) + late_us)
-            vc = (pd.Series(b.filter(pa.array(m))["pr"].to_pandas())
-                  .value_counts().sort_index())
-            return pa.table({
-                "o_orderpriority": pa.array(
-                    vc.index.to_numpy(dtype=object), pa.string()),
-                "n_orders": pa.array(vc.to_numpy(np.int64))})
-
-        counts = (_parts_pandas(
-            joined.map_batches(late_partial, batch_format="pyarrow"),
-            {"o_orderpriority": object, "n_orders": np.int64})
-            .groupby("o_orderpriority", as_index=False)
-            ["n_orders"].sum())
-    counts["n_orders"] = counts.n_orders.astype(np.int64)
-    return (counts.sort_values("o_orderpriority")
-            .reset_index(drop=True))
-
-
-def smallqty_brand_revenue(sf_dir: str):
-    """TPC-H Q17 shape — a CORRELATED AVERAGE gate decorrelated: the
-    revenue of lines whose quantity is below HALF their part's average
-    quantity, per brand.  The gate is the exact-integer
-    cross-multiplication 2·qty·n_part < sum_qty_part (no float
-    average anywhere).  Plan: per-part (Σqty, n) rollup (tiered),
-    broadcast below the part gate / hash join above; the fact scan
-    re-reads with the gate applied map-side and pre-reduces per
-    brand."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice"])
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
-
-    def pq_partial(b: pa.Table) -> pa.Table:
-        qty = np.floor(np.abs(b["l_quantity"]
-                              .to_numpy(zero_copy_only=False)) + 0.5) \
-            .astype(np.int64)
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "q": qty})
-        agg = (df.groupby("pk", as_index=False)
-               .agg(s=("q", "sum"), c=("q", "size")))
-        agg["c"] = agg.c.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(pq_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    driver = n_li is not None and n_li <= PART_DRIVER_MAX_ROWS
-    if driver:
-        pq = (_parts_pandas(parts_ds, {"pk": np.int64, "s": np.int64,
-                                       "c": np.int64})
-              .groupby("pk", as_index=False)[["s", "c"]].sum())
-        pb = part.to_pandas()
-        pq = pq.merge(pb, left_on="pk", right_on="p_partkey")
-        keys = np.sort(pq.pk.to_numpy(np.int64))
-        order = np.argsort(pq.pk.to_numpy(np.int64))
-        s_arr = pq.s.to_numpy(np.int64)[order]
-        c_arr = pq.c.to_numpy(np.int64)[order]
-        br_arr = pq.p_brand.to_numpy(dtype=object)[order]
-        ref = ray.put((keys, s_arr, c_arr, br_arr))
-
-        def gate(b: pa.Table) -> pa.Table:
-            kk, ss, cc, bb = ray.get(ref)
-            pk = b["l_partkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, pk)
-            pos[pos >= len(kk)] = 0
-            qty = np.floor(np.abs(b["l_quantity"]
-                                  .to_numpy(zero_copy_only=False))
-                           + 0.5).astype(np.int64)
-            keep = (kk[pos] == pk) & (2 * qty * cc[pos] < ss[pos])
-            ext = _cents_away(b["l_extendedprice"]
-                              .to_numpy(zero_copy_only=False))
-            df = pd.DataFrame({"p_brand": bb[pos[keep]],
-                               "rev": ext[keep], "one": np.int64(1)})
-            agg = (df.groupby("p_brand", as_index=False)
-                   .agg(revenue_cents=("rev", "sum"),
-                        n_items=("one", "sum")))
-            agg["n_items"] = agg.n_items.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = li.map_batches(gate, batch_format="pyarrow")
-    else:
-        pq_ds = (parts_ds.groupby("pk")
-                 .aggregate(Sum("s", alias_name="s"),
-                            Sum("c", alias_name="c")))
-        pq_br = hash_join(pq_ds, part, on=("pk",),
-                          right_on=("p_partkey",))
-
-        def li_pre(b: pa.Table) -> pa.Table:
-            qty = np.floor(np.abs(b["l_quantity"]
-                                  .to_numpy(zero_copy_only=False))
-                           + 0.5).astype(np.int64)
-            return pa.table({
-                "pk2": b["l_partkey"].cast(pa.int64()),
-                "q": pa.array(qty),
-                "ext": pa.array(_cents_away(
-                    b["l_extendedprice"]
-                    .to_numpy(zero_copy_only=False)))})
-
-        fact = li.map_batches(li_pre, batch_format="pyarrow")
-        joined = hash_join(fact, pq_br, on=("pk2",), right_on=("pk",))
-
-        def gate2(b: pa.Table) -> pa.Table:
-            keep = (2 * b["q"].to_numpy(zero_copy_only=False)
-                    * b["c"].to_numpy(zero_copy_only=False)
-                    < b["s"].to_numpy(zero_copy_only=False))
-            sub = b.filter(pa.array(keep))
-            df = pd.DataFrame({
-                "p_brand": pd.Series(sub["p_brand"].to_pandas())
-                .to_numpy(dtype=object),
-                "rev": sub["ext"].to_numpy(zero_copy_only=False),
-                "one": np.int64(1)})
-            agg = (df.groupby("p_brand", as_index=False)
-                   .agg(revenue_cents=("rev", "sum"),
-                        n_items=("one", "sum")))
-            agg["n_items"] = agg.n_items.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = joined.map_batches(gate2, batch_format="pyarrow")
-    out = (_parts_pandas(parts, {"p_brand": object,
-                                 "revenue_cents": np.int64,
-                                 "n_items": np.int64})
-           .groupby("p_brand", as_index=False)
-           [["revenue_cents", "n_items"]].sum())
-    out["revenue_cents"] = out.revenue_cents.astype(np.int64)
-    out["n_items"] = out.n_items.astype(np.int64)
-    return out.sort_values("p_brand").reset_index(drop=True)
-
-
-def nation_market_share(sf_dir: str, region: str = "ASIA",
-                        nation: str = "NATION_2"):
-    """TPC-H Q8 shape — MARKET SHARE by year: of all revenue billed
-    to ``region``'s customers, the share shipped by ``nation``'s
-    suppliers, per order year.  Exact integer numerator/denominator
-    (10⁻⁴-dollar units) with one final division (6-dp contract).
-    Plan mirrors the Q5 star: the supplier→is-target flag attaches
-    map-side (dimension broadcast below the gate, hash join above),
-    customers prune to the region BEFORE the orders join, and the two
-    fact sides meet in ONE orderkey hash join of (orderkey, rev,
-    rev_target) partials; the year rollup is output-scale."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name", "n_regionkey"]) \
-        .to_pandas()
-    reg = _read(sf_dir, "region",
-                columns=["r_regionkey", "r_name"]).to_pandas()
-    rkey = int(reg[reg.r_name == region].r_regionkey.iloc[0])
-    nkeys = np.sort(nat[nat.n_regionkey == rkey]
-                    .n_nationkey.to_numpy(np.int64))
-    target_nk = int(nat[nat.n_name == nation].n_nationkey.iloc[0])
-    nk_ref = ray.put(nkeys)
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"])
-
-    def cust_region(b: pa.Table) -> pa.Table:
-        keys = ray.get(nk_ref)
-        v = b["c_nationkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, v)
-        pos[pos >= len(keys)] = 0
-        return (b.filter(pa.array(keys[pos] == v))
-                .select(["c_custkey"]))
-
-    cust_r = cust.map_batches(cust_region, batch_format="pyarrow")
-
-    def li_partial(b: pa.Table, sk, flag) -> pa.Table:
-        v = b["l_suppkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(sk, v)
-        pos[pos >= len(sk)] = 0
-        hit = (sk[pos] == v) if len(sk) else np.zeros(len(v), bool)
-        sub = b.filter(pa.array(hit))
-        if sub.num_rows == 0:
-            return pa.table({"ok": pa.array([], pa.int64()),
-                             "rev": pa.array([], pa.int64()),
-                             "rev_t": pa.array([], pa.int64())})
-        cents = _cents_away(
-            sub["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(sub["l_discount"].to_numpy(zero_copy_only=False))
-        rev = cents * (100 - disc)
-        tgt = flag[pos[hit]]
-        df = pd.DataFrame({
-            "ok": sub["l_orderkey"].to_numpy(zero_copy_only=False),
-            "rev": rev, "rev_t": rev * tgt})
-        agg = (df.groupby("ok", as_index=False)
-               [["rev", "rev_t"]].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    n_cust = _cheap_count(cust)
-    broadcast = (n_cust is not None
-                 and n_cust <= CUST_BROADCAST_MAX_ROWS)
-    if broadcast:
-        sp = supp.to_pandas()
-        order = np.argsort(sp.s_suppkey.to_numpy(np.int64))
-        sk = sp.s_suppkey.to_numpy(np.int64)[order]
-        flag = (sp.s_nationkey.to_numpy(np.int64)[order]
-                == target_nk).astype(np.int64)
-        sref = ray.put((sk, flag))
-        li_parts = li.map_batches(
-            lambda b: li_partial(b, *ray.get(sref)),
-            batch_format="pyarrow")
-        cu = np.sort(cust_r.to_pandas().c_custkey.to_numpy(np.int64))
-        cu_ref = ray.put(cu)
-
-        def ord_map(b: pa.Table) -> pa.Table:
-            kk = ray.get(cu_ref)
-            v = b["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
-            sub = b.filter(pa.array(hit))
-            yr = (pd.Series(sub["o_orderdate"].to_pandas())
-                  .dt.year.to_numpy(np.int64))
-            return pa.table({"ok2": sub["o_orderkey"].cast(pa.int64()),
-                             "yr": pa.array(yr)})
-
-        # the region-filtered (orderkey -> year) link is bounded by
-        # the SAME orders gate this tier already requires, so it
-        # broadcasts as sorted arrays and the year attach runs
-        # map-side on the lineitem partials — no orderkey exchange
-        # below the gate (the hash-join plan remains the at-scale
-        # path in the else branch)
-        op = (orders.map_batches(ord_map, batch_format="pyarrow")
-              .to_pandas())
-        oo = np.argsort(op.ok2.to_numpy(np.int64))
-        ok_arr = op.ok2.to_numpy(np.int64)[oo]
-        yr_arr = op.yr.to_numpy(np.int64)[oo]
-        oy_ref = ray.put((ok_arr, yr_arr))
-
-        def year_attach(b: pa.Table) -> pa.Table:
-            kk, yy = ray.get(oy_ref)
-            v = b["ok"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
-            df = pd.DataFrame({
-                "yr": yy[pos[hit]],
-                "den": b["rev"].to_numpy(zero_copy_only=False)[hit],
-                "num": b["rev_t"].to_numpy(zero_copy_only=False)[hit]})
-            agg = (df.groupby("yr", as_index=False)
-                   [["num", "den"]].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = li_parts.map_batches(year_attach,
-                                     batch_format="pyarrow")
-    else:
-        def li_pre(b: pa.Table) -> pa.Table:
-            cents = _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))
-            disc = _cents_away(
-                b["l_discount"].to_numpy(zero_copy_only=False))
-            df = pd.DataFrame({
-                "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-                "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-                "rev": cents * (100 - disc)})
-            agg = (df.groupby(["ok", "sk"], as_index=False)
-                   ["rev"].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        li_sup = hash_join(li.map_batches(li_pre,
-                                          batch_format="pyarrow"),
-                           supp, on=("sk",), right_on=("s_suppkey",))
-
-        def li_flag(b: pa.Table) -> pa.Table:
-            tgt = (b["s_nationkey"].to_numpy(zero_copy_only=False)
-                   .astype(np.int64) == target_nk).astype(np.int64)
-            rev = b["rev"].to_numpy(zero_copy_only=False)
-            return pa.table({"ok": b["ok"], "rev": pa.array(rev),
-                             "rev_t": pa.array(rev * tgt)})
-
-        li_parts = li_sup.map_batches(li_flag, batch_format="pyarrow")
-        ords_j = hash_join(orders, cust_r, on=("o_custkey",),
-                           right_on=("c_custkey",))
-
-        def ord_rename(b: pa.Table) -> pa.Table:
-            yr = (pd.Series(b["o_orderdate"].to_pandas())
-                  .dt.year.to_numpy(np.int64))
-            return pa.table({"ok2": b["o_orderkey"].cast(pa.int64()),
-                             "yr": pa.array(yr)})
-
-        ords = ords_j.map_batches(ord_rename, batch_format="pyarrow")
-        joined = hash_join(li_parts, ords, on=("ok",),
-                           right_on=("ok2",))
-
-        def year_partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "yr": b["yr"].to_numpy(zero_copy_only=False),
-                "den": b["rev"].to_numpy(zero_copy_only=False),
-                "num": b["rev_t"].to_numpy(zero_copy_only=False)})
-            agg = (df.groupby("yr", as_index=False)
-                   [["num", "den"]].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts = joined.map_batches(year_partial,
-                                   batch_format="pyarrow")
-    agg = (_parts_pandas(
-        parts,
-        {"yr": np.int64, "num": np.int64, "den": np.int64})
-        .groupby("yr", as_index=False)[["num", "den"]].sum())
-    out = pd.DataFrame({
-        "o_year": agg.yr.astype(np.int64),
-        "num_rev": agg.num.astype(np.int64),
-        "den_rev": agg.den.astype(np.int64),
-        "share_r6": (agg.num / agg.den).round(6)})
-    return out.sort_values("o_year").reset_index(drop=True)
-
-
-def top_supplier_revenue_with_ties(sf_dir: str, lo: str = "1996-01-01",
-                                   hi: str = "1996-04-01"):
-    """TPC-H Q15 shape — ARGMAX WITH TIES over a computed revenue
-    view: the supplier(s) with the maximum in-window revenue (every
-    tie kept, matching the reference query's `= (SELECT MAX ...)`
-    semantics).  The per-supplier rollup pre-reduces per block and
-    combines tiered; the max and its ties resolve from per-block
-    (max, rows-at-max) partials — associative; names attach to the
-    tie-set only."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_shipdate",
-                        "l_extendedprice", "l_discount"])
-    tlo = np.datetime64(lo, "us").astype(np.int64)
-    thi = np.datetime64(hi, "us").astype(np.int64)
-
-    def rev_partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        m = (ship >= tlo) & (ship < thi)
-        sub = b.filter(pa.array(m))
-        if sub.num_rows == 0:
-            return pa.table({"sk": pa.array([], pa.int64()),
-                             "rev": pa.array([], pa.int64())})
-        cents = _cents_away(
-            sub["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(sub["l_discount"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "sk": sub["l_suppkey"].to_numpy(zero_copy_only=False),
-            "rev": cents * (100 - disc)})
-        agg = df.groupby("sk", as_index=False)["rev"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(rev_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        sr = (_parts_pandas(parts_ds, {"sk": np.int64, "rev": np.int64})
-              .groupby("sk", as_index=False)["rev"].sum())
-    else:
-        sr = (parts_ds.groupby("sk")
-              .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    if len(sr) == 0:
-        return pd.DataFrame({"s_name": pd.Series([], dtype=object),
-                             "revenue": pd.Series([], dtype=np.int64)})
-    mx = int(sr.rev.max())
-    ties = sr[sr.rev == mx]
-    names = _read(sf_dir, "supplier",
-                  columns=["s_suppkey", "s_name"]).to_pandas()
-    out = (ties.merge(names, left_on="sk", right_on="s_suppkey")
-           .rename(columns={"rev": "revenue"}))
-    out["revenue"] = out.revenue.astype(np.int64)
-    return (out[["s_name", "revenue"]].sort_values("s_name")
-            .reset_index(drop=True))
-
-
-def late_urgent_mix_by_status(sf_dir: str, late_days: int = 60):
-    """TPC-H Q12 shape — CONDITIONAL two-way counts after a fact⋈fact
-    join: among lines shipped > ``late_days`` after their order date,
-    the urgent-priority vs other mix per line status.  The order
-    (date, urgent-flag) map broadcasts below the gate (searchsorted
-    attach) and hash-joins above; per-block partials carry the two
-    conditional tallies so the final rollup is |statuses| rows."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_shipdate", "l_linestatus"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"])
-    late_us = int(late_days) * 86_400_000_000
-    urgent = {"1-URGENT", "2-HIGH"}
-
-    def mix_frame(status, is_urgent) -> pa.Table:
-        df = pd.DataFrame({"l_linestatus": status,
-                           "n_urgent": is_urgent.astype(np.int64),
-                           "n_other": (~is_urgent).astype(np.int64)})
-        agg = (df.groupby("l_linestatus", as_index=False)
-               [["n_urgent", "n_other"]].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= LINEITEM_DRIVER_MAX_ROWS:
-        od = orders.to_pandas()
-        order = np.argsort(od.o_orderkey.to_numpy(np.int64))
-        okeys = od.o_orderkey.to_numpy(np.int64)[order]
-        odate = (od.o_orderdate.astype("datetime64[us]")
-                 .astype(np.int64).to_numpy()[order])
-        uflag = (od.o_orderpriority.isin(urgent).to_numpy()[order])
-        ref = ray.put((okeys, odate, uflag))
-
-        def probe(b: pa.Table) -> pa.Table:
-            kk, dd, uu = ray.get(ref)
-            ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                    .cast(pa.int64()).to_numpy(zero_copy_only=False))
-            pos = np.searchsorted(kk, ok)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == ok) & (ship > dd[pos] + late_us)
-            return mix_frame(
-                pd.Series(b.filter(pa.array(hit))["l_linestatus"]
-                          .to_pandas()).to_numpy(dtype=object),
-                uu[pos[hit]])
-
-        parts = li.map_batches(probe, batch_format="pyarrow")
-    else:
-        def li_pre(b: pa.Table) -> pa.Table:
-            ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                    .cast(pa.int64()).to_numpy(zero_copy_only=False))
-            return pa.table({"ok": b["l_orderkey"].cast(pa.int64()),
-                             "ship": pa.array(ship),
-                             "l_linestatus": b["l_linestatus"]})
-
-        joined = hash_join(li.map_batches(li_pre,
-                                          batch_format="pyarrow"),
-                           orders, on=("ok",),
-                           right_on=("o_orderkey",))
-
-        def mix_partial(b: pa.Table) -> pa.Table:
-            od = (b["o_orderdate"].cast(pa.timestamp("us"))
-                  .cast(pa.int64()).to_numpy(zero_copy_only=False))
-            late = (b["ship"].to_numpy(zero_copy_only=False)
-                    > od + late_us)
-            sub = b.filter(pa.array(late))
-            uf = (pd.Series(sub["o_orderpriority"].to_pandas())
-                  .isin(urgent).to_numpy())
-            return mix_frame(
-                pd.Series(sub["l_linestatus"].to_pandas())
-                .to_numpy(dtype=object), uf)
-
-        parts = joined.map_batches(mix_partial, batch_format="pyarrow")
-    agg = (_parts_pandas(parts, {"l_linestatus": object,
-                                 "n_urgent": np.int64,
-                                 "n_other": np.int64})
-           .groupby("l_linestatus", as_index=False)
-           [["n_urgent", "n_other"]].sum())
-    agg["n_urgent"] = agg.n_urgent.astype(np.int64)
-    agg["n_other"] = agg.n_other.astype(np.int64)
-    return agg.sort_values("l_linestatus").reset_index(drop=True)
-
-
 def daily_revenue_autocorr(sf_dir: str, lags: tuple = (1, 7)):
     """Lagged AUTOCORRELATION of each type's daily revenue — the
     seasonality detector (lag-1 momentum, lag-7 weekly cycle) —
     computed as Pearson r over the pairs of OBSERVED days exactly
     ``lag`` calendar days apart.  The daily rollup combines tiered;
     the lag self-join and the moment formula run on the output-scale
-    (type, day) table with the same explicit op-order discipline as
-    ``grouped_higher_moments`` (the oracle mirrors each term)."""
+    (type, day) table with an explicit op order (the oracle mirrors
+    each term)."""
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def day_partial(b: pa.Table) -> pa.Table:
@@ -12827,197 +9857,6 @@ def revenue_seasonal_decomposition(sf_dir: str):
             .reset_index(drop=True))
 
 
-def nation_year_profit(sf_dir: str, name_token: str = "red"):
-    """TPC-H Q9 shape (adapted: this fixture set has no partsupp
-    table, so unit cost is the part's retail price) — PROFIT by
-    supplier nation and order YEAR over parts whose name contains a
-    token: the one Q-census shape grouping by attributes from TWO
-    different dimension branches (supplier→nation, orders→year) of the
-    same fact scan.  amount = extprice·(1−discount) − qty·retailprice
-    in exact integer cent·percent units.  Plan: the part filter
-    resolves to a (sorted partkey, retail-cents) pair that attaches
-    MAP-SIDE below the gate (hash join above); supplier→nation rides
-    the same tier; matching lineitem rows pre-reduce per block to
-    (orderkey, nation, amount, n) so the year attach — broadcast
-    (orderkey→year) below `CUST_BROADCAST_MAX_ROWS`, hash join above —
-    moves partial rows only; the final (nation, year) rollup is
-    output-scale (|nations|×|years|)."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name"]).to_pandas()
-    names = dict(zip(nat.n_nationkey.to_numpy(np.int64),
-                     nat.n_name.to_numpy(dtype=object)))
-
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_name", "p_retailprice"])
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_partkey", "l_suppkey",
-                        "l_quantity", "l_extendedprice", "l_discount"])
-
-    def part_sel(b: pa.Table) -> pa.Table:
-        hit = pc.match_substring(b["p_name"], name_token)
-        sub = b.filter(hit)
-        return pa.table({
-            "pk": sub["p_partkey"].cast(pa.int64()),
-            "retail_cents": pa.array(_cents_away(
-                sub["p_retailprice"].to_numpy(zero_copy_only=False)))})
-
-    psel = part.map_batches(part_sel, batch_format="pyarrow")
-    n_part = _cheap_count(part)
-    broadcast = n_part is not None and n_part <= PART_DRIVER_MAX_ROWS
-
-    def ord_year(b: pa.Table) -> pa.Table:
-        yr = pc.year(b["o_orderdate"]).cast(pa.int64())
-        return pa.table({"ok2": b["o_orderkey"].cast(pa.int64()),
-                         "o_year": yr})
-
-    if broadcast:
-        pp = _parts_pandas(psel, {"pk": np.int64,
-                                  "retail_cents": np.int64})
-        order = np.argsort(pp.pk.to_numpy(np.int64))
-        pk = pp.pk.to_numpy(np.int64)[order]
-        retail = pp.retail_cents.to_numpy(np.int64)[order]
-        sp = supp.to_pandas()
-        so = np.argsort(sp.s_suppkey.to_numpy(np.int64))
-        sk = sp.s_suppkey.to_numpy(np.int64)[so]
-        sn = sp.s_nationkey.to_numpy(np.int64)[so]
-        dim_ref = ray.put((pk, retail, sk, sn))
-
-        def li_partial(b: pa.Table) -> pa.Table:
-            kp, rt, ks, ns = ray.get(dim_ref)
-            v = b["l_partkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kp, v)
-            pos[pos >= len(kp)] = 0
-            hit = (kp[pos] == v) if len(kp) else np.zeros(len(v), bool)
-            sub = b.filter(pa.array(hit))
-            if sub.num_rows == 0:
-                return pa.table({"ok": pa.array([], pa.int64()),
-                                 "snat": pa.array([], pa.int64()),
-                                 "amount": pa.array([], pa.int64()),
-                                 "n": pa.array([], pa.int64())})
-            rc = rt[pos[hit]]
-            sv = sub["l_suppkey"].to_numpy(zero_copy_only=False)
-            sp_ = np.searchsorted(ks, sv)
-            sp_[sp_ >= len(ks)] = 0
-            snat = ns[sp_]
-            cents = _cents_away(
-                sub["l_extendedprice"].to_numpy(zero_copy_only=False))
-            disc = _cents_away(
-                sub["l_discount"].to_numpy(zero_copy_only=False))
-            qty = sub["l_quantity"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            amount = cents * (100 - disc) - qty * rc * 100
-            df = pd.DataFrame({
-                "ok": sub["l_orderkey"].to_numpy(zero_copy_only=False),
-                "snat": snat, "amount": amount})
-            agg = (df.groupby(["ok", "snat"], as_index=False)
-                   .agg(amount=("amount", "sum"),
-                        n=("amount", "size")))
-            agg["n"] = agg.n.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        li_parts = li.map_batches(li_partial, batch_format="pyarrow")
-    else:
-        # cluster tier: (ok, sk, pk) block pre-reduce of (rev, qty, n),
-        # then part and supplier attaches as hash joins
-        def li_pre(b: pa.Table) -> pa.Table:
-            cents = _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))
-            disc = _cents_away(
-                b["l_discount"].to_numpy(zero_copy_only=False))
-            qty = b["l_quantity"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            df = pd.DataFrame({
-                "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-                "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-                "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-                "rev": cents * (100 - disc), "qty": qty})
-            agg = (df.groupby(["ok", "sk", "pk"], as_index=False)
-                   .agg(rev=("rev", "sum"), qty=("qty", "sum"),
-                        n=("rev", "size")))
-            agg["n"] = agg.n.astype(np.int64)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        li_p = hash_join(li.map_batches(li_pre, batch_format="pyarrow"),
-                         psel, on=("pk",))
-        li_s = hash_join(li_p, supp, on=("sk",), right_on=("s_suppkey",))
-
-        def li_amount(b: pa.Table) -> pa.Table:
-            rev = b["rev"].to_numpy(zero_copy_only=False)
-            qty = b["qty"].to_numpy(zero_copy_only=False)
-            rc = b["retail_cents"].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "ok": b["ok"],
-                "snat": b["s_nationkey"].cast(pa.int64()),
-                "amount": pa.array(rev - qty * rc * 100),
-                "n": b["n"]})
-
-        li_parts = li_s.map_batches(li_amount, batch_format="pyarrow")
-
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-        op = orders.map_batches(ord_year, batch_format="pyarrow") \
-            .to_pandas()
-        oo = np.argsort(op.ok2.to_numpy(np.int64))
-        ok = op.ok2.to_numpy(np.int64)[oo]
-        oy = op.o_year.to_numpy(np.int64)[oo]
-        oy_ref = ray.put((ok, oy))
-
-        def year_attach(b: pa.Table) -> pa.Table:
-            kk, yy = ray.get(oy_ref)
-            v = b["ok"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            df = pd.DataFrame({
-                "snat": b["snat"].to_numpy(zero_copy_only=False),
-                "o_year": yy[pos],
-                "amount": b["amount"].to_numpy(zero_copy_only=False),
-                "n": b["n"].to_numpy(zero_copy_only=False)})
-            agg = (df.groupby(["snat", "o_year"], as_index=False)
-                   [["amount", "n"]].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts_ds = li_parts.map_batches(year_attach,
-                                        batch_format="pyarrow")
-    else:
-        joined = hash_join(
-            li_parts, orders.map_batches(ord_year,
-                                         batch_format="pyarrow"),
-            on=("ok",), right_on=("ok2",))
-
-        def grp_partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "snat": b["snat"].to_numpy(zero_copy_only=False),
-                "o_year": b["o_year"].to_numpy(zero_copy_only=False),
-                "amount": b["amount"].to_numpy(zero_copy_only=False),
-                "n": b["n"].to_numpy(zero_copy_only=False)})
-            agg = (df.groupby(["snat", "o_year"], as_index=False)
-                   [["amount", "n"]].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        parts_ds = joined.map_batches(grp_partial,
-                                      batch_format="pyarrow")
-
-    parts = _parts_pandas(parts_ds, {"snat": np.int64,
-                                     "o_year": np.int64,
-                                     "amount": np.int64, "n": np.int64})
-    agg = (parts.groupby(["snat", "o_year"], as_index=False)
-           [["amount", "n"]].sum())
-    agg["n_name"] = agg.snat.map(names)
-    out = agg.rename(columns={"amount": "profit", "n": "n_items"}) \
-        [["n_name", "o_year", "profit", "n_items"]] \
-        .sort_values(["n_name", "o_year"]).reset_index(drop=True)
-    out["o_year"] = out.o_year.astype(np.int64)
-    out["profit"] = out.profit.astype(np.int64)
-    out["n_items"] = out.n_items.astype(np.int64)
-    return out
-
-
 def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
     """INCREMENTAL INGESTION dedup report — the day-2 batch classified
     against the day-1 snapshot, the shape every continuously-crawled
@@ -13168,315 +10007,6 @@ def lang_temperature_mix(sf_dir: str, alpha: float = 0.5,
     return c
 
 
-def segment_unshipped_topk(sf_dir: str, segment: str = "BUILDING",
-                           cutoff: str = "1998-07-01", k: int = 10):
-    """TPC-H Q3 shape — SHIPPING-PRIORITY top-k: among orders placed
-    by customers of one market segment BEFORE the cutoff date, the
-    top-k orders by revenue of their lineitems shipped AFTER the
-    cutoff (the "booked but unshipped at date" report; the fixture
-    set has no o_shippriority so the order's priority attaches in its
-    place).  Exact integer cent·percent revenue.  Plan: the segment's
-    custkeys prune date-filtered orders (broadcast sorted-array
-    membership below `ANTI_BROADCAST_MAX_ROWS` customers, hash join
-    above); lineitems filter map-side on shipdate and pre-reduce per
-    block to (orderkey, rev, n) partials; the per-order rollup is a
-    driver combine below the orders gate and a native Sum groupby
-    above, with a per-block exact top-k on the disjoint-key
-    post-groupby blocks; order attrs attach on the ≤k·#blocks
-    candidate table."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    cut = np.datetime64(cutoff, "us").astype(np.int64)
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_mktsegment"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate",
-                            "o_orderpriority"])
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_shipdate", "l_extendedprice",
-                        "l_discount"])
-
-    def li_partial(b: pa.Table) -> pa.Table:
-        sd = (b["l_shipdate"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        m = sd > cut
-        lk = b["l_orderkey"].to_numpy(zero_copy_only=False)[m]
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))[m]
-        disc = _cents_away(
-            b["l_discount"].to_numpy(zero_copy_only=False))[m]
-        df = pd.DataFrame({"l_orderkey": lk,
-                           "rev": cents * (100 - disc)})
-        agg = (df.groupby("l_orderkey", as_index=False)
-               .agg(rev=("rev", "sum"), n_items=("rev", "size")))
-        agg["n_items"] = agg.n_items.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    def ord_sel(b: pa.Table) -> pa.Table:
-        od = (b["o_orderdate"].cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        sub = b.filter(pa.array(od < cut))
-        return pa.table({
-            "ok": sub["o_orderkey"].cast(pa.int64()),
-            "ck": sub["o_custkey"].cast(pa.int64()),
-            "o_orderdate": sub["o_orderdate"],
-            "o_orderpriority": sub["o_orderpriority"]})
-
-    osel = orders.map_batches(ord_sel, batch_format="pyarrow")
-    n_cust = _cheap_count(cust)
-    if n_cust is not None and n_cust <= ANTI_BROADCAST_MAX_ROWS:
-        cp = cust.to_pandas()
-        keys = np.sort(cp.c_custkey[cp.c_mktsegment == segment]
-                       .to_numpy(np.int64))
-        keys_ref = ray.put(keys)
-
-        def seg_filter(b: pa.Table) -> pa.Table:
-            kk = ray.get(keys_ref)
-            v = b["ck"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(kk, v)
-            pos[pos >= len(kk)] = 0
-            hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
-            return b.filter(pa.array(hit))
-
-        osel = osel.map_batches(seg_filter, batch_format="pyarrow")
-    else:
-        def seg_keys(b: pa.Table) -> pa.Table:
-            sub = b.filter(pc.equal(b["c_mktsegment"], segment))
-            return pa.table({"ck2": sub["c_custkey"].cast(pa.int64())})
-
-        osel = hash_join(osel, cust.map_batches(
-            seg_keys, batch_format="pyarrow"), on=("ck",),
-            right_on=("ck2",))
-
-    parts_ds = li.map_batches(li_partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-        op = osel.to_pandas()
-        parts = _parts_pandas(parts_ds, {"l_orderkey": np.int64,
-                                         "rev": np.int64,
-                                         "n_items": np.int64})
-        agg = (parts.groupby("l_orderkey", as_index=False)
-               [["rev", "n_items"]].sum())
-        cand = agg.merge(op, left_on="l_orderkey", right_on="ok")
-    else:
-        rolled = (parts_ds.groupby("l_orderkey")
-                  .aggregate(Sum("rev", alias_name="rev"),
-                             Sum("n_items", alias_name="n_items")))
-        joined = hash_join(rolled, osel, on=("l_orderkey",),
-                           right_on=("ok",))
-
-        def local_topk(b: pa.Table) -> pa.Table:
-            rv = b["rev"].to_numpy(zero_copy_only=False)
-            lk = b["l_orderkey"].to_numpy(zero_copy_only=False)
-            idx = np.lexsort((lk, -rv))[:k]
-            return b.take(pa.array(idx))
-
-        cand = (joined.map_batches(local_topk, batch_format="pyarrow")
-                .to_pandas())
-    out = (cand.sort_values(["rev", "l_orderkey"],
-                            ascending=[False, True]).head(k)
-           [["l_orderkey", "rev", "n_items", "o_orderdate",
-             "o_orderpriority"]]
-           .rename(columns={"rev": "revenue"})
-           .reset_index(drop=True))
-    out["l_orderkey"] = out.l_orderkey.astype(np.int64)
-    out["revenue"] = out.revenue.astype(np.int64)
-    out["n_items"] = out.n_items.astype(np.int64)
-    out["o_orderdate"] = out.o_orderdate.astype("datetime64[us]")
-    return out
-
-
-def state_dwell_times(sf_dir: str):
-    """TIME-IN-STATE per event type: each event opens a "state" that
-    lasts until the user's NEXT event (any type); dwell = that gap in
-    whole seconds (per-gap floor, mirrored in the oracle), attributed
-    to the OPENING event's type — the session-less engagement metric
-    (how long users sit in search vs checkout).  Exact int64 gap sums
-    + one final 6-dp division.  Below the gate: one driver
-    sort + segment diff.  Above: the salt-by-time-range plan (same as
-    `event_transitions`): (user, hour-bucket) map_groups emit
-    within-bucket (type, n, sum_s) partials plus one boundary row,
-    a second user-scale groupby stitches the cross-bucket gaps, and
-    the final rollup is ≤ |types| rows per block."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-    n_rows = _cheap_count(ds)
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas()
-        if not len(df):  # empty to_pandas loses the schema
-            return pd.DataFrame({
-                "event_type": pd.Series([], dtype=object),
-                "n_gaps": pd.Series([], dtype=np.int64),
-                "total_dwell_s": pd.Series([], dtype=np.int64),
-                "mean_dwell_r6": pd.Series([], dtype=np.float64)})
-        df["ts_us"] = df["ts"].astype("datetime64[us]").astype(np.int64)
-        df = df.sort_values(["user_id", "ts_us", "event_id"])
-        uid = df.user_id.to_numpy()
-        ts = df.ts_us.to_numpy()
-        et = df.event_type.to_numpy(dtype=object)
-        nxt_same = np.r_[uid[1:] == uid[:-1], False]
-        gaps = np.empty(len(ts), np.int64)
-        gaps[:-1] = (ts[1:] - ts[:-1]) // 1_000_000
-        rows = pd.DataFrame({"event_type": et[nxt_same],
-                             "dwell": gaps[nxt_same]})
-        agg = (rows.groupby("event_type", as_index=False)
-               .agg(n_gaps=("dwell", "size"),
-                    total_dwell_s=("dwell", "sum")))
-    else:
-        span_us = np.int64(ASOF_SALT_SPAN_S) * np.int64(1_000_000)
-
-        def bucketize(b: pa.Table) -> pa.Table:
-            ts_us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-            return pa.table({
-                "user_id": b["user_id"], "event_id": b["event_id"],
-                "ts_us": ts_us, "event_type": b["event_type"],
-                "bucket": pc.divide(ts_us, span_us)})
-
-        def local_dwell(g: pa.Table) -> pa.Table:
-            """kind 0 = within-bucket (type, n, s) partials; kind 1 =
-            boundary row (first ts / last ts+type of the bucket)."""
-            ts = g["ts_us"].to_numpy(zero_copy_only=False)
-            eid = g["event_id"].to_numpy(zero_copy_only=False)
-            et = g["event_type"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((eid, ts))
-            ts, et = ts[order], et[order]
-            uid = g["user_id"][0].as_py()
-            bkt = int(g["bucket"][0].as_py())
-            parts = []
-            if len(ts) > 1:
-                d = pd.DataFrame({
-                    "t": et[:-1],
-                    "s": (ts[1:] - ts[:-1]) // 1_000_000})
-                agg = (d.groupby("t", as_index=False)
-                       .agg(n=("s", "size"), s=("s", "sum")))
-                parts.append(pa.table({
-                    "kind": pa.array(np.zeros(len(agg), np.int64)),
-                    "user_id": pa.array(
-                        np.full(len(agg), uid, np.int64)),
-                    "bucket": pa.array(
-                        np.full(len(agg), bkt, np.int64)),
-                    "t": pa.array(agg.t.to_numpy(dtype=object),
-                                  pa.string()),
-                    "n": pa.array(agg.n.to_numpy(np.int64)),
-                    "s": pa.array(agg.s.to_numpy(np.int64)),
-                    "first_ts": pa.array([0] * len(agg), pa.int64()),
-                    "last_ts": pa.array([0] * len(agg), pa.int64())}))
-            parts.append(pa.table({
-                "kind": pa.array([1], pa.int64()),
-                "user_id": pa.array([uid], pa.int64()),
-                "bucket": pa.array([bkt], pa.int64()),
-                "t": pa.array([str(et[-1])], pa.string()),
-                "n": pa.array([0], pa.int64()),
-                "s": pa.array([0], pa.int64()),
-                "first_ts": pa.array([int(ts[0])], pa.int64()),
-                "last_ts": pa.array([int(ts[-1])], pa.int64())}))
-            return pa.concat_tables(parts)
-
-        def stitch(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values("bucket")
-            ft = g.first_ts.to_numpy(np.int64)
-            lt = g.last_ts.to_numpy(np.int64)
-            tp = g.t.to_numpy(dtype=object)
-            if len(g) < 2:
-                return pd.DataFrame(
-                    {"t": [], "n": [], "s": []}).astype(
-                        {"t": object, "n": np.int64, "s": np.int64})
-            d = pd.DataFrame({
-                "t": tp[:-1], "s": (ft[1:] - lt[:-1]) // 1_000_000})
-            agg = (d.groupby("t", as_index=False)
-                   .agg(n=("s", "size"), s=("s", "sum")))
-            agg["n"] = agg.n.astype(np.int64)
-            agg["s"] = agg.s.astype(np.int64)
-            return agg
-
-        shards = (ds.map_batches(bucketize, batch_format="pyarrow")
-                  .groupby(["user_id", "bucket"])
-                  .map_groups(local_dwell, batch_format="pyarrow"))
-        shards = shards.materialize()
-
-        def keep_kind(k: int):
-            def f(b: pa.Table) -> pa.Table:
-                return b.filter(pc.equal(b["kind"], k))
-            return f
-
-        within = shards.map_batches(keep_kind(0),
-                                    batch_format="pyarrow")
-        bound = (shards.map_batches(keep_kind(1),
-                                    batch_format="pyarrow")
-                 .groupby("user_id")
-                 .map_groups(stitch, batch_format="pandas"))
-
-        def w_rollup(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "t": b["t"].to_pandas().to_numpy(dtype=object),
-                "n": b["n"].to_numpy(zero_copy_only=False),
-                "s": b["s"].to_numpy(zero_copy_only=False)})
-            agg = df.groupby("t", as_index=False)[["n", "s"]].sum()
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        w1 = within.map_batches(w_rollup, batch_format="pyarrow") \
-            .to_pandas()
-        w2 = bound.map_batches(w_rollup, batch_format="pyarrow") \
-            .to_pandas()
-        agg = (pd.concat([w1, w2], ignore_index=True)
-               .groupby("t", as_index=False)[["n", "s"]].sum()
-               .rename(columns={"t": "event_type", "n": "n_gaps",
-                                "s": "total_dwell_s"}))
-    agg["mean_dwell_r6"] = (agg.total_dwell_s / agg.n_gaps).round(6)
-    agg["n_gaps"] = agg.n_gaps.astype(np.int64)
-    agg["total_dwell_s"] = agg.total_dwell_s.astype(np.int64)
-    return agg.sort_values("event_type").reset_index(drop=True)
-
-
-def weighted_median_quantity(sf_dir: str):
-    """EXACT WEIGHTED MEDIAN — quantity weighted by revenue cents per
-    return flag (the "median unit size by dollar volume" report no
-    unweighted percentile reproduces).  The corpus reduces to a
-    ((flag, qty) → Σw) weight-cardinality table — same move as the
-    exact-percentile family but accumulating integer WEIGHT instead of
-    count — then the median pass walks the output-scale table
-    (bounded by the qty domain) picking the smallest qty with
-    2·cumw ≥ totw: pure int64 comparisons, no float boundary."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "rf": b["l_returnflag"].to_pandas().to_numpy(dtype=object),
-            "qty": b["l_quantity"].to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "w": _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))})
-        agg = df.groupby(["rf", "qty"], as_index=False).w.sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        c = (_parts_pandas(parts_ds, {"rf": object, "qty": np.int64,
-                                      "w": np.int64})
-             .groupby(["rf", "qty"], as_index=False).w.sum())
-    else:
-        c = (parts_ds.groupby(["rf", "qty"])
-             .aggregate(Sum("w", alias_name="w")).to_pandas())
-    c = c.sort_values(["rf", "qty"]).reset_index(drop=True)
-    rows = []
-    for rf, g in c.groupby("rf", sort=True):
-        w = g.w.to_numpy(np.int64)
-        cw = np.cumsum(w)
-        tot = int(cw[-1])
-        pick = int(np.argmax(2 * cw >= tot))
-        rows.append((rf, int(g.qty.to_numpy(np.int64)[pick]), tot))
-    out = pd.DataFrame(rows, columns=["l_returnflag", "wmedian_qty",
-                                      "total_w"])
-    out["wmedian_qty"] = out.wmedian_qty.astype(np.int64)
-    out["total_w"] = out.total_w.astype(np.int64)
-    return out.sort_values("l_returnflag").reset_index(drop=True)
-
-
 def vocab_coverage_topp(sf_dir: str, pct: int = 90):
     """NUCLEUS (top-p) VOCABULARY COVERAGE per language: the minimal
     number of distinct tokens whose summed frequency reaches ``pct``%
@@ -13555,127 +10085,6 @@ def vocab_coverage_topp(sf_dir: str, pct: int = 90):
     return out.sort_values("lang").reset_index(drop=True)
 
 
-def order_fulfillment_latency(sf_dir: str):
-    """ORDER FULFILLMENT LATENCY per priority: whole days from order
-    date to the LAST lineitem ship date (the complete-shipment lag).
-    Exact integers: per-block (orderkey, max shipdate) partials →
-    native Max groupby above `LINEITEM_DRIVER_MAX_ROWS` (driver
-    combine below) → order date attach (broadcast sorted arrays below
-    `CUST_BROADCAST_MAX_ROWS` orders, hash join above) → a (priority,
-    days) count table whose per-priority walk yields n / max / exact
-    lower-median days; the mean is one final 6-dp division."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"])
-
-    def li_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "ship_us": b["l_shipdate"].cast(pa.timestamp("us"))
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)})
-        agg = df.groupby("ok", as_index=False).ship_us.max()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(li_partial, batch_format="pyarrow")
-    DAY_US = np.int64(86_400_000_000)
-    n_li = _cheap_count(li)
-    n_ord = _cheap_count(orders)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        ms = (_parts_pandas(parts_ds, {"ok": np.int64,
-                                       "ship_us": np.int64})
-              .groupby("ok", as_index=False).ship_us.max())
-        op = orders.to_pandas()
-        if not len(op):  # empty to_pandas loses the schema
-            op = pd.DataFrame({
-                "o_orderkey": pd.Series([], dtype=np.int64),
-                "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                "o_orderpriority": pd.Series([], dtype=object)})
-        op["od_us"] = op.o_orderdate.astype(
-            "datetime64[us]").astype(np.int64)
-        m = ms.merge(op, left_on="ok", right_on="o_orderkey")
-        days = (m.ship_us.to_numpy(np.int64)
-                - m.od_us.to_numpy(np.int64)) // DAY_US
-        c = (pd.DataFrame({"pr": m.o_orderpriority
-                           .to_numpy(dtype=object), "days": days})
-             .groupby(["pr", "days"], as_index=False)
-             .size().rename(columns={"size": "n"}))
-    else:
-        maxed = (parts_ds.groupby("ok")
-                 .aggregate(Max("ship_us", alias_name="ship_us")))
-
-        def ord_proj(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "ok2": b["o_orderkey"].cast(pa.int64()),
-                "od_us": b["o_orderdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()),
-                "pr": b["o_orderpriority"]})
-
-        oproj = orders.map_batches(ord_proj, batch_format="pyarrow")
-        if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-            od = oproj.to_pandas()
-            oo = np.argsort(od.ok2.to_numpy(np.int64))
-            okeys = od.ok2.to_numpy(np.int64)[oo]
-            ods = od.od_us.to_numpy(np.int64)[oo]
-            prs = od.pr.to_numpy(dtype=object)[oo]
-            oref = ray.put((okeys, ods, prs))
-
-            def attach(b: pa.Table) -> pa.Table:
-                kk, dd, pp = ray.get(oref)
-                v = b["ok"].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(kk, v)
-                pos[pos >= len(kk)] = 0
-                days = (b["ship_us"].to_numpy(zero_copy_only=False)
-                        - dd[pos]) // DAY_US
-                df = pd.DataFrame({"pr": pp[pos], "days": days})
-                agg = (df.groupby(["pr", "days"], as_index=False)
-                       .size().rename(columns={"size": "n"}))
-                agg["n"] = agg.n.astype(np.int64)
-                return pa.Table.from_pandas(agg, preserve_index=False)
-
-            cparts = maxed.map_batches(attach, batch_format="pyarrow")
-        else:
-            joined = hash_join(maxed, oproj, on=("ok",),
-                               right_on=("ok2",))
-
-            def jdays(b: pa.Table) -> pa.Table:
-                days = (b["ship_us"].to_numpy(zero_copy_only=False)
-                        - b["od_us"].to_numpy(zero_copy_only=False)
-                        ) // DAY_US
-                df = pd.DataFrame({
-                    "pr": b["pr"].to_pandas().to_numpy(dtype=object),
-                    "days": days})
-                agg = (df.groupby(["pr", "days"], as_index=False)
-                       .size().rename(columns={"size": "n"}))
-                agg["n"] = agg.n.astype(np.int64)
-                return pa.Table.from_pandas(agg, preserve_index=False)
-
-            cparts = joined.map_batches(jdays, batch_format="pyarrow")
-        c = (_parts_pandas(cparts, {"pr": object, "days": np.int64,
-                                    "n": np.int64})
-             .groupby(["pr", "days"], as_index=False).n.sum())
-    rows = []
-    for pr, g in c.groupby("pr", sort=True):
-        g = g.sort_values("days")
-        n = g.n.to_numpy(np.int64)
-        d = g.days.to_numpy(np.int64)
-        cw = np.cumsum(n)
-        tot = int(cw[-1])
-        med = int(d[np.argmax(2 * cw >= tot)])
-        rows.append((pr, tot, int(d[-1]), med,
-                     round(float((d * n).sum()) / tot, 6)))
-    out = pd.DataFrame(rows, columns=["o_orderpriority", "n_orders",
-                                      "max_days", "median_days",
-                                      "mean_days_r6"])
-    for col in ["n_orders", "max_days", "median_days"]:
-        out[col] = out[col].astype(np.int64)
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
-
-
 def bloom_fpr_report(sf_dir: str, n_probes: int = 200_000):
     """OBSERVED vs CONFIGURED Bloom FPR — the BASELINE acceptance
     metric ("observed FPR ≤ configured bound at the chosen m/n and k
@@ -13748,79 +10157,6 @@ def bloom_fpr_report(sf_dir: str, n_probes: int = 200_000):
     return out.sort_values("filter_id").reset_index(drop=True)
 
 
-def rfm_segments(sf_dir: str):
-    """RFM SEGMENTATION — the classic customer-value cube: per
-    customer Recency (whole days from last order to the corpus max
-    order date), Frequency (#orders) and Monetary (total cents), each
-    bucketed 1-4 by EXACT value-threshold quartiles (t_j = smallest v
-    with 4·cum ≥ j·tot — PERCENTILE_DISC semantics; value-based so
-    ties share a bucket deterministically), then the output-scale
-    (≤4³ rows) segment census.  Plan: per-block (custkey, n, cents,
-    max date) partials → tiered combine (native multi-agg groupby
-    above `CUST_BROADCAST_MAX_ROWS`) → three count-table threshold
-    walks (value-cardinality scale) → map-side bucket assignment →
-    segment rollup.  Everything integer-exact."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_totalprice", "o_orderdate"])
-    DAY_US = np.int64(86_400_000_000)
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "ck": b["o_custkey"].to_numpy(zero_copy_only=False),
-            "cents": _cents_away(
-                b["o_totalprice"].to_numpy(zero_copy_only=False)),
-            "od_us": b["o_orderdate"].cast(pa.timestamp("us"))
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("ck", as_index=False)
-               .agg(f=("cents", "size"), m=("cents", "sum"),
-                    last_us=("od_us", "max")))
-        agg["f"] = agg.f.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = orders.map_batches(partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-        cust = (_parts_pandas(parts_ds, {"ck": np.int64, "f": np.int64,
-                                         "m": np.int64,
-                                         "last_us": np.int64})
-                .groupby("ck", as_index=False)
-                .agg(f=("f", "sum"), m=("m", "sum"),
-                     last_us=("last_us", "max")))
-    else:
-        cust = (parts_ds.groupby("ck")
-                .aggregate(Sum("f", alias_name="f"),
-                           Sum("m", alias_name="m"),
-                           Max("last_us", alias_name="last_us"))
-                .to_pandas())
-    if not len(cust):  # empty input -> empty census, not a crash
-        return pd.DataFrame({c: pd.Series([], dtype=np.int64)
-                             for c in ["r_q", "f_q", "m_q",
-                                       "n_customers"]})
-    mx = int(cust.last_us.max())
-    cust["r"] = (mx - cust.last_us.to_numpy(np.int64)) // DAY_US
-
-    def quartiles(v: np.ndarray) -> np.ndarray:
-        """Exact t_1..t_3: smallest value with 4·cum ≥ j·tot."""
-        vals, cnt = np.unique(v, return_counts=True)
-        cum = np.cumsum(cnt)
-        tot = int(cum[-1])
-        return np.array([vals[np.argmax(4 * cum >= j * tot)]
-                         for j in (1, 2, 3)], np.int64)
-
-    seg = pd.DataFrame({"ck": cust.ck})
-    for col, name in (("r", "r_q"), ("f", "f_q"), ("m", "m_q")):
-        v = cust[col].to_numpy(np.int64)
-        t = quartiles(v)
-        seg[name] = (1 + (v > t[0]).astype(np.int64)
-                     + (v > t[1]) + (v > t[2]))
-    out = (seg.groupby(["r_q", "f_q", "m_q"], as_index=False)
-           .size().rename(columns={"size": "n_customers"}))
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return (out.sort_values(["r_q", "f_q", "m_q"])
-            .reset_index(drop=True))
-
-
 def knn_label_accuracy(sf_dir: str, k: int = 5, n_eval: int = 500):
     """k-NN LABEL-VOTE ACCURACY — the standard embedding-quality eval:
     each of the first ``n_eval`` vectors (by id; the bounded eval
@@ -13885,84 +10221,6 @@ def knn_label_accuracy(sf_dir: str, k: int = 5, n_eval: int = 500):
     out["n_correct"] = out.n_correct.astype(np.int64)
     out["accuracy_r6"] = (out.n_correct / out.n_eval).round(6)
     return out.sort_values("true_label").reset_index(drop=True)
-
-
-def customer_value_migration(sf_dir: str):
-    """CUSTOMER VALUE MIGRATION matrix — the period-over-period
-    quartile transition every retention team tracks: spend per
-    customer in the first vs second half of the order-date span
-    (same mid = (min+max)//2 convention as `value_drift_by_half`),
-    each half bucketed 0 (no spend) or 1-4 by exact value-threshold
-    quartiles over that half's SPENDERS, then the ≤5×5 census.
-    Plan: one cheap min/max date pre-pass, per-block (custkey, s0,
-    s1) partials → tiered combine (native Sum groupby above
-    `CUST_BROADCAST_MAX_ROWS`) → two count-table quartile walks →
-    map-side bucketing → output-scale rollup.  Integer-exact."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_totalprice", "o_orderdate"])
-
-    def ts_minmax(b: pa.Table) -> pa.Table:
-        us = (b["o_orderdate"].cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        if not len(us):  # empty block
-            return pa.table({"lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64())})
-        return pa.table({"lo": pa.array([int(us.min())], pa.int64()),
-                         "hi": pa.array([int(us.max())], pa.int64())})
-
-    mm = _parts_pandas(
-        orders.map_batches(ts_minmax, batch_format="pyarrow"),
-        {"lo": np.int64, "hi": np.int64})
-    if not len(mm):  # empty input -> empty matrix, not a crash
-        return pd.DataFrame({c: pd.Series([], dtype=np.int64)
-                             for c in ["q_first", "q_second",
-                                       "n_customers"]})
-    mid = (int(mm.lo.min()) + int(mm.hi.max())) // 2
-
-    def partial(b: pa.Table) -> pa.Table:
-        us = (b["o_orderdate"].cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        cents = _cents_away(
-            b["o_totalprice"].to_numpy(zero_copy_only=False))
-        h1 = us >= mid
-        df = pd.DataFrame({
-            "ck": b["o_custkey"].to_numpy(zero_copy_only=False),
-            "s0": np.where(h1, 0, cents),
-            "s1": np.where(h1, cents, 0)})
-        agg = df.groupby("ck", as_index=False)[["s0", "s1"]].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = orders.map_batches(partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-        cust = (_parts_pandas(parts_ds, {"ck": np.int64,
-                                         "s0": np.int64,
-                                         "s1": np.int64})
-                .groupby("ck", as_index=False)[["s0", "s1"]].sum())
-    else:
-        cust = (parts_ds.groupby("ck")
-                .aggregate(Sum("s0", alias_name="s0"),
-                           Sum("s1", alias_name="s1")).to_pandas())
-
-    def bucket(v: np.ndarray) -> np.ndarray:
-        pos = np.sort(v[v > 0])
-        if not len(pos):
-            return np.zeros(len(v), np.int64)
-        cum = np.arange(1, len(pos) + 1)
-        t = np.array([pos[np.argmax(4 * cum >= j * len(pos))]
-                      for j in (1, 2, 3)], np.int64)
-        q = 1 + (v > t[0]).astype(np.int64) + (v > t[1]) + (v > t[2])
-        return np.where(v == 0, 0, q)
-
-    s0 = cust.s0.to_numpy(np.int64)
-    s1 = cust.s1.to_numpy(np.int64)
-    out = (pd.DataFrame({"q_first": bucket(s0), "q_second": bucket(s1)})
-           .groupby(["q_first", "q_second"], as_index=False)
-           .size().rename(columns={"size": "n_customers"}))
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return (out.sort_values(["q_first", "q_second"])
-            .reset_index(drop=True))
 
 
 def dup_cluster_representatives(sf_dir: str):
@@ -14050,92 +10308,6 @@ def sample_budget_allocation(sf_dir: str, budget: int = 997):
     c["floor_quota"] = quota.astype(np.int64)
     c["remainder"] = rem.astype(np.int64)
     return c
-
-
-def nation_whale_share(sf_dir: str):
-    """WHALE DEPENDENCE per nation: the share of a nation's order
-    revenue contributed by its single largest customer (max-of-sums —
-    the concentration-risk flag HHI's sum-of-squares smooths away).
-    Exact cents: per-block (custkey, cents) partials → tiered
-    customer rollup (native Sum groupby above
-    `CUST_BROADCAST_MAX_ROWS`) → nation attach on the customer-scale
-    table (broadcast sorted arrays below `ANTI_BROADCAST_MAX_ROWS`
-    customers, hash join above) → per-nation (Σ, max, argmax-with-
-    min-id) fold; one final 6-dp division."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer",
-                 columns=["c_custkey", "c_nationkey"])
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    names = dict(zip(nation.n_nationkey.to_numpy(np.int64),
-                     nation.n_name.to_numpy(dtype=object)))
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "ck": b["o_custkey"].to_numpy(zero_copy_only=False),
-            "cents": _cents_away(
-                b["o_totalprice"].to_numpy(zero_copy_only=False))})
-        agg = df.groupby("ck", as_index=False).cents.sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = orders.map_batches(partial, batch_format="pyarrow")
-    n_ord = _cheap_count(orders)
-    if n_ord is not None and n_ord <= CUST_BROADCAST_MAX_ROWS:
-        per_cust = (_parts_pandas(parts_ds, {"ck": np.int64,
-                                             "cents": np.int64})
-                    .groupby("ck", as_index=False).cents.sum())
-        per_cust_ds = None
-    else:
-        per_cust_ds = (parts_ds.groupby("ck")
-                       .aggregate(Sum("cents", alias_name="cents")))
-        per_cust = None
-
-    n_cust = _cheap_count(cust)
-    if per_cust is not None and n_cust is not None \
-            and n_cust <= ANTI_BROADCAST_MAX_ROWS:
-        cp = cust.to_pandas()
-        co = np.argsort(cp.c_custkey.to_numpy(np.int64))
-        keys = cp.c_custkey.to_numpy(np.int64)[co]
-        nats = cp.c_nationkey.to_numpy(np.int64)[co]
-        pos = np.searchsorted(keys, per_cust.ck.to_numpy(np.int64))
-        per_cust["nat"] = nats[pos]
-        joined = per_cust
-    else:
-        if per_cust_ds is None:
-            per_cust_ds = ray.data.from_pandas(per_cust)
-
-        def cproj(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "ck2": b["c_custkey"].cast(pa.int64()),
-                "nat": b["c_nationkey"].cast(pa.int64())})
-
-        joined = _parts_pandas(
-            hash_join(per_cust_ds,
-                      cust.map_batches(cproj, batch_format="pyarrow"),
-                      on=("ck",), right_on=("ck2",)),
-            {"ck": np.int64, "cents": np.int64, "nat": np.int64})
-    # per-nation fold on the customer-scale table: total, max, and the
-    # smallest custkey attaining the max
-    j = joined.sort_values(["nat", "cents", "ck"],
-                           ascending=[True, False, True])
-    top = j.groupby("nat", as_index=False).head(1) \
-        .rename(columns={"ck": "top_custkey", "cents": "top_cents"})
-    tot = (joined.groupby("nat", as_index=False)
-           .agg(total_cents=("cents", "sum"),
-                n_customers=("cents", "size")))
-    out = tot.merge(top[["nat", "top_custkey", "top_cents"]], on="nat")
-    out["n_name"] = out.nat.map(names)
-    out["whale_share_r6"] = (out.top_cents / out.total_cents).round(6)
-    out = out[["n_name", "n_customers", "total_cents", "top_custkey",
-               "top_cents", "whale_share_r6"]]
-    for c in ["n_customers", "total_cents", "top_custkey", "top_cents"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
 def session_bounce_rate(sf_dir: str, gap_minutes: int = 30):
@@ -14418,12 +10590,17 @@ def hll_error_sweep(sf_dir: str, precisions=(8, 10, 12, 14)):
 def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
     """CMS PUBLISHED-BOUND verification as a query (Cormode &
     Muthukrishnan: overcount ≤ ε·N with ε = e/width, w.p. 1−δ):
-    ONE token scan folds a CMS per width (same depth/seed), the exact
-    counts of the TRUE top tokens come from the count-table rollup,
-    and the report shows per width the max/mean overcount on those
-    tokens against ε·N.  CMS can only overcount, so underestimates
-    flag a real defect.  The pytest twin asserts est ≥ exact for
-    every probe token and max overcount ≤ ε·N."""
+    ONE token scan folds a CMS per width (same depth/seed), and EVERY
+    distinct token is probed against its exact count; the report shows
+    per width the max/mean overcount against ε·N.  CMS can only
+    overcount, so underestimates flag a real defect.  The exact counts
+    sum per token in the cluster (a native Sum groupby), the folded
+    sketches reach the probe map through ``ray.put``, and only one
+    (max, sum, count, under) row per width and block comes back to the
+    driver.  The pytest twin asserts est ≥ exact for every probe token
+    and max overcount ≤ ε·N."""
+    import ray
+
     from biobloom_ray.hashing import hash_strings
     from biobloom_ray.sketches.cms import CountMinSketch
     from biobloom_ray.stages.textstats import _token_arrays
@@ -14431,11 +10608,15 @@ def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
     ds = _read(sf_dir, "documents", columns=["text"])
     ws = tuple(widths)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def token_counts(b: pa.Table):
         flat, _, _ = _token_arrays(b)
         codes, uniq = pd.factorize(pd.Index(flat, dtype=object))
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        h = hash_strings(uniq.to_numpy(dtype=object))
+        return uniq.to_numpy(dtype=object), cnt
+
+    def partial(b: pa.Table) -> pa.Table:
+        uniq, cnt = token_counts(b)
+        h = hash_strings(uniq)
         blobs = []
         for w in ws:
             sk = CountMinSketch(depth=depth, width=w)
@@ -14446,30 +10627,43 @@ def cms_error_sweep(sf_dir: str, widths=(256, 1024, 4096), depth: int = 5):
 
     folded = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
                            {"blob": CountMinSketch}, key="w")
+    sk_ref = ray.put({int(w): r["blob"] for w, r in folded.items()})
 
-    # exact counts of every token (vocab-scale count table)
     def tok_cnt(b: pa.Table) -> pa.Table:
-        flat, _, _ = _token_arrays(b)
-        codes, uniq = pd.factorize(pd.Index(flat, dtype=object))
-        cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        return pa.table({"token": pa.array(
-            uniq.to_numpy(dtype=object).tolist(), pa.string()),
-            "cnt": pa.array(cnt)})
+        uniq, cnt = token_counts(b)
+        return pa.table({"token": pa.array(uniq.tolist(), pa.string()),
+                         "cnt": pa.array(cnt)})
 
-    vocab = (_parts_pandas(
-        ds.map_batches(tok_cnt, batch_format="pyarrow"),
-        {"token": object, "cnt": np.int64})
-        .groupby("token", as_index=False).cnt.sum())
-    probes = hash_strings(vocab.token.to_numpy(dtype=object))
-    exact = vocab.cnt.to_numpy(np.int64)
-    N = int(exact.sum())
-    rows = []
-    for w, r in folded.items():
-        est = r["blob"].query(probes).astype(np.int64)
-        over = est - exact
-        rows.append((int(w), N, int(over.max()),
-                     round(float(over.mean()), 6),
-                     round(np.e / w * N, 6), int((over < 0).sum())))
+    cols = ["w", "n", "max_over", "sum_over", "n_probes", "n_under"]
+
+    def overcount(b: pa.Table) -> pa.Table:
+        exact = b["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
+        probes = hash_strings(
+            b["token"].to_numpy(zero_copy_only=False).astype(object))
+        rows = []
+        for w, sk in (ray.get(sk_ref).items() if len(exact) else ()):
+            over = sk.query(probes).astype(np.int64) - exact
+            rows.append((w, int(exact.sum()), int(over.max()),
+                         int(over.sum()), len(over),
+                         int((over < 0).sum())))
+        return pa.Table.from_pandas(
+            pd.DataFrame(rows, columns=cols).astype(np.int64),
+            preserve_index=False)
+
+    vocab = (ds.map_batches(tok_cnt, batch_format="pyarrow")
+             .groupby("token").aggregate(Sum("cnt", alias_name="cnt")))
+    parts = _parts_pandas(vocab.map_batches(overcount,
+                                            batch_format="pyarrow"),
+                          dict.fromkeys(cols, np.int64))
+    per_w = (parts.groupby("w").agg(
+        n=("n", "sum"), max_over=("max_over", "max"),
+        sum_over=("sum_over", "sum"), n_probes=("n_probes", "sum"),
+        n_under=("n_under", "sum"))
+        .reindex([int(w) for w in folded], fill_value=0))
+    rows = [(w, int(r.n), int(r.max_over),
+             round(r.sum_over / r.n_probes, 6) if r.n_probes else 0.0,
+             round(np.e / w * int(r.n), 6), int(r.n_under))
+            for w, r in per_w.iterrows()]
     out = pd.DataFrame(rows, columns=["width", "n_tokens",
                                       "max_overcount",
                                       "mean_overcount_r6",
@@ -14899,156 +11093,6 @@ def supplier_rank_correlation(sf_dir: str):
         "sum_d2_4x": np.asarray([S], np.int64),
         "spearman_r6": [round(rho, 6)]})
     return out
-
-
-# -- TPC-H Q11 (important stock) over a KEY-DERIVED partsupp ------------------
-
-#: supplier-side broadcast gate for Q11: below this many suppliers the
-#: in-nation suppkey membership ships to every part task as one bool
-#: array (n_supp bytes); above it the derived partsupp rows hash-join
-#: the filtered supplier Dataset instead
-Q11_SUPP_BROADCAST_MAX_ROWS = 2_000_000
-
-#: Q11 partsupp fan-out: suppliers per part (TPC-H uses 4)
-Q11_SUPP_PER_PART = 4
-
-
-def _partsupp_terms(pk: np.ndarray, i: int, n_supp: int):
-    """Deterministic partsupp derivation from keys — the fixture ships
-    no partsupp file, so BOTH sides derive the identical table: part
-    ``pk`` gets ``Q11_SUPP_PER_PART`` suppliers at stride
-    ``n_supp // 4 + 1`` (TPC-H dbgen's rotation idea, ``dbgen/build.c``
-    mk_part), with arithmetic availqty / supplycost-in-cents.  The SQL
-    oracle's CTE mirrors this expression EXACTLY (see
-    ``__ray_entry__.oracle_sql['q11_important_stock']``)."""
-    step = n_supp // 4 + 1
-    sk = (pk + i * step) % n_supp
-    avail = (pk * 7 + i * 131 + sk) % 9999 + 1
-    cost_c = (pk * 31 + sk * 17 + i) % 99900 + 100
-    return sk, avail, cost_c
-
-
-def q11_important_stock(sf_dir: str, nation: str = "NATION_7"):
-    """TPC-H Q11 shape — grouped value with a GLOBAL scalar-subquery
-    HAVING (``BioBloomCategorizer``'s summary-threshold census twin):
-    per part, the total supplycost·availqty held by suppliers of one
-    nation, keeping parts whose value exceeds the MEAN group value
-    (``value·n_groups > total`` — exact integer cross-multiplication,
-    no float fraction).  partsupp itself is derived arithmetically from
-    (p_partkey, supplier count) — see ``_partsupp_terms``.
-
-    Scale plan: the derivation is MAP-ONLY (all 4 supplier terms of a
-    part live in its own input row, so the per-part German-value sum
-    needs NO groupby).  Below ``Q11_SUPP_BROADCAST_MAX_ROWS`` suppliers
-    the in-nation membership broadcasts as one bool array via
-    ``ray.put``; above it the exploded (partkey, suppkey, v) rows
-    hash-join the nation-filtered supplier table and reduce with a
-    native Sum.  The global (total, n_groups) scalars come from one
-    partial-fold pass; below ``PART_DRIVER_MAX_ROWS`` parts the final
-    HAVING filter folds on the driver, above it it runs as a
-    map_batches filter over the grouped Dataset with the two broadcast
-    scalars (production would ``write_parquet`` that stream)."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    part = _read(sf_dir, "part", columns=["p_partkey"])
-    supp_ds = _read(sf_dir, "supplier",
-                    columns=["s_suppkey", "s_nationkey"])
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name"]).to_pandas()
-    nk = set(nat[nat.n_name == nation].n_nationkey.astype(int).tolist())
-    n_supp = _cheap_count(supp_ds)
-    if n_supp is None:
-        n_supp = int(supp_ds.count())
-
-    n_parts = _cheap_count(part)
-    if n_supp <= Q11_SUPP_BROADCAST_MAX_ROWS:
-        sp = supp_ds.to_pandas()
-        keep = np.zeros(n_supp, dtype=bool)
-        keep[sp[sp.s_nationkey.isin(nk)].s_suppkey
-             .to_numpy(np.int64)] = True
-        keep_ref = ray.put(keep)
-
-        def per_part(b: pa.Table) -> pa.Table:
-            import ray as _r
-            kp = _r.get(keep_ref)
-            pk = b["p_partkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            acc = np.zeros(len(pk), dtype=np.int64)
-            for i in range(Q11_SUPP_PER_PART):
-                sk, avail, cost_c = _partsupp_terms(pk, i, n_supp)
-                acc += np.where(kp[sk], cost_c * avail, 0)
-            m = acc > 0
-            return pa.table({
-                "ps_partkey": pa.array(pk[m]),
-                "value_cents": pa.array(acc[m])})
-
-        grouped = part.map_batches(per_part, batch_format="pyarrow")
-    else:
-        def explode_ps(b: pa.Table) -> pa.Table:
-            pk = b["p_partkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            pks, sks, vs = [], [], []
-            for i in range(Q11_SUPP_PER_PART):
-                sk, avail, cost_c = _partsupp_terms(pk, i, n_supp)
-                pks.append(pk)
-                sks.append(sk)
-                vs.append(cost_c * avail)
-            return pa.table({
-                "ps_partkey": pa.array(np.concatenate(pks)),
-                "sk": pa.array(np.concatenate(sks)),
-                "v": pa.array(np.concatenate(vs))})
-
-        nk_arr = np.asarray(sorted(nk), dtype=np.int64)
-
-        def in_nation(b: pa.Table) -> pa.Table:
-            m = np.isin(b["s_nationkey"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64), nk_arr)
-            return pa.table({"s_suppkey":
-                             b["s_suppkey"].filter(pa.array(m))
-                             .cast(pa.int64())})
-
-        german = supp_ds.map_batches(in_nation, batch_format="pyarrow")
-        joined = hash_join(part.map_batches(explode_ps,
-                                            batch_format="pyarrow"),
-                           german, on=("sk",), right_on=("s_suppkey",))
-        grouped = (joined.groupby("ps_partkey")
-                   .aggregate(Sum("v", alias_name="value_cents")))
-
-    if n_parts is not None and n_parts <= PART_DRIVER_MAX_ROWS:
-        g = _parts_pandas(grouped, {"ps_partkey": np.int64,
-                                    "value_cents": np.int64})
-        tot = int(g.value_cents.sum())
-        ng = len(g)
-        out = g[g.value_cents * ng > tot]
-    else:
-        scal = _parts_pandas(
-            grouped.map_batches(
-                lambda b: pa.table({
-                    "tot": pa.array([int(pc.sum(b["value_cents"])
-                                         .as_py() or 0)], pa.int64()),
-                    "ng": pa.array([b.num_rows], pa.int64())}),
-                batch_format="pyarrow"),
-            {"tot": np.int64, "ng": np.int64})
-        tot, ng = int(scal.tot.sum()), int(scal.ng.sum())
-
-        def having(b: pa.Table) -> pa.Table:
-            v = b["value_cents"].to_numpy(zero_copy_only=False)
-            return b.filter(pa.array(v * ng > tot))
-
-        out = grouped.map_batches(having,
-                                  batch_format="pyarrow").to_pandas()
-        if len(out) == 0:  # empty to_pandas loses the schema
-            out = pd.DataFrame(
-                {"ps_partkey": pd.Series([], dtype=np.int64),
-                 "value_cents": pd.Series([], dtype=np.int64)})
-    out = out.copy()
-    out["ps_partkey"] = out.ps_partkey.astype(np.int64)
-    out["value_cents"] = out.value_cents.astype(np.int64)
-    return (out.sort_values(["value_cents", "ps_partkey"],
-                            ascending=[False, True])
-            .reset_index(drop=True))
 
 
 def curation_neardup_summary(sf_dir: str):

@@ -22,7 +22,6 @@ from biobloom_ray.stages.dedup import (
     minhash_neardup_pairs,
     simhash_neardup_pairs,
 )
-from biobloom_ray.stages.multimodal import DecodeFeatureActor, FakeCodec
 from biobloom_ray.stages.textstats import (
     LangIdActor,
     NGramLangProfiles,
@@ -196,61 +195,6 @@ class TestANN:
         found = set(zip(pairs.id_a, pairs.id_b))
         assert (0, 1) in found
         assert (2, 3) in found
-
-
-class TestMultimodal:
-    def test_decode_actor_plumbing(self, ray_session):
-        payloads = [b"some bytes", b"", b"other data longer payload"]
-        tbl = pa.table({"doc_id": pa.array([0, 1, 2], type=pa.int64()),
-                        "payload": pa.array(payloads, type=pa.large_binary())})
-        ds = ray.data.from_arrow(tbl)
-        out = ds.map_batches(DecodeFeatureActor,
-                             fn_constructor_kwargs={"feature_dim": 8},
-                             batch_size=2, concurrency=1,
-                             batch_format="pyarrow").to_pandas()
-        assert "features" in out.columns and "payload" not in out.columns
-        assert len(out.features.iloc[0]) == 8
-        # determinism
-        again = FakeCodec(8).decode(payloads[0])
-        got = np.asarray(out[out.doc_id == 0].features.iloc[0])
-        assert np.allclose(got, again)
-
-
-class TestFrameSample:
-    def test_frame_sample_explodes_and_drops_payload(self, ray_session):
-        from biobloom_ray.stages.multimodal import FrameSampleActor
-
-        rng = np.random.default_rng(3)
-        rows = []
-        for i in range(20):
-            n = int(rng.integers(0, 12))
-            rows.append((i, n, rng.bytes(max(n, 1) * 64)))
-        tbl = pa.table({
-            "media_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "n_frames": pa.array([r[1] for r in rows], type=pa.int64()),
-            "payload": pa.array([r[2] for r in rows], type=pa.large_binary()),
-        })
-        ds = ray.data.from_arrow(tbl)
-        out = ds.map_batches(FrameSampleActor,
-                             fn_constructor_kwargs={"every": 2,
-                                                    "feature_dim": 8},
-                             batch_size=4, concurrency=2,
-                             batch_format="pyarrow").to_pandas()
-        # one output row per sampled frame; payload column gone
-        want = sum(len(range(0, n, 2)) for _, n, _ in rows)
-        assert len(out) == want
-        assert "payload" not in out.columns
-        assert set(out.columns) == {"media_id", "frame_idx", "features"}
-        assert all(len(f) == 8 for f in out.features)
-        # deterministic across reruns
-        out2 = ds.map_batches(FrameSampleActor,
-                              fn_constructor_kwargs={"every": 2,
-                                                     "feature_dim": 8},
-                              batch_size=4, concurrency=2,
-                              batch_format="pyarrow").to_pandas()
-        a = out.sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
-        b = out2.sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
-        assert a[["media_id", "frame_idx"]].equals(b[["media_id", "frame_idx"]])
 
 
 def test_sig_matrix_honors_array_offset():

@@ -57,109 +57,70 @@ SQL_CHECKED = [
     "top_users_by_events", "event_type_daily",
     # round-2 additions
     "lineitem_pricing_summary", "orders_per_nation", "top_parts_by_revenue",
-    "events_sessionize", "paired_join", "bpe_token_counts",
-    "ann_topk_multi", "deterministic_sample", "events_asof_join",
-    "top_docs_per_lang",
+    "events_sessionize", "paired_join", "bpe_token_counts", "ann_topk_multi",
+    "events_asof_join", "top_docs_per_lang",
     # round-3 additions
-    "deterministic_sample_hash", "minhash_dedup_kept",
-    "ngram_jaccard_pairs", "token_rarity_scores",
-    "events_sliding_window", "stratified_sample", "user_event_counts_salted",
-    "spaced_seed_distinct_exact", "pack_documents",
-    "repetition_stats", "decontaminate", "repeated_substrings",
-    "pii_redact", "gopher_quality_flags", "remove_boilerplate_ngrams",
-    "bigram_lm_scores", "chunk_documents", "tfidf_top_terms",
-    "bigram_ppl_buckets", "dup_clusters", "source_stats",
-    "source_quality_gate", "token_freq_histogram", "inverted_index",
-    "bm25_topk", "source_mix_sample", "lang_centroids",
+    "deterministic_sample_hash", "minhash_dedup_kept", "ngram_jaccard_pairs",
+    "token_rarity_scores", "events_sliding_window", "stratified_sample",
+    "user_event_counts_salted", "spaced_seed_distinct_exact", "pack_documents",
+    "repetition_stats", "decontaminate", "repeated_substrings", "pii_redact",
+    "gopher_quality_flags", "remove_boilerplate_ngrams", "bigram_lm_scores",
+    "chunk_documents", "tfidf_top_terms", "bigram_ppl_buckets", "dup_clusters",
+    "source_stats", "source_quality_gate", "token_freq_histogram",
+    "inverted_index", "bm25_topk", "source_mix_sample", "lang_centroids",
     "epoch_shuffle_head", "clean_corpus", "curation_funnel",
     "curation_funnel_by_source", "contamination_topk",
-    "dup_group_size_histogram", "curation_partition_metrics",
-    "source_overlap",
+    "dup_group_size_histogram", "curation_partition_metrics", "source_overlap",
     "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
     "corpus_report", "events_range_join",
     # round-4 additions
-    "epoch_shuffle_full", "ann_ivf_exact",
-    "events_props_stats", "top_bigrams_per_lang", "nchars_rank_in_source",
+    "epoch_shuffle_full", "ann_ivf_exact", "events_props_stats",
+    "top_bigrams_per_lang", "nchars_rank_in_source",
     "jsonl_roundtrip_lang_counts", "csv_roundtrip_event_counts",
     "windowed_distinct_users", "segment_revenue_topk", "nb_class_scores",
-    "user_event_pivot", "token_drift_topk",
-    "latest_event_per_user_type", "events_hourly_anomaly",
-    "docs_rollup_cube", "nchars_ntile_buckets",
-    "customers_without_orders", "region_revenue",
-    "orders_priority_semijoin",
-    "event_transitions", "event_type_daily_ma7", "funnel_conversion",
-    "acctbal_percentiles_per_nation", "shard_assignment_counts",
-    "partitioned_roundtrip_source_counts",
-    "nation_monthly_revenue_delta", "nation_balance_union",
-    "brand_distinct_sizes",
-    "revenue_pareto_nations", "source_lang_entropy",
-    "top_suppliers_by_quantity",
-    "value_decile_stats", "top_size_modes_per_brand",
-    "parts_above_type_avg",
-    "event_user_setops", "type_day_dense_counts", "lineitem_corr_stats",
+    "user_event_pivot", "token_drift_topk", "latest_event_per_user_type",
+    "events_hourly_anomaly", "docs_rollup_cube", "nchars_ntile_buckets",
+    "region_revenue", "event_transitions", "event_type_daily_ma7",
+    "funnel_conversion", "shard_assignment_counts",
+    "partitioned_roundtrip_source_counts", "nation_monthly_revenue_delta",
+    "nation_balance_union", "brand_distinct_sizes", "revenue_pareto_nations",
+    "source_lang_entropy", "top_suppliers_by_quantity", "value_decile_stats",
+    "top_size_modes_per_brand", "parts_above_type_avg", "event_user_setops",
     "snapshot_user_diff", "max_concurrent_sessions", "pmi_top_bigrams",
     "doc_length_gini", "cross_lang_dup_matrix", "nchars_cume_dist",
     "cohort_retention", "source_lang_chi2", "name_typo_pairs",
     "orders_profile", "orders_quality_checks", "acctbal_robust_stats",
     "mg_heavy_tokens", "diversified_top_docs", "event_decayed_counts",
-    "latest_events_per_user", "event_gap_quantiles",
-    "rrf_hybrid_topk", "grouped_split_counts",
-    "user_bfs_hops", "top_session_journeys",
-    "weighted_sample_topk", "event_value_ffill_hourly",
-    "zorder_bucket_counts", "funnel_latency_quantiles",
-    "nchars_robust_outliers", "source_dup_report",
-    "returning_users_daily", "video_frame_features",
-    "nation_trade_volume", "promo_revenue_share",
-    "top_returned_customers", "user_pagerank", "user_triangle_stats",
-    "table_fingerprint", "term_overlap_topk", "readability_scores",
-    "charclass_stats", "range_shard_bounds", "cusum_changepoints",
-    "hour_of_day_profile", "supplier_part_coverage", "join_size_exact",
-    "user_activity_streaks", "order_fill_rate",
-    "value_benford_deviation", "weekly_distinct_users",
-    "byte_median_doc_size", "multi_predicate_revenue",
-    "copurchase_type_pairs", "ngram_containment_pairs",
-    "source_exclusive_tokens", "fk_orphan_counts",
-    "nchars_histogram_log2", "customer_order_distribution",
-    "cold_customers_by_nation", "bloom_prune_join_revenue",
-    "session_overlap_pairs", "rolling_median_daily_revenue",
-    "late_sole_supplier_counts", "kmv_distinct_userdays",
-    "part_skyline", "large_quantity_orders",
-    "kmv_type_jaccard", "repeat_purchase_pairs",
-    "strict_funnel_users", "lang_bigram_jsd",
-    "local_supplier_revenue", "cheapest_shipper_per_brand",
-    "grouped_higher_moments", "sliding_distinct_users",
-    "full_quarter_customers", "exact_median_bisect",
-    "clean_conversion_users", "acctbal_cont_quantiles",
-    "value_ks_matrix", "acctbal_trimmed_stats",
+    "latest_events_per_user", "event_gap_quantiles", "rrf_hybrid_topk",
+    "grouped_split_counts", "weighted_sample_topk", "zorder_bucket_counts",
+    "funnel_latency_quantiles", "nchars_robust_outliers", "source_dup_report",
+    "returning_users_daily", "table_fingerprint", "term_overlap_topk",
+    "readability_scores", "charclass_stats", "range_shard_bounds",
+    "cusum_changepoints", "hour_of_day_profile", "join_size_exact",
+    "user_activity_streaks", "order_fill_rate", "value_benford_deviation",
+    "weekly_distinct_users", "byte_median_doc_size", "multi_predicate_revenue",
+    "ngram_containment_pairs", "source_exclusive_tokens",
+    "nchars_histogram_log2", "bloom_prune_join_revenue",
+    "kmv_distinct_userdays", "part_skyline", "large_quantity_orders",
+    "kmv_type_jaccard", "repeat_purchase_pairs", "strict_funnel_users",
+    "lang_bigram_jsd", "exact_median_bisect", "clean_conversion_users",
+    "acctbal_cont_quantiles", "value_ks_matrix", "acctbal_trimmed_stats",
     "transition_cond_entropy", "region_share_rollup",
     "order_price_reconciliation", "daily_revenue_haar",
-    "value_drift_by_half", "top_value_days_with_ties",
     "type_user_overlap_exact", "view_attribution_credit",
-    "acctbal_mean_family", "discounted_smallqty_revenue",
-    "late_line_orders_by_priority", "smallqty_brand_revenue",
-    "nation_market_share", "top_supplier_revenue_with_ties",
-    "late_urgent_mix_by_status", "daily_revenue_autocorr",
-    "transition_reciprocity", "supplier_hhi_by_nation",
-    "dominant_supplier_parts", "parts_keyset_page",
-    "cumulative_parts_catalog", "prefix_dup_groups",
-    "token_len_histogram", "vocab_growth_by_docs",
-    "fd_violation_audit", "bipartite_degree_dist",
-    "revenue_up_run_lengths", "weekday_uniformity_chi2",
-    "value_twap_by_type", "revenue_seasonal_decomposition",
-    "nation_year_profit", "incremental_dedup_report",
-    "lang_temperature_mix", "segment_unshipped_topk",
-    "state_dwell_times", "weighted_median_quantity",
-    "vocab_coverage_topp", "order_fulfillment_latency",
-    "rfm_segments", "knn_label_accuracy",
-    "customer_value_migration", "dup_cluster_representatives",
-    "sample_budget_allocation", "nation_whale_share",
-    "session_bounce_rate", "quality_gate_sweep",
-    "user_tenure_distribution", "order_size_distribution",
-    "curation_run_summary", "label_centroid_affinity",
-    "supplier_rank_correlation",
-    # round-5: TPC-H Q11 over the key-derived partsupp; the curation
-    # runner with the MinHash near-dup stage
-    "q11_important_stock", "curation_neardup_summary",
+    "acctbal_mean_family", "daily_revenue_autocorr", "transition_reciprocity",
+    "supplier_hhi_by_nation", "dominant_supplier_parts", "parts_keyset_page",
+    "cumulative_parts_catalog", "prefix_dup_groups", "token_len_histogram",
+    "vocab_growth_by_docs", "fd_violation_audit", "bipartite_degree_dist",
+    "revenue_up_run_lengths", "weekday_uniformity_chi2", "value_twap_by_type",
+    "revenue_seasonal_decomposition", "incremental_dedup_report",
+    "lang_temperature_mix", "vocab_coverage_topp", "knn_label_accuracy",
+    "dup_cluster_representatives", "sample_budget_allocation",
+    "session_bounce_rate", "quality_gate_sweep", "user_tenure_distribution",
+    "order_size_distribution", "curation_run_summary",
+    "label_centroid_affinity", "supplier_rank_correlation",
+    # round-5: the curation runner with the MinHash near-dup stage
+    "curation_neardup_summary",
 ]
 
 #: slots 1-7 of the registry: the namesake sketch family (no SQL
@@ -214,10 +175,9 @@ def test_entry_smoke(entrymod):
 
 def test_top50_registry_slots_contract(entrymod):
     """The driver records CORRECTNESS rows for ~the first 50 registry
-    entries only.  Round-5 ordering contract (queries() docstring,
-    VERDICT r4 #5): slots 1-7 are the namesake sketch family (driver
-    rows-only check; pytest golden/bound oracles), slots 8-50 are all
-    DuckDB-oracled."""
+    entries only.  Ordering contract (the comment in queries()): slots
+    1-7 are the namesake sketch family (driver rows-only check; pytest
+    golden/bound oracles), slots 8-50 are all DuckDB-oracled."""
     names = list(entrymod.queries())
     oracled = set(entrymod.oracle_sql())
     assert names[:7] == SKETCH_FAMILY_SLOTS
@@ -233,3 +193,50 @@ def test_bench_query_list_subset_of_registry(entrymod):
     names = set(entrymod.queries())
     missing = [q for q in bench.QUERIES if q not in names]
     assert missing == []
+
+
+def _module_gates(path) -> set[str]:
+    """Top-level scale-gate constants assigned in one module file."""
+    import ast
+    import re
+
+    gate = re.compile(r"^[A-Z0-9_]*_MAX_(ROWS|KEYS|BYTES|SLOTS)$"
+                      r"|^BROADCAST_LIMIT$")
+    return {t.id for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name) and gate.match(t.id)}
+
+
+def test_force_cluster_gate_list():
+    """``bench._force_cluster_tiers`` (read, not called) zeroes only
+    gates that exist, and every scale gate in ``biobloom_ray``: a
+    leftover line for a deleted gate would otherwise create a new
+    module attribute, and a new gate would keep its driver tier under
+    GRAFT_FORCE_CLUSTER=1."""
+    import ast
+    import inspect
+    import pathlib
+
+    import bench
+
+    root = pathlib.Path(bench.__file__).resolve().parent
+    fn = ast.parse(inspect.getsource(bench._force_cluster_tiers)).body[0]
+    alias = {a.asname: a.name for node in fn.body
+             if isinstance(node, ast.Import) for a in node.names}
+    zeroed = set()
+    for node in fn.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        (t,) = node.targets
+        assert isinstance(node.value, ast.Constant) and node.value.value == 0
+        mod = alias[t.value.id]
+        path = root.joinpath(*mod.split(".")).with_suffix(".py")
+        assert t.attr in _module_gates(path), f"{mod}.{t.attr}"
+        zeroed.add(f"{mod}.{t.attr}")
+
+    gates = set()
+    for path in sorted((root / "biobloom_ray").rglob("*.py")):
+        mod = ".".join(path.relative_to(root).with_suffix("").parts)
+        gates.update(f"{mod}.{g}" for g in _module_gates(path))
+    assert gates - zeroed == set()
+
