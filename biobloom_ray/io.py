@@ -1,7 +1,9 @@
 """Parquet read helper.
 
 ``read_parquet`` picks the read's block count so that a read over many
-local files fuses with the map after it (see its docstring).
+local files fuses with the map after it, and tells Ray Data how large
+those blocks are before any task has produced output (see its
+docstring).
 
 The driver's test parquet carries pandas schema metadata whose nested
 dict makes ``hash(pa.Schema)`` raise on this pyarrow version; Ray Data
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -28,25 +32,47 @@ import ray.data
 import biobloom_ray  # noqa: F401  (installs the _SchemaHashNoise filter)
 
 
-def _local_parquet_files(paths) -> int:
-    """Number of local ``*.parquet`` files under ``paths`` (a path or a
-    list of paths; directories are walked); 0 if any path is a URI."""
-    n = 0
+def _local_parquet_files(paths) -> list[str]:
+    """The local ``*.parquet`` files under ``paths`` (a path or a list of
+    paths; directories are walked, each in sorted order, as Ray lists
+    them); empty if any path is a URI."""
+    found = []
     for p in [paths] if isinstance(paths, (str, os.PathLike)) else paths:
         p = os.fspath(p)
         if "://" in p:
-            return 0
+            return []
         if os.path.isdir(p):
-            n += sum(f.endswith(".parquet")
-                     for _, _, files in os.walk(p) for f in files)
+            found += sorted(os.path.join(root, f)
+                            for root, _, files in os.walk(p)
+                            for f in files if f.endswith(".parquet"))
         elif os.path.isfile(p):
-            n += 1
-    return n
+            found.append(p)
+    return found
+
+
+def _column_bytes(path: str, columns) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) in one parquet
+    file, from its footer."""
+    md = pq.read_metadata(path)
+    return sum(col.total_uncompressed_size
+               for g in (md.row_group(i) for i in range(md.num_row_groups))
+               for col in (g.column(j) for j in range(g.num_columns))
+               if columns is None
+               or col.path_in_schema.split(".")[0] in columns)
+
+
+def read_block_bytes(files: list[str], columns, n_blocks: int) -> int:
+    """In-memory bytes of the largest of the ``n_blocks`` blocks a read of
+    ``files`` makes: Ray's parquet read gives each block a contiguous
+    run of the files (``np.array_split``), and a block holds its files'
+    selected columns."""
+    sizes = [_column_bytes(f, columns) for f in files]
+    return int(max(chunk.sum() for chunk in np.array_split(sizes, n_blocks)))
 
 
 def read_parquet(paths, columns=None, **kwargs) -> "ray.data.Dataset":
     """``ray.data.read_parquet``, reading whole files once the files alone
-    fill the cluster.
+    fill the cluster, and sizing Ray's launch estimate from them.
 
     When the caller passes no ``override_num_blocks`` and ``paths`` hold
     at least ``cluster_cpus()`` local ``*.parquet`` files, the read asks
@@ -58,16 +84,36 @@ def read_parquet(paths, columns=None, **kwargs) -> "ray.data.Dataset":
     refuses when ``get_additional_split_factor() > 1``.  Unsplit, the read
     and the maps after it (categorize, its checks and the summary
     partial) run as one task per block, so a block is read and processed
-    in the same worker.  Fewer files than cpus (a single file, one
-    curation partition) or a remote URI keep Ray's default, which splits
-    a large file for parallelism; a caller's ``override_num_blocks``
-    always wins."""
+    in the same worker.
+
+    In the same case the returned Dataset's ``context.target_max_block_size``
+    becomes the largest block's bytes (:func:`read_block_bytes`, from
+    the parquet footers), never more than it was.  Until a map operator
+    has finished a task, Ray Data assumes each task holds two blocks of
+    ``target_max_block_size`` (128 MiB by default) of output, and on a
+    1 GB object store its budget admits one such task, so the other
+    workers would wait for the first task to report.  With the real size
+    all cpus start at once.  Maps on the Dataset share its context, so
+    Ray slices their output blocks once they pass 1.5x that size.
+
+    Fewer files than cpus (a single file, one curation partition) or a
+    remote URI keep Ray's default, which splits a large file for
+    parallelism, and Ray's block size; a caller's
+    ``override_num_blocks`` always wins and also keeps both."""
+    n_blocks = None
     if "override_num_blocks" not in kwargs:
-        cpus = cluster_cpus()
-        n_files = _local_parquet_files(paths)
-        if n_files >= cpus:
-            kwargs["override_num_blocks"] = min(n_files, 2 * cpus)
-    return ray.data.read_parquet(paths, columns=columns, **kwargs)
+        cpus, files = cluster_cpus(), _local_parquet_files(paths)
+        if len(files) >= cpus:
+            n_blocks = kwargs["override_num_blocks"] = min(len(files),
+                                                           2 * cpus)
+    ds = ray.data.read_parquet(paths, columns=columns, **kwargs)
+    if n_blocks:
+        ctx = ds.context
+        est = read_block_bytes(files, columns, n_blocks)
+        if est and (ctx.target_max_block_size is None
+                    or est < ctx.target_max_block_size):
+            ctx.target_max_block_size = est
+    return ds
 
 
 def cheap_count(ds) -> int | None:

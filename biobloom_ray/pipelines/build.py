@@ -83,7 +83,20 @@ def build_filters(
         builder.sizes = {"__all__": sizes[filter_id]}
     parts = ds.select_columns(cols).map_batches(
         builder, batch_format="pyarrow", batch_size=cfg.batch_size)
-    merged = fold_partials(parts, PARTIAL_SKETCHES, key="filter_id")
+    # One batch's partials: a row per label, each the filter's m/8 bytes
+    # and the HLL's registers.  Under a smaller block target (the read's
+    # block size, from ``read_parquet``) Ray would slice them into more
+    # blocks; the context is the caller's too, so restore it.
+    ctx = parts.context
+    prev = ctx.target_max_block_size
+    need = sum(m // 8 + (1 << builder.hll_p) * with_hll
+               for m, _ in builder.sizes.values())
+    if prev is not None and prev < need:
+        ctx.target_max_block_size = need
+    try:
+        merged = fold_partials(parts, PARTIAL_SKETCHES, key="filter_id")
+    finally:
+        ctx.target_max_block_size = prev
     if label_col is None and not merged:  # an empty reference: no frames
         merged = fold_table(builder(pa.table({text_col: pa.array(
             [], pa.string())})), PARTIAL_SKETCHES, key="filter_id")

@@ -266,13 +266,21 @@ def test_read_many_files_fuses_with_map(pages_dir):
 def test_read_block_count_rule(pages_dir, monkeypatch, tmp_path):
     """Whole files once the files fill the cluster; a caller's block count,
     a single file and a remote URI keep what Ray would do."""
+    import copy
+    from types import SimpleNamespace
+
     import pyarrow.parquet as pq
 
     import biobloom_ray.io as bio
 
     seen = []
-    monkeypatch.setattr(bio.ray.data, "read_parquet",
-                        lambda paths, **kw: seen.append(kw))
+    ctx = ray.data.DataContext.get_current()
+
+    def fake_read(paths, **kw):
+        seen.append(kw)
+        return SimpleNamespace(context=copy.copy(ctx))
+
+    monkeypatch.setattr(bio.ray.data, "read_parquet", fake_read)
     cpus = bio.cluster_cpus()
     assert cpus <= 6
     bio.read_parquet(pages_dir)
@@ -1657,6 +1665,42 @@ def test_round4_wave28_tiers_agree(ray_session):
     fp = A.table_fingerprint(sf)
     assert (fp.n_rows > 0).all()
     assert fp.fp60.nunique() == len(fp)
+
+
+def test_table_fingerprint_moves_with_one_row(ray_session, tmp_path):
+    """Changing one row's text moves only its source's fingerprint;
+    dropping one row moves its source's fingerprint and row count."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import biobloom_ray.pipelines.analytics as A
+
+    sf = str(tmp_path / "sf")
+    shutil.copytree("/root/testdata/sf0.01", sf)
+    docs = f"{sf}/documents.parquet"
+    table = pq.read_table(docs)
+    row, src = 7, table["source"][7].as_py()
+    base = A.table_fingerprint(sf).set_index("source")
+
+    text = table["text"].to_pylist()
+    text[row] += "!"
+    pq.write_table(table.set_column(
+        table.schema.get_field_index("text"), "text",
+        pa.array(text, table.schema.field("text").type)), docs)
+    edited = A.table_fingerprint(sf).set_index("source")
+    assert edited.index.equals(base.index)
+    assert (edited.n_rows == base.n_rows).all()
+    assert list(base.index[edited.fp60 != base.fp60]) == [src]
+
+    pq.write_table(pa.concat_tables([table.slice(0, row),
+                                     table.slice(row + 1)]), docs)
+    dropped = A.table_fingerprint(sf).set_index("source")
+    moved = (dropped.fp60 != base.fp60) | (dropped.n_rows != base.n_rows)
+    assert list(base.index[moved]) == [src]
+    assert dropped.n_rows[src] == base.n_rows[src] - 1
+    assert dropped.fp60[src] != base.fp60[src]
 
 def test_round4_wave29_tiers_agree(ray_session, monkeypatch):
     """term_overlap_topk (driver pandas fold vs banded-vocab semi-join
