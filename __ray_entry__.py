@@ -1023,83 +1023,36 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sample_budget_allocation": A.sample_budget_allocation,
         "quality_gate_sweep": A.quality_gate_sweep,
         "label_centroid_affinity": A.label_centroid_affinity,
-        "event_transitions": A.event_transitions,
-        "funnel_conversion": A.funnel_conversion,
         "events_sliding_window": A.events_sliding_window,
-        "events_range_join": A.events_range_join,
         "user_event_counts": _user_event_counts,
         "events_hourly": A.events_hourly,
         "event_type_daily": _event_type_daily,
         "top_users_by_events": _top_users_by_events,
         "top_parts_by_revenue": A.top_parts_by_revenue,
-        "events_asof_join": A.events_asof_join,
         "events_props_stats": A.events_props_stats,
         "csv_roundtrip_event_counts": A.csv_roundtrip_event_counts,
-        "windowed_distinct_users": A.windowed_distinct_users,
-        "user_event_pivot": A.user_event_pivot,
         "latest_event_per_user_type": A.latest_event_per_user_type,
         "events_hourly_anomaly": A.events_hourly_anomaly,
         "lineitem_pricing_summary": A.lineitem_pricing_summary,
-        "orders_per_nation": A.orders_per_nation,
         "events_sessionize": A.events_sessionize,
-        "event_type_daily_ma7": A.event_type_daily_ma7,
-        "nation_monthly_revenue_delta": A.nation_monthly_revenue_delta,
-        "nation_balance_union": A.nation_balance_union,
-        "brand_distinct_sizes": A.brand_distinct_sizes,
-        "revenue_pareto_nations": A.revenue_pareto_nations,
-        "top_suppliers_by_quantity": A.top_suppliers_by_quantity,
-        "value_decile_stats": A.value_decile_stats,
-        "top_size_modes_per_brand": A.top_size_modes_per_brand,
-        "parts_above_type_avg": A.parts_above_type_avg,
-        "snapshot_user_diff": A.snapshot_user_diff,
         "max_concurrent_sessions": A.max_concurrent_sessions,
-        "cohort_retention": A.cohort_retention,
         "name_typo_pairs": A.name_typo_pairs,
-        "orders_profile": A.orders_profile,
-        "orders_quality_checks": A.orders_quality_checks,
-        "acctbal_robust_stats": A.acctbal_robust_stats,
-        "event_decayed_counts": A.event_decayed_counts,
         "latest_events_per_user": A.latest_events_per_user,
         "event_gap_quantiles": A.event_gap_quantiles,
         "zorder_bucket_counts": A.zorder_bucket_counts,
         "funnel_latency_quantiles": A.funnel_latency_quantiles,
-        "returning_users_daily": A.returning_users_daily,
         "range_shard_bounds": A.range_shard_bounds,
         "cusum_changepoints": A.cusum_changepoints,
         "hour_of_day_profile": A.hour_of_day_profile,
-        "user_activity_streaks": A.user_activity_streaks,
-        "order_fill_rate": A.order_fill_rate,
-        "value_benford_deviation": A.value_benford_deviation,
-        "weekly_distinct_users": A.weekly_distinct_users,
-        "multi_predicate_revenue": A.multi_predicate_revenue,
         "part_skyline": A.part_skyline,
-        "large_quantity_orders": A.large_quantity_orders,
-        "repeat_purchase_pairs": A.repeat_purchase_pairs,
-        "strict_funnel_users": A.strict_funnel_users,
-        "exact_median_bisect": A.exact_median_bisect,
-        "clean_conversion_users": A.clean_conversion_users,
-        "acctbal_cont_quantiles": A.acctbal_cont_quantiles,
         "value_ks_matrix": A.value_ks_matrix,
-        "acctbal_trimmed_stats": A.acctbal_trimmed_stats,
-        "transition_cond_entropy": A.transition_cond_entropy,
-        "region_share_rollup": A.region_share_rollup,
-        "order_price_reconciliation": A.order_price_reconciliation,
         "daily_revenue_haar": A.daily_revenue_haar,
-        "view_attribution_credit": A.view_attribution_credit,
-        "acctbal_mean_family": A.acctbal_mean_family,
-        "daily_revenue_autocorr": A.daily_revenue_autocorr,
-        "transition_reciprocity": A.transition_reciprocity,
-        "supplier_hhi_by_nation": A.supplier_hhi_by_nation,
         "dominant_supplier_parts": A.dominant_supplier_parts,
         "parts_keyset_page": A.parts_keyset_page,
         "cumulative_parts_catalog": A.cumulative_parts_catalog,
-        "fd_violation_audit": A.fd_violation_audit,
-        "bipartite_degree_dist": A.bipartite_degree_dist,
         "revenue_up_run_lengths": A.revenue_up_run_lengths,
         "weekday_uniformity_chi2": A.weekday_uniformity_chi2,
         "value_twap_by_type": A.value_twap_by_type,
-        "revenue_seasonal_decomposition":
-            A.revenue_seasonal_decomposition,
         "session_bounce_rate": A.session_bounce_rate,
         "user_tenure_distribution": A.user_tenure_distribution,
         "order_size_distribution": A.order_size_distribution,
@@ -1228,12 +1181,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT)"
             " / CAST(COUNT(*) AS BIGINT) AS avg_qty "
             "FROM lineitem GROUP BY l_returnflag, l_linestatus",
-        "orders_per_nation":
-            "SELECT n_name, CAST(COUNT(*) AS BIGINT) AS n_orders, "
-            "CAST(SUM(CAST(ROUND(o_totalprice*100) AS BIGINT)) AS BIGINT)"
-            " AS total_cents "
-            "FROM orders JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name",
         "top_parts_by_revenue":
             "SELECT l_partkey, "
             "CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT) * "
@@ -2037,17 +1984,6 @@ def oracle_sql() -> dict[str, str]:
             " WHERE c*1.0/(sa.n + sb.n - c) >= 0.6) "
             "SELECT doc_id FROM documents WHERE doc_id NOT IN"
             " (SELECT id_b FROM drops) ORDER BY doc_id",
-        # purchases pre-aggregated to one row per (user_id, ts) with MAX
-        # value so the as-of pick among equal timestamps is deterministic
-        # on both sides (ADVICE r2)
-        "events_asof_join":
-            "SELECT c.event_id, epoch_ns(p.ts) AS asof_ts_ns, "
-            "p.value AS asof_value "
-            "FROM (SELECT * FROM events WHERE event_type = 'click') c "
-            "ASOF JOIN (SELECT user_id, ts, MAX(value) AS value "
-            "FROM events WHERE event_type = 'purchase' "
-            "GROUP BY user_id, ts) p "
-            "ON c.user_id = p.user_id AND c.ts >= p.ts",
         "paired_join":
             "SELECT printf('p%06d', a.doc_id // 2) AS pair_key, "
             "LENGTH(a.text) AS len_1, LENGTH(b.text) AS len_2 "
@@ -2122,14 +2058,6 @@ def oracle_sql() -> dict[str, str]:
         "csv_roundtrip_event_counts":
             "SELECT event_type, COUNT(*) AS n FROM events"
             " GROUP BY event_type ORDER BY event_type",
-        # exact windowed DISTINCT (the HLL sketch's exact twin)
-        "windowed_distinct_users":
-            "SELECT event_type,"
-            " CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS"
-            " hour_epoch,"
-            " CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users"
-            " FROM events GROUP BY event_type, date_trunc('hour', ts)"
-            " ORDER BY event_type, hour_epoch",
         # TPC-H Q3 shape: 3-way join, exact 10^-4-dollar revenue units
         "segment_revenue_topk":
             "SELECT l.l_orderkey AS o_orderkey,"
@@ -2163,20 +2091,6 @@ def oracle_sql() -> dict[str, str]:
             " - LN((vb.cb + 1.0) / (tot.tb + tot.v))), 6) AS score_r6"
             " FROM cls t JOIN vocab vb ON t.w = vb.w CROSS JOIN tot"
             " GROUP BY t.doc_id ORDER BY t.doc_id",
-        # pivot/crosstab: static per-type count columns, exact ints
-        "user_event_pivot":
-            "SELECT user_id,"
-            " CAST(COUNT(*) FILTER (event_type = 'click') AS BIGINT)"
-            " AS n_click,"
-            " CAST(COUNT(*) FILTER (event_type = 'error') AS BIGINT)"
-            " AS n_error,"
-            " CAST(COUNT(*) FILTER (event_type = 'purchase') AS BIGINT)"
-            " AS n_purchase,"
-            " CAST(COUNT(*) FILTER (event_type = 'signup') AS BIGINT)"
-            " AS n_signup,"
-            " CAST(COUNT(*) FILTER (event_type = 'view') AS BIGINT)"
-            " AS n_view"
-            " FROM events GROUP BY user_id ORDER BY user_id",
         # drift monitor: top-20 tokens by |count(even docs) -
         # count(odd docs)|, exact integers, lexicographic ties
         "token_drift_topk":
@@ -2250,21 +2164,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, n AS n_tokens, nd AS n_distinct,"
             " ROUND(LN(CAST(n AS DOUBLE)) - s / n, 6) AS entropy_r6"
             " FROM st ORDER BY doc_id",
-        # range join: per click, count/sum same-user purchases in
-        # (t, t+3600s]; exact integer cents; left join keeps zero rows
-        "events_range_join":
-            "WITH e AS (SELECT event_id, user_id, ts, event_type,"
-            " CAST(ROUND(value * 100) AS BIGINT) AS cents FROM events), "
-            "l AS (SELECT event_id, user_id, ts FROM e WHERE"
-            " event_type = 'click'), "
-            "r AS (SELECT user_id, ts, cents FROM e WHERE"
-            " event_type = 'purchase') "
-            "SELECT l.event_id, CAST(COUNT(r.ts) AS BIGINT) AS"
-            " n_in_window, CAST(COALESCE(SUM(r.cents), 0) AS BIGINT)"
-            " AS sum_value_cents FROM l LEFT JOIN r ON r.user_id ="
-            " l.user_id AND r.ts > l.ts AND r.ts <= l.ts +"
-            " INTERVAL 3600 SECOND "
-            "GROUP BY l.event_id ORDER BY l.event_id",
         # one-row corpus health report, all exact integers; dup docs
         # = rows minus distinct texts (the first of each group is the
         # keeper)
@@ -2295,45 +2194,6 @@ def oracle_sql() -> dict[str, str]:
             " WHERE o_orderdate >= DATE '1996-01-01'"
             " AND o_orderdate < DATE '1997-01-01'"
             " GROUP BY r_name ORDER BY r_name",
-        # Markov transition counts, exact LAG semantics per user
-        "event_transitions":
-            "WITH s AS (SELECT user_id, event_type,"
-            " LAG(event_type) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS prev FROM events)"
-            " SELECT prev AS prev_type, event_type AS next_type,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM s"
-            " WHERE prev IS NOT NULL"
-            " GROUP BY prev, event_type ORDER BY prev_type, next_type",
-        # trailing 7-row window over the daily rollup, exact integers
-        "event_type_daily_ma7":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS day_epoch,"
-            " CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM events GROUP BY 1, 2)"
-            " SELECT event_type, day_epoch, n,"
-            " CAST(SUM(n) OVER w AS BIGINT) AS sum7,"
-            " CAST(COUNT(n) OVER w AS BIGINT) AS cnt7"
-            " FROM d WINDOW w AS (PARTITION BY event_type"
-            " ORDER BY day_epoch"
-            " ROWS BETWEEN 6 PRECEDING AND CURRENT ROW)"
-            " ORDER BY event_type, day_epoch",
-        # strict ordered funnel over first-touch minima, one exact row
-        "funnel_conversion":
-            "WITH m AS (SELECT user_id,"
-            " min(ts) FILTER (WHERE event_type = 'view') AS mv,"
-            " min(ts) FILTER (WHERE event_type = 'click') AS mc,"
-            " min(ts) FILTER (WHERE event_type = 'purchase') AS mp"
-            " FROM events"
-            " WHERE event_type IN ('view', 'click', 'purchase')"
-            " GROUP BY user_id)"
-            " SELECT CAST(COUNT(*) AS BIGINT) AS n_users,"
-            " CAST(SUM(CASE WHEN mv IS NOT NULL THEN 1 ELSE 0 END)"
-            " AS BIGINT) AS n_view,"
-            " CAST(SUM(CASE WHEN mv IS NOT NULL AND mc IS NOT NULL"
-            " AND mv < mc THEN 1 ELSE 0 END) AS BIGINT) AS n_view_click,"
-            " CAST(SUM(CASE WHEN mv IS NOT NULL AND mc IS NOT NULL"
-            " AND mv < mc AND mp IS NOT NULL AND mc < mp THEN 1 ELSE 0"
-            " END) AS BIGINT) AS n_full_funnel FROM m",
         # rendezvous sharding: bit-exact splitmix64 replay over
         # doc_id*16+s, argmax weight per doc (hashing.py:65 contract)
         "shard_assignment_counts":
@@ -2368,56 +2228,6 @@ def oracle_sql() -> dict[str, str]:
         "partitioned_roundtrip_source_counts":
             "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n FROM documents"
             " WHERE source = 'src7' GROUP BY lang ORDER BY lang",
-        # month-over-month LAG delta on the (nation, month) rollup;
-        # first month reports its own total (COALESCE)
-        "nation_monthly_revenue_delta":
-            "WITH m AS (SELECT n_name,"
-            " CAST(epoch(date_trunc('month', o_orderdate)) AS BIGINT)"
-            " AS month_epoch,"
-            " CAST(SUM(CAST(ROUND(o_totalprice*100) AS BIGINT))"
-            " AS BIGINT) AS cents"
-            " FROM orders JOIN customer ON o_custkey = c_custkey"
-            " JOIN nation ON c_nationkey = n_nationkey"
-            " GROUP BY 1, 2)"
-            " SELECT n_name, month_epoch, cents,"
-            " CAST(COALESCE(cents - LAG(cents) OVER (PARTITION BY n_name"
-            " ORDER BY month_epoch), cents) AS BIGINT) AS delta_cents"
-            " FROM m ORDER BY n_name, month_epoch",
-        # UNION ALL across customer + supplier balances per nation
-        "nation_balance_union":
-            "WITH u AS ("
-            "SELECT c_nationkey AS nationkey, 'customer' AS side,"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT) AS cents FROM customer"
-            " UNION ALL"
-            " SELECT s_nationkey, 'supplier',"
-            " CAST(ROUND(s_acctbal*100) AS BIGINT) FROM supplier)"
-            " SELECT n_name, side, CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(cents) AS BIGINT) AS sum_cents"
-            " FROM u JOIN nation ON nationkey = n_nationkey"
-            " GROUP BY n_name, side ORDER BY n_name, side",
-        # per-brand multi-DISTINCT rollup
-        "brand_distinct_sizes":
-            "SELECT p_brand, CAST(COUNT(*) AS BIGINT) AS n_parts,"
-            " CAST(COUNT(DISTINCT p_size) AS BIGINT) AS n_sizes,"
-            " CAST(COUNT(DISTINCT p_type) AS BIGINT) AS n_types"
-            " FROM part GROUP BY p_brand ORDER BY p_brand",
-        # Pareto cumulative share, exact-integer top-80% membership
-        "revenue_pareto_nations":
-            "WITH b AS (SELECT n_name,"
-            " CAST(SUM(CAST(ROUND(o_totalprice*100) AS BIGINT))"
-            " AS BIGINT) AS total_cents"
-            " FROM orders JOIN customer ON o_custkey = c_custkey"
-            " JOIN nation ON c_nationkey = n_nationkey"
-            " GROUP BY n_name), "
-            "w AS (SELECT n_name, total_cents,"
-            " CAST(SUM(total_cents) OVER (ORDER BY total_cents DESC,"
-            " n_name ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_cents,"
-            " CAST(ROW_NUMBER() OVER (ORDER BY total_cents DESC, n_name)"
-            " AS BIGINT) AS rank,"
-            " CAST(SUM(total_cents) OVER () AS BIGINT) AS total FROM b)"
-            " SELECT rank, n_name, total_cents, cum_cents,"
-            " (cum_cents * 10 <= total * 8) AS in_top80"
-            " FROM w ORDER BY rank",
         # language-diversity entropy per source, 6-dp float contract
         "source_lang_entropy":
             "WITH c AS (SELECT source, lang, CAST(COUNT(*) AS BIGINT)"
@@ -2428,44 +2238,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT source, n_docs, n_langs,"
             " ROUND(LN(CAST(n_docs AS DOUBLE)) - s / n_docs, 6)"
             " AS entropy_r6 FROM st ORDER BY source",
-        # supplier league table: exact integer quantities
-        "top_suppliers_by_quantity":
-            "SELECT l_suppkey, s_name,"
-            " CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem JOIN supplier ON l_suppkey = s_suppkey"
-            " GROUP BY l_suppkey, s_name"
-            " ORDER BY sum_qty DESC, l_suppkey LIMIT 10",
-        # exact global NTILE(10) aggregates over integer cents
-        "value_decile_stats":
-            "WITH e AS (SELECT event_id,"
-            " CAST(ROUND(value * 100) AS BIGINT) AS cents FROM events), "
-            "t AS (SELECT cents, CAST(NTILE(10) OVER (ORDER BY cents,"
-            " event_id) AS BIGINT) AS bucket FROM e) "
-            "SELECT bucket, CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(cents) AS BIGINT) AS sum_cents,"
-            " CAST(MIN(cents) AS BIGINT) AS min_cents,"
-            " CAST(MAX(cents) AS BIGINT) AS max_cents"
-            " FROM t GROUP BY bucket ORDER BY bucket",
-        # DENSE_RANK with ties kept: top-2 size frequencies per brand
-        "top_size_modes_per_brand":
-            "WITH c AS (SELECT p_brand, p_size,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM part GROUP BY 1, 2), "
-            "r AS (SELECT p_brand, CAST(p_size AS BIGINT) AS p_size, n,"
-            " CAST(DENSE_RANK() OVER (PARTITION BY p_brand"
-            " ORDER BY n DESC) AS BIGINT) AS rnk FROM c) "
-            "SELECT p_brand, p_size, n, rnk FROM r WHERE rnk <= 2"
-            " ORDER BY p_brand, rnk, p_size",
-        # correlated subquery (size > its type's average) as exact
-        # integer cross-multiplication on BOTH sides — size·n > sum
-        "parts_above_type_avg":
-            "SELECT p_type, CAST(COUNT(*) AS BIGINT) AS n_parts,"
-            " CAST(SUM(CASE WHEN CAST(p_size AS BIGINT) * t_n > t_sum"
-            " THEN 1 ELSE 0 END) AS BIGINT) AS n_above"
-            " FROM (SELECT p_type, p_size,"
-            " COUNT(*) OVER (PARTITION BY p_type) AS t_n,"
-            " SUM(CAST(p_size AS BIGINT)) OVER (PARTITION BY p_type)"
-            " AS t_sum FROM part) GROUP BY p_type ORDER BY p_type",
         # set ops as one conditional rollup: |A∩B| / |A\B| / |B\A|
         # fall out of the per-user (a,b) flag combination counts
         "event_user_setops":
@@ -2482,25 +2254,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(SUM((1 - a) * b) AS BIGINT) AS n_only_b,"
             " CAST(SUM((1 - a) * (1 - b)) AS BIGINT) AS n_neither"
             " FROM u",
-        # CDC snapshot diff: the oracle is the literal FULL OUTER JOIN
-        # the pipeline's single conditional rollup is equivalent to
-        "snapshot_user_diff":
-            "WITH e AS (SELECT event_id, user_id * 100 +"
-            " CAST(json_extract(props, '$.k') AS BIGINT) // 10"
-            " AS entity FROM events), "
-            "o AS (SELECT entity, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM e WHERE event_id % 2 = 0 GROUP BY entity), "
-            "nw AS (SELECT entity, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM e WHERE event_id % 2 = 1 GROUP BY entity) "
-            "SELECT COALESCE(o.entity, nw.entity) AS entity,"
-            " CAST(COALESCE(o.n, 0) AS BIGINT) AS old_n,"
-            " CAST(COALESCE(nw.n, 0) AS BIGINT) AS new_n,"
-            " CASE WHEN o.entity IS NULL THEN 'added'"
-            " WHEN nw.entity IS NULL THEN 'removed'"
-            " WHEN o.n <> nw.n THEN 'changed' ELSE 'unchanged' END"
-            " AS status"
-            " FROM o FULL OUTER JOIN nw ON o.entity = nw.entity"
-            " ORDER BY entity",
         # sweep-line max concurrency: +1/-1 boundary stream, starts
         # before ends at the same instant (closed intervals)
         "max_concurrent_sessions":
@@ -2583,19 +2336,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CUME_DIST() OVER (PARTITION BY source"
             " ORDER BY n_chars), 6) AS cume_r6"
             " FROM documents ORDER BY doc_id",
-        # cohort retention: first-activity week × return-week offset
-        "cohort_retention":
-            "WITH u AS (SELECT user_id,"
-            " MIN(CAST(epoch(date_trunc('day', ts)) AS BIGINT)"
-            " // 604800) AS cw FROM events GROUP BY user_id), "
-            "a AS (SELECT DISTINCT user_id,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) // 604800"
-            " AS w FROM events) "
-            "SELECT CAST(u.cw AS BIGINT) AS cohort_week,"
-            " CAST(a.w - u.cw AS BIGINT) AS offset_week,"
-            " CAST(COUNT(*) AS BIGINT) AS n_active"
-            " FROM a JOIN u ON a.user_id = u.user_id"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
         # Pearson χ² over the DENSE source×lang grid (zero cells
         # included), same double algebra as the pipeline
         "source_lang_chi2":
@@ -2624,47 +2364,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT a.w AS w1, b.w AS w2 FROM un a JOIN un b"
             " ON a.w < b.w AND levenshtein(a.w, b.w) = 1"
             " ORDER BY w1, w2",
-        # per-column profiler: exact row/null/DISTINCT counts
-        "orders_profile":
-            " UNION ALL ".join(
-                f"SELECT '{c}' AS col,"
-                f" CAST(COUNT(*) AS BIGINT) AS n_rows,"
-                f" CAST(SUM(CASE WHEN {c} IS NULL THEN 1 ELSE 0 END)"
-                f" AS BIGINT) AS n_null,"
-                f" CAST(COUNT(DISTINCT {c}) AS BIGINT) AS n_distinct"
-                f" FROM orders"
-                for c in ("o_orderkey", "o_custkey", "o_orderstatus",
-                          "o_totalprice", "o_orderdate",
-                          "o_orderpriority")) + " ORDER BY col",
-        # declared-constraint suite: one UNION ALL branch per rule
-        "orders_quality_checks":
-            " UNION ALL ".join(
-                f"SELECT '{name}' AS rule,"
-                f" CAST(SUM(CASE WHEN {pred} THEN 1 ELSE 0 END)"
-                f" AS BIGINT) AS n_pass,"
-                f" CAST(SUM(CASE WHEN {pred} THEN 0 ELSE 1 END)"
-                f" AS BIGINT) AS n_fail FROM orders"
-                for name, pred in A.QUALITY_RULES) + " ORDER BY rule",
-        # robust stats: MODE (smallest-cents tie-break) + MAD with
-        # PERCENTILE_DISC ceil-rank semantics on both medians
-        "acctbal_robust_stats":
-            "WITH b AS (SELECT CAST(c_nationkey AS BIGINT) AS"
-            " nationkey, CAST(ROUND(c_acctbal * 100) AS BIGINT)"
-            " AS cents FROM customer), "
-            "md AS (SELECT nationkey, CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY cents)"
-            " AS BIGINT) AS med_cents FROM b GROUP BY 1), "
-            "mo AS (SELECT nationkey, cents AS mode_cents FROM"
-            " (SELECT nationkey, cents, ROW_NUMBER() OVER ("
-            "PARTITION BY nationkey ORDER BY COUNT(*) DESC, cents ASC)"
-            " AS rn FROM b GROUP BY nationkey, cents) t WHERE rn = 1), "
-            "mad AS (SELECT b.nationkey, CAST(PERCENTILE_DISC(0.5)"
-            " WITHIN GROUP (ORDER BY ABS(b.cents - md.med_cents))"
-            " AS BIGINT) AS mad_cents FROM b JOIN md"
-            " ON b.nationkey = md.nationkey GROUP BY b.nationkey) "
-            "SELECT md.nationkey, md.n, mo.mode_cents, md.med_cents,"
-            " mad.mad_cents FROM md JOIN mo USING (nationkey)"
-            " JOIN mad USING (nationkey) ORDER BY nationkey",
         # Misra–Gries in the exact regime (capacity 4096 ≥ fixture
         # vocab): estimates ARE the true counts, so the oracle is the
         # exact top-k with the same (count desc, token) tie-break
@@ -2682,26 +2381,6 @@ def oracle_sql() -> dict[str, str]:
             " FROM documents) "
             "SELECT doc_id, source, n_chars FROM r WHERE rn <= 2"
             " ORDER BY n_chars DESC, doc_id LIMIT 10",
-        # exact-integer exponential decay: numerator Σ n·2^(40−age),
-        # ages > 40 truncate to 0 (below int64 resolution)
-        "event_decayed_counts":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)"
-            " AS day_epoch, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM events GROUP BY 1, 2), "
-            "a AS (SELECT MAX(day_epoch) AS anchor FROM d), "
-            "w AS (SELECT event_type, n,"
-            " (a.anchor - day_epoch) // 86400 AS age"
-            " FROM d CROSS JOIN a) "
-            "SELECT event_type, CAST(SUM(n) AS BIGINT) AS n_events,"
-            " CAST(SUM(CASE WHEN age <= 40 THEN n *"
-            " (CAST(1 AS BIGINT) << CAST(40 - age AS INTEGER))"
-            " ELSE 0 END) AS BIGINT) AS decay_num,"
-            " ROUND(CAST(SUM(CASE WHEN age <= 40 THEN n *"
-            " (CAST(1 AS BIGINT) << CAST(40 - age AS INTEGER))"
-            " ELSE 0 END) AS DOUBLE) / 1099511627776, 6)"
-            " AS decayed_r6"
-            " FROM w GROUP BY event_type ORDER BY event_type",
         # latest-N-per-key compaction (ROW_NUMBER <= 3 twin)
         "latest_events_per_user":
             "WITH r AS (SELECT user_id, event_id,"
@@ -2824,17 +2503,6 @@ def oracle_sql() -> dict[str, str]:
             " drops) THEN 1 ELSE 0 END) AS DOUBLE)"
             " / CAST(COUNT(*) AS DOUBLE), 6) AS dup_rate_r6"
             " FROM documents GROUP BY source ORDER BY source",
-        # day-over-day returning users: self-join of the deduped
-        # (user, day) activity on the day+1 key
-        "returning_users_daily":
-            "WITH a AS (SELECT DISTINCT user_id,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)"
-            " AS day_epoch FROM events) "
-            "SELECT b.day_epoch, CAST(COUNT(*) AS BIGINT)"
-            " AS n_returning FROM a JOIN a b"
-            " ON a.user_id = b.user_id AND"
-            " b.day_epoch = a.day_epoch + 86400"
-            " GROUP BY b.day_epoch ORDER BY b.day_epoch",
         # order-invariant per-source integrity fingerprint: XOR of a
         # 60-bit md5 prefix over the canonical row string (exact
         # same hash replayed: md5 + hex-prefix cast)
@@ -2956,60 +2624,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(COALESCE(SUM(a.c * b.c), 0) AS BIGINT)"
             " AS join_size, CAST(COUNT(*) AS BIGINT)"
             " AS n_matching_users FROM a JOIN b USING (user_id)",
-        # gaps-and-islands: longest consecutive-day streak per user
-        # (classic day - ROW_NUMBER() island key)
-        "user_activity_streaks":
-            "WITH ud AS (SELECT DISTINCT user_id,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT) // 86400"
-            " AS day FROM events), "
-            "g AS (SELECT user_id, day, day - ROW_NUMBER() OVER"
-            " (PARTITION BY user_id ORDER BY day) AS grp FROM ud), "
-            "runs AS (SELECT user_id, grp,"
-            " CAST(COUNT(*) AS BIGINT) AS len FROM g GROUP BY 1, 2) "
-            "SELECT user_id, MAX(len) AS max_streak_days,"
-            " CAST(COUNT(*) AS BIGINT) AS n_runs FROM runs"
-            " GROUP BY 1 ORDER BY 1",
-        # fact-to-fact SLA join: first-ship-within-7-days rate per
-        # order priority; whole-day epoch arithmetic on both sides
-        "order_fill_rate":
-            "WITH f AS (SELECT l_orderkey,"
-            " MIN(CAST(epoch(date_trunc('day', l_shipdate)) AS BIGINT))"
-            " AS ship_day FROM lineitem GROUP BY 1) "
-            "SELECT o.o_orderpriority,"
-            " CAST(COUNT(*) AS BIGINT) AS n_orders,"
-            " CAST(SUM(CASE WHEN f.ship_day -"
-            " CAST(epoch(date_trunc('day', o.o_orderdate)) AS BIGINT)"
-            " <= 604800 THEN 1 ELSE 0 END) AS BIGINT) AS n_within_sla,"
-            " ROUND(CAST(SUM(CASE WHEN f.ship_day -"
-            " CAST(epoch(date_trunc('day', o.o_orderdate)) AS BIGINT)"
-            " <= 604800 THEN 1 ELSE 0 END) AS DOUBLE) / COUNT(*), 6)"
-            " AS fill_rate_r6"
-            " FROM orders o JOIN f ON o.o_orderkey = f.l_orderkey"
-            " GROUP BY 1 ORDER BY 1",
-        # Benford leading-digit screen: exact digit counts per type,
-        # 6-dp chi-square terms vs log10(1 + 1/d)
-        "value_benford_deviation":
-            "WITH c AS (SELECT event_type,"
-            " CAST(substr(CAST(CAST(ROUND(value * 100) AS BIGINT)"
-            " AS VARCHAR), 1, 1) AS BIGINT) AS digit"
-            " FROM events WHERE CAST(ROUND(value * 100) AS BIGINT)"
-            " > 0), "
-            "g AS (SELECT event_type, digit,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM c GROUP BY 1, 2), "
-            "g2 AS (SELECT event_type, digit, n,"
-            " SUM(n) OVER (PARTITION BY event_type)"
-            " * log10(1 + 1.0 / digit) AS e FROM g) "
-            "SELECT event_type, digit, n,"
-            " ROUND((n - e) * (n - e) / e, 6) AS chi2_term_r6"
-            " FROM g2 ORDER BY event_type, digit",
-        # exact distinct users per (type, ISO week) — the exact twin
-        # of the merged-HLL grid path
-        "weekly_distinct_users":
-            "SELECT event_type,"
-            " CAST(epoch(date_trunc('week', ts)) AS BIGINT)"
-            " AS week_epoch,"
-            " CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users"
-            " FROM events GROUP BY 1, 2 ORDER BY 1, 2",
         # weighted median from the (source, n_chars) count table:
         # smallest size with 2*cum-mass >= total-mass (exact ints)
         "byte_median_doc_size":
@@ -3025,18 +2639,6 @@ def oracle_sql() -> dict[str, str]:
             " THEN n_chars END) AS BIGINT) AS byte_median_size,"
             " CAST(MIN(tot) AS BIGINT) AS total_chars"
             " FROM w GROUP BY source ORDER BY source",
-        # Q19 shape: OR of composite (brand, size, quantity) branches
-        "multi_predicate_revenue":
-            "SELECT CAST(COALESCE(SUM("
-            "CAST(ROUND(l.l_extendedprice * 100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l.l_discount * 100) AS BIGINT))), 0)"
-            " AS BIGINT) AS revenue_e4,"
-            " CAST(COUNT(*) AS BIGINT) AS n_items"
-            " FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey"
-            " WHERE (p.p_brand = 'Brand#1' AND p.p_size <= 10"
-            " AND l.l_quantity BETWEEN 1 AND 20)"
-            " OR (p.p_brand = 'Brand#2' AND p.p_size <= 20"
-            " AND l.l_quantity BETWEEN 5 AND 30)",
         # asymmetric near-dup: exact shingle containment
         # |A∩B|/min(|A|,|B|) — same 5-gram shingle CTE as the
         # jaccard twin, LEAST in place of the union
@@ -3128,19 +2730,6 @@ def oracle_sql() -> dict[str, str]:
             " <= CAST(ROUND(p.p_retailprice*100) AS BIGINT)"
             " AND q.p_size > p.p_size))"
             " ORDER BY p.p_partkey",
-        # TPC-H Q18 shape: HAVING on the quantity rollup, top-k by
-        # order value
-        "large_quantity_orders":
-            "WITH big AS (SELECT l_orderkey,"
-            " CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT)"
-            " AS sum_qty FROM lineitem GROUP BY 1"
-            " HAVING SUM(CAST(ROUND(l_quantity) AS BIGINT)) > 180) "
-            "SELECT c.c_name, o.o_orderkey,"
-            " CAST(ROUND(o.o_totalprice*100) AS BIGINT) AS total_cents,"
-            " big.sum_qty FROM big JOIN orders o"
-            " ON big.l_orderkey = o.o_orderkey"
-            " JOIN customer c ON o.o_custkey = c.c_custkey"
-            " ORDER BY total_cents DESC, o.o_orderkey ASC LIMIT 10",
         # KMV set algebra: Jaccard of (user, day) sets per type pair,
         # replayed bit-exactly from the two bottom-64 sketches
         "kmv_type_jaccard":
@@ -3170,27 +2759,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(SUM(ina * inb) AS DOUBLE) / COUNT(*), 6)"
             " AS jaccard_r6 FROM ru WHERE rn <= 64"
             " GROUP BY 1, 2 ORDER BY 1, 2",
-        # band self-join: same-customer order pairs 0 < delta <= 7d,
-        # counted per month of the earlier order
-        "repeat_purchase_pairs":
-            "SELECT CAST(epoch(date_trunc('month', o1.o_orderdate))"
-            " AS BIGINT) AS month_epoch,"
-            " CAST(COUNT(*) AS BIGINT) AS n_pairs"
-            " FROM orders o1 JOIN orders o2"
-            " ON o1.o_custkey = o2.o_custkey"
-            " AND o2.o_orderdate > o1.o_orderdate"
-            " AND o2.o_orderdate <= o1.o_orderdate + INTERVAL 7 DAY"
-            " GROUP BY 1 ORDER BY 1",
-        # strict-sequence funnel: view < click < purchase within 24h
-        "strict_funnel_users":
-            "SELECT CAST(COUNT(DISTINCT v.user_id) AS BIGINT)"
-            " AS n_users FROM events v"
-            " JOIN events c ON c.user_id = v.user_id"
-            " AND c.event_type = 'click' AND c.ts > v.ts"
-            " JOIN events p ON p.user_id = v.user_id"
-            " AND p.event_type = 'purchase' AND p.ts > c.ts"
-            " WHERE v.event_type = 'view'"
-            " AND p.ts <= v.ts + INTERVAL 24 HOUR",
         # pairwise Jensen-Shannon divergence between per-lang bigram
         # distributions (natural log, 6-dp contract; integer anchors)
         "lang_bigram_jsd":
@@ -3226,35 +2794,6 @@ def oracle_sql() -> dict[str, str]:
             " (0.5 * (p + q))) ELSE 0 END + CASE WHEN q > 0 THEN"
             " 0.5 * q * ln(q / (0.5 * (p + q))) ELSE 0 END), 6)"
             " AS jsd_r6 FROM t GROUP BY 1, 2 ORDER BY 1, 2",
-        # adaptive multi-pass selection: exact lower median in cents
-        "exact_median_bisect":
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(value*100) AS BIGINT)) AS BIGINT)"
-            " AS median_cents FROM events",
-        # temporal negation: view -> purchase within 2h with NO error
-        # strictly between
-        "clean_conversion_users":
-            "SELECT CAST(COUNT(DISTINCT v.user_id) AS BIGINT)"
-            " AS n_users FROM events v"
-            " JOIN events p ON p.user_id = v.user_id"
-            " AND p.event_type = 'purchase' AND p.ts > v.ts"
-            " AND p.ts <= v.ts + INTERVAL 2 HOUR"
-            " WHERE v.event_type = 'view' AND NOT EXISTS"
-            " (SELECT 1 FROM events e WHERE e.user_id = v.user_id"
-            " AND e.event_type = 'error' AND e.ts > v.ts"
-            " AND e.ts < p.ts)",
-        # PERCENTILE_CONT: interpolated per-nation balance quantiles
-        "acctbal_cont_quantiles":
-            "SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey,"
-            " CAST(COUNT(*) AS BIGINT) AS n_customers,"
-            " ROUND(PERCENTILE_CONT(0.5) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT)), 6)"
-            " AS p50_cents_r6,"
-            " ROUND(PERCENTILE_CONT(0.9) WITHIN GROUP (ORDER BY"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT)), 6)"
-            " AS p90_cents_r6"
-            " FROM customer GROUP BY 1 ORDER BY 1",
         # exact two-sample KS: integer cross-multiplied CDF supremum
         "value_ks_matrix":
             "WITH c AS (SELECT event_type AS t,"
@@ -3278,83 +2817,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(MAX(ABS(sb * ca - sa * cb)) AS DOUBLE)"
             " / (ANY_VALUE(sa) * ANY_VALUE(sb)), 6) AS ks_r6"
             " FROM cum GROUP BY 1, 2 ORDER BY 1, 2",
-        # robust trimmed / winsorized means: rank-range selection (tie
-        # order is mean-neutral, so ROW_NUMBER suffices)
-        "acctbal_trimmed_stats":
-            "WITH x AS (SELECT CAST(c_nationkey AS BIGINT) AS nk,"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT) AS v,"
-            " ROW_NUMBER() OVER (PARTITION BY c_nationkey"
-            " ORDER BY CAST(ROUND(c_acctbal*100) AS BIGINT)) AS rn,"
-            " COUNT(*) OVER (PARTITION BY c_nationkey) AS n"
-            " FROM customer), "
-            "k AS (SELECT nk, n, CAST(FLOOR(0.1 * n) AS BIGINT) AS k"
-            " FROM x GROUP BY 1, 2), "
-            "b AS (SELECT x.nk,"
-            " MAX(CASE WHEN x.rn = k.k + 1 THEN x.v END) AS lo,"
-            " MAX(CASE WHEN x.rn = k.n - k.k THEN x.v END) AS hi"
-            " FROM x JOIN k ON x.nk = k.nk GROUP BY 1) "
-            "SELECT x.nk AS c_nationkey,"
-            " CAST(ANY_VALUE(k.n) AS BIGINT) AS n_customers,"
-            " ROUND(CAST(SUM(CASE WHEN x.rn > k.k AND x.rn <= k.n - k.k"
-            " THEN x.v END) AS DOUBLE)"
-            " / (ANY_VALUE(k.n) - 2 * ANY_VALUE(k.k)), 6)"
-            " AS trim_mean_r6,"
-            " ROUND(CAST(SUM(LEAST(GREATEST(x.v, b.lo), b.hi))"
-            " AS DOUBLE) / ANY_VALUE(k.n), 6) AS winsor_mean_r6"
-            " FROM x JOIN k ON x.nk = k.nk JOIN b ON x.nk = b.nk"
-            " GROUP BY 1 ORDER BY 1",
-        # conditional entropy of the transition chain (nats, 6 dp)
-        "transition_cond_entropy":
-            "WITH s AS (SELECT user_id, event_type,"
-            " LAG(event_type) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS prev FROM events), "
-            "tc AS (SELECT prev AS cur, event_type AS nxt,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM s"
-            " WHERE prev IS NOT NULL GROUP BY 1, 2), "
-            "tt AS (SELECT cur, SUM(n) AS tot FROM tc GROUP BY 1) "
-            "SELECT tc.cur AS cur_type,"
-            " CAST(ANY_VALUE(tt.tot) AS BIGINT) AS n_out,"
-            " ROUND(SUM(-(CAST(tc.n AS DOUBLE) / tt.tot)"
-            " * ln(CAST(tc.n AS DOUBLE) / tt.tot)), 6) AS h_r6"
-            " FROM tc JOIN tt ON tc.cur = tt.cur"
-            " GROUP BY 1 ORDER BY 1",
-        # percent-of-parent hierarchy: nation share of region, region
-        # share of global (exact cent sums, one division each)
-        "region_share_rollup":
-            "WITH leaf AS (SELECT c_nationkey AS nk,"
-            " CAST(SUM(CAST(ROUND(c_acctbal*100) AS BIGINT)) AS BIGINT)"
-            " AS s, CAST(COUNT(*) AS BIGINT) AS n FROM customer"
-            " GROUP BY 1), "
-            "j AS (SELECT r.r_name, nt.n_name, leaf.n, leaf.s"
-            " FROM leaf JOIN nation nt ON leaf.nk = nt.n_nationkey"
-            " JOIN region r ON nt.n_regionkey = r.r_regionkey), "
-            "rt AS (SELECT r_name, SUM(s) AS rs FROM j GROUP BY 1), "
-            "gt AS (SELECT SUM(s) AS gs FROM j) "
-            "SELECT j.r_name, j.n_name, j.n AS n_customers,"
-            " j.s AS sum_cents,"
-            " ROUND(CAST(j.s AS DOUBLE) / rt.rs, 6) AS nation_share_r6,"
-            " ROUND(CAST(rt.rs AS DOUBLE) / gt.gs, 6)"
-            " AS region_share_r6"
-            " FROM j JOIN rt ON j.r_name = rt.r_name CROSS JOIN gt"
-            " ORDER BY j.r_name, j.n_name",
-        # cross-table reconciliation: o_totalprice vs lineitem sum
-        "order_price_reconciliation":
-            "WITH ls AS (SELECT l_orderkey,"
-            " CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT))"
-            " AS BIGINT) AS s FROM lineitem GROUP BY 1), "
-            "j AS (SELECT o.o_orderstatus,"
-            " CAST(ROUND(o.o_totalprice*100) AS BIGINT) AS tc, ls.s"
-            " FROM orders o LEFT JOIN ls"
-            " ON o.o_orderkey = ls.l_orderkey) "
-            "SELECT o_orderstatus, CAST(COUNT(*) AS BIGINT) AS n_orders,"
-            " CAST(COALESCE(SUM(CASE WHEN s IS NULL THEN 1 END), 0)"
-            " AS BIGINT) AS n_no_lines,"
-            " CAST(COALESCE(SUM(CASE WHEN s IS NOT NULL"
-            " AND tc - s = 0 THEN 1 END), 0) AS BIGINT) AS n_exact,"
-            " CAST(COALESCE(MAX(CASE WHEN s IS NOT NULL"
-            " THEN ABS(tc - s) END), 0) AS BIGINT)"
-            " AS max_abs_diff_cents"
-            " FROM j GROUP BY 1 ORDER BY 1",
         # unnormalized Haar pyramid over each type's daily revenue
         # (dense padded grid; bit-length slot arithmetic, no float
         # log; the 4096-slot oracle cap covers the fixture span only)
@@ -3414,116 +2876,6 @@ def oracle_sql() -> dict[str, str]:
             " AS jaccard_r6 FROM pr LEFT JOIN inter"
             " ON pr.ta = inter.ta AND pr.tb = inter.tb"
             " ORDER BY 1, 2",
-        # session attribution coverage: purchase cents split into
-        # attributed (session has >= 1 view) vs orphan mass
-        "view_attribution_credit":
-            "WITH x2 AS (SELECT user_id, event_type, ts, event_id,"
-            " CAST(ROUND(value*100) AS BIGINT) AS cents,"
-            " CASE WHEN LAG(ts) OVER w IS NULL OR ts - LAG(ts) OVER w"
-            " > INTERVAL 24 HOUR THEN 1 ELSE 0 END AS new_s"
-            " FROM events WINDOW w AS (PARTITION BY user_id"
-            " ORDER BY ts, event_id)), "
-            "y AS (SELECT *, SUM(new_s) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS sid FROM x2), "
-            "s AS (SELECT user_id, sid,"
-            " SUM(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)"
-            " AS nv, SUM(CASE WHEN event_type = 'purchase' THEN cents"
-            " ELSE 0 END) AS pv FROM y GROUP BY 1, 2) "
-            "SELECT CAST(user_id AS BIGINT) AS user_id,"
-            " CAST(COUNT(*) AS BIGINT) AS n_sessions,"
-            " CAST(COALESCE(SUM(CASE WHEN nv > 0 THEN pv END), 0)"
-            " AS BIGINT) AS attributed_cents,"
-            " CAST(COALESCE(SUM(CASE WHEN nv = 0 THEN pv END), 0)"
-            " AS BIGINT) AS orphan_cents"
-            " FROM s GROUP BY 1 ORDER BY 1",
-        # multiplicative aggregate family: arithmetic / geometric /
-        # harmonic means of positive balances (log- and reciprocal-
-        # sum partials; exact integer anchors)
-        "acctbal_mean_family":
-            "WITH v AS (SELECT CAST(c_nationkey AS BIGINT) AS nk,"
-            " CAST(ROUND(c_acctbal*100) AS BIGINT) AS cents"
-            " FROM customer"
-            " WHERE CAST(ROUND(c_acctbal*100) AS BIGINT) > 0) "
-            "SELECT nk AS c_nationkey, CAST(COUNT(*) AS BIGINT)"
-            " AS n_pos, CAST(SUM(cents) AS BIGINT) AS sum_cents,"
-            " ROUND(CAST(SUM(cents) AS DOUBLE) / COUNT(*), 6)"
-            " AS arith_r6,"
-            " ROUND(exp(SUM(ln(CAST(cents AS DOUBLE))) / COUNT(*)), 6)"
-            " AS geo_r6,"
-            " ROUND(COUNT(*) / SUM(1.0 / cents), 6) AS harm_r6"
-            " FROM v GROUP BY 1 ORDER BY 1",
-        # lagged autocorrelation of daily revenue (observed-day pairs,
-        # Pearson from double sums, term op order mirrored)
-        "daily_revenue_autocorr":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)//86400"
-            " AS day, CAST(SUM(CAST(ROUND(value*100) AS BIGINT))"
-            " AS BIGINT) AS rev FROM events GROUP BY 1, 2), "
-            "l1 AS (SELECT a.event_type, CAST(a.rev AS DOUBLE) AS x,"
-            " CAST(b.rev AS DOUBLE) AS y FROM d a JOIN d b"
-            " ON a.event_type = b.event_type AND b.day = a.day + 1), "
-            "s1 AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,"
-            " SUM(x) AS sx, SUM(y) AS sy, SUM(x*x) AS sxx,"
-            " SUM(y*y) AS syy, SUM(x*y) AS sxy FROM l1 GROUP BY 1), "
-            "l7 AS (SELECT a.event_type, CAST(a.rev AS DOUBLE) AS x,"
-            " CAST(b.rev AS DOUBLE) AS y FROM d a JOIN d b"
-            " ON a.event_type = b.event_type AND b.day = a.day + 7), "
-            "s7 AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,"
-            " SUM(x) AS sx, SUM(y) AS sy, SUM(x*x) AS sxx,"
-            " SUM(y*y) AS syy, SUM(x*y) AS sxy FROM l7 GROUP BY 1) "
-            "SELECT s1.event_type, s1.n AS n_lag1,"
-            " ROUND((s1.sxy - s1.sx*s1.sy/s1.n) / sqrt("
-            "(s1.sxx - s1.sx*s1.sx/s1.n) * (s1.syy - s1.sy*s1.sy/s1.n)"
-            "), 6) AS r_lag1_r6,"
-            " s7.n AS n_lag7,"
-            " ROUND((s7.sxy - s7.sx*s7.sy/s7.n) / sqrt("
-            "(s7.sxx - s7.sx*s7.sx/s7.n) * (s7.syy - s7.sy*s7.sy/s7.n)"
-            "), 6) AS r_lag7_r6"
-            " FROM s1 JOIN s7 ON s1.event_type = s7.event_type"
-            " ORDER BY 1",
-        # Markov-graph reciprocity per unordered type pair
-        "transition_reciprocity":
-            "WITH s AS (SELECT user_id, event_type,"
-            " LAG(event_type) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id) AS prev FROM events), "
-            "tc AS (SELECT prev AS a, event_type AS b,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM s"
-            " WHERE prev IS NOT NULL AND prev <> event_type"
-            " GROUP BY 1, 2), "
-            "ty AS (SELECT a AS t FROM tc UNION SELECT b FROM tc), "
-            "pr AS (SELECT x.t AS ta, y.t AS tb FROM ty x JOIN ty y"
-            " ON x.t < y.t) "
-            "SELECT pr.ta AS type_a, pr.tb AS type_b,"
-            " CAST(COALESCE(f.n, 0) AS BIGINT) AS n_ab,"
-            " CAST(COALESCE(r.n, 0) AS BIGINT) AS n_ba,"
-            " CASE WHEN GREATEST(COALESCE(f.n, 0), COALESCE(r.n, 0))"
-            " = 0 THEN 0.0 ELSE ROUND(CAST(LEAST(COALESCE(f.n, 0),"
-            " COALESCE(r.n, 0)) AS DOUBLE) /"
-            " GREATEST(COALESCE(f.n, 0), COALESCE(r.n, 0)), 6) END"
-            " AS reciprocity_r6,"
-            " CAST(COALESCE(f.n, 0) - COALESCE(r.n, 0) AS BIGINT)"
-            " AS net_flow FROM pr"
-            " LEFT JOIN tc f ON f.a = pr.ta AND f.b = pr.tb"
-            " LEFT JOIN tc r ON r.a = pr.tb AND r.b = pr.ta"
-            " ORDER BY 1, 2",
-        # Herfindahl concentration of supplier revenue per nation
-        "supplier_hhi_by_nation":
-            "WITH sr AS (SELECT l_suppkey,"
-            " CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT) *"
-            " (100 - CAST(ROUND(l_discount*100) AS BIGINT)))"
-            " AS BIGINT) AS rev FROM lineitem GROUP BY 1), "
-            "j AS (SELECT s.s_nationkey, sr.rev FROM sr"
-            " JOIN supplier s ON sr.l_suppkey = s.s_suppkey), "
-            "tot AS (SELECT s_nationkey, CAST(SUM(rev) AS BIGINT)"
-            " AS total, CAST(COUNT(*) AS BIGINT) AS n FROM j"
-            " GROUP BY 1) "
-            "SELECT nt.n_name, tot.n AS n_suppliers,"
-            " tot.total AS total_rev,"
-            " ROUND(SUM((CAST(j.rev AS DOUBLE) / tot.total) *"
-            " (CAST(j.rev AS DOUBLE) / tot.total)), 6) AS hhi_r6"
-            " FROM j JOIN tot ON j.s_nationkey = tot.s_nationkey"
-            " JOIN nation nt ON j.s_nationkey = nt.n_nationkey"
-            " GROUP BY 1, 2, 3 ORDER BY 1",
         # Q20-style pair-level share gate (8*q_ps > q_p, exact ints)
         "dominant_supplier_parts":
             "WITH ps AS (SELECT l_partkey, l_suppkey,"
@@ -3581,43 +2933,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(doc_bucket AS BIGINT) AS doc_bucket, n_new,"
             " CAST(SUM(n_new) OVER (ORDER BY doc_bucket) AS BIGINT)"
             " AS n_cum FROM c ORDER BY doc_bucket",
-        # functional-dependency discovery audit (n_violating == 0
-        # means the FD holds)
-        "fd_violation_audit":
-            "WITH c1 AS (SELECT 'c_custkey->c_nationkey' AS fd,"
-            " CAST(COUNT(*) AS BIGINT) AS n_keys,"
-            " CAST(COALESCE(SUM(CASE WHEN d > 1 THEN 1 END), 0)"
-            " AS BIGINT) AS n_violating_keys,"
-            " CAST(MAX(d) AS BIGINT) AS max_distinct_dep FROM"
-            " (SELECT c_custkey, COUNT(DISTINCT c_nationkey) AS d"
-            " FROM customer GROUP BY 1)), "
-            "c2 AS (SELECT 'p_brand->p_size',"
-            " CAST(COUNT(*) AS BIGINT),"
-            " CAST(COALESCE(SUM(CASE WHEN d > 1 THEN 1 END), 0)"
-            " AS BIGINT), CAST(MAX(d) AS BIGINT) FROM"
-            " (SELECT p_brand, COUNT(DISTINCT p_size) AS d"
-            " FROM part GROUP BY 1)), "
-            "c3 AS (SELECT 'o_custkey->o_orderpriority',"
-            " CAST(COUNT(*) AS BIGINT),"
-            " CAST(COALESCE(SUM(CASE WHEN d > 1 THEN 1 END), 0)"
-            " AS BIGINT), CAST(MAX(d) AS BIGINT) FROM"
-            " (SELECT o_custkey, COUNT(DISTINCT o_orderpriority) AS d"
-            " FROM orders GROUP BY 1)) "
-            "SELECT * FROM c1 UNION ALL SELECT * FROM c2"
-            " UNION ALL SELECT * FROM c3 ORDER BY fd",
-        # bipartite degree distributions (part and supplier sides)
-        "bipartite_degree_dist":
-            "WITH e AS (SELECT DISTINCT l_partkey, l_suppkey"
-            " FROM lineitem), "
-            "dp AS (SELECT l_partkey AS k, CAST(COUNT(*) AS BIGINT)"
-            " AS degree FROM e GROUP BY 1), "
-            "ds AS (SELECT l_suppkey AS k, CAST(COUNT(*) AS BIGINT)"
-            " AS degree FROM e GROUP BY 1) "
-            "SELECT 'part' AS side, degree, CAST(COUNT(*) AS BIGINT)"
-            " AS n_nodes FROM dp GROUP BY 2"
-            " UNION ALL SELECT 'supplier', degree,"
-            " CAST(COUNT(*) AS BIGINT) FROM ds GROUP BY 2"
-            " ORDER BY side, degree",
         # monotone increasing runs on the daily revenue series
         "revenue_up_run_lengths":
             "WITH d AS (SELECT event_type,"
@@ -3671,43 +2986,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(SUM(v * ((nxt - cur) // 1000000)) AS DOUBLE)"
             " / SUM((nxt - cur) // 1000000), 6) AS twap_r6"
             " FROM s WHERE nxt IS NOT NULL GROUP BY 1 ORDER BY 1",
-        # STL-lite decomposition: centered MA-7 trend over observed
-        # rows, per-weekday seasonal means of the detrended series,
-        # remainder CV — normalized O(1) floats (6-dp contract)
-        "revenue_seasonal_decomposition":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)//86400"
-            " AS day, CAST(SUM(CAST(ROUND(value*100) AS BIGINT))"
-            " AS BIGINT) AS rev FROM events GROUP BY 1, 2), "
-            "w AS (SELECT event_type, day, rev,"
-            " SUM(rev) OVER (PARTITION BY event_type ORDER BY day"
-            " ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING) / 7.0"
-            " AS trend, ROW_NUMBER() OVER (PARTITION BY event_type"
-            " ORDER BY day) AS rn, COUNT(*) OVER (PARTITION BY"
-            " event_type) AS nn FROM d), "
-            "m AS (SELECT event_type,"
-            " SUM(rev) / COUNT(*) AS mean_all FROM d GROUP BY 1), "
-            "det AS (SELECT event_type, (day + 4) % 7 AS dow,"
-            " rev - trend AS det FROM w"
-            " WHERE rn >= 4 AND rn <= nn - 3), "
-            "seas AS (SELECT event_type, dow,"
-            " CAST(COUNT(*) AS BIGINT) AS n_days,"
-            " SUM(det) / COUNT(*) AS s FROM det GROUP BY 1, 2), "
-            "rem AS (SELECT det.event_type,"
-            " det.det - seas.s AS rem FROM det JOIN seas"
-            " ON det.event_type = seas.event_type"
-            " AND det.dow = seas.dow), "
-            "v AS (SELECT event_type, SUM(rem * rem) / COUNT(*)"
-            " - (SUM(rem) / COUNT(*)) * (SUM(rem) / COUNT(*)) AS var"
-            " FROM rem GROUP BY 1) "
-            "SELECT seas.event_type, CAST(seas.dow AS BIGINT) AS dow,"
-            " seas.n_days,"
-            " ROUND(seas.s / m.mean_all, 6) AS seasonal_rel_r6,"
-            " ROUND(sqrt(GREATEST(v.var, 0.0)) / m.mean_all, 6)"
-            " AS rem_cv_r6 FROM seas"
-            " JOIN m ON seas.event_type = m.event_type"
-            " JOIN v ON seas.event_type = v.event_type"
-            " ORDER BY 1, 2",
         # incremental ingestion dedup report: day 1 = even doc_ids,
         # day 2 = odd; C4-style 64-char-prefix fingerprint (same key
         # as prefix_dup_groups); each day-2 doc is dup_day1 /

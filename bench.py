@@ -112,7 +112,6 @@ def _force_cluster_tiers():
     RS.SEEN_BROADCAST_MAX_KEYS = 0
     RS.NEARDUP_STATE_BROADCAST_MAX_ROWS = 0
 
-    A.CUST_BROADCAST_MAX_ROWS = 0
     A.LINEITEM_DRIVER_MAX_ROWS = 0
     A.EVENTS_DRIVER_MAX_ROWS = 0
     A.RARITY_BROADCAST_MAX_ROWS = 0
@@ -124,14 +123,12 @@ def _force_cluster_tiers():
     A.CENTROID_BROADCAST_MAX_ROWS = 0
     A.DUPC_DRIVER_MAX_ROWS = 0
     A.SRCGATE_BROADCAST_MAX_ROWS = 0
-    A.EVENTS_ENTITY_DIRECT_MAX_ROWS = 0
     A.BIGRAM_DRIVER_MAX_ROWS = 0
     A.RANK_DRIVER_MAX_ROWS = 0
     A.RANK_BROADCAST_MAX_ROWS = 0
     A.SEGMENT_BROADCAST_MAX_ROWS = 0
     A.NB_BROADCAST_MAX_ROWS = 0
     A.ANTI_BROADCAST_MAX_ROWS = 0
-    A.PART_DRIVER_MAX_ROWS = 0
     D.EXACT_DEDUP_DRIVER_MAX_ROWS = 0
     D.BAND_DRIVER_MAX_ROWS = 0
     D.BROADCAST_LIMIT = 0
@@ -155,10 +152,10 @@ QUERIES = ["lang_counts", "frame_counts", "exact_dedup",
            "bloom_build_info", "categorize_summary",
            # round-2 additions
            "ngram_jaccard_pairs", "bpe_token_counts",
-           "lineitem_pricing_summary", "orders_per_nation",
-           "top_parts_by_revenue", "events_sessionize", "paired_join",
-           "mibf_classify", "mibf_classify_paired", "categorize_length",
-           "ann_topk_multi", "events_asof_join", "dust_masked_categorize",
+           "lineitem_pricing_summary", "top_parts_by_revenue",
+           "events_sessionize", "paired_join", "mibf_classify",
+           "mibf_classify_paired", "categorize_length", "ann_topk_multi",
+           "dust_masked_categorize",
            # round-3 additions + previously-unbenched registry entries
            "deterministic_sample_hash", "minhash_dedup_kept",
            "user_event_counts", "top_users_by_events", "event_type_daily",
@@ -178,61 +175,40 @@ QUERIES = ["lang_counts", "frame_counts", "exact_dedup",
            "curation_funnel_by_source", "contamination_topk",
            "dup_group_size_histogram", "source_overlap",
            "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
-           "corpus_report", "events_range_join",
+           "corpus_report",
            # round-4 additions
            "epoch_shuffle_full", "ann_ivf_exact", "events_props_stats",
            "top_bigrams_per_lang", "nchars_rank_in_source",
            "jsonl_roundtrip_lang_counts", "csv_roundtrip_event_counts",
-           "windowed_distinct_users", "segment_revenue_topk",
-           "nb_class_scores", "user_event_pivot", "token_drift_topk",
+           "segment_revenue_topk", "nb_class_scores", "token_drift_topk",
            "latest_event_per_user_type", "events_hourly_anomaly",
            "docs_rollup_cube", "nchars_ntile_buckets",
            # round-4 waves 6-8
-           "region_revenue", "event_transitions", "event_type_daily_ma7",
-           "funnel_conversion", "shard_assignment_counts",
-           "partitioned_roundtrip_source_counts",
-           "nation_monthly_revenue_delta", "nation_balance_union",
-           "brand_distinct_sizes", "revenue_pareto_nations",
-           "source_lang_entropy", "top_suppliers_by_quantity",
-           "value_decile_stats", "top_size_modes_per_brand",
-           "parts_above_type_avg",
+           "region_revenue", "shard_assignment_counts",
+           "partitioned_roundtrip_source_counts", "source_lang_entropy",
            # round-4 waves 12-14
-           "event_user_setops", "snapshot_user_diff",
-           "max_concurrent_sessions", "pmi_top_bigrams", "doc_length_gini",
-           "cross_lang_dup_matrix", "nchars_cume_dist", "cohort_retention",
-           "source_lang_chi2", "name_typo_pairs", "orders_profile",
-           "orders_quality_checks", "acctbal_robust_stats", "mg_heavy_tokens",
-           "diversified_top_docs", "event_decayed_counts",
-           "latest_events_per_user", "event_gap_quantiles", "rrf_hybrid_topk",
-           "grouped_split_counts", "weighted_sample_topk",
-           "sketch_setops_report", "zorder_bucket_counts",
-           "funnel_latency_quantiles", "lang_nchars_tdigest",
-           "nchars_robust_outliers", "source_dup_report",
-           "returning_users_daily", "table_fingerprint", "term_overlap_topk",
+           "event_user_setops", "max_concurrent_sessions", "pmi_top_bigrams",
+           "doc_length_gini", "cross_lang_dup_matrix", "nchars_cume_dist",
+           "source_lang_chi2", "name_typo_pairs", "mg_heavy_tokens",
+           "diversified_top_docs", "latest_events_per_user",
+           "event_gap_quantiles", "rrf_hybrid_topk", "grouped_split_counts",
+           "weighted_sample_topk", "sketch_setops_report",
+           "zorder_bucket_counts", "funnel_latency_quantiles",
+           "lang_nchars_tdigest", "nchars_robust_outliers",
+           "source_dup_report", "table_fingerprint", "term_overlap_topk",
            "readability_scores", "charclass_stats", "range_shard_bounds",
            "cusum_changepoints", "hour_of_day_profile", "join_size_exact",
-           "join_size_cms", "embedding_top_pc", "user_activity_streaks",
-           "order_fill_rate", "value_benford_deviation",
-           "weekly_distinct_users", "hll_weekly_union", "byte_median_doc_size",
-           "multi_predicate_revenue", "ngram_containment_pairs",
+           "join_size_cms", "embedding_top_pc", "hll_weekly_union",
+           "byte_median_doc_size", "ngram_containment_pairs",
            "source_exclusive_tokens", "nchars_histogram_log2",
            "langid_confusion_matrix", "bloom_prune_join_revenue",
-           "kmv_distinct_userdays", "part_skyline", "large_quantity_orders",
-           "kmv_type_jaccard", "repeat_purchase_pairs", "strict_funnel_users",
-           "lang_bigram_jsd", "exact_median_bisect", "clean_conversion_users",
-           "acctbal_cont_quantiles", "value_ks_matrix",
-           "acctbal_trimmed_stats", "transition_cond_entropy",
-           "region_share_rollup", "order_price_reconciliation",
-           "daily_revenue_haar", "type_user_overlap_exact",
-           "view_attribution_credit", "acctbal_mean_family",
-           "daily_revenue_autocorr", "transition_reciprocity",
-           "supplier_hhi_by_nation", "dominant_supplier_parts",
+           "kmv_distinct_userdays", "part_skyline", "kmv_type_jaccard",
+           "lang_bigram_jsd", "value_ks_matrix", "daily_revenue_haar",
+           "type_user_overlap_exact", "dominant_supplier_parts",
            "parts_keyset_page", "cumulative_parts_catalog",
            "prefix_dup_groups", "token_len_histogram", "vocab_growth_by_docs",
-           "fd_violation_audit", "bipartite_degree_dist",
            "revenue_up_run_lengths", "weekday_uniformity_chi2",
            "value_twap_by_type", "doc_compression_ratio",
-           "revenue_seasonal_decomposition",
            # round-4 waves 57-61
            "incremental_dedup_report", "lang_temperature_mix",
            "vocab_coverage_topp", "bloom_fpr_report", "knn_label_accuracy",

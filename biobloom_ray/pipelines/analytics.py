@@ -1,7 +1,14 @@
-"""Oracle-checkable analytics pipelines over the driver test tables
-(documents / embeddings / events).  Each function takes ``sf_dir`` and
+"""Registry queries over the driver test tables (documents, embeddings,
+events and the TPC-H-style tables).  Each function takes ``sf_dir`` and
 returns a small result (Dataset → pandas/Arrow by the caller); the
 matching ANSI-SQL oracles live in ``__ray_entry__.oracle_sql``.
+
+Most queries drive engine code: the mergeable sketches, the dedup and
+near-dup stages, the cleaning and decontamination stages and the
+curation runner.  The TPC-H/events queries here that reach none of it
+are generic Ray Data groupby/join shapes, not the engine; the exact
+twins ``join_size_exact``, ``event_user_setops`` and
+``type_user_overlap_exact`` stay as references for the sketch tests.
 
 Scale notes: every reader prunes columns at the parquet read; per-batch
 work is vectorized (pyarrow.compute / pandas C kernels / numpy);
@@ -490,111 +497,6 @@ def lineitem_pricing_summary(sf_dir: str):
     return out
 
 
-#: customer-side row gate for the broadcast join tier: below this the
-#: custkey→nationkey map ships once per worker (two int64 arrays,
-#: ~32 MB at the gate); above it the hash join takes over
-CUST_BROADCAST_MAX_ROWS = 2_000_000
-
-
-def orders_per_nation(sf_dir: str):
-    """J-family join pipeline: orders ⋈ customer then nationkey→name via
-    a BROADCAST lookup (nation is tiny and static; no shuffle).
-
-    The orders⋈customer join is tiered like every small-side join here:
-    below ``CUST_BROADCAST_MAX_ROWS`` the sorted custkey→nationkey
-    arrays broadcast once (`ray.put`) and the join is a map-side
-    ``searchsorted`` — no shuffle at all, and the final 25-nation
-    rollup is a per-block partial + driver sum; above the gate both
-    sides shuffle through a hash join (both grow with scale)."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    name_of = dict(zip(nation.n_nationkey.astype(np.int64),
-                       nation.n_name))
-
-    n_cust = _cheap_count(cust)
-
-    if n_cust is not None and n_cust <= CUST_BROADCAST_MAX_ROWS:
-        cd = cust.to_pandas()
-        order_ = np.argsort(cd.c_custkey.to_numpy())
-        ckeys = cd.c_custkey.to_numpy()[order_]
-        cnat = cd.c_nationkey.to_numpy()[order_]
-        lut_ref = ray.put((ckeys, cnat))
-
-        def nation_partial(b: pa.Table) -> pa.Table:
-            import ray as _r
-            keys_s, nat_s = _r.get(lut_ref)
-            ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys_s) == 0 or len(ck) == 0:  # inner join: empty out
-                return pa.table({
-                    "nationkey": pa.array([], type=pa.int64()),
-                    "n": pa.array([], type=pa.int64()),
-                    "cents": pa.array([], type=pa.int64())})
-            cents = _cents_away(
-                b["o_totalprice"].to_numpy(zero_copy_only=False))
-            idx = np.searchsorted(keys_s, ck)
-            idx[idx == len(keys_s)] = 0
-            ok = keys_s[idx] == ck          # inner join semantics
-            nk = nat_s[idx[ok]]
-            cents = cents[ok]
-            # per-block rollup straight to nation (≤ 25 rows out)
-            n_per = np.bincount(nk)
-            c_per = np.bincount(nk, weights=cents.astype(np.float64))
-            nz = np.nonzero(n_per)[0]
-            return pa.table({
-                "nationkey": pa.array(nz.astype(np.int64)),
-                "n": pa.array(n_per[nz].astype(np.int64)),
-                "cents": pa.array(np.round(c_per[nz]).astype(np.int64))})
-
-        parts = (orders.map_batches(nation_partial, batch_format="pyarrow")
-                 .to_pandas())
-        agg = (parts.groupby("nationkey", as_index=False)
-               .agg(n_orders=("n", "sum"), total_cents=("cents", "sum")))
-        agg["n_name"] = agg.nationkey.map(name_of)
-        out = agg.sort_values("n_name").reset_index(drop=True)
-        return out[["n_name", "n_orders", "total_cents"]]
-
-    def order_partial(b: pa.Table) -> pa.Table:
-        # pre-aggregate per customer INSIDE the batch: the join and the
-        # groupby downstream see one row per (block, custkey), not every
-        # order — the standard partial-aggregate pushdown below a join
-        df = pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(zero_copy_only=False),
-            "cents": _cents_away(
-                b["o_totalprice"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby("o_custkey", as_index=False)
-               .agg(n=("cents", "size"), cents=("cents", "sum")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    # block-partials join directly (no pre-join shuffle): the final
-    # groupby(n_name) sums partials, so multiple rows per custkey are fine
-    per_cust = orders.map_batches(order_partial, batch_format="pyarrow")
-    joined = hash_join(per_cust, cust, on=("o_custkey",),
-                       right_on=("c_custkey",))
-
-    name_ref = ray.put(name_of)
-
-    def add_name(b: pa.Table) -> pa.Table:
-        import ray as _r
-        lut = _r.get(name_ref)
-        keys = b["c_nationkey"].to_numpy(zero_copy_only=False)
-        names = pd.Series(keys).map(lut).to_numpy(dtype=object)
-        return pa.table({"n_name": pa.array(names, type=pa.string()),
-                         "n": b["n"], "cents": b["cents"]})
-
-    out = (joined.map_batches(add_name, batch_format="pyarrow")
-           .groupby("n_name")
-           .aggregate(Sum("n", alias_name="n_orders"),
-                      Sum("cents", alias_name="total_cents"))
-           .to_pandas())
-    return out[["n_name", "n_orders", "total_cents"]]
-
-
 #: lineitem-side row gate: below this the per-block (partkey, revenue)
 #: partials combine on the driver (bounded by distinct parts × blocks);
 #: above it the native groupby shuffle takes over
@@ -818,235 +720,8 @@ def deterministic_sample_hash(sf_dir: str, rate: float = 0.125):
         ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         return b.filter(pa.array(splitmix64(ids) < thresh))
 
-    return ds.map_batches(pick, batch_format="pyarrow").to_pandas()
-
-
-#: total-event-row gate for the direct (unsalted) temporal-join plans:
-#: below this many input rows every entity's history trivially fits one
-#: ``map_groups`` block, so the joins run as ONE groupby(user_id); above
-#: it (or when the input size is not metadata-cheap) they switch to the
-#: salt-by-time-range plan — groupby((user, time-bucket)) with a
-#: window-sized halo (range join) / a tiny per-bucket carry table (as-of
-#: join) — so a pathological single-entity stream spreads over many
-#: groups instead of landing in one block.  Identical output
-#: (tier-parity-tested with the gate forced to 0).
-EVENTS_ENTITY_DIRECT_MAX_ROWS = 5_000_000
-
-#: time-bucket span of the salted as-of plan (the range join's span is
-#: its window — the natural halo); one hour keeps the per-(user,bucket)
-#: carry table output-scale for multi-year streams
-ASOF_SALT_SPAN_S = 3600
-
-
-def _dedup_rights(r_ts_raw: np.ndarray, r_val_raw: np.ndarray):
-    """Deterministic ties (ADVICE r2): purchases sharing a (user, ts)
-    collapse to ONE row keeping the max value — DuckDB's ASOF pick among
-    equal timestamps is unspecified, so both sides aggregate before the
-    as-of (the oracle SQL mirrors this MAX).  Returns time-sorted
-    (ts, value) arrays with unique ts."""
-    order = np.lexsort((r_val_raw, r_ts_raw))
-    ts_s, val_s = r_ts_raw[order], r_val_raw[order]
-    last = np.r_[ts_s[1:] != ts_s[:-1], True]
-    return ts_s[last], val_s[last]
-
-
-def _asof_tag(b: pa.Table, left_type: str, right_type: str) -> pa.Table:
-    keep = pc.is_in(b["event_type"],
-                    value_set=pa.array([left_type, right_type]))
-    b = b.filter(keep)
-    # input-unit-independent, lossless nanosecond epochs
-    ts_ns = b["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-    return pa.table({
-        "user_id": b["user_id"],
-        "event_id": b["event_id"],
-        "ts_ns": ts_ns,
-        "is_left": pc.equal(b["event_type"], left_type),
-        "value": b["value"],
-    })
-
-
-def events_asof_join(sf_dir: str, left_type: str = "click",
-                     right_type: str = "purchase"):
-    """As-of join (a custom operator Ray Data lacks): for each ``click``
-    event, attach the latest ``purchase`` of the SAME user at or before
-    the click's timestamp.
-
-    Composition: one scan splits the stream by side, one
-    ``groupby(user_id)`` co-locates each entity's full history, and the
-    per-group kernel is a vectorized ``searchsorted`` two-pointer over
-    the time-sorted arrays (no row loops).  Tiered by scale: below
-    ``EVENTS_ENTITY_DIRECT_MAX_ROWS`` total events an entity's history
-    trivially fits one group; above it the salted plan
-    (:func:`_asof_join_salted`) shards each entity by time bucket and
-    resolves cross-bucket lookbacks through a per-(user, bucket) carry
-    table, so a single-entity stream of 10^8 events never lands in one
-    ``map_groups`` block.  Clicks with no prior purchase are dropped
-    (inner as-of).
-    """
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "event_type", "value"])
-    n_rows = _cheap_count(ds)
-    tagged = ds.map_batches(lambda b: _asof_tag(b, left_type, right_type),
-                            batch_format="pyarrow")
-    if n_rows is None or n_rows > EVENTS_ENTITY_DIRECT_MAX_ROWS:
-        return _asof_join_salted(tagged, ASOF_SALT_SPAN_S)
-
-    def asof(g: pa.Table) -> pa.Table:
-        left = g.filter(g["is_left"])
-        right = g.filter(pc.invert(g["is_left"]))
-        if len(left) == 0 or len(right) == 0:
-            return pa.table({"event_id": pa.array([], type=pa.int64()),
-                             "asof_ts_ns": pa.array([], type=pa.int64()),
-                             "asof_value": pa.array([], type=pa.float64())})
-        l_ts = left["ts_ns"].to_numpy(zero_copy_only=False)
-        l_id = left["event_id"].to_numpy(zero_copy_only=False)
-        r_ts, r_val = _dedup_rights(
-            right["ts_ns"].to_numpy(zero_copy_only=False),
-            right["value"].to_numpy(zero_copy_only=False))
-        idx = np.searchsorted(r_ts, l_ts, side="right") - 1
-        ok = idx >= 0
-        return pa.table({
-            "event_id": pa.array(l_id[ok]),
-            "asof_ts_ns": pa.array(r_ts[idx[ok]]),
-            "asof_value": pa.array(r_val[idx[ok]]),
-        })
-
-    return (tagged.groupby("user_id")
-            .map_groups(asof, batch_format="pyarrow").to_pandas())
-
-
-def _asof_join_salted(tagged, span_s: int = ASOF_SALT_SPAN_S):
-    """Salt-by-time-range as-of plan (VERDICT r3 #5).  Each entity's
-    stream is sharded into ``span_s``-wide time buckets and grouped on
-    (user, bucket) — many parallel groups per entity.  The as-of
-    lookback is unbounded backwards, so a left whose own bucket holds no
-    earlier right is resolved in a second pass against the CARRY table:
-    one summary row per (user, bucket-with-rights) holding that bucket's
-    latest right.  Any right in an earlier bucket precedes every left in
-    a later one, so the carry answer for an unresolved left in bucket b
-    is exactly the summary of the latest bucket b' < b — a backward
-    ``merge_asof`` on bucket number (vectorized, per-user via ``by``).
-    The carry table is output-scale (≤ one row per touched (user,
-    bucket)) and is broadcast once via ``ray.put``; the pass-1 result is
-    materialized to object-store blocks (narrow, ≤ one row per left) so
-    the summary extraction does not re-execute the shuffle."""
-    import ray
-
-    span_ns = np.int64(span_s) * np.int64(1_000_000_000)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        ts = b["ts_ns"].to_numpy(zero_copy_only=False)
-        return b.append_column("bucket", pa.array(ts // span_ns))
-
-    def local_asof(g: pa.Table) -> pa.Table:
-        """kind 0 = resolved left, 1 = unresolved left (needs carry),
-        2 = bucket summary (latest right)."""
-        left = g.filter(g["is_left"])
-        right = g.filter(pc.invert(g["is_left"]))
-        uid = g["user_id"][0].as_py()
-        bkt = int(g["bucket"][0].as_py())
-        parts = []
-        if len(right):
-            r_ts, r_val = _dedup_rights(
-                right["ts_ns"].to_numpy(zero_copy_only=False),
-                right["value"].to_numpy(zero_copy_only=False))
-        if len(left):
-            l_ts = left["ts_ns"].to_numpy(zero_copy_only=False)
-            l_id = left["event_id"].to_numpy(zero_copy_only=False)
-            if len(right):
-                idx = np.searchsorted(r_ts, l_ts, side="right") - 1
-                ok = idx >= 0
-            else:
-                ok = np.zeros(len(l_ts), dtype=bool)
-            n_ok = int(ok.sum())
-            if n_ok:
-                parts.append(pa.table({
-                    "kind": pa.array(np.zeros(n_ok, dtype=np.int8)),
-                    "user_id": pa.array(np.full(n_ok, uid, dtype=np.int64)),
-                    "bucket": pa.array(np.full(n_ok, bkt, dtype=np.int64)),
-                    "event_id": pa.array(l_id[ok]),
-                    "asof_ts_ns": pa.array(r_ts[idx[ok]]),
-                    "asof_value": pa.array(r_val[idx[ok]])}))
-            n_un = len(l_ts) - n_ok
-            if n_un:
-                parts.append(pa.table({
-                    "kind": pa.array(np.ones(n_un, dtype=np.int8)),
-                    "user_id": pa.array(np.full(n_un, uid, dtype=np.int64)),
-                    "bucket": pa.array(np.full(n_un, bkt, dtype=np.int64)),
-                    "event_id": pa.array(l_id[~ok]),
-                    "asof_ts_ns": pa.array(
-                        np.zeros(n_un, dtype=np.int64)),
-                    "asof_value": pa.array(
-                        np.zeros(n_un, dtype=np.float64))}))
-        if len(right):
-            parts.append(pa.table({
-                "kind": pa.array(np.array([2], dtype=np.int8)),
-                "user_id": pa.array([uid], type=pa.int64()),
-                "bucket": pa.array([bkt], type=pa.int64()),
-                "event_id": pa.array([-1], type=pa.int64()),
-                "asof_ts_ns": pa.array([r_ts[-1]], type=pa.int64()),
-                "asof_value": pa.array([r_val[-1]], type=pa.float64())}))
-        if not parts:
-            return pa.table({
-                "kind": pa.array([], type=pa.int8()),
-                "user_id": pa.array([], type=pa.int64()),
-                "bucket": pa.array([], type=pa.int64()),
-                "event_id": pa.array([], type=pa.int64()),
-                "asof_ts_ns": pa.array([], type=pa.int64()),
-                "asof_value": pa.array([], type=pa.float64())})
-        return pa.concat_tables(parts)
-
-    pass1 = (tagged.map_batches(bucketize, batch_format="pyarrow")
-             .groupby(["user_id", "bucket"])
-             .map_groups(local_asof, batch_format="pyarrow")
-             .materialize())
-
-    summ = (pass1.map_batches(
-        lambda b: b.filter(pc.equal(b["kind"], 2)),
-        batch_format="pyarrow").to_pandas())
-    summ = summ.sort_values("bucket", kind="stable").reset_index(drop=True)
-    # merge a POSITIONAL index, not the values: merge_asof upcasts
-    # int64 columns to float64 when any row is unmatched, and float64
-    # cannot represent ns epochs (~2^60) exactly — indices (< 2^53) are
-    # safe, the ts/value arrays are gathered exactly afterwards
-    summ_keys = pd.DataFrame({
-        "user_id": summ["user_id"].to_numpy(np.int64),
-        "bucket": summ["bucket"].to_numpy(np.int64),
-        "c_idx": np.arange(len(summ), dtype=np.int64)})
-    summ_ref = ray.put((summ_keys,
-                        summ["asof_ts_ns"].to_numpy(np.int64),
-                        summ["asof_value"].to_numpy(np.float64)))
-
-    def patch(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.not_equal(b["kind"], 2))
-        if len(b) == 0:
-            return pa.table({"event_id": pa.array([], type=pa.int64()),
-                             "asof_ts_ns": pa.array([], type=pa.int64()),
-                             "asof_value": pa.array([], type=pa.float64())})
-        df = b.select(["kind", "user_id", "bucket", "event_id",
-                       "asof_ts_ns", "asof_value"]).to_pandas()
-        res = df[df["kind"] == 0]
-        un = df[df["kind"] == 1]
-        outs = [res[["event_id", "asof_ts_ns", "asof_value"]]]
-        if len(un):
-            s_keys, c_ts, c_val = ray.get(summ_ref)
-            # carry from the latest STRICTLY-earlier bucket: the left's
-            # own bucket had no right at-or-before it, so exact-bucket
-            # matches are excluded
-            m = pd.merge_asof(
-                un.sort_values("bucket", kind="stable"), s_keys,
-                on="bucket", by="user_id", direction="backward",
-                allow_exact_matches=False)
-            m = m[m["c_idx"].notna()]
-            idx = m["c_idx"].to_numpy(np.int64)
-            outs.append(pd.DataFrame({
-                "event_id": m["event_id"].to_numpy(np.int64),
-                "asof_ts_ns": c_ts[idx],
-                "asof_value": c_val[idx]}))
-        out = pd.concat(outs, ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return pass1.map_batches(patch, batch_format="pyarrow").to_pandas()
+    return _parts_pandas(ds.map_batches(pick, batch_format="pyarrow"),
+                         {"doc_id": np.int64, "lang": object})
 
 
 def top_docs_per_lang(sf_dir: str, k: int = 3):
@@ -2005,7 +1680,8 @@ def source_quality_gate(sf_dir: str):
     slim = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
     if n_rows is not None and n_rows <= SRCGATE_BROADCAST_MAX_ROWS:
-        kset = np.sort(kept.to_pandas().source.to_numpy(dtype=object))
+        kset = np.sort(_parts_pandas(kept, {"source": object})
+                       .source.to_numpy(dtype=object))
         ref = ray.put(kset)
 
         def pick(b: pa.Table) -> pa.Table:
@@ -2020,18 +1696,13 @@ def source_quality_gate(sf_dir: str):
                 m = ks[i] == src
             return b.filter(pa.array(m))
 
-        out = (slim.map_batches(pick, batch_format="pyarrow")
-               .to_pandas())
+        out = slim.map_batches(pick, batch_format="pyarrow")
     else:
         from biobloom_ray.io import hash_join
-        out = hash_join(slim, kept, on=("source",)).to_pandas()
-        if out.empty:
-            # a fully-empty kept side makes every guarded-join
-            # partition emit a schema-less block; restore the columns
-            out = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                                "source": pd.Series([], dtype=object)})
-        out = out[["doc_id", "source"]]
-    return out.sort_values("doc_id").reset_index(drop=True)
+        out = hash_join(slim, kept, on=("source",))
+    out = _parts_pandas(out, {"doc_id": np.int64, "source": object})
+    return (out[["doc_id", "source"]].sort_values("doc_id")
+            .reset_index(drop=True))
 
 
 def token_freq_histogram(sf_dir: str):
@@ -3054,7 +2725,9 @@ def quality_weighted_sample(sf_dir: str):
                          "n_words": pa.array(nw[keep]),
                          "sum_word_len": pa.array(swl[keep])})
 
-    out = ds.map_batches(pick, batch_format="pyarrow").to_pandas()
+    out = _parts_pandas(ds.map_batches(pick, batch_format="pyarrow"),
+                        {"doc_id": np.int64, "n_words": np.int64,
+                         "sum_word_len": np.int64})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -3178,117 +2851,6 @@ def corpus_report(sf_dir: str):
         "n_sources": [np.int64(len(sources))],
         "n_dup_docs": [np.int64(dups)],
         "n_bench_docs": [np.int64(p.n_bench_docs.sum())]})
-
-
-#: range-join window (seconds): purchases counted within (t, t+3600]
-RANGE_JOIN_WINDOW_S = 3600
-
-
-def events_range_join(sf_dir: str, left_type: str = "click",
-                      right_type: str = "purchase",
-                      window_s: int = RANGE_JOIN_WINDOW_S):
-    """Range join (the second custom temporal join Ray Data lacks,
-    alongside :func:`events_asof_join`): for every ``click`` event,
-    count and sum the SAME user's ``purchase`` events inside the
-    window ``(t, t + window_s]`` — the conversion-funnel primitive.
-
-    Composition mirrors the as-of join: one scan splits the stream by
-    side, ONE ``groupby(user_id)`` co-locates each entity's history,
-    and the per-group kernel is two vectorized ``searchsorted`` cuts
-    over the time-sorted purchase array plus a prefix-sum difference
-    for the value sum (no row loops).  Partitioning assumption: an
-    entity's history fits one group (salt by time-range for
-    pathological single-entity streams).  Sum is emitted as exact
-    integer cents to keep the oracle hash float-free.  Clicks with no
-    in-window purchase are kept with zeros (left join).
-
-    Output (sorted by event_id): ``event_id, n_in_window,
-    sum_value_cents``."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "ts", "event_type", "value"])
-    n_rows = _cheap_count(ds)
-    win_ns = np.int64(window_s) * np.int64(1_000_000_000)
-
-    def tag(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b["event_type"],
-                        value_set=pa.array([left_type, right_type]))
-        b = b.filter(keep)
-        ts_ns = b["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-        # exact integer cents; half_towards_infinity matches SQL ROUND
-        # (pc.round's default half_to_even diverges on exact .5 cents)
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        return pa.table({
-            "user_id": b["user_id"],
-            "event_id": b["event_id"],
-            "ts_ns": ts_ns,
-            "is_left": pc.equal(b["event_type"], left_type),
-            "cents": cents,
-        })
-
-    def rjoin(g: pa.Table) -> pa.Table:
-        left = g.filter(g["is_left"])
-        if len(left) == 0:
-            return pa.table({
-                "event_id": pa.array([], type=pa.int64()),
-                "n_in_window": pa.array([], type=pa.int64()),
-                "sum_value_cents": pa.array([], type=pa.int64())})
-        right = g.filter(pc.invert(g["is_left"]))
-        l_ts = left["ts_ns"].to_numpy(zero_copy_only=False)
-        l_id = left["event_id"].to_numpy(zero_copy_only=False)
-        if len(right) == 0:
-            z = np.zeros(len(l_id), dtype=np.int64)
-            return pa.table({"event_id": pa.array(l_id),
-                             "n_in_window": pa.array(z),
-                             "sum_value_cents": pa.array(z)})
-        r_ts = right["ts_ns"].to_numpy(zero_copy_only=False)
-        r_c = right["cents"].to_numpy(zero_copy_only=False)
-        order = np.argsort(r_ts, kind="stable")
-        r_ts, r_c = r_ts[order], r_c[order]
-        csum = np.zeros(len(r_c) + 1, dtype=np.int64)
-        np.cumsum(r_c, out=csum[1:])
-        lo = np.searchsorted(r_ts, l_ts, side="right")
-        hi = np.searchsorted(r_ts, l_ts + win_ns, side="right")
-        return pa.table({
-            "event_id": pa.array(l_id),
-            "n_in_window": pa.array((hi - lo).astype(np.int64)),
-            "sum_value_cents": pa.array(csum[hi] - csum[lo])})
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    if n_rows is None or n_rows > EVENTS_ENTITY_DIRECT_MAX_ROWS:
-        # salt-by-time-range plan (VERDICT r3 #5): bucket span = the
-        # window itself, so a left in bucket b sees every in-window
-        # right inside buckets {b, b+1}.  Lefts keep their own bucket
-        # (each left lands in exactly ONE group); every right is
-        # replicated into its bucket and the one BELOW it (the halo) —
-        # so the group for bucket b holds rights from (b·S, (b+2)·S),
-        # a superset of every member left's window, and the
-        # searchsorted cuts inside ``rjoin`` trim it exactly.  No
-        # carry pass is needed (the window is bounded, unlike as-of);
-        # 2× replication of the right side is the whole overhead.
-        def salt(b: pa.Table) -> pa.Table:
-            bkt = b["ts_ns"].to_numpy(zero_copy_only=False) // win_ns
-            lefts = (b.filter(b["is_left"])
-                     .append_column("bucket", pa.array(
-                         bkt[b["is_left"].to_numpy(zero_copy_only=False)])))
-            right_mask = pc.invert(b["is_left"]).to_numpy(
-                zero_copy_only=False)
-            rights = b.filter(pa.array(right_mask))
-            r_bkt = bkt[right_mask]
-            halo = pa.concat_tables([
-                rights.append_column("bucket", pa.array(r_bkt)),
-                rights.append_column("bucket", pa.array(r_bkt - 1))])
-            return pa.concat_tables([lefts, halo])
-
-        grouped = (tagged.map_batches(salt, batch_format="pyarrow")
-                   .groupby(["user_id", "bucket"])
-                   .map_groups(rjoin, batch_format="pyarrow"))
-    else:
-        grouped = (tagged.groupby("user_id")
-                   .map_groups(rjoin, batch_format="pyarrow"))
-    out = grouped.to_pandas()
-    return out.sort_values("event_id").reset_index(drop=True)
 
 
 # -- round-4 additions: semi-structured props, per-group top-k bigrams,
@@ -3521,46 +3083,6 @@ def csv_roundtrip_event_counts(sf_dir: str):
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-def windowed_distinct_users(sf_dir: str):
-    """Windowed DISTINCT: exact unique users per (event_type, hour).
-    Per-block pre-dedup of (type, hour, user) triples bounds what any
-    block emits by its own distinct count; below the row gate the
-    triples dedup+count on the driver, above it two chained native
-    groupbys on the SAME key prefix finish (the first dedups the
-    triples cluster-wide, the second counts survivors per window) —
-    the exact twin of the HLL sketch path (`hll_distinct_per_lang`),
-    kept for windows where exactness is worth the wider shuffle."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        hour = (pc.floor_temporal(b["ts"], unit="hour")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "hour_epoch": hour.to_numpy(zero_copy_only=False),
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas().drop_duplicates()
-        out = (p.groupby(["event_type", "hour_epoch"], as_index=False)
-               .agg(n_users=("user_id", "size")))
-        out["n_users"] = out["n_users"].astype(np.int64)
-    else:
-        dedup = (parts_ds
-                 .groupby(["event_type", "hour_epoch", "user_id"])
-                 .aggregate(Count(alias_name="_c"))
-                 .drop_columns(["_c"]))
-        out = (dedup.groupby(["event_type", "hour_epoch"])
-               .aggregate(Count(alias_name="n_users")).to_pandas())
-    return (out.sort_values(["event_type", "hour_epoch"])
-            .reset_index(drop=True)[["event_type", "hour_epoch",
-                                     "n_users"]])
-
-
 #: segment-customer broadcast gate: below this many CUSTOMER rows the
 #: in-segment custkey set (and then the matching orderkey set) rides
 #: ray.put broadcasts; above it both links become Dataset hash joins
@@ -3605,8 +3127,9 @@ def segment_revenue_topk(sf_dir: str, segment: str = "BUILDING",
 
     n_cust = _cheap_count(cust)
     if n_cust is not None and n_cust <= SEGMENT_BROADCAST_MAX_ROWS:
-        ck = np.sort(cust.map_batches(seg_keys, batch_format="pyarrow")
-                     .to_pandas()["c_custkey"].to_numpy())
+        ck = np.sort(_parts_pandas(
+            cust.map_batches(seg_keys, batch_format="pyarrow"),
+            {"c_custkey": np.int64})["c_custkey"].to_numpy())
         ck_ref = ray.put(ck)
 
         def order_keys(b: pa.Table) -> pa.Table:
@@ -3618,9 +3141,9 @@ def segment_revenue_topk(sf_dir: str, segment: str = "BUILDING",
             mask = (keys[pos] == oc) if hit else np.zeros(len(oc), bool)
             return b.filter(pa.array(mask)).select(["o_orderkey"])
 
-        ok = np.sort(orders.map_batches(order_keys,
-                                        batch_format="pyarrow")
-                     .to_pandas()["o_orderkey"].to_numpy())
+        ok = np.sort(_parts_pandas(
+            orders.map_batches(order_keys, batch_format="pyarrow"),
+            {"o_orderkey": np.int64})["o_orderkey"].to_numpy())
         ok_ref = ray.put(ok)
 
         def rev_in_seg(b: pa.Table) -> pa.Table:
@@ -3632,7 +3155,8 @@ def segment_revenue_topk(sf_dir: str, segment: str = "BUILDING",
             mask = (keys[pos] == lk) if hit else np.zeros(len(lk), bool)
             return rev_partial(b.filter(pa.array(mask)))
 
-        p = li.map_batches(rev_in_seg, batch_format="pyarrow").to_pandas()
+        p = _parts_pandas(li.map_batches(rev_in_seg, batch_format="pyarrow"),
+                          {"l_orderkey": np.int64, "revenue": np.int64})
         agg = p.groupby("l_orderkey", as_index=False)["revenue"].sum()
         agg = agg.rename(columns={"l_orderkey": "o_orderkey"})
         out = agg.sort_values(["revenue", "o_orderkey"],
@@ -3668,8 +3192,9 @@ def segment_revenue_topk(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"o_orderkey": pa.array(keys[idx]),
                          "revenue": pa.array(rev_np[idx])})
 
-    cand = (joined.map_batches(local_topk, batch_format="pyarrow")
-            .to_pandas())
+    cand = _parts_pandas(
+        joined.map_batches(local_topk, batch_format="pyarrow"),
+        {"o_orderkey": np.int64, "revenue": np.int64})
     out = cand.sort_values(["revenue", "o_orderkey"],
                            ascending=[False, True]).head(k)
     return out.reset_index(drop=True)[["o_orderkey", "revenue"]]
@@ -3813,42 +3338,6 @@ def nb_class_scores(sf_dir: str):
     out["score_r6"] = np.round(out["score"].to_numpy(), 6)
     return (out[["doc_id", "n_tokens", "sum_ca", "sum_cb", "score_r6"]]
             .sort_values("doc_id").reset_index(drop=True))
-
-
-def user_event_pivot(sf_dir: str):
-    """Pivot / one-hot rollup — the feature-engineering crosstab: one
-    row per user with a count column per event type (the fixture's
-    closed set: click/error/purchase/signup/view).  Per-block pandas
-    crosstab partials (C groupby, no Python loop) pre-reduce to at most
-    #users-in-block rows; the tiered combine mirrors the other event
-    rollups (driver fold below ``EVENTS_DRIVER_MAX_ROWS``, native Sum
-    groupby above).  Unseen types stay all-zero columns so the schema
-    is static at any scale."""
-    types = ["click", "error", "purchase", "signup", "view"]
-    cols = [f"n_{t}" for t in types]
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "event_type": b["event_type"].to_pandas()})
-        ct = pd.crosstab(df["user_id"], df["event_type"])
-        ct = ct.reindex(columns=types, fill_value=0).astype(np.int64)
-        ct.columns = cols
-        ct = ct.reset_index()
-        return pa.Table.from_pandas(ct, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        out = (parts_ds.to_pandas().groupby("user_id", as_index=False)
-               [cols].sum())
-    else:
-        out = (parts_ds.groupby("user_id")
-               .aggregate(*[Sum(c, alias_name=c) for c in cols])
-               .to_pandas())
-    return (out.sort_values("user_id").reset_index(drop=True)
-            [["user_id"] + cols])
 
 
 def token_drift_topk(sf_dir: str, k: int = 20):
@@ -4216,7 +3705,8 @@ def region_revenue(sf_dir: str, year: int = 1996):
         cd = cust.to_pandas()
         nat_of_cust = dict(zip(cd.c_custkey.astype(np.int64),
                                cd.c_nationkey.astype(np.int64)))
-        yo = ykeys.to_pandas()
+        yo = _parts_pandas(ykeys, {"o_orderkey": np.int64,
+                                   "o_custkey": np.int64})
         rcode = (yo.o_custkey.map(nat_of_cust).map(reg_of_nat)
                  .to_numpy(np.int64))
         order_ = np.argsort(yo.o_orderkey.to_numpy())
@@ -4249,7 +3739,10 @@ def region_revenue(sf_dir: str, year: int = 1996):
                 "revenue_e4": pa.array(rev_per[nz]),
                 "n_items": pa.array(n_per[nz].astype(np.int64))})
 
-        parts = li.map_batches(li_partial, batch_format="pyarrow").to_pandas()
+        parts = _parts_pandas(
+            li.map_batches(li_partial, batch_format="pyarrow"),
+            {"rcode": np.int64, "revenue_e4": np.int64,
+             "n_items": np.int64})
         return finish(parts)
 
     # cluster tier: orders ⋈ customer, dims ride as a broadcast dict
@@ -4303,264 +3796,7 @@ def region_revenue(sf_dir: str, year: int = 1996):
     return finish(parts)
 
 
-# -- round-4 wave 7: event-stream operators ----------------------------------
-
-def event_transitions(sf_dir: str):
-    """Markov transition counts with exact SQL LAG semantics: for each
-    user's event stream ordered by (ts, event_id), count every
-    consecutive (prev_type → next_type) pair.  Below the gate one
-    pandas sort+shift on the driver; above it the salt-by-time-range
-    plan: events shard into (user, hour-bucket) groups, each group
-    emits its WITHIN-bucket transition partials plus one boundary row
-    (its first/last event), and a second, much smaller
-    ``groupby(user_id)`` stitches transitions across consecutive
-    touched buckets (per-user group size = #touched buckets, bounded
-    by stream duration / span — never by event count).  The final
-    (prev, next) rollup is ≤ |types|² rows per block, summed on the
-    driver at any scale."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-    n_rows = _cheap_count(ds)
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas()
-        df["ts_us"] = df["ts"].astype("datetime64[us]").astype(np.int64)
-        df = df.sort_values(["user_id", "ts_us", "event_id"])
-        same = df["user_id"].to_numpy() == np.roll(
-            df["user_id"].to_numpy(), 1)
-        same[0] = False
-        prev = np.roll(df["event_type"].to_numpy(dtype=object), 1)
-        out = pd.DataFrame({
-            "prev_type": prev[same],
-            "next_type": df["event_type"].to_numpy(dtype=object)[same]})
-        agg = (out.groupby(["prev_type", "next_type"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return (agg.sort_values(["prev_type", "next_type"])
-                .reset_index(drop=True))
-
-    span_us = np.int64(ASOF_SALT_SPAN_S) * np.int64(1_000_000)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        ts_us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        return pa.table({
-            "user_id": b["user_id"],
-            "event_id": b["event_id"],
-            "ts_us": ts_us,
-            "event_type": b["event_type"],
-            "bucket": pc.divide(ts_us, span_us)})
-
-    def local_trans(g: pa.Table) -> pa.Table:
-        """kind 0 = within-bucket (prev,next) partial count; kind 1 =
-        boundary row carrying the bucket's first and last event type."""
-        ts = g["ts_us"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        et = g["event_type"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        et = et[order]
-        uid = g["user_id"][0].as_py()
-        bkt = int(g["bucket"][0].as_py())
-        parts = []
-        if len(et) > 1:
-            pairs = pd.DataFrame({"p": et[:-1], "q": et[1:]})
-            agg = (pairs.groupby(["p", "q"], as_index=False).size()
-                   .rename(columns={"size": "n"}))
-            parts.append(pa.table({
-                "kind": pa.array(np.zeros(len(agg), dtype=np.int8)),
-                "user_id": pa.array(np.full(len(agg), uid, np.int64)),
-                "bucket": pa.array(np.full(len(agg), bkt, np.int64)),
-                "prev_type": pa.array(agg.p.tolist(), type=pa.string()),
-                "next_type": pa.array(agg.q.tolist(), type=pa.string()),
-                "n": pa.array(agg.n.to_numpy(np.int64))}))
-        parts.append(pa.table({
-            "kind": pa.array(np.array([1], dtype=np.int8)),
-            "user_id": pa.array([uid], type=pa.int64()),
-            "bucket": pa.array([bkt], type=pa.int64()),
-            "prev_type": pa.array([str(et[0])], type=pa.string()),
-            "next_type": pa.array([str(et[-1])], type=pa.string()),
-            "n": pa.array([1], type=pa.int64())}))
-        return pa.concat_tables(parts)
-
-    pass1 = (ds.map_batches(bucketize, batch_format="pyarrow")
-             .groupby(["user_id", "bucket"])
-             .map_groups(local_trans, batch_format="pyarrow")
-             .materialize())
-
-    def stitch(g: pa.Table) -> pa.Table:
-        """Boundary rows of ONE user, across buckets: the transition
-        last(bucket_i) → first(bucket_{i+1}) for consecutive touched
-        buckets (intervening empty buckets contribute nothing)."""
-        bkt = g["bucket"].to_numpy(zero_copy_only=False)
-        order = np.argsort(bkt)
-        first = g["prev_type"].to_numpy(zero_copy_only=False)[order]
-        last = g["next_type"].to_numpy(zero_copy_only=False)[order]
-        if len(bkt) < 2:
-            return pa.table({"prev_type": pa.array([], pa.string()),
-                             "next_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        pairs = pd.DataFrame({"p": last[:-1], "q": first[1:]})
-        agg = (pairs.groupby(["p", "q"], as_index=False).size()
-               .rename(columns={"size": "n"}))
-        return pa.table({
-            "prev_type": pa.array(agg.p.tolist(), type=pa.string()),
-            "next_type": pa.array(agg.q.tolist(), type=pa.string()),
-            "n": pa.array(agg.n.to_numpy(np.int64))})
-
-    boundary = (pass1.map_batches(
-        lambda b: b.filter(pc.equal(b["kind"], 1)),
-        batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(stitch, batch_format="pyarrow"))
-
-    within = pass1.map_batches(
-        lambda b: (b.filter(pc.equal(b["kind"], 0))
-                   .select(["prev_type", "next_type", "n"])),
-        batch_format="pyarrow")
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "prev_type": b["prev_type"].to_pandas(),
-            "next_type": b["next_type"].to_pandas(),
-            "n": b["n"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["prev_type", "next_type"], as_index=False)
-               ["n"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts = (within.union(boundary)
-             .map_batches(pair_partial, batch_format="pyarrow")
-             .to_pandas())
-    agg = (parts.groupby(["prev_type", "next_type"], as_index=False)
-           ["n"].sum())
-    agg["n"] = agg["n"].astype(np.int64)
-    return (agg.sort_values(["prev_type", "next_type"])
-            .reset_index(drop=True))
-
-
-def event_type_daily_ma7(sf_dir: str):
-    """Trailing 7-row moving window over the daily rollup (SQL ROWS
-    BETWEEN 6 PRECEDING AND CURRENT ROW, per event_type ordered by
-    day): emits the exact-integer window sum and row count alongside
-    each day's n.  The corpus-scale work is the SAME tiered daily
-    rollup as ``event_type_daily``; the window pass runs on the
-    output-scale (type, day) table on the driver — #days × #types rows
-    regardless of corpus size.  All columns are exact integers (no
-    float AVG crosses the oracle hash)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["event_type", "day_epoch"], as_index=False)
-                  ["n"].sum())
-    else:
-        counts = (parts_ds.groupby(["event_type", "day_epoch"])
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    counts = (counts.sort_values(["event_type", "day_epoch"])
-              .reset_index(drop=True))
-    g = counts.groupby("event_type")["n"]
-    counts["sum7"] = g.transform(
-        lambda s: s.rolling(7, min_periods=1).sum()).astype(np.int64)
-    counts["cnt7"] = g.transform(
-        lambda s: s.rolling(7, min_periods=1).count()).astype(np.int64)
-    return counts[["event_type", "day_epoch", "n", "sum7", "cnt7"]]
-
-
-FUNNEL_STAGES = ("view", "click", "purchase")
-
-
-def funnel_conversion(sf_dir: str):
-    """Ordered funnel (strict): count users whose FIRST view precedes
-    their first click, which precedes their first purchase.  Stage 1
-    reduces the corpus to per-(user, stage) first-touch minima (block
-    partials → tiered combine: driver fold below the events gate,
-    native Min groupby above); stage 2 co-locates each user's ≤3
-    minima (``groupby(user_id)``, 3-row groups) and emits per-block
-    flag-count partials — the driver ever sees ≤ 3 ints per block.
-    One exact-integer summary row."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-
-    def min_partial(b: pa.Table) -> pa.Table:
-        keep = pc.is_in(b["event_type"],
-                        value_set=pa.array(list(FUNNEL_STAGES)))
-        b = b.filter(keep)
-        ts_us = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-                 .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "event_type": b["event_type"].to_pandas(),
-            "ts_us": ts_us})
-        agg = (df.groupby(["user_id", "event_type"], as_index=False)
-               ["ts_us"].min())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(min_partial, batch_format="pyarrow")
-
-    def flags_of(piv: pd.DataFrame) -> pd.DataFrame:
-        mv = piv.get("view")
-        mc = piv.get("click")
-        mp = piv.get("purchase")
-        n = len(piv)
-        z = pd.Series(np.full(n, np.iinfo(np.int64).max), index=piv.index)
-        mv = z if mv is None else mv.fillna(np.iinfo(np.int64).max)
-        mc = z if mc is None else mc.fillna(np.iinfo(np.int64).max)
-        mp = z if mp is None else mp.fillna(np.iinfo(np.int64).max)
-        has_v = mv < np.iinfo(np.int64).max
-        vc = has_v & (mc < np.iinfo(np.int64).max) & (mv < mc)
-        full = vc & (mp < np.iinfo(np.int64).max) & (mc < mp)
-        return pd.DataFrame({
-            "n_users": [np.int64(n)],
-            "n_view": [np.int64(has_v.sum())],
-            "n_view_click": [np.int64(vc.sum())],
-            "n_full_funnel": [np.int64(full.sum())]})
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        m = (parts_ds.to_pandas()
-             .groupby(["user_id", "event_type"], as_index=False)
-             ["ts_us"].min())
-        piv = m.pivot(index="user_id", columns="event_type",
-                      values="ts_us")
-        out = flags_of(piv)
-    else:
-        mins = (parts_ds.groupby(["user_id", "event_type"])
-                .aggregate(Min("ts_us", alias_name="ts_us")))
-
-        def user_flags(g: pa.Table) -> pa.Table:
-            piv = (g.to_pandas()
-                   .pivot(index="user_id", columns="event_type",
-                          values="ts_us"))
-            return pa.Table.from_pandas(flags_of(piv),
-                                        preserve_index=False)
-
-        def sum_partial(b: pa.Table) -> pa.Table:
-            return pa.table({c: pa.array([int(pc.sum(b[c]).as_py() or 0)],
-                                         type=pa.int64())
-                             for c in ("n_users", "n_view",
-                                       "n_view_click", "n_full_funnel")})
-
-        parts = (mins.groupby("user_id")
-                 .map_groups(user_flags, batch_format="pyarrow")
-                 .map_batches(sum_partial, batch_format="pyarrow")
-                 .to_pandas())
-        out = pd.DataFrame({c: [np.int64(parts[c].sum())]
-                            for c in ("n_users", "n_view",
-                                      "n_view_click", "n_full_funnel")})
-    return out
-
-
-# -- round-4 wave 8: exact quantiles / rendezvous sharding / partitioned sink -
+# -- round-4 wave 8: rendezvous sharding / partitioned sink -------------------
 
 
 SHARD_COUNT = 16
@@ -4641,238 +3877,7 @@ def partitioned_roundtrip_source_counts(sf_dir: str,
     return out.sort_values("lang").reset_index(drop=True)
 
 
-# -- round-4 wave 9: LAG delta / union rollup / multi-distinct ---------------
-
-def nation_monthly_revenue_delta(sf_dir: str):
-    """Month-over-month revenue delta per nation (SQL LAG): the
-    corpus-scale work is ONE tiered orders⋈customer rollup to
-    (nation, month) — broadcast custkey→nationkey map below
-    ``CUST_BROADCAST_MAX_ROWS`` (map-side partials straight to
-    ≤ #nations × #months rows per block), hash join + native Sum
-    groupby above — and the LAG pass runs on the output-scale table
-    on the driver.  ``delta_cents`` is NULL-free: the first month of
-    each nation reports its own total (SQL COALESCE(c - LAG(c), c))."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderdate", "o_totalprice"])
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    name_of = dict(zip(nation.n_nationkey.astype(np.int64), nation.n_name))
-
-    def month_col(b: pa.Table) -> pa.Array:
-        return (pc.floor_temporal(b["o_orderdate"], unit="month")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-
-    n_cust = _cheap_count(cust)
-    if n_cust is not None and n_cust <= CUST_BROADCAST_MAX_ROWS:
-        cd = cust.to_pandas()
-        order_ = np.argsort(cd.c_custkey.to_numpy())
-        lut_ref = ray.put((cd.c_custkey.to_numpy()[order_],
-                           cd.c_nationkey.to_numpy()[order_]
-                           .astype(np.int64)))
-
-        def partial(b: pa.Table) -> pa.Table:
-            keys_s, nat_s = ray.get(lut_ref)
-            ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-            if len(keys_s) == 0 or len(ck) == 0:
-                return pa.table({"nationkey": pa.array([], pa.int64()),
-                                 "month_epoch": pa.array([], pa.int64()),
-                                 "cents": pa.array([], pa.int64())})
-            idx = np.searchsorted(keys_s, ck)
-            idx[idx >= len(keys_s)] = 0
-            ok = keys_s[idx] == ck
-            df = pd.DataFrame({
-                "nationkey": nat_s[idx[ok]],
-                "month_epoch": month_col(b).to_numpy(
-                    zero_copy_only=False)[ok],
-                "cents": _cents_away(b["o_totalprice"].to_numpy(
-                    zero_copy_only=False))[ok]})
-            agg = (df.groupby(["nationkey", "month_epoch"], as_index=False)
-                   ["cents"].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        monthly = (orders.map_batches(partial, batch_format="pyarrow")
-                   .to_pandas()
-                   .groupby(["nationkey", "month_epoch"], as_index=False)
-                   ["cents"].sum())
-    else:
-        def order_proj(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_custkey": b["o_custkey"],
-                "month_epoch": month_col(b),
-                "cents": pa.array(_cents_away(
-                    b["o_totalprice"].to_numpy(zero_copy_only=False)))})
-
-        joined = hash_join(orders.map_batches(order_proj,
-                                              batch_format="pyarrow"),
-                           cust, on=("o_custkey",), right_on=("c_custkey",))
-
-        def mpartial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "nationkey": b["c_nationkey"].to_numpy(
-                    zero_copy_only=False).astype(np.int64),
-                "month_epoch": b["month_epoch"].to_numpy(
-                    zero_copy_only=False),
-                "cents": b["cents"].to_numpy(zero_copy_only=False)})
-            agg = (df.groupby(["nationkey", "month_epoch"],
-                              as_index=False)["cents"].sum())
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        monthly = (joined.map_batches(mpartial, batch_format="pyarrow")
-                   .groupby(["nationkey", "month_epoch"])
-                   .aggregate(Sum("cents", alias_name="cents"))
-                   .to_pandas())
-    monthly["n_name"] = monthly.nationkey.map(name_of)
-    monthly = (monthly.sort_values(["n_name", "month_epoch"])
-               .reset_index(drop=True))
-    prev = monthly.groupby("n_name")["cents"].shift(1)
-    monthly["delta_cents"] = np.where(
-        prev.isna(), monthly["cents"],
-        monthly["cents"] - prev.fillna(0).astype(np.int64)).astype(np.int64)
-    return monthly[["n_name", "month_epoch", "cents", "delta_cents"]]
-
-
-def nation_balance_union(sf_dir: str):
-    """``Dataset.union`` across two fact tables: customer and supplier
-    account balances rolled up per (nation, side).  Each side maps to
-    per-block (nationkey, side, n, sum_cents) partials BEFORE the
-    union, so the united stream is output-scale (≤ #nations × 2 rows
-    per block) and the driver sum never grows with the corpus — no
-    gate needed."""
-    cust = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-    supp = _read(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"])
-    nation = _read(sf_dir, "nation",
-                   columns=["n_nationkey", "n_name"]).to_pandas()
-    name_of = dict(zip(nation.n_nationkey.astype(np.int64), nation.n_name))
-
-    def side_partial(key_col: str, bal_col: str, side: str):
-        def partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "nationkey": b[key_col].to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "cents": _cents_away(
-                    b[bal_col].to_numpy(zero_copy_only=False))})
-            agg = (df.groupby("nationkey", as_index=False)
-                   .agg(n=("cents", "size"), sum_cents=("cents", "sum")))
-            agg["n"] = agg["n"].astype(np.int64)
-            agg.insert(1, "side", side)
-            return pa.Table.from_pandas(agg, preserve_index=False)
-        return partial
-
-    c_parts = cust.map_batches(
-        side_partial("c_nationkey", "c_acctbal", "customer"),
-        batch_format="pyarrow")
-    s_parts = supp.map_batches(
-        side_partial("s_nationkey", "s_acctbal", "supplier"),
-        batch_format="pyarrow")
-    parts = c_parts.union(s_parts).to_pandas()
-    agg = (parts.groupby(["nationkey", "side"], as_index=False)
-           [["n", "sum_cents"]].sum())
-    agg["n_name"] = agg.nationkey.map(name_of)
-    return (agg.sort_values(["n_name", "side"]).reset_index(drop=True)
-            [["n_name", "side", "n", "sum_cents"]])
-
-
-#: part-side row gate (same contract as the other driver gates)
-PART_DRIVER_MAX_ROWS = 2_000_000
-
-
-def brand_distinct_sizes(sf_dir: str):
-    """Multi-DISTINCT rollup: per brand, the part count plus TWO
-    distinct-counts (sizes, types) — the two-level dedup-then-count
-    shape.  Block partials dedup (brand, size) / (brand, type) locally
-    and pre-sum raw counts; below the gate one driver pass finishes,
-    above it each distinct count is a chained native groupby (dedup
-    groupby((brand, dim)) → Count per brand) and the part count a
-    native Sum — three output-scale shuffles of deduped rows, never
-    the part table itself."""
-    ds = _read(sf_dir, "part", columns=["p_brand", "p_size", "p_type"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"brand": b["p_brand"].to_pandas(),
-                           "size": b["p_size"].to_numpy(
-                               zero_copy_only=False).astype(np.int64),
-                           "type": b["p_type"].to_pandas()})
-        cnt = (df.groupby("brand", as_index=False).size()
-               .rename(columns={"size": "n_parts"}))
-        cnt["n_parts"] = cnt["n_parts"].astype(np.int64)
-        bs = df[["brand", "size"]].drop_duplicates()
-        bt = df[["brand", "type"]].drop_duplicates()
-        return pa.table({
-            "kind": pa.array(
-                np.r_[np.zeros(len(cnt), np.int8),
-                      np.ones(len(bs), np.int8),
-                      np.full(len(bt), 2, np.int8)]),
-            "brand": pa.array(pd.concat([cnt.brand, bs.brand, bt.brand])
-                              .tolist(), type=pa.string()),
-            "size": pa.array(np.r_[np.zeros(len(cnt), np.int64),
-                                   bs["size"].to_numpy(np.int64),
-                                   np.zeros(len(bt), np.int64)]),
-            "type": pa.array([""] * (len(cnt) + len(bs))
-                             + bt["type"].tolist(), type=pa.string()),
-            "n": pa.array(np.r_[cnt.n_parts.to_numpy(np.int64),
-                                np.zeros(len(bs), np.int64),
-                                np.zeros(len(bt), np.int64)])})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= PART_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        n_parts = (p[p.kind == 0].groupby("brand", as_index=False)["n"]
-                   .sum().rename(columns={"n": "n_parts"}))
-        n_sizes = (p[p.kind == 1][["brand", "size"]].drop_duplicates()
-                   .groupby("brand", as_index=False).size()
-                   .rename(columns={"size": "n_sizes"}))
-        n_types = (p[p.kind == 2][["brand", "type"]].drop_duplicates()
-                   .groupby("brand", as_index=False).size()
-                   .rename(columns={"size": "n_types"}))
-    else:
-        n_parts = (parts_ds
-                   .filter(expr="kind == 0")
-                   .groupby("brand")
-                   .aggregate(Sum("n", alias_name="n_parts")).to_pandas())
-        n_sizes = (parts_ds.filter(expr="kind == 1")
-                   .groupby(["brand", "size"])
-                   .aggregate(Count(alias_name="c"))
-                   .groupby("brand")
-                   .aggregate(Count(alias_name="n_sizes")).to_pandas()
-                   [["brand", "n_sizes"]])
-        n_types = (parts_ds.filter(expr="kind == 2")
-                   .groupby(["brand", "type"])
-                   .aggregate(Count(alias_name="c"))
-                   .groupby("brand")
-                   .aggregate(Count(alias_name="n_types")).to_pandas()
-                   [["brand", "n_types"]])
-    out = n_parts.merge(n_sizes, on="brand").merge(n_types, on="brand")
-    for c in ("n_parts", "n_sizes", "n_types"):
-        out[c] = out[c].astype(np.int64)
-    out = out.rename(columns={"brand": "p_brand"})
-    return out.sort_values("p_brand").reset_index(drop=True)
-
-
-# -- round-4 wave 10: Pareto cum-share / diversity entropy / supplier topk ---
-
-def revenue_pareto_nations(sf_dir: str):
-    """Pareto (80/20) analysis: nations ranked by revenue with
-    cumulative totals and an exact-integer top-80% membership flag
-    (``cum·10 ≤ total·8`` — no float share crosses the oracle hash).
-    Corpus-scale work is the same tiered orders⋈customer rollup
-    as ``orders_per_nation``; the cumulative window runs on the
-    ≤ #nations-row output."""
-    base = orders_per_nation(sf_dir)  # n_name, n_orders, total_cents
-    out = (base.sort_values(["total_cents", "n_name"],
-                            ascending=[False, True])
-           .reset_index(drop=True))
-    out["cum_cents"] = out["total_cents"].cumsum().astype(np.int64)
-    total = np.int64(out["total_cents"].sum())
-    out["in_top80"] = (out["cum_cents"] * 10 <= total * 8)
-    out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
-    return out[["rank", "n_name", "total_cents", "cum_cents", "in_top80"]]
-
+# -- round-4 wave 10: diversity entropy --------------------------------------
 
 def source_lang_entropy(sf_dir: str):
     """Language-diversity entropy per source: H = ln(n) − (1/n)·Σ c·ln c
@@ -4916,201 +3921,7 @@ def source_lang_entropy(sf_dir: str):
             [["source", "n_docs", "n_langs", "entropy_r6"]])
 
 
-def top_suppliers_by_quantity(sf_dir: str, k: int = 10):
-    """Supplier league table: top-k suppliers by total shipped
-    quantity, name attached.  Lineitem reduces per block to
-    (suppkey, qty, n) partials; tiered combine (driver fold below
-    ``LINEITEM_DRIVER_MAX_ROWS``, native Sum groupby + per-block exact
-    top-k above — post-groupby blocks hold disjoint keys); the ≤k-row
-    result joins the supplier name via one pruned broadcast read."""
-    li = _read(sf_dir, "lineitem", columns=["l_suppkey", "l_quantity"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "l_suppkey": b["l_suppkey"].to_numpy(zero_copy_only=False),
-            "qty": b["l_quantity"].to_numpy(zero_copy_only=False)
-            .astype(np.int64)})
-        agg = (df.groupby("l_suppkey", as_index=False)
-               .agg(sum_qty=("qty", "sum"), n_items=("qty", "size")))
-        agg["n_items"] = agg["n_items"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        agg = (parts_ds.to_pandas().groupby("l_suppkey", as_index=False)
-               [["sum_qty", "n_items"]].sum())
-        top = (agg.sort_values(["sum_qty", "l_suppkey"],
-                               ascending=[False, True]).head(k))
-    else:
-        summed = (parts_ds.groupby("l_suppkey")
-                  .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                             Sum("n_items", alias_name="n_items")))
-
-        def local_topk(b: pa.Table) -> pa.Table:
-            sq = b["sum_qty"].to_numpy(zero_copy_only=False)
-            keys = b["l_suppkey"].to_numpy(zero_copy_only=False)
-            ni = b["n_items"].to_numpy(zero_copy_only=False)
-            idx = np.lexsort((keys, -sq))[:k]
-            return pa.table({"l_suppkey": pa.array(keys[idx]),
-                             "sum_qty": pa.array(sq[idx]),
-                             "n_items": pa.array(ni[idx])})
-
-        top = (summed.map_batches(local_topk, batch_format="pyarrow")
-               .to_pandas()
-               .sort_values(["sum_qty", "l_suppkey"],
-                            ascending=[False, True]).head(k))
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_name"]).to_pandas()
-    name_of = dict(zip(supp.s_suppkey.astype(np.int64), supp.s_name))
-    top = top.reset_index(drop=True)
-    top["s_name"] = top.l_suppkey.map(name_of)
-    top["sum_qty"] = top["sum_qty"].astype(np.int64)
-    return top[["l_suppkey", "s_name", "sum_qty", "n_items"]]
-
-
-# -- round-4 wave 11: decile stats / DENSE_RANK ties / correlated agg --------
-
-def value_decile_stats(sf_dir: str, n_buckets: int = 10):
-    """Exact global equi-depth decile statistics over event value:
-    per NTILE(10) bucket (total order: cents, then event_id), the row
-    count, sum, min and max in integer cents.  KEY INSIGHT: every
-    aggregate here is decided by the VALUE-CARDINALITY count table
-    alone — rows tying on cents are interchangeable w.r.t. count/sum/
-    min/max, so the tie-break inside a straddling run never changes
-    the answer and no per-row pass exists at all.  The corpus reduces
-    to (cents → n) partials (tiered: driver fold below the shared
-    events gate, native Sum groupby above); the decile walk runs on
-    the value-domain-bounded count table."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        u, c = np.unique(cents, return_counts=True)
-        return pa.table({"cents": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby("cents", as_index=False)["n"].sum())
-    else:
-        counts = (parts_ds.groupby("cents")
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    counts = counts.sort_values("cents").reset_index(drop=True)
-    vals = counts["cents"].to_numpy(np.int64)
-    cnt = counts["n"].to_numpy(np.int64)
-    cum = np.cumsum(cnt)
-    n = int(cum[-1]) if len(cum) else 0
-    q, r = divmod(n, n_buckets)
-    rows = []
-    lo_rank = 0  # exclusive prefix rank of the current bucket
-    for b in range(n_buckets):
-        size = q + 1 if b < r else q
-        if size == 0:
-            continue
-        hi_rank = lo_rank + size
-        i0 = int(np.searchsorted(cum, lo_rank + 1))
-        i1 = int(np.searchsorted(cum, hi_rank))
-        # rows of value vals[i] fully inside: full count; edge runs
-        # contribute only their in-bucket share
-        full_sum = 0
-        if i0 == i1:
-            in_b = size
-            s = int(vals[i0]) * in_b
-        else:
-            head = int(cum[i0] - lo_rank)           # part of run i0
-            tail = int(hi_rank - cum[i1 - 1])       # part of run i1
-            mid = cnt[i0 + 1:i1]
-            s = (int(vals[i0]) * head + int(vals[i1]) * tail
-                 + int(np.dot(vals[i0 + 1:i1], mid)))
-        rows.append((np.int64(b + 1), np.int64(size), np.int64(s),
-                     np.int64(vals[i0]), np.int64(vals[i1])))
-        lo_rank = hi_rank
-    out = pd.DataFrame(rows, columns=["bucket", "n", "sum_cents",
-                                      "min_cents", "max_cents"])
-    return out
-
-
-def top_size_modes_per_brand(sf_dir: str, depth: int = 2):
-    """Grouped DENSE_RANK with ties kept: per brand, every part size
-    whose frequency ranks in the top ``depth`` DISTINCT frequencies
-    (mode and runner-up — ALL ties survive, unlike row-limit top-k).
-    Corpus work is one tiered (brand, size) count rollup; the
-    dense-rank pass runs on the output-scale count table."""
-    ds = _read(sf_dir, "part", columns=["p_brand", "p_size"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"p_brand": b["p_brand"].to_pandas(),
-                           "p_size": b["p_size"].to_numpy(
-                               zero_copy_only=False).astype(np.int64)})
-        agg = (df.groupby(["p_brand", "p_size"], as_index=False).size()
-               .rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= PART_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["p_brand", "p_size"], as_index=False)["n"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["p_brand", "p_size"])
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    # dense rank of n (desc) within brand; ties share a rank
-    counts["rnk"] = (counts.groupby("p_brand")["n"]
-                     .rank(method="dense", ascending=False)
-                     .astype(np.int64))
-    out = counts[counts.rnk <= depth].copy()
-    return (out.sort_values(["p_brand", "rnk", "p_size"])
-            .reset_index(drop=True)
-            [["p_brand", "p_size", "n", "rnk"]])
-
-
-def parts_above_type_avg(sf_dir: str):
-    """Correlated-subquery rewrite: per part type, how many parts are
-    STRICTLY larger than their own type's average size.  The average
-    never materializes as a float — the predicate ``size > sum/n``
-    becomes the exact integer cross-multiplication ``size·n > sum``.
-    One tiered (type, size) count rollup feeds both the per-type
-    totals and the comparison — no second scan, no join back to the
-    part table."""
-    ds = _read(sf_dir, "part", columns=["p_type", "p_size"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"p_type": b["p_type"].to_pandas(),
-                           "p_size": b["p_size"].to_numpy(
-                               zero_copy_only=False).astype(np.int64)})
-        agg = (df.groupby(["p_type", "p_size"], as_index=False).size()
-               .rename(columns={"size": "c"}))
-        agg["c"] = agg["c"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= PART_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["p_type", "p_size"], as_index=False)["c"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["p_type", "p_size"])
-                  .aggregate(Sum("c", alias_name="c")).to_pandas())
-    g = counts.groupby("p_type")
-    n_t = g["c"].transform("sum").to_numpy(np.int64)
-    sum_t = (counts["p_size"].to_numpy(np.int64)
-             * counts["c"].to_numpy(np.int64))
-    counts["w"] = sum_t
-    sum_type = g["w"].transform("sum").to_numpy(np.int64)
-    above = (counts["p_size"].to_numpy(np.int64) * n_t
-             > sum_type)
-    counts["above_c"] = np.where(above, counts["c"].to_numpy(np.int64), 0)
-    agg = (counts.groupby("p_type", as_index=False)
-           .agg(n_parts=("c", "sum"), n_above=("above_c", "sum")))
-    agg["n_parts"] = agg["n_parts"].astype(np.int64)
-    agg["n_above"] = agg["n_above"].astype(np.int64)
-    return agg.sort_values("p_type").reset_index(drop=True)
+# -- round-4 waves 11-27: set ops, rank and distribution stats, sampling -----
 
 def event_user_setops(sf_dir: str, type_a: str = "click",
                       type_b: str = "purchase"):
@@ -5154,55 +3965,6 @@ def event_user_setops(sf_dir: str, type_a: str = "click",
         "n_only_a": [np.int64(int((a & (1 - b)).sum()))],
         "n_only_b": [np.int64(int(((1 - a) & b).sum()))],
         "n_neither": [np.int64(int(((1 - a) & (1 - b)).sum()))]})
-
-
-def snapshot_user_diff(sf_dir: str):
-    """CDC / snapshot-diff (the FULL OUTER JOIN shape): compare two
-    deterministic snapshots of the events table — "old" = even
-    event_id, "new" = odd — at entity grain (user_id, k-decade from
-    the JSON props), emitting old_n / new_n / status ∈ {added,
-    removed, changed, unchanged} per entity.  The two snapshots never
-    join: ONE tiered groupby(entity) over conditional count partials
-    decides every cell (an outer join of two rollups of the same scan
-    is just a wider rollup), so the plan is one shuffle of pre-reduced
-    rows.  The oracle spells out the literal FULL OUTER JOIN to pin
-    semantic equivalence."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "props"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(b["props"], pattern=r'"k":\s*(?P<k>-?\d+)')
-        k = (pc.cast(pc.struct_field(ex, "k"), pa.int64())
-             .to_numpy(zero_copy_only=False))
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
-        eid = b["event_id"].to_numpy(zero_copy_only=False)
-        ent = uid * 100 + k // 10
-        old = (eid % 2 == 0).astype(np.int64)
-        df = pd.DataFrame({"entity": ent, "old_n": old,
-                           "new_n": 1 - old})
-        agg = df.groupby("entity", as_index=False).sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"entity": np.int64, "old_n": np.int64, "new_n": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        c = (_parts_pandas(parts_ds, schema)
-             .groupby("entity", as_index=False).sum())
-    else:
-        c = _parts_pandas(
-            parts_ds.groupby("entity")
-            .aggregate(Sum("old_n", alias_name="old_n"),
-                       Sum("new_n", alias_name="new_n")), schema)
-    o = c["old_n"].to_numpy(np.int64)
-    n = c["new_n"].to_numpy(np.int64)
-    c["status"] = np.select(
-        [o == 0, n == 0, o != n], ["added", "removed", "changed"],
-        default="unchanged")
-    c["old_n"] = o
-    c["new_n"] = n
-    return (c.sort_values("entity").reset_index(drop=True)
-            [["entity", "old_n", "new_n", "status"]])
 
 
 def max_concurrent_sessions(sf_dir: str, gap_minutes: int = 30):
@@ -5583,57 +4345,6 @@ def nchars_cume_dist(sf_dir: str):
     return (out.sort_values("doc_id").reset_index(drop=True)
             [["doc_id", "source", "n_chars", "cume_r6"]])
 
-WEEK_SECONDS = 7 * 86400
-
-
-def cohort_retention(sf_dir: str):
-    """Cohort retention matrix (the product-analytics staple): users
-    grouped by first-activity week, counted per week-offset of return
-    activity.  Two pre-reduced user-grain tables from ONE event scan
-    shape — per-user cohort week (native Min groupby above the gate)
-    and the deduped (user, week) activity pairs (chained same-prefix
-    groupbys) — then a user-grain join (driver merge below the shared
-    events gate, hash join above: BOTH sides are user-scale, never
-    event-scale) and a tiny (cohort, offset) rollup."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        w = day.to_numpy(zero_copy_only=False) // WEEK_SECONDS
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "w": w})
-        agg = df.drop_duplicates()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        uw = _parts_pandas(parts_ds, {"user_id": np.int64,
-                                      "w": np.int64}).drop_duplicates()
-        cohort = (uw.groupby("user_id", as_index=False)["w"].min()
-                  .rename(columns={"w": "cw"}))
-        j = uw.merge(cohort, on="user_id")
-    else:
-        from biobloom_ray.io import hash_join
-
-        uw_ds = (parts_ds.groupby(["user_id", "w"])
-                 .aggregate(Count(alias_name="_c"))
-                 .map_batches(lambda b: b.drop_columns(["_c"]),
-                              batch_format="pyarrow"))
-        cohort_ds = (parts_ds.groupby("user_id")
-                     .aggregate(Min("w", alias_name="cw")))
-        j = hash_join(uw_ds, cohort_ds, on=("user_id",)).to_pandas()
-    j["cohort_week"] = j["cw"].astype(np.int64)
-    j["offset_week"] = (j["w"] - j["cw"]).astype(np.int64)
-    out = (j.groupby(["cohort_week", "offset_week"], as_index=False)
-           .size().rename(columns={"size": "n_active"}))
-    out["n_active"] = out["n_active"].astype(np.int64)
-    return (out.sort_values(["cohort_week", "offset_week"])
-            .reset_index(drop=True))
-
-
 def source_lang_chi2(sf_dir: str):
     """Pearson χ² test of independence between source and lang — the
     drift/balance check a curation pipeline runs before trusting a
@@ -5758,196 +4469,6 @@ def name_typo_pairs(sf_dir: str):
            .sort_values(["w1", "w2"]))
     return out.reset_index(drop=True)
 
-def orders_profile(sf_dir: str):
-    """Dataset profiler (the deequ/dbt data-quality primitive): one row
-    per column of orders with exact row / null / DISTINCT counts.
-    Null and row counts are conditional partials (map-only); the exact
-    per-column distinct counts reduce through per-block value dedup —
-    each block contributes each (column, value) once, then one chained
-    groupby counts survivors (driver fold below the shared lineitem
-    gate, native chained groupbys above).  Values are canonicalized to
-    an injective string key (epoch for timestamps, repr for floats) so
-    the distinct CARDINALITY matches COUNT(DISTINCT col) exactly."""
-    cols = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
-            "o_orderdate", "o_orderpriority"]
-    ds = _read(sf_dir, "orders", columns=cols)
-
-    def canon(col, name: str) -> np.ndarray:
-        col = col.drop_null()  # SQL COUNT(DISTINCT) ignores NULLs
-        if pa.types.is_timestamp(col.type):
-            return (col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-                    .astype(str))
-        v = col.to_numpy(zero_copy_only=False)
-        if v.dtype.kind == "f":
-            return np.array([repr(x) for x in v], dtype=object)
-        return v.astype(str)
-
-    def partial(b: pa.Table) -> pa.Table:
-        frames = []
-        for name in cols:
-            col = b[name]
-            nn = int(pc.sum(pc.is_null(col)).as_py() or 0)
-            vals = canon(col, name)
-            u = np.unique(vals[~pd.isna(vals)] if vals.dtype == object
-                          else vals)
-            frames.append(pd.DataFrame({
-                "col": name, "v": u.astype(object),
-                "n_rows": 0, "n_null": 0}))
-            frames.append(pd.DataFrame({
-                "col": [name], "v": ["\x00rowmeta"],
-                "n_rows": [b.num_rows], "n_null": [nn]}))
-        df = pd.concat(frames, ignore_index=True)
-        agg = df.groupby(["col", "v"], as_index=False).sum()
-        agg["n_rows"] = agg["n_rows"].astype(np.int64)
-        agg["n_null"] = agg["n_null"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        t = (parts_ds.to_pandas()
-             .groupby(["col", "v"], as_index=False).sum())
-    else:
-        t = (parts_ds.groupby(["col", "v"])
-             .aggregate(Sum("n_rows", alias_name="n_rows"),
-                        Sum("n_null", alias_name="n_null")).to_pandas())
-    meta = t[t.v == "\x00rowmeta"]
-    vals = t[t.v != "\x00rowmeta"]
-    out = (vals.groupby("col", as_index=False).size()
-           .rename(columns={"size": "n_distinct"}))
-    out = out.merge(
-        meta.groupby("col", as_index=False)[["n_rows", "n_null"]]
-        .sum(), on="col")
-    out["n_distinct"] = out["n_distinct"].astype(np.int64)
-    out["n_rows"] = out["n_rows"].astype(np.int64)
-    out["n_null"] = out["n_null"].astype(np.int64)
-    return (out.sort_values("col").reset_index(drop=True)
-            [["col", "n_rows", "n_null", "n_distinct"]])
-
-
-QUALITY_RULES = (
-    ("totalprice_positive", "o_totalprice > 0"),
-    ("custkey_not_null", "o_custkey IS NOT NULL"),
-    ("status_in_domain", "o_orderstatus IN ('O', 'F', 'P')"),
-    ("orderdate_in_range",
-     "o_orderdate BETWEEN TIMESTAMP '1995-01-01' AND"
-     " TIMESTAMP '2000-01-01'"),
-)
-
-
-def orders_quality_checks(sf_dir: str):
-    """Constraint-suite validation (deequ/Great-Expectations shape):
-    each declared rule gets exact pass/fail counts in ONE map-only
-    scan of conditional partials + a rule-count-sized reduce — no rule
-    triggers its own pass over the data.  The oracle evaluates the
-    same predicates via UNION ALL."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_totalprice", "o_custkey", "o_orderstatus",
-                        "o_orderdate"])
-    lo = pd.Timestamp("1995-01-01").value
-    hi = pd.Timestamp("2000-01-01").value
-
-    def partial(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        price = b["o_totalprice"].to_numpy(zero_copy_only=False)
-        ck = b["o_custkey"]
-        st = b["o_orderstatus"]
-        od = (b["o_orderdate"].cast(pa.timestamp("ns"))
-              .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        passes = {
-            "totalprice_positive": int((price > 0).sum()),
-            "custkey_not_null": n - int(pc.sum(pc.is_null(ck)).as_py()
-                                        or 0),
-            "status_in_domain": int(pc.sum(pc.is_in(
-                st, value_set=pa.array(["O", "F", "P"]))).as_py() or 0),
-            "orderdate_in_range": int(((od >= lo) & (od <= hi)).sum()),
-        }
-        names = [r[0] for r in QUALITY_RULES]
-        return pa.table({
-            "rule": pa.array(names),
-            "n_pass": pa.array([passes[r] for r in names],
-                               type=pa.int64()),
-            "n_rows": pa.array([n] * len(names), type=pa.int64())})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        out = (parts_ds.to_pandas()
-               .groupby("rule", as_index=False).sum())
-    else:
-        out = (parts_ds.groupby("rule")
-               .aggregate(Sum("n_pass", alias_name="n_pass"),
-                          Sum("n_rows", alias_name="n_rows"))
-               .to_pandas())
-    out["n_fail"] = (out["n_rows"] - out["n_pass"]).astype(np.int64)
-    out["n_pass"] = out["n_pass"].astype(np.int64)
-    out = out.drop(columns=["n_rows"])
-    return (out.sort_values("rule").reset_index(drop=True)
-            [["rule", "n_pass", "n_fail"]])
-
-
-def acctbal_robust_stats(sf_dir: str):
-    """Robust per-nation statistics — MODE (most frequent value,
-    smallest-cents tie-break) and MAD (median absolute deviation,
-    PERCENTILE_DISC semantics on both medians) over customer balances
-    in integer cents.  Everything is decided by the per-nation
-    value-cardinality count table: the mode is its argmax, the median
-    is a rank walk, and the MAD folds the SAME table by |x − med|
-    (counts of equal deviations merge) — no second corpus pass, no
-    per-row sort anywhere."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["c_acctbal"].to_numpy(
-            zero_copy_only=False))
-        df = pd.DataFrame({
-            "nationkey": b["c_nationkey"].to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "cents": cents})
-        agg = (df.groupby(["nationkey", "cents"], as_index=False)
-               .size().rename(columns={"size": "cnt"}))
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["nationkey", "cents"], as_index=False)
-                  ["cnt"].sum())
-    else:
-        counts = (parts_ds.groupby(["nationkey", "cents"])
-                  .aggregate(Sum("cnt", alias_name="cnt")).to_pandas())
-
-    def disc_median(v: np.ndarray, c: np.ndarray) -> int:
-        # PERCENTILE_DISC(0.5): smallest value with cum count >= n/2
-        order = np.argsort(v, kind="stable")
-        v, c = v[order], c[order]
-        cum = np.cumsum(c)
-        n = int(cum[-1])
-        # DuckDB PERCENTILE_DISC(0.5) picks rank ceil(0.5 * n), an
-        # integer-exact ceil rule
-        target = -(-n // 2)
-        return int(v[np.searchsorted(cum, target)])
-
-    rows = []
-    for nk, g in counts.groupby("nationkey", sort=True):
-        v = g["cents"].to_numpy(np.int64)
-        c = g["cnt"].to_numpy(np.int64)
-        n = int(c.sum())
-        imax = np.lexsort((v, -c))[0]
-        mode = int(v[imax])
-        med = disc_median(v, c)
-        dev = np.abs(v - med)
-        dd = pd.DataFrame({"d": dev, "c": c}).groupby(
-            "d", as_index=False)["c"].sum()
-        mad = disc_median(dd["d"].to_numpy(np.int64),
-                          dd["c"].to_numpy(np.int64))
-        rows.append((np.int64(nk), np.int64(n), np.int64(mode),
-                     np.int64(med), np.int64(mad)))
-    return pd.DataFrame(rows, columns=["nationkey", "n", "mode_cents",
-                                       "med_cents", "mad_cents"])
-
 def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     """Misra–Gries heavy hitters — the deterministic counter-based
     twin of ``cms_heavy_hitters`` (sixth mergeable sketch family):
@@ -6001,61 +4522,6 @@ def diversified_top_docs(sf_dir: str, k: int = 10, per_source: int = 2):
     out["n_chars"] = out["n_chars"].astype(np.int64)
     return out
 
-
-DECAY_SCALE_BITS = 40  # ages beyond this contribute < 1 integer unit
-
-
-def event_decayed_counts(sf_dir: str, half_life_days: int = 1):
-    """Exponentially time-decayed counters (the streaming-analytics
-    freshness score) with an EXACT-INTEGER core: weight = 2^(−age/h)
-    becomes the integer numerator Σ n_d · 2^(S − age_d/h·…) — here
-    h = 1 day so each day's bucket contributes cnt · 2^(S − age) with
-    S = 40 and ages > S contributing 0 (below int64 resolution, the
-    documented truncation) — so the decayed score is a RATIO OF EXACT
-    INTEGERS and the oracle hash cannot drift.  The anchor (newest
-    day) is itself an output-scale reduce; corpus work is the shared
-    tiered (type, day) rollup."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["event_type", "day_epoch"], as_index=False)
-                  ["n"].sum())
-    else:
-        counts = (parts_ds.groupby(["event_type", "day_epoch"])
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    anchor = int(counts["day_epoch"].max())
-    age = ((anchor - counts["day_epoch"].to_numpy(np.int64)) // 86400
-           // max(half_life_days, 1))
-    w = np.where(age <= DECAY_SCALE_BITS,
-                 np.left_shift(np.int64(1),
-                               (DECAY_SCALE_BITS - np.minimum(
-                                   age, DECAY_SCALE_BITS)).astype(
-                                   np.int64)),
-                 0)
-    counts["num"] = counts["n"].to_numpy(np.int64) * w
-    out = (counts.groupby("event_type", as_index=False)
-           .agg(n_events=("n", "sum"), decay_num=("num", "sum")))
-    out["n_events"] = out["n_events"].astype(np.int64)
-    out["decay_num"] = out["decay_num"].astype(np.int64)
-    out["decayed_r6"] = np.round(
-        out["decay_num"].to_numpy(np.float64)
-        / float(1 << DECAY_SCALE_BITS), 6)
-    return (out.sort_values("event_type").reset_index(drop=True)
-            [["event_type", "n_events", "decay_num", "decayed_r6"]])
 
 def latest_events_per_user(sf_dir: str, n: int = 3):
     """Latest-N-per-key compaction — the general form of the
@@ -6592,54 +5058,6 @@ def source_dup_report(sf_dir: str, threshold: float = 0.6):
     return out.sort_values("source").reset_index(drop=True)
 
 
-def returning_users_daily(sf_dir: str):
-    """Consecutive-period overlap (the day-over-day RETENTION line):
-    for every day d (except the first), how many users were active on
-    BOTH d−1 and d.  The deduped (user, day) activity table self-joins
-    on the derived day+1 key — both sides are the SAME pre-reduced
-    user-day rollup, so the shuffle moves activity rows, never events;
-    below the shared gate the overlap is one driver merge."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"user_id": np.int64, "day_epoch": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        uw = _parts_pandas(parts_ds, schema).drop_duplicates()
-        nxt = uw.copy()
-        nxt["day_epoch"] = nxt["day_epoch"] + 86400
-        j = uw.merge(nxt, on=["user_id", "day_epoch"])
-    else:
-        from biobloom_ray.io import hash_join
-
-        uw_ds = (parts_ds.groupby(["user_id", "day_epoch"])
-                 .aggregate(Count(alias_name="_c"))
-                 .map_batches(lambda b: b.drop_columns(["_c"]),
-                              batch_format="pyarrow")).materialize()
-        nxt_ds = uw_ds.map_batches(
-            lambda b: pa.table({
-                "user_id": b["user_id"],
-                "day_epoch": pc.add(b["day_epoch"], 86400)}),
-            batch_format="pyarrow")
-        j = _parts_pandas(hash_join(uw_ds, nxt_ds,
-                                    on=("user_id", "day_epoch")),
-                          schema)
-    out = (j.groupby("day_epoch", as_index=False).size()
-           .rename(columns={"size": "n_returning"}))
-    out["day_epoch"] = out["day_epoch"].astype(np.int64)
-    out["n_returning"] = out["n_returning"].astype(np.int64)
-    return out.sort_values("day_epoch").reset_index(drop=True)
-
-
 # -- round-4 wave 28: table integrity ----------------------------------------
 
 
@@ -6862,11 +5280,11 @@ def range_shard_bounds(sf_dir: str, n_shards: int = 8):
     """Equi-depth RANGE PARTITIONER — the primitive behind every
     distributed sort / range-partitioned write: exact k-quantile cut
     points over event value cents and the resulting per-shard row
-    counts.  KEY INSIGHT (same as value_decile_stats): cuts and shard
-    populations are decided by the VALUE-CARDINALITY count table
-    alone — the corpus reduces to (cents → n) partials (driver fold
-    below the shared events gate, native Sum groupby above) and the
-    bound walk runs on the value-domain-bounded table.  Cut i is the
+    counts.  KEY INSIGHT: cuts and shard populations are decided by
+    the VALUE-CARDINALITY count table alone — the corpus reduces to
+    (cents → n) partials (driver fold below the shared events gate,
+    native Sum groupby above) and the bound walk runs on the
+    value-domain-bounded table.  Cut i is the
     smallest cents whose cumulative count ≥ ⌈i·N/k⌉ (exact integer
     ceiling); a row's shard is the number of cuts < its cents, so
     equal values never split across shards (the property a
@@ -7132,234 +5550,7 @@ def embedding_top_pc(sf_dir: str):
         "explained_var_r6": np.round(np.full(d, evr), 6)})
 
 
-# -- round-4 wave 32: gaps-and-islands / fact-fact SLA / Benford ------------
-
-def user_activity_streaks(sf_dir: str):
-    """Gaps-and-islands: per user, the LONGEST run of consecutive
-    active days and the number of distinct runs.  The corpus reduces
-    to the deduped (user, day) rollup; the island walk is one
-    vectorized pass (run starts where user changes or day−prev ≠ 1;
-    run ids by cumsum; lengths by bincount) — on the driver below the
-    shared gate, inside groupby(user).map_groups above it (per-user
-    day lists are calendar-bounded, the documented group-size
-    class)."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "day": day.to_numpy(zero_copy_only=False) // 86400})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-
-    def streaks_vec(u: np.ndarray, d: np.ndarray) -> pd.DataFrame:
-        order = np.lexsort((d, u))
-        u, d = u[order], d[order]
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = (u[1:] != u[:-1]) | (d[1:] - d[:-1] != 1)
-        rid = np.cumsum(new) - 1
-        rlen = np.bincount(rid)
-        ruser = u[new]
-        out = (pd.DataFrame({"user_id": ruser, "len": rlen})
-               .groupby("user_id", as_index=False)
-               .agg(max_streak_days=("len", "max"),
-                    n_runs=("len", "size")))
-        for c in out.columns:
-            out[c] = out[c].astype(np.int64)
-        return out
-
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        ud = (_parts_pandas(parts_ds, {"user_id": np.int64,
-                                       "day": np.int64})
-              .drop_duplicates())
-        out = streaks_vec(ud.user_id.to_numpy(np.int64),
-                          ud.day.to_numpy(np.int64))
-        return out.sort_values("user_id").reset_index(drop=True)
-
-    ud_ds = (parts_ds.groupby(["user_id", "day"])
-             .aggregate(Count(alias_name="_c")))
-
-    def per_user(g: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(
-            streaks_vec(g["user_id"].to_numpy(zero_copy_only=False),
-                        g["day"].to_numpy(zero_copy_only=False)),
-            preserve_index=False)
-
-    out = (ud_ds.groupby("user_id")
-           .map_groups(per_user, batch_format="pyarrow").to_pandas())
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-def order_fill_rate(sf_dir: str, sla_days: int = 7):
-    """Fact-to-fact SLA join: per order priority, the fraction of
-    orders whose FIRST lineitem ships within ``sla_days`` of the
-    order date.  Lineitem pre-reduces per block to (orderkey,
-    min-ship-day) — the Min is associative, so the shuffle (native
-    Min groupby above the gate, driver fold below) moves one row per
-    order at most; the SLA predicate and the priority rollup run on
-    the order-scale join (broadcast link below the orders gate, hash
-    join above).  Counts exact; rate 6-dp."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"])
-
-    def min_partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["l_shipdate"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "l_orderkey": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "ship_day": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("l_orderkey", as_index=False)["ship_day"]
-               .min())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(min_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        first = (_parts_pandas(parts_ds, {"l_orderkey": np.int64,
-                                          "ship_day": np.int64})
-                 .groupby("l_orderkey", as_index=False)["ship_day"]
-                 .min())
-        od = orders.to_pandas()
-        od["order_day"] = (od.o_orderdate.dt.floor("D")
-                           .astype("datetime64[s]").astype(np.int64))
-        j = od.merge(first, left_on="o_orderkey", right_on="l_orderkey")
-    else:
-        from biobloom_ray.io import hash_join
-
-        first_ds = (parts_ds.groupby("l_orderkey")
-                    .aggregate(Min("ship_day", alias_name="ship_day")))
-
-        def tag_order(b: pa.Table) -> pa.Table:
-            day = (pc.floor_temporal(b["o_orderdate"], unit="day")
-                   .cast(pa.timestamp("s")).cast(pa.int64()))
-            return pa.table({"o_orderkey": b["o_orderkey"],
-                             "o_orderpriority": b["o_orderpriority"],
-                             "order_day": day})
-
-        od_ds = orders.map_batches(tag_order, batch_format="pyarrow")
-        j = hash_join(first_ds, od_ds, on=("l_orderkey",),
-                      right_on=("o_orderkey",)).to_pandas()
-    within = ((j.ship_day.to_numpy(np.int64)
-               - j.order_day.to_numpy(np.int64))
-              <= sla_days * 86400).astype(np.int64)
-    j = j.assign(within=within)
-    out = (j.groupby("o_orderpriority", as_index=False)
-           .agg(n_orders=("within", "size"),
-                n_within_sla=("within", "sum")))
-    out["n_orders"] = out.n_orders.astype(np.int64)
-    out["n_within_sla"] = out.n_within_sla.astype(np.int64)
-    out["fill_rate_r6"] = np.round(
-        out.n_within_sla.to_numpy(np.float64)
-        / out.n_orders.to_numpy(np.float64), 6)
-    return (out.sort_values("o_orderpriority").reset_index(drop=True))
-
-
-def value_benford_deviation(sf_dir: str):
-    """Data-quality screen: leading-significant-digit distribution of
-    positive event value cents per event type vs Benford's law, with
-    the exact digit counts and a 6-dp chi-square statistic.  The
-    leading digit is pure integer arithmetic (repeated //10 — no
-    string pass); per-block (type, digit) partials pre-reduce to
-    ≤ 9·types rows."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def lead_digit(c: np.ndarray) -> np.ndarray:
-        c = c.copy()
-        while (c >= 10).any():
-            c[c >= 10] //= 10
-        return c
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        m = cents > 0
-        d = lead_digit(cents[m])
-        df = pd.DataFrame({
-            "event_type": pd.Series(
-                b["event_type"].to_pandas())[m].to_numpy(dtype=object),
-            "digit": d})
-        agg = (df.groupby(["event_type", "digit"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds,
-                             {"event_type": object, "digit": np.int64,
-                              "n": np.int64})
-               .groupby(["event_type", "digit"], as_index=False)
-               ["n"].sum())
-    else:
-        agg = (parts_ds.groupby(["event_type", "digit"])
-               .aggregate(Sum("n", alias_name="n")).to_pandas())
-    agg["n"] = agg.n.astype(np.int64)
-    agg["digit"] = agg.digit.astype(np.int64)
-    tot = agg.groupby("event_type")["n"].transform("sum") \
-        .to_numpy(np.float64)
-    p_benford = np.log10(1.0 + 1.0
-                         / agg.digit.to_numpy(np.float64))
-    expected = tot * p_benford
-    agg["chi2_term_r6"] = np.round(
-        (agg.n.to_numpy(np.float64) - expected) ** 2 / expected, 6)
-    return (agg.sort_values(["event_type", "digit"])
-            .reset_index(drop=True))
-
-
-# -- round-4 wave 33: grid HLL union / Q19 predicate -------------------------
-
-def weekly_distinct_users(sf_dir: str):
-    """Exact distinct users per (event_type, ISO week) — the exact
-    twin of `hll_weekly_union`'s merged sketch path.  Per-block
-    pre-dedup of (type, week, user) triples; driver dedup+count below
-    the gate, two chained native groupbys on the same key prefix
-    above it (dedup cluster-wide, then count survivors)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        week = (pc.floor_temporal(b["ts"], unit="week")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "week_epoch": week.to_numpy(zero_copy_only=False),
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False)})
-        return pa.Table.from_pandas(df.drop_duplicates(),
-                                    preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        tri = (_parts_pandas(parts_ds,
-                             {"event_type": object,
-                              "week_epoch": np.int64,
-                              "user_id": np.int64}).drop_duplicates())
-        out = (tri.groupby(["event_type", "week_epoch"], as_index=False)
-               .size().rename(columns={"size": "n_users"}))
-    else:
-        dedup = (parts_ds
-                 .groupby(["event_type", "week_epoch", "user_id"])
-                 .aggregate(Count(alias_name="_c"))
-                 .map_batches(lambda b: pa.table({
-                     "event_type": b["event_type"],
-                     "week_epoch": b["week_epoch"],
-                     "one": pa.array(np.ones(b.num_rows, np.int64))}),
-                     batch_format="pyarrow"))
-        out = (dedup.groupby(["event_type", "week_epoch"])
-               .aggregate(Sum("one", alias_name="n_users")).to_pandas())
-    out["week_epoch"] = out.week_epoch.astype(np.int64)
-    out["n_users"] = out.n_users.astype(np.int64)
-    return (out.sort_values(["event_type", "week_epoch"])
-            .reset_index(drop=True))
-
+# -- round-4 wave 33: grid HLL union -----------------------------------------
 
 def hll_weekly_union(sf_dir: str, p: int = 14):
     """Grid-cell sketch merge: one HLL per (event_type, week) cell
@@ -7415,9 +5606,9 @@ def byte_median_doc_size(sf_dir: str):
     smallest doc size X such that docs of size ≤ X hold at least half
     the source's total characters ('half the bytes live in docs this
     small or smaller').  Exactly decided on the (source, n_chars)
-    count table with integer cross-multiplication (2·cum ≥ tot), same
-    regime as value_decile_stats: the corpus reduces to per-block
-    partials, the walk runs on the value-domain-bounded table."""
+    count table with integer cross-multiplication (2·cum ≥ tot): the
+    corpus reduces to per-block partials, the walk runs on the
+    value-domain-bounded table."""
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -7455,50 +5646,6 @@ def byte_median_doc_size(sf_dir: str):
     out["byte_median_size"] = out.byte_median_size.astype(np.int64)
     out["total_chars"] = out.total_chars.astype(np.int64)
     return out.sort_values("source").reset_index(drop=True)
-
-
-def multi_predicate_revenue(sf_dir: str):
-    """TPC-H Q19 shape — revenue under an OR of composite
-    (brand, size, quantity) predicates, decided map-side: the part
-    dimension collapses to per-branch eligibility flag arrays
-    broadcast once; each lineitem block evaluates the disjunction
-    vectorized and emits ONE partial row.  Exact integer revenue."""
-    import ray
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice",
-                        "l_discount"])
-    part = _read(sf_dir, "part",
-                 columns=["p_partkey", "p_brand", "p_size"]).to_pandas()
-    po = np.argsort(part.p_partkey.to_numpy())
-    pk = part.p_partkey.to_numpy(np.int64)[po]
-    brand = part.p_brand.to_numpy()[po]
-    size = part.p_size.to_numpy(np.int64)[po]
-    flag1 = (brand == "Brand#1") & (size <= 10)
-    flag2 = (brand == "Brand#2") & (size <= 20)
-    part_ref = ray.put((pk, flag1, flag2))
-
-    def partial(b: pa.Table) -> pa.Table:
-        keys, f1, f2 = ray.get(part_ref)
-        lpk = b["l_partkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lpk)
-        pos[pos >= len(keys)] = 0
-        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
-        hit = ((f1[pos] & (qty >= 1) & (qty <= 20))
-               | (f2[pos] & (qty >= 5) & (qty <= 30)))
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))[hit]
-        disc = _cents_away(
-            b["l_discount"].to_numpy(zero_copy_only=False))[hit]
-        rev = int((cents * (100 - disc)).sum())
-        return pa.table({"revenue_e4": pa.array([rev], pa.int64()),
-                         "n_items": pa.array([int(hit.sum())],
-                                             pa.int64())})
-
-    parts = li.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame({
-        "revenue_e4": [np.int64(parts.revenue_e4.sum())],
-        "n_items": [np.int64(parts.n_items.sum())]})
 
 
 # -- round-4 wave 34: exclusive vocab ----------------------------------------
@@ -7872,105 +6019,6 @@ def part_skyline(sf_dir: str):
     return out.reset_index(drop=True)
 
 
-def large_quantity_orders(sf_dir: str, min_qty: int = 180, k: int = 10):
-    """TPC-H Q18 shape — HAVING on a fact rollup, then a dimension
-    chain: orders whose total lineitem quantity exceeds ``min_qty``,
-    top-k by order value.  The quantity rollup pre-reduces per block
-    and combines tiered (native Sum groupby above the gate); the
-    HAVING filter applies map-side on the rollup, the order/customer
-    attributes attach to the SURVIVORS only (hash join above the gate,
-    broadcast searchsorted below), and the final top-k uses per-block
-    exact top-k partials.  Customer names map onto the k-row result
-    via a map-only filtered scan — nothing customer-scale is joined."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def qty_partial(b: pa.Table) -> pa.Table:
-        q = np.floor(np.abs(b["l_quantity"]
-                            .to_numpy(zero_copy_only=False)) + 0.5) \
-            .astype(np.int64)
-        df = pd.DataFrame({
-            "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "q": q})
-        agg = df.groupby("ok", as_index=False)["q"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(qty_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        sums = (_parts_pandas(parts_ds, {"ok": np.int64, "q": np.int64})
-                .groupby("ok", as_index=False)["q"].sum())
-        big = sums[sums.q > min_qty]
-        od = orders.to_pandas()
-        top = (big.merge(od, left_on="ok", right_on="o_orderkey"))
-        top["total_cents"] = _cents_away(top.o_totalprice.to_numpy())
-        top = (top.drop(columns=["o_orderkey", "o_totalprice"])
-               .sort_values(["total_cents", "ok"],
-                            ascending=[False, True]).head(k))
-    else:
-        sums_ds = (parts_ds.groupby("ok")
-                   .aggregate(Sum("q", alias_name="q")))
-
-        def having(b: pa.Table) -> pa.Table:
-            return b.filter(pc.greater(b["q"], min_qty))
-
-        big_ds = sums_ds.map_batches(having, batch_format="pyarrow")
-        joined = hash_join(big_ds, orders, on=("ok",),
-                           right_on=("o_orderkey",))
-
-        def topk_partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "ok": b["ok"].to_numpy(zero_copy_only=False),
-                "q": b["q"].to_numpy(zero_copy_only=False),
-                "o_custkey": b["o_custkey"]
-                .to_numpy(zero_copy_only=False),
-                "total_cents": _cents_away(
-                    b["o_totalprice"].to_numpy(zero_copy_only=False))})
-            return pa.Table.from_pandas(
-                df.sort_values(["total_cents", "ok"],
-                               ascending=[False, True]).head(k),
-                preserve_index=False)
-
-        top = (_parts_pandas(
-            joined.map_batches(topk_partial, batch_format="pyarrow"),
-            {"ok": np.int64, "q": np.int64, "o_custkey": np.int64,
-             "total_cents": np.int64})
-            .sort_values(["total_cents", "ok"],
-                         ascending=[False, True]).head(k))
-    if len(top) == 0:
-        return pd.DataFrame({
-            "c_name": pd.Series([], dtype=object),
-            "o_orderkey": pd.Series([], dtype=np.int64),
-            "total_cents": pd.Series([], dtype=np.int64),
-            "sum_qty": pd.Series([], dtype=np.int64)})
-    want = np.sort(top.o_custkey.to_numpy(np.int64))
-    w_ref = ray.put(want)
-
-    def name_filter(b: pa.Table) -> pa.Table:
-        keys = ray.get(w_ref)
-        ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, ck)
-        pos[pos >= len(keys)] = 0
-        return b.filter(pa.array(keys[pos] == ck))
-
-    names = (_read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-             .map_batches(name_filter, batch_format="pyarrow")
-             .to_pandas())
-    out = top.merge(names, left_on="o_custkey", right_on="c_custkey")
-    out = out.rename(columns={"ok": "o_orderkey", "q": "sum_qty"})
-    out = (out.sort_values(["total_cents", "o_orderkey"],
-                           ascending=[False, True])
-           [["c_name", "o_orderkey", "total_cents", "sum_qty"]])
-    for c in ["o_orderkey", "total_cents", "sum_qty"]:
-        out[c] = out[c].astype(np.int64)
-    return out.reset_index(drop=True)
-
-
 def kmv_type_jaccard(sf_dir: str, k: int = KMV_K):
     """KMV SET ALGEBRA — the bottom-k sketch's party trick (HLL can
     only union): estimate the Jaccard similarity of the (user, day)
@@ -8000,128 +6048,6 @@ def kmv_type_jaccard(sf_dir: str, k: int = KMV_K):
     out["jaccard_r6"] = out.jaccard_r6.astype(np.float64)
     return (out.sort_values(["type_a", "type_b"])
             .reset_index(drop=True))
-
-
-def repeat_purchase_pairs(sf_dir: str, window_days: int = 7):
-    """BAND self-join (inequality θ-join — the pair shape none of the
-    as-of/range/overlap joins cover): same-customer order pairs whose
-    dates are 0 < Δ ≤ ``window_days`` apart, counted per month of the
-    EARLIER order.  Per-customer kernel is two searchsorteds over the
-    sorted date array (counts per anchor = rank(d+W, right) −
-    rank(d, right); ties on equal dates are excluded by the strict
-    lower bound on both sides).  Cluster tier:
-    ``groupby(custkey).map_groups`` emitting (month, n) partials →
-    native Sum groupby; driver tier: one sorted pull + the same
-    kernel per customer slice."""
-    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    w_us = int(window_days) * 86_400_000_000
-
-    def cust_kernel(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sorted int64 us dates of ONE customer → (month_epochs,
-        counts) of in-window later orders per anchor."""
-        n = (np.searchsorted(d, d + w_us, side="right")
-             - np.searchsorted(d, d, side="right"))
-        m = n > 0
-        if not m.any():
-            return (np.empty(0, np.int64), np.empty(0, np.int64))
-        months = (d[m].astype("datetime64[us]").astype("datetime64[M]")
-                  .astype("datetime64[s]").astype(np.int64))
-        return months, n[m].astype(np.int64)
-
-    def month_frame(months: np.ndarray, cnts: np.ndarray) -> pd.DataFrame:
-        if len(months) == 0:
-            return pd.DataFrame({
-                "month_epoch": pd.Series([], dtype=np.int64),
-                "n_pairs": pd.Series([], dtype=np.int64)})
-        df = pd.DataFrame({"month_epoch": months, "n_pairs": cnts})
-        return df.groupby("month_epoch", as_index=False)["n_pairs"].sum()
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values(["o_custkey", "o_orderdate"])
-        d = (df.o_orderdate.astype("datetime64[us]")
-             .astype(np.int64).to_numpy())
-        ck = df.o_custkey.to_numpy()
-        cuts = np.nonzero(np.r_[True, ck[1:] != ck[:-1]])[0]
-        ms, cs = [], []
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(ck))):
-            mm, cc = cust_kernel(d[lo:hi])
-            ms.append(mm)
-            cs.append(cc)
-        agg = month_frame(np.concatenate(ms), np.concatenate(cs))
-    else:
-        def per_cust(g: pd.DataFrame) -> pd.DataFrame:
-            d = np.sort(g.o_orderdate.astype("datetime64[us]")
-                        .astype(np.int64).to_numpy())
-            return month_frame(*cust_kernel(d))
-
-        parts = (ds.groupby("o_custkey")
-                 .map_groups(per_cust, batch_format="pandas"))
-        agg = (parts.groupby("month_epoch")
-               .aggregate(Sum("n_pairs", alias_name="n_pairs"))
-               .to_pandas())
-    agg["month_epoch"] = agg.month_epoch.astype(np.int64)
-    agg["n_pairs"] = agg.n_pairs.astype(np.int64)
-    return agg.sort_values("month_epoch").reset_index(drop=True)
-
-
-def strict_funnel_users(sf_dir: str, window_hours: int = 24,
-                        steps: tuple = ("view", "click", "purchase")):
-    """STRICT-SEQUENCE funnel (ordered triple within one window —
-    stricter than ``funnel_conversion``'s first-touch minima): count
-    users with at least one view < click < purchase chain whose total
-    span is ≤ ``window_hours``.  Per-user kernel: for each middle
-    step, the OPTIMAL witnesses are the latest earlier first-step and
-    the earliest later last-step (two searchsorteds); a chain exists
-    iff some middle event's witness span fits the window.  Single-row
-    exact output; per-user map_groups above the gate emits 0/1
-    partials into a native Sum."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-    w_us = int(window_hours) * 3_600_000_000
-    s0, s1, s2 = steps
-
-    def user_converted(tp: np.ndarray, ts: np.ndarray) -> bool:
-        a = np.sort(ts[tp == s0])
-        b = np.sort(ts[tp == s1])
-        c = np.sort(ts[tp == s2])
-        if not (len(a) and len(b) and len(c)):
-            return False
-        ia = np.searchsorted(a, b, side="left") - 1   # latest a < b
-        ic = np.searchsorted(c, b, side="right")      # earliest c > b
-        ok = (ia >= 0) & (ic < len(c))
-        if not ok.any():
-            return False
-        return bool((c[ic[ok]] - a[ia[ok]] <= w_us).any())
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values("user_id")
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        tp = df.event_type.to_numpy(dtype=object)
-        uid = df.user_id.to_numpy()
-        cuts = np.nonzero(np.r_[True, uid[1:] != uid[:-1]])[0]
-        n = sum(user_converted(tp[lo:hi], ts[lo:hi])
-                for lo, hi in zip(cuts, np.append(cuts[1:], len(uid))))
-    else:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            ts = (g.ts.astype("datetime64[us]").astype(np.int64)
-                  .to_numpy())
-            conv = user_converted(g.event_type.to_numpy(dtype=object),
-                                  ts)
-            return pd.DataFrame({"c": np.asarray([int(conv)],
-                                                 np.int64)})
-
-        parts = (ds.groupby("user_id")
-                 .map_groups(per_user, batch_format="pandas"))
-
-        def total(b: pa.Table) -> pa.Table:
-            return pa.table({"c": pa.array(
-                [int(b["c"].to_numpy(zero_copy_only=False).sum())],
-                pa.int64())})
-
-        n = int(parts.map_batches(total, batch_format="pyarrow")
-                .to_pandas().c.sum())
-    return pd.DataFrame({"n_users": np.asarray([n], np.int64)})
 
 
 def lang_bigram_jsd(sf_dir: str):
@@ -8246,171 +6172,6 @@ def lang_bigram_jsd(sf_dir: str):
     return finish(parts)
 
 
-def exact_median_bisect(sf_dir: str, n_buckets: int = 1024):
-    """EXACT global median by ADAPTIVE MULTI-PASS SELECTION — the
-    distributed k-th-element algorithm for domains too wide for one
-    count table: each pass histograms the surviving [lo, hi] cent
-    range into ``n_buckets`` sub-ranges (a map-only partial + a tiny
-    driver fold), the bucket holding the target rank becomes the next
-    range, and the loop exits when the range collapses to one cent —
-    ⌈log_B(domain)⌉ passes total (2 here), never materializing a
-    value-cardinality table.  Lower-median contract
-    (PERCENTILE_DISC(0.5)): the smallest value whose cumulative count
-    reaches ⌈n/2⌉."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def minmax(b: pa.Table) -> pa.Table:
-        c = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        return pa.table({"lo": pa.array([int(c.min())], pa.int64()),
-                         "hi": pa.array([int(c.max())], pa.int64()),
-                         "n": pa.array([len(c)], pa.int64())})
-
-    mm = _parts_pandas(ds.map_batches(minmax, batch_format="pyarrow"),
-                       {"lo": np.int64, "hi": np.int64, "n": np.int64})
-    lo, hi, n = int(mm.lo.min()), int(mm.hi.max()), int(mm.n.sum())
-    k = (n + 1) // 2  # 1-based target rank (lower median)
-    below = 0  # values strictly below current lo
-    while hi > lo:
-        edges = np.unique(np.linspace(lo, hi + 1, n_buckets + 1)
-                          .astype(np.int64))
-
-        def hist(b: pa.Table, e=edges, l=lo, h=hi) -> pa.Table:
-            c = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-            c = c[(c >= l) & (c <= h)]
-            cnt = np.zeros(len(e) - 1, dtype=np.int64)
-            if len(c):
-                idx = np.searchsorted(e, c, side="right") - 1
-                np.add.at(cnt, idx, 1)
-            return pa.table({"b": pa.array(
-                np.arange(len(cnt), dtype=np.int64)),
-                "cnt": pa.array(cnt)})
-
-        h = (_parts_pandas(ds.map_batches(hist, batch_format="pyarrow"),
-                           {"b": np.int64, "cnt": np.int64})
-             .groupby("b")["cnt"].sum().sort_index().to_numpy())
-        cum = below + np.cumsum(h)
-        j = int(np.searchsorted(cum, k))
-        below = int(below + (np.cumsum(h)[j - 1] if j else 0))
-        lo, hi = int(edges[j]), int(edges[j + 1]) - 1
-    return pd.DataFrame({"n": np.asarray([n], np.int64),
-                         "median_cents": np.asarray([lo], np.int64)})
-
-
-def clean_conversion_users(sf_dir: str, window_hours: int = 2):
-    """Temporal NEGATION pattern (match A→B with NO intervening C):
-    users with a view → purchase pair within ``window_hours`` and no
-    'error' event strictly between them.  Per-user witness argument:
-    for each purchase, only the LATEST in-window view need be checked
-    — any earlier view's interval is a superset, so an error spoiling
-    the latest view spoils them all.  Kernel: two searchsorteds
-    (latest view, error count in the open interval via rank
-    difference).  Single-row exact output; per-user map_groups above
-    the gate."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-    w_us = int(window_hours) * 3_600_000_000
-
-    def user_clean(tp: np.ndarray, ts: np.ndarray) -> bool:
-        v = np.sort(ts[tp == "view"])
-        p = np.sort(ts[tp == "purchase"])
-        e = np.sort(ts[tp == "error"])
-        if not (len(v) and len(p)):
-            return False
-        iv = np.searchsorted(v, p, side="left") - 1  # latest view < p
-        ok = (iv >= 0)
-        if not ok.any():
-            return False
-        vv, pp = v[iv[ok]], p[ok]
-        ok2 = pp - vv <= w_us
-        if not ok2.any():
-            return False
-        vv, pp = vv[ok2], pp[ok2]
-        n_err = (np.searchsorted(e, pp, side="left")
-                 - np.searchsorted(e, vv, side="right"))
-        return bool((n_err == 0).any())
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values("user_id")
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        tp = df.event_type.to_numpy(dtype=object)
-        uid = df.user_id.to_numpy()
-        cuts = np.nonzero(np.r_[True, uid[1:] != uid[:-1]])[0]
-        n = sum(user_clean(tp[lo:hi], ts[lo:hi])
-                for lo, hi in zip(cuts, np.append(cuts[1:], len(uid))))
-    else:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            ts = (g.ts.astype("datetime64[us]").astype(np.int64)
-                  .to_numpy())
-            c = user_clean(g.event_type.to_numpy(dtype=object), ts)
-            return pd.DataFrame({"c": np.asarray([int(c)], np.int64)})
-
-        parts = (ds.groupby("user_id")
-                 .map_groups(per_user, batch_format="pandas"))
-
-        def total(b: pa.Table) -> pa.Table:
-            return pa.table({"c": pa.array(
-                [int(b["c"].to_numpy(zero_copy_only=False).sum())],
-                pa.int64())})
-
-        n = int(parts.map_batches(total, batch_format="pyarrow")
-                .to_pandas().c.sum())
-    return pd.DataFrame({"n_users": np.asarray([n], np.int64)})
-
-
-def acctbal_cont_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9)):
-    """PERCENTILE_CONT — the INTERPOLATED quantile semantic (the
-    existing per-nation percentiles are PERCENTILE_DISC): per nation,
-    linearly interpolated p50/p90 of customer balances, exact from
-    the (nation, cents, count) table.  The standard formula
-    h = (n−1)·q, v = v⌊h⌋ + (h−⌊h⌋)·(v⌈h⌉ − v⌊h⌋) evaluates on the
-    duplicate-inclusive sorted multiset via cumulative-count
-    searchsorteds (no expansion).  Count-table partials combine
-    tiered; the interpolation walk runs per nation on the
-    value-cardinality table."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "nk": b["c_nationkey"].to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            "cents": _cents_away(
-                b["c_acctbal"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["nk", "cents"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        ct = (_parts_pandas(parts_ds, {"nk": np.int64,
-                                       "cents": np.int64,
-                                       "n": np.int64})
-              .groupby(["nk", "cents"], as_index=False)["n"].sum())
-    else:
-        ct = (parts_ds.groupby(["nk", "cents"])
-              .aggregate(Sum("n", alias_name="n")).to_pandas())
-    rows = []
-    for nk, g in ct.groupby("nk", sort=True):
-        g = g.sort_values("cents")
-        v = g.cents.to_numpy(np.int64).astype(np.float64)
-        cum = g.n.to_numpy(np.int64).cumsum()
-        n = int(cum[-1])
-        vals = []
-        for q in qs:
-            hpos = (n - 1) * q
-            lo_i, hi_i = int(np.floor(hpos)), int(np.ceil(hpos))
-            vlo = v[np.searchsorted(cum, lo_i + 1)]
-            vhi = v[np.searchsorted(cum, hi_i + 1)]
-            vals.append(round(vlo + (hpos - lo_i) * (vhi - vlo), 6))
-        rows.append((int(nk), np.int64(n), *vals))
-    out = pd.DataFrame(rows, columns=["c_nationkey", "n_customers",
-                                      "p50_cents_r6", "p90_cents_r6"])
-    out["c_nationkey"] = out.c_nationkey.astype(np.int64)
-    out["n_customers"] = out.n_customers.astype(np.int64)
-    return out.sort_values("c_nationkey").reset_index(drop=True)
-
-
 def value_ks_matrix(sf_dir: str):
     """Two-sample Kolmogorov–Smirnov statistic between the ``value``
     distributions of every event-type pair — EXACT-INTEGER rational
@@ -8468,254 +6229,6 @@ def value_ks_matrix(sf_dir: str):
     out["ks_den"] = out.ks_den.astype(np.int64)
     return (out.sort_values(["type_a", "type_b"])
             .reset_index(drop=True))
-
-
-def acctbal_trimmed_stats(sf_dir: str, trim: float = 0.1):
-    """Robust TRIMMED and WINSORIZED means per nation, exact from the
-    cent count table: with k = ⌊trim·n⌋, the trimmed mean averages
-    ranks (k, n−k] (partial multiplicities of the boundary values
-    resolved by cumulative-count arithmetic — no row expansion), and
-    the winsorized mean clamps to the rank-(k+1) / rank-(n−k) values.
-    Integer sums throughout; the only float is the final division
-    (6-dp contract).  Count-table partials combine tiered."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "nk": b["c_nationkey"].to_numpy(zero_copy_only=False)
-            .astype(np.int64),
-            "v": _cents_away(
-                b["c_acctbal"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["nk", "v"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        ct = (_parts_pandas(parts_ds, {"nk": np.int64, "v": np.int64,
-                                       "n": np.int64})
-              .groupby(["nk", "v"], as_index=False)["n"].sum())
-    else:
-        ct = (parts_ds.groupby(["nk", "v"])
-              .aggregate(Sum("n", alias_name="n")).to_pandas())
-    rows = []
-    for nk, g in ct.groupby("nk", sort=True):
-        g = g.sort_values("v")
-        v = g.v.to_numpy(np.int64)
-        n_ = g.n.to_numpy(np.int64)
-        cum = np.cumsum(n_)
-        n = int(cum[-1])
-        k = int(np.floor(trim * n))
-
-        def rank_value(r):  # cents value at 1-based rank r
-            return int(v[np.searchsorted(cum, r)])
-
-        # sum of the k smallest (partial multiplicity on the boundary)
-        def head_sum(k_):
-            if k_ <= 0:
-                return 0
-            j = int(np.searchsorted(cum, k_))
-            full = int((v[:j] * n_[:j]).sum())
-            return full + int(v[j]) * (k_ - int(cum[j - 1]) if j else k_)
-
-        total = int((v * n_).sum())
-        rev_v, rev_n = v[::-1], n_[::-1]
-        rcum = np.cumsum(rev_n)
-
-        def tail_sum(k_):
-            if k_ <= 0:
-                return 0
-            j = int(np.searchsorted(rcum, k_))
-            full = int((rev_v[:j] * rev_n[:j]).sum())
-            return full + int(rev_v[j]) * (k_ - int(rcum[j - 1])
-                                           if j else k_)
-
-        mid_sum = total - head_sum(k) - tail_sum(k)
-        mid_n = n - 2 * k
-        lo_v, hi_v = rank_value(k + 1), rank_value(n - k)
-        win_sum = mid_sum + k * lo_v + k * hi_v
-        rows.append((int(nk), np.int64(n),
-                     round(mid_sum / mid_n, 6),
-                     round(win_sum / n, 6)))
-    out = pd.DataFrame(rows, columns=["c_nationkey", "n_customers",
-                                      "trim_mean_r6", "winsor_mean_r6"])
-    out["c_nationkey"] = out.c_nationkey.astype(np.int64)
-    out["n_customers"] = out.n_customers.astype(np.int64)
-    return out.sort_values("c_nationkey").reset_index(drop=True)
-
-
-def transition_cond_entropy(sf_dir: str):
-    """Conditional entropy H(next type | current type) of the per-user
-    event-type Markov chain — the predictability screen COMPOSED on
-    top of ``event_transitions`` (which owns the exact (ts, event_id)
-    LAG semantics and the salt-by-time-range cluster plan): per
-    current type, the Shannon entropy (nats) of its next-type
-    distribution over the |types|²-cell transition table, with the
-    exact n_out integer anchor."""
-    tc = event_transitions(sf_dir)
-    rows = []
-    for cur, g in tc.groupby("prev_type", sort=True):
-        n = g.n.to_numpy(np.int64)
-        tot = int(n.sum())
-        p = n / tot
-        rows.append((cur, np.int64(tot),
-                     round(float(-(p * np.log(p)).sum()), 6)))
-    out = pd.DataFrame(rows, columns=["cur_type", "n_out", "h_r6"])
-    out["n_out"] = out.n_out.astype(np.int64)
-    return out.sort_values("cur_type").reset_index(drop=True)
-
-
-def region_share_rollup(sf_dir: str):
-    """Hierarchical PERCENT-OF-PARENT rollup (ratio-to-parent across
-    two dimension levels): each nation's share of its region's
-    customer balance mass, and each region's share of the global
-    mass — exact integer cent sums at the leaf rollup, shares as one
-    final division each (6-dp contract).  The fact scan pre-reduces
-    per block to (nationkey, sum, n); nation→region is a dimension
-    map applied on the output-scale table."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["c_acctbal"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "nk": b["c_nationkey"].to_numpy(zero_copy_only=False)
-            .astype(np.int64), "s": cents})
-        agg = (df.groupby("nk", as_index=False)
-               .agg(s=("s", "sum"), n=("s", "size")))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    leaf = (_parts_pandas(ds.map_batches(partial, batch_format="pyarrow"),
-                          {"nk": np.int64, "s": np.int64, "n": np.int64})
-            .groupby("nk", as_index=False)[["s", "n"]].sum())
-    nat = _read(sf_dir, "nation",
-                columns=["n_nationkey", "n_name", "n_regionkey"]) \
-        .to_pandas()
-    reg = _read(sf_dir, "region",
-                columns=["r_regionkey", "r_name"]).to_pandas()
-    j = (leaf.merge(nat, left_on="nk", right_on="n_nationkey")
-         .merge(reg, left_on="n_regionkey", right_on="r_regionkey"))
-    rtot = j.groupby("r_name", as_index=False).s.sum() \
-        .rename(columns={"s": "rs"})
-    gtot = int(j.s.sum())
-    out = j.merge(rtot, on="r_name")
-    out["nation_share_r6"] = (out.s / out.rs).round(6)
-    out["region_share_r6"] = (out.rs / gtot).round(6)
-    out = out.rename(columns={"s": "sum_cents", "n": "n_customers"})
-    out["sum_cents"] = out.sum_cents.astype(np.int64)
-    out["n_customers"] = out.n_customers.astype(np.int64)
-    return (out[["r_name", "n_name", "n_customers", "sum_cents",
-                 "nation_share_r6", "region_share_r6"]]
-            .sort_values(["r_name", "n_name"]).reset_index(drop=True))
-
-
-def order_price_reconciliation(sf_dir: str):
-    """Cross-table RECONCILIATION audit (fact-vs-rollup drift): per
-    order status, how far ``o_totalprice`` sits from the order's
-    lineitem extended-price sum — exact integer cent differences,
-    plus the orders with no lineitems at all (a left join's null
-    side, counted separately rather than silently dropped).  The
-    lineitem rollup pre-reduces per block and combines tiered; order
-    attributes attach by hash join above the gate / driver merge
-    below."""
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_extendedprice"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderstatus",
-                            "o_totalprice"])
-
-    def sum_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "ok": b["l_orderkey"].to_numpy(zero_copy_only=False),
-            "s": _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False))})
-        agg = df.groupby("ok", as_index=False)["s"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(sum_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-
-    def finish(j: pd.DataFrame) -> pd.DataFrame:
-        j["diff"] = np.where(
-            j.s.notna(),
-            (_cents_away(j.o_totalprice.to_numpy())
-             - j.s.fillna(0).to_numpy(np.int64)), 0).astype(np.int64)
-        j["has"] = j.s.notna()
-        g = (j.groupby("o_orderstatus", as_index=False)
-             .agg(n_orders=("has", "size"),
-                  n_no_lines=("has", lambda x: int((~x).sum())),
-                  n_exact=("diff", lambda d: 0),
-                  max_abs_diff_cents=("diff", lambda d: 0)))
-        # exact/max over the WITH-lines subset only
-        sub = j[j.has]
-        stats = (sub.assign(ad=sub["diff"].abs())
-                 .groupby("o_orderstatus", as_index=False)
-                 .agg(n_exact=("ad", lambda a: int((a == 0).sum())),
-                      max_abs_diff_cents=("ad", "max")))
-        g = (g.drop(columns=["n_exact", "max_abs_diff_cents"])
-             .merge(stats, on="o_orderstatus", how="left"))
-        g["n_exact"] = g.n_exact.fillna(0).astype(np.int64)
-        g["max_abs_diff_cents"] = (g.max_abs_diff_cents.fillna(0)
-                                   .astype(np.int64))
-        g["n_orders"] = g.n_orders.astype(np.int64)
-        g["n_no_lines"] = g.n_no_lines.astype(np.int64)
-        return (g.sort_values("o_orderstatus").reset_index(drop=True)
-                [["o_orderstatus", "n_orders", "n_no_lines", "n_exact",
-                  "max_abs_diff_cents"]])
-
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        sums = (_parts_pandas(parts_ds, {"ok": np.int64, "s": np.int64})
-                .groupby("ok", as_index=False)["s"].sum())
-        od = orders.to_pandas()
-        return finish(od.merge(sums, left_on="o_orderkey",
-                               right_on="ok", how="left"))
-    sums_ds = parts_ds.groupby("ok").aggregate(Sum("s", alias_name="s"))
-    joined = hash_join(orders, sums_ds, on=("o_orderkey",),
-                       right_on=("ok",), join_type="left_outer")
-
-    def audit_partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        tc = _cents_away(df.o_totalprice.to_numpy())
-        has = df.s.notna().to_numpy()
-        ad = np.abs(tc - df.s.fillna(0).to_numpy(np.int64))
-        out = pd.DataFrame({"o_orderstatus": df.o_orderstatus
-                            .to_numpy(dtype=object),
-                            "has": has, "ad": ad})
-        g = (out.groupby("o_orderstatus", as_index=False)
-             .agg(n_orders=("has", "size"),
-                  n_no_lines=("has", lambda x: int((~x).sum())),
-                  n_exact=("ad", lambda a: 0),
-                  max_abs_diff_cents=("ad", "max")))
-        sub = out[out.has]
-        ne = (sub.groupby("o_orderstatus", as_index=False)
-              .agg(n_exact=("ad", lambda a: int((a == 0).sum()))))
-        g = (g.drop(columns=["n_exact"])
-             .merge(ne, on="o_orderstatus", how="left"))
-        g["n_exact"] = g.n_exact.fillna(0).astype(np.int64)
-        for c in ["n_orders", "n_no_lines", "max_abs_diff_cents"]:
-            g[c] = g[c].astype(np.int64)
-        return pa.Table.from_pandas(
-            g[["o_orderstatus", "n_orders", "n_no_lines", "n_exact",
-               "max_abs_diff_cents"]], preserve_index=False)
-
-    parts = _parts_pandas(
-        joined.map_batches(audit_partial, batch_format="pyarrow"),
-        {"o_orderstatus": object, "n_orders": np.int64,
-         "n_no_lines": np.int64, "n_exact": np.int64,
-         "max_abs_diff_cents": np.int64})
-    agg = (parts.groupby("o_orderstatus", as_index=False)
-           .agg(n_orders=("n_orders", "sum"),
-                n_no_lines=("n_no_lines", "sum"),
-                n_exact=("n_exact", "sum"),
-                max_abs_diff_cents=("max_abs_diff_cents", "max")))
-    for c in ["n_orders", "n_no_lines", "n_exact",
-              "max_abs_diff_cents"]:
-        agg[c] = agg[c].astype(np.int64)
-    return agg.sort_values("o_orderstatus").reset_index(drop=True)
 
 
 def daily_revenue_haar(sf_dir: str):
@@ -8867,311 +6380,6 @@ def type_user_overlap_exact(sf_dir: str):
     out["n_union"] = out.n_union.astype(np.int64)
     return (out.sort_values(["type_a", "type_b"])
             .reset_index(drop=True))
-
-
-def view_attribution_credit(sf_dir: str, gap_hours: int = 24):
-    """Session ATTRIBUTION coverage (the ads last-mile audit): split
-    each user's stream into sessions (gap > ``gap_hours``, exact
-    (ts, event_id) LAG ordering), then split every session's purchase
-    cents into ATTRIBUTED (the session contains ≥ 1 view to credit)
-    vs ORPHAN mass — all exact int64 cents, no fractional credit ever
-    materialized (within one user the per-view fractions always
-    re-sum to the session total, so the rollup stays integral).
-    Per-user map_groups above the gate; sorted slice walk below."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "event_type", "ts",
-                        "value"])
-    gap_us = int(gap_hours) * 3_600_000_000
-
-    def user_fold(tp, ts, cents):
-        """(ts, event_id)-ordered arrays of ONE user → (n_sessions,
-        attributed, orphan)."""
-        new = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            new[1:] = np.diff(ts) > gap_us
-        sid = np.cumsum(new) - 1
-        ns = int(sid[-1]) + 1
-        is_v = tp == "view"
-        is_p = tp == "purchase"
-        nv = np.zeros(ns, np.int64)
-        pv = np.zeros(ns, np.int64)
-        np.add.at(nv, sid[is_v], 1)
-        np.add.at(pv, sid[is_p], cents[is_p])
-        att = int(pv[nv > 0].sum())
-        return ns, att, int(pv.sum()) - att
-
-    def prep(df: pd.DataFrame):
-        df = df.sort_values(["ts", "event_id"])
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        cents = _cents_away(df.value.to_numpy())
-        return df.event_type.to_numpy(dtype=object), ts, cents
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values(["user_id", "ts", "event_id"])
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        cents = _cents_away(df.value.to_numpy())
-        tp = df.event_type.to_numpy(dtype=object)
-        uid = df.user_id.to_numpy()
-        cuts = np.nonzero(np.r_[True, uid[1:] != uid[:-1]])[0]
-        rows = []
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(uid))):
-            ns, att, orp = user_fold(tp[lo:hi], ts[lo:hi],
-                                     cents[lo:hi])
-            rows.append((int(uid[lo]), ns, att, orp))
-        out = pd.DataFrame(rows, columns=["user_id", "n_sessions",
-                                          "attributed_cents",
-                                          "orphan_cents"])
-    else:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            tp, ts, cents = prep(g)
-            ns, att, orp = user_fold(tp, ts, cents)
-            return pd.DataFrame({
-                "user_id": np.asarray([g.user_id.iloc[0]], np.int64),
-                "n_sessions": np.asarray([ns], np.int64),
-                "attributed_cents": np.asarray([att], np.int64),
-                "orphan_cents": np.asarray([orp], np.int64)})
-
-        out = (ds.groupby("user_id")
-               .map_groups(per_user, batch_format="pandas")
-               .to_pandas())
-    for c in ["user_id", "n_sessions", "attributed_cents",
-              "orphan_cents"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-def acctbal_mean_family(sf_dir: str):
-    """The MULTIPLICATIVE aggregate family: arithmetic, GEOMETRIC and
-    HARMONIC means of positive customer balances per nation, from one
-    pass of associative partials (n, Σcents, Σln cents, Σ1/cents) —
-    the log-sum and reciprocal-sum shapes no other operator carries.
-    Per-element ln/reciprocal are IEEE-deterministic; only the fold
-    order differs between tiers and oracle (6-dp contract); n and the
-    cent sum stay exact int64 anchors."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["c_acctbal"].to_numpy(zero_copy_only=False))
-        nk = (b["c_nationkey"].to_numpy(zero_copy_only=False)
-              .astype(np.int64))
-        m = cents > 0
-        x = cents[m].astype(np.float64)
-        df = pd.DataFrame({"nk": nk[m], "s": cents[m],
-                           "ln": np.log(x), "rc": 1.0 / x})
-        df["one"] = np.int64(1)
-        agg = (df.groupby("nk", as_index=False)
-               .agg(n=("one", "sum"), s=("s", "sum"),
-                    ln=("ln", "sum"), rc=("rc", "sum")))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts = _parts_pandas(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        {"nk": np.int64, "n": np.int64, "s": np.int64,
-         "ln": np.float64, "rc": np.float64})
-    agg = (parts.groupby("nk", as_index=False)
-           [["n", "s", "ln", "rc"]].sum())
-    n = agg.n.to_numpy(np.float64)
-    out = pd.DataFrame({
-        "c_nationkey": agg.nk.astype(np.int64),
-        "n_pos": agg.n.astype(np.int64),
-        "sum_cents": agg.s.astype(np.int64),
-        "arith_r6": (agg.s / n).round(6),
-        "geo_r6": np.exp(agg.ln / n).round(6),
-        "harm_r6": (n / agg.rc).round(6)})
-    return out.sort_values("c_nationkey").reset_index(drop=True)
-
-
-def daily_revenue_autocorr(sf_dir: str, lags: tuple = (1, 7)):
-    """Lagged AUTOCORRELATION of each type's daily revenue — the
-    seasonality detector (lag-1 momentum, lag-7 weekly cycle) —
-    computed as Pearson r over the pairs of OBSERVED days exactly
-    ``lag`` calendar days apart.  The daily rollup combines tiered;
-    the lag self-join and the moment formula run on the output-scale
-    (type, day) table with an explicit op order (the oracle mirrors
-    each term)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = ts // 86_400_000_000
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object), "day": day,
-            "rev": _cents_away(b["value"]
-                               .to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["event_type", "day"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    rows = []
-    for t, g in daily.groupby("event_type", sort=True):
-        g = g.sort_values("day")
-        d = g.day.to_numpy(np.int64)
-        r = g.rev.to_numpy(np.int64).astype(np.float64)
-        vals = [t]
-        for lag in lags:
-            pos = np.searchsorted(d, d + lag)
-            pos_c = np.minimum(pos, len(d) - 1)
-            hit = d[pos_c] == d + lag
-            x, y = r[hit], r[pos_c[hit]]
-            n = float(len(x))
-            if n < 2:
-                vals.extend([np.int64(len(x)), float("nan")])
-                continue
-            sx, sy = x.sum(), y.sum()
-            sxx, syy, sxy = (x * x).sum(), (y * y).sum(), (x * y).sum()
-            num = sxy - sx * sy / n
-            den = np.sqrt((sxx - sx * sx / n) * (syy - sy * sy / n))
-            vals.extend([np.int64(len(x)), round(num / den, 6)])
-        rows.append(tuple(vals))
-    cols = ["event_type"]
-    for lag in lags:
-        cols += [f"n_lag{lag}", f"r_lag{lag}_r6"]
-    out = pd.DataFrame(rows, columns=cols)
-    for lag in lags:
-        out[f"n_lag{lag}"] = out[f"n_lag{lag}"].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def transition_reciprocity(sf_dir: str):
-    """Markov-graph RECIPROCITY — for each unordered type pair, how
-    symmetric the two directed transition flows are: n_ab, n_ba, the
-    reciprocity min/max ratio, and the net-flow imbalance — composed
-    over ``event_transitions``' exact LAG semantics (the |types|²
-    table folds anywhere)."""
-    tc = event_transitions(sf_dir)
-    tc = tc[tc.prev_type != tc.next_type]
-    m = {(r.prev_type, r.next_type): int(r.n) for r in tc.itertuples()}
-    types = sorted(set(tc.prev_type) | set(tc.next_type))
-    rows = []
-    for i, a in enumerate(types):
-        for b in types[i + 1:]:
-            ab, ba = m.get((a, b), 0), m.get((b, a), 0)
-            hi = max(ab, ba)
-            rows.append((a, b, np.int64(ab), np.int64(ba),
-                         round(min(ab, ba) / hi, 6) if hi else 0.0,
-                         np.int64(ab - ba)))
-    out = pd.DataFrame(rows, columns=["type_a", "type_b", "n_ab",
-                                      "n_ba", "reciprocity_r6",
-                                      "net_flow"])
-    for c in ["n_ab", "n_ba", "net_flow"]:
-        out[c] = out[c].astype(np.int64)
-    return (out.sort_values(["type_a", "type_b"])
-            .reset_index(drop=True))
-
-
-def supplier_hhi_by_nation(sf_dir: str):
-    """Market-CONCENTRATION index (Herfindahl–Hirschman) of supplier
-    revenue within each supplier nation: HHI = Σ(share_i)² over the
-    COMPLETED per-supplier revenue rollup — the sum-of-squared-shares
-    shape needs each supplier's total finalized before squaring, so
-    the plan is rollup → broadcast nation totals → per-block squared-
-    share partials (three native stages, nothing supplier-scale on
-    the driver above the gate).  Exact int64 anchors (supplier count,
-    total revenue); shares square in double with per-element identical
-    ops (6-dp contract)."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-
-    def rev_partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(b["l_discount"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-            "rev": cents * (100 - disc)})
-        agg = df.groupby("sk", as_index=False)["rev"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(rev_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    driver = n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS
-    if driver:
-        sr = (_parts_pandas(parts_ds, {"sk": np.int64, "rev": np.int64})
-              .groupby("sk", as_index=False)["rev"].sum())
-        sp = supp.to_pandas()
-        sr = sr.merge(sp, left_on="sk", right_on="s_suppkey")
-        tot = (sr.groupby("s_nationkey", as_index=False)
-               .agg(total=("rev", "sum"), n=("rev", "size")))
-        j = sr.merge(tot, on="s_nationkey")
-        sh = j.rev / j.total
-        j["sq"] = sh * sh
-        agg = (j.groupby("s_nationkey", as_index=False)
-               .agg(hhi=("sq", "sum")))
-        agg = agg.merge(tot, on="s_nationkey")
-    else:
-        sr_ds = (parts_ds.groupby("sk")
-                 .aggregate(Sum("rev", alias_name="rev")))
-        joined = hash_join(sr_ds, supp, on=("sk",),
-                           right_on=("s_suppkey",)).materialize()
-
-        def tot_partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "s_nationkey": b["s_nationkey"]
-                .to_numpy(zero_copy_only=False).astype(np.int64),
-                "rev": b["rev"].to_numpy(zero_copy_only=False)})
-            agg_ = (df.groupby("s_nationkey", as_index=False)
-                    .agg(total=("rev", "sum"), n=("rev", "size")))
-            agg_["n"] = agg_.n.astype(np.int64)
-            return pa.Table.from_pandas(agg_, preserve_index=False)
-
-        tot = (_parts_pandas(
-            joined.map_batches(tot_partial, batch_format="pyarrow"),
-            {"s_nationkey": np.int64, "total": np.int64,
-             "n": np.int64})
-            .groupby("s_nationkey", as_index=False)
-            [["total", "n"]].sum())
-        tref = ray.put(dict(zip(tot.s_nationkey.astype(int),
-                                tot.total.astype(int))))
-
-        def sq_partial(b: pa.Table) -> pa.Table:
-            tm = ray.get(tref)
-            nk = (b["s_nationkey"].to_numpy(zero_copy_only=False)
-                  .astype(np.int64))
-            rev = b["rev"].to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-            tt = np.fromiter((tm[int(k)] for k in nk), dtype=np.float64,
-                             count=len(nk))
-            sh = rev / tt
-            df = pd.DataFrame({"s_nationkey": nk, "sq": sh * sh})
-            agg_ = df.groupby("s_nationkey", as_index=False)["sq"].sum()
-            return pa.Table.from_pandas(agg_, preserve_index=False)
-
-        hh = (_parts_pandas(
-            joined.map_batches(sq_partial, batch_format="pyarrow"),
-            {"s_nationkey": np.int64, "sq": np.float64})
-            .groupby("s_nationkey", as_index=False)["sq"].sum()
-            .rename(columns={"sq": "hhi"}))
-        agg = hh.merge(tot, on="s_nationkey")
-    names = _read(sf_dir, "nation",
-                  columns=["n_nationkey", "n_name"]).to_pandas()
-    out = agg.merge(names, left_on="s_nationkey",
-                    right_on="n_nationkey")
-    out = pd.DataFrame({
-        "n_name": out.n_name,
-        "n_suppliers": out.n.astype(np.int64),
-        "total_rev": out.total.astype(np.int64),
-        "hhi_r6": out.hhi.round(6)})
-    return out.sort_values("n_name").reset_index(drop=True)
 
 
 def dominant_supplier_parts(sf_dir: str, share_denom: int = 8):
@@ -9456,114 +6664,6 @@ def vocab_growth_by_docs(sf_dir: str, bucket: int = 1):
     return daily[["doc_bucket", "n_new", "n_cum"]]
 
 
-def fd_violation_audit(sf_dir: str):
-    """FUNCTIONAL-DEPENDENCY discovery audit — the profiling twin of
-    the FK orphan check: for each candidate determinant → dependent
-    pair, how many determinant values map to MORE than one dependent
-    value (a holding FD has zero).  Each candidate is two chained
-    dedup rollups (block-dedup pairs → cluster-wide distinct → per-key
-    count), the same shape every exact-distinct operator uses; the
-    verdict table is one row per candidate."""
-    cands = [
-        ("customer", "c_custkey->c_nationkey",
-         "c_custkey", "c_nationkey"),
-        ("part", "p_brand->p_size", "p_brand", "p_size"),
-        ("orders", "o_custkey->o_orderpriority",
-         "o_custkey", "o_orderpriority"),
-    ]
-    rows = []
-    for table, name, det, dep in cands:
-        ds = _read(sf_dir, table, columns=[det, dep])
-
-        def pair_partial(b: pa.Table, d=det, p=dep) -> pa.Table:
-            df = pd.DataFrame({
-                "k": pd.Series(b[d].to_pandas())
-                .to_numpy(dtype=object),
-                "v": pd.Series(b[p].to_pandas())
-                .to_numpy(dtype=object)}).drop_duplicates()
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-        pairs_ds = ds.map_batches(pair_partial, batch_format="pyarrow")
-        n_rows = _cheap_count(ds)
-        if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-            kp = (_parts_pandas(pairs_ds, {"k": object, "v": object})
-                  .drop_duplicates())
-            per_k = kp.groupby("k").size()
-        else:
-            dedup = (pairs_ds.groupby(["k", "v"])
-                     .aggregate(Count(alias_name="_c")))
-            per_k = (dedup.groupby("k")
-                     .aggregate(Count(alias_name="nv")).to_pandas()
-                     .set_index("k").nv)
-        rows.append((name, np.int64(len(per_k)),
-                     np.int64(int((per_k > 1).sum())),
-                     np.int64(int(per_k.max()))))
-    out = pd.DataFrame(rows, columns=["fd", "n_keys",
-                                      "n_violating_keys",
-                                      "max_distinct_dep"])
-    for c in ["n_keys", "n_violating_keys", "max_distinct_dep"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("fd").reset_index(drop=True)
-
-
-def bipartite_degree_dist(sf_dir: str):
-    """DEGREE DISTRIBUTION of the part↔supplier bipartite link graph,
-    both sides — the graph-health histogram (skew here predicts
-    shuffle skew in every join over the link table): counts-of-counts
-    on the deduped edge set, once per side.  Block-deduped edges →
-    cluster-wide dedup → per-node degree → output-scale degree
-    histogram."""
-    li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-
-    def edge_partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False)}) \
-            .drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    edges_ds = li.map_batches(edge_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        e = (_parts_pandas(edges_ds, {"pk": np.int64, "sk": np.int64})
-             .drop_duplicates())
-        frames = []
-        for side, col in [("part", "pk"), ("supplier", "sk")]:
-            deg = e.groupby(col).size()
-            h = (deg.value_counts().sort_index()
-                 .rename_axis("degree").reset_index(name="n_nodes"))
-            h["side"] = side
-            frames.append(h)
-        out = pd.concat(frames, ignore_index=True)
-    else:
-        dedup = (edges_ds.groupby(["pk", "sk"])
-                 .aggregate(Count(alias_name="_c")).materialize())
-        frames = []
-        for side, col in [("part", "pk"), ("supplier", "sk")]:
-            deg = (dedup.groupby(col)
-                   .aggregate(Count(alias_name="degree")))
-
-            def hist_partial(b: pa.Table) -> pa.Table:
-                vc = (pd.Series(b["degree"]
-                                .to_numpy(zero_copy_only=False))
-                      .value_counts().sort_index())
-                return pa.table({
-                    "degree": pa.array(vc.index.to_numpy(np.int64)),
-                    "n_nodes": pa.array(vc.to_numpy(np.int64))})
-
-            h = (_parts_pandas(
-                deg.map_batches(hist_partial, batch_format="pyarrow"),
-                {"degree": np.int64, "n_nodes": np.int64})
-                .groupby("degree", as_index=False)["n_nodes"].sum())
-            h["side"] = side
-            frames.append(h)
-        out = pd.concat(frames, ignore_index=True)
-    out["degree"] = out.degree.astype(np.int64)
-    out["n_nodes"] = out.n_nodes.astype(np.int64)
-    return (out[["side", "degree", "n_nodes"]]
-            .sort_values(["side", "degree"]).reset_index(drop=True))
-
-
 def revenue_up_run_lengths(sf_dir: str):
     """MONOTONE-RUN analysis on each type's daily revenue series (the
     momentum screen): the longest strictly-increasing run of
@@ -9780,81 +6880,6 @@ def doc_compression_ratio(sf_dir: str, level: int = 6):
     return (agg.sort_values(["lang", "bucket"])
             [["lang", "bucket", "n", "raw_bytes", "comp_bytes",
               "ratio_r6"]].reset_index(drop=True))
-
-
-def revenue_seasonal_decomposition(sf_dir: str):
-    """STL-lite SEASONAL DECOMPOSITION of each type's daily revenue —
-    trend = centered 7-day moving average (full windows only),
-    seasonal = per-weekday mean of the detrended series, remainder =
-    detrended − seasonal: the additive decomposition every monitoring
-    stack runs before alerting.  Output per (type, weekday): the
-    seasonal component plus the type's remainder variance — float
-    columns follow the 6-dp contract with mirrored op order; the day
-    count is the exact integer anchor.  The daily rollup combines
-    tiered; the decomposition runs on the output-scale series."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = ts // 86_400_000_000
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object), "day": day,
-            "rev": _cents_away(b["value"]
-                               .to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["event_type", "day"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    rows = []
-    for t, g in daily.groupby("event_type", sort=True):
-        g = g.sort_values("day")
-        d = g.day.to_numpy(np.int64)
-        r = g.rev.to_numpy(np.int64).astype(np.float64)
-        if len(r) < 7:
-            continue
-        # centered MA-7 over OBSERVED rows (full windows only):
-        # positions 3 .. n-4
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        trend = sliding_window_view(r, 7).sum(axis=1) / 7.0
-        mid = slice(3, len(r) - 3)
-        det = r[mid] - trend
-        dow = ((d[mid] + 4) % 7).astype(np.int64)  # 1970-01-01 = Thu
-        seas = pd.DataFrame({"dow": dow, "det": det}) \
-            .groupby("dow").det.agg(["mean", "size"])
-        smap = seas["mean"].to_dict()
-        rem = det - np.fromiter((smap[x] for x in dow),
-                                dtype=np.float64, count=len(dow))
-        n = float(len(rem))
-        rem_var = ((rem * rem).sum() / n
-                   - (rem.sum() / n) * (rem.sum() / n))
-        mean_all = r.sum() / len(r)  # normalizer: O(1) outputs keep
-        # the 6-dp contract safely above double noise
-        for dw in sorted(smap):
-            rows.append((t, np.int64(dw),
-                         np.int64(int(seas["size"].loc[dw])),
-                         round(float(smap[dw]) / mean_all, 6),
-                         round(float(np.sqrt(max(rem_var, 0.0)))
-                               / mean_all, 6)))
-    out = pd.DataFrame(rows, columns=["event_type", "dow", "n_days",
-                                      "seasonal_rel_r6", "rem_cv_r6"])
-    out["dow"] = out.dow.astype(np.int64)
-    out["n_days"] = out.n_days.astype(np.int64)
-    return (out.sort_values(["event_type", "dow"])
-            .reset_index(drop=True))
 
 
 def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
@@ -10247,8 +7272,9 @@ def dup_cluster_representatives(sf_dir: str):
         hit = (kk[pos] == v) if len(kk) else np.zeros(len(v), bool)
         return b.filter(pa.array(hit))
 
-    nc = docs.map_batches(pick_members,
-                          batch_format="pyarrow").to_pandas()
+    nc = _parts_pandas(docs.map_batches(pick_members,
+                                        batch_format="pyarrow"),
+                       {"doc_id": np.int64, "n_chars": np.int64})
     m = clusters.merge(nc, on="doc_id")
     m = m.sort_values(["cluster_id", "n_chars", "doc_id"],
                       ascending=[True, False, True])

@@ -196,11 +196,11 @@ def remove_ngrams_batch(batch: pa.Table, freq_sorted: np.ndarray, n: int,
     h1, _, gram_row, gram_start = token_ngram_hashes(flat, row_of, n,
                                                      seed=seed)
     covered = np.zeros(len(flat) + 1, dtype=np.int64)
-    if len(h1):
+    if len(h1) and len(freq_sorted):
         hs = h1.view(np.int64)
         idx = np.searchsorted(freq_sorted, hs)
-        idx_c = np.minimum(idx, max(len(freq_sorted) - 1, 0))
-        hot = (len(freq_sorted) > 0) & (freq_sorted[idx_c] == hs)
+        idx_c = np.minimum(idx, len(freq_sorted) - 1)
+        hot = freq_sorted[idx_c] == hs
         starts = gram_start[hot]
         np.add.at(covered, starts, 1)
         np.add.at(covered, starts + n, -1)

@@ -3,8 +3,8 @@
 Runs EVERY DuckDB-oracled query with every scale-tier gate forced to 0
 (the same `bench._force_cluster_tiers` switch the bench uses), so each
 query executes its at-scale cluster plan — native groupbys, hash joins,
-sharded reduces, salted temporal plans — and compares the result against
-its oracle SQL exactly like the driver does (row count + column names +
+sharded reduces — and compares the result against its oracle SQL
+exactly like the driver does (row count + column names +
 order-insensitive values).  Writes ``CORRECTNESS_cluster.json`` at the
 repo root: one row per query plus the list of gates that were zeroed.
 

@@ -127,6 +127,21 @@ class TestBoilerplateRemoval:
         assert out.n_removed.tolist() == want_removed
         assert sum(want_removed) > 0  # the header really was removed
 
+    @pytest.mark.parametrize("texts", [
+        ["one  two\tthree four"],
+        ["one two three four", "five six  seven"],
+    ])
+    def test_kernel_empty_frequent_set(self, texts):
+        """Below BOILERPLATE_MIN_DOCS docs no n-gram is frequent: the
+        empty hash set removes nothing and only re-joins the tokens."""
+        from biobloom_ray.stages.webclean import remove_ngrams_batch
+
+        out = remove_ngrams_batch(_docs_table(texts),
+                                  np.array([], dtype=np.int64), 3)
+        assert out["n_removed"].to_pylist() == [0] * len(texts)
+        assert out["text_clean"].to_pylist() == [
+            " ".join(t.split()) for t in texts]
+
     def test_tiers_agree(self, ray_session, monkeypatch):
         import biobloom_ray.pipelines.analytics as A
 
