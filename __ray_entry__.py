@@ -777,124 +777,15 @@ def _bpe_token_counts(sf_dir: str):
             .select_columns(["doc_id", "n_bpe_tokens"]).to_pandas())
 
 
-def _user_event_counts(sf_dir: str):
-    """Per-user rollup, tiered like analytics.events_hourly: per-block
-    (user, n, min, max) partials pre-reduce in map_batches; driver
-    combine below the row gate, native groupby above."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
-
-    from biobloom_ray.io import cheap_count
-    from biobloom_ray.pipelines.analytics import EVENTS_DRIVER_MAX_ROWS
-
-    ds = _rp(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "value": b["value"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("user_id", as_index=False)
-               .agg(n=("value", "size"), min_value=("value", "min"),
-                    max_value=("value", "max")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    if (n := cheap_count(ds)) is not None and n <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        return (p.groupby("user_id", as_index=False)
-                .agg(n=("n", "sum"), min_value=("min_value", "min"),
-                     max_value=("max_value", "max")))
-    out = (parts_ds.groupby("user_id")
-           .aggregate(Sum("n", alias_name="n"),
-                      Min("min_value", alias_name="min_value"),
-                      Max("max_value", alias_name="max_value")))
-    return out.to_pandas()
-
-
-def _top_users_by_events(sf_dir: str):
-    """Deterministic global top-10: per-block user value_counts →
-    combine (driver below the gate, native Sum groupby above) →
-    sort(count desc, user asc) → limit (the O3 top-k pattern on a
-    non-text table)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from biobloom_ray.io import cheap_count
-    from biobloom_ray.pipelines.analytics import EVENTS_DRIVER_MAX_ROWS
-
-    ds = _rp(f"{sf_dir}/events.parquet",
-                               columns=["user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        vc = pd.Series(b["user_id"].to_numpy(zero_copy_only=False)) \
-            .value_counts()
-        return pa.table({"user_id": pa.array(vc.index.to_numpy()),
-                         "n": pa.array(vc.to_numpy())})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    if (n := cheap_count(ds)) is not None and n <= EVENTS_DRIVER_MAX_ROWS:
-        p = (parts_ds.to_pandas().groupby("user_id", as_index=False)
-             ["n"].sum())
-        return (p.sort_values(["n", "user_id"], ascending=[False, True])
-                .head(10).reset_index(drop=True))
-    counts = parts_ds.groupby("user_id").aggregate(Sum("n", alias_name="n"))
-    return counts.sort(["n", "user_id"],
-                       descending=[True, False]).limit(10).to_pandas()
-
-
 def _user_event_counts_salted(sf_dir: str):
-    """Skew-safe twin of user_event_counts: the two-level salted
-    aggregation (partials per (user, salt) → per-user sum) that keeps a
-    hot user parallel across reducers — deliberately NOT tiered, so the
-    skew-handling cluster path itself is oracle-checked."""
+    """Events per user through the skew-safe two-level salted
+    aggregation (partials per (user, salt) → per-user sum), which keeps
+    a hot user parallel across reducers.  Deliberately NOT tiered, so
+    the skew-handling cluster path itself is oracle-checked."""
     from biobloom_ray.stages.skew import salted_value_counts
 
     ds = _rp(f"{sf_dir}/events.parquet", columns=["user_id"])
     return salted_value_counts(ds, "user_id", alias="n").to_pandas()
-
-
-def _event_type_daily(sf_dir: str):
-    """Second time-bucketed aggregate (per day) exercising timestamp
-    truncation + two-key rollup, tiered like events_hourly."""
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from biobloom_ray.io import cheap_count
-    from biobloom_ray.pipelines.analytics import EVENTS_DRIVER_MAX_ROWS
-
-    ds = _rp(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        # cast via timestamp("s"): input-unit-independent epoch seconds
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               .agg(n=("day_epoch", "size")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    if (n := cheap_count(ds)) is not None and n <= EVENTS_DRIVER_MAX_ROWS:
-        return (parts_ds.to_pandas()
-                .groupby(["event_type", "day_epoch"], as_index=False)
-                ["n"].sum())
-    out = (parts_ds.groupby(["event_type", "day_epoch"])
-           .aggregate(Sum("n", alias_name="n")))
-    return out.to_pandas()
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -1023,40 +914,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sample_budget_allocation": A.sample_budget_allocation,
         "quality_gate_sweep": A.quality_gate_sweep,
         "label_centroid_affinity": A.label_centroid_affinity,
-        "events_sliding_window": A.events_sliding_window,
-        "user_event_counts": _user_event_counts,
-        "events_hourly": A.events_hourly,
-        "event_type_daily": _event_type_daily,
-        "top_users_by_events": _top_users_by_events,
-        "top_parts_by_revenue": A.top_parts_by_revenue,
-        "events_props_stats": A.events_props_stats,
-        "csv_roundtrip_event_counts": A.csv_roundtrip_event_counts,
-        "latest_event_per_user_type": A.latest_event_per_user_type,
-        "events_hourly_anomaly": A.events_hourly_anomaly,
-        "lineitem_pricing_summary": A.lineitem_pricing_summary,
-        "events_sessionize": A.events_sessionize,
-        "max_concurrent_sessions": A.max_concurrent_sessions,
-        "name_typo_pairs": A.name_typo_pairs,
-        "latest_events_per_user": A.latest_events_per_user,
-        "event_gap_quantiles": A.event_gap_quantiles,
-        "zorder_bucket_counts": A.zorder_bucket_counts,
-        "funnel_latency_quantiles": A.funnel_latency_quantiles,
-        "range_shard_bounds": A.range_shard_bounds,
-        "cusum_changepoints": A.cusum_changepoints,
-        "hour_of_day_profile": A.hour_of_day_profile,
-        "part_skyline": A.part_skyline,
-        "value_ks_matrix": A.value_ks_matrix,
-        "daily_revenue_haar": A.daily_revenue_haar,
-        "dominant_supplier_parts": A.dominant_supplier_parts,
-        "parts_keyset_page": A.parts_keyset_page,
-        "cumulative_parts_catalog": A.cumulative_parts_catalog,
-        "revenue_up_run_lengths": A.revenue_up_run_lengths,
-        "weekday_uniformity_chi2": A.weekday_uniformity_chi2,
-        "value_twap_by_type": A.value_twap_by_type,
-        "session_bounce_rate": A.session_bounce_rate,
-        "user_tenure_distribution": A.user_tenure_distribution,
-        "order_size_distribution": A.order_size_distribution,
-        "supplier_rank_correlation": A.supplier_rank_correlation,
         # --- rows-only: no SQL oracle can express these ---
         "sketch_setops_report": A.sketch_setops_report,
         "lang_nchars_tdigest": A.lang_nchars_tdigest,
@@ -1094,8 +951,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from biobloom_ray.pipelines import analytics as A
-
     K = 25  # frame_counts shingle size (matches analytics.K_DEFAULT)
     d = {
         "lang_counts":
@@ -1108,11 +963,6 @@ def oracle_sql() -> dict[str, str]:
         "median_nchars_by_lang":
             "SELECT lang, quantile_cont(n_chars, 0.5) AS median_nchars "
             "FROM documents GROUP BY lang",
-        "events_hourly":
-            "SELECT event_type, "
-            "CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS hour_epoch, "
-            "COUNT(*) AS n, MIN(value) AS min_value, MAX(value) AS max_value "
-            "FROM events GROUP BY event_type, date_trunc('hour', ts)",
         "exact_dedup":
             "SELECT MIN(doc_id) AS doc_id, text FROM documents GROUP BY text",
         "distinct_text_per_lang":
@@ -1149,9 +999,6 @@ def oracle_sql() -> dict[str, str]:
             " min_token_cnt, CAST(SUM(CASE WHEN f.cnt = 1 THEN 1 ELSE 0 END)"
             " AS BIGINT) AS n_hapax FROM tok t JOIN freq f ON t.token = f.token "
             "GROUP BY t.doc_id ORDER BY t.doc_id",
-        "user_event_counts":
-            "SELECT user_id, COUNT(*) AS n, MIN(value) AS min_value, "
-            "MAX(value) AS max_value FROM events GROUP BY user_id",
         "user_event_counts_salted":
             "SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id",
         "spaced_seed_distinct_exact":
@@ -1162,39 +1009,6 @@ def oracle_sql() -> dict[str, str]:
             " UNION ALL SELECT lang, 1 AS sidx, substr(text, pos+0, 1)||substr(text, pos+2, 1)||substr(text, pos+5, 1)||substr(text, pos+8, 1)||substr(text, pos+9, 1) AS care FROM f) "
             "SELECT lang, COUNT(DISTINCT (sidx, care)) AS"
             " n_spaced_distinct FROM u GROUP BY lang ORDER BY lang",
-        "top_users_by_events":
-            "SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id "
-            "ORDER BY n DESC, user_id ASC LIMIT 10",
-        "event_type_daily":
-            "SELECT event_type, "
-            "CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS day_epoch, "
-            "COUNT(*) AS n "
-            "FROM events GROUP BY event_type, date_trunc('day', ts)",
-        "lineitem_pricing_summary":
-            # money as integer cents so distributed partial sums are
-            # order-independent and hash-identical across engines
-            "SELECT l_returnflag, l_linestatus, "
-            "CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty, "
-            "CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)) AS BIGINT)"
-            " AS sum_base_cents, "
-            "CAST(COUNT(*) AS BIGINT) AS count_order, "
-            "CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT)"
-            " / CAST(COUNT(*) AS BIGINT) AS avg_qty "
-            "FROM lineitem GROUP BY l_returnflag, l_linestatus",
-        "top_parts_by_revenue":
-            "SELECT l_partkey, "
-            "CAST(SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT) * "
-            "(100 - CAST(ROUND(l_discount*100) AS BIGINT))) AS BIGINT)"
-            " AS revenue "
-            "FROM lineitem GROUP BY l_partkey "
-            "ORDER BY revenue DESC, l_partkey ASC LIMIT 10",
-        "events_sessionize":
-            "SELECT user_id, CAST(SUM(new_s) AS BIGINT) AS n_sessions "
-            "FROM (SELECT user_id, CASE WHEN prev_ts IS NULL "
-            "OR ts - prev_ts > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_s "
-            "FROM (SELECT user_id, ts, "
-            "LAG(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev_ts "
-            "FROM events)) GROUP BY user_id",
         # bit-exact 128-bit-arithmetic re-implementation of the engine's
         # vectorized splitmix64 (hashing.py:65): wrapping 64x64 multiply
         # as lo*Mlo + 2^32*((lo*Mhi + hi*Mlo) mod 2^32), all in HUGEINT
@@ -1244,11 +1058,6 @@ def oracle_sql() -> dict[str, str]:
             " n_chars DESC, doc_id ROWS BETWEEN UNBOUNDED PRECEDING AND"
             " 1 PRECEDING), 0) // 5000 AS BIGINT) AS bin "
             "FROM documents ORDER BY doc_id",
-        # tie-inclusive trailing window == SQL's RANGE frame semantics
-        "events_sliding_window":
-            "SELECT event_id, COUNT(*) OVER (PARTITION BY user_id ORDER"
-            " BY ts RANGE BETWEEN INTERVAL 30 MINUTE PRECEDING AND"
-            " CURRENT ROW) AS n_trailing FROM events",
         # exact-integer per-doc repetition profile (Gopher A.1.1 shape);
         # unigram stats from the exploded-token GROUP BY, bigram stats
         # from adjacent positional pairs — both engines count identical
@@ -2016,16 +1825,6 @@ def oracle_sql() -> dict[str, str]:
             "list_cosine_similarity(e.embedding, q.qe) AS sim "
             "FROM embeddings e, q) "
             "ORDER BY sim DESC, vec_id ASC LIMIT 10",
-        # semi-structured props extraction + rollup: exact integers;
-        # the pipeline parses with ONE vectorized RE2 pass
-        "events_props_stats":
-            "WITH e AS (SELECT event_type, CAST(regexp_extract(props,"
-            " '\"k\":\\s*(-?\\d+)', 1) AS BIGINT) AS k FROM events) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(k) AS BIGINT) AS sum_k,"
-            " CAST(MIN(k) AS BIGINT) AS min_k,"
-            " CAST(MAX(k) AS BIGINT) AS max_k"
-            " FROM e GROUP BY event_type ORDER BY event_type",
         # per-lang top-5 word bigrams, exact counts, lexicographic ties
         "top_bigrams_per_lang":
             "WITH tok AS (SELECT doc_id, lang, regexp_extract_all(text,"
@@ -2055,9 +1854,6 @@ def oracle_sql() -> dict[str, str]:
         "jsonl_roundtrip_lang_counts":
             "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang"
             " ORDER BY lang",
-        "csv_roundtrip_event_counts":
-            "SELECT event_type, COUNT(*) AS n FROM events"
-            " GROUP BY event_type ORDER BY event_type",
         # TPC-H Q3 shape: 3-way join, exact 10^-4-dollar revenue units
         "segment_revenue_topk":
             "SELECT l.l_orderkey AS o_orderkey,"
@@ -2104,26 +1900,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT token, c_even, c_odd,"
             " CAST(ABS(c_even - c_odd) AS BIGINT) AS drift FROM c"
             " ORDER BY drift DESC, token ASC LIMIT 20",
-        # latest-wins compaction (CDC/upsert): newest event per
-        # (user, type), event_id desc tiebreak; exact integers
-        "latest_event_per_user_type":
-            "WITH r AS (SELECT user_id, event_type, event_id,"
-            " CAST(epoch_us(ts) AS BIGINT) AS ts_us,"
-            " ROW_NUMBER() OVER (PARTITION BY user_id, event_type"
-            " ORDER BY ts DESC, event_id DESC) AS rn FROM events) "
-            "SELECT user_id, event_type, event_id, ts_us FROM r"
-            " WHERE rn = 1 ORDER BY user_id, event_type",
-        # per-type z-score of hourly counts (anomaly flags); exact n,
-        # 6-dp float z (STDDEV_SAMP == pandas std ddof=1)
-        "events_hourly_anomaly":
-            "WITH c AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS"
-            " hour_epoch, CAST(COUNT(*) AS BIGINT) AS n FROM events"
-            " GROUP BY event_type, date_trunc('hour', ts)) "
-            "SELECT event_type, hour_epoch, n,"
-            " ROUND((n - AVG(n) OVER (PARTITION BY event_type)) /"
-            " STDDEV_SAMP(n) OVER (PARTITION BY event_type), 6)"
-            " AS z_r6 FROM c ORDER BY event_type, hour_epoch",
         # GROUPING SETS rollup at three grains from ONE scan
         "docs_rollup_cube":
             "SELECT CAST(CASE WHEN GROUPING(lang) = 1 AND"
@@ -2254,26 +2030,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(SUM((1 - a) * b) AS BIGINT) AS n_only_b,"
             " CAST(SUM((1 - a) * (1 - b)) AS BIGINT) AS n_neither"
             " FROM u",
-        # sweep-line max concurrency: +1/-1 boundary stream, starts
-        # before ends at the same instant (closed intervals)
-        "max_concurrent_sessions":
-            "WITH x AS (SELECT user_id, ts, CASE WHEN prev_ts IS NULL"
-            " OR ts - prev_ts > INTERVAL 30 MINUTE THEN 1 ELSE 0 END"
-            " AS new_s FROM (SELECT user_id, ts,"
-            " LAG(ts) OVER (PARTITION BY user_id ORDER BY ts)"
-            " AS prev_ts FROM events)), "
-            "s AS (SELECT user_id, ts, SUM(new_s) OVER ("
-            "PARTITION BY user_id ORDER BY ts"
-            " ROWS UNBOUNDED PRECEDING) AS sid FROM x), "
-            "iv AS (SELECT user_id, sid, MIN(ts) AS st, MAX(ts) AS en"
-            " FROM s GROUP BY user_id, sid), "
-            "b AS (SELECT st AS t, 1 AS d FROM iv"
-            " UNION ALL SELECT en AS t, -1 AS d FROM iv), "
-            "r AS (SELECT SUM(d) OVER (ORDER BY t, d DESC"
-            " ROWS UNBOUNDED PRECEDING) AS c FROM b) "
-            "SELECT CAST((SELECT MAX(c) FROM r) AS BIGINT)"
-            " AS max_concurrent,"
-            " CAST((SELECT COUNT(*) FROM iv) AS BIGINT) AS n_sessions",
         # global PMI collocations; the 6-dp value uses the SAME
         # left-associative double algebra as the pipeline
         "pmi_top_bigrams":
@@ -2355,15 +2111,6 @@ def oracle_sql() -> dict[str, str]:
             " * ((SELECT COUNT(*) FROM cm) - 1) AS BIGINT) AS dof,"
             " ROUND(SUM((od - e) * (od - e) / e), 6) AS chi2_r6"
             " FROM cell",
-        # fuzzy similarity join: the oracle is the literal all-pairs
-        # levenshtein join the deletion-blocking plan avoids
-        "name_typo_pairs":
-            "WITH un AS (SELECT DISTINCT"
-            " unnest(regexp_extract_all(c_name, '\\S+')) AS w"
-            " FROM customer) "
-            "SELECT a.w AS w1, b.w AS w2 FROM un a JOIN un b"
-            " ON a.w < b.w AND levenshtein(a.w, b.w) = 1"
-            " ORDER BY w1, w2",
         # Misra–Gries in the exact regime (capacity 4096 ≥ fixture
         # vocab): estimates ARE the true counts, so the oracle is the
         # exact top-k with the same (count desc, token) tie-break
@@ -2381,30 +2128,6 @@ def oracle_sql() -> dict[str, str]:
             " FROM documents) "
             "SELECT doc_id, source, n_chars FROM r WHERE rn <= 2"
             " ORDER BY n_chars DESC, doc_id LIMIT 10",
-        # latest-N-per-key compaction (ROW_NUMBER <= 3 twin)
-        "latest_events_per_user":
-            "WITH r AS (SELECT user_id, event_id,"
-            " epoch_ns(ts) AS ts_ns, event_type,"
-            " CAST(ROW_NUMBER() OVER (PARTITION BY user_id"
-            " ORDER BY ts DESC, event_id DESC) AS BIGINT) AS rn"
-            " FROM events) "
-            "SELECT user_id, rn, event_id, ts_ns, event_type FROM r"
-            " WHERE rn <= 3 ORDER BY user_id, rn",
-        # inter-arrival gap quantiles per type: whole-second gaps by
-        # flooring the SAME μs difference; PERCENTILE_DISC p50/p90
-        "event_gap_quantiles":
-            "WITH g AS (SELECT event_type,"
-            " (epoch_us(ts) - LAG(epoch_us(ts)) OVER ("
-            "PARTITION BY user_id, event_type"
-            " ORDER BY ts, event_id)) // 1000000 AS gap_s"
-            " FROM events) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_gaps,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY gap_s)"
-            " AS BIGINT) AS p50_s,"
-            " CAST(PERCENTILE_DISC(0.9) WITHIN GROUP (ORDER BY gap_s)"
-            " AS BIGINT) AS p90_s"
-            " FROM g WHERE gap_s IS NOT NULL"
-            " GROUP BY event_type ORDER BY event_type",
         # no-leakage grouped split: md5(source) hex routes each SOURCE
         # (never a document) to exactly one split
         "grouped_split_counts":
@@ -2447,21 +2170,6 @@ def oracle_sql() -> dict[str, str]:
             " AS key FROM m2) "
             "SELECT doc_id, n_chars FROM kk"
             " ORDER BY key DESC, doc_id LIMIT 20",
-        # funnel view->purchase latency quantiles over first-touch
-        # minima; whole-second delays by flooring the same us diff
-        "funnel_latency_quantiles":
-            "WITH m AS (SELECT user_id,"
-            " MIN(epoch_us(ts)) FILTER (WHERE event_type = 'view')"
-            " AS v,"
-            " MIN(epoch_us(ts)) FILTER (WHERE event_type = 'purchase')"
-            " AS p FROM events GROUP BY user_id), "
-            "l AS (SELECT (p - v) // 1000000 AS lat FROM m"
-            " WHERE v IS NOT NULL AND p IS NOT NULL AND p >= v) "
-            "SELECT CAST(COUNT(*) AS BIGINT) AS n_converted,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP (ORDER BY lat)"
-            " AS BIGINT) AS p50_s,"
-            " CAST(PERCENTILE_DISC(0.9) WITHIN GROUP (ORDER BY lat)"
-            " AS BIGINT) AS p90_s FROM l",
         # robust modified-z outliers: the SAME exact-integer rule
         # 1349*|x-med| > 7000*MAD with PERCENTILE_DISC med/MAD
         "nchars_robust_outliers":
@@ -2564,57 +2272,6 @@ def oracle_sql() -> dict[str, str]:
             " AS upper_ratio_r6,"
             " ROUND(CAST(n_ws AS DOUBLE) / n_chars, 6) AS ws_ratio_r6"
             " FROM c ORDER BY lang",
-        # equi-depth range partitioner: cut i = smallest cents with
-        # cum >= ceil(i*N/k) (exact integer ceiling), shard = #cuts <
-        # cents — decided on the value-cardinality table on both sides
-        "range_shard_bounds":
-            "WITH c AS (SELECT CAST(ROUND(value * 100) AS BIGINT)"
-            " AS cents, CAST(COUNT(*) AS BIGINT) AS n FROM events"
-            " GROUP BY 1), "
-            "cum AS (SELECT cents, n, SUM(n) OVER (ORDER BY cents)"
-            " AS cum, (SELECT SUM(n) FROM c) AS tot FROM c), "
-            "b AS (SELECT unnest(generate_series(1, 7)) AS i), "
-            "bounds AS (SELECT b.i, MIN(cum.cents) AS cut FROM cum"
-            " CROSS JOIN b WHERE cum.cum >= (b.i * cum.tot + 7) // 8"
-            " GROUP BY b.i), "
-            "sh AS (SELECT cents, n, (SELECT COUNT(*) FROM bounds"
-            " WHERE cut < cents) AS shard FROM cum) "
-            "SELECT CAST(shard AS BIGINT) AS shard,"
-            " CAST(SUM(n) AS BIGINT) AS n_rows,"
-            " MIN(cents) AS min_cents, MAX(cents) AS max_cents"
-            " FROM sh GROUP BY shard ORDER BY shard",
-        # exact-integer CUSUM change point per type: the walk uses
-        # x_d*D - total (mean-deviation scaled by the day count, so
-        # no float exists); max |S|, ties to the earliest day
-        "cusum_changepoints":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)"
-            " AS day_epoch, CAST(COUNT(*) AS BIGINT) AS x"
-            " FROM events GROUP BY 1, 2), "
-            "t AS (SELECT event_type, SUM(x) AS tot,"
-            " CAST(COUNT(*) AS BIGINT) AS nd FROM d GROUP BY 1), "
-            "s AS (SELECT d.event_type, d.day_epoch, t.nd,"
-            " CAST(SUM(d.x * t.nd - t.tot) OVER (PARTITION BY"
-            " d.event_type ORDER BY d.day_epoch) AS BIGINT) AS cus"
-            " FROM d JOIN t USING (event_type)), "
-            "r AS (SELECT event_type, day_epoch, nd, ABS(cus) AS a,"
-            " ROW_NUMBER() OVER (PARTITION BY event_type"
-            " ORDER BY ABS(cus) DESC, day_epoch) AS rn FROM s) "
-            "SELECT event_type, day_epoch AS cp_day_epoch,"
-            " CAST(a AS BIGINT) AS max_abs_cusum, nd AS n_days"
-            " FROM r WHERE rn = 1 ORDER BY event_type",
-        # cyclic hour-of-day profile: exact counts/cents, 6-dp share
-        # of the type's total computed AFTER the global sums
-        "hour_of_day_profile":
-            "WITH g AS (SELECT event_type,"
-            " CAST(hour(ts) AS BIGINT) AS hod,"
-            " CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT)"
-            " AS sum_cents FROM events GROUP BY 1, 2) "
-            "SELECT event_type, hod, n, sum_cents,"
-            " ROUND(CAST(n AS DOUBLE) / SUM(n) OVER"
-            " (PARTITION BY event_type), 6) AS share_r6"
-            " FROM g ORDER BY event_type, hod",
         # exact equi-join cardinality: sum of per-user count products
         "join_size_exact":
             "WITH a AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS c"
@@ -2717,19 +2374,6 @@ def oracle_sql() -> dict[str, str]:
             " AS DOUBLE) / 1152921504606846976.0) END, 6)"
             " AS kmv_distinct_r6"
             " FROM r GROUP BY event_type, m ORDER BY event_type",
-        # Pareto skyline: non-dominated (price low, size high) parts
-        "part_skyline":
-            "SELECT p.p_partkey,"
-            " CAST(ROUND(p.p_retailprice*100) AS BIGINT) AS price_cents,"
-            " CAST(p.p_size AS BIGINT) AS p_size FROM part p"
-            " WHERE NOT EXISTS (SELECT 1 FROM part q WHERE"
-            " (CAST(ROUND(q.p_retailprice*100) AS BIGINT)"
-            " < CAST(ROUND(p.p_retailprice*100) AS BIGINT)"
-            " AND q.p_size >= p.p_size)"
-            " OR (CAST(ROUND(q.p_retailprice*100) AS BIGINT)"
-            " <= CAST(ROUND(p.p_retailprice*100) AS BIGINT)"
-            " AND q.p_size > p.p_size))"
-            " ORDER BY p.p_partkey",
         # KMV set algebra: Jaccard of (user, day) sets per type pair,
         # replayed bit-exactly from the two bottom-64 sketches
         "kmv_type_jaccard":
@@ -2794,65 +2438,6 @@ def oracle_sql() -> dict[str, str]:
             " (0.5 * (p + q))) ELSE 0 END + CASE WHEN q > 0 THEN"
             " 0.5 * q * ln(q / (0.5 * (p + q))) ELSE 0 END), 6)"
             " AS jsd_r6 FROM t GROUP BY 1, 2 ORDER BY 1, 2",
-        # exact two-sample KS: integer cross-multiplied CDF supremum
-        "value_ks_matrix":
-            "WITH c AS (SELECT event_type AS t,"
-            " CAST(ROUND(value*100) AS BIGINT) AS v,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
-            "tot AS (SELECT t, SUM(n) AS s FROM c GROUP BY 1), "
-            "pr AS (SELECT a.t AS ta, b.t AS tb, a.s AS sa, b.s AS sb"
-            " FROM tot a JOIN tot b ON a.t < b.t), "
-            "grid AS (SELECT pr.ta, pr.tb, pr.sa, pr.sb, c.v,"
-            " SUM(CASE WHEN c.t = pr.ta THEN c.n ELSE 0 END) AS na,"
-            " SUM(CASE WHEN c.t = pr.tb THEN c.n ELSE 0 END) AS nb"
-            " FROM pr JOIN c ON c.t = pr.ta OR c.t = pr.tb"
-            " GROUP BY 1, 2, 3, 4, 5), "
-            "cum AS (SELECT ta, tb, sa, sb, v,"
-            " SUM(na) OVER (PARTITION BY ta, tb ORDER BY v) AS ca,"
-            " SUM(nb) OVER (PARTITION BY ta, tb ORDER BY v) AS cb"
-            " FROM grid) "
-            "SELECT ta AS type_a, tb AS type_b,"
-            " CAST(MAX(ABS(sb * ca - sa * cb)) AS BIGINT) AS ks_num,"
-            " CAST(ANY_VALUE(sa) * ANY_VALUE(sb) AS BIGINT) AS ks_den,"
-            " ROUND(CAST(MAX(ABS(sb * ca - sa * cb)) AS DOUBLE)"
-            " / (ANY_VALUE(sa) * ANY_VALUE(sb)), 6) AS ks_r6"
-            " FROM cum GROUP BY 1, 2 ORDER BY 1, 2",
-        # unnormalized Haar pyramid over each type's daily revenue
-        # (dense padded grid; bit-length slot arithmetic, no float
-        # log; the 4096-slot oracle cap covers the fixture span only)
-        "daily_revenue_haar":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)//86400"
-            " AS day, CAST(SUM(CAST(ROUND(value*100) AS BIGINT))"
-            " AS BIGINT) AS rev FROM events GROUP BY 1, 2), "
-            "b AS (SELECT MIN(day) AS d0, MAX(day) - MIN(day) + 1"
-            " AS span FROM d), "
-            "p AS (SELECT CASE WHEN span > 1 THEN"
-            " LENGTH(BIN(span - 1)) ELSE 0 END AS levels FROM b), "
-            "o AS (SELECT d.event_type, d.day - b.d0 AS o, d.rev"
-            " FROM d CROSS JOIN b), "
-            "lv AS (SELECT CAST(t.l AS BIGINT) AS l"
-            " FROM range(1, 64) t(l), p WHERE t.l <= p.levels), "
-            "grid AS (SELECT et.event_type, lv.l AS level,"
-            " CAST(t2.pos AS BIGINT) AS pos"
-            " FROM (SELECT DISTINCT event_type FROM d) et"
-            " CROSS JOIN lv CROSS JOIN range(0, 4096) t2(pos)"
-            " CROSS JOIN p WHERE t2.pos < (1 << (p.levels - lv.l))), "
-            "det AS (SELECT o.event_type, lv.l AS level,"
-            " CAST(o.o >> lv.l AS BIGINT) AS pos,"
-            " CAST(SUM(o.rev * (1 - 2 * ((o.o >> (lv.l - 1)) & 1)))"
-            " AS BIGINT) AS c FROM o CROSS JOIN lv GROUP BY 1, 2, 3), "
-            "dd AS (SELECT grid.event_type, grid.level, grid.pos,"
-            " CAST(COALESCE(det.c, 0) AS BIGINT) AS coeff_cents"
-            " FROM grid LEFT JOIN det ON grid.event_type ="
-            " det.event_type AND grid.level = det.level"
-            " AND grid.pos = det.pos), "
-            "ap AS (SELECT o.event_type, CAST(p.levels + 1 AS BIGINT)"
-            " AS level, CAST(0 AS BIGINT) AS pos,"
-            " CAST(SUM(o.rev) AS BIGINT) AS coeff_cents FROM o"
-            " CROSS JOIN p GROUP BY 1, p.levels) "
-            "SELECT * FROM dd UNION ALL SELECT * FROM ap"
-            " ORDER BY event_type, level, pos",
         # exact set-overlap matrix (the KMV Jaccard's exact twin)
         "type_user_overlap_exact":
             "WITH p AS (SELECT DISTINCT event_type, user_id,"
@@ -2876,36 +2461,6 @@ def oracle_sql() -> dict[str, str]:
             " AS jaccard_r6 FROM pr LEFT JOIN inter"
             " ON pr.ta = inter.ta AND pr.tb = inter.tb"
             " ORDER BY 1, 2",
-        # Q20-style pair-level share gate (8*q_ps > q_p, exact ints)
-        "dominant_supplier_parts":
-            "WITH ps AS (SELECT l_partkey, l_suppkey,"
-            " CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT)"
-            " AS q FROM lineitem GROUP BY 1, 2), "
-            "pt AS (SELECT l_partkey, CAST(SUM(q) AS BIGINT) AS tq"
-            " FROM ps GROUP BY 1) "
-            "SELECT ps.l_suppkey AS s_suppkey,"
-            " CAST(COUNT(*) AS BIGINT) AS n_parts"
-            " FROM ps JOIN pt USING (l_partkey)"
-            " WHERE 8 * ps.q > pt.tq GROUP BY 1 ORDER BY 1",
-        # keyset pagination: next 20 after the compound cursor
-        "parts_keyset_page":
-            "SELECT p_partkey,"
-            " CAST(ROUND(p_retailprice*100) AS BIGINT) AS price_cents"
-            " FROM part"
-            " WHERE CAST(ROUND(p_retailprice*100) AS BIGINT) > 90000"
-            " OR (CAST(ROUND(p_retailprice*100) AS BIGINT) = 90000"
-            " AND p_partkey > 0)"
-            " ORDER BY price_cents, p_partkey LIMIT 20",
-        # running distinct via first appearance (min ship day)
-        "cumulative_parts_catalog":
-            "WITH f AS (SELECT l_partkey,"
-            " CAST(MIN(epoch(date_trunc('day', l_shipdate)))"
-            " AS BIGINT) AS d0 FROM lineitem GROUP BY 1), "
-            "c AS (SELECT d0 AS day_epoch, CAST(COUNT(*) AS BIGINT)"
-            " AS n_new FROM f GROUP BY 1) "
-            "SELECT day_epoch, n_new, CAST(SUM(n_new) OVER"
-            " (ORDER BY day_epoch) AS BIGINT) AS n_cum"
-            " FROM c ORDER BY day_epoch",
         # C4-style prefix dedup groups (first-64-char collisions)
         "prefix_dup_groups":
             "WITH p AS (SELECT doc_id, substr(text, 1, 64) AS pref"
@@ -2933,59 +2488,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(doc_bucket AS BIGINT) AS doc_bucket, n_new,"
             " CAST(SUM(n_new) OVER (ORDER BY doc_bucket) AS BIGINT)"
             " AS n_cum FROM c ORDER BY doc_bucket",
-        # monotone increasing runs on the daily revenue series
-        "revenue_up_run_lengths":
-            "WITH d AS (SELECT event_type,"
-            " CAST(epoch(date_trunc('day', ts)) AS BIGINT)//86400"
-            " AS day, CAST(SUM(CAST(ROUND(value*100) AS BIGINT))"
-            " AS BIGINT) AS rev FROM events GROUP BY 1, 2), "
-            "s AS (SELECT event_type, day, rev, LAG(rev) OVER"
-            " (PARTITION BY event_type ORDER BY day) AS pr FROM d), "
-            "u AS (SELECT event_type, day, CASE WHEN rev > pr THEN 1"
-            " ELSE 0 END AS up FROM s WHERE pr IS NOT NULL), "
-            "g AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY"
-            " event_type ORDER BY day) - ROW_NUMBER() OVER"
-            " (PARTITION BY event_type, up ORDER BY day) AS grp"
-            " FROM u), "
-            "r AS (SELECT event_type, grp, COUNT(*) AS len FROM g"
-            " WHERE up = 1 GROUP BY 1, 2) "
-            "SELECT d0.event_type,"
-            " CAST(COALESCE(MAX(r.len), 0) AS BIGINT)"
-            " AS longest_up_run,"
-            " CAST(COUNT(r.len) AS BIGINT) AS n_up_runs"
-            " FROM (SELECT DISTINCT event_type FROM d) d0"
-            " LEFT JOIN r ON d0.event_type = r.event_type"
-            " GROUP BY 1 ORDER BY 1",
-        # goodness-of-fit chi2 vs uniform weekdays (missing-day cells
-        # contribute e each; permutation-invariant so the dow
-        # convention cancels)
-        "weekday_uniformity_chi2":
-            "WITH c AS (SELECT o_orderpriority AS pr,"
-            " isodow(o_orderdate) AS dow,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM orders"
-            " GROUP BY 1, 2), "
-            "t AS (SELECT pr, SUM(n) AS tot, COUNT(*) AS k FROM c"
-            " GROUP BY 1) "
-            "SELECT t.pr AS o_orderpriority,"
-            " CAST(t.tot AS BIGINT) AS n_orders,"
-            " ROUND(SUM(((c.n - t.tot / 7.0) * (c.n - t.tot / 7.0))"
-            " / (t.tot / 7.0)) + (7 - ANY_VALUE(t.k))"
-            " * (ANY_VALUE(t.tot) / 7.0), 6) AS chi2_r6"
-            " FROM c JOIN t ON c.pr = t.pr GROUP BY 1, 2 ORDER BY 1",
-        # time-weighted average: step integral with whole-second gap
-        # weights (exact integer numerator/denominator)
-        "value_twap_by_type":
-            "WITH s AS (SELECT event_type,"
-            " CAST(ROUND(value*100) AS BIGINT) AS v, epoch_us(ts)"
-            " AS cur, LEAD(epoch_us(ts)) OVER (PARTITION BY event_type"
-            " ORDER BY ts, event_id) AS nxt FROM events) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_gaps,"
-            " CAST(SUM(v * ((nxt - cur) // 1000000)) AS BIGINT)"
-            " AS sum_vw,"
-            " CAST(SUM((nxt - cur) // 1000000) AS BIGINT) AS sum_w,"
-            " ROUND(CAST(SUM(v * ((nxt - cur) // 1000000)) AS DOUBLE)"
-            " / SUM((nxt - cur) // 1000000), 6) AS twap_r6"
-            " FROM s WHERE nxt IS NOT NULL GROUP BY 1 ORDER BY 1",
         # incremental ingestion dedup report: day 1 = even doc_ids,
         # day 2 = odd; C4-style 64-char-prefix fingerprint (same key
         # as prefix_dup_groups); each day-2 doc is dup_day1 /
@@ -3084,35 +2586,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(r.fq AS BIGINT) AS floor_quota,"
             " CAST(r.rem AS BIGINT) AS remainder"
             " FROM r, s ORDER BY r.source",
-        # bounce rate by session entry type: >30-min-gap sessions
-        # (events_sessionize rule, ties by (ts, event_id)); entry =
-        # first event's type; bounce = single-event session
-        "session_bounce_rate":
-            "WITH s AS (SELECT user_id, ts, event_id, event_type,"
-            " CASE WHEN LAG(ts) OVER w IS NULL"
-            " OR ts - LAG(ts) OVER w > INTERVAL 30 MINUTE"
-            " THEN 1 ELSE 0 END AS new_s FROM events"
-            " WINDOW w AS (PARTITION BY user_id"
-            " ORDER BY ts, event_id)), "
-            "g AS (SELECT user_id, ts, event_id, event_type,"
-            " SUM(new_s) OVER (PARTITION BY user_id"
-            " ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING)"
-            " AS sid FROM s), "
-            "per AS (SELECT user_id, sid,"
-            " CAST(COUNT(*) AS BIGINT) AS ne FROM g GROUP BY 1, 2), "
-            "ent AS (SELECT user_id, sid, event_type FROM ("
-            "SELECT user_id, sid, event_type, ROW_NUMBER() OVER ("
-            "PARTITION BY user_id, sid ORDER BY ts, event_id) AS rn"
-            " FROM g) WHERE rn = 1) "
-            "SELECT ent.event_type AS entry_type,"
-            " CAST(COUNT(*) AS BIGINT) AS n_sessions,"
-            " CAST(SUM(CASE WHEN per.ne = 1 THEN 1 ELSE 0 END)"
-            " AS BIGINT) AS n_bounce,"
-            " CAST(SUM(per.ne) AS BIGINT) AS n_events,"
-            " ROUND(CAST(SUM(CASE WHEN per.ne = 1 THEN 1 ELSE 0 END)"
-            " AS DOUBLE) / COUNT(*), 6) AS bounce_rate_r6"
-            " FROM per JOIN ent USING (user_id, sid)"
-            " GROUP BY 1 ORDER BY 1",
         # gate-tuning sweep: integer cross-multiplied alpha-ratio gate
         # over a threshold grid, per language
         "quality_gate_sweep":
@@ -3129,29 +2602,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(SUM(kept) AS DOUBLE) / COUNT(*), 6)"
             " AS keep_rate_r6"
             " FROM g GROUP BY 1, 2 ORDER BY 1, 2",
-        # tenure: whole weeks between a user's first and last event
-        "user_tenure_distribution":
-            "WITH u AS (SELECT user_id,"
-            " (MAX(epoch_us(ts)) - MIN(epoch_us(ts))) // 604800000000"
-            " AS w FROM events GROUP BY 1) "
-            "SELECT CAST(w AS BIGINT) AS tenure_weeks,"
-            " CAST(COUNT(*) AS BIGINT) AS n_users FROM u"
-            " GROUP BY 1 ORDER BY 1",
-        # order-size counts-of-counts + overdispersion index
-        # (mirrored op order: skk/n - (sk/n)^2, then /mean, 6-dp)
-        "order_size_distribution":
-            "WITH c AS (SELECT l_orderkey,"
-            " CAST(COUNT(*) AS BIGINT) AS k FROM lineitem"
-            " GROUP BY 1), "
-            "t AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n,"
-            " CAST(SUM(k) AS DOUBLE) AS sk,"
-            " CAST(SUM(k*k) AS DOUBLE) AS skk FROM c), "
-            "d AS (SELECT ROUND((skk/n - (sk/n)*(sk/n)) / (sk/n), 6)"
-            " AS disp FROM t) "
-            "SELECT CAST(c.k AS BIGINT) AS n_items,"
-            " CAST(COUNT(*) AS BIGINT) AS n_orders,"
-            " ANY_VALUE(d.disp) AS dispersion_r6"
-            " FROM c, d GROUP BY c.k ORDER BY 1",
         # the resumable curation runner's end-to-end twin: alpha gate
         # at 82% + global first-wins (min doc_id per text) dedup —
         # doc_id-ordered fragments make the runner's per-partition
@@ -3221,27 +2671,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(d.dot / (na.nrm * nb.nrm), 6) AS cos_r6"
             " FROM d JOIN n na ON d.la = na.label"
             " JOIN n nb ON d.lb = nb.label ORDER BY 1, 2",
-        # Spearman with average ranks carried as 2·rank integers
-        # (2·avg = 2·RANK + #ties − 1); S folds exactly, one final
-        # 6-dp division with mirrored op order
-        "supplier_rank_correlation":
-            "WITH r AS (SELECT l_suppkey AS sk,"
-            " SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)"
-            " * (100 - CAST(ROUND(l_discount*100) AS BIGINT)))"
-            " AS rev FROM lineitem GROUP BY 1), "
-            "m AS (SELECT r.sk, r.rev,"
-            " CAST(ROUND(s.s_acctbal*100) AS BIGINT) AS bal"
-            " FROM r JOIN supplier s ON r.sk = s.s_suppkey), "
-            "rk AS (SELECT sk,"
-            " 2*RANK() OVER (ORDER BY rev)"
-            " + COUNT(*) OVER (PARTITION BY rev) - 1 AS ra,"
-            " 2*RANK() OVER (ORDER BY bal)"
-            " + COUNT(*) OVER (PARTITION BY bal) - 1 AS rb FROM m), "
-            "t AS (SELECT CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM((ra-rb)*(ra-rb)) AS BIGINT) AS s FROM rk) "
-            "SELECT n AS n_suppliers, s AS sum_d2_4x,"
-            " ROUND(1.0 - 3.0*s / (2.0*n*(n*n - 1)), 6)"
-            " AS spearman_r6 FROM t",
         # the curation runner WITH the MinHash near-dup stage: with
         # doc_id-ordered fragments the runner's survivors equal the
         # plain greedy min-neighbor rule over the gated corpus (drop a
@@ -3295,9 +2724,6 @@ def oracle_sql() -> dict[str, str]:
         " FROM lexr FULL OUTER JOIN denr ON lexr.doc_id = denr.doc_id) "
         "SELECT doc_id, ROUND(s, 6) AS rrf_r6 FROM f"
         " ORDER BY ROUND(s, 6) DESC, doc_id LIMIT 10")
-    zterms = " | ".join(
-        [f"(((x >> {i}) & 1) << {2 * i})" for i in range(8)]
-        + [f"(((y >> {i}) & 1) << {2 * i + 1})" for i in range(8)])
     # canonical per-cluster doc: composes the dup_clusters recursive
     # CTE verbatim, attaches n_chars, picks max-n_chars (tie min id)
     d["dup_cluster_representatives"] = (
@@ -3311,12 +2737,4 @@ def oracle_sql() -> dict[str, str]:
         "SELECT cluster_id, cluster_size, doc_id AS rep_doc,"
         " CAST(n_chars AS BIGINT) AS rep_n_chars FROM r"
         " WHERE rn = 1 ORDER BY cluster_id")
-    d["zorder_bucket_counts"] = (
-        "WITH b AS (SELECT user_id & 255 AS x,"
-        " (CAST(epoch(date_trunc('hour', ts)) AS BIGINT) // 3600)"
-        " & 255 AS y FROM events), "
-        f"z AS (SELECT ({zterms}) >> 8 AS bucket FROM b) "
-        "SELECT CAST(bucket AS BIGINT) AS bucket,"
-        " CAST(COUNT(*) AS BIGINT) AS n FROM z"
-        " GROUP BY bucket ORDER BY bucket")
     return d

@@ -3,12 +3,13 @@ events and the TPC-H-style tables).  Each function takes ``sf_dir`` and
 returns a small result (Dataset → pandas/Arrow by the caller); the
 matching ANSI-SQL oracles live in ``__ray_entry__.oracle_sql``.
 
-Most queries drive engine code: the mergeable sketches, the dedup and
-near-dup stages, the cleaning and decontamination stages and the
-curation runner.  The TPC-H/events queries here that reach none of it
-are generic Ray Data groupby/join shapes, not the engine; the exact
-twins ``join_size_exact``, ``event_user_setops`` and
-``type_user_overlap_exact`` stay as references for the sketch tests.
+Every query that reads the events or TPC-H-style tables drives engine
+code (the mergeable sketches, the dedup and near-dup stages, the
+cleaning and decontamination stages, the curation runner), except the
+exact twins ``join_size_exact``, ``event_user_setops`` and
+``type_user_overlap_exact``, which stay as references for the sketch
+tests.  ``tests/test_oracle_parity.py::test_no_table_only_queries``
+checks this by an AST closure scan.
 
 Scale notes: every reader prunes columns at the parquet read; per-batch
 work is vectorized (pyarrow.compute / pandas C kernels / numpy);
@@ -59,7 +60,9 @@ def _cents_away(x: np.ndarray) -> np.ndarray:
     """Integer cents with SQL ROUND semantics (half AWAY from zero).
     ``np.round``/``pc.round`` default to banker's half-to-even, which
     diverges from DuckDB's ROUND on an exact .5 at the cent boundary
-    (latent on 2-dp fixtures, real on >=3-dp data)."""
+    (latent on 2-dp fixtures, real on >=3-dp data).  Integer money sums
+    are also order-independent, so distributed partials match the
+    oracle exactly."""
     return (np.sign(x) * np.floor(np.abs(x) * 100.0 + 0.5)).astype(np.int64)
 
 
@@ -101,50 +104,11 @@ def median_nchars_by_lang(sf_dir: str):
     return ds.groupby("lang").map_groups(med, batch_format="pandas").to_pandas()
 
 
-#: shared input-row gate for the event-rollup driver-combine tiers: the
-#: block partials are output-scale ((type, bucket) / user rows), so
-#: below this many INPUT rows they combine in one driver pandas groupby
-#: instead of a native shuffle; above it the native aggregate runs
+#: input-row gate of the exact events twins (``event_user_setops``,
+#: ``type_user_overlap_exact``, ``join_size_exact``): below this many
+#: events rows their output-scale (user / type, user-day) partials
+#: combine in one driver pandas groupby; above it a native shuffle runs
 EVENTS_DRIVER_MAX_ROWS = 5_000_000
-
-
-def events_hourly(sf_dir: str):
-    """Windowed aggregate, tiered: per-block (type, hour) partials with
-    n/min/max always pre-reduce inside map_batches; below the row gate
-    they combine on the driver, above it a native Sum/Min/Max groupby
-    finishes (identical output, tier-parity-tested)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        # integral epoch seconds rather than a timestamp column: immune to
-        # datetime64 unit differences between engines in the value hash;
-        # cast via timestamp("s") so the conversion is input-unit-independent
-        hour = (pc.floor_temporal(b["ts"], unit="hour")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "hour_epoch": hour.to_numpy(zero_copy_only=False),
-            "value": b["value"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "hour_epoch"], as_index=False)
-               .agg(n=("value", "size"), min_value=("value", "min"),
-                    max_value=("value", "max")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        out = (p.groupby(["event_type", "hour_epoch"], as_index=False)
-               .agg(n=("n", "sum"), min_value=("min_value", "min"),
-                    max_value=("max_value", "max")))
-        return out
-
-    out = (parts_ds
-           .groupby(["event_type", "hour_epoch"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Min("min_value", alias_name="min_value"),
-                      Max("max_value", alias_name="max_value")))
-    return out.to_pandas()
 
 
 # -- dedup / distinct ---------------------------------------------------------
@@ -458,99 +422,6 @@ def kll_nchars_quantiles(sf_dir: str, qs=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99)):
                          "n_chars_est": pd.Series(est, dtype=np.float64)})
 
 
-# -- relational pipelines over the TPC-H-ish tables ---------------------------
-# Money amounts aggregate as INTEGER cents/basis-points (2- and 4-decimal
-# values round-trip exactly through float64×100) so distributed partial
-# sums are order-independent and hash-identical to the SQL oracle —
-# float summation order would differ between engines in the last ulps.
-
-def lineitem_pricing_summary(sf_dir: str):
-    """TPC-H Q1 shape: per (returnflag, linestatus) pricing rollup.
-    Per-batch integer partials → native Sum/Count groupby (6 partial
-    columns per batch-group, never the 60k+ rows)."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_linestatus", "l_quantity",
-                        "l_extendedprice"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_pandas(),
-            "l_linestatus": b["l_linestatus"].to_pandas(),
-            "qty": b["l_quantity"].to_numpy(zero_copy_only=False)
-                   .astype(np.int64),
-            "base_cents": _cents_away(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False)),
-        })
-        agg = (df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-               .agg(sum_qty=("qty", "sum"),
-                    sum_base_cents=("base_cents", "sum"),
-                    count_order=("qty", "size")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                      Sum("sum_base_cents", alias_name="sum_base_cents"),
-                      Sum("count_order", alias_name="count_order"))
-           .to_pandas())
-    out["avg_qty"] = out["sum_qty"] / out["count_order"]
-    return out
-
-
-#: lineitem-side row gate: below this the per-block (partkey, revenue)
-#: partials combine on the driver (bounded by distinct parts × blocks);
-#: above it the native groupby shuffle takes over
-LINEITEM_DRIVER_MAX_ROWS = 5_000_000
-
-
-def top_parts_by_revenue(sf_dir: str, k: int = 10):
-    """O3 top-k on a revenue rollup: lineitem revenue in integer
-    10⁻⁴-dollar units (extprice_cents × (100 − disc_pct)), pre-agg per
-    batch, then tiered combine: below ``LINEITEM_DRIVER_MAX_ROWS`` the
-    block partials sum on the driver (one pandas groupby, no shuffle);
-    above it a native Sum groupby + per-block exact top-k +
-    deterministic sort-limit."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_extendedprice", "l_discount"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(b["l_discount"].to_numpy(zero_copy_only=False))
-        rev = cents * (100 - disc)
-        df = pd.DataFrame({"l_partkey":
-                           b["l_partkey"].to_numpy(zero_copy_only=False),
-                           "revenue": rev})
-        agg = df.groupby("l_partkey", as_index=False)["revenue"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        parts = parts_ds.to_pandas()
-        agg = parts.groupby("l_partkey", as_index=False)["revenue"].sum()
-        return (agg.sort_values(["revenue", "l_partkey"],
-                                ascending=[False, True])
-                .head(k).reset_index(drop=True))
-
-    summed = (parts_ds
-              .groupby("l_partkey")
-              .aggregate(Sum("revenue", alias_name="revenue")))
-
-    def local_topk(b: pa.Table) -> pa.Table:
-        # post-groupby blocks hold DISJOINT part keys, so per-block
-        # top-k is exact; the global sort then touches ≤ k·n_blocks rows
-        rev = b["revenue"].to_numpy(zero_copy_only=False)
-        keys = b["l_partkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((keys, -rev))[:k]
-        return pa.table({"l_partkey": pa.array(keys[order]),
-                         "revenue": pa.array(rev[order])})
-
-    return (summed.map_batches(local_topk, batch_format="pyarrow")
-            .sort(["revenue", "l_partkey"], descending=[True, False])
-            .limit(k).to_pandas())
-
-
 def pack_documents(sf_dir: str, capacity_chars: int = 5000):
     """Sequence PACKING (the LLM sample-packing shape): assign each doc
     to a fixed-capacity bin by a GLOBAL prefix scan over the
@@ -641,67 +512,6 @@ def stratified_sample(sf_dir: str, n_per_lang: int = 50):
            .groupby("lang", as_index=False).head(n_per_lang))
     return (out[["lang", "doc_id"]].sort_values(["lang", "doc_id"])
             .reset_index(drop=True))
-
-
-def events_sliding_window(sf_dir: str, window_minutes: int = 30):
-    """SLIDING-window aggregate (the tumbling twin is events_hourly):
-    for every event, the count of the same user's events in the
-    trailing ``window_minutes`` (inclusive bounds, tie-inclusive —
-    exactly SQL's ``RANGE BETWEEN INTERVAL ... PRECEDING AND CURRENT
-    ROW`` frame).  Hash-partition by user (groupby), per-group kernel =
-    two vectorized ``searchsorted`` passes over the time-sorted array —
-    no row loops, exact integers (no float hash hazard).  Partitioning
-    assumption, documented: a user's history fits one group (the
-    standard entity-window sharding; salt by time range for
-    pathological single-entity streams)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    win_ns = np.int64(window_minutes) * 60 * 1_000_000_000
-
-    def tag(b: pa.Table) -> pa.Table:
-        ts_ns = b["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-        return pa.table({"event_id": b["event_id"],
-                         "user_id": b["user_id"],
-                         "ts_ns": ts_ns})
-
-    def window_counts(g: pa.Table) -> pa.Table:
-        ts = g["ts_ns"].to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ts, kind="stable")
-        ts_s = ts[order]
-        hi = np.searchsorted(ts_s, ts, side="right")
-        lo = np.searchsorted(ts_s, ts - win_ns, side="left")
-        return pa.table({"event_id": pa.array(eid),
-                         "n_trailing": pa.array(hi - lo)})
-
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("user_id")
-            .map_groups(window_counts, batch_format="pyarrow")
-            .to_pandas())
-
-
-def events_sessionize(sf_dir: str, gap_minutes: int = 30):
-    """Windowed/stateful operator: per-user sessionization — a new
-    session starts when the gap to the previous event exceeds
-    ``gap_minutes``.  Hash-partition by user (groupby), per-group
-    vectorized diff over the time-sorted events; only (user, count)
-    rows leave the shuffle."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    gap_ns = gap_minutes * 60 * 1_000_000_000
-
-    def sessions(g: pa.Table) -> pa.Table:
-        # cast UP to timestamp("ns"): input-unit-independent and lossless
-        # for s/ms/us/ns inputs (downcasting would raise on sub-second
-        # precision)
-        ts = np.sort(g["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-                     .to_numpy(zero_copy_only=False))
-        n = 1 + int((np.diff(ts) > gap_ns).sum()) if len(ts) else 0
-        return pa.table({
-            "user_id": pa.array([g["user_id"][0].as_py()], type=pa.int64()),
-            "n_sessions": pa.array([n], type=pa.int64()),
-        })
-
-    return (ds.groupby("user_id")
-            .map_groups(sessions, batch_format="pyarrow").to_pandas())
 
 
 def deterministic_sample_hash(sf_dir: str, rate: float = 0.125):
@@ -971,9 +781,10 @@ def repeated_substrings(sf_dir: str, k: int = REPEAT_SUBSTR_K):
 
         rep_h = rep_h.map_batches(only_repeated, batch_format="pyarrow")
         joined = hash_join(pairs, rep_h, on=("h",))
-        rep = (joined.groupby("doc_id")
-               .aggregate(Sum("pos_cnt", alias_name="n_repeated"))
-               .to_pandas())
+        rep = _parts_pandas(
+            joined.groupby("doc_id")
+            .aggregate(Sum("pos_cnt", alias_name="n_repeated")),
+            {"doc_id": np.int64, "n_repeated": np.int64})
 
     out = npos.merge(rep, on="doc_id", how="left")
     out["n_repeated"] = out.n_repeated.fillna(0).astype(np.int64)
@@ -1053,8 +864,9 @@ def remove_boilerplate_ngrams(sf_dir: str, n: int = BOILERPLATE_N,
             return b.filter(pc.greater_equal(b["n_docs"],
                                              min_docs)).select(["h"])
 
-        freq = np.sort(agg.map_batches(hot, batch_format="pyarrow")
-                       .to_pandas().h.to_numpy())
+        freq = np.sort(_parts_pandas(
+            agg.map_batches(hot, batch_format="pyarrow"),
+            {"h": np.int64}).h.to_numpy())
     freq_ref = ray.put(freq)
 
     def clean(b: pa.Table) -> pa.Table:
@@ -2853,45 +2665,8 @@ def corpus_report(sf_dir: str):
         "n_bench_docs": [np.int64(p.n_bench_docs.sum())]})
 
 
-# -- round-4 additions: semi-structured props, per-group top-k bigrams,
-# -- window ranks, and non-parquet source/sink round-trips ------------------
-
-def events_props_stats(sf_dir: str):
-    """Semi-structured column extraction + rollup: parse the JSON
-    ``props`` payload (``{"k": N}``) with ONE vectorized RE2 pass
-    (``pc.extract_regex`` — no Python-level json.loads per row) and
-    aggregate per event_type.  Same tiering as the other event rollups:
-    per-block partials always pre-reduce inside map_batches; below
-    ``EVENTS_DRIVER_MAX_ROWS`` the output-scale partials combine on the
-    driver, above it a native Sum/Min/Max groupby finishes."""
-    ds = _read(sf_dir, "events", columns=["event_type", "props"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(b["props"], pattern=r'"k":\s*(?P<k>-?\d+)')
-        k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "k": k.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby("event_type", as_index=False)
-               .agg(n=("k", "size"), sum_k=("k", "sum"),
-                    min_k=("k", "min"), max_k=("k", "max")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        out = (p.groupby("event_type", as_index=False)
-               .agg(n=("n", "sum"), sum_k=("sum_k", "sum"),
-                    min_k=("min_k", "min"), max_k=("max_k", "max")))
-    else:
-        out = (parts_ds.groupby("event_type")
-               .aggregate(Sum("n", alias_name="n"),
-                          Sum("sum_k", alias_name="sum_k"),
-                          Min("min_k", alias_name="min_k"),
-                          Max("max_k", alias_name="max_k"))
-               .to_pandas())
-    return out.sort_values("event_type").reset_index(drop=True)
+# -- round-4 additions: per-group top-k bigrams, window ranks, and
+# -- non-parquet source/sink round-trips --------------------------------------
 
 
 #: driver-combine gate for the bigram count table (output-scale:
@@ -3062,25 +2837,6 @@ def jsonl_roundtrip_lang_counts(sf_dir: str):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return out.sort_values("lang").reset_index(drop=True)
-
-
-def csv_roundtrip_event_counts(sf_dir: str):
-    """CSV source/sink round-trip: events (event_id, event_type) →
-    CSV shards → ``ray.data.read_csv`` → per-type counts; oracled by
-    the plain SQL rollup over the original parquet view."""
-    import shutil
-    import tempfile
-
-    ds = _read(sf_dir, "events", columns=["event_id", "event_type"])
-    tmp = tempfile.mkdtemp(prefix="bbr_csv_", dir="/tmp")
-    try:
-        ds.write_csv(tmp)
-        back = ray.data.read_csv(tmp)
-        out = (back.groupby("event_type")
-               .aggregate(Count(alias_name="n")).to_pandas())
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return out.sort_values("event_type").reset_index(drop=True)
 
 
 #: segment-customer broadcast gate: below this many CUSTOMER rows the
@@ -3406,91 +3162,6 @@ def token_drift_topk(sf_dir: str, k: int = 20):
             [["token", "c_even", "c_odd", "drift"]])
 
 
-def latest_event_per_user_type(sf_dir: str):
-    """Latest-wins compaction (the CDC/upsert shape): for every
-    (user_id, event_type) keep the newest event, ties broken by
-    event_id desc.  Per-block argmax partials bound block output by
-    the block's own distinct key count — at most #blocks candidate
-    rows per key ever shuffle; the combine is tiered on the shared
-    event gate (driver fold below, native groupby + per-group argmax
-    above)."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        ts_us = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-                 .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "event_type": b["event_type"].to_pandas(),
-            "event_id": b["event_id"].to_numpy(zero_copy_only=False),
-            "ts_us": ts_us})
-        df = df.sort_values(["user_id", "event_type", "ts_us",
-                             "event_id"])
-        keep = df.groupby(["user_id", "event_type"], as_index=False)
-        return pa.Table.from_pandas(keep.tail(1), preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        p = p.sort_values(["user_id", "event_type", "ts_us", "event_id"])
-        out = p.groupby(["user_id", "event_type"], as_index=False).tail(1)
-    else:
-        def pick_latest(g: pa.Table) -> pa.Table:
-            ts = g["ts_us"].to_numpy(zero_copy_only=False)
-            eid = g["event_id"].to_numpy(zero_copy_only=False)
-            i = int(np.lexsort((eid, ts))[-1])
-            return g.slice(i, 1)
-
-        out = (parts_ds.groupby(["user_id", "event_type"])
-               .map_groups(pick_latest, batch_format="pyarrow")
-               .to_pandas())
-    return (out.sort_values(["user_id", "event_type"])
-            .reset_index(drop=True)
-            [["user_id", "event_type", "event_id", "ts_us"]])
-
-
-def events_hourly_anomaly(sf_dir: str):
-    """Anomaly flags over the hourly rollup: per event_type, the
-    z-score of each hour's event count against that type's own
-    hourly mean/stddev (sample).  The corpus-scale work is the SAME
-    tiered hourly rollup as ``events_hourly``; the z-pass runs on the
-    output-scale (type, hour) table on the driver — #hours × #types
-    rows regardless of corpus size.  Exact-integer ``n`` pins the
-    rollup; the float z is 6-dp rounded (same absorption contract as
-    the other float oracles)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        hour = (pc.floor_temporal(b["ts"], unit="hour")
-                .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "hour_epoch": hour.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "hour_epoch"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        p = parts_ds.to_pandas()
-        counts = (p.groupby(["event_type", "hour_epoch"], as_index=False)
-                  ["n"].sum())
-    else:
-        counts = (parts_ds.groupby(["event_type", "hour_epoch"])
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    g = counts.groupby("event_type")["n"]
-    mu = g.transform("mean")
-    sd = g.transform("std")  # sample stddev, ddof=1 == SQL STDDEV_SAMP
-    counts["z_r6"] = np.round((counts["n"] - mu) / sd, 6)
-    return (counts.sort_values(["event_type", "hour_epoch"])
-            .reset_index(drop=True)
-            [["event_type", "hour_epoch", "n", "z_r6"]])
-
-
 def docs_rollup_cube(sf_dir: str):
     """GROUPING-SETS rollup: doc counts and char sums at THREE grains —
     (lang, source), (lang), and grand total — in one result, the
@@ -3791,8 +3462,9 @@ def region_revenue(sf_dir: str, year: int = 1996):
                [["revenue_e4", "n_items"]].sum())
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    parts = (joined.map_batches(reg_partial, batch_format="pyarrow")
-             .to_pandas())
+    parts = _parts_pandas(
+        joined.map_batches(reg_partial, batch_format="pyarrow"),
+        {"rcode": np.int64, "revenue_e4": np.int64, "n_items": np.int64})
     return finish(parts)
 
 
@@ -3965,96 +3637,6 @@ def event_user_setops(sf_dir: str, type_a: str = "click",
         "n_only_a": [np.int64(int((a & (1 - b)).sum()))],
         "n_only_b": [np.int64(int(((1 - a) & b).sum()))],
         "n_neither": [np.int64(int(((1 - a) & (1 - b)).sum()))]})
-
-
-def max_concurrent_sessions(sf_dir: str, gap_minutes: int = 30):
-    """Sweep-line interval aggregation: the global maximum number of
-    concurrently open sessions (closed intervals [first_ts, last_ts]
-    from the same 30-min-gap sessionization the sessionize operator
-    uses).  Plan: per-user map_groups emits (start, end, unique
-    boundary ids) — session-scale rows, not event-scale — then the
-    boundary stream (+1 at start, −1 at end; starts sort before ends
-    at the same instant) reduces by a DISTRIBUTED MAX-PREFIX-SUM: sort
-    by the unique (t, dneg, bid) key, one pass reads per block only
-    (first-key, Σdelta, local prefix max), and the driver folds
-    #blocks rows — max = max_i(offset_i + local_max_i).  No second
-    pass and nothing event-scale ever reaches the driver; below the
-    shared events gate the fold runs directly on the session-scale
-    boundary table."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    gap_ns = gap_minutes * 60 * 1_000_000_000
-
-    def bounds(g: pa.Table) -> pa.Table:
-        ts = np.sort(g["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-                     .to_numpy(zero_copy_only=False))
-        if len(ts) == 0:
-            return pa.table({"t": pa.array([], pa.int64()),
-                             "dneg": pa.array([], pa.int64()),
-                             "bid": pa.array([], pa.int64())})
-        new_s = np.empty(len(ts), dtype=bool)
-        new_s[0] = True
-        new_s[1:] = np.diff(ts) > gap_ns
-        starts = ts[new_s]
-        # session end = element before the next session start
-        end_idx = np.r_[np.flatnonzero(new_s)[1:] - 1, len(ts) - 1]
-        ends = ts[end_idx]
-        uid = int(g["user_id"][0].as_py())
-        sid = uid * (1 << 20) + np.arange(len(starts), dtype=np.int64)
-        t = np.concatenate([starts, ends])
-        d = np.concatenate([np.ones(len(starts), dtype=np.int64),
-                            -np.ones(len(ends), dtype=np.int64)])
-        bid = np.concatenate([sid * 2, sid * 2 + 1])
-        return pa.table({"t": pa.array(t), "dneg": pa.array(-d),
-                         "bid": pa.array(bid)})
-
-    bounds_ds = ds.groupby("user_id").map_groups(
-        bounds, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        bdf = bounds_ds.to_pandas()
-        if len(bdf) == 0:  # empty input: map_groups emits no schema
-            return pd.DataFrame({"max_concurrent": [np.int64(0)],
-                                 "n_sessions": [np.int64(0)]})
-        order = np.lexsort((bdf["bid"].to_numpy(),
-                            bdf["dneg"].to_numpy(),
-                            bdf["t"].to_numpy()))
-        d = -bdf["dneg"].to_numpy(np.int64)[order]
-        mx = int(np.cumsum(d).max()) if len(d) else 0
-        n_sessions = len(bdf) // 2
-    else:
-        sorted_ds = bounds_ds.sort(["t", "dneg", "bid"]).materialize()
-
-        def block_partial(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return pa.table({"k_t": pa.array([], pa.int64()),
-                                 "k_dneg": pa.array([], pa.int64()),
-                                 "k_bid": pa.array([], pa.int64()),
-                                 "bsum": pa.array([], pa.int64()),
-                                 "bmax": pa.array([], pa.int64()),
-                                 "bn": pa.array([], pa.int64())})
-            d = -b["dneg"].to_numpy(zero_copy_only=False)
-            cs = np.cumsum(d)
-            return pa.table({
-                "k_t": pa.array([int(b["t"][0].as_py())]),
-                "k_dneg": pa.array([int(b["dneg"][0].as_py())]),
-                "k_bid": pa.array([int(b["bid"][0].as_py())]),
-                "bsum": pa.array([int(cs[-1])]),
-                "bmax": pa.array([int(cs.max())]),
-                "bn": pa.array([b.num_rows])})
-
-        blocks = (sorted_ds.map_batches(block_partial,
-                                        batch_format="pyarrow",
-                                        batch_size=None).to_pandas())
-        if len(blocks) == 0:
-            return pd.DataFrame({"max_concurrent": [np.int64(0)],
-                                 "n_sessions": [np.int64(0)]})
-        blocks = blocks.sort_values(["k_t", "k_dneg", "k_bid"])
-        offs = blocks.bsum.cumsum().shift(fill_value=0).to_numpy()
-        mx = int((offs + blocks.bmax.to_numpy()).max()) if len(blocks) \
-            else 0
-        n_sessions = int(blocks.bn.sum()) // 2
-    return pd.DataFrame({"max_concurrent": [np.int64(mx)],
-                         "n_sessions": [np.int64(n_sessions)]})
 
 
 def pmi_top_bigrams(sf_dir: str, min_count: int = 5, k: int = 20):
@@ -4269,7 +3851,8 @@ def cross_lang_dup_matrix(sf_dir: str, threshold: float = 0.5):
             lambda b: pa.table({"id_b": b["doc_id"],
                                 "lang_b_j": b["lang"]}),
             batch_format="pyarrow"), on=("id_b",))
-        jd = j.to_pandas()
+        jd = _parts_pandas(j, {"id_a": np.int64, "id_b": np.int64,
+                               "lang_a_j": object, "lang_b_j": object})
         la, lb = jd["lang_a_j"], jd["lang_b_j"]
     out = pd.DataFrame({
         "lang_lo": np.minimum(la.to_numpy(dtype=object),
@@ -4387,88 +3970,6 @@ def source_lang_chi2(sf_dir: str):
                          "chi2_r6": [np.round(chi2, 6)]})
 
 
-def name_typo_pairs(sf_dir: str):
-    """Edit-distance-1 similarity join — the fuzzy-matching primitive
-    (typo variants, OCR noise) — via FastSS deletion-neighborhood
-    blocking, the edit-distance analogue of LSH banding: each distinct
-    token emits its ≤len position-annotated single-deletion variants
-    as blocking keys; ED=1 pairs are exactly (same variant, same
-    position) = substitution and (variant of one == the other token)
-    = insertion/deletion, so candidates are verified by construction
-    and NO quadratic all-pairs comparison ever runs (the oracle is the
-    literal all-pairs levenshtein join).  Tokens come from a tiered
-    distinct-vocab rollup over customer names; blocking/bucketing
-    happens on vocab scale, not row scale."""
-    ds = _read(sf_dir, "customer", columns=["c_name"])
-
-    def vocab_partial(b: pa.Table) -> pa.Table:
-        s = b["c_name"].to_pandas()
-        toks = s.str.findall(r"\S+").explode().dropna().unique()
-        return pa.table({"w": pa.array(toks.astype(str),
-                                       type=pa.string())})
-
-    parts_ds = ds.map_batches(vocab_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        vocab = _parts_pandas(parts_ds, {"w": object}).w.unique()
-    else:
-        vocab = (parts_ds.groupby("w")
-                 .aggregate(Count(alias_name="_c"))
-                 .to_pandas().w.to_numpy(dtype=object))
-    vocab = np.sort(vocab.astype(object))
-    # deletion-neighborhood keys, vectorized over the vocab table:
-    # one frame of (variant, pos, w); pos=-1 marks the token itself
-    lens = np.char.str_len(vocab.astype(str))
-    max_len = int(lens.max()) if len(lens) else 0
-    frames = [pd.DataFrame({"v": vocab, "pos": -1, "w": vocab})]
-    wser = pd.Series(vocab, dtype=object)
-    for i in range(max_len):
-        has = lens > i
-        sub = wser[has]
-        frames.append(pd.DataFrame({
-            "v": (sub.str.slice(0, i) + sub.str.slice(i + 1))
-                 .to_numpy(dtype=object),
-            "pos": i, "w": sub.to_numpy(dtype=object)}))
-    keys = pd.concat(frames, ignore_index=True)
-    pair_frames = []
-    # substitution: same deleted variant at the SAME position — pair
-    # enumeration is vectorized per GROUP-SIZE CLASS (bucket sizes are
-    # bounded by the alphabet, so each class is a dense (groups, s)
-    # matrix hit with one triu_indices gather; no Python pair loop)
-    dele = keys[keys.pos >= 0]
-    comp = dele.v.str.cat(dele.pos.astype(str), sep="\x00")
-    codes, _ = pd.factorize(comp, sort=False)
-    order = np.argsort(codes, kind="stable")
-    codes_s = codes[order]
-    ws_s = dele.w.to_numpy(dtype=object)[order]
-    bnd = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1], True])
-    sizes = np.diff(bnd)
-    for s in np.unique(sizes):
-        if s < 2:
-            continue
-        starts = bnd[:-1][sizes == s]
-        mat = ws_s[starts[:, None] + np.arange(s)[None, :]]
-        iu, ju = np.triu_indices(s, 1)
-        a = mat[:, iu].ravel()
-        b2 = mat[:, ju].ravel()
-        pair_frames.append(pd.DataFrame({"w1": np.minimum(a, b2),
-                                         "w2": np.maximum(a, b2)}))
-    # insertion/deletion: someone's deletion equals another full token
-    vset = frozenset(vocab.tolist())
-    hit = dele[dele.v.isin(vset) & (dele.v != dele.w)]
-    if len(hit):
-        hv = hit.v.to_numpy(dtype=object)
-        hw = hit.w.to_numpy(dtype=object)
-        pair_frames.append(pd.DataFrame({"w1": np.minimum(hv, hw),
-                                         "w2": np.maximum(hv, hw)}))
-    if not pair_frames:
-        return pd.DataFrame({"w1": pd.Series([], dtype=object),
-                             "w2": pd.Series([], dtype=object)})
-    out = (pd.concat(pair_frames, ignore_index=True)
-           .drop_duplicates()
-           .sort_values(["w1", "w2"]))
-    return out.reset_index(drop=True)
-
 def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     """Misra–Gries heavy hitters — the deterministic counter-based
     twin of ``cms_heavy_hitters`` (sixth mergeable sketch family):
@@ -4522,101 +4023,6 @@ def diversified_top_docs(sf_dir: str, k: int = 10, per_source: int = 2):
     out["n_chars"] = out["n_chars"].astype(np.int64)
     return out
 
-
-def latest_events_per_user(sf_dir: str, n: int = 3):
-    """Latest-N-per-key compaction — the general form of the
-    latest-wins CDC rule (N = 1): each user's ``n`` most recent events
-    under the deterministic (ts desc, event_id desc) order.  Per-block
-    per-user top-n partials are a VALID pruning (any global survivor
-    survives its own block); the pooled reduce — ≤ #blocks·n rows per
-    user — re-applies the same window rule.  Timestamps leave as epoch
-    nanoseconds so the value hash is integer-exact."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts",
-                                          "event_type"])
-
-    def local_prune(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "event_id": b["event_id"].to_numpy(zero_copy_only=False),
-            "ts_ns": b["ts"].cast(pa.timestamp("ns")).cast(pa.int64())
-                     .to_numpy(zero_copy_only=False),
-            "event_type": b["event_type"].to_pandas()})
-        df = df.sort_values(["user_id", "ts_ns", "event_id"],
-                            ascending=[True, False, False])
-        return pa.Table.from_pandas(df.groupby("user_id").head(n),
-                                    preserve_index=False)
-
-    pooled = (ds.map_batches(local_prune, batch_format="pyarrow")
-              .to_pandas())
-    pooled = pooled.sort_values(["user_id", "ts_ns", "event_id"],
-                                ascending=[True, False, False])
-    out = pooled.groupby("user_id").head(n).copy()
-    out["rn"] = (out.groupby("user_id").cumcount() + 1).astype(np.int64)
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["event_id"] = out["event_id"].astype(np.int64)
-    out["ts_ns"] = out["ts_ns"].astype(np.int64)
-    return (out.sort_values(["user_id", "rn"]).reset_index(drop=True)
-            [["user_id", "rn", "event_id", "ts_ns", "event_type"]])
-
-
-def event_gap_quantiles(sf_dir: str):
-    """Inter-arrival gap quantiles per event type — the crawl
-    politeness / burstiness profile: gaps in whole seconds between
-    consecutive same-type events of the same user (deterministic
-    (ts, event_id) order), reduced to exact PERCENTILE_DISC p50/p90
-    per type via the value-cardinality count table (the same
-    ceil-rank walk the percentile operators pin).  Per-(user, type)
-    histories sort inside one map_groups block — the documented
-    per-entity-fits-a-block assumption shared with
-    ``events_sessionize``; gap COUNT tables, not gaps, leave the
-    shuffle."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type",
-                                          "event_id", "ts"])
-
-    def gaps(g: pa.Table) -> pa.Table:
-        # lossless μs ints; whole-second gaps by floor division (the
-        # oracle floors the SAME μs difference — no truncating cast)
-        ts = (g["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts = ts[order]
-        if len(ts) < 2:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "gap_s": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        d = np.diff(ts) // 1_000_000
-        u, c = np.unique(d, return_counts=True)
-        et = g["event_type"][0].as_py()
-        return pa.table({"event_type": pa.array([et] * len(u)),
-                         "gap_s": pa.array(u),
-                         "cnt": pa.array(c.astype(np.int64))})
-
-    parts_ds = ds.groupby(["user_id", "event_type"]).map_groups(
-        gaps, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"event_type": object, "gap_s": np.int64, "cnt": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby(["event_type", "gap_s"], as_index=False)
-                  ["cnt"].sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby(["event_type", "gap_s"])
-            .aggregate(Sum("cnt", alias_name="cnt")), schema)
-    rows = []
-    for et, g in counts.groupby("event_type", sort=True):
-        v = g["gap_s"].to_numpy(np.int64)
-        c = g["cnt"].to_numpy(np.int64)
-        order = np.argsort(v, kind="stable")
-        v, c = v[order], c[order]
-        cum = np.cumsum(c)
-        nn = int(cum[-1])
-        p50 = int(v[np.searchsorted(cum, -(-nn // 2))])
-        p90 = int(v[np.searchsorted(cum, -(-9 * nn // 10))])
-        rows.append((et, np.int64(nn), np.int64(p50), np.int64(p90)))
-    return pd.DataFrame(rows, columns=["event_type", "n_gaps",
-                                       "p50_s", "p90_s"])
 
 def rrf_hybrid_topk(sf_dir: str, k: int = 10, pool: int = 20,
                     rrf_const: int = 60):
@@ -4811,110 +4217,6 @@ def sketch_setops_report(sf_dir: str, type_a: str = "click",
         "est_inter_hll": [est_inter_hll],
         "est_inter_bloom": [est_inter_bloom]})
 
-def zorder_bucket_counts(sf_dir: str, bits: int = 8):
-    """Z-order (Morton) space-filling-curve bucketing — the
-    data-layout primitive behind Delta/Iceberg Z-ORDER clustering:
-    interleave the low ``bits`` bits of the two cluster dimensions
-    (user_id mod 2^bits, absolute hour mod 2^bits) and bucket by the
-    TOP byte of the curve position, so rows close in BOTH dimensions
-    land in the same bucket/file.  Map-only exact-integer kernel (16
-    shift/mask terms, no Python loop); the oracle spells the identical
-    interleave arithmetic.  Output: rows per bucket — the file-size
-    histogram a layout job would write."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    mask = (1 << bits) - 1
-
-    def partial(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        hour = (pc.floor_temporal(b["ts"], unit="hour")
-                .cast(pa.timestamp("s")).cast(pa.int64())
-                .to_numpy(zero_copy_only=False)) // 3600
-        x = uid & mask
-        y = hour & mask
-        z = np.zeros(len(x), dtype=np.int64)
-        for i in range(bits):
-            z |= ((x >> i) & 1) << (2 * i)
-            z |= ((y >> i) & 1) << (2 * i + 1)
-        bucket = z >> bits  # top byte of the 2·bits-bit curve position
-        df = pd.DataFrame({"bucket": bucket})
-        agg = (df.groupby("bucket", as_index=False).size()
-               .rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"bucket": np.int64, "n": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        out = (_parts_pandas(parts_ds, schema)
-               .groupby("bucket", as_index=False)["n"].sum())
-    else:
-        out = _parts_pandas(
-            parts_ds.groupby("bucket")
-            .aggregate(Sum("n", alias_name="n")), schema)
-    out["bucket"] = out["bucket"].astype(np.int64)
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values("bucket").reset_index(drop=True)
-
-
-def funnel_latency_quantiles(sf_dir: str):
-    """Funnel conversion LATENCY: across users whose first 'view'
-    precedes (or equals) their first 'purchase', the exact
-    PERCENTILE_DISC p50/p90 of the view→purchase delay in whole
-    seconds.  One tiered per-(user) Min rollup per stage (the same
-    first-touch minima the funnel operator uses), then the latency
-    count table drives the ceil-rank walk — corpus work is one
-    pre-reduced shuffle, the quantiles run on value-cardinality
-    scale."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type",
-                                          "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        us = b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-        df = pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(zero_copy_only=False),
-            "event_type": b["event_type"].to_pandas(),
-            "us": us.to_numpy(zero_copy_only=False)})
-        df = df[df.event_type.isin(["view", "purchase"])]
-        agg = (df.groupby(["user_id", "event_type"], as_index=False)
-               ["us"].min())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"user_id": np.int64, "event_type": object,
-              "us": np.int64}
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        m = (_parts_pandas(parts_ds, schema)
-             .groupby(["user_id", "event_type"], as_index=False)
-             ["us"].min())
-    else:
-        m = _parts_pandas(
-            parts_ds.groupby(["user_id", "event_type"])
-            .aggregate(Min("us", alias_name="us")), schema)
-    piv = m.pivot_table(index="user_id", columns="event_type",
-                        values="us", aggfunc="min")
-    if "view" not in piv.columns or "purchase" not in piv.columns:
-        return pd.DataFrame({"n_converted": [np.int64(0)],
-                             "p50_s": [np.int64(0)],
-                             "p90_s": [np.int64(0)]})
-    both = piv.dropna(subset=["view", "purchase"])
-    lat = ((both["purchase"].to_numpy(np.int64)
-            - both["view"].to_numpy(np.int64)))
-    lat = lat[lat >= 0] // 1_000_000
-    if len(lat) == 0:
-        return pd.DataFrame({"n_converted": [np.int64(0)],
-                             "p50_s": [np.int64(0)],
-                             "p90_s": [np.int64(0)]})
-    v, c = np.unique(lat, return_counts=True)
-    cum = np.cumsum(c)
-    n = int(cum[-1])
-    p50 = int(v[np.searchsorted(cum, -(-n // 2))])
-    p90 = int(v[np.searchsorted(cum, -(-9 * n // 10))])
-    return pd.DataFrame({"n_converted": [np.int64(n)],
-                         "p50_s": [np.int64(p50)],
-                         "p90_s": [np.int64(p90)]})
 
 def lang_nchars_tdigest(sf_dir: str, qs=(0.5, 0.9)):
     """GROUPED sketch quantiles: one mergeable t-digest per language
@@ -5274,148 +4576,6 @@ def charclass_stats(sf_dir: str):
     return agg.sort_values("lang").reset_index(drop=True)
 
 
-# -- round-4 wave 30: range partitioner + CUSUM + seasonal profile ----------
-
-def range_shard_bounds(sf_dir: str, n_shards: int = 8):
-    """Equi-depth RANGE PARTITIONER — the primitive behind every
-    distributed sort / range-partitioned write: exact k-quantile cut
-    points over event value cents and the resulting per-shard row
-    counts.  KEY INSIGHT: cuts and shard populations are decided by
-    the VALUE-CARDINALITY count table alone — the corpus reduces to
-    (cents → n) partials (driver fold below the shared events gate,
-    native Sum groupby above) and the bound walk runs on the
-    value-domain-bounded table.  Cut i is the
-    smallest cents whose cumulative count ≥ ⌈i·N/k⌉ (exact integer
-    ceiling); a row's shard is the number of cuts < its cents, so
-    equal values never split across shards (the property a
-    range-partitioned write needs for deterministic resume)."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        u, c = np.unique(cents, return_counts=True)
-        return pa.table({"cents": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, {"cents": np.int64,
-                                           "n": np.int64})
-                  .groupby("cents", as_index=False)["n"].sum())
-    else:
-        counts = (parts_ds.groupby("cents")
-                  .aggregate(Sum("n", alias_name="n")).to_pandas())
-    counts = counts.sort_values("cents").reset_index(drop=True)
-    if len(counts) == 0:
-        return pd.DataFrame({c: pd.Series([], dtype=np.int64)
-                             for c in ["shard", "n_rows", "min_cents",
-                                       "max_cents"]})
-    cents = counts.cents.to_numpy(np.int64)
-    n = counts.n.to_numpy(np.int64)
-    cum = np.cumsum(n)
-    total = int(cum[-1])
-    cuts = np.array(
-        [cents[np.searchsorted(cum, (i * total + n_shards - 1)
-                               // n_shards)]
-         for i in range(1, n_shards)], dtype=np.int64)
-    shard = np.searchsorted(cuts, cents, side="left").astype(np.int64)
-    df = pd.DataFrame({"shard": shard, "cents": cents, "n": n})
-    out = (df.groupby("shard", as_index=False)
-           .agg(n_rows=("n", "sum"), min_cents=("cents", "min"),
-                max_cents=("cents", "max")))
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("shard").reset_index(drop=True)
-
-
-def cusum_changepoints(sf_dir: str):
-    """Change-point detection per event type over the daily count
-    series — EXACT-INTEGER CUSUM: the walk accumulates
-    S_d = Σ (x_d·D − total)  (the textbook cusum of deviations from
-    the mean, scaled by the day count D so nothing is ever a float),
-    and the change point is the day with max |S_d| (ties → earliest
-    day).  The corpus reduces to the (type, day) rollup (tiered);
-    the prefix walk runs on the output-scale series table."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        day = (pc.floor_temporal(b["ts"], unit="day")
-               .cast(pa.timestamp("s")).cast(pa.int64()))
-        df = pd.DataFrame({
-            "event_type": b["event_type"].to_pandas(),
-            "day_epoch": day.to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["event_type", "day_epoch"], as_index=False)
-               .size().rename(columns={"size": "x"}))
-        agg["x"] = agg["x"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds,
-                               {"event_type": object,
-                                "day_epoch": np.int64, "x": np.int64})
-                 .groupby(["event_type", "day_epoch"], as_index=False)
-                 ["x"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day_epoch"])
-                 .aggregate(Sum("x", alias_name="x")).to_pandas())
-    rows = []
-    for et, g in daily.sort_values("day_epoch").groupby("event_type"):
-        x = g.x.to_numpy(np.int64)
-        days = g.day_epoch.to_numpy(np.int64)
-        tot, nd = int(x.sum()), len(x)
-        cus = np.cumsum(x * nd - tot)
-        i = np.lexsort((days, -np.abs(cus)))[0]
-        rows.append((et, int(days[i]), int(abs(cus[i])), nd))
-    out = pd.DataFrame(rows, columns=["event_type", "cp_day_epoch",
-                                      "max_abs_cusum", "n_days"])
-    for c in ["cp_day_epoch", "max_abs_cusum", "n_days"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def hour_of_day_profile(sf_dir: str):
-    """Cyclic seasonal profile: per (event_type, hour-of-day 0–23)
-    event count, exact value-cents sum, and the hour's share of the
-    type's total (6-dp, computed AFTER the global sums).  Per-block
-    partials pre-reduce to ≤ types×24 rows; tiered combine."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        hod = pc.hour(b["ts"]).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({"event_type": b["event_type"].to_pandas(),
-                           "hod": hod, "cents": cents})
-        agg = (df.groupby(["event_type", "hod"], as_index=False)
-               .agg(n=("cents", "size"), sum_cents=("cents", "sum")))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds,
-                             {"event_type": object, "hod": np.int64,
-                              "n": np.int64, "sum_cents": np.int64})
-               .groupby(["event_type", "hod"], as_index=False)
-               [["n", "sum_cents"]].sum())
-    else:
-        agg = (parts_ds.groupby(["event_type", "hod"])
-               .aggregate(Sum("n", alias_name="n"),
-                          Sum("sum_cents", alias_name="sum_cents"))
-               .to_pandas())
-    agg["n"] = agg["n"].astype(np.int64)
-    agg["sum_cents"] = agg["sum_cents"].astype(np.int64)
-    tot = agg.groupby("event_type")["n"].transform("sum")
-    agg["share_r6"] = np.round(agg.n.to_numpy(np.float64)
-                               / tot.to_numpy(np.float64), 6)
-    return (agg.sort_values(["event_type", "hod"])
-            .reset_index(drop=True))
-
-
 # -- round-4 wave 31: sketch join-size / PCA ---------------------------------
 
 
@@ -5745,6 +4905,11 @@ def nchars_histogram_log2(sf_dir: str):
             .reset_index(drop=True))
 
 
+#: orders-row gate of ``bloom_prune_join_revenue``: below it the selected
+#: order keys broadcast as an exact sorted array; above it they build a
+#: key-Bloom that prunes lineitem before a hash join
+LINEITEM_DRIVER_MAX_ROWS = 5_000_000
+
 #: FPR for the key-Bloom the pruned join broadcasts (2^-8: ~11 bits/key,
 #: so even a 10^9-key dimension side stays a ~1.4 GB one-time broadcast
 #: while cutting ~99.6% of non-matching fact rows before the shuffle).
@@ -5892,10 +5057,11 @@ def bloom_prune_join_revenue(sf_dir: str, priority: str = "1-URGENT",
     survivors = li.map_batches(bloom_probe, batch_format="pyarrow")
     exact = hash_join(survivors, keys_ds, on=("l_orderkey",),
                       right_on=("o_orderkey",), join_type="inner")
-    agg = (exact.groupby("l_returnflag")
-           .aggregate(Sum("revenue", alias_name="revenue"),
-                      Sum("n_items", alias_name="n_items"))
-           .to_pandas())
+    agg = _parts_pandas(
+        exact.groupby("l_returnflag")
+        .aggregate(Sum("revenue", alias_name="revenue"),
+                   Sum("n_items", alias_name="n_items")),
+        {"l_returnflag": object, "revenue": np.int64, "n_items": np.int64})
     return final(agg)
 
 
@@ -5963,60 +5129,6 @@ def kmv_distinct_userdays(sf_dir: str, k: int = KMV_K):
         "kmv_distinct_r6": pd.Series(
             [round(float(m) if m < k else (k - 1) / (h / two60), 6)
              for m, h in zip(kept, kth)], dtype=np.float64)})
-
-
-def part_skyline(sf_dir: str):
-    """Pareto-frontier (SKYLINE) query: parts not dominated in
-    (cheaper-or-equal price, larger-or-equal size, strictly better in
-    one).  Skyline-of-skylines is associative, and the 2-D frontier
-    here is provably ≤ |size domain| rows (at most one surviving price
-    level per size, sizes are small ints), so per-block partial
-    frontiers fold on the driver with NO gate — the same
-    bounded-partial argument as ``table_fingerprint``.  Kernel: one
-    lexsort (price ↑, size ↓) + per-price max size + strict running-max
-    filter; duplicates of a surviving (price, size) pair all survive
-    (neither strictly dominates the other)."""
-    ds = _read(sf_dir, "part",
-               columns=["p_partkey", "p_retailprice", "p_size"])
-
-    def skyline_rows(key, cents, size):
-        if len(key) == 0:
-            return key, cents, size
-        order = np.lexsort((-size, cents))
-        c, s = cents[order], size[order]
-        first = np.r_[True, c[1:] != c[:-1]]
-        pc_, ps = c[first], s[first]  # per-price max size, price asc
-        run = np.maximum.accumulate(ps)
-        keep_lvl = np.r_[True, ps[1:] > run[:-1]]
-        lv_c, lv_s = pc_[keep_lvl], ps[keep_lvl]
-        lv = set(zip(lv_c.tolist(), lv_s.tolist()))
-        mask = np.fromiter(((a, b) in lv for a, b in
-                            zip(cents.tolist(), size.tolist())),
-                           dtype=bool, count=len(cents))
-        return key[mask], cents[mask], size[mask]
-
-    def partial(b: pa.Table) -> pa.Table:
-        key = b["p_partkey"].to_numpy(zero_copy_only=False)
-        cents = _cents_away(
-            b["p_retailprice"].to_numpy(zero_copy_only=False))
-        size = b["p_size"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        kk, cc, ss = skyline_rows(key, cents, size)
-        return pa.table({"p_partkey": pa.array(kk.astype(np.int64)),
-                         "price_cents": pa.array(cc),
-                         "p_size": pa.array(ss)})
-
-    parts = _parts_pandas(ds.map_batches(partial, batch_format="pyarrow"),
-                          {"p_partkey": np.int64, "price_cents": np.int64,
-                           "p_size": np.int64})
-    kk, cc, ss = skyline_rows(parts.p_partkey.to_numpy(np.int64),
-                              parts.price_cents.to_numpy(np.int64),
-                              parts.p_size.to_numpy(np.int64))
-    out = pd.DataFrame({"p_partkey": kk, "price_cents": cc,
-                        "p_size": ss}).sort_values("p_partkey")
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out.reset_index(drop=True)
 
 
 def kmv_type_jaccard(sf_dir: str, k: int = KMV_K):
@@ -6172,128 +5284,6 @@ def lang_bigram_jsd(sf_dir: str):
     return finish(parts)
 
 
-def value_ks_matrix(sf_dir: str):
-    """Two-sample Kolmogorov–Smirnov statistic between the ``value``
-    distributions of every event-type pair — EXACT-INTEGER rational
-    form: D = max|n_b·F_a(v) − n_a·F_b(v)| / (n_a·n_b), evaluated on
-    the merged cent count tables, so the supremum is an int64
-    cross-multiplication with no float CDF anywhere (the float column
-    is one final division, 6-dp contract).  The count table combines
-    tiered (native Sum groupby above the gate); the per-pair CDF walk
-    runs on the value-cardinality table — the same driver scale as
-    every robust-stats operator."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "t": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object),
-            "v": _cents_away(b["value"].to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["t", "v"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        ct = (_parts_pandas(parts_ds, {"t": object, "v": np.int64,
-                                       "n": np.int64})
-              .groupby(["t", "v"], as_index=False)["n"].sum())
-    else:
-        ct = (parts_ds.groupby(["t", "v"])
-              .aggregate(Sum("n", alias_name="n")).to_pandas())
-    types = sorted(ct.t.unique())
-    series = {t: g.sort_values("v") for t, g in ct.groupby("t")}
-    rows = []
-    for i, ta in enumerate(types):
-        for tb in types[i + 1:]:
-            ga, gb = series[ta], series[tb]
-            na = int(ga.n.sum())
-            nb = int(gb.n.sum())
-            grid = np.union1d(ga.v.to_numpy(np.int64),
-                              gb.v.to_numpy(np.int64))
-            ca = np.zeros(len(grid), np.int64)
-            cb = np.zeros(len(grid), np.int64)
-            ia = np.searchsorted(grid, ga.v.to_numpy(np.int64))
-            ib = np.searchsorted(grid, gb.v.to_numpy(np.int64))
-            ca[ia] = ga.n.to_numpy(np.int64)
-            cb[ib] = gb.n.to_numpy(np.int64)
-            ca, cb = np.cumsum(ca), np.cumsum(cb)
-            num = int(np.abs(nb * ca - na * cb).max())
-            rows.append((ta, tb, num, na * nb,
-                         round(num / (na * nb), 6)))
-    out = pd.DataFrame(rows, columns=["type_a", "type_b", "ks_num",
-                                      "ks_den", "ks_r6"])
-    out["ks_num"] = out.ks_num.astype(np.int64)
-    out["ks_den"] = out.ks_den.astype(np.int64)
-    return (out.sort_values(["type_a", "type_b"])
-            .reset_index(drop=True))
-
-
-def daily_revenue_haar(sf_dir: str):
-    """Multi-resolution HIERARCHICAL aggregate — an unnormalized Haar
-    pyramid over each event type's daily revenue series (the shape
-    time-series stores use for pre-aggregated zoom levels): the day
-    grid pads to the next power of two from the GLOBAL span (exact
-    bit-length arithmetic, no float log), detail coefficient (level
-    l, pos i) = Σ rev(day)·sign where sign flips on bit l−1 of the
-    day offset, plus the full-span approximation at the top.  All
-    coefficients are exact int64 cents; the daily rollup combines
-    tiered and the transform runs on the padded output-scale grid."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = ts // 86_400_000_000
-        cents = _cents_away(b["value"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object), "day": day, "rev": cents})
-        agg = (df.groupby(["event_type", "day"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    d0 = int(daily.day.min())
-    span = int(daily.day.max()) - d0 + 1
-    slots = 1 << (span - 1).bit_length() if span > 1 else 1
-    levels = slots.bit_length() - 1
-    rows = []
-    for et, g in daily.groupby("event_type", sort=True):
-        series = np.zeros(slots, dtype=np.int64)
-        series[(g.day.to_numpy(np.int64) - d0)] = \
-            g.rev.to_numpy(np.int64)
-        o = np.arange(slots, dtype=np.int64)
-        for l in range(1, levels + 1):
-            sign = 1 - 2 * ((o >> (l - 1)) & 1)
-            block = o >> l
-            coef = np.zeros(slots >> l, dtype=np.int64)
-            np.add.at(coef, block, sign * series)
-            for i, c in enumerate(coef):
-                rows.append((et, np.int64(l), np.int64(i),
-                             np.int64(c)))
-        rows.append((et, np.int64(levels + 1), np.int64(0),
-                     np.int64(series.sum())))
-    out = pd.DataFrame(rows, columns=["event_type", "level", "pos",
-                                      "coeff_cents"])
-    for c in ["level", "pos", "coeff_cents"]:
-        out[c] = out[c].astype(np.int64)
-    return (out.sort_values(["event_type", "level", "pos"])
-            .reset_index(drop=True))
-
-
 def type_user_overlap_exact(sf_dir: str):
     """EXACT set-overlap matrix between event types over (user, day)
     activity sets — the exact twin the KMV Jaccard estimates
@@ -6380,163 +5370,6 @@ def type_user_overlap_exact(sf_dir: str):
     out["n_union"] = out.n_union.astype(np.int64)
     return (out.sort_values(["type_a", "type_b"])
             .reset_index(drop=True))
-
-
-def dominant_supplier_parts(sf_dir: str, share_denom: int = 8):
-    """TPC-H Q20 shape — a SHARE-OF-PARENT gate at the PAIR level:
-    (part, supplier) links where the supplier shipped more than
-    1/``share_denom`` of the part's total quantity, counted per
-    supplier.  Exact-integer cross-multiplication
-    ``share_denom·q_ps > q_p`` (no float share); the pair rollup and
-    the parent rollup are the same tiered native Sums, the gate joins
-    pair → parent (broadcast below the gate, hash join above) and the
-    final per-supplier count is supplier-scale."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_suppkey", "l_quantity"])
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        qty = np.floor(np.abs(b["l_quantity"]
-                              .to_numpy(zero_copy_only=False)) + 0.5) \
-            .astype(np.int64)
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-            "q": qty})
-        agg = df.groupby(["pk", "sk"], as_index=False)["q"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(pair_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        ps = (_parts_pandas(parts_ds, {"pk": np.int64, "sk": np.int64,
-                                       "q": np.int64})
-              .groupby(["pk", "sk"], as_index=False)["q"].sum())
-        pt = ps.groupby("pk", as_index=False).q.sum() \
-            .rename(columns={"q": "tq"})
-        j = ps.merge(pt, on="pk")
-        dom = j[share_denom * j.q > j.tq]
-        counts = (dom.groupby("sk", as_index=False)
-                  .size().rename(columns={"size": "n_parts",
-                                          "sk": "s_suppkey"}))
-    else:
-        ps_ds = (parts_ds.groupby(["pk", "sk"])
-                 .aggregate(Sum("q", alias_name="q")).materialize())
-
-        def pt_partial(b: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "pk": b["pk"].to_numpy(zero_copy_only=False),
-                "tq": b["q"].to_numpy(zero_copy_only=False)})
-            agg = df.groupby("pk", as_index=False)["tq"].sum()
-            return pa.Table.from_pandas(agg, preserve_index=False)
-
-        pt_ds = (ps_ds.map_batches(pt_partial, batch_format="pyarrow")
-                 .groupby("pk").aggregate(Sum("tq", alias_name="tq")))
-        joined = hash_join(ps_ds, pt_ds, on=("pk",))
-
-        def dom_partial(b: pa.Table) -> pa.Table:
-            keep = (share_denom * b["q"].to_numpy(zero_copy_only=False)
-                    > b["tq"].to_numpy(zero_copy_only=False))
-            sk = b.filter(pa.array(keep))["sk"] \
-                .to_numpy(zero_copy_only=False)
-            vc = pd.Series(sk).value_counts().sort_index()
-            return pa.table({
-                "s_suppkey": pa.array(vc.index.to_numpy(np.int64)),
-                "n_parts": pa.array(vc.to_numpy(np.int64))})
-
-        counts = (_parts_pandas(
-            joined.map_batches(dom_partial, batch_format="pyarrow"),
-            {"s_suppkey": np.int64, "n_parts": np.int64})
-            .groupby("s_suppkey", as_index=False)["n_parts"].sum())
-    counts["s_suppkey"] = counts.s_suppkey.astype(np.int64)
-    counts["n_parts"] = counts.n_parts.astype(np.int64)
-    return counts.sort_values("s_suppkey").reset_index(drop=True)
-
-
-def parts_keyset_page(sf_dir: str, cursor_cents: int = 90_000,
-                      cursor_key: int = 0, page: int = 20):
-    """KEYSET PAGINATION (the engine feature OFFSET can't scale to):
-    the next ``page`` parts strictly after the compound cursor
-    (price_cents, partkey) in (price ASC, key ASC) order — the
-    predicate (price > c) OR (price = c AND key > k) applies map-side
-    and per-block exact top-``page`` partials resolve on the driver
-    (the block top-k pattern; no global sort, no offset scan)."""
-    ds = _read(sf_dir, "part", columns=["p_partkey", "p_retailprice"])
-
-    def page_partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(
-            b["p_retailprice"].to_numpy(zero_copy_only=False))
-        key = b["p_partkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        keep = (cents > cursor_cents) | ((cents == cursor_cents)
-                                         & (key > cursor_key))
-        df = pd.DataFrame({"p_partkey": key[keep],
-                           "price_cents": cents[keep]})
-        return pa.Table.from_pandas(
-            df.sort_values(["price_cents", "p_partkey"]).head(page),
-            preserve_index=False)
-
-    parts = _parts_pandas(
-        ds.map_batches(page_partial, batch_format="pyarrow"),
-        {"p_partkey": np.int64, "price_cents": np.int64})
-    out = (parts.sort_values(["price_cents", "p_partkey"]).head(page)
-           [["p_partkey", "price_cents"]].reset_index(drop=True))
-    out["p_partkey"] = out.p_partkey.astype(np.int64)
-    out["price_cents"] = out.price_cents.astype(np.int64)
-    return out
-
-
-def cumulative_parts_catalog(sf_dir: str):
-    """RUNNING DISTINCT via the first-appearance trick: the
-    distinct-parts-shipped-so-far curve needs no running set — a part
-    enters the cumulative count exactly once, on its MIN ship day, so
-    one per-part Min rollup + a day count + one output-scale prefix
-    sum reproduce the whole curve (the same decomposition
-    ``pack_documents`` uses for its global scan)."""
-    li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_shipdate"])
-
-    def min_partial(b: pa.Table) -> pa.Table:
-        ship = (b["l_shipdate"].cast(pa.timestamp("us"))
-                .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        day = (ship // 86_400_000_000) * 86_400
-        df = pd.DataFrame({
-            "pk": b["l_partkey"].to_numpy(zero_copy_only=False),
-            "d0": day})
-        agg = df.groupby("pk", as_index=False)["d0"].min()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(min_partial, batch_format="pyarrow")
-    n_li = _cheap_count(li)
-    if n_li is not None and n_li <= LINEITEM_DRIVER_MAX_ROWS:
-        firsts = (_parts_pandas(parts_ds, {"pk": np.int64,
-                                           "d0": np.int64})
-                  .groupby("pk", as_index=False)["d0"].min())
-        daily = (firsts.groupby("d0", as_index=False)
-                 .size().rename(columns={"size": "n_new",
-                                         "d0": "day_epoch"}))
-    else:
-        firsts_ds = (parts_ds.groupby("pk")
-                     .aggregate(Min("d0", alias_name="d0")))
-
-        def day_count(b: pa.Table) -> pa.Table:
-            vc = (pd.Series(b["d0"].to_numpy(zero_copy_only=False))
-                  .value_counts().sort_index())
-            return pa.table({
-                "day_epoch": pa.array(vc.index.to_numpy(np.int64)),
-                "n_new": pa.array(vc.to_numpy(np.int64))})
-
-        daily = (_parts_pandas(
-            firsts_ds.map_batches(day_count, batch_format="pyarrow"),
-            {"day_epoch": np.int64, "n_new": np.int64})
-            .groupby("day_epoch", as_index=False)["n_new"].sum())
-    daily = daily.sort_values("day_epoch").reset_index(drop=True)
-    daily["n_cum"] = daily.n_new.cumsum().astype(np.int64)
-    daily["day_epoch"] = daily.day_epoch.astype(np.int64)
-    daily["n_new"] = daily.n_new.astype(np.int64)
-    return daily[["day_epoch", "n_new", "n_cum"]]
 
 
 def prefix_dup_groups(sf_dir: str, n_chars: int = 64):
@@ -6662,165 +5495,6 @@ def vocab_growth_by_docs(sf_dir: str, bucket: int = 1):
     daily["doc_bucket"] = daily.doc_bucket.astype(np.int64)
     daily["n_new"] = daily.n_new.astype(np.int64)
     return daily[["doc_bucket", "n_new", "n_cum"]]
-
-
-def revenue_up_run_lengths(sf_dir: str):
-    """MONOTONE-RUN analysis on each type's daily revenue series (the
-    momentum screen): the longest strictly-increasing run of
-    consecutive OBSERVED days and the number of maximal increasing
-    runs.  The daily rollup combines tiered; the run walk is one
-    vectorized diff/island pass on the output-scale series (the
-    gaps-and-islands kernel, applied to a sign sequence)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def day_partial(b: pa.Table) -> pa.Table:
-        ts = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        day = ts // 86_400_000_000
-        df = pd.DataFrame({
-            "event_type": pd.Series(b["event_type"].to_pandas())
-            .to_numpy(dtype=object), "day": day,
-            "rev": _cents_away(b["value"]
-                               .to_numpy(zero_copy_only=False))})
-        agg = (df.groupby(["event_type", "day"], as_index=False)
-               ["rev"].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(day_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        daily = (_parts_pandas(parts_ds, {"event_type": object,
-                                          "day": np.int64,
-                                          "rev": np.int64})
-                 .groupby(["event_type", "day"], as_index=False)
-                 ["rev"].sum())
-    else:
-        daily = (parts_ds.groupby(["event_type", "day"])
-                 .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    rows = []
-    for t, g in daily.groupby("event_type", sort=True):
-        g = g.sort_values("day")
-        up = (np.diff(g.rev.to_numpy(np.int64)) > 0)
-        if len(up) == 0:
-            rows.append((t, np.int64(0), np.int64(0)))
-            continue
-        # island walk over the boolean up-steps: run length = longest
-        # stretch of consecutive True
-        changes = np.nonzero(np.diff(np.r_[False, up, False]))[0]
-        starts, ends = changes[::2], changes[1::2]
-        lens = ends - starts
-        rows.append((t,
-                     np.int64(int(lens.max()) if len(lens) else 0),
-                     np.int64(len(lens))))
-    out = pd.DataFrame(rows, columns=["event_type",
-                                      "longest_up_run",
-                                      "n_up_runs"])
-    out["longest_up_run"] = out.longest_up_run.astype(np.int64)
-    out["n_up_runs"] = out.n_up_runs.astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def weekday_uniformity_chi2(sf_dir: str):
-    """GOODNESS-OF-FIT chi² (the one-sample twin of the existing
-    independence test): are order placements uniform across the seven
-    weekdays, per order priority?  Exact integer observed counts per
-    (priority, ISO weekday); the statistic Σ(o − n/7)²/(n/7) is one
-    mirrored float expression per row (6-dp contract)."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderpriority", "o_orderdate"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        dow = (pd.Series(b["o_orderdate"].to_pandas())
-               .dt.dayofweek.to_numpy(np.int64))
-        df = pd.DataFrame({
-            "pr": pd.Series(b["o_orderpriority"].to_pandas())
-            .to_numpy(dtype=object), "dow": dow})
-        agg = (df.groupby(["pr", "dow"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        ct = (_parts_pandas(parts_ds, {"pr": object, "dow": np.int64,
-                                       "n": np.int64})
-              .groupby(["pr", "dow"], as_index=False)["n"].sum())
-    else:
-        ct = (parts_ds.groupby(["pr", "dow"])
-              .aggregate(Sum("n", alias_name="n")).to_pandas())
-    rows = []
-    for pr, g in ct.groupby("pr", sort=True):
-        obs = np.zeros(7, dtype=np.int64)
-        obs[g.dow.to_numpy(np.int64)] = g.n.to_numpy(np.int64)
-        n = int(obs.sum())
-        exp = n / 7.0
-        chi2 = float((((obs - exp) * (obs - exp)) / exp).sum())
-        rows.append((pr, np.int64(n), round(chi2, 6)))
-    out = pd.DataFrame(rows, columns=["o_orderpriority", "n_orders",
-                                      "chi2_r6"])
-    out["n_orders"] = out.n_orders.astype(np.int64)
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
-
-
-def value_twap_by_type(sf_dir: str):
-    """TIME-WEIGHTED average value per event type (the TWAP / step-
-    function integral no row-weighted mean can reproduce): each
-    event's value holds until the NEXT event of its type, weighted by
-    that gap in whole seconds — exact int64 numerator Σ v·w and
-    denominator Σ w (whole-second weights keep every product exact;
-    the contract is documented and mirrored in the oracle), one final
-    division (6-dp).  Per-type ordered LEAD walk: driver slice pass
-    below the gate, per-type map_groups above (types are few; each
-    group's walk is one vectorized diff)."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "event_type", "ts", "value"])
-
-    def type_fold(ts_us: np.ndarray, cents: np.ndarray):
-        """(ts, event_id)-ordered arrays of ONE type → (n_gaps,
-        Σ v·w, Σ w) with whole-second gap weights."""
-        if len(ts_us) < 2:
-            return 0, 0, 0
-        w = np.diff(ts_us) // 1_000_000
-        v = cents[:-1]
-        return len(w), int((v * w).sum()), int(w.sum())
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas().sort_values(["event_type", "ts",
-                                         "event_id"])
-        ts = df.ts.astype("datetime64[us]").astype(np.int64).to_numpy()
-        cents = _cents_away(df.value.to_numpy())
-        tp = df.event_type.to_numpy(dtype=object)
-        cuts = np.nonzero(np.r_[True, tp[1:] != tp[:-1]])[0]
-        rows = []
-        for lo, hi in zip(cuts, np.append(cuts[1:], len(tp))):
-            n, vw, w = type_fold(ts[lo:hi], cents[lo:hi])
-            rows.append((tp[lo], n, vw, w))
-    else:
-        def per_type(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["ts", "event_id"])
-            ts = (g.ts.astype("datetime64[us]").astype(np.int64)
-                  .to_numpy())
-            cents = _cents_away(g.value.to_numpy())
-            n, vw, w = type_fold(ts, cents)
-            return pd.DataFrame({
-                "event_type": [g.event_type.iloc[0]],
-                "n": np.asarray([n], np.int64),
-                "vw": np.asarray([vw], np.int64),
-                "w": np.asarray([w], np.int64)})
-
-        parts = (ds.groupby("event_type")
-                 .map_groups(per_type, batch_format="pandas")
-                 .to_pandas())
-        rows = [(r.event_type, int(r.n), int(r.vw), int(r.w))
-                for r in parts.itertuples()]
-    out = pd.DataFrame(rows, columns=["event_type", "n_gaps",
-                                      "sum_vw", "sum_w"])
-    out["twap_r6"] = (out.sum_vw / out.sum_w).round(6)
-    for c in ["n_gaps", "sum_vw", "sum_w"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
 
 
 def doc_compression_ratio(sf_dir: str, level: int = 6):
@@ -6983,9 +5657,10 @@ def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
                 b["modd"].to_numpy(zero_copy_only=False))
 
         cparts = joined.map_batches(cls_join, batch_format="pyarrow")
-        out = (cparts.groupby("lang")
-               .aggregate(*[Sum(c, alias_name=c) for c in cols])
-               .to_pandas())
+        out = _parts_pandas(
+            cparts.groupby("lang")
+            .aggregate(*[Sum(c, alias_name=c) for c in cols]),
+            {"lang": object, **{c: np.int64 for c in cols}})
     for c in cols:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("lang").reset_index(drop=True)
@@ -7334,79 +6009,6 @@ def sample_budget_allocation(sf_dir: str, budget: int = 997):
     c["floor_quota"] = quota.astype(np.int64)
     c["remainder"] = rem.astype(np.int64)
     return c
-
-
-def session_bounce_rate(sf_dir: str, gap_minutes: int = 30):
-    """BOUNCE RATE by session ENTRY type: sessions split at >30-min
-    gaps (same rule as `events_sessionize`, ties ordered by
-    (ts, event_id)); a session's entry type is its first event's
-    type; bounce = single-event session.  Per entry type: sessions,
-    bounces, total events, 6-dp bounce rate.  Below the gate: one
-    driver sort + vectorized segment walk.  Above: per-user
-    ``map_groups`` emits an (entry_type, n_sessions, n_bounce,
-    n_events) partial — ≤ |types| rows per user — and the final
-    rollup is output-scale."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-    gap_ns = np.int64(gap_minutes) * np.int64(60_000_000_000)
-
-    def fold(uid, ts_ns, et):
-        """(user-major, time-ordered arrays) → per-entry-type partial
-        counts.  Vectorized: session starts where user changes or the
-        in-user gap exceeds gap_ns; session ids by cumsum; bounce =
-        sessions of length 1."""
-        if not len(ts_ns):
-            return pd.DataFrame({"entry_type": [], "n_sessions": [],
-                                 "n_bounce": [], "n_events": []})
-        new_s = np.ones(len(ts_ns), bool)
-        same = uid[1:] == uid[:-1]
-        new_s[1:] = ~same | (ts_ns[1:] - ts_ns[:-1] > gap_ns)
-        sid = np.cumsum(new_s) - 1
-        starts = np.nonzero(new_s)[0]
-        ln = np.diff(np.r_[starts, len(ts_ns)])
-        df = pd.DataFrame({"entry_type": et[starts], "ln": ln})
-        agg = (df.groupby("entry_type", as_index=False)
-               .agg(n_sessions=("ln", "size"),
-                    n_bounce=("ln", lambda s: int((s == 1).sum())),
-                    n_events=("ln", "sum")))
-        return agg
-
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        df = ds.to_pandas()
-        if not len(df):  # empty to_pandas loses the schema
-            agg = pd.DataFrame({
-                "entry_type": pd.Series([], dtype=object),
-                "n_sessions": pd.Series([], dtype=np.int64),
-                "n_bounce": pd.Series([], dtype=np.int64),
-                "n_events": pd.Series([], dtype=np.int64)})
-        else:
-            df["ts_ns"] = df.ts.astype("datetime64[ns]").astype(
-                np.int64)
-            df = df.sort_values(["user_id", "ts_ns", "event_id"])
-            agg = fold(df.user_id.to_numpy(), df.ts_ns.to_numpy(),
-                       df.event_type.to_numpy(dtype=object))
-    else:
-        def per_user(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["ts", "event_id"])
-            ts_ns = g.ts.astype("datetime64[ns]").astype(
-                np.int64).to_numpy()
-            return fold(g.user_id.to_numpy(), ts_ns,
-                        g.event_type.to_numpy(dtype=object))
-
-        parts = (ds.groupby("user_id")
-                 .map_groups(per_user, batch_format="pandas"))
-        agg = (_parts_pandas(parts, {"entry_type": object,
-                                     "n_sessions": np.int64,
-                                     "n_bounce": np.int64,
-                                     "n_events": np.int64})
-               .groupby("entry_type", as_index=False)
-               [["n_sessions", "n_bounce", "n_events"]].sum())
-    agg["bounce_rate_r6"] = (agg.n_bounce / agg.n_sessions).round(6)
-    for c in ["n_sessions", "n_bounce", "n_events"]:
-        agg[c] = agg[c].astype(np.int64)
-    return (agg.rename(columns={"entry_type": "entry_type"})
-            .sort_values("entry_type").reset_index(drop=True))
 
 
 def embedding_quantization_report(sf_dir: str):
@@ -7768,88 +6370,6 @@ def quantile_sketch_calibration(sf_dir: str,
     return out
 
 
-def user_tenure_distribution(sf_dir: str):
-    """USER TENURE histogram: whole weeks between a user's first and
-    last event (floor((last−first)/7d)), bucketed — the engagement-
-    lifetime curve.  Exact integers: per-block (user, min, max)
-    partials → tiered combine (native Min/Max groupby above
-    `EVENTS_DRIVER_MAX_ROWS`) → user-scale tenure compute → an
-    output-scale (weeks → n_users) histogram."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    WEEK_US = np.int64(7 * 86_400_000_000)
-
-    def partial(b: pa.Table) -> pa.Table:
-        us = (b["ts"].cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "u": b["user_id"].to_numpy(zero_copy_only=False),
-            "lo": us, "hi": us})
-        agg = (df.groupby("u", as_index=False)
-               .agg(lo=("lo", "min"), hi=("hi", "max")))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= EVENTS_DRIVER_MAX_ROWS:
-        per_user = (_parts_pandas(parts_ds, {"u": np.int64,
-                                             "lo": np.int64,
-                                             "hi": np.int64})
-                    .groupby("u", as_index=False)
-                    .agg(lo=("lo", "min"), hi=("hi", "max")))
-    else:
-        per_user = (parts_ds.groupby("u")
-                    .aggregate(Min("lo", alias_name="lo"),
-                               Max("hi", alias_name="hi")).to_pandas())
-    weeks = ((per_user.hi.to_numpy(np.int64)
-              - per_user.lo.to_numpy(np.int64)) // WEEK_US)
-    out = (pd.DataFrame({"tenure_weeks": weeks})
-           .groupby("tenure_weeks", as_index=False)
-           .size().rename(columns={"size": "n_users"}))
-    out["tenure_weeks"] = out.tenure_weeks.astype(np.int64)
-    out["n_users"] = out.n_users.astype(np.int64)
-    return out.sort_values("tenure_weeks").reset_index(drop=True)
-
-
-def order_size_distribution(sf_dir: str):
-    """ORDER SIZE counts-of-counts: how many orders have exactly k
-    lineitems, plus the integer overdispersion witness (n·Σk² vs
-    (Σk)² — variance/mean > 1 ⇔ n·Σk² − (Σk)² > Σk·(n−?)… reported as
-    raw exact sums so the 6-dp index is one final division).  Shape:
-    per-block (orderkey, n) partials → tiered order rollup → the
-    histogram is output-scale (k ≤ max items/order)."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        v, c = np.unique(b["l_orderkey"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"ok": pa.array(v.astype(np.int64)),
-                         "n": pa.array(c.astype(np.int64))})
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        per_order = (_parts_pandas(parts_ds, {"ok": np.int64,
-                                              "n": np.int64})
-                     .groupby("ok", as_index=False).n.sum())
-    else:
-        per_order = (parts_ds.groupby("ok")
-                     .aggregate(Sum("n", alias_name="n")).to_pandas())
-    k = per_order.n.to_numpy(np.int64)
-    out = (pd.DataFrame({"n_items": k})
-           .groupby("n_items", as_index=False)
-           .size().rename(columns={"size": "n_orders"}))
-    n = len(k)
-    if n == 0:  # empty input -> empty histogram, not a crash
-        out["dispersion_r6"] = pd.Series([], dtype=np.float64)
-        return out
-    mean = k.sum() / n
-    var = (k * k).sum() / n - mean * mean
-    out["n_items"] = out.n_items.astype(np.int64)
-    out["n_orders"] = out.n_orders.astype(np.int64)
-    out["dispersion_r6"] = np.round(var / mean, 6)
-    return out.sort_values("n_items").reset_index(drop=True)
-
-
 @contextlib.contextmanager
 def _two_fragment_corpus(sf_dir: str):
     """The runner queries' input: the documents table split into two
@@ -8058,67 +6578,6 @@ def label_centroid_affinity(sf_dir: str):
     out["label_b"] = out.label_b.astype(np.int64)
     return out.sort_values(["label_a", "label_b"]) \
         .reset_index(drop=True)
-
-
-def supplier_rank_correlation(sf_dir: str):
-    """SPEARMAN rank correlation between supplier account balance and
-    supplier revenue (does the ledger agree with the business?) —
-    EXACT integer internals: both metrics rank with AVERAGE ranks for
-    ties carried as 2·rank integers (2·avg = 2·RANK + #ties − 1), the
-    statistic folds as S = Σ(2rᵃ − 2rᵇ)², and
-    ρ = 1 − 3S / (2n(n²−1)) is one final 6-dp division (the
-    average-rank d² form; mirrored verbatim in the oracle).  Shape:
-    tiered per-supplier revenue rollup (native Sum groupby above
-    `LINEITEM_DRIVER_MAX_ROWS`), balance attach on the supplier-scale
-    table, rank walks on that table (suppliers ≪ facts; the at-scale
-    caveat matches the other entity-scale walks)."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    supp = _read(sf_dir, "supplier",
-                 columns=["s_suppkey", "s_acctbal"]).to_pandas()
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = _cents_away(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False))
-        disc = _cents_away(
-            b["l_discount"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({
-            "sk": b["l_suppkey"].to_numpy(zero_copy_only=False),
-            "rev": cents * (100 - disc)})
-        agg = df.groupby("sk", as_index=False).rev.sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = li.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(li)
-    if n_rows is not None and n_rows <= LINEITEM_DRIVER_MAX_ROWS:
-        rev = (_parts_pandas(parts_ds, {"sk": np.int64,
-                                        "rev": np.int64})
-               .groupby("sk", as_index=False).rev.sum())
-    else:
-        rev = (parts_ds.groupby("sk")
-               .aggregate(Sum("rev", alias_name="rev")).to_pandas())
-    m = rev.merge(supp, left_on="sk", right_on="s_suppkey")
-    bal = _cents_away(m.s_acctbal.to_numpy())
-
-    def rank2(v: np.ndarray) -> np.ndarray:
-        """2x average rank (exact integer): 2*RANK + ties - 1."""
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        uniq, start, cnt = np.unique(sv, return_index=True,
-                                     return_counts=True)
-        pos = np.searchsorted(uniq, v)
-        return (2 * (start[pos] + 1) + cnt[pos] - 1).astype(np.int64)
-
-    ra = rank2(m.rev.to_numpy(np.int64))
-    rb = rank2(bal)
-    n = len(m)
-    S = int(((ra - rb) ** 2).sum())
-    rho = 1.0 - 3.0 * S / (2.0 * n * (n * n - 1))
-    out = pd.DataFrame({
-        "n_suppliers": np.asarray([n], np.int64),
-        "sum_d2_4x": np.asarray([S], np.int64),
-        "spearman_r6": [round(rho, 6)]})
-    return out
 
 
 def curation_neardup_summary(sf_dir: str):

@@ -384,40 +384,6 @@ def test_pair_up_keep_first_on_duplicate_headers(ray_session):
     assert first.iloc[0].text_2 == "first2"
 
 
-def test_top_parts_tiers_agree(ray_session, monkeypatch):
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.top_parts_by_revenue(sf)
-    monkeypatch.setattr(A, "LINEITEM_DRIVER_MAX_ROWS", 0)
-    slow = A.top_parts_by_revenue(sf)
-    assert fast.l_partkey.tolist() == slow.l_partkey.tolist()
-    assert fast.revenue.tolist() == slow.revenue.tolist()
-
-
-def test_event_rollup_tiers_agree(ray_session, monkeypatch):
-    """Driver-combine and native-groupby tiers of the event rollups must
-    return identical tables."""
-    import biobloom_ray.pipelines.analytics as A
-    import __ray_entry__ as E
-
-    sf = "/root/testdata/sf0.01"
-    queries = {
-        "events_hourly": lambda: A.events_hourly(sf),
-        "user_event_counts": lambda: E._user_event_counts(sf),
-        "top_users_by_events": lambda: E._top_users_by_events(sf),
-        "event_type_daily": lambda: E._event_type_daily(sf),
-    }
-    fast = {k: f() for k, f in queries.items()}
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow = {k: f() for k, f in queries.items()}
-    for k in queries:
-        f = fast[k].sort_values(list(fast[k].columns)).reset_index(drop=True)
-        s = (slow[k][list(fast[k].columns)]
-             .sort_values(list(fast[k].columns)).reset_index(drop=True))
-        assert len(f) > 0 and f.equals(s), k
-
-
 def test_token_rarity_tiers_agree(ray_session, monkeypatch):
     """Broadcast-unigram tier and hash-join tier of token_rarity_scores
     must return identical integer profiles."""
@@ -897,7 +863,6 @@ def test_source_quality_gate_empty_kept_join_path(ray_session,
 
 def test_round4_new_op_tiers_agree(ray_session, monkeypatch):
     """Round-4 operators: every tier pair returns identical tables —
-    events_props_stats (driver combine vs native groupby),
     top_bigrams_per_lang (driver count-table vs native Sum + two-level
     top-k), nchars_rank_in_source (driver combine + broadcast merge vs
     native groupby + Dataset hash join)."""
@@ -909,21 +874,17 @@ def test_round4_new_op_tiers_agree(ray_session, monkeypatch):
         cols = list(df.columns)
         return df[cols].sort_values(cols).reset_index(drop=True)
 
-    fast_props = A.events_props_stats(sf)
     fast_bg = A.top_bigrams_per_lang(sf)
     fast_rank = A.nchars_rank_in_source(sf)
 
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
     monkeypatch.setattr(A, "BIGRAM_DRIVER_MAX_ROWS", 0)
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
     monkeypatch.setattr(A, "RANK_BROADCAST_MAX_ROWS", 0)
 
-    slow_props = A.events_props_stats(sf)[list(fast_props.columns)]
     slow_bg = A.top_bigrams_per_lang(sf)[list(fast_bg.columns)]
     slow_rank = A.nchars_rank_in_source(sf)[list(fast_rank.columns)]
 
-    for name, f, s in [("props", fast_props, slow_props),
-                       ("bigrams", fast_bg, slow_bg),
+    for name, f, s in [("bigrams", fast_bg, slow_bg),
                        ("rank", fast_rank, slow_rank)]:
         f, s = canon(f), canon(s)
         assert len(f) > 0 and f.equals(s), name
@@ -969,31 +930,6 @@ def test_round4_wave3_tiers_agree(ray_session, monkeypatch):
 
     slow_d = A.token_drift_topk(sf)[list(fast_d.columns)]
     assert len(fast_d) > 0 and fast_d.equals(slow_d)
-
-
-def test_round4_wave4_tiers_agree(ray_session, monkeypatch):
-    """latest_event_per_user_type (driver fold vs native groupby +
-    per-group argmax) and events_hourly_anomaly (tiered rollup under
-    the driver-side z-pass)."""
-    import numpy as np
-
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_l = A.latest_event_per_user_type(sf)
-    fast_a = A.events_hourly_anomaly(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-
-    slow_l = (A.latest_event_per_user_type(sf)[list(fast_l.columns)]
-              .reset_index(drop=True))
-    slow_a = (A.events_hourly_anomaly(sf)[list(fast_a.columns)]
-              .reset_index(drop=True))
-    assert len(fast_l) > 0 and fast_l.reset_index(drop=True).equals(slow_l)
-    assert len(fast_a) > 0
-    for c in ("event_type", "hour_epoch", "n"):
-        assert (fast_a[c].to_numpy() == slow_a[c].to_numpy()).all(), c
-    assert np.allclose(fast_a.z_r6, slow_a.z_r6, rtol=0, atol=1e-6)
 
 
 def test_round4_wave5_tiers_agree(ray_session, monkeypatch):
@@ -1114,58 +1050,20 @@ def test_round4_wave12_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave13_tiers_agree(ray_session, monkeypatch):
-    """max_concurrent_sessions (driver sweep vs distributed sort +
-    block max-prefix-sum fold), pmi_top_bigrams (driver vocab fold vs
-    native Sum groupby + double hash join + block top-k)."""
+    """pmi_top_bigrams (driver vocab fold vs native Sum groupby +
+    double hash join + block top-k)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
-    fast_m = A.max_concurrent_sessions(sf)
     fast_p = A.pmi_top_bigrams(sf)
 
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
     monkeypatch.setattr(A, "RARITY_BROADCAST_MAX_ROWS", 0)
 
-    slow_m = A.max_concurrent_sessions(sf)[list(fast_m.columns)]
     slow_p = A.pmi_top_bigrams(sf)[list(fast_p.columns)]
 
-    assert len(fast_m) > 0 and fast_m.equals(slow_m)
     assert len(fast_p) > 0 and fast_p.equals(slow_p)
-    # sweep invariants: at least 1 when any session exists; never
-    # exceeds the session count
-    r = fast_m.iloc[0]
-    assert 1 <= r.max_concurrent <= r.n_sessions
     # PMI rows respect the min-count floor
     assert (fast_p.c_xy >= 5).all()
-
-
-def test_max_concurrent_sessions_single_entity(ray_session, monkeypatch):
-    """A one-user stream with engineered overlaps...  trivially all
-    sessions belong to one user — the distributed sweep must still
-    count cross-session overlap correctly (the boundary stream, not the
-    per-user grouping, carries the concurrency)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    # fixture: user 1 has 3 sessions; user 2's single long session
-    # overlaps two of them -> max concurrency 2
-    base = pd.Timestamp("2026-01-01 00:00:00")
-    h = pd.Timedelta(hours=1)
-    rows = []
-    for i, (u, start_h, n_ev) in enumerate(
-            [(1, 0, 3), (1, 5, 2), (1, 10, 2), (2, 4.9, 8)]):
-        for j in range(n_ev):
-            rows.append((len(rows), base + start_h * h
-                         + pd.Timedelta(minutes=10 * j), u))
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    import tempfile, os
-    with tempfile.TemporaryDirectory() as td:
-        df.to_parquet(os.path.join(td, "events.parquet"))
-        out = A.max_concurrent_sessions(td)
-        monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-        out2 = A.max_concurrent_sessions(td)
-    assert out.iloc[0].n_sessions == 4
-    assert out.iloc[0].max_concurrent == 2
-    assert out.equals(out2[list(out.columns)])
 
 
 def test_round4_wave14_tiers_agree(ray_session, monkeypatch):
@@ -1199,27 +1097,19 @@ def test_round4_wave14_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave15_tiers_agree(ray_session, monkeypatch):
-    """source_lang_chi2 (tiered contingency rollup), name_typo_pairs
-    (tiered distinct vocab; deletion blocking finds EXACTLY the
-    all-pairs levenshtein=1 set by construction)."""
+    """source_lang_chi2 (tiered contingency rollup)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
     fast_c = A.source_lang_chi2(sf)
-    fast_t = A.name_typo_pairs(sf)
 
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
 
     slow_c = A.source_lang_chi2(sf)[list(fast_c.columns)]
-    slow_t = A.name_typo_pairs(sf)[list(fast_t.columns)]
 
     assert len(fast_c) > 0 and fast_c.equals(slow_c)
-    assert len(fast_t) > 0 and fast_t.equals(slow_t)
     # chi2 >= 0, dof = (rows-1)(cols-1) > 0 on the fixture
     assert fast_c.iloc[0].chi2_r6 >= 0 and fast_c.iloc[0].dof > 0
-    # typo pairs are ordered and distinct
-    assert (fast_t.w1 < fast_t.w2).all()
-    assert not fast_t.duplicated().any()
 
 def test_round4_wave18_tiers_agree(ray_session):
     """diversified_top_docs (block per-source prune is a VALID pruning
@@ -1241,35 +1131,6 @@ def test_round4_wave18_tiers_agree(ray_session):
     assert fast_d.equals(ref)
     assert fast_d.groupby("source").size().max() <= 2
 
-def test_round4_wave19_tiers_agree(ray_session, monkeypatch):
-    """latest_events_per_user (block per-user prune proven against the
-    unpruned window rule), event_gap_quantiles (driver fold vs native
-    Sum groupby over gap count tables)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_l = A.latest_events_per_user(sf)
-    fast_g = A.event_gap_quantiles(sf)
-
-    # unpruned reference for latest-N
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["user_id", "event_id", "ts",
-                                  "event_type"])
-    ev["ts_ns"] = ev.ts.astype("datetime64[ns]").astype(np.int64)
-    ref = (ev.sort_values(["user_id", "ts_ns", "event_id"],
-                          ascending=[True, False, False])
-           .groupby("user_id").head(3).copy())
-    ref["rn"] = (ref.groupby("user_id").cumcount() + 1).astype(np.int64)
-    ref = (ref.sort_values(["user_id", "rn"]).reset_index(drop=True)
-           [["user_id", "rn", "event_id", "ts_ns", "event_type"]])
-    assert fast_l.equals(ref)
-    assert fast_l.groupby("user_id").size().max() <= 3
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_g = A.event_gap_quantiles(sf)[list(fast_g.columns)]
-    assert len(fast_g) > 0 and fast_g.equals(slow_g)
-    # quantile ordering invariant
-    assert (fast_g.p50_s <= fast_g.p90_s).all()
 
 def test_round4_wave20_tiers_agree(ray_session, monkeypatch):
     """rrf_hybrid_topk (fusion of two existing distributed retrieval
@@ -1315,36 +1176,6 @@ def test_round4_wave22_tiers_agree(ray_session):
         ["key", "doc_id"], ascending=[False, True]).head(20)
     assert fast_w.doc_id.tolist() == docs.doc_id.tolist()
 
-def test_round4_wave24_tiers_agree(ray_session, monkeypatch):
-    """zorder_bucket_counts (driver fold vs native Sum groupby;
-    Morton interleave checked against a reference implementation),
-    funnel_latency_quantiles (driver fold vs native Min groupby)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_z = A.zorder_bucket_counts(sf)
-    fast_f = A.funnel_latency_quantiles(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_z = A.zorder_bucket_counts(sf)[list(fast_z.columns)]
-    slow_f = A.funnel_latency_quantiles(sf)[list(fast_f.columns)]
-    assert len(fast_z) > 0 and fast_z.equals(slow_z)
-    assert len(fast_f) > 0 and fast_f.equals(slow_f)
-
-    # Morton reference check on a small grid: interleave(3, 5)
-    # x=0b011, y=0b101 -> z bits y2 x2 y1 x1 y0 x0 = 1 0 0 1 1 1
-    x, y = 3, 5
-    z = 0
-    for i in range(8):
-        z |= ((x >> i) & 1) << (2 * i)
-        z |= ((y >> i) & 1) << (2 * i + 1)
-    assert z == 0b100111
-    # bucket totals account for every event row
-    ev = pd.read_parquet(f"{sf}/events.parquet", columns=["event_id"])
-    assert fast_z.n.sum() == len(ev)
-    # latency sanity: quantiles ordered, conversions <= users
-    r = fast_f.iloc[0]
-    assert r.p50_s <= r.p90_s and r.n_converted > 0
 
 def test_round4_wave25_tiers_agree(ray_session, monkeypatch):
     """nchars_robust_outliers (driver fold vs native Sum groupby; the
@@ -1455,36 +1286,6 @@ def test_round4_wave29_tiers_agree(ray_session, monkeypatch):
     assert len(r) > 0 and (r.n_words >= 1).all() \
         and (r.n_sentences >= 1).all()
 
-def test_round4_wave30_tiers_agree(ray_session, monkeypatch):
-    """range_shard_bounds / cusum_changepoints / hour_of_day_profile
-    (driver fold vs native Sum groupby over the count-table / daily /
-    (type,hod) partials)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_s = A.range_shard_bounds(sf)
-    fast_c = A.cusum_changepoints(sf)
-    fast_h = A.hour_of_day_profile(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_s = A.range_shard_bounds(sf)[list(fast_s.columns)]
-    slow_c = A.cusum_changepoints(sf)[list(fast_c.columns)]
-    slow_h = A.hour_of_day_profile(sf)[list(fast_h.columns)]
-    assert len(fast_s) > 0 and fast_s.equals(slow_s)
-    assert len(fast_c) > 0 and fast_c.equals(slow_c)
-    assert len(fast_h) > 0 and fast_h.equals(slow_h)
-
-    # shards are equi-depth within one value-run: every shard within
-    # 2x of the ideal N/8 on this fixture, ranges non-overlapping
-    ev = pd.read_parquet(f"{sf}/events.parquet", columns=["event_id"])
-    assert fast_s.n_rows.sum() == len(ev)
-    assert (fast_s.min_cents.to_numpy()[1:]
-            > fast_s.max_cents.to_numpy()[:-1]).all()
-    # cusum: one row per type, |S| positive on this fixture
-    assert fast_c.event_type.is_unique
-    # hod shares sum to 1 per type (6-dp rounding slack)
-    s = fast_h.groupby("event_type")["share_r6"].sum()
-    assert ((s - 1.0).abs() < 1e-4).all()
 
 def test_round4_wave31_tiers_agree(ray_session, monkeypatch):
     """join_size_exact (driver fold vs native Sum groupby).
@@ -1620,14 +1421,12 @@ def test_round4_wave36_tiers_agree(ray_session, monkeypatch):
 
 def test_round4_wave38_tiers_agree(ray_session, monkeypatch):
     """kmv_distinct_userdays (driver fold vs fold tasks of the
-    keep-k-smallest KMV merge), part_skyline (gate-free associative
-    merge — asserted against a brute-force domination check)."""
+    keep-k-smallest KMV merge)."""
     import biobloom_ray.pipelines.analytics as A
     import biobloom_ray.sketches.fold as F
 
     sf = "/root/testdata/sf0.01"
     fast_kmv = A.kmv_distinct_userdays(sf)
-    fast_sky = A.part_skyline(sf)
 
     monkeypatch.setattr(F, "DRIVER_FOLD_MAX_BYTES", 0)
     slow_kmv = A.kmv_distinct_userdays(sf)[list(fast_kmv.columns)]
@@ -1646,23 +1445,6 @@ def test_round4_wave38_tiers_agree(ray_session, monkeypatch):
         tru = exact[r.event_type]
         assert abs(r.kmv_distinct_r6 - tru) / tru < 5 / np.sqrt(
             A.KMV_K - 2)
-
-    # skyline: no member dominated by any part, every non-member
-    # dominated by some member (brute force over the fixture)
-    parts = pd.read_parquet(f"{sf}/part.parquet",
-                            columns=["p_partkey", "p_retailprice",
-                                     "p_size"])
-    parts["cents"] = (np.sign(parts.p_retailprice) * np.floor(
-        np.abs(parts.p_retailprice) * 100 + 0.5)).astype(np.int64)
-    c = parts.cents.to_numpy()
-    s = parts.p_size.to_numpy(np.int64)
-    in_sky = parts.p_partkey.isin(fast_sky.p_partkey).to_numpy()
-    for i in np.nonzero(in_sky)[0]:
-        dom = ((c < c[i]) & (s >= s[i])) | ((c <= c[i]) & (s > s[i]))
-        assert not dom.any()
-    for i in np.nonzero(~in_sky)[0]:
-        dom = (((c < c[i]) & (s >= s[i])) | ((c <= c[i]) & (s > s[i])))
-        assert dom[in_sky].any()
 
 
 def test_round4_wave39_tiers_agree(ray_session, monkeypatch):
@@ -1716,59 +1498,6 @@ def test_round4_wave40_tiers_agree(ray_session, monkeypatch):
             ).all()
 
 
-def test_round4_wave43_tiers_agree(ray_session, monkeypatch):
-    """value_ks_matrix (driver combine vs native count-table Sum
-    groupby)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_ks = A.value_ks_matrix(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_ks = A.value_ks_matrix(sf)[list(fast_ks.columns)]
-    assert len(fast_ks) == 10 and fast_ks.equals(slow_ks)
-
-    # KS vs scipy-style direct two-sample computation for one pair
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["event_type", "value"])
-    cents = (np.sign(ev.value)
-             * np.floor(np.abs(ev.value) * 100 + 0.5)).astype(np.int64)
-    a = np.sort(cents[ev.event_type == "click"].to_numpy())
-    b = np.sort(cents[ev.event_type == "view"].to_numpy())
-    grid = np.union1d(a, b)
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    d = np.abs(fa - fb).max()
-    row = fast_ks[(fast_ks.type_a == "click")
-                  & (fast_ks.type_b == "view")].iloc[0]
-    assert abs(row.ks_r6 - d) < 1e-6
-
-
-def test_round4_wave44_tiers_agree(ray_session, monkeypatch):
-    """daily_revenue_haar (tiered daily rollup; pyramid invariants:
-    level sums reconstruct the approximation)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_hr = A.daily_revenue_haar(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_hr = A.daily_revenue_haar(sf)[list(fast_hr.columns)]
-    assert len(fast_hr) > 0 and fast_hr.equals(slow_hr)
-
-    # Haar: top approximation equals the exact total revenue, and
-    # each type's level-1 detail count is half the padded grid
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["event_type", "value"])
-    cents = (np.sign(ev.value)
-             * np.floor(np.abs(ev.value) * 100 + 0.5)).astype(np.int64)
-    tot = pd.DataFrame({"event_type": ev.event_type, "c": cents}) \
-        .groupby("event_type").c.sum()
-    top = fast_hr[fast_hr.level == fast_hr.level.max()]
-    for _, r in top.iterrows():
-        assert r.coeff_cents == tot[r.event_type]
-
-
 def test_round4_wave45_tiers_agree(ray_session, monkeypatch):
     """type_user_overlap_exact (driver pivot vs dedup + basket
     map_groups) — plus the KMV cross-check: the exact Jaccard matrix
@@ -1790,39 +1519,6 @@ def test_round4_wave45_tiers_agree(ray_session, monkeypatch):
     sig = np.sqrt(np.maximum(j.jaccard_r6_x * (1 - j.jaccard_r6_x),
                              0.01) / A.KMV_K)
     assert (np.abs(j.jaccard_r6_x - j.jaccard_r6_y) < 5 * sig).all()
-
-
-def test_round4_wave50_tiers_agree(ray_session, monkeypatch):
-    """dominant_supplier_parts + cumulative_parts_catalog (driver
-    combine vs native rollup chains), parts_keyset_page (gate-free
-    block top-k; page contract: sorted, contiguous after cursor)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_dm = A.dominant_supplier_parts(sf)
-    fast_kp = A.parts_keyset_page(sf)
-    fast_cc = A.cumulative_parts_catalog(sf)
-
-    monkeypatch.setattr(A, "LINEITEM_DRIVER_MAX_ROWS", 0)
-    slow_dm = A.dominant_supplier_parts(sf)[list(fast_dm.columns)]
-    slow_cc = A.cumulative_parts_catalog(sf)[list(fast_cc.columns)]
-    assert len(fast_dm) > 0 and fast_dm.equals(slow_dm)
-    assert len(fast_cc) > 0 and fast_cc.equals(slow_cc)
-
-    # keyset page: exactly `page` rows, strictly increasing compound
-    # key, every row strictly after the cursor
-    assert len(fast_kp) == 20
-    keys = list(zip(fast_kp.price_cents, fast_kp.p_partkey))
-    assert keys == sorted(keys) and len(set(keys)) == 20
-    assert all(k > (90_000, 0) for k in keys)
-    # running distinct: final cumulative equals the distinct part
-    # count, and the curve is the cumsum of the news
-    li = pd.read_parquet(f"{sf}/lineitem.parquet",
-                         columns=["l_partkey"])
-    assert fast_cc.n_cum.iloc[-1] == li.l_partkey.nunique()
-    assert (fast_cc.n_cum == fast_cc.n_new.cumsum()).all()
-    # dominance: every counted supplier ships > 1/8 of some part
-    assert (fast_dm.n_parts > 0).all()
 
 
 def test_round4_wave51_tiers_agree(ray_session, monkeypatch):
@@ -1857,66 +1553,6 @@ def test_round4_wave51_tiers_agree(ray_session, monkeypatch):
         vocab.update(t.split())
     assert fast_vg.n_cum.iloc[-1] == len(vocab)
     assert (fast_vg.n_cum == fast_vg.n_new.cumsum()).all()
-
-
-def test_round4_wave53_tiers_agree(ray_session, monkeypatch):
-    """revenue_up_run_lengths + weekday_uniformity_chi2 (driver
-    combine vs native Sum groupbys; invariants pinned)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_ru = A.revenue_up_run_lengths(sf)
-    fast_ch = A.weekday_uniformity_chi2(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_ru = A.revenue_up_run_lengths(sf)[list(fast_ru.columns)]
-    slow_ch = A.weekday_uniformity_chi2(sf)[list(fast_ch.columns)]
-    assert len(fast_ru) == 5 and fast_ru.equals(slow_ru)
-    assert len(fast_ch) == 5 and fast_ch.equals(slow_ch)
-
-    # a longest run needs at least one run to exist, and chi2 >= 0
-    assert ((fast_ru.longest_up_run > 0) == (fast_ru.n_up_runs > 0)) \
-        .all()
-    assert (fast_ch.chi2_r6 >= 0).all()
-    # direct per-type run check for one type
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["event_type", "ts", "value"])
-    ev = ev[ev.event_type == "click"]
-    ev["day"] = (ev.ts.astype("datetime64[us]").astype(np.int64)
-                 // 86_400_000_000)
-    cents = (np.sign(ev.value)
-             * np.floor(np.abs(ev.value) * 100 + 0.5)).astype(np.int64)
-    daily = (pd.DataFrame({"day": ev.day, "rev": cents})
-             .groupby("day").rev.sum().sort_index().to_numpy())
-    up = np.diff(daily) > 0
-    best = cur = 0
-    for u in up:
-        cur = cur + 1 if u else 0
-        best = max(best, cur)
-    assert fast_ru.set_index("event_type").loc["click"] \
-        .longest_up_run == best
-
-
-def test_round4_wave54_tiers_agree(ray_session, monkeypatch):
-    """value_twap_by_type (driver slice walk vs per-type map_groups
-    LEAD walk); the TWAP sits inside the per-type value range."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.value_twap_by_type(sf)
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow = A.value_twap_by_type(sf)[list(fast.columns)]
-    assert len(fast) == 5 and fast.equals(slow)
-
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["event_type", "value"])
-    cents = (np.sign(ev.value)
-             * np.floor(np.abs(ev.value) * 100 + 0.5)).astype(np.int64)
-    rng = (pd.DataFrame({"t": ev.event_type, "c": cents})
-           .groupby("t").c.agg(["min", "max"]))
-    m = fast.merge(rng, left_on="event_type", right_index=True)
-    assert ((m.twap_r6 >= m["min"]) & (m.twap_r6 <= m["max"])).all()
-    assert (m.sum_w > 0).all() and (m.n_gaps > 0).all()
 
 
 def test_round4_wave55_tiers_agree(ray_session, monkeypatch):
@@ -2124,41 +1760,12 @@ def test_round4_wave62_tiers_agree(ray_session, monkeypatch):
     assert fast_al.alloc.nunique() >= 2
 
 
-def test_round4_wave63_tiers_agree(ray_session, monkeypatch):
-    """session_bounce_rate tier parity + direct pandas recomputation;
-    embedding_quantization_report numpy twin (1e-9)."""
+def test_round4_wave63_tiers_agree(ray_session):
+    """embedding_quantization_report numpy twin (1e-9)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
-    fast_br = A.session_bounce_rate(sf)
     rep = A.embedding_quantization_report(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    slow_br = A.session_bounce_rate(sf)[list(fast_br.columns)]
-    assert len(fast_br) == 5 and fast_br.equals(slow_br)
-
-    # direct recomputation: sessions from the sorted event stream
-    ev = (pd.read_parquet(f"{sf}/events.parquet",
-                          columns=["event_id", "ts", "user_id",
-                                   "event_type"])
-          .sort_values(["user_id", "ts", "event_id"]))
-    ts = ev.ts.astype("datetime64[ns]").astype(np.int64).to_numpy()
-    uid = ev.user_id.to_numpy()
-    new_s = np.ones(len(ev), bool)
-    new_s[1:] = (uid[1:] != uid[:-1]) | (ts[1:] - ts[:-1]
-                                         > 30 * 60 * 10**9)
-    starts = np.nonzero(new_s)[0]
-    ln = np.diff(np.r_[starts, len(ev)])
-    et = ev.event_type.to_numpy(dtype=object)[starts]
-    want = (pd.DataFrame({"t": et, "ln": ln}).groupby("t")
-            .agg(n_sessions=("ln", "size"),
-                 n_bounce=("ln", lambda s: int((s == 1).sum())),
-                 n_events=("ln", "sum")))
-    g = fast_br.set_index("entry_type")
-    assert (g.n_sessions == want.n_sessions).all()
-    assert (g.n_bounce == want.n_bounce).all()
-    assert (g.n_events == want.n_events).all()
-    assert fast_br.n_events.sum() == len(ev)
 
     # quantization: numpy recomputation of the exact same scheme
     emb = pd.read_parquet(f"{sf}/embeddings.parquet")
@@ -2267,45 +1874,6 @@ def test_round4_wave66_sketch_calibration(ray_session):
         assert r.exact == nch[target - 1]
 
 
-def test_round4_wave67_tiers_agree(ray_session, monkeypatch):
-    """user_tenure_distribution + order_size_distribution: tier
-    parity + direct recomputation."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_tn = A.user_tenure_distribution(sf)
-    fast_os = A.order_size_distribution(sf)
-
-    monkeypatch.setattr(A, "EVENTS_DRIVER_MAX_ROWS", 0)
-    monkeypatch.setattr(A, "LINEITEM_DRIVER_MAX_ROWS", 0)
-    slow_tn = A.user_tenure_distribution(sf)[list(fast_tn.columns)]
-    slow_os = A.order_size_distribution(sf)[list(fast_os.columns)]
-    assert len(fast_tn) > 0 and fast_tn.equals(slow_tn)
-    assert len(fast_os) > 0 and fast_os.equals(slow_os)
-
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["user_id", "ts"])
-    g = ev.groupby("user_id").ts.agg(["min", "max"])
-    w = ((g["max"].astype("datetime64[us]").astype(np.int64)
-          - g["min"].astype("datetime64[us]").astype(np.int64))
-         // (7 * 86_400_000_000))
-    assert fast_tn.n_users.sum() == ev.user_id.nunique()
-    want = w.value_counts().sort_index()
-    got = fast_tn.set_index("tenure_weeks").n_users
-    assert (got == want).all()
-
-    li = pd.read_parquet(f"{sf}/lineitem.parquet",
-                         columns=["l_orderkey"])
-    k = li.l_orderkey.value_counts().to_numpy()
-    assert fast_os.n_orders.sum() == li.l_orderkey.nunique()
-    assert (fast_os.n_items * fast_os.n_orders).sum() == len(li)
-    mean = k.sum() / len(k)
-    var = (k * k).sum() / len(k) - mean * mean
-    assert fast_os.dispersion_r6.nunique() == 1
-    assert abs(fast_os.dispersion_r6.iloc[0]
-               - round(var / mean, 6)) <= 1e-6
-
-
 def test_round4_wave68_kmeans_quality(ray_session):
     """kmeans_quality_report: numpy recomputation twin (exact to the
     fixed-point contract), partition counts match the kmeans
@@ -2371,43 +1939,3 @@ def test_round4_wave69_tiers_agree(ray_session, monkeypatch):
         for j in range(i + 1, 10):
             want = (cents[i] * cents[j]).sum() / (nrm[i] * nrm[j])
             assert abs(got[(i, j)] - round(want, 6)) <= 2e-6
-
-
-def test_round4_wave70_tiers_agree(ray_session, monkeypatch):
-    """supplier_rank_correlation: tier parity + scipy-free brute-force
-    Spearman recomputation on average ranks."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.supplier_rank_correlation(sf)
-    monkeypatch.setattr(A, "LINEITEM_DRIVER_MAX_ROWS", 0)
-    slow = A.supplier_rank_correlation(sf)[list(fast.columns)]
-    assert len(fast) == 1 and fast.equals(slow)
-    assert -1 <= fast.spearman_r6.iloc[0] <= 1
-
-    li = pd.read_parquet(f"{sf}/lineitem.parquet",
-                         columns=["l_suppkey", "l_extendedprice",
-                                  "l_discount"])
-    sup = pd.read_parquet(f"{sf}/supplier.parquet",
-                          columns=["s_suppkey", "s_acctbal"])
-
-    def cents(x):
-        return (np.sign(x) * np.floor(np.abs(x) * 100 + 0.5)) \
-            .astype(np.int64)
-
-    rev = (pd.DataFrame({
-        "sk": li.l_suppkey,
-        "r": cents(li.l_extendedprice.to_numpy())
-        * (100 - cents(li.l_discount.to_numpy()))})
-        .groupby("sk", as_index=False).r.sum()
-        .merge(sup, left_on="sk", right_on="s_suppkey"))
-    ra = rev.r.rank(method="average").to_numpy() * 2
-    rb = cents(rev.s_acctbal.to_numpy())
-    rb = pd.Series(rb).rank(method="average").to_numpy() * 2
-    S = int(((ra - rb) ** 2).sum())
-    n = len(rev)
-    rho = 1.0 - 3.0 * S / (2.0 * n * (n * n - 1))
-    assert fast.n_suppliers.iloc[0] == n
-    assert fast.sum_d2_4x.iloc[0] == S
-    assert abs(fast.spearman_r6.iloc[0] - round(rho, 6)) <= 1e-6
-

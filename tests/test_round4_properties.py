@@ -11,75 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.tuples(st.integers(1, 4),          # user
-                          st.integers(0, 5000)),      # minute offset
-                min_size=1, max_size=60))
-def test_sweepline_matches_bruteforce(ray_session, events):
-    """max_concurrent_sessions == brute-force sweep over the session
-    intervals derived independently here."""
-    import biobloom_ray.pipelines.analytics as A
-
-    base = pd.Timestamp("2026-01-01")
-    df = pd.DataFrame({
-        "event_id": range(len(events)),
-        "user_id": [u for u, _ in events],
-        "ts": [base + pd.Timedelta(minutes=m) for _, m in events]})
-    with tempfile.TemporaryDirectory() as td:
-        df.to_parquet(os.path.join(td, "events.parquet"))
-        got = A.max_concurrent_sessions(td).iloc[0]
-    # brute force: per-user sessions at 30-min gap, then scan minutes
-    ivs = []
-    for u, g in df.groupby("user_id"):
-        ts = np.sort(g.ts.values.astype("datetime64[m]").astype(int))
-        start = ts[0]
-        prev = ts[0]
-        for t in ts[1:]:
-            if t - prev > 30:
-                ivs.append((start, prev))
-                start = t
-            prev = t
-        ivs.append((start, prev))
-    assert got.n_sessions == len(ivs)
-    # closed intervals; concurrency at every boundary point
-    points = sorted({p for iv in ivs for p in iv})
-    best = max(sum(1 for s, e in ivs if s <= p <= e) for p in points)
-    assert got.max_concurrent == best
-
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5),
-                min_size=1, max_size=25))
-def test_typo_blocking_matches_bruteforce(ray_session, words):
-    """FastSS deletion blocking returns EXACTLY the all-pairs
-    levenshtein==1 set on arbitrary short words."""
-    import biobloom_ray.pipelines.analytics as A
-
-    df = pd.DataFrame({"c_name": [" ".join(words)]})
-    with tempfile.TemporaryDirectory() as td:
-        df.to_parquet(os.path.join(td, "customer.parquet"))
-        got = A.name_typo_pairs(td)
-    vocab = sorted(set(words))
-    want = sorted((a, b) for i, a in enumerate(vocab)
-                  for b in vocab[i + 1:] if _levenshtein(a, b) == 1)
-    assert list(map(tuple, got.to_numpy())) == want
-
-
 @settings(max_examples=8, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(st.lists(st.integers(1, 500), min_size=2, max_size=80))
@@ -143,13 +74,8 @@ def test_wave_ops_empty_inputs(ray_session):
                       "text": pd.Series([], dtype=str),
                       "n_chars": pd.Series([], dtype=np.int64)}
                      ).to_parquet(os.path.join(td, "documents.parquet"))
-        pd.DataFrame({"c_name": pd.Series([], dtype=str)}
-                     ).to_parquet(os.path.join(td, "customer.parquet"))
 
-        m = A.max_concurrent_sessions(td)
-        assert m.iloc[0].max_concurrent == 0 and m.iloc[0].n_sessions == 0
         assert len(A.doc_length_gini(td)) == 0
-        assert len(A.name_typo_pairs(td)) == 0
         # round-5 yield family: zero-row corpus -> zero funnel
         f = A.curation_funnel(td)
         assert list(f.stage) == ["raw", "quality_gate", "exact_dedup",
@@ -177,91 +103,6 @@ def test_wave_ops_empty_inputs(ray_session):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=list(HealthCheck))
-@given(st.lists(st.tuples(st.integers(0, 50),   # price (small domain
-                          st.integers(1, 8)),   # forces ties), size
-                min_size=1, max_size=60))
-def test_skyline_kernel_vs_brute_force(pts):
-    """part_skyline's sort/runmax kernel == O(n²) domination check,
-    including duplicate (price, size) pairs and ties on either axis;
-    and skyline-of-skylines over a random split equals the whole."""
-    cents = np.asarray([p[0] for p in pts], np.int64)
-    size = np.asarray([p[1] for p in pts], np.int64)
-    # the pipeline's kernel, verbatim (sort + per-price max + strict
-    # running max), vs the O(n^2) domination definition
-    order = np.lexsort((-size, cents))
-    c, s = cents[order], size[order]
-    first = np.r_[True, c[1:] != c[:-1]]
-    pc_, ps = c[first], s[first]
-    run = np.maximum.accumulate(ps)
-    keep_lvl = np.r_[True, ps[1:] > run[:-1]]
-    lv = set(zip(pc_[keep_lvl].tolist(), ps[keep_lvl].tolist()))
-    kernel_mask = np.asarray([(a, b) in lv for a, b in
-                              zip(cents.tolist(), size.tolist())])
-    brute = np.ones(len(pts), dtype=bool)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if ((cents[j] < cents[i] and size[j] >= size[i])
-                    or (cents[j] <= cents[i] and size[j] > size[i])):
-                brute[i] = False
-                break
-    assert (kernel_mask == brute).all()
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=50),
-       st.lists(st.integers(0, 30), min_size=1, max_size=50))
-def test_ks_integer_supremum_vs_direct(a, b):
-    """value_ks_matrix's cross-multiplied integer supremum equals the
-    direct empirical-CDF D statistic."""
-    a = np.sort(np.asarray(a, np.int64))
-    b = np.sort(np.asarray(b, np.int64))
-    grid = np.union1d(a, b)
-    na, nb = len(a), len(b)
-    ca = np.searchsorted(a, grid, side="right")
-    cb = np.searchsorted(b, grid, side="right")
-    num = int(np.abs(nb * ca - na * cb).max())
-    d_direct = np.abs(ca / na - cb / nb).max()
-    assert abs(num / (na * nb) - d_direct) < 1e-12
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40))
-def test_haar_pyramid_reconstructs(series):
-    """daily_revenue_haar's unnormalized coefficients are invertible:
-    the inverse transform recovers the padded series exactly (integer
-    arithmetic end to end)."""
-    r = np.asarray(series, np.int64)
-    slots = 1 << (len(r) - 1).bit_length() if len(r) > 1 else 1
-    x = np.zeros(slots, np.int64)
-    x[:len(r)] = r
-    o = np.arange(slots, dtype=np.int64)
-    levels = slots.bit_length() - 1
-    coeffs = {}
-    for lev in range(1, levels + 1):
-        sign = 1 - 2 * ((o >> (lev - 1)) & 1)
-        coef = np.zeros(slots >> lev, dtype=np.int64)
-        np.add.at(coef, o >> lev, sign * x)
-        coeffs[lev] = coef
-    approx = np.asarray([x.sum()], np.int64)
-    # inverse: start from the top approximation, at each level split
-    # a = (s + d) / 2, b = (s - d) / 2
-    cur = approx
-    for lev in range(levels, 0, -1):
-        d = coeffs[lev]
-        nxt = np.empty(len(cur) * 2, np.int64)
-        s_plus = cur + d
-        s_minus = cur - d
-        assert (s_plus % 2 == 0).all() and (s_minus % 2 == 0).all()
-        nxt[0::2] = s_plus // 2
-        nxt[1::2] = s_minus // 2
-        cur = nxt
-    assert (cur == x).all()
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=list(HealthCheck))
 @given(st.lists(st.integers(0, 2**50), min_size=0, max_size=60),
        st.integers(2, 3))
 def test_kmv_merge_associativity(hashes, n_parts):
@@ -277,27 +118,6 @@ def test_kmv_merge_associativity(hashes, n_parts):
              for i in range(n_parts)]
     merged = np.unique(np.concatenate(parts))[:k] if parts else whole
     assert (merged == whole).all()
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.integers(-5, 5), min_size=0, max_size=60))
-def test_up_run_kernel_vs_loop(diffs):
-    """revenue_up_run_lengths' island walk == the sequential loop."""
-    up = np.asarray(diffs, np.int64) > 0
-    changes = np.nonzero(np.diff(np.r_[False, up, False]))[0]
-    starts, ends = changes[::2], changes[1::2]
-    lens = ends - starts
-    best = cur = runs = 0
-    prev = False
-    for u in up:
-        cur = cur + 1 if u else 0
-        best = max(best, cur)
-        if u and not prev:
-            runs += 1
-        prev = bool(u)
-    assert (int(lens.max()) if len(lens) else 0) == best
-    assert len(lens) == runs
 
 
 @settings(max_examples=10, deadline=None,
@@ -375,30 +195,8 @@ def test_wave57plus_ops_empty_inputs(ray_session):
                       "text": pd.Series([], dtype=str),
                       "n_chars": pd.Series([], dtype=np.int64)}
                      ).to_parquet(os.path.join(td, "documents.parquet"))
-        pd.DataFrame({"o_orderkey": pd.Series([], dtype=np.int64),
-                      "o_custkey": pd.Series([], dtype=np.int64),
-                      "o_orderstatus": pd.Series([], dtype=str),
-                      "o_totalprice": pd.Series([], dtype=np.float64),
-                      "o_orderdate": pd.Series([],
-                                               dtype="datetime64[us]"),
-                      "o_orderpriority": pd.Series([], dtype=str)}
-                     ).to_parquet(os.path.join(td, "orders.parquet"))
-        pd.DataFrame({"l_orderkey": pd.Series([], dtype=np.int64),
-                      "l_partkey": pd.Series([], dtype=np.int64),
-                      "l_suppkey": pd.Series([], dtype=np.int64),
-                      "l_quantity": pd.Series([], dtype=np.float64),
-                      "l_extendedprice": pd.Series([],
-                                                   dtype=np.float64),
-                      "l_discount": pd.Series([], dtype=np.float64),
-                      "l_returnflag": pd.Series([], dtype=str),
-                      "l_shipdate": pd.Series([],
-                                              dtype="datetime64[us]")}
-                     ).to_parquet(os.path.join(td, "lineitem.parquet"))
 
         assert len(A.sample_budget_allocation(td)) == 0
-        assert len(A.order_size_distribution(td)) == 0
-        assert len(A.session_bounce_rate(td)) == 0
-        assert len(A.user_tenure_distribution(td)) == 0
         assert len(A.incremental_dedup_report(td)) == 0
         assert len(A.lang_temperature_mix(td)) == 0
         assert len(A.vocab_coverage_topp(td)) == 0
@@ -485,61 +283,6 @@ def test_nucleus_coverage_counts_of_counts_vs_expansion(counts, pct):
     need = thr - before
     got = int(k[:j].sum()) + int(-(-need // vals[j]))
     assert got == want
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=list(HealthCheck))
-@given(st.lists(st.tuples(st.integers(1, 3),        # user
-                          st.integers(0, 10**5),    # second offset
-                          st.integers(0, 2)),       # type
-                min_size=1, max_size=60))
-def test_bounce_fold_vs_sequential(events):
-    """The vectorized session fold (session_bounce_rate kernel) equals
-    a sequential per-user session walk."""
-    types = np.array(["x", "y", "z"], dtype=object)
-    df = pd.DataFrame({
-        "user_id": [u for u, _, _ in events],
-        "ts_ns": [t * 10**9 for _, t, _ in events],
-        "event_id": range(len(events)),
-        "event_type": types[[k for _, _, k in events]]})
-    df = df.sort_values(["user_id", "ts_ns", "event_id"])
-    uid = df.user_id.to_numpy()
-    ts = df.ts_ns.to_numpy(np.int64)
-    et = df.event_type.to_numpy(dtype=object)
-    gap = 30 * 60 * 10**9
-    new_s = np.ones(len(df), bool)
-    new_s[1:] = (uid[1:] != uid[:-1]) | (ts[1:] - ts[:-1] > gap)
-    starts = np.nonzero(new_s)[0]
-    ln = np.diff(np.r_[starts, len(df)])
-    vec = (pd.DataFrame({"t": et[starts], "ln": ln}).groupby("t")
-           .agg(ns=("ln", "size"),
-                nb=("ln", lambda s: int((s == 1).sum())),
-                ne=("ln", "sum")))
-    # sequential walk
-    from collections import defaultdict
-    ns = defaultdict(int)
-    nb = defaultdict(int)
-    ne = defaultdict(int)
-    rows = list(df.itertuples())
-    cur_entry, cur_len, prev = None, 0, None
-    for r in rows:
-        if (prev is None or r.user_id != prev.user_id
-                or r.ts_ns - prev.ts_ns > gap):
-            if cur_entry is not None:
-                ns[cur_entry] += 1
-                ne[cur_entry] += cur_len
-                nb[cur_entry] += int(cur_len == 1)
-            cur_entry, cur_len = r.event_type, 1
-        else:
-            cur_len += 1
-        prev = r
-    if cur_entry is not None:
-        ns[cur_entry] += 1
-        ne[cur_entry] += cur_len
-        nb[cur_entry] += int(cur_len == 1)
-    assert dict(vec["ns"]) == dict(ns)
-    assert dict(vec["nb"]) == dict(nb)
-    assert dict(vec["ne"]) == dict(ne)
 
 
 @settings(max_examples=15, deadline=None,
