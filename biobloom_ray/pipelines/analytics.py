@@ -1264,11 +1264,6 @@ DUPC_HOT_GRAM_CAP = 10
 #: rounds for D-doc components; real dup clusters have tiny diameter)
 DUPC_MAX_ITERS = 50
 
-#: when a list, the BSP cluster loop appends (round, wall_s) per round —
-#: used by scripts/bsp_amortization.py to evidence that per-round cost
-#: is data-bound (fixed cost amortizes) as the corpus grows
-DUPC_ROUND_LOG: list | None = None
-
 
 def _gram_membership(b: pa.Table, k: int) -> pa.Table:
     """Per-batch-deduped ``(doc_id, h)`` membership rows: doc contains
@@ -1375,11 +1370,8 @@ def dup_clusters(sf_dir: str, k: int = DUPC_SUBSTR_K,
     lbl_ds = (mem.groupby("doc_id").aggregate(Count(alias_name="x"))
               .map_batches(lambda b: init_lbl(b), batch_format="pyarrow")
               .materialize())
-    import time as _time
-
     prev_tot = None
-    for _r in range(DUPC_MAX_ITERS):
-        _t0 = _time.perf_counter()
+    for _ in range(DUPC_MAX_ITERS):
         a = hash_join(mem, lbl_ds, on=("doc_id",))
         hmin = a.groupby("h").aggregate(Min("lbl", alias_name="hlbl"))
         bjoin = hash_join(mem, hmin, on=("h",))
@@ -1387,9 +1379,6 @@ def dup_clusters(sf_dir: str, k: int = DUPC_SUBSTR_K,
                   .aggregate(Min("hlbl", alias_name="lbl"))
                   .materialize())
         tot = lbl_ds.sum("lbl")
-        if DUPC_ROUND_LOG is not None:  # amortization instrumentation
-            DUPC_ROUND_LOG.append(
-                (_r, round(_time.perf_counter() - _t0, 3)))
         if tot == prev_tot:
             break
         prev_tot = tot

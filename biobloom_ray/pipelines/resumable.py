@@ -9,41 +9,47 @@ manifest; a partition whose manifest says ``complete`` is skipped on
 re-run.  Because every UDF is deterministic (fixed hash seeds), a resume
 produces byte-identical rows to an uninterrupted run.
 
-This is a deliberate driver-side loop over partitions (not one big
-Dataset): the loop IS the checkpoint boundary.  Within a partition the
-work is still a streaming Ray Data pipeline, so each partition scales
-out across the cluster; at 10^12 pages you'd raise the partition
-granularity to directory-level shards.
+The partition is the checkpoint boundary, not the execution boundary.
+The categorize runner loops over partitions on the driver, one
+streaming Ray Data pipeline each; at 10^12 pages you'd raise the
+partition granularity to directory-level shards.
 
-Two runners share that loop:
+Two runners:
 
 - ``run_partitioned_categorize`` — categorize each fragment, publish.
 - ``run_partitioned_curation`` — alpha gate, first-wins exact dedup,
-  cross-partition exact and (optionally) MinHash near-dup dedup.  Each
-  partition is one fused map (gate, fingerprint, signature) that
-  materializes narrow ``doc_id, fp_md5[, sig]`` rows, driver numpy
-  decisions against the cross-partition state, and one filtered
-  write — two Ray Data executions per partition — then the
-  partition's state-checkpoint deltas.  The state (published
-  fingerprints as 16-byte keys, the candidates' signatures and LSH
-  band index) lives in driver memory for the whole call — loaded
-  once from the finished partitions' ``state/`` checkpoints, grown by
-  each partition, local to the call so runs on different ``out_dir``
-  stay independent.  Past its row gates a probe joins against the
-  checkpoint files instead: the seen probe as a ``left_anti`` join, the
-  near-dup probe as one new × prior band-key join whose distinct pairs
-  go to the one pair verifier of ``stages.dedup``.
+  cross-partition exact and (optionally) MinHash near-dup dedup.  A run
+  is ONE Ray Data execution: a read of every pending fragment and one
+  fused map (gate, fingerprint, signature) stream narrow ``doc_id,
+  fp_md5[, sig]`` rows, tagged with their partition, to the driver in
+  fragment order.  Per partition the driver decides in numpy against
+  the cross-partition state, issues the partition's write as one
+  ``ray.remote`` task (filter, ``fp_md5``, tmp dir + rename), writes
+  its state-checkpoint deltas and moves on to the next partition while
+  the write runs; manifests follow in partition order as the writes
+  end.  The state (published fingerprints as 16-byte keys, the
+  candidates' signatures and LSH band index) lives in driver memory
+  for the whole call — loaded once from the finished partitions'
+  ``state/`` checkpoints, grown by each partition, local to the call
+  so runs on different ``out_dir`` stay independent.  Past its row
+  gates a probe joins against the checkpoint files instead: the seen
+  probe as a ``left_anti`` join, the near-dup probe as one new × prior
+  band-key join whose distinct pairs go to the one pair verifier of
+  ``stages.dedup``.
 """
 
 from __future__ import annotations
 
+import collections
 import glob
 import os
 import re
+import shutil
 import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -51,7 +57,7 @@ from biobloom_ray.config import CategorizeConfig
 from biobloom_ray.io import hash_join
 from biobloom_ray.io import read_parquet as _rp
 from biobloom_ray.pipelines.categorize import categorize
-from biobloom_ray.stages.dedup import _collect, add_content_hash
+from biobloom_ray.stages.dedup import _collect, _isin_filter, add_content_hash
 from biobloom_ray.state.lineage import (
     PartitionManifest,
     completed_partitions,
@@ -190,11 +196,13 @@ def _fp_keys(fp) -> np.ndarray:
     return out.view("S16").ravel()
 
 
-def _gate_fp_sig(min_alpha_pct: int, sig_stage):
+def _gate_fp_sig(min_alpha_pct: int, sig_stage, part_of: dict[str, int]):
     """map_batches callable of the runner's one read: the exact integer
     alpha gate (keep iff 100·n_alpha ≥ min_alpha_pct·n_chars), the
     content fingerprint and, for near-dup runs, the MinHash signature of
-    every gated row — narrow ``doc_id, fp_md5[, sig]`` rows, no text."""
+    every gated row — narrow ``doc_id, fp_md5[, sig], part`` rows, no
+    text.  ``part`` is the row's partition: ``part_of`` maps the
+    basename of the read's ``path`` column to it."""
 
     def narrow(b: pa.Table) -> pa.Table:
         s = b["text"].to_pandas()
@@ -207,9 +215,63 @@ def _gate_fp_sig(min_alpha_pct: int, sig_stage):
                 "fp_md5": sub["fp_md5"]}
         if sig_stage is not None:
             cols["sig"] = sig_stage(sub)["sig"]
+        path = sub["path"].combine_chunks().dictionary_encode()
+        cols["part"] = pa.array(np.array(
+            [part_of[os.path.basename(f)]
+             for f in path.dictionary.to_pylist()],
+            dtype=np.int32)[path.indices.to_numpy()])
         return pa.table(cols)
 
     return narrow
+
+
+def _partition_blocks(narrow, pending: list[int]):
+    """Yield ``(i, blocks)`` for each partition of ``pending``, in order,
+    from the ordered narrow stream: ``blocks`` are the ``(ref, table)``
+    pieces of partition ``i``'s rows (``ref`` is None for a piece cut
+    from a block that spans two partitions).  A partition is complete
+    once a later partition's first row arrives or the stream ends, so a
+    partition without narrow rows yields no blocks."""
+    at, blocks = 0, []
+    for bundle in narrow.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if not meta.num_rows:
+                continue
+            t = ray.get(ref)
+            part = t["part"].to_numpy()
+            cut = np.flatnonzero(np.diff(part)) + 1
+            for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(part)]):
+                j = int(part[lo])
+                while at < len(pending) and pending[at] < j:
+                    yield pending[at], blocks
+                    at, blocks = at + 1, []
+                if at == len(pending) or pending[at] != j:
+                    raise RuntimeError(
+                        f"narrow rows of partition {j} arrived out of order")
+                blocks.append((ref if hi - lo == len(part) else None,
+                               t.slice(lo, hi - lo)))
+    for i in pending[at:]:
+        yield i, blocks
+        blocks = []
+
+
+@ray.remote
+def _write_partition(frag: str, keep: np.ndarray, pdir: str) -> None:
+    """Publish one partition: the fragment's rows whose doc_id is in the
+    sorted ``keep``, with ``fp_md5``, written to ``part=<i>.tmp/`` and
+    renamed to ``part=<i>``.  Rows are picked by doc_id alone, so a
+    doc_id that repeats within the fragment raises ``ValueError``."""
+    t = pq.read_table(frag)
+    ids, n = np.unique(t["doc_id"].to_numpy(), return_counts=True)
+    if (n > 1).any():
+        raise ValueError(f"doc_id {ids[n > 1][0]} repeats in fragment "
+                         f"{frag}; curation needs doc_ids unique within "
+                         "a fragment")
+    t = add_content_hash(_isin_filter("doc_id", keep)(t))
+    os.makedirs(pdir + ".tmp")
+    if t.num_rows:
+        pq.write_table(t, os.path.join(pdir + ".tmp", "part-0.parquet"))
+    os.rename(pdir + ".tmp", pdir)
 
 
 def _seen_join_hits(ids: np.ndarray, fp, files: list[str]) -> np.ndarray:
@@ -462,184 +524,234 @@ def run_partitioned_curation(
     gated corpus — the property the ``curation_neardup_summary`` SQL
     oracle checks.
 
-    Each partition is three steps, two Ray Data executions:
+    A run is one Ray Data execution and four steps per partition:
 
-    1. **map** — one read of the fragment, one fused map (gate,
-       fingerprint, signature), materialized as narrow rows; the
-       ``doc_id, fp_md5`` columns come to the driver, the signatures
-       too where ``minhash_pairs_from_sigs`` would band on the driver
-       (``n·bands ≤ BAND_DRIVER_MAX_ROWS``);
+    1. **map** — one read of every pending fragment and one fused map
+       (gate, fingerprint, signature) stream narrow ``doc_id, fp_md5[,
+       sig]`` rows, tagged with their partition, to the driver in
+       fragment order.  Partition ``i`` is complete when a later
+       partition's first row arrives or the stream ends.  Where
+       ``minhash_pairs_from_sigs`` would not band on the driver
+       (``n·bands > BAND_DRIVER_MAX_ROWS``) its signature blocks stay in
+       the cluster as a Dataset;
     2. **decide** — driver numpy against the in-memory state
        (:class:`_CurationState`): first-wins winners, the seen probe,
        within-partition pairs (``_band_pairs_np``) and cross-partition
        near-dups give the sorted keep set of doc_ids;
-    3. **write** — read the fragment, keep those doc_ids, add
-       ``fp_md5``, write to ``part=<i>.tmp/`` and rename (rows are
-       picked by doc_id alone, so doc_ids must be unique within a
-       fragment).
+    3. **write** — one ``ray.remote`` task reads the fragment, keeps
+       those doc_ids, adds ``fp_md5``, writes to ``part=<i>.tmp/`` and
+       renames.  Rows are picked by doc_id alone, so a doc_id that
+       repeats within a fragment fails the run with ``ValueError``;
+    4. **state** — the seen and signature deltas are written (tmp +
+       rename) and appended to the in-memory state.
 
-    Then the **state** step writes the seen and signature deltas
-    (tmp + rename) and appends them to the in-memory state.  The state
-    lives for the call: loaded once from the finished partitions'
-    checkpoints, then grown by each partition.  Above
+    decide(i + 1) needs only the state after decide(i), so the driver
+    moves on while write(i) runs; between partitions it publishes, in
+    partition order, the manifest of each partition whose write has
+    ended, and at the end it waits for the rest.  A failed run waits
+    for every write it issued and removes the output and checkpoints
+    of its partitions without a manifest before it raises.
+
+    The state lives for the call: loaded once from the finished
+    partitions' checkpoints, then grown by each partition.  Above
     ``SEEN_BROADCAST_MAX_KEYS`` published keys / above
     ``NEARDUP_STATE_BROADCAST_MAX_ROWS`` prior signature rows (or
     when the signatures stay in the cluster) a probe instead runs
     against the checkpoint files: a ``left_anti`` hash join of the
     narrow rows, or a new × prior band-key hash join whose distinct
     pairs ``stages.dedup._verify_pairs`` scores (on the driver up to
-    its ``BROADCAST_LIMIT`` pairs, by two more joins above).  The
-    manifest records each step's seconds
-    (``map_s``, ``decide_s``, ``write_s``, ``state_s``) inside
-    ``wall_s``."""
-    import shutil
+    its ``BROADCAST_LIMIT`` pairs, by two more joins above).
 
-    import pyarrow.parquet as pq
-
+    The manifest records the seconds the driver spent on each step of
+    the partition, or blocked waiting for it (``map_s``, ``decide_s``,
+    ``write_s``, ``state_s``), and ``wall_s`` = their sum.  Steps of
+    different partitions overlap in the cluster, so ``write_s`` is
+    usually 0 and ``wall_s`` summed over partitions is at most the
+    run's wall."""
     from biobloom_ray.stages import dedup as D
 
     frags = input_fragments(input_dir)
     done = completed_partitions(out_dir)
     state_dir = os.path.join(out_dir, "state")
     os.makedirs(state_dir, exist_ok=True)
-    narrow_fn = _gate_fp_sig(min_alpha_pct, D.MinHashSigStage(
-        "text", "doc_id", shingle_k, num_perm) if neardup else None)
-    state = None
-    completed, skipped = [], []
-    total_rows = 0
-    fresh = 0
-    for i, frag in enumerate(frags):
-        if max_partitions is not None and i >= max_partitions:
-            break
+    pending, skipped = [], []
+    for i in range(len(frags) if max_partitions is None
+                   else min(len(frags), max_partitions)):
         if i in done:
             skipped.append(i)
-            continue
-        if fail_after is not None and fresh >= fail_after:
+        elif fail_after is not None and len(pending) >= fail_after:
             break
-        if state is None:
-            state = _CurationState(state_dir, num_perm, num_bands)
-            state.load(done, neardup)
+        else:
+            pending.append(i)
+    completed, total_rows = [], 0
+    if not pending:
+        return {"completed": completed, "skipped": skipped, "rows": 0}
+    state = _CurationState(state_dir, num_perm, num_bands)
+    state.load(done, neardup)
+    narrow = _rp([frags[i] for i in pending], include_paths=True) \
+        .map_batches(_gate_fp_sig(
+            min_alpha_pct,
+            D.MinHashSigStage("text", "doc_id", shingle_k, num_perm)
+            if neardup else None,
+            {os.path.basename(frags[i]): i for i in pending}),
+            batch_format="pyarrow")
+    # decided partitions whose manifests are not written yet:
+    # (i, write ref or None, manifest, step seconds)
+    writes = collections.deque()
+
+    def publish(block: bool) -> None:
+        nonlocal total_rows
+        while writes:
+            i, ref, manifest, secs = writes[0]
+            if ref is not None:
+                if not block and not ray.wait([ref], timeout=0)[0]:
+                    return
+                t = time.perf_counter()
+                try:
+                    ray.get(ref)
+                except ray.exceptions.RayTaskError as e:
+                    raise e.cause from e
+                secs["write_s"] += time.perf_counter() - t
+            # whole ms per step, so the steps sum to wall_s exactly
+            ms = {k: int(v * 1000) for k, v in secs.items()}
+            manifest.metrics.update({k: v / 1000 for k, v in ms.items()},
+                                    wall_s=sum(ms.values()) / 1000)
+            write_manifest(out_dir, manifest)
+            writes.popleft()
+            completed.append(i)
+            total_rows += manifest.row_count
+
+    ctx = narrow.context
+    opts = ctx.execution_options
+    prev = ctx.raise_original_map_exception, opts.preserve_order
+    ctx.raise_original_map_exception = opts.preserve_order = True
+    parts = _partition_blocks(narrow, pending)
+    try:
         t0 = time.perf_counter()
+        for i, blocks in parts:
+            # 1. map: partition i's narrow rows, from the stream
+            frag = frags[i]
+            n_in = pq.read_metadata(frag).num_rows
+            gate_kept = sum(t.num_rows for _, t in blocks)
+            sig_local = (neardup
+                         and gate_kept * num_bands <= D.BAND_DRIVER_MAX_ROWS)
+            cols = ["doc_id", "fp_md5"] + (["sig"] if sig_local else [])
+            rows = (pa.concat_tables([t for _, t in blocks]) if blocks
+                    else pa.schema([("doc_id", pa.int64()),
+                                    ("fp_md5", pa.large_string()),
+                                    ("sig", pa.large_binary())])
+                    .empty_table()).select(cols)
+            t1 = time.perf_counter()
 
-        # 1. map: one read → narrow rows
-        ds = _rp(frag)
-        n_in = ds.count()
-        narrow = ds.map_batches(narrow_fn,
-                                batch_format="pyarrow").materialize()
-        sig_local = (neardup and narrow.count() * num_bands
-                     <= D.BAND_DRIVER_MAX_ROWS)
-        cols = ["doc_id", "fp_md5"] + (["sig"] if sig_local else [])
-        rows = _collect(narrow if sig_local or not neardup
-                        else narrow.select_columns(cols).materialize())
-        if rows is None:
-            rows = pa.schema([("doc_id", pa.int64()),
-                              ("fp_md5", pa.large_string()),
-                              ("sig", pa.large_binary())]) \
-                .empty_table().select(cols)
-        t1 = time.perf_counter()
-
-        # 2. decide: first-wins winners (the smallest doc_id of each
-        # fingerprint) are the candidates; drop the seen ones and the
-        # near-dups
-        rows = rows.take(np.argsort(rows["doc_id"].to_numpy(),
-                                    kind="stable"))
-        keys = _fp_keys(rows["fp_md5"])
-        cand = np.sort(np.unique(keys, return_index=True)[1])
-        cids = rows["doc_id"].to_numpy()[cand]
-        cfp = rows["fp_md5"].take(cand)
-        drop = state.seen_hits(i, cids, cfp, keys[cand])
-        if neardup:
-            if sig_local:
-                sig_src = pa.table({"doc_id": pa.array(cids, pa.int64()),
-                                    "sig": rows["sig"].take(cand)})
-                csig = D._sig_matrix(sig_src["sig"], num_perm)
-                _, id_b, _ = D._band_pairs_np(cids, csig, num_bands,
-                                              neardup_threshold)
-            else:
-                csig = None
-                sig_src = (narrow.map_batches(
-                    D._isin_filter("doc_id", cids), batch_format="pyarrow")
-                    .select_columns(["doc_id", "sig"]).materialize())
-                pairs = D.minhash_pairs_from_sigs(
-                    sig_src, len(cids), id_col="doc_id",
-                    threshold=neardup_threshold, num_perm=num_perm,
-                    num_bands=num_bands).to_pandas()
-                id_b = (pairs.id_b.to_numpy(np.int64) if len(pairs)
-                        else np.empty(0, dtype=np.int64))
-            within = np.unique(id_b)
-            drops = np.union1d(within, state.neardup_drops(
-                i, cids, csig, sig_src, neardup_threshold))
-            drop |= np.isin(cids, drops)
-        keep = cids[~drop]
-        t2 = time.perf_counter()
-
-        # 3. write: read the fragment again, keep the decided rows
-        pdir = partition_dir(out_dir, i)
-        tmpdir = pdir + ".tmp"
-        if os.path.isdir(tmpdir):
-            shutil.rmtree(tmpdir)
-        if not os.path.isdir(pdir):
-            # a published partition whose manifest is missing (killed
-            # between rename and manifest) is complete: reuse it
-            os.makedirs(tmpdir, exist_ok=True)
-            (_rp(frag)
-             .map_batches(D._isin_filter("doc_id", keep),
-                          batch_format="pyarrow")
-             .map_batches(D.add_content_hash, batch_format="pyarrow")
-             .write_parquet(tmpdir))
-            os.rename(tmpdir, pdir)
-        t3 = time.perf_counter()
-
-        # state: the partition's published keys and (near-dup runs) its
-        # candidates' signatures — deterministic, so a crash-resume
-        # rewrite is byte-identical
-        seen_path = os.path.join(state_dir, f"seen_{i}.parquet")
-        if not os.path.exists(seen_path):
-            pq.write_table(pa.table({"fp": cfp.filter(pa.array(~drop))
-                                     .cast(pa.string())}),
-                           seen_path + ".tmp")
-            os.replace(seen_path + ".tmp", seen_path)
-        state.add_seen(keys[cand][~drop], np.full((~drop).sum(), i))
-        blobs = [seen_path]
-        if neardup:
-            sigs_path = os.path.join(state_dir, f"sigs_{i}.parquet")
-            if not os.path.exists(sigs_path):
-                tmp = sigs_path + ".tmp"
-                if csig is not None:
-                    pq.write_table(sig_src, tmp)
+            # 2. decide: first-wins winners (the smallest doc_id of each
+            # fingerprint) are the candidates; drop the seen ones and the
+            # near-dups
+            rows = rows.take(np.argsort(rows["doc_id"].to_numpy(),
+                                        kind="stable"))
+            keys = _fp_keys(rows["fp_md5"])
+            cand = np.sort(np.unique(keys, return_index=True)[1])
+            cids = rows["doc_id"].to_numpy()[cand]
+            cfp = rows["fp_md5"].take(cand)
+            drop = state.seen_hits(i, cids, cfp, keys[cand])
+            if neardup:
+                if sig_local:
+                    sig_src = pa.table({
+                        "doc_id": pa.array(cids, pa.int64()),
+                        "sig": rows["sig"].take(cand)})
+                    csig = D._sig_matrix(sig_src["sig"], num_perm)
+                    _, id_b, _ = D._band_pairs_np(cids, csig, num_bands,
+                                                  neardup_threshold)
                 else:
-                    shutil.rmtree(tmp, ignore_errors=True)
-                    sig_src.write_parquet(tmp)
-                os.replace(tmp, sigs_path)
-            if csig is not None:
-                state.add_sigs(csig, np.full(len(cids), i))
-            blobs.append(sigs_path)
-        t4 = time.perf_counter()
+                    csig = None
+                    sig_src = (ray.data.from_arrow_refs(
+                        [ref if ref is not None else ray.put(t)
+                         for ref, t in blocks])
+                        .map_batches(D._isin_filter("doc_id", cids),
+                                     batch_format="pyarrow")
+                        .select_columns(["doc_id", "sig"]).materialize())
+                    pairs = D.minhash_pairs_from_sigs(
+                        sig_src, len(cids), id_col="doc_id",
+                        threshold=neardup_threshold, num_perm=num_perm,
+                        num_bands=num_bands).to_pandas()
+                    id_b = (pairs.id_b.to_numpy(np.int64) if len(pairs)
+                            else np.empty(0, dtype=np.int64))
+                within = np.unique(id_b)
+                drops = np.union1d(within, state.neardup_drops(
+                    i, cids, csig, sig_src, neardup_threshold))
+                drop |= np.isin(cids, drops)
+            keep = cids[~drop]
+            t2 = time.perf_counter()
 
-        # stage seconds as differences of whole-ms marks, so they sum
-        # to wall_s exactly
-        ms = [round((t - t0) * 1000) for t in (t0, t1, t2, t3, t4)]
-        metrics = {"wall_s": ms[-1] / 1000,
-                   "rows_in": int(n_in),
-                   "gate_kept": rows.num_rows,
-                   "exact_kept": len(cids)}
-        for name, a, b in zip(("map_s", "decide_s", "write_s", "state_s"),
-                              ms, ms[1:]):
-            metrics[name] = (b - a) / 1000
-        if neardup:
-            metrics["neardup_within_dropped"] = len(within)
-            metrics["neardup_dropped_total"] = len(drops)
-        write_manifest(out_dir, PartitionManifest(
-            partition=i,
-            inputs=[frag],
-            row_count=len(keep),
-            metrics=metrics,
-            sketch_blobs=blobs,
-            complete=True,
-        ))
-        completed.append(i)
-        total_rows += len(keep)
-        fresh += 1
+            # 3. write: one task publishes part=<i>; a published
+            # partition whose manifest is missing (killed between rename
+            # and manifest) is complete, so it is reused
+            pdir = partition_dir(out_dir, i)
+            shutil.rmtree(pdir + ".tmp", ignore_errors=True)
+            ref = (None if os.path.isdir(pdir)
+                   else _write_partition.remote(frag, keep, pdir))
+            t3 = time.perf_counter()
+
+            # 4. state: the partition's published keys and (near-dup
+            # runs) its candidates' signatures — deterministic, so a
+            # crash-resume rewrite is byte-identical
+            seen_path = os.path.join(state_dir, f"seen_{i}.parquet")
+            if not os.path.exists(seen_path):
+                pq.write_table(pa.table({"fp": cfp.filter(pa.array(~drop))
+                                         .cast(pa.string())}),
+                               seen_path + ".tmp")
+                os.replace(seen_path + ".tmp", seen_path)
+            state.add_seen(keys[cand][~drop], np.full((~drop).sum(), i))
+            blobs = [seen_path]
+            if neardup:
+                sigs_path = os.path.join(state_dir, f"sigs_{i}.parquet")
+                if not os.path.exists(sigs_path):
+                    tmp = sigs_path + ".tmp"
+                    if csig is not None:
+                        pq.write_table(sig_src, tmp)
+                    else:
+                        shutil.rmtree(tmp, ignore_errors=True)
+                        sig_src.write_parquet(tmp)
+                    os.replace(tmp, sigs_path)
+                if csig is not None:
+                    state.add_sigs(csig, np.full(len(cids), i))
+                blobs.append(sigs_path)
+            t4 = time.perf_counter()
+
+            metrics = {"rows_in": n_in, "gate_kept": gate_kept,
+                       "exact_kept": len(cids)}
+            if neardup:
+                metrics["neardup_within_dropped"] = len(within)
+                metrics["neardup_dropped_total"] = len(drops)
+            writes.append((i, ref, PartitionManifest(
+                partition=i, inputs=[frag], row_count=len(keep),
+                metrics=metrics, sketch_blobs=blobs, complete=True),
+                {"map_s": t1 - t0, "decide_s": t2 - t1,
+                 "write_s": t3 - t2, "state_s": t4 - t3}))
+            publish(block=False)
+            t0 = time.perf_counter()
+        publish(block=True)
+    except BaseException:
+        # no write task outlives the run, and a partition without a
+        # manifest leaves no output or checkpoint that a re-run over
+        # corrected input would reuse
+        refs = [w[1] for w in writes if w[1] is not None]
+        if refs:
+            ray.wait(refs, num_returns=len(refs))
+        for i in set(pending) - set(completed):
+            pdir = partition_dir(out_dir, i)
+            for d in (pdir, pdir + ".tmp"):
+                shutil.rmtree(d, ignore_errors=True)
+            for kind in ("seen", "sigs"):
+                base = os.path.join(state_dir, f"{kind}_{i}.parquet")
+                for f in (base, base + ".tmp"):
+                    if os.path.isdir(f):
+                        shutil.rmtree(f)
+                    elif os.path.exists(f):
+                        os.remove(f)
+        raise
+    finally:
+        parts.close()
+        ctx.raise_original_map_exception, opts.preserve_order = prev
     return {"completed": completed, "skipped": skipped,
             "rows": total_rows}
 
@@ -650,9 +762,12 @@ def curation_partition_report(out_dir: str):
     — the operator-facing view of the north-rule requirement that
     "every partition emits lineage + metrics": rows in, quality-gate
     survivors, within-partition exact-dedup winners, published rows
-    (after cross-partition drops), wall seconds and the seconds of each
-    step inside them (map, decide, write, state).  Reads only the
-    manifests — never the data — so it is instant at any scale."""
+    (after cross-partition drops) and the driver seconds of each step
+    (map, decide, write, state: time spent on it or blocked waiting for
+    it) with ``wall_s`` their sum.  The cluster maps and writes other
+    partitions meanwhile, so ``wall_s`` summed over partitions is at
+    most the run's wall.  Reads only the manifests — never the data —
+    so it is instant at any scale."""
     import pandas as pd
 
     rows = []

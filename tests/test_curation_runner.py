@@ -8,6 +8,9 @@ kernel, and the Bloom join's cluster tier at two cpus.
 - a fresh run reads no state checkpoint, a resumed run reads each
   finished partition's checkpoint exactly once;
 - per-step seconds in the manifests sum to at most ``wall_s``;
+- a run is one read of its pending fragments and no Dataset write; a
+  doc_id repeated within a fragment fails loudly; a run killed mid-way
+  on two cpus resumes to the uninterrupted output;
 - ``MinHashSigStage`` equals a (row, hash) lexsort-dedup reference.
 """
 
@@ -260,17 +263,161 @@ def test_state_files_read_once(ray_session, tmp_path, monkeypatch):
 
 
 def test_manifest_stage_seconds_within_wall(ray_session, tmp_path):
+    """Each step's seconds are driver time, so they add up to the
+    partition's ``wall_s`` and the partitions' ``wall_s`` to at most the
+    run's wall.  Only partition 0 must have waited for the map: later
+    partitions' rows can already be buffered when the driver asks."""
+    import time
+
     from biobloom_ray.pipelines.resumable import (
         curation_partition_report, run_partitioned_curation)
 
     in_dir, out = str(tmp_path / "in"), str(tmp_path / "out")
     _write(_cases()["gated_middle"], in_dir)
+    t0 = time.perf_counter()
     run_partitioned_curation(in_dir, out, neardup=True)
+    wall = time.perf_counter() - t0
     rep = curation_partition_report(out)
     stages = rep[["map_s", "decide_s", "write_s", "state_s"]]
     assert (stages >= 0).all().all()
     assert (stages.sum(axis=1) <= rep.wall_s + 1e-9).all()
-    assert (rep.map_s > 0).all()
+    assert rep.map_s.iloc[0] > 0
+    assert rep.wall_s.sum() <= wall
+
+
+@pytest.mark.parametrize("neardup", [False, True])
+def test_curation_one_read_per_run(ray_session, tmp_path, monkeypatch,
+                                   neardup):
+    """A run maps its pending fragments in one read (one Ray Data
+    execution) and publishes without ``Dataset.write_parquet``; a run
+    resumed after two partitions maps only the other two."""
+    import ray.data
+
+    import biobloom_ray.pipelines.resumable as RS
+
+    reads = []
+    orig = RS._rp
+
+    def recording(paths, *a, **kw):
+        paths = paths if isinstance(paths, list) else [paths]
+        if not any(f"{os.sep}state{os.sep}" in p for p in paths):
+            reads.append(paths)
+        return orig(paths, *a, **kw)
+
+    def no_write(*a, **kw):
+        raise AssertionError("Dataset.write_parquet called")
+
+    monkeypatch.setattr(RS, "_rp", recording)
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_write)
+    in_dir = str(tmp_path / "in")
+    _write(_cases()["gated_middle"], in_dir)
+    frags = RS.input_fragments(in_dir)
+    assert len(frags) == 4
+    RS.run_partitioned_curation(in_dir, str(tmp_path / "fresh"),
+                                neardup=neardup)
+    assert reads == [frags]
+
+    reads.clear()
+    killed = str(tmp_path / "killed")
+    RS.run_partitioned_curation(in_dir, killed, neardup=neardup,
+                                fail_after=2)
+    assert reads == [frags[:2]]
+    reads.clear()
+    r = RS.run_partitioned_curation(in_dir, killed, neardup=neardup)
+    assert r["completed"] == [2, 3]
+    assert reads == [frags[2:]]
+
+
+def test_repeated_doc_id_in_fragment_fails_loudly(ray_session, tmp_path):
+    """Rows publish by doc_id, so a doc_id that repeats within a fragment
+    (here a gated-out row sharing a kept row's id) fails the run with
+    the fragment and the id named; only the clean partition before it
+    gets a manifest, and the failed partition leaves no output or
+    checkpoint that a run over the corrected fragment would reuse."""
+    import glob
+
+    from biobloom_ray.pipelines.resumable import run_partitioned_curation
+
+    frags = [_frag(["plain words here", "other plain words"], -2),
+             pd.DataFrame({"doc_id": np.array([1, 2, 2, 3], np.int64),
+                           "text": ["first clean words",
+                                    "second clean words", "1234 5678 !!",
+                                    "third clean words"]})]
+    in_dir, out = str(tmp_path / "in"), str(tmp_path / "out")
+    _write(frags, in_dir)
+    with pytest.raises(ValueError,
+                       match=r"doc_id 2 repeats in fragment .*frag_01"):
+        run_partitioned_curation(in_dir, out)
+    manifest = os.path.join(partition_dir(out, 0), MANIFEST_NAME)
+    assert glob.glob(os.path.join(out, "part=*", MANIFEST_NAME)) \
+        == [manifest]
+    assert not os.path.exists(partition_dir(out, 1))
+    assert sorted(os.listdir(os.path.join(out, "state"))) \
+        == ["seen_0.parquet"]
+
+
+_KILL_SCRIPT = """
+import sys
+import time
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import biobloom_ray.pipelines.resumable as RS
+
+write = RS._write_partition._function
+
+
+@ray.remote
+def slow_last_write(frag, keep, pdir):
+    if pdir.endswith("part=3"):
+        time.sleep(30)
+    write(frag, keep, pdir)
+
+
+RS._write_partition = slow_last_write
+RS.run_partitioned_curation(sys.argv[1], sys.argv[2], neardup=True)
+"""
+
+
+def test_kill_mid_run_resumes_two_cpus(ray_session, tmp_path):
+    """SIGKILL a near-dup run on a 2-cpu cluster as soon as partition
+    0's manifest appears, while the last partition's write (slowed)
+    is still running; resuming publishes the rows and writes the state
+    tables of an uninterrupted run."""
+    import signal
+    import time
+
+    from biobloom_ray.pipelines.resumable import run_partitioned_curation
+
+    in_dir = str(tmp_path / "in")
+    killed, clean = str(tmp_path / "killed"), str(tmp_path / "clean")
+    _write(_cases()["gated_middle"], in_dir)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = subprocess.Popen(
+        [sys.executable, "-c", _KILL_SCRIPT, in_dir, killed], cwd=root,
+        env=dict(os.environ, PYTHONPATH=root), start_new_session=True)
+    first = os.path.join(partition_dir(killed, 0), MANIFEST_NAME)
+    try:
+        deadline = time.monotonic() + 240
+        while not os.path.exists(first):
+            assert p.poll() is None, "the run died before partition 0"
+            assert time.monotonic() < deadline, "partition 0 never landed"
+            time.sleep(0.005)
+    finally:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.wait()
+    assert not os.path.exists(
+        os.path.join(partition_dir(killed, 3), MANIFEST_NAME))
+    r = run_partitioned_curation(in_dir, killed, neardup=True)
+    assert 3 in r["completed"]
+    run_partitioned_curation(in_dir, clean, neardup=True)
+    assert _published(killed).equals(_published(clean))
+    got, want = _state_tables(killed), _state_tables(clean)
+    assert got.keys() == want.keys()
+    for f, t in want.items():
+        assert got[f].equals(t), f
 
 
 # ---------------------------------------------------------------------------
