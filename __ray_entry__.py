@@ -850,70 +850,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bigram_ppl_buckets": A.bigram_ppl_buckets,
         "tfidf_top_terms": A.tfidf_top_terms,
         # --- oracled, past the driver's 50 rows ---
-        "lang_counts": A.lang_counts,
-        "frame_counts": A.frame_counts,
-        "token_rarity_scores": A.token_rarity_scores,
         "chunk_documents": A.chunk_documents,
-        "source_stats": A.source_stats,
         "token_freq_histogram": A.token_freq_histogram,
         "inverted_index": A.inverted_index,
         "bm25_topk": A.bm25_topk,
         "source_mix_sample": A.source_mix_sample,
-        "lang_centroids": A.lang_centroids,
         "epoch_shuffle_head": A.epoch_shuffle_head,
         "token_entropy": A.token_entropy,
-        "pack_documents": A.pack_documents,
-        "quality_scores": A.quality_scores,
         "bpe_token_counts": _bpe_token_counts,
-        "top_docs_per_lang": A.top_docs_per_lang,
-        "median_nchars_by_lang": A.median_nchars_by_lang,
         "token_counts": A.token_counts,
-        "heavy_tokens_topk": A.heavy_tokens_topk,
         "ann_topk_filtered": _ann_topk_filtered,
         "ann_topk_multi": _ann_topk_multi,
         "epoch_shuffle_full": A.epoch_shuffle_full,
         "ann_ivf_exact": _ann_ivf_exact,
         "top_bigrams_per_lang": A.top_bigrams_per_lang,
-        "nchars_rank_in_source": A.nchars_rank_in_source,
-        "jsonl_roundtrip_lang_counts": A.jsonl_roundtrip_lang_counts,
         "nb_class_scores": A.nb_class_scores,
         "token_drift_topk": A.token_drift_topk,
-        "docs_rollup_cube": A.docs_rollup_cube,
-        "nchars_ntile_buckets": A.nchars_ntile_buckets,
         "ann_topk": _ann_topk,
         "paired_join": _paired_join,
-        "partitioned_roundtrip_source_counts":
-            A.partitioned_roundtrip_source_counts,
-        "source_lang_entropy": A.source_lang_entropy,
         "event_user_setops": A.event_user_setops,
         "pmi_top_bigrams": A.pmi_top_bigrams,
-        "doc_length_gini": A.doc_length_gini,
-        "nchars_cume_dist": A.nchars_cume_dist,
-        "source_lang_chi2": A.source_lang_chi2,
-        "diversified_top_docs": A.diversified_top_docs,
         "rrf_hybrid_topk": A.rrf_hybrid_topk,
-        "grouped_split_counts": A.grouped_split_counts,
         "weighted_sample_topk": A.weighted_sample_topk,
-        "nchars_robust_outliers": A.nchars_robust_outliers,
-        "table_fingerprint": A.table_fingerprint,
         "term_overlap_topk": A.term_overlap_topk,
-        "readability_scores": A.readability_scores,
-        "charclass_stats": A.charclass_stats,
         "join_size_exact": A.join_size_exact,
-        "byte_median_doc_size": A.byte_median_doc_size,
         "source_exclusive_tokens": A.source_exclusive_tokens,
-        "nchars_histogram_log2": A.nchars_histogram_log2,
         "lang_bigram_jsd": A.lang_bigram_jsd,
         "type_user_overlap_exact": A.type_user_overlap_exact,
-        "prefix_dup_groups": A.prefix_dup_groups,
         "token_len_histogram": A.token_len_histogram,
         "vocab_growth_by_docs": A.vocab_growth_by_docs,
-        "lang_temperature_mix": A.lang_temperature_mix,
         "vocab_coverage_topp": A.vocab_coverage_topp,
         "knn_label_accuracy": A.knn_label_accuracy,
-        "sample_budget_allocation": A.sample_budget_allocation,
-        "quality_gate_sweep": A.quality_gate_sweep,
-        "label_centroid_affinity": A.label_centroid_affinity,
         # --- rows-only: no SQL oracle can express these ---
         "sketch_setops_report": A.sketch_setops_report,
         "lang_nchars_tdigest": A.lang_nchars_tdigest,
@@ -921,8 +888,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_top_pc": A.embedding_top_pc,
         "hll_weekly_union": A.hll_weekly_union,
         "langid_confusion_matrix": _langid_confusion,
-        "doc_compression_ratio": A.doc_compression_ratio,
-        "embedding_quantization_report": A.embedding_quantization_report,
         "neardup_calibration_report": A.neardup_calibration_report,
         "kmeans_quality_report": A.kmeans_quality_report,
         "mibf_classify_paired": _mibf_classify_paired,
@@ -951,18 +916,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    K = 25  # frame_counts shingle size (matches analytics.K_DEFAULT)
     d = {
-        "lang_counts":
-            "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang",
-        "frame_counts":
-            # CAST: DuckDB SUM(BIGINT) yields HUGEINT, which pandas turns
-            # into float64 — keep both sides int64 for the value hash
-            f"SELECT lang, CAST(SUM(GREATEST(LENGTH(text) - {K - 1}, 0)) "
-            "AS BIGINT) AS frames FROM documents GROUP BY lang",
-        "median_nchars_by_lang":
-            "SELECT lang, quantile_cont(n_chars, 0.5) AS median_nchars "
-            "FROM documents GROUP BY lang",
         "exact_dedup":
             "SELECT MIN(doc_id) AS doc_id, text FROM documents GROUP BY text",
         "distinct_text_per_lang":
@@ -975,30 +929,8 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, len(regexp_extract_all(text, "
             "'[A-Za-z]+|[0-9]{1,3}|[^ \\t\\r\\n\\f\\vA-Za-z0-9]')) "
             "AS n_bpe_tokens FROM documents",
-        "quality_scores":
-            "SELECT doc_id, LENGTH(text) AS n_chars_calc, "
-            "LENGTH(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS n_alpha, "
-            "LENGTH(regexp_replace(text, '[^A-Za-z]', '', 'g')) "
-            "/ GREATEST(LENGTH(text), 1) AS alpha_ratio "
-            "FROM documents",
         "doc_fingerprint":
             "SELECT doc_id, md5(text) AS fp_md5 FROM documents",
-        "heavy_tokens_topk":
-            "SELECT token, COUNT(*) AS cnt FROM ("
-            "SELECT unnest(regexp_extract_all(text, '\\S+')) AS token "
-            "FROM documents) GROUP BY token "
-            "ORDER BY cnt DESC, token ASC LIMIT 20",
-        # exact-integer rarity profile: no float aggregation, so the
-        # value hash is order-independent on both engines
-        "token_rarity_scores":
-            "WITH tok AS (SELECT doc_id, unnest(regexp_extract_all(text,"
-            " '\\S+')) AS token FROM documents), "
-            "freq AS (SELECT token, COUNT(*) AS cnt FROM tok GROUP BY"
-            " token) "
-            "SELECT t.doc_id, COUNT(*) AS n_tokens, MIN(f.cnt) AS"
-            " min_token_cnt, CAST(SUM(CASE WHEN f.cnt = 1 THEN 1 ELSE 0 END)"
-            " AS BIGINT) AS n_hapax FROM tok t JOIN freq f ON t.token = f.token "
-            "GROUP BY t.doc_id ORDER BY t.doc_id",
         "user_event_counts_salted":
             "SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id",
         "spaced_seed_distinct_exact":
@@ -1052,12 +984,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT lang, doc_id FROM (SELECT lang, doc_id, ROW_NUMBER()"
             " OVER (PARTITION BY lang ORDER BY h, doc_id) AS rn FROM h)"
             " WHERE rn <= 50 ORDER BY lang, doc_id",
-        # exact-integer global prefix scan == SQL's running-sum frame
-        "pack_documents":
-            "SELECT doc_id, CAST(COALESCE(SUM(n_chars) OVER (ORDER BY"
-            " n_chars DESC, doc_id ROWS BETWEEN UNBOUNDED PRECEDING AND"
-            " 1 PRECEDING), 0) // 5000 AS BIGINT) AS bin "
-            "FROM documents ORDER BY doc_id",
         # exact-integer per-doc repetition profile (Gopher A.1.1 shape);
         # unigram stats from the exploded-token GROUP BY, bigram stats
         # from adjacent positional pairs — both engines count identical
@@ -1321,15 +1247,6 @@ def oracle_sql() -> dict[str, str]:
             " cluster_size FROM cc GROUP BY cluster_id) "
             "SELECT c.doc_id, c.cluster_id, s.cluster_size "
             "FROM cc c JOIN sz s USING (cluster_id) ORDER BY c.doc_id",
-        # avg_chars_r6 is a 6-dp-rounded VALUE column; row identity is
-        # the exact source string, so no float hazard
-        "source_stats":
-            "SELECT source, CAST(COUNT(*) AS BIGINT) AS n_docs,"
-            " CAST(SUM(n_chars) AS BIGINT) AS sum_chars,"
-            " CAST(COUNT(DISTINCT lang) AS BIGINT) AS n_langs,"
-            " ROUND(CAST(SUM(n_chars) AS DOUBLE) / COUNT(*), 6) AS"
-            " avg_chars_r6 "
-            "FROM documents GROUP BY source ORDER BY source",
         # domain gate: keep docs whose source has Gopher pass rate
         # >= 1/2 in exact integers (2 * n_pass >= n_docs); the per-doc
         # pass_gopher definition is byte-identical to the
@@ -1444,18 +1361,6 @@ def oracle_sql() -> dict[str, str]:
             "fin AS (SELECT doc_id, source, xor(z, z >> 31) AS h FROM m2) "
             "SELECT f.doc_id, f.source FROM fin f JOIN thr USING (source) "
             "WHERE thr.t IS NULL OR f.h < thr.t ORDER BY f.doc_id",
-        # per-language embedding centroid: positional double-unnest
-        # zips value with its 1-based subscript; mean under the 6-dp
-        # float contract (cross-engine sum order differs ~1e-12)
-        "lang_centroids":
-            "WITH e AS (SELECT vec_id, CAST(unnest(embedding) AS DOUBLE)"
-            " AS v, unnest(generate_series(1, len(embedding))) AS i"
-            " FROM embeddings), "
-            "j AS (SELECT d.lang, CAST(e.i - 1 AS BIGINT) AS dim, e.v"
-            " AS v FROM e JOIN documents d ON d.doc_id = e.vec_id) "
-            "SELECT lang, dim, CAST(COUNT(*) AS BIGINT) AS n,"
-            " ROUND(SUM(v) / COUNT(*), 6) AS mean_r6 FROM j "
-            "GROUP BY lang, dim ORDER BY lang, dim",
         # deterministic epoch shuffle: first 100 positions of the
         # global permutation ordered by splitmix64(doc_id XOR 7),
         # replayed bit-exactly in HUGEINT arithmetic
@@ -1749,11 +1654,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT f.doc_id, t.n_words, t.sum_word_len FROM fin f"
             " JOIN thr t USING (doc_id) WHERE f.h < t.t"
             " ORDER BY f.doc_id",
-        "top_docs_per_lang":
-            "SELECT lang, doc_id, n_chars FROM ("
-            "SELECT lang, doc_id, n_chars, ROW_NUMBER() OVER ("
-            "PARTITION BY lang ORDER BY n_chars DESC, doc_id ASC) AS rn "
-            "FROM documents) WHERE rn <= 3",
         # the LSH-candidate + exact-verify pipeline equals the exact
         # all-pairs Jaccard at sf0.01: every result pair scores >= 0.93
         # (far above the 0.5 threshold and the 0.3 candidate gate), so
@@ -1841,19 +1741,6 @@ def oracle_sql() -> dict[str, str]:
             " FROM c) "
             "SELECT lang, bigram, cnt FROM r WHERE rn <= 5"
             " ORDER BY lang, cnt DESC, bigram",
-        # RANK within source without a global sort: exact integers
-        "nchars_rank_in_source":
-            "SELECT doc_id, source, n_chars,"
-            " CAST(RANK() OVER (PARTITION BY source ORDER BY n_chars)"
-            " AS BIGINT) AS rnk,"
-            " CAST(COUNT(*) OVER (PARTITION BY source) AS BIGINT)"
-            " AS n_in_source"
-            " FROM documents ORDER BY doc_id",
-        # format round-trips: the oracle sees the ORIGINAL table, so a
-        # lossy JSONL/CSV write->read would hash-mismatch
-        "jsonl_roundtrip_lang_counts":
-            "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang"
-            " ORDER BY lang",
         # TPC-H Q3 shape: 3-way join, exact 10^-4-dollar revenue units
         "segment_revenue_topk":
             "SELECT l.l_orderkey AS o_orderkey,"
@@ -1900,25 +1787,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT token, c_even, c_odd,"
             " CAST(ABS(c_even - c_odd) AS BIGINT) AS drift FROM c"
             " ORDER BY drift DESC, token ASC LIMIT 20",
-        # GROUPING SETS rollup at three grains from ONE scan
-        "docs_rollup_cube":
-            "SELECT CAST(CASE WHEN GROUPING(lang) = 1 AND"
-            " GROUPING(source) = 1 THEN 3 WHEN GROUPING(source) = 1"
-            " THEN 1 ELSE 0 END AS BIGINT) AS grouping_id,"
-            " COALESCE(lang, '') AS lang,"
-            " COALESCE(source, '') AS source,"
-            " CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(n_chars) AS BIGINT) AS sum_chars"
-            " FROM documents"
-            " GROUP BY GROUPING SETS ((lang, source), (lang), ())"
-            " ORDER BY grouping_id, lang, source",
-        # distributed NTILE: equi-depth quartile of n_chars in source,
-        # ROW_NUMBER total order (n_chars, doc_id)
-        "nchars_ntile_buckets":
-            "SELECT doc_id, source, n_chars,"
-            " CAST(NTILE(4) OVER (PARTITION BY source"
-            " ORDER BY n_chars, doc_id) AS BIGINT) AS bucket"
-            " FROM documents ORDER BY doc_id",
         "ann_topk_filtered":
             "WITH q AS (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0) "
             "SELECT vec_id FROM ("
@@ -2000,20 +1868,6 @@ def oracle_sql() -> dict[str, str]:
             " CAST(COUNT(*) AS BIGINT) AS n_docs,"
             " CAST(SUM(n_chars) AS BIGINT) AS sum_chars"
             " FROM pick WHERE rn = 1 GROUP BY s ORDER BY shard",
-        # hive-partitioned sink + pruned single-partition re-read
-        "partitioned_roundtrip_source_counts":
-            "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n FROM documents"
-            " WHERE source = 'src7' GROUP BY lang ORDER BY lang",
-        # language-diversity entropy per source, 6-dp float contract
-        "source_lang_entropy":
-            "WITH c AS (SELECT source, lang, CAST(COUNT(*) AS BIGINT)"
-            " AS c FROM documents GROUP BY 1, 2), "
-            "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS n_docs,"
-            " CAST(COUNT(*) AS BIGINT) AS n_langs, SUM(c * LN(c)) AS s"
-            " FROM c GROUP BY source) "
-            "SELECT source, n_docs, n_langs,"
-            " ROUND(LN(CAST(n_docs AS DOUBLE)) - s / n_docs, 6)"
-            " AS entropy_r6 FROM st ORDER BY source",
         # set ops as one conditional rollup: |A∩B| / |A\B| / |B\A|
         # fall out of the per-user (a,b) flag combination counts
         "event_user_setops":
@@ -2053,17 +1907,6 @@ def oracle_sql() -> dict[str, str]:
             " WHERE bc.c >= 5) "
             "SELECT bigram, c_xy, pmi_r6 FROM p"
             " ORDER BY pmi_r6 DESC, bigram LIMIT 20",
-        # per-lang Gini from 1-based ranks; tie order commutes so the
-        # window twin is exact
-        "doc_length_gini":
-            "WITH r AS (SELECT lang, CAST(n_chars AS BIGINT) AS x,"
-            " CAST(ROW_NUMBER() OVER (PARTITION BY lang"
-            " ORDER BY n_chars) AS BIGINT) AS i FROM documents) "
-            "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n,"
-            " ROUND(CAST(2 * SUM(i * x) - (COUNT(*) + 1) * SUM(x)"
-            " AS DOUBLE) / CAST(COUNT(*) * SUM(x) AS DOUBLE), 6)"
-            " AS gini_r6"
-            " FROM r GROUP BY lang ORDER BY lang",
         # cross-lingual near-dup matrix over the SAME exact-Jaccard
         # pair contract as ngram_jaccard_pairs
         "cross_lang_dup_matrix":
@@ -2086,31 +1929,6 @@ def oracle_sql() -> dict[str, str]:
             " FROM pairs JOIN documents da ON id_a = da.doc_id"
             " JOIN documents db ON id_b = db.doc_id"
             " GROUP BY 1, 2 ORDER BY 1, 2",
-        # per-source empirical CDF (quantile normalization)
-        "nchars_cume_dist":
-            "SELECT doc_id, source, n_chars,"
-            " ROUND(CUME_DIST() OVER (PARTITION BY source"
-            " ORDER BY n_chars), 6) AS cume_r6"
-            " FROM documents ORDER BY doc_id",
-        # Pearson χ² over the DENSE source×lang grid (zero cells
-        # included), same double algebra as the pipeline
-        "source_lang_chi2":
-            "WITH o AS (SELECT source, lang, CAST(COUNT(*) AS BIGINT)"
-            " AS o FROM documents GROUP BY 1, 2), "
-            "rm AS (SELECT source, CAST(SUM(o) AS BIGINT) AS r FROM o"
-            " GROUP BY source), "
-            "cm AS (SELECT lang, CAST(SUM(o) AS BIGINT) AS c FROM o"
-            " GROUP BY lang), "
-            "nn AS (SELECT CAST(SUM(o) AS BIGINT) AS n FROM o), "
-            "cell AS (SELECT CAST(COALESCE(o.o, 0) AS DOUBLE) AS od,"
-            " CAST(rm.r * cm.c AS DOUBLE) / nn.n AS e"
-            " FROM rm CROSS JOIN cm CROSS JOIN nn"
-            " LEFT JOIN o ON rm.source = o.source AND cm.lang = o.lang) "
-            "SELECT (SELECT n FROM nn) AS n,"
-            " CAST(((SELECT COUNT(*) FROM rm) - 1)"
-            " * ((SELECT COUNT(*) FROM cm) - 1) AS BIGINT) AS dof,"
-            " ROUND(SUM((od - e) * (od - e) / e), 6) AS chi2_r6"
-            " FROM cell",
         # Misra–Gries in the exact regime (capacity 4096 ≥ fixture
         # vocab): estimates ARE the true counts, so the oracle is the
         # exact top-k with the same (count desc, token) tie-break
@@ -2119,27 +1937,6 @@ def oracle_sql() -> dict[str, str]:
             " '\\S+')) AS token FROM documents) "
             "SELECT token, CAST(COUNT(*) AS BIGINT) AS est_cnt FROM t"
             " GROUP BY token ORDER BY est_cnt DESC, token LIMIT 20",
-        # diversified top-k: at most 2 docs per source
-        "diversified_top_docs":
-            "WITH r AS (SELECT doc_id, source,"
-            " CAST(n_chars AS BIGINT) AS n_chars,"
-            " ROW_NUMBER() OVER (PARTITION BY source"
-            " ORDER BY n_chars DESC, doc_id ASC) AS rn"
-            " FROM documents) "
-            "SELECT doc_id, source, n_chars FROM r WHERE rn <= 2"
-            " ORDER BY n_chars DESC, doc_id LIMIT 10",
-        # no-leakage grouped split: md5(source) hex routes each SOURCE
-        # (never a document) to exactly one split
-        "grouped_split_counts":
-            "WITH s AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS n,"
-            " substr(md5(source), 1, 1) AS h FROM documents"
-            " GROUP BY source) "
-            "SELECT CASE WHEN h IN ('0','1','2','3','4','5','6','7',"
-            "'8','9','a','b') THEN 'train' WHEN h IN ('c','d')"
-            " THEN 'val' ELSE 'test' END AS split,"
-            " CAST(COUNT(*) AS BIGINT) AS n_sources,"
-            " CAST(SUM(n) AS BIGINT) AS n_docs"
-            " FROM s GROUP BY 1 ORDER BY split",
         # Efraimidis–Spirakis weighted sample: same bit-exact
         # splitmix64 chain as the sampler family; key = LN(u)/w with
         # the identical double composition
@@ -2170,23 +1967,6 @@ def oracle_sql() -> dict[str, str]:
             " AS key FROM m2) "
             "SELECT doc_id, n_chars FROM kk"
             " ORDER BY key DESC, doc_id LIMIT 20",
-        # robust modified-z outliers: the SAME exact-integer rule
-        # 1349*|x-med| > 7000*MAD with PERCENTILE_DISC med/MAD
-        "nchars_robust_outliers":
-            "WITH md AS (SELECT lang,"
-            " CAST(PERCENTILE_DISC(0.5) WITHIN GROUP"
-            " (ORDER BY n_chars) AS BIGINT) AS med,"
-            " CAST(COUNT(*) AS BIGINT) AS n FROM documents"
-            " GROUP BY lang), "
-            "mad AS (SELECT d.lang, CAST(PERCENTILE_DISC(0.5)"
-            " WITHIN GROUP (ORDER BY ABS(d.n_chars - md.med))"
-            " AS BIGINT) AS mad FROM documents d JOIN md"
-            " ON d.lang = md.lang GROUP BY d.lang) "
-            "SELECT md.lang, md.n, md.med, mad.mad,"
-            " (SELECT CAST(SUM(CASE WHEN 1349 * ABS(d.n_chars -"
-            " md.med) > 7000 * mad.mad THEN 1 ELSE 0 END) AS BIGINT)"
-            " FROM documents d WHERE d.lang = md.lang) AS n_outliers"
-            " FROM md JOIN mad ON md.lang = mad.lang ORDER BY md.lang",
         # per-source dup rate over the SAME exact-Jaccard drop set the
         # kept-set oracle derives (provably equal to the LSH drop set
         # at fixture scale)
@@ -2211,16 +1991,6 @@ def oracle_sql() -> dict[str, str]:
             " drops) THEN 1 ELSE 0 END) AS DOUBLE)"
             " / CAST(COUNT(*) AS DOUBLE), 6) AS dup_rate_r6"
             " FROM documents GROUP BY source ORDER BY source",
-        # order-invariant per-source integrity fingerprint: XOR of a
-        # 60-bit md5 prefix over the canonical row string (exact
-        # same hash replayed: md5 + hex-prefix cast)
-        "table_fingerprint":
-            "SELECT source, CAST(COUNT(*) AS BIGINT) AS n_rows,"
-            " CAST(bit_xor(CAST('0x' || substr(md5("
-            "CAST(doc_id AS VARCHAR) || '|' || lang || '|' ||"
-            " CAST(n_chars AS VARCHAR) || '|' || text), 1, 15)"
-            " AS BIGINT)) AS BIGINT) AS fp60"
-            " FROM documents GROUP BY source ORDER BY source",
         # sparse integer dot-product retrieval over the df-banded
         # vocab: exact int64 scores, ties to the smaller doc id
         "term_overlap_topk":
@@ -2239,39 +2009,6 @@ def oracle_sql() -> dict[str, str]:
             " (SELECT da, db, dot, ROW_NUMBER() OVER (PARTITION BY da"
             " ORDER BY dot DESC, db) AS rn FROM pair)"
             " WHERE rn = 1 ORDER BY doc_id",
-        # Flesch-style readability from three RE2 run counts; exact
-        # ints + 6-dp score, zero-word docs excluded on both sides
-        "readability_scores":
-            "WITH c AS (SELECT doc_id,"
-            " CAST(length(regexp_extract_all(text, '\\S+')) AS BIGINT)"
-            " AS n_words,"
-            " CAST(GREATEST(length(regexp_extract_all(text,"
-            " '[.!?]+')), 1) AS BIGINT) AS n_sentences,"
-            " CAST(length(regexp_extract_all(text, '[aeiouyAEIOUY]+'))"
-            " AS BIGINT) AS n_vowel_groups FROM documents) "
-            "SELECT doc_id, n_words, n_sentences, n_vowel_groups,"
-            " ROUND(206.835 - 1.015 * (CAST(n_words AS DOUBLE)"
-            " / n_sentences) - 84.6 * (CAST(n_vowel_groups AS DOUBLE)"
-            " / n_words), 6) AS flesch_r6"
-            " FROM c WHERE n_words > 0 ORDER BY doc_id",
-        # per-lang character-class profile: exact counts, 6-dp ratios
-        # computed AFTER the global sums on both sides
-        "charclass_stats":
-            "WITH c AS (SELECT lang,"
-            " CAST(SUM(length(text)) AS BIGINT) AS n_chars,"
-            " CAST(SUM(length(regexp_extract_all(text, '[0-9]')))"
-            " AS BIGINT) AS n_digit,"
-            " CAST(SUM(length(regexp_extract_all(text, '[A-Z]')))"
-            " AS BIGINT) AS n_upper,"
-            " CAST(SUM(length(regexp_extract_all(text, '\\s')))"
-            " AS BIGINT) AS n_ws FROM documents GROUP BY lang) "
-            "SELECT lang, n_chars, n_digit, n_upper, n_ws,"
-            " ROUND(CAST(n_digit AS DOUBLE) / n_chars, 6)"
-            " AS digit_ratio_r6,"
-            " ROUND(CAST(n_upper AS DOUBLE) / n_chars, 6)"
-            " AS upper_ratio_r6,"
-            " ROUND(CAST(n_ws AS DOUBLE) / n_chars, 6) AS ws_ratio_r6"
-            " FROM c ORDER BY lang",
         # exact equi-join cardinality: sum of per-user count products
         "join_size_exact":
             "WITH a AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS c"
@@ -2281,21 +2018,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT CAST(COALESCE(SUM(a.c * b.c), 0) AS BIGINT)"
             " AS join_size, CAST(COUNT(*) AS BIGINT)"
             " AS n_matching_users FROM a JOIN b USING (user_id)",
-        # weighted median from the (source, n_chars) count table:
-        # smallest size with 2*cum-mass >= total-mass (exact ints)
-        "byte_median_doc_size":
-            "WITH c AS (SELECT source, n_chars,"
-            " CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(n_chars) AS BIGINT) AS mass FROM documents"
-            " GROUP BY 1, 2), "
-            "w AS (SELECT source, n_chars,"
-            " SUM(mass) OVER (PARTITION BY source ORDER BY n_chars)"
-            " AS cum, SUM(mass) OVER (PARTITION BY source) AS tot"
-            " FROM c) "
-            "SELECT source, CAST(MIN(CASE WHEN 2 * cum >= tot"
-            " THEN n_chars END) AS BIGINT) AS byte_median_size,"
-            " CAST(MIN(tot) AS BIGINT) AS total_chars"
-            " FROM w GROUP BY source ORDER BY source",
         # asymmetric near-dup: exact shingle containment
         # |A∩B|/min(|A|,|B|) — same 5-gram shingle CTE as the
         # jaccard twin, LEAST in place of the union
@@ -2331,14 +2053,6 @@ def oracle_sql() -> dict[str, str]:
             " AS DOUBLE) / CAST(SUM(n) AS DOUBLE), 6)"
             " AS exclusive_share_r6"
             " FROM j GROUP BY source ORDER BY source",
-        # exact log2-bucket histogram: bucket = len(bin(x)) - 1,
-        # integer on both sides (searchsorted vs power table / binary
-        # string length — no float log anywhere)
-        "nchars_histogram_log2":
-            "SELECT lang, CAST(length(bin(n_chars)) - 1 AS BIGINT)"
-            " AS bucket, CAST(COUNT(*) AS BIGINT) AS n"
-            " FROM documents WHERE n_chars > 0"
-            " GROUP BY 1, 2 ORDER BY 1, 2",
         # Bloom-pruned join: the sketch only shrinks the shuffle, the
         # result is the plain exact join
         "bloom_prune_join_revenue":
@@ -2461,15 +2175,6 @@ def oracle_sql() -> dict[str, str]:
             " AS jaccard_r6 FROM pr LEFT JOIN inter"
             " ON pr.ta = inter.ta AND pr.tb = inter.tb"
             " ORDER BY 1, 2",
-        # C4-style prefix dedup groups (first-64-char collisions)
-        "prefix_dup_groups":
-            "WITH p AS (SELECT doc_id, substr(text, 1, 64) AS pref"
-            " FROM documents), "
-            "g AS (SELECT pref, CAST(COUNT(*) AS BIGINT)"
-            " AS group_size, CAST(MIN(doc_id) AS BIGINT)"
-            " AS winner_doc FROM p GROUP BY 1 HAVING COUNT(*) >= 2) "
-            "SELECT p.doc_id, g.group_size, g.winner_doc"
-            " FROM p JOIN g USING (pref) ORDER BY p.doc_id",
         # token character-length profile per language
         "token_len_histogram":
             "WITH tok AS (SELECT lang, unnest(regexp_extract_all("
@@ -2489,9 +2194,9 @@ def oracle_sql() -> dict[str, str]:
             " CAST(SUM(n_new) OVER (ORDER BY doc_bucket) AS BIGINT)"
             " AS n_cum FROM c ORDER BY doc_bucket",
         # incremental ingestion dedup report: day 1 = even doc_ids,
-        # day 2 = odd; C4-style 64-char-prefix fingerprint (same key
-        # as prefix_dup_groups); each day-2 doc is dup_day1 /
-        # dup_within (smaller odd id owns the prefix) / new
+        # day 2 = odd; C4-style 64-char-prefix fingerprint; each
+        # day-2 doc is dup_day1 / dup_within (smaller odd id owns the
+        # prefix) / new
         "incremental_dedup_report":
             "WITH f AS (SELECT doc_id, lang, substr(text, 1, 64)"
             " AS fp, (doc_id % 2 = 1) AS odd FROM documents), "
@@ -2509,20 +2214,6 @@ def oracle_sql() -> dict[str, str]:
             " THEN 1 ELSE 0 END) AS BIGINT) AS n_new"
             " FROM f JOIN r ON f.fp = r.fp WHERE f.odd"
             " GROUP BY 1 ORDER BY 1",
-        # temperature-scaled mixing weights per language (p ∝ n^α,
-        # α=0.5): weight = n^α / Σ n^α, boost = weight / (n/N);
-        # mirrored op order under the 6-dp contract
-        "lang_temperature_mix":
-            "WITH c AS (SELECT lang, CAST(COUNT(*) AS BIGINT)"
-            " AS n_docs FROM documents GROUP BY 1), "
-            "t AS (SELECT SUM(POW(CAST(n_docs AS DOUBLE), 0.5))"
-            " AS tw, SUM(CAST(n_docs AS DOUBLE)) AS tn FROM c) "
-            "SELECT c.lang, c.n_docs,"
-            " ROUND(POW(CAST(c.n_docs AS DOUBLE), 0.5) / t.tw, 6)"
-            " AS weight_r6,"
-            " ROUND((POW(CAST(c.n_docs AS DOUBLE), 0.5) / t.tw)"
-            " / (CAST(c.n_docs AS DOUBLE) / t.tn), 6) AS boost_r6"
-            " FROM c, t ORDER BY c.lang",
         # nucleus (top-90%) vocabulary coverage: minimal distinct-token
         # prefix (ordered by cnt desc) reaching 90% of the lang's token
         # mass; integer threshold 100·cum >= 90·tot == cum >= ceil
@@ -2568,40 +2259,6 @@ def oracle_sql() -> dict[str, str]:
             " ROUND(CAST(SUM(CASE WHEN nl = ql THEN 1 ELSE 0 END)"
             " AS DOUBLE) / COUNT(*), 6) AS accuracy_r6"
             " FROM w WHERE rw = 1 GROUP BY 1 ORDER BY 1",
-        # largest-remainder (Hamilton) apportionment of 997 sample
-        # slots: pure integer quota/remainder; ties -> source asc
-        "sample_budget_allocation":
-            "WITH c AS (SELECT source, CAST(COUNT(*) AS BIGINT)"
-            " AS n_docs FROM documents GROUP BY 1), "
-            "t AS (SELECT SUM(n_docs) AS nn FROM c), "
-            "q AS (SELECT c.source, c.n_docs,"
-            " (997*c.n_docs)//t.nn AS fq, (997*c.n_docs)%t.nn AS rem"
-            " FROM c, t), "
-            "s AS (SELECT SUM(fq) AS fsum FROM q), "
-            "r AS (SELECT q.*, ROW_NUMBER() OVER ("
-            "ORDER BY rem DESC, source) AS rn FROM q) "
-            "SELECT r.source, r.n_docs,"
-            " CAST(r.fq + CASE WHEN r.rn <= 997 - s.fsum THEN 1"
-            " ELSE 0 END AS BIGINT) AS alloc,"
-            " CAST(r.fq AS BIGINT) AS floor_quota,"
-            " CAST(r.rem AS BIGINT) AS remainder"
-            " FROM r, s ORDER BY r.source",
-        # gate-tuning sweep: integer cross-multiplied alpha-ratio gate
-        # over a threshold grid, per language
-        "quality_gate_sweep":
-            "WITH d AS (SELECT lang, length(text) AS n_chars,"
-            " length(regexp_replace(text, '[^A-Za-z]', '', 'g'))"
-            " AS n_alpha FROM documents), "
-            "g AS (SELECT lang, t.thr AS thr,"
-            " CASE WHEN 100*n_alpha >= t.thr*n_chars THEN 1 ELSE 0"
-            " END AS kept FROM d CROSS JOIN"
-            " (SELECT unnest([50, 60, 70, 80, 90]) AS thr) t) "
-            "SELECT lang, CAST(thr AS BIGINT) AS thr,"
-            " CAST(COUNT(*) AS BIGINT) AS n_docs,"
-            " CAST(SUM(kept) AS BIGINT) AS n_kept,"
-            " ROUND(CAST(SUM(kept) AS DOUBLE) / COUNT(*), 6)"
-            " AS keep_rate_r6"
-            " FROM g GROUP BY 1, 2 ORDER BY 1, 2",
         # the resumable curation runner's end-to-end twin: alpha gate
         # at 82% + global first-wins (min doc_id per text) dedup —
         # doc_id-ordered fragments make the runner's per-partition
@@ -2652,25 +2309,6 @@ def oracle_sql() -> dict[str, str]:
             " LEFT JOIN gk ON gk.part = q.part"
             " LEFT JOIN ek ON ek.part = q.part"
             " JOIN outc o ON o.part = q.part ORDER BY part_id",
-        # label-centroid pairwise cosine (mirrored op order: mean =
-        # SUM/COUNT per dim, dot over dims, norm = sqrt(sum m^2))
-        "label_centroid_affinity":
-            "WITH e AS (SELECT label,"
-            " CAST(unnest(embedding) AS DOUBLE) AS v,"
-            " unnest(generate_series(1, len(embedding))) AS i"
-            " FROM embeddings), "
-            "c AS (SELECT label, i - 1 AS dim, SUM(v)/COUNT(*) AS m"
-            " FROM e GROUP BY 1, 2), "
-            "n AS (SELECT label, SQRT(SUM(m*m)) AS nrm FROM c"
-            " GROUP BY 1), "
-            "d AS (SELECT a.label AS la, b.label AS lb,"
-            " SUM(a.m*b.m) AS dot FROM c a JOIN c b"
-            " ON a.dim = b.dim AND a.label < b.label GROUP BY 1, 2) "
-            "SELECT CAST(d.la AS BIGINT) AS label_a,"
-            " CAST(d.lb AS BIGINT) AS label_b,"
-            " ROUND(d.dot / (na.nrm * nb.nrm), 6) AS cos_r6"
-            " FROM d JOIN n na ON d.la = na.label"
-            " JOIN n nb ON d.lb = nb.label ORDER BY 1, 2",
         # the curation runner WITH the MinHash near-dup stage: with
         # doc_id-ordered fragments the runner's survivors equal the
         # plain greedy min-neighbor rule over the gated corpus (drop a

@@ -120,12 +120,10 @@ def _force_cluster_tiers():
     A.BIGRAM_BROADCAST_MAX_ROWS = 0
     A.TFIDF_BROADCAST_MAX_ROWS = 0
     A.INVIDX_DRIVER_MAX_ROWS = 0
-    A.CENTROID_BROADCAST_MAX_ROWS = 0
     A.DUPC_DRIVER_MAX_ROWS = 0
     A.SRCGATE_BROADCAST_MAX_ROWS = 0
     A.BIGRAM_DRIVER_MAX_ROWS = 0
     A.RANK_DRIVER_MAX_ROWS = 0
-    A.RANK_BROADCAST_MAX_ROWS = 0
     A.SEGMENT_BROADCAST_MAX_ROWS = 0
     A.NB_BROADCAST_MAX_ROWS = 0
     A.ANTI_BROADCAST_MAX_ROWS = 0
@@ -142,69 +140,53 @@ def _force_cluster_tiers():
 
 #: bench query order (module-level so the contract test can check
 #: it stays a subset of the registry)
-QUERIES = ["lang_counts", "frame_counts", "exact_dedup",
-           "distinct_text_per_lang", "token_counts", "quality_scores",
-           "heavy_tokens_topk", "median_nchars_by_lang", "doc_fingerprint",
-           "ann_topk", "ann_ivf_topk", "hll_distinct_per_lang",
-           "cms_heavy_hitters", "kll_nchars_quantiles",
-           "minhash_neardup_pairs", "simhash_neardup_pairs",
-           "embedding_neardup_pairs", "lang_id_pred", "bloom_build_info",
-           "categorize_summary",
+QUERIES = ["exact_dedup", "distinct_text_per_lang", "token_counts",
+           "doc_fingerprint", "ann_topk", "ann_ivf_topk",
+           "hll_distinct_per_lang", "cms_heavy_hitters",
+           "kll_nchars_quantiles", "minhash_neardup_pairs",
+           "simhash_neardup_pairs", "embedding_neardup_pairs", "lang_id_pred",
+           "bloom_build_info", "categorize_summary",
            # round-2 additions
            "ngram_jaccard_pairs", "bpe_token_counts", "paired_join",
            "mibf_classify", "mibf_classify_paired", "categorize_length",
            "ann_topk_multi", "dust_masked_categorize",
            # round-3 additions + previously-unbenched registry entries
            "deterministic_sample_hash", "minhash_dedup_kept",
-           "top_docs_per_lang", "paired_categorize", "categorize_besthit",
-           "categorize_ordered", "categorize_binomial", "categorize_harmonic",
-           "masked_categorize", "tdigest_nchars_quantiles",
-           "spaced_seed_distinct", "progressive_build_info",
-           "token_rarity_scores", "stratified_sample", "embedding_kmeans",
-           "user_event_counts_salted", "pack_documents", "repetition_stats",
-           "decontaminate", "repeated_substrings", "pii_redact",
-           "gopher_quality_flags", "remove_boilerplate_ngrams",
-           "bigram_lm_scores", "chunk_documents", "tfidf_top_terms",
-           "bigram_ppl_buckets", "dup_clusters", "source_stats",
+           "paired_categorize", "categorize_besthit", "categorize_ordered",
+           "categorize_binomial", "categorize_harmonic", "masked_categorize",
+           "tdigest_nchars_quantiles", "spaced_seed_distinct",
+           "progressive_build_info", "stratified_sample", "embedding_kmeans",
+           "user_event_counts_salted", "repetition_stats", "decontaminate",
+           "repeated_substrings", "pii_redact", "gopher_quality_flags",
+           "remove_boilerplate_ngrams", "bigram_lm_scores", "chunk_documents",
+           "tfidf_top_terms", "bigram_ppl_buckets", "dup_clusters",
            "source_quality_gate", "token_freq_histogram", "inverted_index",
-           "bm25_topk", "source_mix_sample", "lang_centroids",
-           "epoch_shuffle_head", "clean_corpus", "curation_funnel",
-           "curation_funnel_by_source", "contamination_topk",
-           "dup_group_size_histogram", "source_overlap",
+           "bm25_topk", "source_mix_sample", "epoch_shuffle_head",
+           "clean_corpus", "curation_funnel", "curation_funnel_by_source",
+           "contamination_topk", "dup_group_size_histogram", "source_overlap",
            "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
            "corpus_report",
            # round-4 additions
            "epoch_shuffle_full", "ann_ivf_exact", "top_bigrams_per_lang",
-           "nchars_rank_in_source", "jsonl_roundtrip_lang_counts",
            "segment_revenue_topk", "nb_class_scores", "token_drift_topk",
-           "docs_rollup_cube", "nchars_ntile_buckets",
            # round-4 waves 6-8
            "region_revenue", "shard_assignment_counts",
-           "partitioned_roundtrip_source_counts", "source_lang_entropy",
            # round-4 waves 12-14
-           "event_user_setops", "pmi_top_bigrams", "doc_length_gini",
-           "cross_lang_dup_matrix", "nchars_cume_dist", "source_lang_chi2",
-           "mg_heavy_tokens", "diversified_top_docs", "rrf_hybrid_topk",
-           "grouped_split_counts", "weighted_sample_topk",
-           "sketch_setops_report", "lang_nchars_tdigest",
-           "nchars_robust_outliers", "source_dup_report", "table_fingerprint",
-           "term_overlap_topk", "readability_scores", "charclass_stats",
-           "join_size_exact", "join_size_cms", "embedding_top_pc",
-           "hll_weekly_union", "byte_median_doc_size",
-           "ngram_containment_pairs", "source_exclusive_tokens",
-           "nchars_histogram_log2", "langid_confusion_matrix",
+           "event_user_setops", "pmi_top_bigrams", "cross_lang_dup_matrix",
+           "mg_heavy_tokens", "rrf_hybrid_topk", "weighted_sample_topk",
+           "sketch_setops_report", "lang_nchars_tdigest", "source_dup_report",
+           "term_overlap_topk", "join_size_exact", "join_size_cms",
+           "embedding_top_pc", "hll_weekly_union", "ngram_containment_pairs",
+           "source_exclusive_tokens", "langid_confusion_matrix",
            "bloom_prune_join_revenue", "kmv_distinct_userdays",
            "kmv_type_jaccard", "lang_bigram_jsd", "type_user_overlap_exact",
-           "prefix_dup_groups", "token_len_histogram", "vocab_growth_by_docs",
-           "doc_compression_ratio",
+           "token_len_histogram", "vocab_growth_by_docs",
            # round-4 waves 57-61
-           "incremental_dedup_report", "lang_temperature_mix",
-           "vocab_coverage_topp", "bloom_fpr_report", "knn_label_accuracy",
-           "dup_cluster_representatives", "sample_budget_allocation",
-           "embedding_quantization_report", "quality_gate_sweep",
-           "neardup_calibration_report", "hll_error_sweep", "cms_error_sweep",
-           "quantile_sketch_calibration", "curation_run_summary",
-           "kmeans_quality_report", "label_centroid_affinity",
+           "incremental_dedup_report", "vocab_coverage_topp",
+           "bloom_fpr_report", "knn_label_accuracy",
+           "dup_cluster_representatives", "neardup_calibration_report",
+           "hll_error_sweep", "cms_error_sweep", "quantile_sketch_calibration",
+           "curation_run_summary", "kmeans_quality_report",
            # round-5: near-dup curation runner
            "curation_neardup_summary", "curation_partition_metrics"]
 

@@ -10,7 +10,7 @@ k = 25 (``Common/Options.cpp:31``), desired FPR 0.0078125 = 2⁻⁷
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from biobloom_ray.hashing import DEFAULT_SEED
 
@@ -44,10 +44,3 @@ class CategorizeConfig:
     # DUST-style triplet-score masking threshold (reference T=20 at the
     # ×10 scale ⇒ 2.0); None disables — see stages/masking.dust_mask
     mask_dust: float | None = None
-
-
-@dataclass(frozen=True)
-class ShingleConfig:
-    kmer_size: int = 25
-    seed: int = DEFAULT_SEED
-    normalize: bool = True

@@ -3,13 +3,15 @@ events and the TPC-H-style tables).  Each function takes ``sf_dir`` and
 returns a small result (Dataset → pandas/Arrow by the caller); the
 matching ANSI-SQL oracles live in ``__ray_entry__.oracle_sql``.
 
-Every query that reads the events or TPC-H-style tables drives engine
-code (the mergeable sketches, the dedup and near-dup stages, the
-cleaning and decontamination stages, the curation runner), except the
-exact twins ``join_size_exact``, ``event_user_setops`` and
-``type_user_overlap_exact``, which stay as references for the sketch
-tests.  ``tests/test_oracle_parity.py::test_no_table_only_queries``
-checks this by an AST closure scan.
+Every query, whatever table it reads, drives engine code (the
+mergeable sketches, the dedup and near-dup stages, hashing, scoring,
+text normalization, the cleaning and decontamination stages, the
+curation runner), except four exact twins that tests use as
+references: ``join_size_exact``, ``event_user_setops`` and
+``type_user_overlap_exact`` for the KMV, CMS and HLL/Bloom set-op
+tests, and ``token_counts`` for the token-frequency histogram test.
+``tests/test_oracle_parity.py::test_no_table_only_queries`` checks this
+by an AST closure scan.
 
 Scale notes: every reader prunes columns at the parquet read; per-batch
 work is vectorized (pyarrow.compute / pandas C kernels / numpy);
@@ -37,8 +39,6 @@ from ray.data.aggregate import Count, Max, Min, Sum
 from biobloom_ray.sketches.fold import fold_partials
 from biobloom_ray.stages.dedup import add_content_hash
 
-K_DEFAULT = 25
-
 
 def _read(sf_dir: str, table: str, columns=None):
     return _rp(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -64,44 +64,6 @@ def _cents_away(x: np.ndarray) -> np.ndarray:
     are also order-independent, so distributed partials match the
     oracle exactly."""
     return (np.sign(x) * np.floor(np.abs(x) * 100.0 + 0.5)).astype(np.int64)
-
-
-# -- simple grouped aggregates ------------------------------------------------
-
-def lang_counts(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["lang"])
-    out = ds.groupby("lang").aggregate(Count(alias_name="n"))
-    return out.to_pandas()
-
-
-def frame_counts(sf_dir: str, k: int = K_DEFAULT):
-    """A1 pre-pass as a query: Σ max(len−k+1, 0) frames per lang (raw
-    text length, no normalization — matches the SQL oracle)."""
-    ds = _read(sf_dir, "documents", columns=["lang", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lens = pc.utf8_length(b["text"]).to_numpy(zero_copy_only=False)
-        frames = np.maximum(lens.astype(np.int64) - k + 1, 0)
-        df = pd.DataFrame({"lang": b["lang"].to_pandas(), "frames": frames})
-        agg = df.groupby("lang", as_index=False)["frames"].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("lang").aggregate(Sum("frames", alias_name="frames")))
-    return out.to_pandas()
-
-
-def median_nchars_by_lang(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def med(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "lang": [g["lang"].iloc[0]],
-            "median_nchars": [float(np.quantile(
-                g["n_chars"].to_numpy(np.float64), 0.5, method="linear"))],
-        })
-
-    return ds.groupby("lang").map_groups(med, batch_format="pandas").to_pandas()
 
 
 #: input-row gate of the exact events twins (``event_user_setops``,
@@ -177,22 +139,6 @@ def token_counts(sf_dir: str):
     return ds.map_batches(f, batch_format="pyarrow").to_pandas()
 
 
-def quality_scores(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        n_chars = s.str.len().fillna(0).astype(np.int64).to_numpy()
-        n_alpha = s.str.count(r"[A-Za-z]").fillna(0).astype(np.int64).to_numpy()
-        ratio = n_alpha / np.maximum(n_chars, 1)
-        return pa.table({"doc_id": b["doc_id"],
-                         "n_chars_calc": pa.array(n_chars),
-                         "n_alpha": pa.array(n_alpha),
-                         "alpha_ratio": pa.array(ratio)})
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas()
-
-
 def doc_fingerprints(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -204,124 +150,11 @@ def doc_fingerprints(sf_dir: str):
     return ds.map_batches(f, batch_format="pyarrow").to_pandas()
 
 
-#: input-row gate for token_rarity_scores' broadcast tier: below it the
-#: corpus unigram table broadcasts once; above it tokens hash-join the
-#: frequency table and reduce with native aggregates
+#: input-row gate of the token count-table tiers (``token_drift_topk``,
+#: ``pmi_top_bigrams``): below it the table combines on the driver and
+#: broadcasts once; above it tokens hash-join the frequency table and
+#: reduce with native aggregates
 RARITY_BROADCAST_MAX_ROWS = 200_000
-
-
-def token_rarity_scores(sf_dir: str):
-    """Corpus-frequency rarity profile per document — a training-data
-    quality signal in exact integers (no float-summation-order hazard in
-    the oracle hash): ``n_tokens``, ``min_token_cnt`` (corpus count of
-    the doc's rarest token) and ``n_hapax`` (tokens occurring exactly
-    once corpus-wide).  Docs with zero tokens are dropped (no rarity is
-    defined), matching the oracle's inner join.
-
-    Tiered: below ``RARITY_BROADCAST_MAX_ROWS`` docs the sorted
-    (token, count) unigram table broadcasts once and each block scores
-    its docs with one searchsorted + np.minimum.at/add.at pass; above
-    the gate the exploded (doc_id, token) rows hash-join the frequency
-    table and reduce with native Count/Min/Sum aggregates."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def freq_partial(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        toks = s.str.findall(r"\S+").explode().dropna()
-        vc = toks.value_counts()
-        return pa.table({"token": pa.array(vc.index.astype(str),
-                                           type=pa.string()),
-                         "cnt": pa.array(vc.to_numpy().astype(np.int64))})
-
-    freq_parts = ds.map_batches(freq_partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-
-    if n_rows is not None and n_rows <= RARITY_BROADCAST_MAX_ROWS:
-        fp = (freq_parts.to_pandas().groupby("token", as_index=False)
-              ["cnt"].sum())
-        tok_sorted = fp.token.to_numpy(dtype=object)
-        order = np.argsort(tok_sorted, kind="stable")
-        tok_sorted = tok_sorted[order]
-        cnt_sorted = fp.cnt.to_numpy()[order]
-        freq_ref = ray.put((tok_sorted, cnt_sorted))
-
-        def score(b: pa.Table) -> pa.Table:
-            import ray as _r
-            toks_s, cnts_s = _r.get(freq_ref)
-            s = b["text"].to_pandas()
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            lists = s.str.findall(r"\S+")
-            lens = lists.str.len().to_numpy().astype(np.int64)
-            flat = lists.explode().dropna().to_numpy(dtype=object)
-            row_of = np.repeat(np.arange(len(ids)), lens)
-            idx = np.searchsorted(toks_s, flat)
-            c = cnts_s[idx]  # every token is in the corpus table
-            mins = np.full(len(ids), np.iinfo(np.int64).max)
-            np.minimum.at(mins, row_of, c)
-            hapax = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(hapax, row_of, (c == 1).astype(np.int64))
-            keep = lens > 0
-            return pa.table({
-                "doc_id": pa.array(ids[keep]),
-                "n_tokens": pa.array(lens[keep]),
-                "min_token_cnt": pa.array(mins[keep]),
-                "n_hapax": pa.array(hapax[keep])})
-
-        out = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-        return out.sort_values("doc_id").reset_index(drop=True)
-
-    freq = (freq_parts.groupby("token")
-            .aggregate(Sum("cnt", alias_name="cnt")))
-
-    def explode(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        lists = s.str.findall(r"\S+")
-        lens = lists.str.len().to_numpy().astype(np.int64)
-        flat = lists.explode().dropna().astype(str).to_numpy(dtype=object)
-        return pa.table({
-            "doc_id": pa.array(np.repeat(ids, lens)),
-            "token": pa.array(flat, type=pa.string())})
-
-    toks = ds.map_batches(explode, batch_format="pyarrow")
-    joined = hash_join(toks, freq, on=("token",))
-
-    def hapax_col(b: pa.Table) -> pa.Table:
-        c = b["cnt"].to_numpy(zero_copy_only=False)
-        return b.append_column("is_hapax",
-                               pa.array((c == 1).astype(np.int64)))
-
-    out = (joined.map_batches(hapax_col, batch_format="pyarrow")
-           .groupby("doc_id")
-           .aggregate(Count(alias_name="n_tokens"),
-                      Min("cnt", alias_name="min_token_cnt"),
-                      Sum("is_hapax", alias_name="n_hapax"))
-           .to_pandas())
-    return (out[["doc_id", "n_tokens", "min_token_cnt", "n_hapax"]]
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-def heavy_tokens_topk(sf_dir: str, k: int = 20):
-    """Exact heavy hitters: per-batch token value_counts (pre-agg) →
-    groupby(token).sum → deterministic top-k (count desc, token asc).
-    The CMS twin is cms_heavy_hitters."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        toks = s.str.findall(r"\S+").explode().dropna()
-        vc = toks.value_counts()
-        return pa.table({"token": pa.array(vc.index.astype(str), type=pa.string()),
-                         "cnt": pa.array(vc.to_numpy().astype(np.int64))})
-
-    summed = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("token").aggregate(Sum("cnt", alias_name="cnt")))
-    top = summed.sort(["cnt", "token"], descending=[True, False]).limit(k)
-    return top.to_pandas()
 
 
 # -- sketch (rows-only) queries ----------------------------------------------
@@ -422,69 +255,6 @@ def kll_nchars_quantiles(sf_dir: str, qs=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99)):
                          "n_chars_est": pd.Series(est, dtype=np.float64)})
 
 
-def pack_documents(sf_dir: str, capacity_chars: int = 5000):
-    """Sequence PACKING (the LLM sample-packing shape): assign each doc
-    to a fixed-capacity bin by a GLOBAL prefix scan over the
-    deterministic order (n_chars desc, doc_id asc) —
-    ``bin = exclusive_cumsum(n_chars) // capacity`` — so bins fill
-    greedily and reproducibly, and the whole assignment is exact
-    integers (SQL window-frame oracle).
-
-    Distributed scan pattern (a primitive Ray Data lacks): sort →
-    materialize (pins the block layout) → pass 1 reads one row per
-    block (its first (n_chars, doc_id) key + its sum; the sort's range
-    partitioning makes first-keys order the blocks) → driver computes
-    the #blocks-sized exclusive block offsets → pass 2 adds the
-    broadcast offset to each block's local exclusive cumsum.
-    Partitioning assumption, documented: pass 2's batches are exactly
-    pass 1's blocks (``batch_size=None`` on the same materialized
-    dataset)."""
-    import ray
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    sorted_ds = (ds.sort(["n_chars", "doc_id"],
-                         descending=[True, False]).materialize())
-
-    def block_key_sum(b: pa.Table) -> pa.Table:
-        nc = b["n_chars"].to_numpy(zero_copy_only=False)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        if len(nc) == 0:
-            return pa.table({"k_nchars": pa.array([], type=pa.int64()),
-                             "k_docid": pa.array([], type=pa.int64()),
-                             "blk_sum": pa.array([], type=pa.int64())})
-        return pa.table({"k_nchars": pa.array([int(nc[0])]),
-                         "k_docid": pa.array([int(ids[0])]),
-                         "blk_sum": pa.array([int(nc.sum())])})
-
-    blocks = (sorted_ds.map_batches(block_key_sum, batch_format="pyarrow",
-                                    batch_size=None).to_pandas())
-    blocks = blocks.sort_values(["k_nchars", "k_docid"],
-                                ascending=[False, True])
-    offs = blocks.blk_sum.cumsum().shift(fill_value=0).to_numpy()
-    off_of = {(int(r.k_nchars), int(r.k_docid)): int(o)
-              for r, o in zip(blocks.itertuples(), offs)}
-    off_ref = ray.put(off_of)
-
-    def assign(b: pa.Table) -> pa.Table:
-        import ray as _r
-        omap = _r.get(off_ref)
-        nc = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        if len(nc) == 0:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "bin": pa.array([], type=pa.int64())})
-        base = omap[(int(nc[0]), int(ids[0]))]
-        excl = np.zeros(len(nc), dtype=np.int64)
-        np.cumsum(nc[:-1], out=excl[1:])
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "bin": pa.array((base + excl) // capacity_chars)})
-
-    return (sorted_ds.map_batches(assign, batch_format="pyarrow",
-                                  batch_size=None)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
-
-
 def stratified_sample(sf_dir: str, n_per_lang: int = 50):
     """Deterministic STRATIFIED sampler: the ``n_per_lang`` docs with
     the smallest ``splitmix64(doc_id)`` per language — uniform within
@@ -532,37 +302,6 @@ def deterministic_sample_hash(sf_dir: str, rate: float = 0.125):
 
     return _parts_pandas(ds.map_batches(pick, batch_format="pyarrow"),
                          {"doc_id": np.int64, "lang": object})
-
-
-def top_docs_per_lang(sf_dir: str, k: int = 3):
-    """Per-group top-N (the windowed ROW_NUMBER shape): the k longest
-    documents of every language.  Per-block local top-k per lang
-    (pre-aggregation: at most k·n_langs rows leave any block) → one
-    tiny per-lang reduce.  Deterministic ties: n_chars desc, doc_id asc."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-
-    def local_topk(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            "lang": b["lang"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        df = df.sort_values(["lang", "n_chars", "doc_id"],
-                            ascending=[True, False, True])
-        return pa.Table.from_pandas(df.groupby("lang").head(k),
-                                    preserve_index=False)
-
-    def final_topk(g: pa.Table) -> pa.Table:
-        idx = np.lexsort((g["doc_id"].to_numpy(zero_copy_only=False),
-                          -g["n_chars"].to_numpy(zero_copy_only=False)))[:k]
-        return g.take(np.sort(idx))
-
-    out = (ds.map_batches(local_topk, batch_format="pyarrow")
-           .groupby("lang")
-           .map_groups(final_topk, batch_format="pyarrow")
-           .to_pandas())
-    return (out.sort_values(["lang", "n_chars", "doc_id"],
-                            ascending=[True, False, True])
-            .reset_index(drop=True)[["lang", "doc_id", "n_chars"]])
 
 
 # -- repetition / decontamination (training-data quality family) --------------
@@ -901,7 +640,7 @@ def _bigram_scores_ds(sf_dir: str) -> "ray.data.Dataset":
     (exact ints) and ``avg_logprob_r6`` (mean ln p rounded to 6 dp —
     the rounding absorbs libm/summation-order ulps vs the oracle).
 
-    Tiered like ``token_rarity_scores``: one tokenize+hash scan emits
+    Tiered by ``BIGRAM_BROADCAST_MAX_ROWS``: one tokenize+hash scan emits
     per-batch-combined ``(hg, hp, cnt)`` partials (hg = bigram hash,
     hp = prefix-token hash — a function of hg, so carrying it is
     shuffle-free); bigram and prefix counts are two native Sums over
@@ -1189,8 +928,8 @@ def bigram_ppl_buckets(sf_dir: str, n_buckets: int = PPL_BUCKETS):
     corpus ranked by the bigram-LM score (best = bucket 1), with exact
     SQL NTILE semantics — earlier buckets take the remainder rows.
 
-    Distributed global-rank pattern (same primitive as
-    ``pack_documents``): sort by (score desc, doc_id) → materialize
+    Distributed global-rank pattern (the block-offset prefix of
+    ``epoch_shuffle_full``): sort by (score desc, doc_id) → materialize
     (pins the block layout) → pass 1 reads one row per block (first
     key + row count) → driver computes #blocks exclusive rank offsets
     → pass 2 adds the broadcast offset to each block's local arange
@@ -1390,45 +1129,6 @@ def dup_clusters(sf_dir: str, k: int = DUPC_SUBSTR_K,
         return _frame([], [], [])
     sizes = out.groupby("lbl")["doc_id"].transform("size")
     return _frame(out.doc_id, out.lbl, sizes)
-
-
-def source_stats(sf_dir: str):
-    """Per-domain corpus profile — the per-source aggregate every web
-    pipeline keeps for domain-level filtering decisions (cf. C4 /
-    RefinedWeb per-domain stats): document count, total chars, distinct
-    languages, and mean chars (6-dp-rounded VALUE column; row identity
-    is the exact source key).  Shape: per-batch pandas partials at
-    (source, lang) granularity -> ONE native ``groupby([source, lang])``
-    Sum (key cardinality #sources x #langs, never corpus-scale) -> the
-    driver folds langs into the per-source row (output-scale).  Output
-    sorted by source."""
-    ds = _read(sf_dir, "documents", columns=["source", "lang", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"source": b["source"].to_pandas(),
-                           "lang": b["lang"].to_pandas(),
-                           "n_chars": b["n_chars"].to_numpy(
-                               zero_copy_only=False)})
-        agg = df.groupby(["source", "lang"], as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum"))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    sl = (ds.map_batches(partial, batch_format="pyarrow")
-          .groupby(["source", "lang"])
-          .aggregate(Sum("n_docs", alias_name="n_docs"),
-                     Sum("sum_chars", alias_name="sum_chars"))
-          .to_pandas())
-    out = (sl.groupby("source", as_index=False)
-           .agg(n_docs=("n_docs", "sum"),
-                sum_chars=("sum_chars", "sum"),
-                n_langs=("lang", "size")))
-    out["n_docs"] = out.n_docs.astype(np.int64)
-    out["sum_chars"] = out.sum_chars.astype(np.int64)
-    out["n_langs"] = out.n_langs.astype(np.int64)
-    out["avg_chars_r6"] = np.round(
-        out.sum_chars.to_numpy() / out.n_docs.to_numpy(), 6)
-    out = out[["source", "n_docs", "sum_chars", "n_langs", "avg_chars_r6"]]
-    return out.sort_values("source").reset_index(drop=True)
 
 
 #: input-row gate for source_quality_gate's broadcast tier: below it
@@ -1832,151 +1532,6 @@ def source_mix_sample(sf_dir: str):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-#: input-row gate for lang_centroids' broadcast tier: below it the
-#: (doc_id, lang) map ships once via ray.put (sorted-id searchsorted
-#: per batch — no join); above it the blob-packed hash join runs
-CENTROID_BROADCAST_MAX_ROWS = 100_000
-
-
-def lang_centroids(sf_dir: str):
-    """Per-language embedding centroid (the seed statistic of
-    clustering-based curation / domain-balance checks): mean embedding
-    vector per ``lang``, one output row per (lang, dim).
-
-    Cross-table shape (above the gate): embeddings' ``list<float>``
-    column is packed to a FixedSizeBinary blob (acero rejects list
-    payloads through a hash join — biobloom_ray.io gotcha),
-    hash-joined with the documents (doc_id, lang) projection, then
-    per-batch partial sums collapse each block to #langs x dim rows
-    (factorize + one ``np.add.at``) before ONE native
-    ``groupby([lang, dim]).Sum`` — the all-to-all moves partials only,
-    never vectors.  Below ``CENTROID_BROADCAST_MAX_ROWS`` docs the
-    (doc_id, lang) map broadcasts once and the whole op is map-only
-    partials + a driver fold (#langs x dim rows per block,
-    tier-parity-tested).  Mean is emitted under the repo's 6-dp float
-    contract (sum order across engines differs at ~1e-12 relative;
-    ROUND absorbs it).  Rows with a null ``lang`` are dropped (no
-    centroid is defined for them; mirror with ``WHERE lang IS NOT
-    NULL`` when the input can contain nulls).
-
-    Output (sorted by lang, dim): ``lang, dim, n, mean_r6``."""
-    import ray
-
-    from biobloom_ray.io import hash_join
-
-    docs = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    n_docs = _cheap_count(docs)
-    if n_docs is not None and n_docs <= CENTROID_BROADCAST_MAX_ROWS:
-        dmap = docs.to_pandas()
-        ids = dmap.doc_id.to_numpy()
-        order = np.argsort(ids)
-        ref = ray.put((ids[order],
-                       dmap.lang.to_numpy(dtype=object)[order]))
-
-        def bpartials(b: pa.Table) -> pa.Table:
-            import ray as _r
-            sid, slang = _r.get(ref)
-            col = b["embedding"].combine_chunks()
-            nr = len(col)
-            if nr == 0 or len(sid) == 0:
-                return pa.table({
-                    "lang": pa.array([], type=pa.string()),
-                    "dim": pa.array([], type=pa.int64()),
-                    "psum": pa.array([], type=pa.float64()),
-                    "pcnt": pa.array([], type=pa.int64())})
-            vals = col.flatten().to_numpy(zero_copy_only=False)
-            d = vals.size // nr
-            mat = np.ascontiguousarray(vals, dtype=np.float64) \
-                .reshape(nr, d)
-            vid = b["vec_id"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(sid, vid)
-            idx = np.minimum(idx, len(sid) - 1)
-            ok = sid[idx] == vid
-            langs = slang[idx[ok]]
-            codes, uniq = pd.factorize(pd.Index(langs, dtype=object))
-            keep = codes >= 0  # null lang rows are dropped (documented)
-            sums = np.zeros((len(uniq), d), dtype=np.float64)
-            np.add.at(sums, codes[keep], mat[ok][keep])
-            cnts = np.bincount(codes[keep], minlength=len(uniq)) \
-                .astype(np.int64)
-            return pa.table({
-                "lang": pa.array(np.repeat(uniq.to_numpy(dtype=object),
-                                           d).tolist(),
-                                 type=pa.string()),
-                "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                        len(uniq))),
-                "psum": pa.array(sums.ravel()),
-                "pcnt": pa.array(np.repeat(cnts, d))})
-
-        part = (emb.map_batches(bpartials, batch_format="pyarrow")
-                .to_pandas())
-        agg = (part.groupby(["lang", "dim"], as_index=False)
-               .agg(psum=("psum", "sum"), pcnt=("pcnt", "sum")))
-        agg["n"] = agg.pcnt.astype(np.int64)
-        agg["mean_r6"] = np.round(
-            agg.psum.to_numpy() / agg.pcnt.to_numpy(), 6)
-        out = agg[["lang", "dim", "n", "mean_r6"]]
-        return out.sort_values(["lang", "dim"]).reset_index(drop=True)
-
-    def to_blob(b: pa.Table) -> pa.Table:
-        # LargeBinary (variable-width, all rows d*4 bytes) keeps the
-        # schema constant even for empty blocks, where the row dim is
-        # unknowable and a fixed_size_binary(0) would poison the union
-        col = b["embedding"].combine_chunks()
-        n = len(col)
-        vals = col.flatten().to_numpy(zero_copy_only=False)
-        vals = np.ascontiguousarray(vals, dtype=np.float32)
-        d = vals.size // max(n, 1)
-        offs = pa.array((np.arange(n + 1, dtype=np.int64) * d * 4))
-        arr = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), n,
-            [None, pa.py_buffer(offs.buffers()[1]),
-             pa.py_buffer(vals.tobytes())])
-        return pa.table({"doc_id": b["vec_id"], "blob": arr})
-
-    j = hash_join(emb.map_batches(to_blob, batch_format="pyarrow"),
-                  docs, on=("doc_id",))
-
-    def partials(b: pa.Table) -> pa.Table:
-        blob = b["blob"].combine_chunks()
-        n = len(blob)
-        if n == 0:
-            return pa.table({"lang": pa.array([], type=pa.string()),
-                             "dim": pa.array([], type=pa.int64()),
-                             "psum": pa.array([], type=pa.float64()),
-                             "pcnt": pa.array([], type=pa.int64())})
-        offs = np.frombuffer(blob.buffers()[1], dtype=np.int64)[
-            blob.offset:blob.offset + n + 1]
-        d = int(offs[1] - offs[0]) // 4
-        flat = np.frombuffer(blob.buffers()[2], dtype=np.uint8)
-        mat = flat[offs[0]:offs[-1]].view(np.float32).reshape(n, d)
-        codes, uniq = pd.factorize(b["lang"].to_pandas())
-        ok = codes >= 0  # null lang rows are dropped (documented)
-        sums = np.zeros((len(uniq), d), dtype=np.float64)
-        np.add.at(sums, codes[ok], mat[ok])
-        cnts = np.bincount(codes[ok], minlength=len(uniq)) \
-            .astype(np.int64)
-        return pa.table({
-            "lang": pa.array(np.repeat(uniq.to_numpy(dtype=object), d)
-                             .tolist(), type=pa.string()),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    len(uniq))),
-            "psum": pa.array(sums.ravel()),
-            "pcnt": pa.array(np.repeat(cnts, d))})
-
-    agg = (j.map_batches(partials, batch_format="pyarrow")
-           .groupby(["lang", "dim"])
-           .aggregate(Sum("psum", alias_name="psum"),
-                      Sum("pcnt", alias_name="pcnt"))
-           .to_pandas())
-    agg["n"] = agg.pcnt.astype(np.int64)
-    agg["mean_r6"] = np.round(agg.psum.to_numpy() / agg.pcnt.to_numpy(), 6)
-    out = agg[["lang", "dim", "n", "mean_r6"]]
-    return out.sort_values(["lang", "dim"]).reset_index(drop=True)
-
-
 #: fixed epoch seed for the oracle-checked query (any uint64 works)
 EPOCH_SHUFFLE_SEED = 7
 EPOCH_SHUFFLE_HEAD = 100
@@ -2027,7 +1582,7 @@ def epoch_shuffle_full(sf_dir: str, seed: int = EPOCH_SHUFFLE_SEED):
     verdict #9: the head query pins only the first rows; this one pins
     every position).  Distributed plan — no driver sort of the corpus:
     ``sort(h, doc_id)`` (Ray's range-partitioned exchange) +
-    the :func:`pack_documents` block-offset prefix pattern: pass 1
+    a block-offset prefix: pass 1
     reads ONE row per block (first key + row count; the sort's range
     partitioning makes first-keys order the blocks), the driver prefixes
     the #blocks-sized counts, pass 2 adds the broadcast base offset to
@@ -2654,8 +2209,7 @@ def corpus_report(sf_dir: str):
         "n_bench_docs": [np.int64(p.n_bench_docs.sum())]})
 
 
-# -- round-4 additions: per-group top-k bigrams, window ranks, and
-# -- non-parquet source/sink round-trips --------------------------------------
+# -- round-4 additions: per-group top-k bigrams -------------------------------
 
 
 #: driver-combine gate for the bigram count table (output-scale:
@@ -2670,7 +2224,7 @@ def top_bigrams_per_lang(sf_dir: str, k: int = 5):
     at most the block's distinct-pair count leaves any block — then the
     count table reduces (driver below the gate, native Sum groupby
     above) and a per-block local-top-k → tiny per-lang reduce picks the
-    winners, the same two-level shape as ``top_docs_per_lang``."""
+    winners."""
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2727,105 +2281,11 @@ def top_bigrams_per_lang(sf_dir: str, k: int = 5):
             .reset_index(drop=True)[["lang", "bigram", "cnt"]])
 
 
-#: input-row gate for the rank count-table reduce: the per-block
-#: partials are output-scale ((source, n_chars) rows), so below this
-#: many input rows they combine on the driver instead of a native
-#: groupby shuffle; above it the unchanged native Sum groupby runs
+#: input-row gate shared by the output-scale count-table reduces: the
+#: per-block partials are small keyed count rows, so below this many
+#: input rows they combine on the driver instead of a native groupby
+#: shuffle; above it the unchanged native Sum groupby runs
 RANK_DRIVER_MAX_ROWS = 5_000_000
-
-#: rank-table broadcast gate: the (source, n_chars, rnk) table grows
-#: with value cardinality, not corpus rows; above this many table rows
-#: the map-side broadcast merge switches to a Dataset hash join
-RANK_BROADCAST_MAX_ROWS = 2_000_000
-
-
-def nchars_rank_in_source(sf_dir: str):
-    """Window-function shape without a global sort: RANK() of each
-    document's length within its source.  The per-(source, n_chars)
-    count table is output-scale (≤ #sources × distinct lengths), so it
-    reduces small, turns into cumulative ranks on the driver, and
-    broadcasts back for a map-only join — no all-to-all over the
-    documents themselves at any corpus size (the count table grows with
-    VALUE cardinality, not row count)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = df.groupby(["source", "n_chars"], as_index=False).size()
-        agg = agg.rename(columns={"size": "cnt"})
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["source", "n_chars"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["source", "n_chars"])
-                  .aggregate(Sum("cnt", alias_name="cnt"))
-                  .to_pandas())
-    counts = counts.sort_values(["source", "n_chars"]).reset_index(drop=True)
-    # RANK() = 1 + #strictly-smaller within the source (exclusive cumsum)
-    csum = counts.groupby("source")["cnt"].cumsum() - counts["cnt"]
-    counts["rnk"] = (csum + 1).astype(np.int64)
-    n_src = (counts.groupby("source", as_index=False)["cnt"].sum()
-             .rename(columns={"cnt": "n_in_source"}))
-    n_src["n_in_source"] = n_src["n_in_source"].astype(np.int64)
-    import ray
-
-    if len(counts) > RANK_BROADCAST_MAX_ROWS:
-        # value cardinality too high to broadcast: hash-join the rank
-        # table back instead (counts already carries rnk; n_in_source
-        # joins on source alone — both sides stay Dataset-resident)
-        from biobloom_ray.io import hash_join
-
-        rank_ds = ray.data.from_pandas(
-            counts[["source", "n_chars", "rnk"]].merge(n_src, on="source"))
-        out = hash_join(ds, rank_ds,
-                        on=("source", "n_chars")).to_pandas()
-        return out.sort_values("doc_id").reset_index(drop=True)[
-            ["doc_id", "source", "n_chars", "rnk", "n_in_source"]]
-
-    lookup_ref = ray.put((counts[["source", "n_chars", "rnk"]], n_src))
-
-    def attach(b: pa.Table) -> pa.Table:
-        cdf, ndf = ray.get(lookup_ref)
-        df = pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        df = (df.merge(cdf, on=["source", "n_chars"], how="left")
-              .merge(ndf, on="source", how="left"))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    out = ds.map_batches(attach, batch_format="pyarrow").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def jsonl_roundtrip_lang_counts(sf_dir: str):
-    """Non-parquet source/sink (§2.1 format coverage, the reference's
-    fasta/fastq-alongside-gz analogue): documents → JSONL shards under
-    /tmp via ``Dataset.write_json`` → ``ray.data.read_json`` → the
-    lang_counts rollup.  The oracle is plain lang_counts SQL over the
-    original table, so the round-trip must be lossless."""
-    import os
-    import shutil
-    import tempfile
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-    tmp = tempfile.mkdtemp(prefix="bbr_jsonl_", dir="/tmp")
-    try:
-        ds.write_json(tmp)
-        back = ray.data.read_json(tmp)
-        out = (back.groupby("lang").aggregate(Count(alias_name="n"))
-               .to_pandas())
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return out.sort_values("lang").reset_index(drop=True)
 
 
 #: segment-customer broadcast gate: below this many CUSTOMER rows the
@@ -3151,153 +2611,6 @@ def token_drift_topk(sf_dir: str, k: int = 20):
             [["token", "c_even", "c_odd", "drift"]])
 
 
-def docs_rollup_cube(sf_dir: str):
-    """GROUPING-SETS rollup: doc counts and char sums at THREE grains —
-    (lang, source), (lang), and grand total — in one result, the
-    warehouse CUBE/ROLLUP shape.  The corpus touches ONE tiered
-    (lang, source) rollup (driver fold below the shared gate, native
-    Sum groupby above); both coarser grains derive from that
-    output-scale table on the driver (#langs × #sources rows), so no
-    second scan or shuffle exists at any corpus size.  `grouping_id`
-    follows SQL GROUPING() numbering: 0 = (lang, source), 1 = lang
-    subtotal (source grouped out), 3 = grand total; grouped-out key
-    columns are empty strings (the oracle COALESCEs to match)."""
-    ds = _read(sf_dir, "documents", columns=["lang", "source", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "lang": b["lang"].to_pandas(),
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["lang", "source"], as_index=False)
-               .agg(n=("n_chars", "size"), sum_chars=("n_chars", "sum")))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        fine = (parts_ds.to_pandas().groupby(["lang", "source"],
-                                             as_index=False)
-                [["n", "sum_chars"]].sum())
-    else:
-        fine = (parts_ds.groupby(["lang", "source"])
-                .aggregate(Sum("n", alias_name="n"),
-                           Sum("sum_chars", alias_name="sum_chars"))
-                .to_pandas())
-    by_lang = fine.groupby("lang", as_index=False)[["n", "sum_chars"]].sum()
-    by_lang["source"] = ""
-    by_lang["grouping_id"] = np.int64(1)
-    total = pd.DataFrame({
-        "lang": [""], "source": [""],
-        "n": [np.int64(fine.n.sum())],
-        "sum_chars": [np.int64(fine.sum_chars.sum())],
-        "grouping_id": [np.int64(3)]})
-    fine = fine.copy()
-    fine["grouping_id"] = np.int64(0)
-    out = pd.concat([fine, by_lang, total], ignore_index=True)
-    return (out.sort_values(["grouping_id", "lang", "source"])
-            .reset_index(drop=True)
-            [["grouping_id", "lang", "source", "n", "sum_chars"]])
-
-
-def nchars_ntile_buckets(sf_dir: str, n_buckets: int = 4):
-    """Distributed NTILE (equi-depth binning) without a global sort:
-    each document's quartile bucket of n_chars within its source.
-    ROW_NUMBER's total order is (n_chars, doc_id); the cumulative
-    BASE of each (source, n_chars) run comes from the same
-    value-cardinality count table as ``nchars_rank_in_source``
-    (broadcast once), and the within-run offset of tied docs is
-    resolved by one tiny groupby over ONLY the runs that straddle a
-    bucket boundary — ties on (source, n_chars) whose run lies fully
-    inside a bucket need no ordering at all, so the shuffled residue
-    is output-bucket-edge-scale, not corpus-scale."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
-
-    def cpartial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = df.groupby(["source", "n_chars"], as_index=False).size()
-        agg = agg.rename(columns={"size": "cnt"})
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(cpartial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["source", "n_chars"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["source", "n_chars"])
-                  .aggregate(Sum("cnt", alias_name="cnt")).to_pandas())
-    counts = counts.sort_values(["source", "n_chars"]).reset_index(drop=True)
-    base = (counts.groupby("source")["cnt"].cumsum()
-            - counts["cnt"]).astype(np.int64)  # exclusive prefix
-    counts["base"] = base
-    n_src = counts.groupby("source")["cnt"].transform("sum").astype(np.int64)
-    counts["n_src"] = n_src
-    import ray
-
-    def ntile_of(rownum: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """SQL NTILE(k): first (n % k) buckets take ceil(n/k) rows."""
-        q, r = n // n_buckets, n % n_buckets
-        big = r * (q + 1)
-        idx0 = rownum - 1
-        in_big = idx0 < big
-        t = np.where(in_big, idx0 // np.maximum(q + 1, 1),
-                     r + (idx0 - big) // np.maximum(q, 1))
-        return (t + 1).astype(np.int64)
-
-    # a run (all docs tying on (source, n_chars)) needs intra-run
-    # ordering ONLY if a bucket boundary falls inside it: ≤ k−1 runs
-    # per source, regardless of corpus size
-    counts["b_lo"] = ntile_of(counts["base"].to_numpy() + 1,
-                              counts["n_src"].to_numpy())
-    counts["b_hi"] = ntile_of(counts["base"].to_numpy()
-                              + counts["cnt"].to_numpy(),
-                              counts["n_src"].to_numpy())
-    lookup_ref = ray.put(counts[["source", "n_chars", "base", "n_src",
-                                 "b_lo", "b_hi"]])
-
-    def attach(b: pa.Table) -> pa.Table:
-        cdf = ray.get(lookup_ref)
-        df = pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        df = df.merge(cdf, on=["source", "n_chars"], how="left")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    tagged = ds.map_batches(attach, batch_format="pyarrow")
-    inside = (tagged
-              .filter(expr="b_lo == b_hi")
-              .map_batches(lambda b: pa.table({
-                  "doc_id": b["doc_id"], "source": b["source"],
-                  "n_chars": b["n_chars"], "bucket": b["b_lo"]}),
-                  batch_format="pyarrow"))
-
-    def resolve_run(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids)
-        rownum = g["base"].to_numpy(zero_copy_only=False)[order] \
-            + np.arange(len(ids), dtype=np.int64) + 1
-        bkt = ntile_of(rownum, g["n_src"].to_numpy(
-            zero_copy_only=False)[order])
-        return pa.table({"doc_id": pa.array(ids[order]),
-                         "source": g["source"].take(order),
-                         "n_chars": g["n_chars"].take(order),
-                         "bucket": pa.array(bkt)})
-
-    straddling = (tagged.filter(expr="b_lo != b_hi")
-                  .groupby(["source", "n_chars"])
-                  .map_groups(resolve_run, batch_format="pyarrow"))
-    out = inside.union(straddling).to_pandas()
-    return (out.sort_values("doc_id").reset_index(drop=True)
-            [["doc_id", "source", "n_chars", "bucket"]])
-
-
 # -- round-4 wave 6: multi-way join ------------------------------------------
 
 #: orders-side row gate of ``region_revenue``: below it the year's
@@ -3457,7 +2770,7 @@ def region_revenue(sf_dir: str, year: int = 1996):
     return finish(parts)
 
 
-# -- round-4 wave 8: rendezvous sharding / partitioned sink -------------------
+# -- round-4 wave 8: rendezvous sharding --------------------------------------
 
 
 SHARD_COUNT = 16
@@ -3499,87 +2812,6 @@ def shard_assignment_counts(sf_dir: str, n_shards: int = SHARD_COUNT):
     out = (parts.groupby("shard", as_index=False)
            [["n_docs", "sum_chars"]].sum())
     return out.sort_values("shard").reset_index(drop=True)
-
-
-PART_ROUNDTRIP_SOURCE = "src7"
-
-
-def partitioned_roundtrip_source_counts(sf_dir: str,
-                                        source: str = PART_ROUNDTRIP_SOURCE):
-    """Partitioned parquet sink + pruned re-read (the resumable-output
-    contract, S5 analogue): write documents hive-partitioned by
-    ``source``, then read back ONLY the requested partition directory
-    — the re-read never opens the other partitions' files — and roll
-    up language counts.  A crashed run re-reads only the partitions it
-    needs; each partition directory is independently re-creatable."""
-    import os
-    import shutil
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "source"])
-    root = os.path.join("/tmp", "biobloom_ray_part_roundtrip",
-                        os.path.basename(os.path.normpath(sf_dir)))
-    shutil.rmtree(root, ignore_errors=True)
-    os.makedirs(root, exist_ok=True)
-    ds.write_parquet(root, partition_cols=["source"])
-
-    part_dir = os.path.join(root, f"source={source}")
-    back = _rp(part_dir, columns=["lang"])
-
-    def lpartial(b: pa.Table) -> pa.Table:
-        vc = pd.Series(b["lang"].to_pandas()).value_counts()
-        return pa.table({
-            "lang": pa.array(vc.index.to_numpy(dtype=object).tolist(),
-                             type=pa.string()),
-            "n": pa.array(vc.to_numpy(np.int64))})
-
-    parts = back.map_batches(lpartial, batch_format="pyarrow").to_pandas()
-    out = parts.groupby("lang", as_index=False)["n"].sum()
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-# -- round-4 wave 10: diversity entropy --------------------------------------
-
-def source_lang_entropy(sf_dir: str):
-    """Language-diversity entropy per source: H = ln(n) − (1/n)·Σ c·ln c
-    over the (source, lang) count table — the mixture-diversity
-    monitor for corpus curation.  Corpus work is ONE tiered
-    (source, lang) rollup (shared ``RANK_DRIVER_MAX_ROWS`` gate); the
-    entropy pass runs on the output-scale table.  Counts are exact
-    integers; the entropy is 6-dp rounded (same float contract as
-    ``token_entropy``)."""
-    ds = _read(sf_dir, "documents", columns=["source", "lang"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"source": b["source"].to_pandas(),
-                           "lang": b["lang"].to_pandas()})
-        agg = (df.groupby(["source", "lang"], as_index=False).size()
-               .rename(columns={"size": "c"}))
-        agg["c"] = agg["c"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["source", "lang"], as_index=False)["c"].sum())
-    else:
-        counts = (parts_ds.groupby(["source", "lang"])
-                  .aggregate(Sum("c", alias_name="c")).to_pandas())
-    g = counts.groupby("source")
-    n = g["c"].transform("sum").to_numpy(np.int64)
-    c = counts["c"].to_numpy(np.int64)
-    counts["s"] = c * np.log(c)
-    agg = (counts.groupby("source", as_index=False)
-           .agg(n_docs=("c", "sum"), n_langs=("c", "size"),
-                s=("s", "sum")))
-    agg["n_docs"] = agg["n_docs"].astype(np.int64)
-    agg["n_langs"] = agg["n_langs"].astype(np.int64)
-    agg["entropy_r6"] = np.round(
-        np.log(agg["n_docs"].to_numpy(np.float64))
-        - agg["s"].to_numpy() / agg["n_docs"].to_numpy(np.float64), 6)
-    return (agg.sort_values("source").reset_index(drop=True)
-            [["source", "n_docs", "n_langs", "entropy_r6"]])
 
 
 # -- round-4 waves 11-27: set ops, rank and distribution stats, sampling -----
@@ -3749,59 +2981,6 @@ def pmi_top_bigrams(sf_dir: str, min_count: int = 5, k: int = 20):
                                ascending=[False, True]).head(k)
             .reset_index(drop=True)[["bigram", "c_xy", "pmi_r6"]])
 
-def doc_length_gini(sf_dir: str):
-    """Per-language Gini coefficient of document length — the
-    inequality measure curation dashboards put next to mean/median.
-    Exact-integer core: with x sorted ascending and 1-based ranks i,
-    Gini = (2·Σi·x_i − (n+1)·Σx) / (n·Σx); runs of equal values
-    commute (a run of value v over ranks a..b contributes v·Σ(a..b)
-    regardless of internal order), so the whole numerator is decided
-    by the VALUE-CARDINALITY count table — the same tiered
-    (lang, n_chars, cnt) rollup the rank operators use, never a
-    per-row sort.  Only the final ratio goes double (6-dp contract,
-    identical CAST composition in the oracle)."""
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "lang": b["lang"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["lang", "n_chars"], as_index=False).size()
-               .rename(columns={"size": "cnt"}))
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"lang": object, "n_chars": np.int64, "cnt": np.int64}
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby(["lang", "n_chars"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby(["lang", "n_chars"])
-            .aggregate(Sum("cnt", alias_name="cnt")), schema)
-    counts = counts.sort_values(["lang", "n_chars"]).reset_index(
-        drop=True)
-    rows = []
-    for lang, g in counts.groupby("lang", sort=True):
-        v = g["n_chars"].to_numpy(np.int64)
-        c = g["cnt"].to_numpy(np.int64)
-        n = int(c.sum())
-        sx = int(np.dot(v, c))
-        # Σ i·x over each tie run: value · (arithmetic series of its
-        # rank range) — exact Python ints, no overflow
-        six = 0
-        start = 1
-        for vi, ci in zip(v.tolist(), c.tolist()):
-            six += vi * (ci * (2 * start + ci - 1)) // 2
-            start += ci
-        gnum = 2 * six - (n + 1) * sx
-        rows.append((lang, np.int64(n),
-                     np.round(float(gnum) / float(n * sx), 6)))
-    return pd.DataFrame(rows, columns=["lang", "n", "gini_r6"])
-
 
 def cross_lang_dup_matrix(sf_dir: str, threshold: float = 0.5):
     """Cross-lingual contamination matrix: the exact-Jaccard near-dup
@@ -3854,111 +3033,6 @@ def cross_lang_dup_matrix(sf_dir: str, threshold: float = 0.5):
     return agg.sort_values(["lang_lo", "lang_hi"]).reset_index(drop=True)
 
 
-def nchars_cume_dist(sf_dir: str):
-    """Quantile normalization (the CUME_DIST window): each document's
-    length mapped to its within-source empirical CDF value — the
-    standard way to make quality scores comparable ACROSS sources
-    before a global gate.  Same no-global-sort machinery as
-    ``nchars_rank_in_source``: the (source, n_chars) count table
-    reduces small, turns into ties-INCLUSIVE cumulative counts on the
-    driver, and broadcasts back for a map-only attach (hash join above
-    the broadcast gate).  cume_r6 = round(cum_incl / n, 6) with the
-    same double division the builtin CUME_DIST performs."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "source",
-                                             "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["source", "n_chars"], as_index=False).size()
-               .rename(columns={"size": "cnt"}))
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (parts_ds.to_pandas()
-                  .groupby(["source", "n_chars"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = (parts_ds.groupby(["source", "n_chars"])
-                  .aggregate(Sum("cnt", alias_name="cnt")).to_pandas())
-    counts = counts.sort_values(["source", "n_chars"]).reset_index(
-        drop=True)
-    cum = counts.groupby("source")["cnt"].cumsum().to_numpy(np.int64)
-    n_src = counts.groupby("source")["cnt"].transform("sum").to_numpy(
-        np.int64)
-    counts["cume_r6"] = np.round(cum.astype(np.float64)
-                                 / n_src.astype(np.float64), 6)
-    import ray
-
-    lookup = counts[["source", "n_chars", "cume_r6"]]
-    if len(counts) > RANK_BROADCAST_MAX_ROWS:
-        from biobloom_ray.io import hash_join
-
-        out = hash_join(ds, ray.data.from_pandas(lookup),
-                        on=("source", "n_chars")).to_pandas()
-        return (out.sort_values("doc_id").reset_index(drop=True)
-                [["doc_id", "source", "n_chars", "cume_r6"]])
-    lookup_ref = ray.put(lookup)
-
-    def attach(b: pa.Table) -> pa.Table:
-        cdf = ray.get(lookup_ref)
-        df = pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        df = df.merge(cdf, on=["source", "n_chars"], how="left")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    out = ds.map_batches(attach, batch_format="pyarrow").to_pandas()
-    return (out.sort_values("doc_id").reset_index(drop=True)
-            [["doc_id", "source", "n_chars", "cume_r6"]])
-
-def source_lang_chi2(sf_dir: str):
-    """Pearson χ² test of independence between source and lang — the
-    drift/balance check a curation pipeline runs before trusting a
-    per-source language mix.  The corpus reduces to the tiered
-    (source, lang) contingency rollup; expected counts come from the
-    margins over the DENSE grid (zero-observed cells included, like
-    every textbook χ²), and the statistic is assembled with the same
-    left-associative double algebra the oracle spells out.  Output:
-    one exact-n row with dof (exact int) and chi2_r6."""
-    ds = _read(sf_dir, "documents", columns=["source", "lang"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"source": b["source"].to_pandas(),
-                           "lang": b["lang"].to_pandas()})
-        agg = (df.groupby(["source", "lang"], as_index=False).size()
-               .rename(columns={"size": "o"}))
-        agg["o"] = agg["o"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        obs = (parts_ds.to_pandas()
-               .groupby(["source", "lang"], as_index=False)["o"].sum())
-    else:
-        obs = (parts_ds.groupby(["source", "lang"])
-               .aggregate(Sum("o", alias_name="o")).to_pandas())
-    piv = (obs.pivot_table(index="source", columns="lang", values="o",
-                           fill_value=0, aggfunc="sum")
-           .astype(np.int64))
-    o = piv.to_numpy(np.int64)
-    r = o.sum(axis=1, keepdims=True)
-    c = o.sum(axis=0, keepdims=True)
-    n = int(o.sum())
-    e = (r * c).astype(np.float64) / float(n)
-    d = o.astype(np.float64) - e
-    chi2 = float((d * d / e).sum())
-    dof = (o.shape[0] - 1) * (o.shape[1] - 1)
-    return pd.DataFrame({"n": [np.int64(n)], "dof": [np.int64(dof)],
-                         "chi2_r6": [np.round(chi2, 6)]})
-
-
 def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     """Misra–Gries heavy hitters — the deterministic counter-based
     twin of ``cms_heavy_hitters`` (sixth mergeable sketch family):
@@ -3975,42 +3049,6 @@ def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     from biobloom_ray.sketches.misra_gries import MisraGries
 
     return _heavy_hitters(sf_dir, k, lambda: MisraGries(capacity=capacity))
-
-def diversified_top_docs(sf_dir: str, k: int = 10, per_source: int = 2):
-    """Diversified top-k (the sampling-with-source-diversity shape):
-    the k longest documents subject to AT MOST ``per_source`` per
-    source — the constraint that keeps one giant crawl from filling a
-    curated sample.  Per-block partials keep each block's per-source
-    top ``per_source`` (a valid pruning: any global winner is a
-    per-source winner of its block), the reduce re-applies the window
-    rule on the ≤ #blocks·#sources·per_source survivors, then the
-    global k picks with the deterministic (n_chars desc, doc_id asc)
-    tie-break."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "source",
-                                             "n_chars"])
-
-    def local_prune(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "doc_id": b["doc_id"].to_numpy(zero_copy_only=False),
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        df = df.sort_values(["source", "n_chars", "doc_id"],
-                            ascending=[True, False, True])
-        return pa.Table.from_pandas(df.groupby("source")
-                                    .head(per_source),
-                                    preserve_index=False)
-
-    pooled = (ds.map_batches(local_prune, batch_format="pyarrow")
-              .to_pandas())
-    pooled = pooled.sort_values(["source", "n_chars", "doc_id"],
-                                ascending=[True, False, True])
-    capped = pooled.groupby("source").head(per_source)
-    out = capped.sort_values(["n_chars", "doc_id"],
-                             ascending=[False, True]).head(k)
-    out = out.reset_index(drop=True)[["doc_id", "source", "n_chars"]]
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_chars"] = out["n_chars"].astype(np.int64)
-    return out
 
 
 def rrf_hybrid_topk(sf_dir: str, k: int = 10, pool: int = 20,
@@ -4060,53 +3098,6 @@ def rrf_hybrid_topk(sf_dir: str, k: int = 10, pool: int = 20,
     out = fused.sort_values(["rrf_r6", "doc_id"],
                             ascending=[False, True]).head(k)
     return out.reset_index(drop=True)[["doc_id", "rrf_r6"]]
-
-
-def grouped_split_counts(sf_dir: str):
-    """No-leakage train/val/test split: every SOURCE (not document)
-    lands in exactly one split — the grouping that keeps near-dups
-    within a crawl from straddling splits — assigned by the md5 hex of
-    the source name (0-b → train, c-d → val, e-f → test; md5 is the
-    repo's SQL-replayable verification hash, and it runs on the
-    OUTPUT-scale distinct-source list, never per document).  Output:
-    per split, the source count and document count.  Corpus work is
-    one tiered (source) count rollup."""
-    import hashlib
-
-    ds = _read(sf_dir, "documents", columns=["source"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"source": b["source"].to_pandas()})
-        agg = (df.groupby("source", as_index=False).size()
-               .rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"source": object, "n": np.int64}
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby("source", as_index=False)["n"].sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby("source")
-            .aggregate(Sum("n", alias_name="n")), schema)
-
-    def split_of(s: str) -> str:
-        h = hashlib.md5(s.encode()).hexdigest()[0]
-        if h in "0123456789ab":
-            return "train"
-        if h in "cd":
-            return "val"
-        return "test"
-
-    counts["split"] = counts["source"].map(split_of)
-    out = (counts.groupby("split", as_index=False)
-           .agg(n_sources=("source", "size"), n_docs=("n", "sum")))
-    out["n_sources"] = out["n_sources"].astype(np.int64)
-    out["n_docs"] = out["n_docs"].astype(np.int64)
-    return out.sort_values("split").reset_index(drop=True)
 
 
 def weighted_sample_topk(sf_dir: str, k: int = 20):
@@ -4242,63 +3233,6 @@ def lang_nchars_tdigest(sf_dir: str, qs=(0.5, 0.9)):
     return pd.DataFrame(out)
 
 
-def nchars_robust_outliers(sf_dir: str):
-    """Robust outlier detection (modified z-score, Iglewicz–Hoaglin):
-    per language, count documents whose length deviates from the
-    PERCENTILE_DISC median by more than 3.5 robust sigmas — evaluated
-    as the EXACT INTEGER cross-multiplication
-    ``1349·|x − med| > 7000·MAD`` (0.6745→1349/2000, 3.5→7000/2000),
-    so no float boundary can flip a flag.  med and MAD come from the
-    same value-cardinality count table the robust-stats operator uses;
-    the flag pass is decided on that table too (counts of equal
-    lengths flag together) — no second corpus scan."""
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "lang": b["lang"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["lang", "n_chars"], as_index=False).size()
-               .rename(columns={"size": "cnt"}))
-        agg["cnt"] = agg["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    schema = {"lang": object, "n_chars": np.int64, "cnt": np.int64}
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds, schema)
-                  .groupby(["lang", "n_chars"], as_index=False)["cnt"]
-                  .sum())
-    else:
-        counts = _parts_pandas(
-            parts_ds.groupby(["lang", "n_chars"])
-            .aggregate(Sum("cnt", alias_name="cnt")), schema)
-
-    def disc(v: np.ndarray, c: np.ndarray, num: int, den: int) -> int:
-        cum = np.cumsum(c)
-        n = int(cum[-1])
-        return int(v[np.searchsorted(cum, -(-num * n // den))])
-
-    rows = []
-    for lang, g in counts.groupby("lang", sort=True):
-        g = g.sort_values("n_chars")
-        v = g["n_chars"].to_numpy(np.int64)
-        c = g["cnt"].to_numpy(np.int64)
-        med = disc(v, c, 1, 2)
-        dev = np.abs(v - med)
-        dd = (pd.DataFrame({"d": dev, "c": c})
-              .groupby("d", as_index=False)["c"].sum()
-              .sort_values("d"))
-        mad = disc(dd["d"].to_numpy(np.int64),
-                   dd["c"].to_numpy(np.int64), 1, 2)
-        flag = 1349 * dev > 7000 * mad
-        rows.append((lang, np.int64(int(c.sum())),
-                     np.int64(med), np.int64(mad),
-                     np.int64(int(c[flag].sum()))))
-    return pd.DataFrame(rows, columns=["lang", "n", "med", "mad",
-                                       "n_outliers"])
-
 def source_dup_report(sf_dir: str, threshold: float = 0.6):
     """Per-source near-dup rate — the curation report that tells you
     WHICH crawl is polluting the corpus: the production MinHash-LSH
@@ -4349,57 +3283,7 @@ def source_dup_report(sf_dir: str, threshold: float = 0.6):
     return out.sort_values("source").reset_index(drop=True)
 
 
-# -- round-4 wave 28: table integrity ----------------------------------------
-
-
-def table_fingerprint(sf_dir: str):
-    """Order-invariant per-source content fingerprint of the documents
-    table — the anti-entropy / resumable-write integrity check: any
-    changed, dropped or duplicated row flips the per-source XOR of a
-    60-bit md5 prefix over the CANONICAL row string
-    ``doc_id|lang|n_chars|text``.  XOR is commutative-associative, so
-    block partials (one (source, xor, n) row per block per source —
-    output-scale like every sketch partial) fold in any order with no
-    gate; md5 is inherently per-item (same class as the codec loop).
-    The oracle replays the exact hash: DuckDB ``md5`` + hex-prefix
-    cast."""
-    import hashlib
-
-    def partial(b: pa.Table) -> pa.Table:
-        doc = b["doc_id"].to_numpy(zero_copy_only=False)
-        lang = b["lang"].to_pylist()
-        nch = b["n_chars"].to_numpy(zero_copy_only=False)
-        txt = b["text"].to_pylist()
-        src = b["source"].to_pylist()
-        fp = np.fromiter(
-            (int(hashlib.md5(
-                f"{d}|{l}|{nc}|{t}".encode("utf-8")).hexdigest()[:15], 16)
-             for d, l, nc, t in zip(doc, lang, nch, txt)),
-            dtype=np.int64, count=len(doc))
-        df = pd.DataFrame({"source": src, "fp": fp})
-        agg = (df.groupby("source", as_index=False)
-               .agg(fp60=("fp", lambda s: np.bitwise_xor.reduce(
-                   s.to_numpy(np.int64))),
-                    n_rows=("fp", "size")))
-        agg["n_rows"] = agg["n_rows"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "lang", "n_chars", "text", "source"])
-    parts = _parts_pandas(ds.map_batches(partial, batch_format="pyarrow"),
-                          {"source": object, "fp60": np.int64,
-                           "n_rows": np.int64})
-    out = (parts.groupby("source", as_index=False)
-           .agg(n_rows=("n_rows", "sum"),
-                fp60=("fp60", lambda s: np.bitwise_xor.reduce(
-                    s.to_numpy(np.int64)))))
-    out["n_rows"] = out["n_rows"].astype(np.int64)
-    out["fp60"] = out["fp60"].astype(np.int64)
-    return (out[["source", "n_rows", "fp60"]]
-            .sort_values("source").reset_index(drop=True))
-
-
-# -- round-4 wave 29: retrieval-join + webtext readability/charclass --------
+# -- round-4 wave 29: retrieval join ------------------------------------------
 
 def term_overlap_topk(sf_dir: str, df_lo: int = 2, df_hi: int = 400):
     """Sparse lexical retrieval as an INDEX SELF-JOIN: for every doc,
@@ -4488,81 +3372,6 @@ def term_overlap_topk(sf_dir: str, df_lo: int = 2, df_hi: int = 400):
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def readability_scores(sf_dir: str):
-    """Flesch-reading-ease-style readability per document, from three
-    vectorized regex counts (words = \\S+ runs, sentences = [.!?]+
-    runs clamped to ≥1, syllable proxy = [aeiouyAEIOUY]+ vowel
-    groups): 206.835 − 1.015·(W/S) − 84.6·(V/W).  Counts are exact
-    int64; the score carries the 6-dp contract.  Map-only — no
-    shuffle at any scale; docs with zero words are excluded (score
-    undefined), exactly as in the oracle's WHERE."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def score(b: pa.Table) -> pa.Table:
-        w = pc.count_substring_regex(b["text"], r"\S+") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        s = pc.count_substring_regex(b["text"], r"[.!?]+") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        v = pc.count_substring_regex(b["text"], r"[aeiouyAEIOUY]+") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = w > 0
-        w, v = w[keep], v[keep]
-        s = np.maximum(s[keep], 1)
-        fl = 206.835 - 1.015 * (w / s) - 84.6 * (v / w)
-        return pa.table({
-            "doc_id": b["doc_id"].filter(pa.array(keep)),
-            "n_words": pa.array(w), "n_sentences": pa.array(s),
-            "n_vowel_groups": pa.array(v),
-            "flesch_r6": pa.array(np.round(fl, 6))})
-
-    out = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def charclass_stats(sf_dir: str):
-    """Per-language character-class profile — mojibake / boilerplate
-    drift signal: exact counts of total, digit [0-9], upper [A-Z]
-    and whitespace (\\s) characters, plus 6-dp ratios.  Per-block
-    (lang, sums) partials pre-reduce map-side; tiered combine (driver
-    fold below the shared gate, native Sum groupby above)."""
-    ds = _read(sf_dir, "documents", columns=["lang", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        tot = pc.utf8_length(b["text"]).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        dig = pc.count_substring_regex(b["text"], r"[0-9]") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        upp = pc.count_substring_regex(b["text"], r"[A-Z]") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        ws = pc.count_substring_regex(b["text"], r"\s") \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({"lang": b["lang"].to_pandas(), "n_chars": tot,
-                           "n_digit": dig, "n_upper": upp, "n_ws": ws})
-        agg = (df.groupby("lang", as_index=False)
-               [["n_chars", "n_digit", "n_upper", "n_ws"]].sum())
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    cols = ["n_chars", "n_digit", "n_upper", "n_ws"]
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds,
-                             {"lang": object, **{c: np.int64
-                                                 for c in cols}})
-               .groupby("lang", as_index=False)[cols].sum())
-    else:
-        agg = (parts_ds.groupby("lang")
-               .aggregate(*[Sum(c, alias_name=c) for c in cols])
-               .to_pandas())
-    for c in cols:
-        agg[c] = agg[c].astype(np.int64)
-    tot = agg.n_chars.to_numpy(np.float64)
-    agg["digit_ratio_r6"] = np.round(agg.n_digit.to_numpy() / tot, 6)
-    agg["upper_ratio_r6"] = np.round(agg.n_upper.to_numpy() / tot, 6)
-    agg["ws_ratio_r6"] = np.round(agg.n_ws.to_numpy() / tot, 6)
-    return agg.sort_values("lang").reset_index(drop=True)
 
 
 # -- round-4 wave 31: sketch join-size / PCA ---------------------------------
@@ -4750,53 +3559,6 @@ def hll_weekly_union(sf_dir: str, p: int = 14):
             dtype=np.int64)})
 
 
-def byte_median_doc_size(sf_dir: str):
-    """WEIGHTED median — the shard-planning number: per source, the
-    smallest doc size X such that docs of size ≤ X hold at least half
-    the source's total characters ('half the bytes live in docs this
-    small or smaller').  Exactly decided on the (source, n_chars)
-    count table with integer cross-multiplication (2·cum ≥ tot): the
-    corpus reduces to per-block partials, the walk runs on the
-    value-domain-bounded table."""
-    ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": b["source"].to_pandas(),
-            "n_chars": b["n_chars"].to_numpy(zero_copy_only=False)})
-        agg = (df.groupby(["source", "n_chars"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["mass"] = (agg.n_chars.to_numpy(np.int64)
-                       * agg.n.to_numpy(np.int64))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        counts = (_parts_pandas(parts_ds,
-                                {"source": object, "n_chars": np.int64,
-                                 "n": np.int64, "mass": np.int64})
-                  .groupby(["source", "n_chars"], as_index=False)
-                  [["n", "mass"]].sum())
-    else:
-        counts = (parts_ds.groupby(["source", "n_chars"])
-                  .aggregate(Sum("n", alias_name="n"),
-                             Sum("mass", alias_name="mass")).to_pandas())
-    rows = []
-    for src, g in counts.sort_values("n_chars").groupby("source"):
-        mass = g.mass.to_numpy(np.int64)
-        cum = np.cumsum(mass)
-        tot = int(cum[-1])
-        i = int(np.searchsorted(2 * cum, tot))
-        rows.append((src, int(g.n_chars.to_numpy(np.int64)[i]), tot))
-    out = pd.DataFrame(rows, columns=["source", "byte_median_size",
-                                      "total_chars"])
-    out["byte_median_size"] = out.byte_median_size.astype(np.int64)
-    out["total_chars"] = out.total_chars.astype(np.int64)
-    return out.sort_values("source").reset_index(drop=True)
-
-
 # -- round-4 wave 34: exclusive vocab ----------------------------------------
 
 
@@ -4851,47 +3613,7 @@ def source_exclusive_tokens(sf_dir: str):
     return out.sort_values("source").reset_index(drop=True)
 
 
-# -- round-4 wave 35: log2 histogram -----------------------------------------
-
-
-def nchars_histogram_log2(sf_dir: str):
-    """Log2-bucket size histogram per lang — the shard/batch-size
-    planning view: bucket = ⌊log2(n_chars)⌋ computed EXACTLY by a
-    searchsorted against the power-of-two table (no float log
-    anywhere; the oracle uses the binary-string length for the same
-    exact integer).  Per-block (lang, bucket) partials pre-reduce
-    map-side; tiered combine."""
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-    powers = (np.int64(1) << np.arange(63)).astype(np.int64)
-
-    def partial(b: pa.Table) -> pa.Table:
-        x = b["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = x > 0
-        bucket = (np.searchsorted(powers, x[m], side="right") - 1) \
-            .astype(np.int64)
-        df = pd.DataFrame({
-            "lang": pd.Series(b["lang"].to_pandas())[m]
-            .to_numpy(dtype=object),
-            "bucket": bucket})
-        agg = (df.groupby(["lang", "bucket"], as_index=False)
-               .size().rename(columns={"size": "n"}))
-        agg["n"] = agg["n"].astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds,
-                             {"lang": object, "bucket": np.int64,
-                              "n": np.int64})
-               .groupby(["lang", "bucket"], as_index=False)["n"].sum())
-    else:
-        agg = (parts_ds.groupby(["lang", "bucket"])
-               .aggregate(Sum("n", alias_name="n")).to_pandas())
-    agg["bucket"] = agg.bucket.astype(np.int64)
-    agg["n"] = agg.n.astype(np.int64)
-    return (agg.sort_values(["lang", "bucket"])
-            .reset_index(drop=True))
+# -- round-4 wave 35: Bloom-pruned join ---------------------------------------
 
 
 #: orders-row gate of ``bloom_prune_join_revenue``: below it the selected
@@ -5105,8 +3827,8 @@ def kmv_distinct_userdays(sf_dir: str, k: int = KMV_K):
     exact hash, the exact k-th order statistic, AND the exact estimate
     ((k−1)/normalized kth hash; exact count when fewer than k distinct
     hashes survive).  The per-type sketches come from
-    ``_kmv_type_sets``; md5 is inherently per-item (same class as
-    ``table_fingerprint``), and it runs on block-DEDUPED pairs only."""
+    ``_kmv_type_sets``; md5 is inherently per-item, and it runs on
+    block-DEDUPED pairs only."""
     two60 = float(1 << 60)
     sets = _kmv_type_sets(sf_dir, k)
     kept = [len(hv) for hv in sets.values()]
@@ -5361,47 +4083,6 @@ def type_user_overlap_exact(sf_dir: str):
             .reset_index(drop=True))
 
 
-def prefix_dup_groups(sf_dir: str, n_chars: int = 64):
-    """C4-style PREFIX dedup signal: groups of documents sharing an
-    identical first-``n_chars`` prefix (boilerplate headers, mirrored
-    pages) — per group: size and the winner (min doc_id), plus every
-    member's id, limited to groups of ≥ 2.  Map-side prefix slice
-    (``pc.utf8_slice_codeunits`` — no Python string loop), then the
-    standard exact-dedup rollup keyed on the prefix; the group table
-    is duplicate-scale."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        pref = pc.utf8_slice_codeunits(b["text"], 0, n_chars)
-        return pa.table({"doc_id": b["doc_id"], "pref": pref})
-
-    prefs = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        df = prefs.to_pandas()
-        g = (df.groupby("pref", as_index=False)
-             .agg(group_size=("doc_id", "size"),
-                  winner_doc=("doc_id", "min")))
-        g = g[g.group_size >= 2]
-        out = df.merge(g, on="pref")
-    else:
-        counts = (prefs.groupby("pref")
-                  .aggregate(Count(alias_name="group_size"),
-                             Min("doc_id", alias_name="winner_doc")))
-
-        def keep_dups(b: pa.Table) -> pa.Table:
-            return b.filter(pc.greater_equal(b["group_size"], 2))
-
-        from biobloom_ray.io import hash_join
-
-        dups = counts.map_batches(keep_dups, batch_format="pyarrow")
-        out = hash_join(prefs, dups, on=("pref",)).to_pandas()
-    out = out[["doc_id", "group_size", "winner_doc"]]
-    out["group_size"] = out.group_size.astype(np.int64)
-    out["winner_doc"] = out.winner_doc.astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
 def token_len_histogram(sf_dir: str):
     """Token-LENGTH profile per language (the tokenizer-budget view:
     how many BPE pieces a word will shatter into correlates with
@@ -5486,72 +4167,13 @@ def vocab_growth_by_docs(sf_dir: str, bucket: int = 1):
     return daily[["doc_bucket", "n_new", "n_cum"]]
 
 
-def doc_compression_ratio(sf_dir: str, level: int = 6):
-    """Compression-ratio quality signal (the classic repetitive-junk
-    detector: highly compressible text is boilerplate or spam): per
-    language, exact byte totals (raw UTF-8 vs zlib level-``level``)
-    and the corpus-level ratio, plus counts in fixed ratio buckets
-    (<0.3 suspicious, 0.3-0.6 typical, >0.6 high-entropy).  zlib is
-    bit-deterministic for a fixed level, so the pytest twin recomputes
-    byte-identically; no SQL oracle can exist (the driver records the
-    rows-only check).  Per-doc compression is inherently per-item
-    (same class as the md5/codec loops); everything around it is one
-    tiered (lang, bucket) count rollup."""
-    import zlib
-
-    ds = _read(sf_dir, "documents", columns=["lang", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lg = b["lang"].to_pandas().to_numpy(dtype=object)
-        tx = b["text"].to_pylist()
-        raw = np.fromiter((len(t.encode("utf-8")) for t in tx),
-                          dtype=np.int64, count=len(tx))
-        comp = np.fromiter(
-            (len(zlib.compress(t.encode("utf-8"), level)) for t in tx),
-            dtype=np.int64, count=len(tx))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(raw > 0, comp / np.maximum(raw, 1), 1.0)
-        bucket = np.where(ratio < 0.3, 0,
-                          np.where(ratio <= 0.6, 1, 2)).astype(np.int64)
-        df = pd.DataFrame({"lang": lg, "bucket": bucket, "raw": raw,
-                           "comp": comp})
-        agg = (df.groupby(["lang", "bucket"], as_index=False)
-               .agg(n=("raw", "size"), raw_bytes=("raw", "sum"),
-                    comp_bytes=("comp", "sum")))
-        agg["n"] = agg.n.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        agg = (_parts_pandas(parts_ds, {"lang": object,
-                                        "bucket": np.int64,
-                                        "n": np.int64,
-                                        "raw_bytes": np.int64,
-                                        "comp_bytes": np.int64})
-               .groupby(["lang", "bucket"], as_index=False)
-               [["n", "raw_bytes", "comp_bytes"]].sum())
-    else:
-        agg = (parts_ds.groupby(["lang", "bucket"])
-               .aggregate(Sum("n", alias_name="n"),
-                          Sum("raw_bytes", alias_name="raw_bytes"),
-                          Sum("comp_bytes", alias_name="comp_bytes"))
-               .to_pandas())
-    agg["ratio_r6"] = (agg.comp_bytes / agg.raw_bytes).round(6)
-    for c in ["bucket", "n", "raw_bytes", "comp_bytes"]:
-        agg[c] = agg[c].astype(np.int64)
-    return (agg.sort_values(["lang", "bucket"])
-            [["lang", "bucket", "n", "raw_bytes", "comp_bytes",
-              "ratio_r6"]].reset_index(drop=True))
-
-
 def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
     """INCREMENTAL INGESTION dedup report — the day-2 batch classified
     against the day-1 snapshot, the shape every continuously-crawled
     corpus runs nightly.  Day 1 = even doc_ids, day 2 = odd (a
     deterministic split of the fixture); the dedup key is the C4-style
-    ``n_chars``-prefix fingerprint (same key as `prefix_dup_groups`,
-    which the fixture exercises with real collisions).  Each day-2 doc
+    ``n_chars``-prefix fingerprint (the fixture has real prefix
+    collisions).  Each day-2 doc
     is exactly one of: `dup_day1` (prefix already in the snapshot),
     `dup_within` (new prefix but a smaller-id day-2 doc already has
     it), `new`.  Plan: ONE fingerprint rollup over all docs — per-fp
@@ -5653,47 +4275,6 @@ def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
     for c in cols:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("lang").reset_index(drop=True)
-
-
-def lang_temperature_mix(sf_dir: str, alpha: float = 0.5,
-                         col: str = "lang"):
-    """TEMPERATURE-SCALED mixing weights — the multinomial
-    p_g ∝ n_g^α reweighting (α<1 up-samples small groups) every
-    multilingual / multi-source training mix applies before sampling
-    (the mBERT/XLM-R low-resource-language up-sampling trick; also
-    works per ``source``).  Map-only per-block (group, n) partials,
-    tiered combine, then the weight math runs on the output-scale
-    (≤ |groups|) table: weight = n^α / Σ n^α and boost =
-    weight / (n / N) — the factor by which the group is
-    over/under-sampled vs natural frequency.  Float outputs follow
-    the 6-dp contract with mirrored op order."""
-    ds = _read(sf_dir, "documents", columns=[col])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            col: b[col].to_pandas().to_numpy(dtype=object)})
-        agg = df.groupby(col, as_index=False).agg(
-            n_docs=(col, "size"))
-        agg["n_docs"] = agg.n_docs.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        c = (_parts_pandas(parts_ds, {col: object,
-                                      "n_docs": np.int64})
-             .groupby(col, as_index=False).n_docs.sum())
-    else:
-        c = (parts_ds.groupby(col)
-             .aggregate(Sum("n_docs", alias_name="n_docs")).to_pandas())
-    c = c.sort_values(col).reset_index(drop=True)
-    n = c.n_docs.to_numpy(np.int64).astype(np.float64)
-    w = np.power(n, alpha)
-    tw, tn = w.sum(), n.sum()
-    c["n_docs"] = c.n_docs.astype(np.int64)
-    c["weight_r6"] = np.round(w / tw, 6)
-    c["boost_r6"] = np.round((w / tw) / (n / tn), 6)
-    return c
 
 
 def vocab_coverage_topp(sf_dir: str, pct: int = 90):
@@ -5949,161 +4530,6 @@ def dup_cluster_representatives(sf_dir: str):
     for c in out.columns:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("cluster_id").reset_index(drop=True)
-
-
-def sample_budget_allocation(sf_dir: str, budget: int = 997):
-    """LARGEST-REMAINDER APPORTIONMENT of a fixed sample budget across
-    sources — the exact integer allocation a proportional sampler
-    needs before drawing (Hamilton method: floor quotas, then the
-    leftover slots go to the largest remainders, ties → source asc).
-    Pure integer arithmetic (quota = B·n // N, remainder = B·n % N) so
-    no float can perturb a seat.  Map-only (source, n) partials →
-    tiered combine → the allocation walk on the output-scale
-    (≤ |sources|) table."""
-    ds = _read(sf_dir, "documents", columns=["source"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "source": b["source"].to_pandas().to_numpy(dtype=object)})
-        agg = df.groupby("source", as_index=False).agg(
-            n_docs=("source", "size"))
-        agg["n_docs"] = agg.n_docs.astype(np.int64)
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        c = (_parts_pandas(parts_ds, {"source": object,
-                                      "n_docs": np.int64})
-             .groupby("source", as_index=False).n_docs.sum())
-    else:
-        c = (parts_ds.groupby("source")
-             .aggregate(Sum("n_docs", alias_name="n_docs")).to_pandas())
-    c = c.sort_values("source").reset_index(drop=True)
-    n = c.n_docs.to_numpy(np.int64)
-    N = int(n.sum())
-    if N == 0:  # empty input -> empty allocation, not a crash
-        for col in ["alloc", "floor_quota", "remainder"]:
-            c[col] = pd.Series([], dtype=np.int64)
-        return c
-    B = np.int64(budget)
-    quota = (B * n) // N
-    rem = (B * n) % N
-    leftover = int(budget - quota.sum())
-    order = np.lexsort((np.arange(len(c)), -rem))
-    extra = np.zeros(len(c), np.int64)
-    extra[order[:leftover]] = 1
-    c["n_docs"] = c.n_docs.astype(np.int64)
-    c["alloc"] = (quota + extra).astype(np.int64)
-    c["floor_quota"] = quota.astype(np.int64)
-    c["remainder"] = rem.astype(np.int64)
-    return c
-
-
-def embedding_quantization_report(sf_dir: str):
-    """INT8 SCALAR-QUANTIZATION error report — the memory-planning op
-    for ANN at scale (uint8 codes = 8× less object-store traffic than
-    float64): pass 1 folds per-block per-dim min/max; pass 2
-    quantizes q = round((x−lo)/(hi−lo)·255), dequantizes and folds
-    per-block (Σ err², Σ|err| max, n) partials.  Two map-only passes,
-    #blocks × O(dim) rows to the driver, nothing corpus-scale
-    materializes.  No SQL twin can exist (list-typed column); the
-    pytest twin recomputes in numpy to 1e-9."""
-    import ray
-
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def minmax(b: pa.Table) -> pa.Table:
-        m = np.stack(b["embedding"].to_pandas().to_numpy())
-        return pa.table({
-            "lo": pa.array([m.min(axis=0).tobytes()], pa.large_binary()),
-            "hi": pa.array([m.max(axis=0).tobytes()], pa.large_binary()),
-            "n": pa.array([m.shape[0]], pa.int64()),
-            "d": pa.array([m.shape[1]], pa.int64())})
-
-    mm = _parts_pandas(ds.map_batches(minmax, batch_format="pyarrow"),
-                       {"lo": object, "hi": object, "n": np.int64,
-                        "d": np.int64})
-    dim = int(mm.d.iloc[0])
-    lo = np.min(np.stack([np.frombuffer(b, np.float32)
-                          for b in mm.lo]), axis=0).astype(np.float64)
-    hi = np.max(np.stack([np.frombuffer(b, np.float32)
-                          for b in mm.hi]), axis=0).astype(np.float64)
-    scale = np.where(hi > lo, (hi - lo) / 255.0, 1.0)
-    ref = ray.put((lo, scale))
-
-    def qerr(b: pa.Table) -> pa.Table:
-        l, s = ray.get(ref)
-        m = np.stack(b["embedding"].to_pandas().to_numpy()) \
-            .astype(np.float64)
-        q = np.clip(np.round((m - l) / s), 0, 255)
-        rec = q * s + l
-        err = rec - m
-        return pa.table({
-            "sse": pa.array([float((err * err).sum())], pa.float64()),
-            "mae_max": pa.array([float(np.abs(err).max())],
-                                pa.float64()),
-            "n": pa.array([m.shape[0]], pa.int64())})
-
-    p = _parts_pandas(ds.map_batches(qerr, batch_format="pyarrow"),
-                      {"sse": np.float64, "mae_max": np.float64,
-                       "n": np.int64})
-    n = int(p.n.sum())
-    out = pd.DataFrame({
-        "n_vecs": np.asarray([n], np.int64),
-        "dim": np.asarray([dim], np.int64),
-        "rmse_r6": [round(float(np.sqrt(p.sse.sum() / (n * dim))), 6)],
-        "max_abs_err_r6": [round(float(p.mae_max.max()), 6)],
-        "bytes_saved_ratio_r6": [round(1.0 - 1.0 / 4.0, 6)]})
-    return out
-
-
-def quality_gate_sweep(sf_dir: str, thresholds=(50, 60, 70, 80, 90)):
-    """GATE-TUNING SWEEP — the table a curation team reads before
-    picking a quality threshold: for each alpha-ratio gate
-    (keep iff 100·n_alpha ≥ thr·n_chars — exact integer
-    cross-multiplication, no float boundary) and each language, docs
-    kept / total / 6-dp keep rate.  Map-only per-block
-    (lang, thr, kept) partials broadcast over the threshold grid;
-    tiered combine; output-scale |langs|×|thresholds| table."""
-    ds = _read(sf_dir, "documents", columns=["lang", "text"])
-    thr = np.asarray(thresholds, np.int64)
-
-    def partial(b: pa.Table) -> pa.Table:
-        s = b["text"].to_pandas()
-        n_chars = s.str.len().fillna(0).astype(np.int64).to_numpy()
-        n_alpha = (s.str.count(r"[A-Za-z]").fillna(0)
-                   .astype(np.int64).to_numpy())
-        lg = b["lang"].to_pandas().to_numpy(dtype=object)
-        kept = (100 * n_alpha[:, None] >= thr[None, :] * n_chars[:, None])
-        df = pd.DataFrame({
-            "lang": np.repeat(lg, len(thr)),
-            "thr": np.tile(thr, len(lg)),
-            "kept": kept.astype(np.int64).ravel(),
-            "one": np.ones(len(lg) * len(thr), np.int64)})
-        agg = (df.groupby(["lang", "thr"], as_index=False)
-               [["one", "kept"]].sum()
-               .rename(columns={"one": "n_docs", "kept": "n_kept"}))
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        out = (_parts_pandas(parts_ds, {"lang": object,
-                                        "thr": np.int64,
-                                        "n_docs": np.int64,
-                                        "n_kept": np.int64})
-               .groupby(["lang", "thr"], as_index=False)
-               [["n_docs", "n_kept"]].sum())
-    else:
-        out = (parts_ds.groupby(["lang", "thr"])
-               .aggregate(Sum("n_docs", alias_name="n_docs"),
-                          Sum("n_kept", alias_name="n_kept"))
-               .to_pandas())
-    out["keep_rate_r6"] = (out.n_kept / out.n_docs).round(6)
-    for c in ["thr", "n_docs", "n_kept"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values(["lang", "thr"]).reset_index(drop=True)
 
 
 def neardup_calibration_report(sf_dir: str, threshold: float = 0.5,
@@ -6508,65 +4934,6 @@ def kmeans_quality_report(sf_dir: str, k: int = 8, iters: int = 6):
     for c in ["cluster", "n"]:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("cluster").reset_index(drop=True)
-
-
-def label_centroid_affinity(sf_dir: str):
-    """LABEL-CENTROID AFFINITY matrix — pairwise cosine between the
-    per-label mean embeddings (the class-confusability diagnostic; low
-    affinity = separable classes).  The corpus reduces map-side to
-    (label, dim, Σv, n) partials (|labels|·dim rows per block via one
-    ``np.add.at``) — driver combine below `RANK_DRIVER_MAX_ROWS`
-    input rows, native Sum groupby above — and the pairwise math runs
-    on the |labels|×dim centroid matrix.  Float outputs follow the
-    6-dp contract with mirrored op order (mean = Σ/n, dot over dims,
-    norm = √Σm²)."""
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = np.stack(b["embedding"].to_pandas().to_numpy()) \
-            .astype(np.float64)
-        codes, uniq = pd.factorize(lab)
-        sums = np.zeros((len(uniq), m.shape[1]), np.float64)
-        np.add.at(sums, codes, m)
-        n = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        dim = m.shape[1]
-        return pa.table({
-            "label": pa.array(np.repeat(uniq, dim)),
-            "dim": pa.array(np.tile(np.arange(dim, dtype=np.int64),
-                                    len(uniq))),
-            "s": pa.array(sums.ravel()),
-            "n": pa.array(np.repeat(n, dim))})
-
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        c = (_parts_pandas(parts_ds, {"label": np.int64,
-                                      "dim": np.int64,
-                                      "s": np.float64, "n": np.int64})
-             .groupby(["label", "dim"], as_index=False)
-             [["s", "n"]].sum())
-    else:
-        c = (parts_ds.groupby(["label", "dim"])
-             .aggregate(Sum("s", alias_name="s"),
-                        Sum("n", alias_name="n")).to_pandas())
-    c = c.sort_values(["label", "dim"])
-    labels = np.sort(c.label.unique())
-    dim = int(c.dim.max()) + 1
-    M = (c.s.to_numpy(np.float64) / c.n.to_numpy(np.int64)) \
-        .reshape(len(labels), dim)
-    nrm = np.sqrt((M * M).sum(axis=1))
-    rows = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dot = float((M[i] * M[j]).sum())
-            rows.append((int(labels[i]), int(labels[j]),
-                         round(dot / (nrm[i] * nrm[j]), 6)))
-    out = pd.DataFrame(rows, columns=["label_a", "label_b", "cos_r6"])
-    out["label_a"] = out.label_a.astype(np.int64)
-    out["label_b"] = out.label_b.astype(np.int64)
-    return out.sort_values(["label_a", "label_b"]) \
-        .reset_index(drop=True)
 
 
 def curation_neardup_summary(sf_dir: str):

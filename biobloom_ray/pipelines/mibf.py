@@ -38,11 +38,10 @@ import ray.data
 
 from biobloom_ray.hashing import shingle_hashes
 from biobloom_ray.io import cluster_cpus
-from biobloom_ray.scoring import _binom_sf_table, binom_sf, calc_min_count
+from biobloom_ray.scoring import _binom_sf_table, calc_min_count
 from biobloom_ray.sketches.bloom import BloomFilter
 from biobloom_ray.sketches.fold import fold_partials
 from biobloom_ray.sketches.mibf import (
-    EMPTY,
     ID_MASK,
     MAX_IDS,
     SATURATED,

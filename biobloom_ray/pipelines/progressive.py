@@ -37,7 +37,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from biobloom_ray.config import BuildConfig, CategorizeConfig
+from biobloom_ray.config import BuildConfig
 from biobloom_ray.hashing import shingle_hashes
 from biobloom_ray.scoring import eval_batch
 from biobloom_ray.sketches.bloom import BloomFilter, calc_optimal_hash_num, calc_optimal_size

@@ -41,7 +41,6 @@ _SIX = U64(6)
 _M63 = U64(63)
 SATURATED = np.uint16(0x8000)
 ID_MASK = np.uint16(0x7FFF)
-EMPTY = np.uint16(0)
 MAX_IDS = 32767
 
 

@@ -1,7 +1,6 @@
-"""Text-analysis stages for training-data pipelines (graft additions per
-the build brief): token counting, quality scoring, language-ID heuristic,
-document fingerprinting.  All vectorized per batch; heavier string work
-uses pandas' C string kernels.
+"""Text-analysis stages for training-data pipelines: token counting,
+quality scoring, language-ID heuristic.  All vectorized per batch;
+heavier string work uses pandas' C string kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pandas as pd
 import pyarrow as pa
 
 from biobloom_ray.hashing import hash_strings, shingle_hashes
-from biobloom_ray.textnorm import content_md5_batch
 
 _TOKEN_RE = r"\S+"
 _ALPHA_RE = r"[A-Za-z]"
@@ -70,21 +68,6 @@ def quality_score_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
                             pa.array(n_punct.to_numpy() / denom))
     out = out.append_column("stopword_ratio",
                             pa.array(n_stop.to_numpy() / tok_denom))
-    return out
-
-
-def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Content fingerprints: md5 hex (exact-dedup key, matches DuckDB
-    ``md5(text)``) + the 64-bit rolling full-text hash."""
-    md5 = content_md5_batch(batch[text_col])
-    texts = batch[text_col]
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    roll = hash_strings(texts)
-    out = batch.append_column("fp_md5", pa.array(md5, type=pa.large_string()))
-    out = out.append_column("fp_hash64",
-                            pa.array(roll.astype(np.int64).tolist(),
-                                     type=pa.int64()))
     return out
 
 

@@ -20,9 +20,6 @@ import pyarrow.compute as pc
 
 _TAG_RE = re.compile(rb"<[^>]*>")
 _WS_RE = re.compile(r"[ \t\r\n\f\v]+")
-_ASCII_LOWER = bytes(
-    (c + 32) if 65 <= c <= 90 else c for c in range(256)
-)
 
 
 def extract_text(html: bytes) -> str:
@@ -32,16 +29,6 @@ def extract_text(html: bytes) -> str:
     raw = _TAG_RE.sub(b" ", html)
     text = raw.decode("utf-8", errors="replace")
     return _WS_RE.sub(" ", text).strip()
-
-
-def extract_batch(html_col: pa.Array) -> pa.Array:
-    """Vectorized-ish extraction over a binary column (regex per row —
-    the regex engine is C; rows are independent so this stage scales out
-    with `map_batches`)."""
-    if isinstance(html_col, pa.ChunkedArray):
-        html_col = html_col.combine_chunks()
-    out = [None if v is None else extract_text(v) for v in html_col.to_pylist()]
-    return pa.array(out, type=pa.large_string())
 
 
 def normalize_batch(text_col: pa.Array) -> pa.Array:

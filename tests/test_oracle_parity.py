@@ -55,45 +55,35 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 SQL_CHECKED = [
-    "lang_counts", "frame_counts", "median_nchars_by_lang",
-    "exact_dedup", "distinct_text_per_lang", "token_counts", "quality_scores",
-    "doc_fingerprint", "heavy_tokens_topk", "ann_topk",
+    "exact_dedup", "distinct_text_per_lang", "token_counts", "doc_fingerprint",
+    "ann_topk",
     # round-2 additions
-    "paired_join", "bpe_token_counts", "ann_topk_multi", "top_docs_per_lang",
+    "paired_join", "bpe_token_counts", "ann_topk_multi",
     # round-3 additions
     "deterministic_sample_hash", "minhash_dedup_kept", "ngram_jaccard_pairs",
-    "token_rarity_scores", "stratified_sample", "user_event_counts_salted",
-    "spaced_seed_distinct_exact", "pack_documents", "repetition_stats",
-    "decontaminate", "repeated_substrings", "pii_redact",
-    "gopher_quality_flags", "remove_boilerplate_ngrams", "bigram_lm_scores",
-    "chunk_documents", "tfidf_top_terms", "bigram_ppl_buckets", "dup_clusters",
-    "source_stats", "source_quality_gate", "token_freq_histogram",
-    "inverted_index", "bm25_topk", "source_mix_sample", "lang_centroids",
-    "epoch_shuffle_head", "clean_corpus", "curation_funnel",
-    "curation_funnel_by_source", "contamination_topk",
+    "stratified_sample", "user_event_counts_salted",
+    "spaced_seed_distinct_exact", "repetition_stats", "decontaminate",
+    "repeated_substrings", "pii_redact", "gopher_quality_flags",
+    "remove_boilerplate_ngrams", "bigram_lm_scores", "chunk_documents",
+    "tfidf_top_terms", "bigram_ppl_buckets", "dup_clusters",
+    "source_quality_gate", "token_freq_histogram", "inverted_index",
+    "bm25_topk", "source_mix_sample", "epoch_shuffle_head", "clean_corpus",
+    "curation_funnel", "curation_funnel_by_source", "contamination_topk",
     "dup_group_size_histogram", "curation_partition_metrics", "source_overlap",
     "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
     "corpus_report",
     # round-4 additions
     "epoch_shuffle_full", "ann_ivf_exact", "top_bigrams_per_lang",
-    "nchars_rank_in_source", "jsonl_roundtrip_lang_counts",
     "segment_revenue_topk", "nb_class_scores", "token_drift_topk",
-    "docs_rollup_cube", "nchars_ntile_buckets", "region_revenue",
-    "shard_assignment_counts", "partitioned_roundtrip_source_counts",
-    "source_lang_entropy", "event_user_setops", "pmi_top_bigrams",
-    "doc_length_gini", "cross_lang_dup_matrix", "nchars_cume_dist",
-    "source_lang_chi2", "mg_heavy_tokens", "diversified_top_docs",
-    "rrf_hybrid_topk", "grouped_split_counts", "weighted_sample_topk",
-    "nchars_robust_outliers", "source_dup_report", "table_fingerprint",
-    "term_overlap_topk", "readability_scores", "charclass_stats",
-    "join_size_exact", "byte_median_doc_size", "ngram_containment_pairs",
-    "source_exclusive_tokens", "nchars_histogram_log2",
-    "bloom_prune_join_revenue", "kmv_distinct_userdays", "kmv_type_jaccard",
-    "lang_bigram_jsd", "type_user_overlap_exact", "prefix_dup_groups",
-    "token_len_histogram", "vocab_growth_by_docs", "incremental_dedup_report",
-    "lang_temperature_mix", "vocab_coverage_topp", "knn_label_accuracy",
-    "dup_cluster_representatives", "sample_budget_allocation",
-    "quality_gate_sweep", "curation_run_summary", "label_centroid_affinity",
+    "region_revenue", "shard_assignment_counts", "event_user_setops",
+    "pmi_top_bigrams", "cross_lang_dup_matrix", "mg_heavy_tokens",
+    "rrf_hybrid_topk", "weighted_sample_topk", "source_dup_report",
+    "term_overlap_topk", "join_size_exact", "ngram_containment_pairs",
+    "source_exclusive_tokens", "bloom_prune_join_revenue",
+    "kmv_distinct_userdays", "kmv_type_jaccard", "lang_bigram_jsd",
+    "type_user_overlap_exact", "token_len_histogram", "vocab_growth_by_docs",
+    "incremental_dedup_report", "vocab_coverage_topp", "knn_label_accuracy",
+    "dup_cluster_representatives", "curation_run_summary",
     # round-5: the curation runner with the MinHash near-dup stage
     "curation_neardup_summary",
 ]
@@ -238,22 +228,72 @@ def _force_cluster_gates() -> list[tuple[str, str]]:
     return pairs
 
 
+def _zeroing_setattrs(path) -> set[tuple[str, str]]:
+    """The (module, gate) pairs that ``monkeypatch.setattr(M, "GATE",
+    0)`` calls in one test file set to 0, with ``M`` resolved through
+    the file's ``import ... as M`` / ``from ... import ... as M``."""
+    import ast
+
+    tree = ast.parse(path.read_text())
+    alias: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    alias.setdefault(a.asname, set()).add(a.name)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                alias.setdefault(a.asname or a.name, set()).add(
+                    f"{node.module}.{a.name}")
+    pairs = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "monkeypatch"
+                and len(node.args) == 3
+                and isinstance(node.args[0], ast.Name)
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[2], ast.Constant)
+                and node.args[2].value == 0):
+            for mod in alias.get(node.args[0].id, ()):
+                pairs.add((mod, node.args[1].value))
+    return pairs
+
+
 def test_force_cluster_gate_list():
     """``bench._force_cluster_tiers`` (read, not called) zeroes only
     gates that exist, and every scale gate in ``biobloom_ray``: a
     leftover line for a deleted gate would otherwise create a new
     module attribute, and a new gate would keep its driver tier under
-    GRAFT_FORCE_CLUSTER=1."""
+    GRAFT_FORCE_CLUSTER=1.  Each zeroed gate is also read by its module
+    beyond its own assignment (no orphaned gate), and some test module
+    other than this one sets it to 0 with ``monkeypatch.setattr`` (its
+    forced-gate parity test)."""
+    import ast
     import pathlib
 
     import bench
 
     root = pathlib.Path(bench.__file__).resolve().parent
-    zeroed = set()
+    patched = set()
+    for path in sorted((root / "tests").glob("test_*.py")):
+        if path.name != pathlib.Path(__file__).name:
+            patched |= _zeroing_setattrs(path)
+    zeroed, unread, untested = set(), [], []
     for mod, gate in _force_cluster_gates():
         path = root.joinpath(*mod.split(".")).with_suffix(".py")
         assert gate in _module_gates(path), f"{mod}.{gate}"
         zeroed.add(f"{mod}.{gate}")
+        if not any(isinstance(n, ast.Name) and n.id == gate
+                   and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(ast.parse(path.read_text()))):
+            unread.append(f"{mod}.{gate}")
+        if (mod, gate) not in patched:
+            untested.append(f"{mod}.{gate}")
+    assert unread == []
+    assert untested == []
 
     gates = set()
     for path in sorted((root / "biobloom_ray").rglob("*.py")):
@@ -262,32 +302,43 @@ def test_force_cluster_gate_list():
     assert gates - zeroed == set()
 
 
-#: the TPC-H/events tables; a query that reads one of them and reaches
-#: no engine code is Ray Data's generic groupby/join, not this system
-_TABLE_ONLY_TABLES = ("region", "nation", "customer", "supplier", "part",
-                      "orders", "lineitem", "events")
-_ENGINE_MODULE = (r"^biobloom_ray\.((sketches|stages|state)(\.|$)"
-                  r"|(hashing|scoring|textnorm|pipelines\.resumable)$)")
+#: the modules that are not engine code: the registry queries
+#: themselves, the read/join helpers, the config dataclasses and the
+#: page-fixture generator
+_NON_ENGINE = ("biobloom_ray.pipelines.analytics", "biobloom_ray.io",
+               "biobloom_ray.config", "biobloom_ray.pages")
+
+
+def _is_engine(dotted: str) -> bool:
+    return dotted.startswith("biobloom_ray.") and not any(
+        dotted == m or dotted.startswith(m + ".") for m in _NON_ENGINE)
 
 
 def _table_only_functions(path, names) -> set[str]:
     """The functions of ``names`` (module-level in ``path``) whose call
-    closure over the module's functions reads a TPC-H/events table and
-    references no engine name (one imported from an engine module, or
-    ``fold_partials`` / ``add_content_hash``)."""
+    closure over the module's functions reads a test table and
+    references no engine name: one that ``from biobloom_ray.X import
+    name`` or ``import biobloom_ray.X as name`` binds, where
+    ``biobloom_ray.X.name`` / ``biobloom_ray.X`` is outside
+    ``_NON_ENGINE`` (so ``from biobloom_ray.pipelines import
+    categorize`` counts, ``... import analytics`` does not).
+
+    The scan matches names, not scopes: a local function that shadows
+    a module function (``cms_error_sweep``'s inner ``token_counts``)
+    pulls the module function into the closure.  That only makes a
+    closure larger, so it can keep a query, never select one."""
     import ast
-    import re
 
     tree = ast.parse(path.read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    engine = {"fold_partials", "add_content_hash"}
+    engine = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module \
-                and re.match(_ENGINE_MODULE, node.module):
-            engine.update(a.asname or a.name for a in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            engine.update(a.asname or a.name for a in node.names
+                          if _is_engine(f"{node.module}.{a.name}"))
         elif isinstance(node, ast.Import):
             engine.update(a.asname or a.name for a in node.names
-                          if re.match(_ENGINE_MODULE, a.name))
+                          if _is_engine(a.name))
     facts = {}
     for name, fn in funcs.items():
         tables, calls, reaches = set(), set(), False
@@ -298,7 +349,7 @@ def _table_only_functions(path, names) -> set[str]:
                 reaches |= node.id in engine
             elif isinstance(node, ast.Constant) \
                     and isinstance(node.value, str):
-                tables.update(t for t in _TABLE_ONLY_TABLES
+                tables.update(t for t in TABLES
                               if node.value == t
                               or f"/{t}.parquet" in node.value)
         facts[name] = (tables, calls, reaches)
@@ -319,10 +370,12 @@ def _table_only_functions(path, names) -> set[str]:
 
 def test_no_table_only_queries():
     """No registry query only runs Ray Data's generic groupby/join over
-    the TPC-H/events tables: the closure scan over the public
-    ``analytics`` functions and the ``__ray_entry__`` wrappers that
-    ``queries()`` registers selects just the exact twins the sketch
-    tests use as references."""
+    a test table: the closure scan over the public ``analytics``
+    functions and the ``__ray_entry__`` wrappers that ``queries()``
+    registers selects just the exact twins that tests use as
+    references (the three events twins behind the KMV, CMS and
+    HLL/Bloom set-op tests, and ``token_counts``, the exact token total
+    of the token-frequency histogram test)."""
     import ast
     import pathlib
 
@@ -340,8 +393,94 @@ def test_no_table_only_queries():
     selected = (_table_only_functions(analytics, public)
                 | _table_only_functions(entry, wrappers))
     twins = {"join_size_exact", "event_user_setops",
-             "type_user_overlap_exact"}
+             "type_user_overlap_exact", "token_counts"}
     extra = sorted(selected - twins)
     if extra:  # name every one: an assert diff would be truncated
         pytest.fail(f"{len(extra)} table-only queries: {', '.join(extra)}")
     assert selected == twins
+
+
+def _checkout_py_files(root):
+    """Every ``.py`` file of the checkout, outside hidden and cache
+    directories."""
+    return [p for p in sorted(root.rglob("*.py"))
+            if not any(part.startswith(".") or part == "__pycache__"
+                       for part in p.relative_to(root).parts[:-1])]
+
+
+def _names_used(node):
+    """Counter of the identifiers ``node`` names: loaded or deleted
+    names, attribute names, imported names, and every part of a string
+    constant that is a dotted name (``monkeypatch.setattr(A, "GATE",
+    0)``, ``__all__``, a ``"ray.data.Dataset"`` annotation)."""
+    import ast
+    import collections
+    import re
+
+    used = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            used[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", n.value):
+            used.update(n.value.split("."))
+    return used
+
+
+def test_no_dead_definitions_or_imports():
+    """Every module-level function, class and constant of
+    ``biobloom_ray`` and ``__ray_entry__.py`` is named somewhere outside
+    its own definition in the checkout's ``.py`` files, and every
+    module-level import of ``biobloom_ray`` is used in its module
+    (``from __future__`` and a side-effect import marked ``# noqa:
+    F401`` are exempt)."""
+    import ast
+    import collections
+    import pathlib
+
+    import __ray_entry__
+
+    root = pathlib.Path(__ray_entry__.__file__).resolve().parent
+    trees = {p: ast.parse(p.read_text()) for p in _checkout_py_files(root)}
+    used = collections.Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    ours = [p for p in trees
+            if p == root / "__ray_entry__.py"
+            or p.is_relative_to(root / "biobloom_ray")]
+    dead, unused = [], []
+    for path in ours:
+        rel = path.relative_to(root)
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)
+                         and not t.id.startswith("__")]
+            else:
+                continue
+            own = _names_used(node)
+            dead += [f"{rel}:{n}" for n in names if used[n] - own[n] <= 0]
+        if rel.parts[0] != "biobloom_ray":
+            continue
+        lines = path.read_text().splitlines()
+        local = _names_used(ast.Module(
+            body=[n for n in trees[path].body
+                  if not isinstance(n, (ast.Import, ast.ImportFrom))],
+            type_ignores=[]))
+        for node in trees[path].body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            unused += [f"{rel}:{a.asname or a.name}" for a in node.names
+                       if not local[(a.asname or a.name).split(".")[0]]]
+    if dead or unused:  # name every one: an assert diff is truncated
+        pytest.fail(f"unreferenced: {', '.join(dead) or '-'}; "
+                    f"unused imports: {', '.join(unused) or '-'}")

@@ -384,75 +384,6 @@ def test_pair_up_keep_first_on_duplicate_headers(ray_session):
     assert first.iloc[0].text_2 == "first2"
 
 
-def test_token_rarity_tiers_agree(ray_session, monkeypatch):
-    """Broadcast-unigram tier and hash-join tier of token_rarity_scores
-    must return identical integer profiles."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.token_rarity_scores(sf)
-    monkeypatch.setattr(A, "RARITY_BROADCAST_MAX_ROWS", 0)
-    slow = A.token_rarity_scores(sf)
-    assert len(fast) > 0
-    for c in ("doc_id", "n_tokens", "min_token_cnt", "n_hapax"):
-        assert (fast[c].to_numpy() == slow[c].to_numpy()).all(), c
-
-
-def test_pack_documents_scan_invariants(ray_session):
-    """Global prefix-scan packing: every bin's total stays within
-    capacity + one max doc (a doc may straddle the boundary since the
-    bin is chosen by the EXCLUSIVE cumsum), bins are contiguous in the
-    packing order, and a repartitioned input gives the identical
-    assignment (the scan is order-defined, not layout-defined)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    cap = 5000
-    out = A.pack_documents(sf, capacity_chars=cap)
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["doc_id", "n_chars"])
-    m = out.merge(docs, on="doc_id")
-    per_bin = m.groupby("bin").n_chars.sum()
-    assert (per_bin.iloc[:-1] >= cap - docs.n_chars.max()).all()
-    assert (per_bin <= cap + docs.n_chars.max()).all()
-    # bins are contiguous 0..K-1
-    assert sorted(m.bin.unique()) == list(range(m.bin.max() + 1))
-    # every doc assigned exactly once
-    assert len(out) == len(docs)
-
-
-def test_pack_documents_layout_invariant(ray_session, tmp_path):
-    """The scan is order-defined, not layout-defined: packing a
-    re-sharded copy of the same table gives the identical assignment."""
-    import pyarrow.parquet as pq
-
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    base = A.pack_documents(sf, capacity_chars=5000)
-    # re-shard the table into 7 uneven files
-    t = pq.read_table(f"{sf}/documents.parquet")
-    d = tmp_path / "resharded"
-    d.mkdir()
-    cuts = [0, 11, 60, 200, 210, 350, 480, t.num_rows]
-    for i in range(len(cuts) - 1):
-        pq.write_table(t.slice(cuts[i], cuts[i + 1] - cuts[i]),
-                       d / f"documents.parquet" if i == 0 else
-                       d / f"part{i}.parquet")
-    # pack_documents reads f"{sf_dir}/documents.parquet" — write all
-    # shards into one directory under that name instead
-    import shutil
-    shutil.rmtree(d)
-    dd = tmp_path / "documents.parquet"
-    dd.mkdir()
-    for i in range(len(cuts) - 1):
-        pq.write_table(t.slice(cuts[i], cuts[i + 1] - cuts[i]),
-                       dd / f"part{i}.parquet")
-    other = A.pack_documents(str(tmp_path), capacity_chars=5000)
-    assert base.doc_id.tolist() == other.doc_id.tolist()
-    assert base.bin.tolist() == other.bin.tolist()
-
-
 def test_source_quality_gate_tiers_agree(ray_session, monkeypatch):
     """Broadcast tier == hash-semi-join tier, and the kept set is
     exactly the docs of sources with Gopher pass rate >= 1/2."""
@@ -474,25 +405,6 @@ def test_source_quality_gate_tiers_agree(ray_session, monkeypatch):
     kept_sources = set(rate[2 * rate.p >= rate.n].index)
     expect = src[src.source.isin(kept_sources)].sort_values("doc_id")
     assert fast.doc_id.tolist() == expect.doc_id.tolist()
-
-
-def test_source_stats_matches_pandas(ray_session):
-    import biobloom_ray.pipelines.analytics as A
-    import pyarrow.parquet as pq
-
-    sf = "/root/testdata/sf0.001"
-    out = A.source_stats(sf)
-    t = pq.read_table(f"{sf}/documents.parquet",
-                      columns=["source", "lang", "n_chars"]).to_pandas()
-    exp = t.groupby("source").agg(
-        n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum"),
-        n_langs=("lang", "nunique")).reset_index()
-    assert out.source.tolist() == sorted(exp.source.tolist())
-    m = out.merge(exp, on="source", suffixes=("", "_e"))
-    assert (m.n_docs == m.n_docs_e).all()
-    assert (m.sum_chars == m.sum_chars_e).all()
-    assert (m.n_langs == m.n_langs_e).all()
-    assert np.allclose(m.avg_chars_r6, np.round(m.sum_chars / m.n_docs, 6))
 
 
 def test_token_freq_histogram_mass_conservation(ray_session):
@@ -625,24 +537,6 @@ def test_source_mix_sample_caps_sources(ray_session):
     assert set(out.doc_id).issubset(set(docs.doc_id))
 
 
-def test_lang_centroids_matches_local_mean(ray_session):
-    import biobloom_ray.pipelines.analytics as A
-
-    out = A.lang_centroids("/root/testdata/sf0.001")
-    docs = pd.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                           columns=["doc_id", "lang"])
-    emb = pd.read_parquet("/root/testdata/sf0.001/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    m = docs.merge(emb, left_on="doc_id", right_on="vec_id")
-    for lang, grp in m.groupby("lang"):
-        mat = np.stack(grp.embedding.to_numpy()).astype(np.float64)
-        want = mat.mean(axis=0)
-        got = out[out.lang == lang].sort_values("dim")
-        assert (got.n == len(grp)).all()
-        assert np.allclose(got.mean_r6, np.round(want, 6), atol=2e-6)
-    assert len(out) == docs.lang.nunique() * 64
-
-
 def test_epoch_shuffle_head_deterministic_and_seeded(ray_session):
     import biobloom_ray.pipelines.analytics as A
     from biobloom_ray.hashing import splitmix64
@@ -693,15 +587,6 @@ def test_clean_corpus_composition_invariants(ray_session):
     # n_tokens column is the \S+ count
     chk = out.merge(docs[["doc_id", "text"]], on="doc_id")
     assert (chk.n_tokens == chk.text.str.count(r"\S+")).all()
-
-
-def test_lang_centroids_tiers_agree(ray_session, monkeypatch):
-    import biobloom_ray.pipelines.analytics as A
-
-    drv = A.lang_centroids("/root/testdata/sf0.001")
-    monkeypatch.setattr(A, "CENTROID_BROADCAST_MAX_ROWS", 0)
-    clu = A.lang_centroids("/root/testdata/sf0.001")
-    pd.testing.assert_frame_equal(drv, clu)
 
 
 def test_source_overlap_symmetric_brute_force(ray_session):
@@ -862,10 +747,8 @@ def test_source_quality_gate_empty_kept_join_path(ray_session,
 
 
 def test_round4_new_op_tiers_agree(ray_session, monkeypatch):
-    """Round-4 operators: every tier pair returns identical tables —
-    top_bigrams_per_lang (driver count-table vs native Sum + two-level
-    top-k), nchars_rank_in_source (driver combine + broadcast merge vs
-    native groupby + Dataset hash join)."""
+    """top_bigrams_per_lang: the driver count-table tier and the native
+    Sum + two-level top-k tier return identical tables."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
@@ -875,19 +758,13 @@ def test_round4_new_op_tiers_agree(ray_session, monkeypatch):
         return df[cols].sort_values(cols).reset_index(drop=True)
 
     fast_bg = A.top_bigrams_per_lang(sf)
-    fast_rank = A.nchars_rank_in_source(sf)
 
     monkeypatch.setattr(A, "BIGRAM_DRIVER_MAX_ROWS", 0)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    monkeypatch.setattr(A, "RANK_BROADCAST_MAX_ROWS", 0)
 
     slow_bg = A.top_bigrams_per_lang(sf)[list(fast_bg.columns)]
-    slow_rank = A.nchars_rank_in_source(sf)[list(fast_rank.columns)]
 
-    for name, f, s in [("bigrams", fast_bg, slow_bg),
-                       ("rank", fast_rank, slow_rank)]:
-        f, s = canon(f), canon(s)
-        assert len(f) > 0 and f.equals(s), name
+    f, s = canon(fast_bg), canon(slow_bg)
+    assert len(f) > 0 and f.equals(s), "bigrams"
 
 
 def test_round4_wave2_tiers_agree(ray_session, monkeypatch):
@@ -932,52 +809,6 @@ def test_round4_wave3_tiers_agree(ray_session, monkeypatch):
     assert len(fast_d) > 0 and fast_d.equals(slow_d)
 
 
-def test_round4_wave5_tiers_agree(ray_session, monkeypatch):
-    """docs_rollup_cube (driver fold vs native Sum groupby for the fine
-    grain) and nchars_ntile_buckets (driver count-table vs native Sum;
-    plus a forced-ties fixture exercising the straddling-run resolver)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_c = A.docs_rollup_cube(sf)
-    fast_n = A.nchars_ntile_buckets(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-
-    slow_c = A.docs_rollup_cube(sf)[list(fast_c.columns)]
-    slow_n = A.nchars_ntile_buckets(sf)[list(fast_n.columns)]
-    assert len(fast_c) > 0 and fast_c.equals(slow_c)
-    assert len(fast_n) > 0 and fast_n.equals(slow_n)
-
-
-def test_ntile_straddling_runs(ray_session, tmp_path):
-    """All-ties fixture: every doc in a source shares n_chars, so every
-    bucket boundary falls inside one giant run and the distributed
-    resolver must reproduce NTILE's (n_chars, doc_id) total order."""
-    import duckdb
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import biobloom_ray.pipelines.analytics as A
-
-    n = 103  # not divisible by 4: exercises the ceil/floor bucket split
-    t = pa.table({
-        "doc_id": pa.array(list(range(n)), pa.int64()),
-        "source": pa.array(["s0"] * n),
-        "n_chars": pa.array([42] * n, pa.int64())})
-    d = tmp_path / "ntile_fixture"
-    d.mkdir()
-    pq.write_table(t, d / "documents.parquet")
-    got = A.nchars_ntile_buckets(str(d))
-    want = duckdb.sql(
-        f"SELECT doc_id, CAST(NTILE(4) OVER (PARTITION BY source"
-        f" ORDER BY n_chars, doc_id) AS BIGINT) AS bucket"
-        f" FROM read_parquet('{d}/documents.parquet')"
-        f" ORDER BY doc_id").df()
-    assert (got.doc_id.to_numpy() == want.doc_id.to_numpy()).all()
-    assert (got.bucket.to_numpy() == want.bucket.to_numpy()).all()
-
-
 def test_round4_wave6_tiers_agree(ray_session, monkeypatch):
     """region_revenue (broadcast orderkey→region link vs hash joins +
     Bloom-pruned rollup)."""
@@ -994,8 +825,7 @@ def test_round4_wave6_tiers_agree(ray_session, monkeypatch):
 
 def test_round4_wave8_tiers_agree(ray_session):
     """shard_assignment_counts (map-only: all docs assigned exactly
-    once), and the partitioned sink round-trip (pruned partition read
-    == full-table filtered rollup)."""
+    once)."""
     import duckdb
 
     import biobloom_ray.pipelines.analytics as A
@@ -1006,28 +836,6 @@ def test_round4_wave8_tiers_agree(ray_session):
         f"SELECT count(*) FROM '{sf}/documents.parquet'").fetchone()[0]
     assert sh.n_docs.sum() == n_docs  # every doc lands in exactly 1 shard
     assert sh.shard.between(0, 15).all()
-
-    pr = A.partitioned_roundtrip_source_counts(sf)
-    want = duckdb.sql(
-        f"SELECT lang, CAST(COUNT(*) AS BIGINT) AS n FROM"
-        f" '{sf}/documents.parquet' WHERE source = 'src7'"
-        " GROUP BY lang ORDER BY lang").df()
-    assert pr.equals(want)
-
-
-def test_round4_wave10_tiers_agree(ray_session, monkeypatch):
-    """source_lang_entropy (driver count fold vs native Sum
-    groupby)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_e = A.source_lang_entropy(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-
-    slow_e = A.source_lang_entropy(sf)[list(fast_e.columns)]
-
-    assert len(fast_e) > 0 and fast_e.equals(slow_e)
 
 
 def test_round4_wave12_tiers_agree(ray_session, monkeypatch):
@@ -1067,95 +875,34 @@ def test_round4_wave13_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave14_tiers_agree(ray_session, monkeypatch):
-    """doc_length_gini (value-cardinality count table, exact-int
-    numerator), cross_lang_dup_matrix (broadcast lang map vs double
-    hash join), nchars_cume_dist (broadcast CDF attach vs hash join)."""
+    """cross_lang_dup_matrix (broadcast lang map vs double hash
+    join)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
-    fast_g = A.doc_length_gini(sf)
     fast_x = A.cross_lang_dup_matrix(sf)
-    fast_c = A.nchars_cume_dist(sf)
 
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    monkeypatch.setattr(A, "RANK_BROADCAST_MAX_ROWS", 0)
 
-    slow_g = A.doc_length_gini(sf)[list(fast_g.columns)]
     slow_x = A.cross_lang_dup_matrix(sf)[list(fast_x.columns)]
-    slow_c = A.nchars_cume_dist(sf)[list(fast_c.columns)]
 
-    assert len(fast_g) > 0 and fast_g.equals(slow_g)
     assert len(fast_x) > 0 and fast_x.equals(slow_x)
-    assert len(fast_c) > 0 and fast_c.equals(slow_c)
-    # Gini bounds for non-degenerate positive data
-    assert ((fast_g.gini_r6 >= 0) & (fast_g.gini_r6 < 1)).all()
     # matrix is unordered (lo <= hi) and totals the pair count
     assert (fast_x.lang_lo <= fast_x.lang_hi).all()
-    # CDF ranges: max per source is exactly 1.0, all values in (0, 1]
-    assert ((fast_c.cume_r6 > 0) & (fast_c.cume_r6 <= 1)).all()
-    assert (fast_c.groupby("source").cume_r6.max() == 1.0).all()
-
-
-def test_round4_wave15_tiers_agree(ray_session, monkeypatch):
-    """source_lang_chi2 (tiered contingency rollup)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_c = A.source_lang_chi2(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-
-    slow_c = A.source_lang_chi2(sf)[list(fast_c.columns)]
-
-    assert len(fast_c) > 0 and fast_c.equals(slow_c)
-    # chi2 >= 0, dof = (rows-1)(cols-1) > 0 on the fixture
-    assert fast_c.iloc[0].chi2_r6 >= 0 and fast_c.iloc[0].dof > 0
-
-def test_round4_wave18_tiers_agree(ray_session):
-    """diversified_top_docs (block per-source prune is a VALID pruning
-    — checked against the unpruned driver window rule)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_d = A.diversified_top_docs(sf)
-
-    # unpruned reference for the diversified top-k
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["doc_id", "source", "n_chars"])
-    ref = (docs.sort_values(["source", "n_chars", "doc_id"],
-                            ascending=[True, False, True])
-           .groupby("source").head(2)
-           .sort_values(["n_chars", "doc_id"],
-                        ascending=[False, True]).head(10)
-           .reset_index(drop=True)[["doc_id", "source", "n_chars"]])
-    assert fast_d.equals(ref)
-    assert fast_d.groupby("source").size().max() <= 2
 
 
 def test_round4_wave20_tiers_agree(ray_session, monkeypatch):
     """rrf_hybrid_topk (fusion of two existing distributed retrieval
-    stacks; membership/rank invariants), grouped_split_counts
-    (driver fold vs native Sum groupby; no-leakage guarantee holds by
-    construction — each source maps to exactly one split)."""
+    stacks; membership/rank invariants)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
     fast_r = A.rrf_hybrid_topk(sf)
-    fast_s = A.grouped_split_counts(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_s = A.grouped_split_counts(sf)[list(fast_s.columns)]
-    assert len(fast_s) > 0 and fast_s.equals(slow_s)
 
     # fusion invariants: scores within the achievable RRF range
     assert len(fast_r) == 10
     assert (fast_r.rrf_r6 <= np.round(2 / 61, 6)).all()
     assert (fast_r.rrf_r6 >= np.round(1 / 140, 6)).all()
-    # split totals account for every source and document
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["source"])
-    assert fast_s.n_docs.sum() == len(docs)
-    assert fast_s.n_sources.sum() == docs.source.nunique()
 
 def test_round4_wave22_tiers_agree(ray_session):
     """weighted_sample_topk (block top-k prune proven against the
@@ -1177,19 +924,6 @@ def test_round4_wave22_tiers_agree(ray_session):
     assert fast_w.doc_id.tolist() == docs.doc_id.tolist()
 
 
-def test_round4_wave25_tiers_agree(ray_session, monkeypatch):
-    """nchars_robust_outliers (driver fold vs native Sum groupby; the
-    exact-integer modified-z rule decided on the count table)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_o = A.nchars_robust_outliers(sf)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_o = A.nchars_robust_outliers(sf)[list(fast_o.columns)]
-    assert len(fast_o) > 0 and fast_o.equals(slow_o)
-    assert (fast_o.n_outliers <= fast_o.n).all()
-    assert (fast_o.mad >= 0).all()
-
 def test_round4_wave26_tiers_agree(ray_session, monkeypatch):
     """source_dup_report (driver fold vs native Sum groupby over the
     LSH drop flags)."""
@@ -1210,81 +944,22 @@ def test_round4_wave26_tiers_agree(ray_session, monkeypatch):
     kept = E.queries()["minhash_dedup_kept"](sf)
     assert fast_d.n_dropped.sum() == len(docs) - len(kept)
 
-def test_round4_wave28_tiers_agree(ray_session):
-    """table_fingerprint has no gate (XOR partials fold in any order) —
-    pinned by its SQL oracle; here every source gets its own
-    fingerprint."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    # every source's fingerprint is distinct and covers rows
-    fp = A.table_fingerprint(sf)
-    assert (fp.n_rows > 0).all()
-    assert fp.fp60.nunique() == len(fp)
-
-
-def test_table_fingerprint_moves_with_one_row(ray_session, tmp_path):
-    """Changing one row's text moves only its source's fingerprint;
-    dropping one row moves its source's fingerprint and row count."""
-    import shutil
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = str(tmp_path / "sf")
-    shutil.copytree("/root/testdata/sf0.01", sf)
-    docs = f"{sf}/documents.parquet"
-    table = pq.read_table(docs)
-    row, src = 7, table["source"][7].as_py()
-    base = A.table_fingerprint(sf).set_index("source")
-
-    text = table["text"].to_pylist()
-    text[row] += "!"
-    pq.write_table(table.set_column(
-        table.schema.get_field_index("text"), "text",
-        pa.array(text, table.schema.field("text").type)), docs)
-    edited = A.table_fingerprint(sf).set_index("source")
-    assert edited.index.equals(base.index)
-    assert (edited.n_rows == base.n_rows).all()
-    assert list(base.index[edited.fp60 != base.fp60]) == [src]
-
-    pq.write_table(pa.concat_tables([table.slice(0, row),
-                                     table.slice(row + 1)]), docs)
-    dropped = A.table_fingerprint(sf).set_index("source")
-    moved = (dropped.fp60 != base.fp60) | (dropped.n_rows != base.n_rows)
-    assert list(base.index[moved]) == [src]
-    assert dropped.n_rows[src] == base.n_rows[src] - 1
-    assert dropped.fp60[src] != base.fp60[src]
 
 def test_round4_wave29_tiers_agree(ray_session, monkeypatch):
     """term_overlap_topk (driver pandas fold vs banded-vocab semi-join
-    + groupby(token) pair expansion + native Sum + per-group top-1),
-    charclass_stats (driver fold vs native Sum groupby).
-    readability_scores is map-only (no tier)."""
+    + groupby(token) pair expansion + native Sum + per-group top-1)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
     fast_o = A.term_overlap_topk(sf)
-    fast_c = A.charclass_stats(sf)
 
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
     slow_o = A.term_overlap_topk(sf)[list(fast_o.columns)]
-    slow_c = A.charclass_stats(sf)[list(fast_c.columns)]
     assert len(fast_o) > 0 and fast_o.equals(slow_o)
-    assert len(fast_c) > 0 and fast_c.equals(slow_c)
 
     # retrieval scores are positive exact ints; no self-matches
     assert (fast_o["dot"] >= 1).all()
     assert (fast_o.doc_id != fast_o.best_doc).all()
-    # ratios bounded and consistent with the exact counts
-    assert ((fast_c.digit_ratio_r6 >= 0) & (fast_c.ws_ratio_r6 <= 1)).all()
-    assert (fast_c.n_digit + fast_c.n_upper <= fast_c.n_chars).all()
-
-    r = A.readability_scores(sf)
-    assert len(r) > 0 and (r.n_words >= 1).all() \
-        and (r.n_sentences >= 1).all()
 
 
 def test_round4_wave31_tiers_agree(ray_session, monkeypatch):
@@ -1319,18 +994,12 @@ def test_round4_wave31_tiers_agree(ray_session, monkeypatch):
     assert align > 0.999999
     assert 0.0 < pc1.explained_var_r6.iloc[0] <= 1.0
 
-def test_round4_wave33_tiers_agree(ray_session, monkeypatch):
-    """byte_median_doc_size (driver fold vs count-table Sum groupby).
-    hll_weekly_union's grid-merged estimate is pinned against the
+def test_round4_wave33_tiers_agree(ray_session):
+    """hll_weekly_union's grid-merged estimate is pinned against the
     exact distinct users per type within 5 sigma."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
-    fast_m = A.byte_median_doc_size(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_m = A.byte_median_doc_size(sf)[list(fast_m.columns)]
-    assert len(fast_m) > 0 and fast_m.equals(slow_m)
 
     # HLL union-across-weeks vs exact distinct users per type: 5 sigma
     est = A.hll_weekly_union(sf)
@@ -1369,26 +1038,12 @@ def test_round4_wave34_tiers_agree(ray_session, monkeypatch):
     assert len(cont) > 0
     assert (m.containment >= m.jaccard - 1e-12).all()
 
-def test_round4_wave35_tiers_agree(ray_session, monkeypatch):
-    """nchars_histogram_log2 (driver fold vs native Sum groupby; exact
-    integer bucketing).  langid_confusion_matrix composes the scored
-    predictions into the (true, pred) table — diagonal dominance
-    pinned."""
-    import biobloom_ray.pipelines.analytics as A
+def test_round4_wave35_tiers_agree(ray_session):
+    """langid_confusion_matrix composes the scored predictions into the
+    (true, pred) table — diagonal dominance pinned."""
+    import __ray_entry__ as E
 
     sf = "/root/testdata/sf0.01"
-    fast_h = A.nchars_histogram_log2(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_h = A.nchars_histogram_log2(sf)[list(fast_h.columns)]
-    assert len(fast_h) > 0 and fast_h.equals(slow_h)
-
-    # bucket totals account for every positive-length doc
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["n_chars"])
-    assert fast_h.n.sum() == int((docs.n_chars > 0).sum())
-
-    import __ray_entry__ as E
 
     cm = E.queries()["langid_confusion_matrix"](sf)
     diag = cm[cm.lang == cm.lang_pred].n.sum()
@@ -1522,26 +1177,20 @@ def test_round4_wave45_tiers_agree(ray_session, monkeypatch):
 
 
 def test_round4_wave51_tiers_agree(ray_session, monkeypatch):
-    """prefix_dup_groups + token_len_histogram + vocab_growth_by_docs
-    (driver combine vs native rollup / hash-join paths)."""
+    """token_len_histogram + vocab_growth_by_docs (driver combine vs
+    native rollup / hash-join paths)."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
-    fast_pd = A.prefix_dup_groups(sf)
     fast_tl = A.token_len_histogram(sf)
     fast_vg = A.vocab_growth_by_docs(sf)
 
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_pd = A.prefix_dup_groups(sf)[list(fast_pd.columns)]
     slow_tl = A.token_len_histogram(sf)[list(fast_tl.columns)]
     slow_vg = A.vocab_growth_by_docs(sf)[list(fast_vg.columns)]
-    assert len(fast_pd) > 0 and fast_pd.equals(slow_pd)
     assert len(fast_tl) > 0 and fast_tl.equals(slow_tl)
     assert len(fast_vg) > 0 and fast_vg.equals(slow_vg)
 
-    # every prefix group has >= 2 members and the winner is a member
-    assert (fast_pd.group_size >= 2).all()
-    assert fast_pd.winner_doc.isin(fast_pd.doc_id).all()
     # token length counts cover every token exactly once
     docs = pd.read_parquet(f"{sf}/documents.parquet",
                            columns=["text"])
@@ -1555,53 +1204,17 @@ def test_round4_wave51_tiers_agree(ray_session, monkeypatch):
     assert (fast_vg.n_cum == fast_vg.n_new.cumsum()).all()
 
 
-def test_round4_wave55_tiers_agree(ray_session, monkeypatch):
-    """doc_compression_ratio: tier parity plus a BIT-EXACT direct
-    zlib recomputation (no SQL twin can exist; this is the oracle)."""
-    import zlib
-
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.doc_compression_ratio(sf)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow = A.doc_compression_ratio(sf)[list(fast.columns)]
-    assert len(fast) > 0 and fast.equals(slow)
-
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["lang", "text"])
-    raw = docs.text.map(lambda t: len(t.encode("utf-8")))
-    comp = docs.text.map(lambda t: len(zlib.compress(
-        t.encode("utf-8"), 6)))
-    ratio = comp / raw
-    bucket = np.where(ratio < 0.3, 0,
-                      np.where(ratio <= 0.6, 1, 2))
-    ref = (pd.DataFrame({"lang": docs.lang, "bucket": bucket,
-                         "raw": raw, "comp": comp})
-           .groupby(["lang", "bucket"], as_index=False)
-           .agg(n=("raw", "size"), raw_bytes=("raw", "sum"),
-                comp_bytes=("comp", "sum")))
-    m = fast.merge(ref, on=["lang", "bucket"])
-    assert len(m) == len(fast) == len(ref)
-    assert (m.n_x == m.n_y).all()
-    assert (m.raw_bytes_x == m.raw_bytes_y).all()
-    assert (m.comp_bytes_x == m.comp_bytes_y).all()
-
-
 def test_round4_wave57_tiers_agree(ray_session, monkeypatch):
-    """incremental_dedup_report + lang_temperature_mix: driver tiers vs
-    native rollup cluster tiers, plus per-operator invariants."""
+    """incremental_dedup_report: driver tier vs native rollup cluster
+    tier, plus the report's invariants."""
     import biobloom_ray.pipelines.analytics as A
 
     sf = "/root/testdata/sf0.01"
     fast_in = A.incremental_dedup_report(sf)
-    fast_tm = A.lang_temperature_mix(sf)
 
     monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
     slow_in = A.incremental_dedup_report(sf)[list(fast_in.columns)]
-    slow_tm = A.lang_temperature_mix(sf)[list(fast_tm.columns)]
     assert len(fast_in) > 0 and fast_in.equals(slow_in)
-    assert len(fast_tm) > 0 and fast_tm.equals(slow_tm)
 
     # incremental report: day-2 classes partition the odd-id docs and
     # the fixture exercises all three classes
@@ -1617,16 +1230,6 @@ def test_round4_wave57_tiers_agree(ray_session, monkeypatch):
     even_pref = set(docs.text[docs.doc_id % 2 == 0].str[:64])
     assert (fast_in.n_dup_day1.sum()
             == odd.text.str[:64].isin(even_pref).sum())
-
-    # temperature mix: weights sum to 1, alpha<1 boosts small langs
-    # above natural share and shrinks the largest
-    assert abs(fast_tm.weight_r6.sum() - 1.0) < 1e-4
-    big = fast_tm.loc[fast_tm.n_docs.idxmax()]
-    small = fast_tm.loc[fast_tm.n_docs.idxmin()]
-    assert big.boost_r6 < 1.0 < small.boost_r6
-    # alpha=1 is the natural distribution (boost == 1 everywhere)
-    nat = A.lang_temperature_mix(sf, alpha=1.0)
-    assert (nat.boost_r6 == 1.0).all()
 
 
 def test_round4_wave59_tiers_agree(ray_session, monkeypatch):
@@ -1738,80 +1341,6 @@ def test_round4_wave61_tiers_agree(ray_session, monkeypatch):
     assert (g.cluster_size == w.cluster_size).all()
 
 
-def test_round4_wave62_tiers_agree(ray_session, monkeypatch):
-    """sample_budget_allocation: tier parity + apportionment
-    invariants."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_al = A.sample_budget_allocation(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_al = A.sample_budget_allocation(sf)[list(fast_al.columns)]
-    assert len(fast_al) > 0 and fast_al.equals(slow_al)
-
-    # apportionment: seats sum exactly to the budget; every alloc is
-    # the floor quota or one more; quota monotone in n_docs
-    assert fast_al.alloc.sum() == 997
-    assert ((fast_al.alloc - fast_al.floor_quota).isin([0, 1])).all()
-    assert (fast_al.alloc > 0).all()
-    # the 997 budget on the balanced fixture forces a real remainder
-    # split (some sources get the extra seat, some do not)
-    assert fast_al.alloc.nunique() >= 2
-
-
-def test_round4_wave63_tiers_agree(ray_session):
-    """embedding_quantization_report numpy twin (1e-9)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    rep = A.embedding_quantization_report(sf)
-
-    # quantization: numpy recomputation of the exact same scheme
-    emb = pd.read_parquet(f"{sf}/embeddings.parquet")
-    m = np.stack(emb.embedding.to_numpy()).astype(np.float64)
-    lo = np.stack(emb.embedding.to_numpy()).min(axis=0).astype(
-        np.float64)
-    hi = np.stack(emb.embedding.to_numpy()).max(axis=0).astype(
-        np.float64)
-    scale = np.where(hi > lo, (hi - lo) / 255.0, 1.0)
-    q = np.clip(np.round((m - lo) / scale), 0, 255)
-    err = q * scale + lo - m
-    rmse = float(np.sqrt((err * err).sum() / err.size))
-    assert rep.n_vecs.iloc[0] == len(emb)
-    assert rep.dim.iloc[0] == m.shape[1]
-    assert abs(rep.rmse_r6.iloc[0] - round(rmse, 6)) <= 1e-6
-    assert abs(rep.max_abs_err_r6.iloc[0]
-               - round(float(np.abs(err).max()), 6)) <= 1e-6
-
-
-def test_round4_wave64_tiers_agree(ray_session, monkeypatch):
-    """quality_gate_sweep: tier parity, monotonicity in the threshold,
-    and a direct pandas recomputation at one threshold."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.quality_gate_sweep(sf)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow = A.quality_gate_sweep(sf)[list(fast.columns)]
-    assert len(fast) == 25 and fast.equals(slow)
-
-    # keep counts weakly decrease as the gate tightens
-    for _, g in fast.groupby("lang"):
-        ks = g.sort_values("thr").n_kept.to_numpy()
-        assert (np.diff(ks) <= 0).all()
-
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["lang", "text"])
-    nc = docs.text.str.len().astype(np.int64)
-    na = docs.text.str.count(r"[A-Za-z]").astype(np.int64)
-    kept70 = (pd.DataFrame({"lang": docs.lang,
-                            "k": (100 * na >= 70 * nc).astype(int)})
-              .groupby("lang").k.sum())
-    got70 = fast[fast.thr == 70].set_index("lang").n_kept
-    assert (got70 == kept70).all()
-
-
 def test_round4_wave65_reports(ray_session):
     """neardup_calibration_report consistency with its two source
     pipelines; hll_error_sweep within 3x the published bound at every
@@ -1913,29 +1442,3 @@ def test_round4_wave68_kmeans_quality(ray_session):
                             st=("t", "sum"))
     want = ((g.so - g.st) / FP / g.n).round(6)
     assert (rep.set_index("cluster").silhouette_r6 == want).all()
-
-
-def test_round4_wave69_tiers_agree(ray_session, monkeypatch):
-    """label_centroid_affinity: tier parity + symmetry-free pair set
-    + numpy recomputation."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast = A.label_centroid_affinity(sf)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow = A.label_centroid_affinity(sf)[list(fast.columns)]
-    assert len(fast) == 45 and fast.equals(slow)
-    assert (fast.label_a < fast.label_b).all()
-    assert fast.cos_r6.between(-1, 1).all()
-
-    emb = pd.read_parquet(f"{sf}/embeddings.parquet")
-    M = np.stack(emb.embedding.to_numpy()).astype(np.float64)
-    lab = emb.label.to_numpy()
-    cents = np.stack([M[lab == l].mean(axis=0)
-                      for l in sorted(set(lab))])
-    nrm = np.sqrt((cents * cents).sum(axis=1))
-    got = fast.set_index(["label_a", "label_b"]).cos_r6
-    for i in range(10):
-        for j in range(i + 1, 10):
-            want = (cents[i] * cents[j]).sum() / (nrm[i] * nrm[j])
-            assert abs(got[(i, j)] - round(want, 6)) <= 2e-6

@@ -9,6 +9,8 @@
   inside Arrow; its shuffle carries no text.
 - The runner queries work in private temp directories, so two concurrent
   invocations return the same rows as a serial one.
+- ``categorize_summary`` on a 0-row corpus builds no filter and fails
+  loudly in the bank check instead of summarizing nothing.
 """
 
 import io
@@ -43,6 +45,23 @@ def test_contamination_topk_zero_hits_both_tiers(ray_session, monkeypatch):
         assert len(out) == 0
         assert list(out.columns) == ["tg", "n_docs", "n_occ"]
         assert out.n_docs.dtype == np.int64 and out.n_occ.dtype == np.int64
+
+
+def test_categorize_summary_zero_rows_raises(ray_session, tmp_path):
+    """A 0-row ``documents`` gives the flagship bank no filter, and the
+    bank check says so.  ``tmp_path`` is fresh because the registry
+    caches each bank by ``sf_dir``."""
+    import __ray_entry__ as E
+
+    pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                  "lang": pd.Series([], dtype=str),
+                  "source": pd.Series([], dtype=str),
+                  "text": pd.Series([], dtype=str),
+                  "n_chars": pd.Series([], dtype=np.int64)}
+                 ).to_parquet(tmp_path / "documents.parquet")
+    with pytest.raises(ValueError,
+                       match="a filter bank needs at least one filter"):
+        E.queries()["categorize_summary"](str(tmp_path))
 
 
 def _write_corpus(d: str) -> None:
