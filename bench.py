@@ -138,6 +138,25 @@ def _force_cluster_tiers():
     ANN.KMEANS_DRIVER_MAX_ROWS = 0
 
 
+def _force_cluster_gates() -> list[tuple[str, str]]:
+    """The (module, gate) pairs :func:`_force_cluster_tiers` zeroes, read
+    from its source without calling it."""
+    import ast
+    import inspect
+
+    fn = ast.parse(inspect.getsource(_force_cluster_tiers)).body[0]
+    alias = {a.asname: a.name for node in fn.body
+             if isinstance(node, ast.Import) for a in node.names}
+    pairs = []
+    for node in fn.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        (t,) = node.targets
+        assert isinstance(node.value, ast.Constant) and node.value.value == 0
+        pairs.append((alias[t.value.id], t.attr))
+    return pairs
+
+
 #: bench query order (module-level so the contract test can check
 #: it stays a subset of the registry)
 QUERIES = ["exact_dedup", "distinct_text_per_lang", "token_counts",

@@ -38,9 +38,19 @@ _ONE = U64(1)
 _SIX = U64(6)
 _M63 = U64(63)
 #: probe/insert chunk: keeps per-probe temporaries (~6 arrays × 8 B) inside
-#: the per-core cache instead of streaming them through DRAM — the limiting
-#: resource when ~32 workers run this kernel concurrently on one node
+#: the per-core cache instead of streaming them through DRAM, which every
+#: worker of a node shares when each runs this kernel at once
 _CHUNK = 1 << 15
+#: bit writes per filter bit (n · hash_num / m) from which ``insert`` sets
+#: its positions in an m-byte scratch and packs it, instead of
+#: ``np.bitwise_or.at`` on the words: the byte path costs O(m) to pack, so
+#: below this load a small batch into a big filter stays on ``or.at``
+#: (BASELINE.md "Build insert kernel" has the crossover)
+_BYTE_SCATTER_MIN_LOAD = 1 / 32
+#: largest filter (bits) the byte path takes: its scratch is one byte per
+#: bit, so this bounds it at 64 MiB per insert; a bigger filter stays on
+#: ``or.at``, whose working set is one chunk of positions
+_BYTE_SCATTER_MAX_BITS = 1 << 26
 
 
 def calc_optimal_size(entries: int, fpr: float, hash_num: int) -> int:
@@ -122,9 +132,29 @@ class BloomFilter:
                    filter_id=filter_id)
 
     # -- core ops --------------------------------------------------------------
-    def _positions(self, h1: np.ndarray, h2: np.ndarray, i: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return (h1 + U64(i) * h2) % U64(self.m)
+    def _positions(self, h1: np.ndarray, h2: np.ndarray):
+        """Yield every bit position of a batch: ``(h1 + i·h2) mod m``
+        (the sum wraps mod 2**64, so it is kept as a running sum of h2)
+        as one uint64 array per ``_CHUNK`` entries and hash i.  The
+        array is a reused buffer that the caller may overwrite: the next
+        one is computed from the running sum."""
+        n = len(h1)
+        mm = U64(self.m)
+        sum_buf = np.empty(min(n, _CHUNK), dtype=U64)
+        idx_buf = np.empty(min(n, _CHUNK), dtype=U64)
+        for lo in range(0, n, _CHUNK):
+            ch1 = h1[lo:lo + _CHUNK]
+            ch2 = h2[lo:lo + _CHUNK]
+            acc, ix = sum_buf[:len(ch1)], idx_buf[:len(ch1)]
+            np.copyto(acc, ch1)
+            for i in range(self.hash_num):
+                if i:
+                    np.add(acc, ch2, out=acc)
+                # acc mod m as acc - (acc // m)·m (see _probe_slices)
+                np.floor_divide(acc, mm, out=ix)
+                np.multiply(ix, mm, out=ix)
+                np.subtract(acc, ix, out=ix)
+                yield ix
 
     def insert(self, h1: np.ndarray, h2: np.ndarray) -> tuple[int, int]:
         """Insert a batch; returns (distinct, redundant) counts.
@@ -139,43 +169,69 @@ class BloomFilter:
         in the same batch is still counted distinct here; at default FPRs
         this is vanishingly rare and only affects the reported counters,
         never the bit array.
+
+        Counters: an h1 is judged by the h2 of its first occurrence.  Into
+        an empty filter (no inserts and no bit set — ``intersect`` and
+        ``deserialize`` can give ``n_inserted == 0`` with bits set) no
+        entry is present, so distinct is the number of distinct h1s, read
+        off one sort; otherwise the first occurrences are probed with
+        :meth:`contains`.
+
+        Bits: from ``_BYTE_SCATTER_MIN_LOAD`` bit writes per filter bit,
+        into a filter of at most ``_BYTE_SCATTER_MAX_BITS`` bits, the
+        positions are set in an m-byte scratch that is packed and ORed
+        into the words; otherwise they are ORed into the words with
+        ``np.bitwise_or.at``, and no m-sized scratch is made.  Both give
+        the same words.
         """
         n = len(h1)
         if n == 0:
             return (0, 0)
-        # distinct h1s and their first index, as np.unique(h1,
-        # return_index=True) but with no stable sort: a run's least index
-        order = np.argsort(h1)
-        srt = h1[order]
-        starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-        first_idx = np.minimum.reduceat(order, starts)
-        pre = self.contains(srt[starts], h2[first_idx])
-        distinct = int((~pre).sum())
+        if self.n_inserted == 0 and not self.words.any():
+            srt = np.sort(h1)
+            distinct = 1 + int(np.count_nonzero(srt[1:] != srt[:-1]))
+        else:
+            # distinct h1s and their first index, as np.unique(h1,
+            # return_index=True) but with no stable sort: a run's least
+            # index
+            order = np.argsort(h1)
+            srt = h1[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], srt[1:] != srt[:-1])))
+            first_idx = np.minimum.reduceat(order, starts)
+            pre = self.contains(srt[starts], h2[first_idx])
+            distinct = int((~pre).sum())
         redundant = n - distinct
-        mm = U64(self.m)
-        idx_buf = np.empty(min(n, _CHUNK), dtype=U64)
-        bit_buf = np.empty(min(n, _CHUNK), dtype=U64)
-        with np.errstate(over="ignore"):
-            for lo in range(0, n, _CHUNK):
-                ch1 = h1[lo:lo + _CHUNK]
-                ch2 = h2[lo:lo + _CHUNK]
-                k = len(ch1)
-                ix, bits = idx_buf[:k], bit_buf[:k]
-                for i in range(self.hash_num):
-                    np.multiply(ch2, U64(i), out=ix)
-                    np.add(ix, ch1, out=ix)
-                    # ix mod m as ix - (ix // m)·m (see _probe_slices)
-                    np.floor_divide(ix, mm, out=bits)
-                    np.multiply(bits, mm, out=bits)
-                    np.subtract(ix, bits, out=ix)
-                    np.bitwise_and(ix, _M63, out=bits)
-                    np.left_shift(_ONE, bits, out=bits)
-                    np.right_shift(ix, _SIX, out=ix)
-                    np.bitwise_or.at(self.words, ix, bits)
+        if (n * self.hash_num >= _BYTE_SCATTER_MIN_LOAD * self.m
+                and self.m <= _BYTE_SCATTER_MAX_BITS):
+            self._scatter_bytes(h1, h2)
+        else:
+            self._scatter_words(h1, h2)
         self.n_inserted += n
         self.n_distinct += distinct
         self.n_redundant += redundant
         return distinct, redundant
+
+    def _scatter_bytes(self, h1: np.ndarray, h2: np.ndarray) -> None:
+        """Set the batch's positions to 1 in an m-byte scratch, pack it
+        (little bit order: position p is bit p % 64 of word p // 64) and
+        OR it into the words."""
+        scratch = np.zeros(self.m, dtype=np.uint8)
+        for ix in self._positions(h1, h2):
+            scratch[ix.view(np.int64)] = 1  # positions < m < 2**63
+        packed = np.packbits(scratch, bitorder="little")
+        np.bitwise_or(self.words, packed.view("<u8"), out=self.words)
+
+    def _scatter_words(self, h1: np.ndarray, h2: np.ndarray) -> None:
+        """OR the batch's positions into the words with
+        ``np.bitwise_or.at``."""
+        bit_buf = np.empty(min(len(h1), _CHUNK), dtype=U64)
+        for ix in self._positions(h1, h2):
+            bits = bit_buf[:len(ix)]
+            np.bitwise_and(ix, _M63, out=bits)
+            np.left_shift(_ONE, bits, out=bits)
+            np.right_shift(ix, _SIX, out=ix)
+            np.bitwise_or.at(self.words, ix, bits)
 
     def contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Vectorized membership: AND over h bit probes, with a shrinking

@@ -85,7 +85,12 @@ class PartialBloomBuilder:
     (block, filter_id).  Stateless w.r.t. other blocks — safe for task
     parallelism; sizes come from the pre-computed ``sizes`` dict so every
     partial is merge-compatible (same m, h, k, seed —
-    ``BloomFilterGenerator.h:83-99``)."""
+    ``BloomFilterGenerator.h:83-99``).
+
+    The batch's rows are stable-sorted by label before they are hashed,
+    so each label's frames are one slice of ``h1``/``h2``, in the order
+    the unsorted batch gives them; a label missing from ``sizes`` gets no
+    partial."""
 
     def __init__(self, sizes: dict, cfg: BuildConfig, text_col: str,
                  label_col: str | None, normalize: bool = True,
@@ -101,6 +106,10 @@ class PartialBloomBuilder:
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         texts = batch[self.text_col]
+        if self.label_col is not None:
+            labels = _labels(batch, self.label_col)
+            order = np.argsort(labels, kind="stable")
+            texts, labels = texts.take(order), labels[order]
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
         if self.normalize:
@@ -109,10 +118,13 @@ class PartialBloomBuilder:
         if self.label_col is None:
             groups = {"__all__": slice(None)}
         else:
-            labels = _labels(batch, self.label_col)
-            row_of = np.repeat(np.arange(len(nf)), nf)
-            groups = {str(fid): (labels == fid)[row_of]
-                      for fid in np.unique(labels)}
+            # each label's rows are one run of the sorted batch; its
+            # frames run from the first row's offset to the next run's
+            fids, row_lo = np.unique(labels, return_index=True)
+            frame_off = np.concatenate(([0], np.cumsum(nf)))
+            bounds = frame_off[np.append(row_lo, len(labels))]
+            groups = {str(fid): slice(lo, hi) for fid, lo, hi
+                      in zip(fids, bounds[:-1], bounds[1:])}
         out_ids, out_blobs, out_hll = [], [], []
         for fid, sel in groups.items():
             if fid not in self.sizes:

@@ -66,25 +66,8 @@ def main():
     import __ray_entry__ as E
 
     bench._force_cluster_tiers()
-    # record exactly which module constants were zeroed
-    gates = []
-    import biobloom_ray.pipelines.analytics as A
-    import biobloom_ray.pipelines.mibf as M
-    import biobloom_ray.pipelines.progressive as P
-    import biobloom_ray.pipelines.resumable as RS
-    import biobloom_ray.sketches.fold as F
-    import biobloom_ray.stages.ann as ANN
-    import biobloom_ray.stages.dedup as D
-    import biobloom_ray.stages.pairs as PR
-    for mod in (A, M, P, RS, F, ANN, D, PR):
-        for name in dir(mod):
-            if (name.isupper() and ("MAX_ROWS" in name or "MAX_M" in name
-                                    or "MAX_SLOTS" in name
-                                    or "MAX_KEYS" in name
-                                    or "MAX_BYTES" in name
-                                    or name == "BROADCAST_LIMIT")
-                    and getattr(mod, name) == 0):
-                gates.append(f"{mod.__name__.split('.')[-1]}.{name}")
+    gates = [f"{mod.split('.')[-1]}.{gate}"
+             for mod, gate in bench._force_cluster_gates()]
 
     con = duckdb.connect()
     for t in TABLES:

@@ -13,8 +13,6 @@ from biobloom_ray.pages import generate_pages, generate_ref_corpora
 from biobloom_ray.pipelines import build_filters, categorize
 from biobloom_ray.stages.categorize import summary_table
 
-GOLDEN = None  # frozen below after first computation
-
 
 def _compute(ray_session=None):
     ref = ray.data.from_arrow(generate_ref_corpora(docs_per_lang=100))

@@ -14,13 +14,6 @@ from biobloom_ray.hashing import (
 MASK = (1 << 64) - 1
 
 
-def brute_poly_hash(s: bytes) -> int:
-    h = 0
-    for b in s:
-        h = (h * BASE_A + b) & MASK
-    return h
-
-
 def test_mod_inverse():
     assert (BASE_A * BASE_A_INV) & MASK == 1
 

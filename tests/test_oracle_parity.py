@@ -139,7 +139,9 @@ def test_one_row_tables_slots_8_50(entrymod, tmp_path, monkeypatch,
     import pyarrow.parquet as pq
 
     if forced:
-        for mod, gate in _force_cluster_gates():
+        import bench
+
+        for mod, gate in bench._force_cluster_gates():
             monkeypatch.setattr(importlib.import_module(mod), gate, 0)
     for t in TABLES:
         pq.write_table(
@@ -207,27 +209,6 @@ def _module_gates(path) -> set[str]:
             if isinstance(t, ast.Name) and gate.match(t.id)}
 
 
-def _force_cluster_gates() -> list[tuple[str, str]]:
-    """The (module, gate) pairs ``bench._force_cluster_tiers`` zeroes,
-    read from its source without calling it."""
-    import ast
-    import inspect
-
-    import bench
-
-    fn = ast.parse(inspect.getsource(bench._force_cluster_tiers)).body[0]
-    alias = {a.asname: a.name for node in fn.body
-             if isinstance(node, ast.Import) for a in node.names}
-    pairs = []
-    for node in fn.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        (t,) = node.targets
-        assert isinstance(node.value, ast.Constant) and node.value.value == 0
-        pairs.append((alias[t.value.id], t.attr))
-    return pairs
-
-
 def _zeroing_setattrs(path) -> set[tuple[str, str]]:
     """The (module, gate) pairs that ``monkeypatch.setattr(M, "GATE",
     0)`` calls in one test file set to 0, with ``M`` resolved through
@@ -282,7 +263,7 @@ def test_force_cluster_gate_list():
         if path.name != pathlib.Path(__file__).name:
             patched |= _zeroing_setattrs(path)
     zeroed, unread, untested = set(), [], []
-    for mod, gate in _force_cluster_gates():
+    for mod, gate in bench._force_cluster_gates():
         path = root.joinpath(*mod.split(".")).with_suffix(".py")
         assert gate in _module_gates(path), f"{mod}.{gate}"
         zeroed.add(f"{mod}.{gate}")
@@ -431,13 +412,26 @@ def _names_used(node):
     return used
 
 
+def _collected_by_pytest(node) -> bool:
+    """A ``tests/`` definition pytest finds by its name or decorator: a
+    ``test_*`` function, a ``Test*`` class, a fixture or a ``pytest_*``
+    hook."""
+    import ast
+
+    if isinstance(node, ast.ClassDef):
+        return node.name.startswith("Test")
+    return (node.name.startswith(("test_", "pytest_"))
+            or any(_names_used(d)["fixture"] for d in node.decorator_list))
+
+
 def test_no_dead_definitions_or_imports():
     """Every module-level function, class and constant of
-    ``biobloom_ray`` and ``__ray_entry__.py`` is named somewhere outside
-    its own definition in the checkout's ``.py`` files, and every
-    module-level import of ``biobloom_ray`` is used in its module
-    (``from __future__`` and a side-effect import marked ``# noqa:
-    F401`` are exempt)."""
+    ``biobloom_ray``, ``__ray_entry__.py`` and ``tests/`` (bar what
+    pytest collects itself) is named somewhere outside its own
+    definition in the checkout's ``.py`` files, and every module-level
+    import of ``biobloom_ray`` is used in its module (``from
+    __future__`` and a side-effect import marked ``# noqa: F401`` are
+    exempt)."""
     import ast
     import collections
     import pathlib
@@ -451,13 +445,16 @@ def test_no_dead_definitions_or_imports():
         used.update(_names_used(tree))
     ours = [p for p in trees
             if p == root / "__ray_entry__.py"
-            or p.is_relative_to(root / "biobloom_ray")]
+            or p.is_relative_to(root / "biobloom_ray")
+            or p.is_relative_to(root / "tests")]
     dead, unused = [], []
     for path in ours:
         rel = path.relative_to(root)
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
+                if rel.parts[0] == "tests" and _collected_by_pytest(node):
+                    continue
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = getattr(node, "targets", None) or [node.target]

@@ -13,7 +13,6 @@
   loudly in the bank check instead of summarizing nothing.
 """
 
-import io
 import os
 import subprocess
 import sys
@@ -90,7 +89,8 @@ ray.init(address=sys.argv[1], logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 import biobloom_ray.pipelines.analytics as A
-print(getattr(A, sys.argv[2])(sys.argv[3]).to_json(orient="split"))
+with open(sys.argv[4], "w") as f:
+    f.write(getattr(A, sys.argv[2])(sys.argv[3]).to_json(orient="split"))
 """
 
 
@@ -105,21 +105,21 @@ def test_runner_queries_concurrent_invocations_agree(ray_session):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=root)
     address = ray.get_runtime_context().gcs_address
-    with tempfile.TemporaryDirectory() as td:
+    with tempfile.TemporaryDirectory() as td, \
+            tempfile.TemporaryDirectory() as od:
         _write_corpus(td)
         for name in ("curation_run_summary", "curation_partition_metrics"):
             serial = getattr(A, name)(td)
             assert len(serial) > 0
+            # each result goes to a file: Ray prints cluster-wide
+            # warnings to every connected driver's stdout
+            outs = [os.path.join(od, f"{name}_{i}.json") for i in range(2)]
             procs = [subprocess.Popen(
-                [sys.executable, "-c", _QUERY_SCRIPT, address, name, td],
-                cwd=root, env=env, stdout=subprocess.PIPE, text=True)
-                for _ in range(2)]
-            for p in procs:
-                out, _ = p.communicate(timeout=600)
-                assert p.returncode == 0
-                got = pd.read_json(
-                    io.StringIO(out.strip().splitlines()[-1]),
-                    orient="split")
+                [sys.executable, "-c", _QUERY_SCRIPT, address, name, td,
+                 out], cwd=root, env=env) for out in outs]
+            for p, out in zip(procs, outs):
+                assert p.wait(timeout=600) == 0
+                got = pd.read_json(out, orient="split")
                 assert got.equals(serial), (name, got, serial)
 
 

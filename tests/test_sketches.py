@@ -17,11 +17,6 @@ from biobloom_ray.sketches import (
 )
 
 
-def _hashes(words):
-    h1, h2, _ = shingle_hashes(words, 1)  # not used; keep simple
-    return h1, h2
-
-
 def _word_hashes(words):
     # one (h1, h2) pair per whole word
     from biobloom_ray.hashing import DEFAULT_SEED, splitmix64, U64
@@ -133,7 +128,9 @@ def _reference_insert(bf, h1, h2):
 
 
 class TestBloomInsertMatchesReference:
-    """Words and all three counters equal the reference insert's."""
+    """Words and all three counters equal the reference insert's, on both
+    scatter paths: every check runs once with the byte-per-bit scratch
+    and once with ``np.bitwise_or.at``."""
 
     @staticmethod
     def _pairs(n, seed):
@@ -141,14 +138,24 @@ class TestBloomInsertMatchesReference:
         return (rng.integers(0, 2 ** 64, n, dtype=np.uint64),
                 rng.integers(0, 2 ** 64, n, dtype=np.uint64))
 
-    def _check(self, batches, m=4096, hash_num=5):
-        got = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
-        want = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
-        for h1, h2 in batches:
-            assert got.insert(h1, h2) == _reference_insert(want, h1, h2)
-        assert np.array_equal(got.words, want.words)
-        assert (got.n_inserted, got.n_distinct, got.n_redundant) == \
-            (want.n_inserted, want.n_distinct, want.n_redundant)
+    def _check(self, batches, m=4096, hash_num=5, start=None):
+        import dataclasses
+
+        import biobloom_ray.sketches.bloom as bloom
+
+        if start is None:
+            start = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
+        for load in (0.0, float("inf")):  # the byte path, the or.at path
+            got = dataclasses.replace(start, words=start.words.copy())
+            want = dataclasses.replace(start, words=start.words.copy())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bloom, "_BYTE_SCATTER_MIN_LOAD", load)
+                for h1, h2 in batches:
+                    assert got.insert(h1, h2) == \
+                        _reference_insert(want, h1, h2)
+            assert np.array_equal(got.words, want.words)
+            assert (got.n_inserted, got.n_distinct, got.n_redundant) == \
+                (want.n_inserted, want.n_distinct, want.n_redundant)
         return got
 
     def test_empty(self):
@@ -183,6 +190,94 @@ class TestBloomInsertMatchesReference:
 
     def test_m_not_a_power_of_two(self):
         self._check([self._pairs(20000, 6)], m=19_300_032, hash_num=7)
+
+    def _half_present(self, m=1 << 15, hash_num=5):
+        """A filter holding ``a``, and a batch of half ``a``, half new."""
+        a, b = self._pairs(3000, 7), self._pairs(3000, 8)
+        bf = BloomFilter(m=m, hash_num=hash_num, kmer_size=8)
+        bf.insert(*a)
+        mixed = (np.concatenate([a[0][:1500], b[0]]),
+                 np.concatenate([a[1][:1500], b[1]]))
+        return bf, mixed
+
+    def test_insert_into_intersect_result(self):
+        """``intersect`` gives bits with ``n_inserted == 0``: the counters
+        still probe them instead of counting every h1 distinct."""
+        bf, mixed = self._half_present()
+        both = bf.intersect(bf)
+        assert both.n_inserted == 0 and both.words.any()
+        assert self._check([mixed], start=both).n_redundant >= 1500
+
+    def test_insert_into_deserialized_filter_with_no_inserts(self):
+        bf, mixed = self._half_present()
+        bf.n_inserted = 0
+        clone = BloomFilter.deserialize(bf.serialize())
+        assert clone.n_inserted == 0 and clone.words.any()
+        assert self._check([mixed], start=clone).n_redundant >= 1500
+
+    def test_default_constants_pick_the_path(self, monkeypatch):
+        """At the default constants, a small batch into a big filter ORs
+        its words and makes no m-byte scratch; a batch of m/16 bit writes
+        takes the byte path, unless the filter is above the scratch
+        cap."""
+        import biobloom_ray.sketches.bloom as bloom
+
+        calls = []
+        monkeypatch.setattr(BloomFilter, "_scatter_bytes",
+                            lambda self, h1, h2: calls.append("bytes"))
+        monkeypatch.setattr(BloomFilter, "_scatter_words",
+                            lambda self, h1, h2: calls.append("words"))
+        hash_num, big = 8, bloom._BYTE_SCATTER_MAX_BITS + 64
+        for m, n in ((1 << 22, 1000), (1 << 22, (1 << 22) // 16 // hash_num),
+                     (big, big // 16 // hash_num)):
+            BloomFilter(m=m, hash_num=hash_num, kmer_size=8).insert(
+                *self._pairs(n, 9))
+        assert calls == ["words", "bytes", "words"]
+
+
+def test_partial_builder_matches_per_label_masks():
+    """``PartialBloomBuilder`` sorts rows by label to slice each label's
+    frames; its partials equal a per-label frame-mask build of the
+    unsorted batch (words, the three counters, HLL registers), in label
+    order, and a label missing from ``sizes`` gets no partial."""
+    import pyarrow as pa
+
+    from biobloom_ray.config import BuildConfig
+    from biobloom_ray.stages.build import PartialBloomBuilder
+    from biobloom_ray.textnorm import normalize_batch
+
+    rng = np.random.default_rng(11)
+    labels = np.array(["fr", "de", "zz", "en"])[rng.integers(0, 4, 300)]
+    words = np.array([f"w{i:03d}" for i in range(60)])
+    texts = [" ".join(words[rng.integers(0, 60, rng.integers(0, 30))])
+             for _ in labels]
+    texts[5] = texts[9] = texts[40]  # duplicate frames across rows
+    batch = pa.table({"text": texts, "lang": labels})
+    cfg = BuildConfig(kmer_size=6)
+    sizes = {"de": (1 << 16, 5), "en": (1 << 15, 6), "fr": (20_032, 4)}
+    got = PartialBloomBuilder(sizes, cfg, "text", "lang")(batch)
+
+    h1, h2, nf = shingle_hashes(
+        normalize_batch(pa.array(texts)), cfg.kmer_size, cfg.seed)
+    frame_label = np.repeat(labels, nf)
+    assert got["filter_id"].to_pylist() == sorted(sizes)
+    for fid, blob, regs in zip(got["filter_id"].to_pylist(),
+                               got["blob"].to_pylist(),
+                               got["hll"].to_pylist()):
+        sel = frame_label == fid
+        m, hash_num = sizes[fid]
+        want = BloomFilter(m=m, hash_num=hash_num, kmer_size=cfg.kmer_size,
+                           seed=cfg.seed)
+        _reference_insert(want, h1[sel], h2[sel])
+        hll = HLL(p=14)
+        hll.update(h1[sel])
+        bf = BloomFilter.deserialize(blob)
+        assert np.array_equal(bf.words, want.words)
+        assert (bf.n_inserted, bf.n_distinct, bf.n_redundant) == \
+            (want.n_inserted, want.n_distinct, want.n_redundant)
+        assert bf.n_redundant > 0
+        assert np.array_equal(HLL.deserialize(regs).registers,
+                              hll.registers)
 
 
 class TestHLL:
