@@ -192,117 +192,6 @@ def _embedding_neardup(sf_dir: str):
     return embedding_neardup_pairs(planted, threshold=0.9, n_bits=8)
 
 
-def _query_vec(sf_dir: str):
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    import numpy as np
-
-    ids = t["vec_id"].to_numpy()
-    i = int(np.nonzero(ids == 0)[0][0])
-    return np.asarray(t["embedding"][i].as_py(), dtype=np.float64)
-
-
-def _ann_topk(sf_dir: str):
-    import ray.data
-
-    from biobloom_ray.stages.ann import brute_force_topk
-
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    top = brute_force_topk(emb, _query_vec(sf_dir), k=10)
-    return top.select_columns(["vec_id"]).to_pandas()
-
-
-def _ann_topk_filtered(sf_dir: str, label: int = 3):
-    """Filtered vector search: top-10 cosine neighbours among the rows
-    passing a metadata predicate (label == 3) — the filter runs before
-    the distance kernel, so each block's matmul only sees surviving
-    rows (at scale this is the pushed-down predicate of a hybrid
-    metadata+vector query)."""
-    import pyarrow.compute as pc
-
-    import ray.data
-
-    from biobloom_ray.stages.ann import brute_force_topk
-
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-              columns=["vec_id", "embedding", "label"])
-
-    def flt(b):
-        return b.filter(pc.equal(b["label"], label)) \
-                .select(["vec_id", "embedding"])
-
-    top = brute_force_topk(emb.map_batches(flt, batch_format="pyarrow"),
-                           _query_vec(sf_dir), k=10)
-    return top.select_columns(["vec_id"]).to_pandas()
-
-
-def _embedding_kmeans(sf_dir: str):
-    """Distributed spherical k-means assignments over the embeddings
-    table (rows-only; determinism + purity pinned in pytest)."""
-    import ray.data
-
-    from biobloom_ray.stages.ann import embedding_kmeans
-
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    assigns, _cent = embedding_kmeans(emb, k=8, iters=6)
-    return assigns.to_pandas().sort_values("vec_id").reset_index(drop=True)
-
-
-def _ann_ivf(sf_dir: str):
-    import ray.data
-
-    from biobloom_ray.stages.ann import ivf_topk
-
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    top = ivf_topk(emb, _query_vec(sf_dir), k=10, n_lists=8, n_probe=4)
-    return top.select_columns(["vec_id", "cos_sim"]).to_pandas()
-
-
-def _ann_ivf_exact(sf_dir: str):
-    """IVF at full probe width (n_probe == n_lists) MUST equal the exact
-    brute-force top-k — every vector is assigned to exactly one of the
-    probed lists, so the candidate set is the whole table and only the
-    partition-and-merge machinery (sampled k-means assign, per-list
-    block top-k, global sort-limit) stands between the query and the
-    answer.  This pins the whole IVF plumbing against the exact SQL
-    oracle (r3 verdict #9 — the production n_probe<n_lists variant
-    stays recall-bounded in pytest)."""
-    import ray.data
-
-    from biobloom_ray.stages.ann import ivf_topk
-
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    top = ivf_topk(emb, _query_vec(sf_dir), k=10, n_lists=8, n_probe=8)
-    return top.select_columns(["vec_id"]).to_pandas()
-
-
-def _ann_topk_multi(sf_dir: str):
-    """Batched multi-query exact top-k (one broadcast query matrix, one
-    matmul per block): queries = vectors with vec_id < 5."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from biobloom_ray.stages.ann import brute_force_topk_multi
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    ids = t["vec_id"].to_numpy()
-    sel = np.nonzero(ids < 5)[0]
-    Q = np.stack([np.asarray(t["embedding"][int(i)].as_py(),
-                             dtype=np.float64) for i in sel])
-    emb = _rp(f"{sf_dir}/embeddings.parquet",
-              columns=["vec_id", "embedding"])
-    out = brute_force_topk_multi(emb, Q, ids[sel], k=10)
-    return (out.select_columns(["query_id", "vec_id"]).to_pandas()
-            .sort_values(["query_id", "vec_id"]).reset_index(drop=True))
-
-
 def _lang_id(sf_dir: str):
     import ray
     import ray.data
@@ -852,27 +741,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- oracled, past the driver's 50 rows ---
         "chunk_documents": A.chunk_documents,
         "token_freq_histogram": A.token_freq_histogram,
-        "inverted_index": A.inverted_index,
-        "bm25_topk": A.bm25_topk,
         "source_mix_sample": A.source_mix_sample,
         "epoch_shuffle_head": A.epoch_shuffle_head,
         "token_entropy": A.token_entropy,
         "bpe_token_counts": _bpe_token_counts,
         "token_counts": A.token_counts,
-        "ann_topk_filtered": _ann_topk_filtered,
-        "ann_topk_multi": _ann_topk_multi,
         "epoch_shuffle_full": A.epoch_shuffle_full,
-        "ann_ivf_exact": _ann_ivf_exact,
         "top_bigrams_per_lang": A.top_bigrams_per_lang,
         "nb_class_scores": A.nb_class_scores,
         "token_drift_topk": A.token_drift_topk,
-        "ann_topk": _ann_topk,
         "paired_join": _paired_join,
         "event_user_setops": A.event_user_setops,
         "pmi_top_bigrams": A.pmi_top_bigrams,
-        "rrf_hybrid_topk": A.rrf_hybrid_topk,
         "weighted_sample_topk": A.weighted_sample_topk,
-        "term_overlap_topk": A.term_overlap_topk,
         "join_size_exact": A.join_size_exact,
         "source_exclusive_tokens": A.source_exclusive_tokens,
         "lang_bigram_jsd": A.lang_bigram_jsd,
@@ -880,7 +761,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "token_len_histogram": A.token_len_histogram,
         "vocab_growth_by_docs": A.vocab_growth_by_docs,
         "vocab_coverage_topp": A.vocab_coverage_topp,
-        "knn_label_accuracy": A.knn_label_accuracy,
         # --- rows-only: no SQL oracle can express these ---
         "sketch_setops_report": A.sketch_setops_report,
         "lang_nchars_tdigest": A.lang_nchars_tdigest,
@@ -889,7 +769,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_weekly_union": A.hll_weekly_union,
         "langid_confusion_matrix": _langid_confusion,
         "neardup_calibration_report": A.neardup_calibration_report,
-        "kmeans_quality_report": A.kmeans_quality_report,
         "mibf_classify_paired": _mibf_classify_paired,
         "categorize_length": _categorize_length,
         "progressive_build_info": _progressive_info,
@@ -900,8 +779,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_distinct_per_lang": A.hll_distinct_shingles_per_lang,
         "cms_heavy_hitters": A.cms_heavy_hitters,
         "kll_nchars_quantiles": A.kll_nchars_quantiles,
-        "ann_ivf_topk": _ann_ivf,
-        "embedding_kmeans": _embedding_kmeans,
         "paired_categorize": _paired_categorize,
         "categorize_ordered": _categorize_ordered,
         "categorize_binomial": _categorize_binomial,
@@ -1288,47 +1165,6 @@ def oracle_sql() -> dict[str, str]:
             " uni GROUP BY token) "
             "SELECT cnt AS freq, CAST(COUNT(*) AS BIGINT) AS n_tokens "
             "FROM v GROUP BY cnt ORDER BY freq",
-        # posting lists for tokens in 2..50 distinct docs (rarer is
-        # noise, hotter is stopword-grade); both engines emit the
-        # ascending-doc_id comma-joined string, so the value hash is
-        # exact
-        "inverted_index":
-            "WITH tok AS (SELECT doc_id, regexp_extract_all(text,"
-            " '\\S+') AS toks FROM documents), "
-            "uni AS (SELECT DISTINCT doc_id, unnest(toks) AS token"
-            " FROM tok), "
-            "g AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS df FROM"
-            " uni GROUP BY token HAVING COUNT(*) BETWEEN 2 AND 50) "
-            "SELECT u.token, g.df, string_agg(CAST(u.doc_id AS"
-            " VARCHAR), ',' ORDER BY u.doc_id) AS postings "
-            "FROM uni u JOIN g USING (token) "
-            "GROUP BY u.token, g.df ORDER BY u.token",
-        # Okapi BM25 (k1=1.2, b=0.75) for the fixed query
-        # {merge, spark, window}: every score input is an exact int64
-        # and the constants are folded into the exact rational
-        # 22*tf*T / (10*T*tf + 3*T + 9*dl*N); only ln/round ULPs
-        # remain, absorbed by the repo's 6-dp contract
-        "bm25_topk":
-            "WITH tok AS (SELECT doc_id, regexp_extract_all(text,"
-            " '\\S+') AS toks FROM documents), "
-            "dl AS (SELECT doc_id, CAST(len(toks) AS BIGINT) AS dl"
-            " FROM tok), "
-            "st AS (SELECT CAST(COUNT(*) AS BIGINT) AS n,"
-            " CAST(SUM(dl) AS BIGINT) AS t FROM dl), "
-            "hit AS (SELECT doc_id, u AS token, CAST(COUNT(*) AS"
-            " BIGINT) AS tf FROM (SELECT doc_id, unnest(toks) AS u"
-            " FROM tok) WHERE u IN ('merge','spark','window')"
-            " GROUP BY doc_id, u), "
-            "dfx AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS df"
-            " FROM hit GROUP BY token), "
-            "sc AS (SELECT h.doc_id, SUM((LN(2*(st.n+1)) -"
-            " LN(2*d.df+1)) * ((22.0*h.tf*st.t) / (10*st.t*h.tf +"
-            " 3*st.t + 9*l.dl*st.n))) AS s FROM hit h"
-            " JOIN dfx d USING (token)"
-            " JOIN dl l ON l.doc_id = h.doc_id CROSS JOIN st"
-            " GROUP BY h.doc_id) "
-            "SELECT doc_id, ROUND(s, 6) AS bm25_r6 FROM sc "
-            "ORDER BY ROUND(s, 6) DESC, doc_id LIMIT 20",
         # source rebalancer: same bit-exact splitmix64 replay as
         # deterministic_sample_hash, but the keep threshold is the
         # per-source exact integer (cap << 64) // n_s with the
@@ -1699,32 +1535,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM documents a JOIN documents b "
             "ON a.doc_id // 2 = b.doc_id // 2 "
             "WHERE a.doc_id % 2 = 0 AND b.doc_id % 2 = 1",
-        "ann_topk_multi":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "FROM embeddings WHERE vec_id < 5) "
-            "SELECT query_id, vec_id FROM ("
-            "SELECT q.query_id AS query_id, e.vec_id AS vec_id, "
-            "ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "list_cosine_similarity(e.embedding, q.qe) DESC, e.vec_id ASC) "
-            "AS rn FROM embeddings e, q) WHERE rn <= 10 "
-            "ORDER BY query_id, vec_id",
-        "ann_topk":
-            "WITH q AS (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0) "
-            "SELECT vec_id FROM ("
-            "SELECT e.vec_id AS vec_id, "
-            "list_cosine_similarity(e.embedding, q.qe) AS sim "
-            "FROM embeddings e, q) "
-            "ORDER BY sim DESC, vec_id ASC LIMIT 10",
-        # IVF at n_probe == n_lists must EQUAL exact top-k: the oracle
-        # is the brute-force cosine query (r4 — pins the IVF
-        # partition-and-merge machinery)
-        "ann_ivf_exact":
-            "WITH q AS (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0) "
-            "SELECT vec_id FROM ("
-            "SELECT e.vec_id AS vec_id, "
-            "list_cosine_similarity(e.embedding, q.qe) AS sim "
-            "FROM embeddings e, q) "
-            "ORDER BY sim DESC, vec_id ASC LIMIT 10",
         # per-lang top-5 word bigrams, exact counts, lexicographic ties
         "top_bigrams_per_lang":
             "WITH tok AS (SELECT doc_id, lang, regexp_extract_all(text,"
@@ -1787,13 +1597,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT token, c_even, c_odd,"
             " CAST(ABS(c_even - c_odd) AS BIGINT) AS drift FROM c"
             " ORDER BY drift DESC, token ASC LIMIT 20",
-        "ann_topk_filtered":
-            "WITH q AS (SELECT embedding AS qe FROM embeddings WHERE vec_id = 0) "
-            "SELECT vec_id FROM ("
-            "SELECT e.vec_id AS vec_id, "
-            "list_cosine_similarity(e.embedding, q.qe) AS sim "
-            "FROM embeddings e, q WHERE e.label = 3) "
-            "ORDER BY sim DESC, vec_id ASC LIMIT 10",
         # unigram Shannon entropy per doc: H = ln(n) - (1/n) sum c ln c
         # over exact integer counts; 6-dp float contract
         "token_entropy":
@@ -1991,24 +1794,6 @@ def oracle_sql() -> dict[str, str]:
             " drops) THEN 1 ELSE 0 END) AS DOUBLE)"
             " / CAST(COUNT(*) AS DOUBLE), 6) AS dup_rate_r6"
             " FROM documents GROUP BY source ORDER BY source",
-        # sparse integer dot-product retrieval over the df-banded
-        # vocab: exact int64 scores, ties to the smaller doc id
-        "term_overlap_topk":
-            "WITH tok AS (SELECT doc_id, unnest(regexp_extract_all("
-            "text, '\\S+')) AS token FROM documents), "
-            "tf AS (SELECT doc_id, token, CAST(COUNT(*) AS BIGINT)"
-            " AS tf FROM tok GROUP BY 1, 2), "
-            "band AS (SELECT token FROM tf GROUP BY token"
-            " HAVING COUNT(*) BETWEEN 2 AND 400), "
-            "pair AS (SELECT a.doc_id AS da, b.doc_id AS db,"
-            " CAST(SUM(a.tf * b.tf) AS BIGINT) AS dot"
-            " FROM tf a JOIN band USING (token)"
-            " JOIN tf b USING (token)"
-            " WHERE a.doc_id <> b.doc_id GROUP BY 1, 2) "
-            "SELECT da AS doc_id, db AS best_doc, dot FROM"
-            " (SELECT da, db, dot, ROW_NUMBER() OVER (PARTITION BY da"
-            " ORDER BY dot DESC, db) AS rn FROM pair)"
-            " WHERE rn = 1 ORDER BY doc_id",
         # exact equi-join cardinality: sum of per-user count products
         "join_size_exact":
             "WITH a AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS c"
@@ -2236,29 +2021,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT t.lang, t.n_vocab, t.total_tokens,"
             " CAST(m.n_cover AS BIGINT) AS n_cover FROM t"
             " JOIN m ON t.lang = m.lang ORDER BY 1",
-        # kNN label-vote accuracy: ranks over the 6-dp ROUNDED cosine
-        # (tie → neighbour id) so a last-ulp engine difference cannot
-        # flip a rank — same contract as the retrieval oracles
-        "knn_label_accuracy":
-            "WITH p AS (SELECT q.vec_id AS qid, e.vec_id AS nid,"
-            " e.label AS nl, q.label AS ql,"
-            " ROUND(list_cosine_similarity(q.embedding, e.embedding),"
-            " 6) AS s FROM embeddings q, embeddings e"
-            " WHERE q.vec_id < 500 AND e.vec_id != q.vec_id), "
-            "r AS (SELECT qid, nl, ql, ROW_NUMBER() OVER ("
-            "PARTITION BY qid ORDER BY s DESC, nid) AS rn FROM p), "
-            "topk AS (SELECT qid, nl, ql FROM r WHERE rn <= 5), "
-            "v AS (SELECT qid, nl, MIN(ql) AS ql,"
-            " COUNT(*) AS c FROM topk GROUP BY qid, nl), "
-            "w AS (SELECT qid, nl, ql, ROW_NUMBER() OVER ("
-            "PARTITION BY qid ORDER BY c DESC, nl) AS rw FROM v) "
-            "SELECT ql AS true_label,"
-            " CAST(COUNT(*) AS BIGINT) AS n_eval,"
-            " CAST(SUM(CASE WHEN nl = ql THEN 1 ELSE 0 END)"
-            " AS BIGINT) AS n_correct,"
-            " ROUND(CAST(SUM(CASE WHEN nl = ql THEN 1 ELSE 0 END)"
-            " AS DOUBLE) / COUNT(*), 6) AS accuracy_r6"
-            " FROM w WHERE rw = 1 GROUP BY 1 ORDER BY 1",
         # the resumable curation runner's end-to-end twin: alpha gate
         # at 82% + global first-wins (min doc_id per text) dedup —
         # doc_id-ordered fragments make the runner's per-partition
@@ -2340,28 +2102,6 @@ def oracle_sql() -> dict[str, str]:
             " AND doc_id NOT IN (SELECT doc_id FROM ex)"
             " GROUP BY 1 ORDER BY 1",
     }
-    # hybrid RRF fusion composes the two retrieval oracles verbatim:
-    # lexical list = the bm25_topk SQL (already pool=20); dense list =
-    # raw-sim top-20 membership (same criterion as the pipeline's
-    # brute_force_topk) with ranks over the 6-dp ROUNDED score so a
-    # last-ulp engine difference cannot flip a rank
-    d["rrf_hybrid_topk"] = (
-        "WITH lex AS (" + d["bm25_topk"] + "), "
-        "lexr AS (SELECT doc_id, CAST(ROW_NUMBER() OVER ("
-        "ORDER BY bm25_r6 DESC, doc_id) AS BIGINT) AS r_lex FROM lex), "
-        "den AS (SELECT e.vec_id, "
-        "list_cosine_similarity(e.embedding, q.qe) AS sim "
-        "FROM embeddings e, (SELECT embedding AS qe FROM embeddings"
-        " WHERE vec_id = 0) q ORDER BY sim DESC, vec_id LIMIT 20), "
-        "denr AS (SELECT vec_id AS doc_id, CAST(ROW_NUMBER() OVER ("
-        "ORDER BY ROUND(sim, 6) DESC, vec_id) AS BIGINT) AS r_den"
-        " FROM den), "
-        "f AS (SELECT COALESCE(lexr.doc_id, denr.doc_id) AS doc_id,"
-        " COALESCE(1.0 / (60 + r_lex), 0)"
-        " + COALESCE(1.0 / (60 + r_den), 0) AS s"
-        " FROM lexr FULL OUTER JOIN denr ON lexr.doc_id = denr.doc_id) "
-        "SELECT doc_id, ROUND(s, 6) AS rrf_r6 FROM f"
-        " ORDER BY ROUND(s, 6) DESC, doc_id LIMIT 10")
     # canonical per-cluster doc: composes the dup_clusters recursive
     # CTE verbatim, attaches n_chars, picks max-n_chars (tie min id)
     d["dup_cluster_representatives"] = (

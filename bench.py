@@ -22,6 +22,7 @@ throughputs per level; headline = best clean-window round, capped at
 
 from __future__ import annotations
 
+from __ray_entry__ import queries
 from biobloom_ray.io import read_parquet as _rp
 import json
 import os
@@ -105,7 +106,6 @@ def _force_cluster_tiers():
     import biobloom_ray.pipelines.mibf as M
     import biobloom_ray.pipelines.resumable as RS
     import biobloom_ray.sketches.fold as F
-    import biobloom_ray.stages.ann as ANN
     import biobloom_ray.stages.dedup as D
     import biobloom_ray.stages.pairs as PR
 
@@ -119,11 +119,10 @@ def _force_cluster_tiers():
     A.BOILERPLATE_DRIVER_MAX_ROWS = 0
     A.BIGRAM_BROADCAST_MAX_ROWS = 0
     A.TFIDF_BROADCAST_MAX_ROWS = 0
-    A.INVIDX_DRIVER_MAX_ROWS = 0
     A.DUPC_DRIVER_MAX_ROWS = 0
     A.SRCGATE_BROADCAST_MAX_ROWS = 0
     A.BIGRAM_DRIVER_MAX_ROWS = 0
-    A.RANK_DRIVER_MAX_ROWS = 0
+    A.COUNT_TABLE_DRIVER_MAX_ROWS = 0
     A.SEGMENT_BROADCAST_MAX_ROWS = 0
     A.NB_BROADCAST_MAX_ROWS = 0
     A.ANTI_BROADCAST_MAX_ROWS = 0
@@ -135,7 +134,6 @@ def _force_cluster_tiers():
     M.DRIVER_BUILD_MAX_ROWS = 0
     M.DRIVER_REDUCE_MAX_SLOTS = 0
     F.DRIVER_FOLD_MAX_BYTES = 0
-    ANN.KMEANS_DRIVER_MAX_ROWS = 0
 
 
 def _force_cluster_gates() -> list[tuple[str, str]]:
@@ -157,77 +155,23 @@ def _force_cluster_gates() -> list[tuple[str, str]]:
     return pairs
 
 
-#: bench query order (module-level so the contract test can check
-#: it stays a subset of the registry)
-QUERIES = ["exact_dedup", "distinct_text_per_lang", "token_counts",
-           "doc_fingerprint", "ann_topk", "ann_ivf_topk",
-           "hll_distinct_per_lang", "cms_heavy_hitters",
-           "kll_nchars_quantiles", "minhash_neardup_pairs",
-           "simhash_neardup_pairs", "embedding_neardup_pairs", "lang_id_pred",
-           "bloom_build_info", "categorize_summary",
-           # round-2 additions
-           "ngram_jaccard_pairs", "bpe_token_counts", "paired_join",
-           "mibf_classify", "mibf_classify_paired", "categorize_length",
-           "ann_topk_multi", "dust_masked_categorize",
-           # round-3 additions + previously-unbenched registry entries
-           "deterministic_sample_hash", "minhash_dedup_kept",
-           "paired_categorize", "categorize_besthit", "categorize_ordered",
-           "categorize_binomial", "categorize_harmonic", "masked_categorize",
-           "tdigest_nchars_quantiles", "spaced_seed_distinct",
-           "progressive_build_info", "stratified_sample", "embedding_kmeans",
-           "user_event_counts_salted", "repetition_stats", "decontaminate",
-           "repeated_substrings", "pii_redact", "gopher_quality_flags",
-           "remove_boilerplate_ngrams", "bigram_lm_scores", "chunk_documents",
-           "tfidf_top_terms", "bigram_ppl_buckets", "dup_clusters",
-           "source_quality_gate", "token_freq_histogram", "inverted_index",
-           "bm25_topk", "source_mix_sample", "epoch_shuffle_head",
-           "clean_corpus", "curation_funnel", "curation_funnel_by_source",
-           "contamination_topk", "dup_group_size_histogram", "source_overlap",
-           "quality_weighted_sample", "ann_topk_filtered", "token_entropy",
-           "corpus_report",
-           # round-4 additions
-           "epoch_shuffle_full", "ann_ivf_exact", "top_bigrams_per_lang",
-           "segment_revenue_topk", "nb_class_scores", "token_drift_topk",
-           # round-4 waves 6-8
-           "region_revenue", "shard_assignment_counts",
-           # round-4 waves 12-14
-           "event_user_setops", "pmi_top_bigrams", "cross_lang_dup_matrix",
-           "mg_heavy_tokens", "rrf_hybrid_topk", "weighted_sample_topk",
-           "sketch_setops_report", "lang_nchars_tdigest", "source_dup_report",
-           "term_overlap_topk", "join_size_exact", "join_size_cms",
-           "embedding_top_pc", "hll_weekly_union", "ngram_containment_pairs",
-           "source_exclusive_tokens", "langid_confusion_matrix",
-           "bloom_prune_join_revenue", "kmv_distinct_userdays",
-           "kmv_type_jaccard", "lang_bigram_jsd", "type_user_overlap_exact",
-           "token_len_histogram", "vocab_growth_by_docs",
-           # round-4 waves 57-61
-           "incremental_dedup_report", "vocab_coverage_topp",
-           "bloom_fpr_report", "knn_label_accuracy",
-           "dup_cluster_representatives", "neardup_calibration_report",
-           "hll_error_sweep", "cms_error_sweep", "quantile_sketch_calibration",
-           "curation_run_summary", "kmeans_quality_report",
-           # round-5: near-dup curation runner
-           "curation_neardup_summary", "curation_partition_metrics"]
+#: registry queries the bench does not time: spaced_seed_distinct_exact
+#: — the verification-only exact twin of the HLL query (COUNT DISTINCT
+#: over every frame is an inherent all-to-all; the HLL sketch IS the
+#: production path) — and categorize_labels, the per-row golden-label
+#: dump whose pipeline is already timed via categorize_summary (same
+#: bank build + classify)
+NOT_BENCHED = ("spaced_seed_distinct_exact", "categorize_labels")
+#: bench query order: the registry's, minus NOT_BENCHED
+QUERIES = [q for q in queries() if q not in NOT_BENCHED]
 
 
 def run_queries() -> dict[str, float]:
-    import __ray_entry__ as E
-
     if os.environ.get("GRAFT_FORCE_CLUSTER"):
         _force_cluster_tiers()
 
-    qs = E.queries()
-    out = {}
-    ordered = list(QUERIES)
-    # NOT benched: spaced_seed_distinct_exact — the verification-only
-    # exact twin of the HLL query (COUNT DISTINCT over every frame is an
-    # inherent all-to-all; the HLL sketch IS the production path) — and
-    # categorize_labels, the per-row golden-label dump whose pipeline is
-    # already timed via categorize_summary (same bank build + classify)
-    for name in ordered:
-        if name in qs:
-            out[name] = _timed(qs[name], SF_DIR)
-    return out
+    qs = queries()
+    return {name: _timed(qs[name], SF_DIR) for name in QUERIES}
 
 
 def main():

@@ -1252,240 +1252,6 @@ def token_freq_histogram(sf_dir: str):
     return out.sort_values("freq").reset_index(drop=True)
 
 
-#: posting-list df band: tokens in fewer docs are noise for retrieval,
-#: hotter tokens are stopwords whose lists would be corpus-scale
-INVIDX_MIN_DF = 2
-INVIDX_MAX_DF = 50
-#: input-row gate for inverted_index's driver tier (same contract as
-#: TFIDF_BROADCAST_MAX_ROWS): below it the banded vocab broadcasts and
-#: the output-scale filtered pairs are driver-assembled; above it the
-#: hash-join + global-sort cluster path runs
-INVIDX_DRIVER_MAX_ROWS = 100_000
-
-
-def inverted_index(sf_dir: str, min_df: int = INVIDX_MIN_DF,
-                   max_df: int = INVIDX_MAX_DF):
-    """Token -> posting-list build (the retrieval-side index of a
-    training-data search/decontamination stack): for every token with
-    ``min_df <= df <= max_df`` distinct docs, the ascending doc_id
-    list as a comma-joined string.  The df cap is what makes the op
-    scale-sane — stopword-grade tokens would otherwise carry
-    corpus-scale lists through the shuffle (cap them or shard them;
-    here they are out of the index's scope by definition).
-
-    Tiered.  Cluster path: per-batch-deduped ``(doc_id, token)`` pairs
-    (a doc never splits across rows) -> df from ONE native
-    ``groupby(token).Count`` -> banded tokens hash-join the pairs ->
-    ONE global sort on ``(token, doc_id)`` range-partitions the
-    postings -> per block, segment starts + ``pa.ListArray`` +
-    int->string cast + ``binary_join`` build each token's in-block
-    postings string with zero per-row Python -> the driver stitches
-    the <= #blocks-1 tokens that span a block boundary (output-scale
-    tail).  Below ``INVIDX_DRIVER_MAX_ROWS`` input docs ONE
-    tokenization scan ships the per-doc-distinct (doc_id, token)
-    pairs to the driver and the df/band/postings fold runs in pandas
-    — no second scan, no shuffle; driver rows are bounded by
-    gate_docs x distinct tokens per doc (bit-identical by the
-    tier-parity test).  Output sorted by token:
-    ``token, df, postings``."""
-    from biobloom_ray.io import hash_join
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_docs = _cheap_count(ds)
-    if n_docs is None:
-        n_docs = ds.count()
-
-    if n_docs <= INVIDX_DRIVER_MAX_ROWS:
-        # ONE tokenization scan: the per-doc-distinct (doc_id, token)
-        # pairs come to the driver (rows <= gate_docs x distinct
-        # tokens per doc — the gate bounds it, same memory order as
-        # the TFIDF tier) and df + band + postings fold in pandas;
-        # no cluster groupby, no join, no global sort, no re-scan
-        def pairs_partial(b: pa.Table) -> pa.Table:
-            return _doc_term_tf(b).select(["doc_id", "token"])
-
-        hit = (ds.map_batches(pairs_partial, batch_format="pyarrow")
-               .to_pandas())
-        if len(hit) == 0:
-            return pd.DataFrame({
-                "token": pd.Series([], dtype=object),
-                "df": pd.Series([], dtype=np.int64),
-                "postings": pd.Series([], dtype=object)})
-        dfs = hit.groupby("token").size()
-        band = dfs[(dfs >= min_df) & (dfs <= max_df)]
-        hit = hit[hit.token.isin(band.index)]
-        if len(hit) == 0:
-            return pd.DataFrame({
-                "token": pd.Series([], dtype=object),
-                "df": pd.Series([], dtype=np.int64),
-                "postings": pd.Series([], dtype=object)})
-        hit = hit.sort_values(["token", "doc_id"])
-        out = (hit.groupby("token", sort=True)["doc_id"]
-               .agg(lambda s: ",".join(str(int(x)) for x in s))
-               .rename("postings").reset_index())
-        out["df"] = band.loc[out.token].to_numpy().astype(np.int64)
-        out = out[["token", "df", "postings"]]
-        return out.sort_values("token").reset_index(drop=True)
-
-    pairs = ds.map_batches(_doc_term_tf, batch_format="pyarrow") \
-              .map_batches(lambda b: b.select(["doc_id", "token"]),
-                           batch_format="pyarrow")
-    dfc = pairs.groupby("token").aggregate(Count(alias_name="df"))
-
-    def banded(b: pa.Table) -> pa.Table:
-        ok = pc.and_(pc.greater_equal(b["df"], min_df),
-                     pc.less_equal(b["df"], max_df))
-        return b.filter(ok)
-
-    kept = dfc.map_batches(banded, batch_format="pyarrow")
-    j = hash_join(pairs, kept, on=("token",))
-    srt = j.sort(["token", "doc_id"])
-
-    def block_postings(b: pa.Table) -> pa.Table:
-        toks = b["token"].to_numpy(zero_copy_only=False)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        n = len(toks)
-        if n == 0:
-            return pa.table({"token": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64()),
-                             "postings": pa.array([], type=pa.string())})
-        new = np.ones(n, dtype=bool)
-        new[1:] = toks[1:] != toks[:-1]
-        starts = np.nonzero(new)[0]
-        offs = np.append(starts, n).astype(np.int32)
-        id_str = pc.cast(pa.array(ids), pa.string())
-        lists = pa.ListArray.from_arrays(pa.array(offs), id_str)
-        return pa.table({
-            "token": pa.array(toks[starts].tolist(), type=pa.string()),
-            "n": pa.array((offs[1:] - offs[:-1]).astype(np.int64)),
-            "postings": pc.binary_join(lists, ",")})
-
-    part = srt.map_batches(block_postings, batch_format="pyarrow",
-                           batch_size=None).to_pandas()
-    if len(part) == 0:
-        return pd.DataFrame({"token": pd.Series([], dtype=object),
-                             "df": pd.Series([], dtype=np.int64),
-                             "postings": pd.Series([], dtype=object)})
-    # blocks arrive in global sort order; segments of one token are
-    # adjacent — stitch them (at most #blocks-1 boundary tokens)
-    out = (part.groupby("token", sort=True)
-           .agg(df=("n", "sum"), postings=("postings", ",".join))
-           .reset_index())
-    out["df"] = out.df.astype(np.int64)
-    return out.sort_values("token").reset_index(drop=True)
-
-
-#: fixed retrieval query for bm25_topk (sorted; the summation order of
-#: per-term contributions is pinned to this order in the engine)
-BM25_QUERY_TERMS = ("merge", "spark", "window")
-#: Okapi constants k1=1.2, b=0.75 — folded into the exact-integer
-#: rational denominator (10*T*tf + 3*T + 9*dl*N) / (10*T) below
-BM25_TOPK = 20
-
-
-def bm25_topk(sf_dir: str, terms: tuple[str, ...] = BM25_QUERY_TERMS,
-              k: int = BM25_TOPK):
-    """Okapi-BM25 retrieval of the top-``k`` documents for a fixed
-    term query — the search side of a training-data inspection /
-    decontamination stack.  Float parity with the SQL oracle follows
-    the repo's 6-dp contract (`bigram_lm_scores`): every input to the
-    score is an EXACT int64 (corpus doc count N, corpus token count T,
-    per-term df, per-doc dl, per-doc-term tf), the k1=1.2 / b=0.75
-    constants are folded into an exact rational,
-
-        score = sum_t (ln(2*(N+1)) - ln(2*df_t+1))
-                      * 22*tf*T / (10*T*tf + 3*T + 9*dl*N)
-
-    so both engines evaluate the same double ops on identical exact
-    integers and only ln/rounding ULPs remain, absorbed by ROUND(.,6).
-
-    Shape: pass A is a map-only stats sweep (one fixed-width partial
-    row per batch: n_docs, tot_tokens, per-term df) driver-summed at
-    #batches scale; pass B is map-only scoring with the 5 stats ints
-    closed over (no broadcast object needed), emitting each block's
-    top-k candidates; the driver merges <= k * #blocks rows.  No
-    shuffle at any scale; the corpus is read twice but each read is
-    column-pruned and the stats pass does no groupby.
-
-    Output (sorted by bm25_r6 desc, doc_id): ``doc_id, bm25_r6``."""
-    from biobloom_ray.stages.textstats import _token_arrays
-
-    tvocab = np.array(sorted(terms), dtype=object)
-    m = len(tvocab)
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def stats_partial(b: pa.Table) -> pa.Table:
-        flat, lens, row_of = _token_arrays(b)
-        cols = {"n_docs": pa.array([b.num_rows], type=pa.int64()),
-                "tot_tokens": pa.array([int(len(flat))],
-                                       type=pa.int64())}
-        hit = np.isin(flat, tvocab)
-        rows, toks = row_of[hit], flat[hit]
-        tcode = np.searchsorted(tvocab, toks)
-        # df partial: distinct docs in this batch containing the term
-        dfp = np.zeros(m, dtype=np.int64)
-        if len(rows):
-            u = np.unique(rows * m + tcode)
-            np.add.at(dfp, u % m, 1)
-        for i in range(m):
-            cols[f"df{i}"] = pa.array([int(dfp[i])], type=pa.int64())
-        return pa.table(cols)
-
-    st = (ds.map_batches(stats_partial, batch_format="pyarrow")
-          .to_pandas().sum())
-    N, T = int(st.n_docs), int(st.tot_tokens)
-    dfv = np.array([int(st[f"df{i}"]) for i in range(m)],
-                   dtype=np.int64)
-    if T == 0 or not (dfv > 0).any():
-        return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                             "bm25_r6": pd.Series([], dtype=np.float64)})
-    idf = np.log(2.0 * (N + 1)) - np.log(2.0 * dfv + 1)
-
-    def score_block(b: pa.Table) -> pa.Table:
-        flat, lens, row_of = _token_arrays(b)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        hit = np.isin(flat, tvocab)
-        if not hit.any():
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "bm25_r6": pa.array([], type=pa.float64())})
-        rows, toks = row_of[hit], flat[hit]
-        tcode = np.searchsorted(tvocab, toks)
-        # tf per (row, term); np.unique returns keys sorted, so the
-        # per-row summation below runs in fixed (term-sorted) order
-        key, tf = np.unique(rows * m + tcode, return_counts=True)
-        krow, kterm = key // m, key % m
-        dl = lens[krow]
-        if T < 1 << 40:
-            # exact-integer path (oracle-parity contract): every
-            # product stays well inside int64/2^53
-            num = 22.0 * (tf * T)
-            den = (10 * T * tf + 3 * T + 9 * dl * N) \
-                .astype(np.float64)
-        else:
-            # corpus scale: 10*T*tf would wrap int64 — compute in
-            # float64 (rel err ~1e-16, far below the 6-dp contract)
-            tff = tf.astype(np.float64)
-            num = 22.0 * tff * T
-            den = 10.0 * T * tff + 3.0 * T \
-                + 9.0 * dl.astype(np.float64) * N
-        contrib = idf[kterm] * (num / den)
-        urow, inv = np.unique(krow, return_inverse=True)
-        score = np.zeros(len(urow), dtype=np.float64)
-        np.add.at(score, inv, contrib)
-        r6 = np.round(score, 6)
-        # block-local top-k on the exact final ranking key
-        order = np.lexsort((ids[urow], -r6))[:k]
-        return pa.table({"doc_id": pa.array(ids[urow][order]),
-                         "bm25_r6": pa.array(r6[order])})
-
-    cand = ds.map_batches(score_block, batch_format="pyarrow",
-                          batch_size=None).to_pandas()
-    out = cand.sort_values(["bm25_r6", "doc_id"],
-                           ascending=[False, True]).head(k)
-    return out.reset_index(drop=True)
-
-
 def source_mix_sample(sf_dir: str):
     """Source-mixture rebalancer — the dataset-mixing step of a
     training-data pipeline (cap a dominant domain, as in Pile/CCNet
@@ -1813,7 +1579,7 @@ def dup_group_size_histogram(sf_dir: str):
     Scale shape: one map-only content-hash scan (32-hex md5 keys,
     never text) -> ONE native ``groupby(fp_md5).Count`` — group sizes
     are corpus-distinct-scale, so the counts-of-counts fold is tiered:
-    driver fold below ``RANK_DRIVER_MAX_ROWS`` input rows, else a
+    driver fold below ``COUNT_TABLE_DRIVER_MAX_ROWS`` input rows, else a
     second native ``groupby(group_size)`` whose output is
     size-distribution-scale (tiny) at any corpus size.
 
@@ -1826,7 +1592,7 @@ def dup_group_size_histogram(sf_dir: str):
     grp = fps.groupby("fp_md5").aggregate(
         Count(alias_name="group_size"))
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         sizes = _parts_pandas(grp, {"fp_md5": object,
                                     "group_size": np.int64})
         out = (sizes.groupby("group_size", as_index=False).size()
@@ -1858,7 +1624,7 @@ def contamination_topk(sf_dir: str, n: int = 3,
     never splits across blocks, so per-block distinct ``(tg, doc)``
     counts sum to the global distinct-doc count.  Partials are
     overlap-scale (verified hits only).  Tiered combine: driver fold
-    below ``RANK_DRIVER_MAX_ROWS`` input rows, else native
+    below ``COUNT_TABLE_DRIVER_MAX_ROWS`` input rows, else native
     ``groupby(tg)`` + per-block local top-k + driver final top-k over
     #blocks x k rows (the standard top-k reduction).
     """
@@ -1880,7 +1646,7 @@ def contamination_topk(sf_dir: str, n: int = 3,
     parts_ds = ds.map_batches(hits, batch_format="pyarrow")
     schema = {"tg": object, "n_docs": np.int64, "n_occ": np.int64}
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         agg = (_parts_pandas(parts_ds, schema)
                .groupby("tg", as_index=False)[["n_docs", "n_occ"]]
                .sum())
@@ -2281,11 +2047,14 @@ def top_bigrams_per_lang(sf_dir: str, k: int = 5):
             .reset_index(drop=True)[["lang", "bigram", "cnt"]])
 
 
-#: input-row gate shared by the output-scale count-table reduces: the
-#: per-block partials are small keyed count rows, so below this many
-#: input rows they combine on the driver instead of a native groupby
-#: shuffle; above it the unchanged native Sum groupby runs
-RANK_DRIVER_MAX_ROWS = 5_000_000
+#: input-row gate shared by the output-scale count-table reduces
+#: (dup-group sizes, contamination, cross-lang and per-source dups,
+#: exclusive vocab, token lengths, vocab growth and coverage,
+#: incremental dedup): the per-block partials are small keyed count
+#: rows, so below this many input rows they combine on the driver
+#: instead of a native groupby shuffle; above it the unchanged native
+#: Sum groupby runs
+COUNT_TABLE_DRIVER_MAX_ROWS = 5_000_000
 
 
 #: segment-customer broadcast gate: below this many CUSTOMER rows the
@@ -3002,7 +2771,7 @@ def cross_lang_dup_matrix(sf_dir: str, threshold: float = 0.5):
         pairs = pairs.to_pandas()
     meta = _read(sf_dir, "documents", columns=["doc_id", "lang"])
     n_rows = _cheap_count(meta)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         lut = meta.to_pandas().set_index("doc_id")["lang"]
         la = pairs.id_a.map(lut)
         lb = pairs.id_b.map(lut)
@@ -3049,55 +2818,6 @@ def mg_heavy_tokens(sf_dir: str, k: int = 20, capacity: int = 4096):
     from biobloom_ray.sketches.misra_gries import MisraGries
 
     return _heavy_hitters(sf_dir, k, lambda: MisraGries(capacity=capacity))
-
-
-def rrf_hybrid_topk(sf_dir: str, k: int = 10, pool: int = 20,
-                    rrf_const: int = 60):
-    """Hybrid retrieval with Reciprocal Rank Fusion (Cormack et al.):
-    the lexical ranking (BM25 top-``pool``) and the dense ranking
-    (brute-force cosine top-``pool`` for the fixed query vector) fuse
-    as score = Σ 1/(rrf_const + rank) over the lists a doc appears in.
-    Both retrieval stacks are the engine's existing distributed
-    operators; the fusion runs on the two pool-sized lists.  Ranks
-    come from the 6-dp-ROUNDED retrieval scores (plus id tie-break) so
-    rank assignment cannot flip on a last-ulp float difference between
-    engines — the oracle ranks the same rounded values."""
-    import pyarrow.parquet as pq
-
-    from biobloom_ray.stages.ann import brute_force_topk
-
-    bm = bm25_topk(sf_dir, k=pool)
-    bm = bm.sort_values(["bm25_r6", "doc_id"],
-                        ascending=[False, True]).reset_index(drop=True)
-    bm["r_lex"] = np.arange(1, len(bm) + 1, dtype=np.int64)
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"])
-    ids = t["vec_id"].to_numpy()
-    qi = int(np.nonzero(ids == 0)[0][0])
-    qv = np.asarray(t["embedding"][qi].as_py(), dtype=np.float64)
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    dense = brute_force_topk(emb, qv, k=pool).to_pandas()
-    dense["sim_r6"] = np.round(dense["cos_sim"].to_numpy(np.float64), 6)
-    dense = dense.sort_values(["sim_r6", "vec_id"],
-                              ascending=[False, True]).reset_index(
-        drop=True)
-    dense["r_den"] = np.arange(1, len(dense) + 1, dtype=np.int64)
-    dense = dense.rename(columns={"vec_id": "doc_id"})
-
-    fused = bm[["doc_id", "r_lex"]].merge(
-        dense[["doc_id", "r_den"]], on="doc_id", how="outer")
-    a = np.where(fused.r_lex.notna(),
-                 1.0 / (rrf_const + fused.r_lex.fillna(0).to_numpy(
-                     np.float64)), 0.0)
-    b = np.where(fused.r_den.notna(),
-                 1.0 / (rrf_const + fused.r_den.fillna(0).to_numpy(
-                     np.float64)), 0.0)
-    fused["rrf_r6"] = np.round(a + b, 6)
-    fused["doc_id"] = fused["doc_id"].astype(np.int64)
-    out = fused.sort_values(["rrf_r6", "doc_id"],
-                            ascending=[False, True]).head(k)
-    return out.reset_index(drop=True)[["doc_id", "rrf_r6"]]
 
 
 def weighted_sample_topk(sf_dir: str, k: int = 20):
@@ -3266,7 +2986,7 @@ def source_dup_report(sf_dir: str, threshold: float = 0.6):
     n_rows = _cheap_count(meta)
     schema = {"source": object, "n_docs": np.int64,
               "n_dropped": np.int64}
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         out = (_parts_pandas(parts_ds, schema)
                .groupby("source", as_index=False).sum())
     else:
@@ -3281,97 +3001,6 @@ def source_dup_report(sf_dir: str, threshold: float = 0.6):
     out["n_docs"] = out["n_docs"].astype(np.int64)
     out["n_dropped"] = out["n_dropped"].astype(np.int64)
     return out.sort_values("source").reset_index(drop=True)
-
-
-# -- round-4 wave 29: retrieval join ------------------------------------------
-
-def term_overlap_topk(sf_dir: str, df_lo: int = 2, df_hi: int = 400):
-    """Sparse lexical retrieval as an INDEX SELF-JOIN: for every doc,
-    the best other doc by integer term-frequency dot product
-    Σ_t tf_a(t)·tf_b(t) over the df-banded vocabulary (df in
-    [df_lo, df_hi] — the inverted_index banding idea, which bounds
-    every posting list and hence every token's pair expansion at
-    df_hi² ≪ corpus²).  All scores are exact int64 (no float ranking
-    anywhere); ties break to the smaller doc id.  Cluster tier: tf
-    rows semi-join the banded vocab, ONE groupby(token) pair
-    expansion, native Sum over (da, db), per-group top-1.  Driver
-    tier below the shared gate folds the same tf partials in
-    pandas."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    tf_ds = ds.map_batches(_doc_term_tf, batch_format="pyarrow")
-    n_rows = _cheap_count(ds)
-
-    def best_of(pairs: pd.DataFrame) -> pd.DataFrame:
-        out = (pairs.sort_values(["da", "dot", "db"],
-                                 ascending=[True, False, True])
-               .drop_duplicates("da"))
-        return pd.DataFrame({
-            "doc_id": out.da.to_numpy(np.int64),
-            "best_doc": out.db.to_numpy(np.int64),
-            "dot": out["dot"].to_numpy(np.int64)})
-
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        tf = _parts_pandas(tf_ds, {"doc_id": np.int64, "token": object,
-                                   "tf": np.int64})
-        dfc = tf.groupby("token", as_index=False).size()
-        band = dfc[(dfc["size"] >= df_lo) & (dfc["size"] <= df_hi)]
-        tfb = tf[tf.token.isin(set(band.token))]
-        j = tfb.merge(tfb, on="token", suffixes=("_a", "_b"))
-        j = j[j.doc_id_a != j.doc_id_b]
-        if len(j) == 0:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype=np.int64),
-                "best_doc": pd.Series([], dtype=np.int64),
-                "dot": pd.Series([], dtype=np.int64)})
-        j["dot"] = j.tf_a.to_numpy(np.int64) * j.tf_b.to_numpy(np.int64)
-        pairs = (j.groupby(["doc_id_a", "doc_id_b"], as_index=False)
-                 ["dot"].sum()
-                 .rename(columns={"doc_id_a": "da", "doc_id_b": "db"}))
-        return best_of(pairs).sort_values("doc_id").reset_index(drop=True)
-
-    from biobloom_ray.io import hash_join
-
-    dfc = tf_ds.groupby("token").aggregate(Count(alias_name="df"))
-    band = dfc.map_batches(
-        lambda b: pa.table({"token": b["token"].filter(pa.array(
-            (b["df"].to_numpy(zero_copy_only=False) >= df_lo)
-            & (b["df"].to_numpy(zero_copy_only=False) <= df_hi)))}),
-        batch_format="pyarrow")
-    tfb = hash_join(tf_ds, band, on=("token",))
-
-    def pair_expand(g: pa.Table) -> pa.Table:
-        d = g["doc_id"].to_numpy(zero_copy_only=False)
-        t = g["tf"].to_numpy(zero_copy_only=False)
-        if len(d) < 2:
-            return pa.table({"da": pa.array([], pa.int64()),
-                             "db": pa.array([], pa.int64()),
-                             "dot": pa.array([], pa.int64())})
-        iu, ju = np.triu_indices(len(d), 1)
-        a, b2 = d[iu], d[ju]
-        w = t[iu] * t[ju]
-        return pa.table({"da": pa.array(np.r_[a, b2]),
-                         "db": pa.array(np.r_[b2, a]),
-                         "dot": pa.array(np.r_[w, w])})
-
-    pairs_ds = (tfb.groupby("token")
-                .map_groups(pair_expand, batch_format="pyarrow")
-                .groupby(["da", "db"]).aggregate(Sum("dot",
-                                                     alias_name="dot")))
-
-    def top1(g: pa.Table) -> pa.Table:
-        dot = g["dot"].to_numpy(zero_copy_only=False)
-        db = g["db"].to_numpy(zero_copy_only=False)
-        i = np.lexsort((db, -dot))[0]
-        return pa.table({"doc_id": pa.array([g["da"][0].as_py()],
-                                            pa.int64()),
-                         "best_doc": pa.array([int(db[i])], pa.int64()),
-                         "dot": pa.array([int(dot[i])], pa.int64())})
-
-    out = (pairs_ds.groupby("da").map_groups(top1, batch_format="pyarrow")
-           .to_pandas())
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("doc_id").reset_index(drop=True)
 
 
 # -- round-4 wave 31: sketch join-size / PCA ---------------------------------
@@ -3464,8 +3093,7 @@ def embedding_top_pc(sf_dir: str):
     contributes the moment partials (n, Σx, XᵀX) — d and d² numbers
     per block, never rows — which fold associatively into the exact
     covariance; the d×d eigendecomposition runs on the driver
-    (d = embedding dim, data-scale-free — the same driver-matrix
-    regime as the k-means centroid update).  Sign fixed by the
+    (d = embedding dim, data-scale-free).  Sign fixed by the
     largest-|loading| component.  Output: one row per dimension with
     the 6-dp loading, plus the explained-variance ratio."""
     from biobloom_ray.stages.ann import _matrix
@@ -3589,7 +3217,7 @@ def source_exclusive_tokens(sf_dir: str):
 
     parts_ds = ds.map_batches(partial, batch_format="pyarrow")
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         st = (_parts_pandas(parts_ds, {"source": object,
                                        "token": object, "n": np.int64})
               .groupby(["source", "token"], as_index=False)["n"].sum())
@@ -4110,7 +3738,7 @@ def token_len_histogram(sf_dir: str):
 
     parts_ds = ds.map_batches(partial, batch_format="pyarrow")
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         agg = (_parts_pandas(parts_ds, {"lang": object,
                                         "tok_len": np.int64,
                                         "n": np.int64})
@@ -4148,7 +3776,7 @@ def vocab_growth_by_docs(sf_dir: str, bucket: int = 1):
 
     parts_ds = ds.map_batches(partial, batch_format="pyarrow")
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         firsts = (_parts_pandas(parts_ds, {"token": object,
                                            "d0": np.int64})
                   .groupby("token", as_index=False)["d0"].min())
@@ -4179,7 +3807,7 @@ def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
     it), `new`.  Plan: ONE fingerprint rollup over all docs — per-fp
     (seen-in-day-1 flag, min odd id) pre-reduced per block — then
     day-2 rows classify map-side (rollup broadcast below
-    `RANK_DRIVER_MAX_ROWS` input rows, hash join above) and the
+    `COUNT_TABLE_DRIVER_MAX_ROWS` input rows, hash join above) and the
     per-lang counts are output-scale.  No text moves in any shuffle:
     the rollup carries 32-hex digests of the prefix."""
     import ray
@@ -4228,7 +3856,7 @@ def incremental_dedup_report(sf_dir: str, n_chars: int = 64):
     parts_ds = ds.map_batches(fp_partial, batch_format="pyarrow")
     cols = ["n_day2", "n_dup_day1", "n_dup_within", "n_new"]
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         r = _parts_pandas(parts_ds, {"fp": object, "has1": np.int64,
                                      "modd": np.int64})
         r = (r.groupby("fp", as_index=False)
@@ -4283,7 +3911,7 @@ def vocab_coverage_topp(sf_dir: str, pct: int = 90):
     of the language's token mass (the "how small can the tokenizer
     vocab be" curve; Zipf makes it tiny).  Exact integers end-to-end:
     the inherent (lang, token) vocabulary shuffle (narrow rows) below
-    — driver combine under `RANK_DRIVER_MAX_ROWS` input rows, native
+    — driver combine under `COUNT_TABLE_DRIVER_MAX_ROWS` input rows, native
     Sum groupby above — reduces to a per-lang COUNTS-OF-COUNTS table
     (≤ #distinct frequencies rows, log-scale under Zipf), and the
     crossing walk picks full count-buckets plus the exact partial take
@@ -4309,7 +3937,7 @@ def vocab_coverage_topp(sf_dir: str, pct: int = 90):
 
     parts_ds = ds.map_batches(lt_partial, batch_format="pyarrow")
     n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
+    if n_rows is not None and n_rows <= COUNT_TABLE_DRIVER_MAX_ROWS:
         vocab = (_parts_pandas(parts_ds, {"lang": object,
                                           "token": object,
                                           "cnt": np.int64})
@@ -4425,72 +4053,6 @@ def bloom_fpr_report(sf_dir: str, n_probes: int = 200_000):
     for c in ["m", "hash_num", "n_distinct", "n_hits", "n_probes"]:
         out[c] = out[c].astype(np.int64)
     return out.sort_values("filter_id").reset_index(drop=True)
-
-
-def knn_label_accuracy(sf_dir: str, k: int = 5, n_eval: int = 500):
-    """k-NN LABEL-VOTE ACCURACY — the standard embedding-quality eval:
-    each of the first ``n_eval`` vectors (by id; the bounded eval
-    sample) retrieves its k nearest corpus neighbours (cosine, self
-    excluded), majority label vote (ties → smallest label), scored
-    against the true label; per-label n / correct / accuracy.  The
-    corpus side STREAMS — one broadcast (q, d) query matrix, one
-    matmul + local top-k per block, per-query k-sized reduce
-    (`brute_force_topk_multi`); only the eval sample is bounded.
-    Neighbour ranks use the 6-dp-rounded similarity (tie → id) so a
-    last-ulp engine difference cannot flip a rank — same contract as
-    the retrieval oracles."""
-    from biobloom_ray.io import hash_join
-    from biobloom_ray.stages.ann import brute_force_topk_multi
-
-    ds = _read(sf_dir, "embeddings",
-               columns=["vec_id", "embedding", "label"])
-    # the eval sample is bounded by construction (map-side id filter);
-    # only these n_eval vectors ever materialize with payloads
-    qdf = (ds.map_batches(
-        lambda b: b.filter(pc.less(b["vec_id"], n_eval)),
-        batch_format="pyarrow").to_pandas().sort_values("vec_id"))
-    Q = np.stack(qdf.embedding.to_numpy())
-    qids = qdf.vec_id.to_numpy(np.int64)
-
-    # fetch a +9 margin beyond self+k so a 6-dp-rounded tie spanning
-    # the raw top-k cut cannot change the rounded-rank selection below
-    cand_ds = brute_force_topk_multi(ds, Q, qids, k=k + 10)
-    labels = ds.select_columns(["vec_id", "label"])
-    n_rows = _cheap_count(ds)
-    if n_rows is not None and n_rows <= RANK_DRIVER_MAX_ROWS:
-        meta = labels.to_pandas()
-        label_of = dict(zip(meta.vec_id.astype(np.int64),
-                            meta.label.astype(np.int64)))
-        cand = cand_ds.to_pandas()
-        cand["nl"] = cand.vec_id.map(label_of).astype(np.int64)
-    else:
-        cand = hash_join(
-            cand_ds, labels.map_batches(
-                lambda b: pa.table({
-                    "vid2": b["vec_id"].cast(pa.int64()),
-                    "nl": b["label"].cast(pa.int64())}),
-                batch_format="pyarrow"),
-            on=("vec_id",), right_on=("vid2",)).to_pandas()
-        label_of = dict(zip(qdf.vec_id.astype(np.int64),
-                            qdf.label.astype(np.int64)))
-    cand = cand[cand.query_id != cand.vec_id]
-    cand["key"] = cand.cos_sim.round(6)
-    cand = (cand.sort_values(["query_id", "key", "vec_id"],
-                             ascending=[True, False, True])
-            .groupby("query_id").head(k))
-    votes = (cand.groupby(["query_id", "nl"], as_index=False)
-             .size().rename(columns={"size": "v"}))
-    votes = (votes.sort_values(["query_id", "v", "nl"],
-                               ascending=[True, False, True])
-             .groupby("query_id").head(1))
-    votes["true_label"] = votes.query_id.map(label_of).astype(np.int64)
-    votes["ok"] = (votes.nl == votes.true_label).astype(np.int64)
-    out = (votes.groupby("true_label", as_index=False)
-           .agg(n_eval=("ok", "size"), n_correct=("ok", "sum")))
-    out["n_eval"] = out.n_eval.astype(np.int64)
-    out["n_correct"] = out.n_correct.astype(np.int64)
-    out["accuracy_r6"] = (out.n_correct / out.n_eval).round(6)
-    return out.sort_values("true_label").reset_index(drop=True)
 
 
 def dup_cluster_representatives(sf_dir: str):
@@ -4874,66 +4436,6 @@ def curation_partition_metrics(sf_dir: str):
     for c in rep.columns:
         rep[c] = rep[c].astype(np.int64)
     return rep.sort_values("part_id").reset_index(drop=True)
-
-
-def kmeans_quality_report(sf_dir: str, k: int = 8, iters: int = 6):
-    """CLUSTER-QUALITY (silhouette-lite) report for the distributed
-    spherical k-means: per cluster — size, mean cosine to the OWN
-    centroid (cohesion), mean cosine to the nearest OTHER centroid
-    (separation), and their gap (positive = separated clusters).  One
-    extra map-only pass over the corpus with the k·dim centroid matrix
-    broadcast; per-block partials are ×2^40 FIXED-POINT int64 sums per
-    cluster (integer addition is associative, so the report is
-    bit-identical under any partitioning — same contract as the
-    k-means itself).  No SQL twin (list column + pipeline-owned
-    centroids); the pytest twin recomputes in numpy."""
-    import ray
-
-    from biobloom_ray.stages.ann import (_matrix, _normalize_rows,
-                                         embedding_kmeans)
-
-    emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    _assigns, cent = embedding_kmeans(emb, k=k, iters=iters)
-    cent_ref = ray.put(cent)
-    FP = np.int64(1) << np.int64(40)
-
-    def partial(b: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        m = _normalize_rows(_matrix(b["embedding"]))
-        sims = m @ c.T                      # (n, k)
-        own = np.argmax(sims, axis=1)
-        own_sim = sims[np.arange(len(m)), own]
-        sims[np.arange(len(m)), own] = -np.inf
-        other_sim = sims.max(axis=1)
-        q_own = np.round(own_sim * float(FP)).astype(np.int64)
-        q_oth = np.round(other_sim * float(FP)).astype(np.int64)
-        n = np.bincount(own, minlength=len(c))
-        s_own = np.zeros(len(c), np.int64)
-        s_oth = np.zeros(len(c), np.int64)
-        np.add.at(s_own, own, q_own)
-        np.add.at(s_oth, own, q_oth)
-        nz = np.nonzero(n)[0]
-        return pa.table({
-            "cluster": pa.array(nz.astype(np.int64)),
-            "n": pa.array(n[nz].astype(np.int64)),
-            "s_own": pa.array(s_own[nz]),
-            "s_oth": pa.array(s_oth[nz])})
-
-    p = (_parts_pandas(emb.map_batches(partial,
-                                       batch_format="pyarrow"),
-                       {"cluster": np.int64, "n": np.int64,
-                        "s_own": np.int64, "s_oth": np.int64})
-         .groupby("cluster", as_index=False)
-         [["n", "s_own", "s_oth"]].sum())
-    fp = float(FP)
-    p["cohesion_r6"] = (p.s_own / fp / p.n).round(6)
-    p["separation_r6"] = (p.s_oth / fp / p.n).round(6)
-    p["silhouette_r6"] = ((p.s_own - p.s_oth) / fp / p.n).round(6)
-    out = p[["cluster", "n", "cohesion_r6", "separation_r6",
-             "silhouette_r6"]].copy()
-    for c in ["cluster", "n"]:
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("cluster").reset_index(drop=True)
 
 
 def curation_neardup_summary(sf_dir: str):

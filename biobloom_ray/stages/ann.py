@@ -1,14 +1,7 @@
-"""Similarity search over embedding columns (graft additions).
+"""Embedding near-dup pairs by random-hyperplane (SimHash-family) LSH.
 
-- brute-force cosine top-k: per-batch numpy matmul against a broadcast
-  query matrix, local top-k per block, then a tiny global sort — the
-  exact baseline;
-- LSH-bucketed near-dup: random-hyperplane signatures bucket vectors,
-  exact cosine verifies within buckets — the scale path (candidates
-  shuffle, never the full cross product);
-- IVF top-k: deterministic k-means (seeded sample on the driver, Lloyd
-  iterations) → assignment via map_batches → probe the nearest
-  ``n_probe`` lists only.
+Hyperplane signatures bucket vectors, exact cosine verifies within
+buckets — candidates shuffle, never the full cross product.
 """
 
 from __future__ import annotations
@@ -42,52 +35,6 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-def _topk_ties(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the exact per-block top-k by (sim DESC, id ASC).
-
-    Selects ALL rows tied with the k-th similarity before ordering, so a
-    block full of identical vectors cannot drop the lowest-id ties that
-    the global (oracle) order would keep — argpartition alone chooses
-    arbitrarily among ties.
-    """
-    n = len(sims)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n <= k:
-        return np.lexsort((ids, -sims))
-    kth = np.partition(-sims, k - 1)[k - 1]   # k-th largest (negated)
-    sel = np.nonzero(-sims <= kth)[0]         # all rows ≥ k-th sim value
-    order = sel[np.lexsort((ids[sel], -sims[sel]))][:k]
-    return order
-
-
-def brute_force_topk(ds, query_vec: np.ndarray, k: int = 10,
-                     emb_col: str = "embedding", id_col: str = "vec_id"):
-    """Exact cosine top-k of one query vector.
-
-    map_batches: cosine per row (vectorized dot), keep each block's local
-    top-k only → global ``sort(desc).limit(k)`` over ≤ k·n_blocks rows.
-    Ties broken by ascending id (deterministic).
-    """
-    import ray
-    q = np.asarray(query_vec, dtype=np.float64)
-    q = q / (np.linalg.norm(q) or 1.0)
-    q_ref = ray.put(q)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qv = ray.get(q_ref)
-        m = _normalize_rows(_matrix(batch[emb_col]))
-        sims = m @ qv
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        order = _topk_ties(sims, ids, k)
-        return pa.table({id_col: pa.array(ids[order]),
-                         "cos_sim": pa.array(sims[order])})
-
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-    top = cand.sort(["cos_sim", id_col], descending=[True, False]).limit(k)
-    return top
-
-
 class HyperplaneLSH:
     """Deterministic random-hyperplane signatures for cosine LSH."""
 
@@ -110,9 +57,17 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
     in-bucket verification.  n_bits trades recall (P[same bucket] =
     (1 − θ/π)^n_bits) for bucket size; pairs in no common bucket are
     missed — the documented approximation."""
+
+    def _empty() -> pd.DataFrame:
+        return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
+                             "id_b": pd.Series(dtype="int64"),
+                             "cos_sim": pd.Series(dtype="float64")})
+
     if dim is None:
-        first = ds.take(1)[0][emb_col]
-        dim = len(first)
+        first = ds.take(1)
+        if not first:
+            return _empty()
+        dim = len(first[0][emb_col])
     lsh = HyperplaneLSH(dim, n_bits)
     import ray
     lsh_ref = ray.put(lsh)
@@ -127,11 +82,6 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
             id_col: batch[id_col],
             "emb": pa.FixedSizeListArray.from_arrays(flat, m.shape[1]),
         })
-
-    def _empty() -> pd.DataFrame:
-        return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                             "id_b": pd.Series(dtype="int64"),
-                             "cos_sim": pd.Series(dtype="float64")})
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy()
@@ -160,304 +110,3 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
         return _empty()
     return (out.sort_values(["id_a", "id_b"], kind="stable")
             .reset_index(drop=True))
-
-
-def ivf_topk(ds, query_vec: np.ndarray, k: int = 10, n_lists: int = 16,
-             n_probe: int = 4, emb_col: str = "embedding",
-             id_col: str = "vec_id", train_sample: int = 2048,
-             seed: int = 0x1F5):
-    """IVF approximate top-k: coarse k-means centroids (fit on a seeded
-    driver-side sample), vectors assigned to nearest list via
-    map_batches, query probes only the ``n_probe`` nearest lists."""
-    import ray
-    q = np.asarray(query_vec, dtype=np.float64)
-    q = q / (np.linalg.norm(q) or 1.0)
-
-    sample = ds.random_sample(1.0, seed=seed).limit(train_sample).to_pandas()
-    train = _normalize_rows(np.stack(sample[emb_col].to_numpy()).astype(np.float64))
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    n_lists = min(n_lists, len(train))
-    cent = train[rng.choice(len(train), n_lists, replace=False)]
-    for _ in range(8):  # Lloyd iterations on the sample
-        assign = np.argmax(train @ cent.T, axis=1)
-        for c in range(n_lists):
-            sel = assign == c
-            if sel.any():
-                v = train[sel].mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cent[c] = v / n
-    probe = np.argsort(-(cent @ q))[:n_probe]
-    probe_set = set(int(x) for x in probe)
-    cent_ref = ray.put(cent)
-    q_ref = ray.put(q)
-
-    def local(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        qv = ray.get(q_ref)
-        m = _normalize_rows(_matrix(batch[emb_col]))
-        assign = np.argmax(m @ c.T, axis=1)
-        sel = np.isin(assign, list(probe_set))
-        ids = batch[id_col].to_numpy(zero_copy_only=False)[sel]
-        sims = (m[sel] @ qv)
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.table({id_col: pa.array(ids[order]),
-                         "cos_sim": pa.array(sims[order])})
-
-    cand = ds.map_batches(local, batch_format="pyarrow")
-    return cand.sort(["cos_sim", id_col], descending=[True, False]).limit(k)
-
-
-def brute_force_topk_multi(ds, query_mat: np.ndarray, query_ids,
-                           k: int = 10, emb_col: str = "embedding",
-                           id_col: str = "vec_id"):
-    """Exact cosine top-k for a BATCH of query vectors at once — the
-    batched-inference shape: one broadcast (q, d) matrix, one matmul per
-    block, local top-k per query, tiny global per-query reduce.
-
-    Returns a Dataset (query_id, vec_id, cos_sim), k rows per query,
-    ties broken by ascending id.
-    """
-    import ray
-
-    Q = _normalize_rows(np.asarray(query_mat, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    q_ref = ray.put((Q, qids))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        Qm, qi = ray.get(q_ref)
-        m = _normalize_rows(_matrix(batch[emb_col]))
-        sims = m @ Qm.T                       # (n, q)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        out_q, out_id, out_s = [], [], []
-        for j in range(sims.shape[1]):
-            s = sims[:, j]
-            order = _topk_ties(s, ids, k)
-            out_q.append(np.full(len(order), qi[j], dtype=np.int64))
-            out_id.append(ids[order])
-            out_s.append(s[order])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            id_col: pa.array(np.concatenate(out_id)),
-            "cos_sim": pa.array(np.concatenate(out_s)),
-        })
-
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-
-    def per_query_topk(g: pa.Table) -> pa.Table:
-        s = g["cos_sim"].to_numpy(zero_copy_only=False)
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -s))[:k]
-        return pa.table({
-            "query_id": pa.array(
-                np.full(len(order), g["query_id"][0].as_py(),
-                        dtype=np.int64)),
-            id_col: pa.array(ids[order]),
-            "cos_sim": pa.array(s[order]),
-        })
-
-    return (cand.groupby("query_id")
-            .map_groups(per_query_topk, batch_format="pyarrow"))
-
-
-#: input-row gate for embedding_kmeans' driver tier: below it the
-#: normalized matrix collects once (~100k x 64 float64 = 50 MB) and the
-#: Lloyd loop runs locally with the same fixed-point arithmetic
-KMEANS_DRIVER_MAX_ROWS = 100_000
-
-
-def embedding_kmeans(ds, k: int = 8, iters: int = 10,
-                     emb_col: str = "embedding", id_col: str = "vec_id",
-                     train_sample: int = 2048, seed: int = 0x6B3A):
-    """Distributed spherical k-means over an embedding column — the
-    data-curation clustering staple (cluster-balanced sampling, near-dup
-    cluster audit, topic bucketing).
-
-    Shape: seeded driver k-means on a bounded sample initializes the
-    centroids (same pattern as ivf_topk's coarse quantizer), then each
-    Lloyd iteration is ONE map_batches pass producing per-block partial
-    (sum, count) rows per centroid — at most ``k`` rows leave any block
-    — with the centroid update on the driver (k·dim floats, constant).
-    The final assignment pass streams.  Deterministic for a fixed seed
-    under any partitioning: the init sample is hash-canonical, partial
-    sums are ×2^40 fixed-point int64 (integer addition is associative,
-    so the reduction is bit-identical under any block layout), and
-    every assignment uses argmax with ties to the lowest centroid id.
-
-    Tiered like the other operators: below ``KMEANS_DRIVER_MAX_ROWS``
-    input rows the matrix collects once and every Lloyd iteration runs
-    locally with the SAME fixed-point arithmetic — bit-identical to the
-    distributed loop by construction, without ``iters`` Dataset passes.
-
-    Returns (assignments Dataset with columns id/cluster/cos_sim,
-    centroids ndarray (k, dim))."""
-    import ray
-
-    from biobloom_ray.io import cheap_count
-
-    from biobloom_ray.hashing import splitmix64
-
-    # partitioning-INVARIANT init sample: the train_sample rows with the
-    # smallest splitmix64(id + seed) — per-block local top-n, canonical
-    # (hash, id) driver reduce; random_sample().limit() would pick
-    # block-order-dependent rows and break rebuild determinism
-    def local_sample(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            h = splitmix64(ids.astype(np.uint64) + np.uint64(seed))
-        order = np.argsort(h, kind="stable")[:train_sample]
-        return pa.table({
-            "_h": pa.array(h[order].astype(np.uint64)),
-            "_id": pa.array(ids[order]),
-            emb_col: b[emb_col].take(pa.array(order)),
-        })
-
-    sample = (ds.map_batches(local_sample, batch_format="pyarrow")
-              .to_pandas())
-    sample = (sample.sort_values(["_h", "_id"], kind="stable")
-              .head(train_sample))
-    if len(sample) == 0:  # empty input: no centroids, no assignments
-        import ray as _ray
-        empty = pa.table({
-            id_col: pa.array([], type=pa.int64()),
-            "cluster": pa.array([], type=pa.int64()),
-            "cos_sim": pa.array([], type=pa.float64())})
-        return _ray.data.from_arrow(empty), np.empty((0, 0))
-    train = _normalize_rows(
-        np.stack(sample[emb_col].to_numpy()).astype(np.float64))
-    k = min(k, len(train))
-    # deterministic farthest-point init (k-means++-style, no RNG):
-    # start from the canonical first sample row, then repeatedly add the
-    # point least similar to every chosen centroid — avoids the merged/
-    # split local optima of uniform random seeding on separated data
-    cent_idx = [0]
-    best_sim = train @ train[0]
-    for _ in range(k - 1):
-        nxt = int(np.argmin(best_sim))
-        cent_idx.append(nxt)
-        best_sim = np.maximum(best_sim, train @ train[nxt])
-    cent = train[cent_idx]
-    for _ in range(4):  # warm-start on the sample
-        assign = np.argmax(train @ cent.T, axis=1)
-        for c in range(k):
-            sel = assign == c
-            if sel.any():
-                v = train[sel].mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cent[c] = v / n
-
-    dim = cent.shape[1]
-    FP0 = np.int64(1) << np.int64(40)
-
-    n_rows = cheap_count(ds)
-    if n_rows is not None and n_rows <= KMEANS_DRIVER_MAX_ROWS:
-        # driver tier: one collect, same fixed-point updates per iter
-        mats, idparts = [], []
-        for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-            mats.append(_normalize_rows(_matrix(b[emb_col])))
-            idparts.append(b[id_col].to_numpy(zero_copy_only=False))
-        M = np.concatenate(mats) if mats else np.empty((0, dim))
-        for _ in range(iters):
-            assign = np.argmax(M @ cent.T, axis=1)
-            q = np.round(M * float(FP0)).astype(np.int64)
-            isums = np.zeros((k, dim), dtype=np.int64)
-            np.add.at(isums, assign, q)
-            counts = np.bincount(assign, minlength=k)
-            sums = isums.astype(np.float64) / float(FP0)
-            newc = cent.copy()
-            moved = counts > 0
-            norms = np.linalg.norm(sums[moved], axis=1)
-            ok = norms > 0
-            idx = np.nonzero(moved)[0][ok]
-            newc[idx] = sums[idx] / norms[ok][:, None]
-            if np.allclose(newc, cent, atol=1e-12):
-                cent = newc
-                break
-            cent = newc
-        cent_ref = ray.put(cent)
-
-        def assign_local(batch: pa.Table) -> pa.Table:
-            c = ray.get(cent_ref)
-            m = _normalize_rows(_matrix(batch[emb_col]))
-            sims = m @ c.T
-            a = np.argmax(sims, axis=1)
-            best = sims[np.arange(len(m)), a]
-            return pa.table({
-                id_col: batch[id_col],
-                "cluster": pa.array(a.astype(np.int64)),
-                "cos_sim": pa.array(best, type=pa.float64()),
-            })
-
-        return ds.map_batches(assign_local, batch_format="pyarrow"), cent
-
-    for _ in range(iters):
-        cent_ref = ray.put(cent)
-
-        # FIXED-POINT partial sums (×2^40, int64): float addition is not
-        # associative, so per-block float partials would make centroids
-        # depend on the partitioning at the ulp level; integer addition
-        # is, so the reduction is bit-identical under any block layout
-        # (precision loss 2^-40 per component — far below float64 noise)
-        FP = np.int64(1) << np.int64(40)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(cent_ref)
-            m = _normalize_rows(_matrix(batch[emb_col]))
-            assign = np.argmax(m @ c.T, axis=1)
-            q = np.round(m * float(FP)).astype(np.int64)
-            sums = np.zeros((len(c), m.shape[1]), dtype=np.int64)
-            np.add.at(sums, assign, q)
-            counts = np.bincount(assign, minlength=len(c))
-            nz = np.nonzero(counts)[0]
-            flat = pa.array(sums[nz].reshape(-1), type=pa.int64())
-            return pa.table({
-                "cluster": pa.array(nz.astype(np.int64)),
-                "n": pa.array(counts[nz].astype(np.int64)),
-                "vsum": pa.FixedSizeListArray.from_arrays(flat,
-                                                          m.shape[1]),
-            })
-
-        isums = np.zeros((k, dim), dtype=np.int64)
-        counts = np.zeros(k, dtype=np.int64)
-        for blk in (ds.map_batches(partial, batch_format="pyarrow")
-                    .iter_batches(batch_size=None,
-                                  batch_format="pyarrow")):
-            cl = blk["cluster"].to_numpy(zero_copy_only=False)
-            n = blk["n"].to_numpy(zero_copy_only=False)
-            col = blk["vsum"]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            # int64 list values read WITHOUT a float64 round-trip
-            # (_matrix would truncate >2^53 sums)
-            vs = (col.flatten().to_numpy(zero_copy_only=False)
-                  .astype(np.int64).reshape(-1, dim))
-            np.add.at(isums, cl, vs)
-            np.add.at(counts, cl, n)
-        sums = isums.astype(np.float64) / float(FP)
-        moved = counts > 0
-        newc = cent.copy()
-        norms = np.linalg.norm(sums[moved], axis=1)
-        ok = norms > 0
-        idx = np.nonzero(moved)[0][ok]
-        newc[idx] = sums[idx] / norms[ok][:, None]
-        if np.allclose(newc, cent, atol=1e-12):
-            cent = newc
-            break
-        cent = newc
-
-    cent_ref = ray.put(cent)
-
-    def assign_batch(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        m = _normalize_rows(_matrix(batch[emb_col]))
-        sims = m @ c.T
-        assign = np.argmax(sims, axis=1)
-        best = sims[np.arange(len(m)), assign]
-        return pa.table({
-            id_col: batch[id_col],
-            "cluster": pa.array(assign.astype(np.int64)),
-            "cos_sim": pa.array(best, type=pa.float64()),
-        })
-
-    return ds.map_batches(assign_batch, batch_format="pyarrow"), cent

@@ -22,7 +22,8 @@ Every variant is expressed Ray-Data-first:
                  band rows, so no verifier is needed
 - n-gram       — MinHash candidates → exact shingle-set Jaccard or
                  containment through the pair verifier
-- embedding    — see :mod:`biobloom_ray.stages.ann`
+- embedding    — random-hyperplane LSH buckets → exact in-bucket cosine
+                 verify, in :mod:`biobloom_ray.stages.ann`
 
 Two kernels are shared by every LSH path:
 

@@ -1,4 +1,5 @@
-"""Training-data pipeline operators: dedup variants, text stats, ANN."""
+"""Training-data pipeline operators: dedup variants, text stats,
+embedding near-dup."""
 
 import numpy as np
 import pandas as pd
@@ -15,7 +16,7 @@ from biobloom_ray.sketches.minhash import (
 )
 from biobloom_ray.sketches.simhash import hamming_distance, simhash_fingerprints
 from biobloom_ray.hashing import shingle_hashes
-from biobloom_ray.stages.ann import brute_force_topk, embedding_neardup_pairs, ivf_topk
+from biobloom_ray.stages.ann import embedding_neardup_pairs
 from biobloom_ray.stages.dedup import (
     exact_dedup,
     minhash_dedup,
@@ -172,29 +173,24 @@ class TestANN:
                         "embedding": pa.FixedSizeListArray.from_arrays(flat, 32)})
         return ray.data.from_arrow(tbl), m
 
-    def test_brute_force_matches_numpy(self, emb_ds):
-        ds, m = emb_ds
-        q = m[0]
-        top = brute_force_topk(ds, q, k=5).to_pandas()
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
-        sims = mn @ (q / np.linalg.norm(q))
-        want = np.lexsort((np.arange(len(sims)), -sims))[:5]
-        assert top.vec_id.tolist() == want.tolist()
-
-    def test_ivf_recall(self, emb_ds):
-        ds, m = emb_ds
-        q = m[0]
-        exact = set(brute_force_topk(ds, q, k=10).to_pandas().vec_id)
-        approx = set(ivf_topk(ds, q, k=10, n_lists=8, n_probe=4,
-                              train_sample=400).to_pandas().vec_id)
-        assert len(exact & approx) >= 6  # recall >= 0.6 with 4/8 probes
-
     def test_embedding_neardup(self, emb_ds):
         ds, m = emb_ds
         pairs = embedding_neardup_pairs(ds, threshold=0.95, n_bits=8)
         found = set(zip(pairs.id_a, pairs.id_b))
         assert (0, 1) in found
         assert (2, 3) in found
+
+    def test_embedding_neardup_empty_input(self, ray_session):
+        """A 0-row table returns the typed empty frame whether the
+        vector width is given or inferred from a first row."""
+        tbl = pa.table({
+            "vec_id": pa.array([], type=pa.int64()),
+            "embedding": pa.array([], type=pa.list_(pa.float64()))})
+        for dim in (None, 4):
+            out = embedding_neardup_pairs(ray.data.from_arrow(tbl), dim=dim)
+            assert len(out) == 0
+            assert out.dtypes.astype(str).to_dict() == {
+                "id_a": "int64", "id_b": "int64", "cos_sim": "float64"}
 
 
 def test_sig_matrix_honors_array_offset():
@@ -212,26 +208,6 @@ def test_sig_matrix_honors_array_offset():
         else col.slice(2, 3)
     part = _sig_matrix(sl, 16)
     assert np.array_equal(part, full[2:5])
-
-
-def test_ann_topk_tie_break_exact(ray_session):
-    """Blocks full of identical vectors: ties must resolve by ascending
-    id exactly like the SQL oracle's (sim DESC, id ASC) order."""
-    from biobloom_ray.stages.ann import brute_force_topk, brute_force_topk_multi
-
-    n = 200
-    emb = [[1.0, 0.0, 0.0]] * n          # all identical → all ties
-    tbl = pa.table({"vec_id": pa.array(range(n), type=pa.int64()),
-                    "embedding": pa.array(emb)})
-    ds = ray.data.from_arrow(tbl).repartition(4)
-    top = brute_force_topk(ds, np.array([1.0, 0.0, 0.0]), k=10).to_pandas()
-    assert top.vec_id.tolist() == list(range(10))
-    multi = brute_force_topk_multi(
-        ds, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        [100, 200], k=10).to_pandas()
-    got = multi[multi.query_id == 100].sort_values(
-        ["cos_sim", "vec_id"], ascending=[False, True]).vec_id.tolist()
-    assert got == list(range(10))
 
 
 def test_minhash_empty_docs_never_pair(ray_session):
@@ -465,75 +441,6 @@ def test_segment_gather_property():
         assert lens.tolist() == [len(segs[i]) for i in idx]
 
     run()
-
-
-class TestEmbeddingKMeans:
-    def test_clusters_recover_planted_structure(self, ray_session):
-        """Planted well-separated directions (the sf fixture's label
-        column carries no geometric structure — measured within-label
-        cosine ≈ cross-label ≈ 0): spherical k-means at k = n_planted
-        must recover them with high majority purity."""
-        import pandas as pd
-
-        import ray.data
-
-        from biobloom_ray.stages.ann import embedding_kmeans
-
-        rng = np.random.default_rng(17)
-        K, dim, per = 6, 32, 80
-        centers = rng.standard_normal((K, dim))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        rows, labels = [], []
-        for c in range(K):
-            pts = centers[c] + 0.15 * rng.standard_normal((per, dim))
-            rows.extend(pts.tolist())
-            labels.extend([c] * per)
-        tbl = pa.table({
-            "vec_id": pa.array(range(K * per), type=pa.int64()),
-            "embedding": pa.array(rows,
-                                  type=pa.list_(pa.float32())),
-        })
-        emb = ray.data.from_arrow(tbl)
-        assigns, cent = embedding_kmeans(emb, k=K, iters=8)
-        df = assigns.to_pandas()
-        df["label"] = np.array(labels)[df.vec_id.to_numpy()]
-        purity = (df.groupby("cluster").label
-                  .agg(lambda s: s.value_counts().iloc[0]).sum()) / len(df)
-        assert purity > 0.95
-        assert cent.shape == (K, dim)
-
-    def test_deterministic_under_partitioning(self, ray_session):
-        import ray.data
-
-        from biobloom_ray.io import read_parquet as _rp
-        from biobloom_ray.stages.ann import embedding_kmeans
-
-        sf = "/root/testdata/sf0.01"
-        emb = _rp(f"{sf}/embeddings.parquet",
-                  columns=["vec_id", "embedding"])
-        a, ca = embedding_kmeans(emb, k=5, iters=5)
-        b, cb = embedding_kmeans(emb.repartition(7), k=5, iters=5)
-        assert np.array_equal(ca, cb)  # bit-identical centroids
-        pa_ = a.to_pandas().sort_values("vec_id").reset_index(drop=True)
-        pb_ = b.to_pandas().sort_values("vec_id").reset_index(drop=True)
-        assert (pa_.cluster.to_numpy() == pb_.cluster.to_numpy()).all()
-
-
-def test_kmeans_tiers_agree(ray_session, monkeypatch):
-    """Driver tier and distributed Lloyd loop must give bit-identical
-    centroids and assignments (fixed-point reduction)."""
-    import biobloom_ray.stages.ann as ANN
-    from biobloom_ray.io import read_parquet as _rp
-
-    sf = "/root/testdata/sf0.01"
-    emb = _rp(f"{sf}/embeddings.parquet", columns=["vec_id", "embedding"])
-    a, ca = ANN.embedding_kmeans(emb, k=5, iters=5)
-    monkeypatch.setattr(ANN, "KMEANS_DRIVER_MAX_ROWS", 0)
-    b, cb = ANN.embedding_kmeans(emb, k=5, iters=5)
-    assert np.array_equal(ca, cb)
-    pa_ = a.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    pb_ = b.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    assert (pa_.cluster.to_numpy() == pb_.cluster.to_numpy()).all()
 
 
 # -- repetition stats + decontamination ---------------------------------------

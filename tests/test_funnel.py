@@ -53,7 +53,7 @@ def test_contamination_topk_tiers_agree(ray_session, monkeypatch):
     import biobloom_ray.pipelines.analytics as A
 
     fast = A.contamination_topk(SF_DIR)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow = A.contamination_topk(SF_DIR)[list(fast.columns)]
     assert len(fast) > 0 and fast.equals(slow)
     # occurrences bound docs from above, both positive
@@ -67,7 +67,7 @@ def test_dup_histogram_tiers_agree_and_totals(ray_session, monkeypatch):
     import biobloom_ray.pipelines.analytics as A
 
     fast = A.dup_group_size_histogram(SF_DIR)
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow = A.dup_group_size_histogram(SF_DIR)[list(fast.columns)]
     assert len(fast) > 0 and fast.equals(slow)
     import pyarrow.parquet as pq

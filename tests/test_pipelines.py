@@ -420,19 +420,6 @@ def test_token_freq_histogram_mass_conservation(ray_session):
     assert out.freq.is_monotonic_increasing
 
 
-def test_inverted_index_postings_sorted_and_banded(ray_session):
-    import biobloom_ray.pipelines.analytics as A
-
-    out = A.inverted_index("/root/testdata/sf0.001")
-    assert len(out) > 0
-    assert (out.df >= A.INVIDX_MIN_DF).all()
-    assert (out.df <= A.INVIDX_MAX_DF).all()
-    for _, r in out.head(50).iterrows():
-        ids = [int(x) for x in r.postings.split(",")]
-        assert ids == sorted(ids)
-        assert len(ids) == len(set(ids)) == r.df
-
-
 def test_hash_join_sparse_right_side(ray_session):
     """Inner hash_join whose right side survives filtering with so few
     rows that some hash partitions receive NOTHING: Ray 2.49's stock
@@ -479,43 +466,6 @@ def test_join_guard_installed():
     assert J.JoiningShuffleAggregation is io._GuardedJoinAggregation
 
 
-def test_bm25_topk_ranking_and_brute_force(ray_session):
-    import re
-
-    import biobloom_ray.pipelines.analytics as A
-
-    out = A.bm25_topk("/root/testdata/sf0.001")
-    assert len(out) == A.BM25_TOPK
-    # ranking key is (rounded score desc, doc_id asc)
-    keys = list(zip(-out.bm25_r6, out.doc_id))
-    assert keys == sorted(keys)
-
-    # brute-force recomputation in pandas over the whole fixture
-    docs = pd.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                           columns=["doc_id", "text"])
-    toks = docs.text.map(lambda s: re.findall(r"\S+", s))
-    dl = toks.map(len).to_numpy()
-    N, T = len(docs), int(dl.sum())
-    scores = {}
-    for term in A.BM25_QUERY_TERMS:
-        tf = toks.map(lambda ts: ts.count(term)).to_numpy()
-        df = int((tf > 0).sum())
-        idf = np.log(2.0 * (N + 1)) - np.log(2.0 * df + 1)
-        hit = tf > 0
-        contrib = idf * (22.0 * (tf[hit] * T)) / (
-            10 * T * tf[hit] + 3 * T + 9 * dl[hit] * N)
-        for d, c in zip(docs.doc_id.to_numpy()[hit], contrib):
-            scores[d] = scores.get(d, 0.0) + c
-    exp = pd.DataFrame({"doc_id": list(scores),
-                        "bm25_r6": np.round(list(scores.values()), 6)})
-    exp = exp.sort_values(["bm25_r6", "doc_id"],
-                          ascending=[False, True]).head(A.BM25_TOPK)
-    got = out.set_index("doc_id").bm25_r6
-    want = exp.set_index("doc_id").bm25_r6
-    assert set(got.index) == set(want.index)
-    assert np.allclose(got.sort_index(), want.sort_index(), atol=1e-6)
-
-
 def test_source_mix_sample_caps_sources(ray_session):
     import biobloom_ray.pipelines.analytics as A
 
@@ -556,15 +506,6 @@ def test_epoch_shuffle_head_deterministic_and_seeded(ray_session):
     # a different seed gives a different permutation
     other = A.epoch_shuffle_head("/root/testdata/sf0.001", seed=99)
     assert other.doc_id.tolist() != out.doc_id.tolist()
-
-
-def test_inverted_index_tiers_agree(ray_session, monkeypatch):
-    import biobloom_ray.pipelines.analytics as A
-
-    drv = A.inverted_index("/root/testdata/sf0.001")
-    monkeypatch.setattr(A, "INVIDX_DRIVER_MAX_ROWS", 0)
-    clu = A.inverted_index("/root/testdata/sf0.001")
-    pd.testing.assert_frame_equal(drv, clu)
 
 
 def test_clean_corpus_composition_invariants(ray_session):
@@ -703,26 +644,6 @@ def test_u64_long_division_matches_bigint():
         assert got == want
 
     check()
-
-
-def test_inverted_index_cluster_tier_block_invariance(ray_session,
-                                                      monkeypatch):
-    """The cluster tier's block-postings assembly + driver stitch must
-    be invariant to block fragmentation of the sorted pair rows."""
-    import ray.data
-
-    import biobloom_ray.pipelines.analytics as A
-
-    monkeypatch.setattr(A, "INVIDX_DRIVER_MAX_ROWS", 0)
-    base = A.inverted_index("/root/testdata/sf0.001")
-    ctx = ray.data.DataContext.get_current()
-    old = ctx.target_max_block_size
-    try:
-        ctx.target_max_block_size = 16 * 1024
-        tiny = A.inverted_index("/root/testdata/sf0.001")
-    finally:
-        ctx.target_max_block_size = old
-    pd.testing.assert_frame_equal(base, tiny)
 
 
 def test_source_quality_gate_empty_kept_join_path(ray_session,
@@ -882,7 +803,7 @@ def test_round4_wave14_tiers_agree(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.01"
     fast_x = A.cross_lang_dup_matrix(sf)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
 
     slow_x = A.cross_lang_dup_matrix(sf)[list(fast_x.columns)]
 
@@ -890,19 +811,6 @@ def test_round4_wave14_tiers_agree(ray_session, monkeypatch):
     # matrix is unordered (lo <= hi) and totals the pair count
     assert (fast_x.lang_lo <= fast_x.lang_hi).all()
 
-
-def test_round4_wave20_tiers_agree(ray_session, monkeypatch):
-    """rrf_hybrid_topk (fusion of two existing distributed retrieval
-    stacks; membership/rank invariants)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_r = A.rrf_hybrid_topk(sf)
-
-    # fusion invariants: scores within the achievable RRF range
-    assert len(fast_r) == 10
-    assert (fast_r.rrf_r6 <= np.round(2 / 61, 6)).all()
-    assert (fast_r.rrf_r6 >= np.round(1 / 140, 6)).all()
 
 def test_round4_wave22_tiers_agree(ray_session):
     """weighted_sample_topk (block top-k prune proven against the
@@ -932,7 +840,7 @@ def test_round4_wave26_tiers_agree(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.01"
     fast_d = A.source_dup_report(sf)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow_d = A.source_dup_report(sf)[list(fast_d.columns)]
     assert len(fast_d) > 0 and fast_d.equals(slow_d)
     # rates bounded; drop totals match the kept-set complement
@@ -943,23 +851,6 @@ def test_round4_wave26_tiers_agree(ray_session, monkeypatch):
 
     kept = E.queries()["minhash_dedup_kept"](sf)
     assert fast_d.n_dropped.sum() == len(docs) - len(kept)
-
-
-def test_round4_wave29_tiers_agree(ray_session, monkeypatch):
-    """term_overlap_topk (driver pandas fold vs banded-vocab semi-join
-    + groupby(token) pair expansion + native Sum + per-group top-1)."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_o = A.term_overlap_topk(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_o = A.term_overlap_topk(sf)[list(fast_o.columns)]
-    assert len(fast_o) > 0 and fast_o.equals(slow_o)
-
-    # retrieval scores are positive exact ints; no self-matches
-    assert (fast_o["dot"] >= 1).all()
-    assert (fast_o.doc_id != fast_o.best_doc).all()
 
 
 def test_round4_wave31_tiers_agree(ray_session, monkeypatch):
@@ -1024,7 +915,7 @@ def test_round4_wave34_tiers_agree(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.01"
     fast_x = A.source_exclusive_tokens(sf)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow_x = A.source_exclusive_tokens(sf)[list(fast_x.columns)]
     assert len(fast_x) > 0 and fast_x.equals(slow_x)
 
@@ -1185,7 +1076,7 @@ def test_round4_wave51_tiers_agree(ray_session, monkeypatch):
     fast_tl = A.token_len_histogram(sf)
     fast_vg = A.vocab_growth_by_docs(sf)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow_tl = A.token_len_histogram(sf)[list(fast_tl.columns)]
     slow_vg = A.vocab_growth_by_docs(sf)[list(fast_vg.columns)]
     assert len(fast_tl) > 0 and fast_tl.equals(slow_tl)
@@ -1212,7 +1103,7 @@ def test_round4_wave57_tiers_agree(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.01"
     fast_in = A.incremental_dedup_report(sf)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow_in = A.incremental_dedup_report(sf)[list(fast_in.columns)]
     assert len(fast_in) > 0 and fast_in.equals(slow_in)
 
@@ -1243,7 +1134,7 @@ def test_round4_wave59_tiers_agree(ray_session, monkeypatch):
     fast_vc = A.vocab_coverage_topp(sf)
     rep = A.bloom_fpr_report(sf, n_probes=100_000)
 
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
     slow_vc = A.vocab_coverage_topp(sf)[list(fast_vc.columns)]
     assert len(fast_vc) == 5 and fast_vc.equals(slow_vc)
 
@@ -1273,42 +1164,6 @@ def test_round4_wave59_tiers_agree(ray_session, monkeypatch):
         assert obs <= max(p + 5 * sig, 10 / r.n_probes)
         assert obs <= r.configured_fpr + 5 * sig + 10 / r.n_probes
     assert (rep.n_probes == 100_000).all()
-
-
-def test_round4_wave60_tiers_agree(ray_session, monkeypatch):
-    """knn_label_accuracy: driver/broadcast tier vs the native-rollup
-    cluster tier, plus invariants."""
-    import biobloom_ray.pipelines.analytics as A
-
-    sf = "/root/testdata/sf0.01"
-    fast_knn = A.knn_label_accuracy(sf)
-
-    monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
-    slow_knn = A.knn_label_accuracy(sf)[list(fast_knn.columns)]
-    assert len(fast_knn) == 10 and fast_knn.equals(slow_knn)
-
-    # kNN: per-label eval counts equal the label histogram of the
-    # eval sample, and a direct numpy recomputation of the vote
-    # matches for every query
-    emb = pd.read_parquet(f"{sf}/embeddings.parquet")
-    hist = emb[emb.vec_id < 500].label.value_counts()
-    got = fast_knn.set_index("true_label").n_eval
-    assert (got == hist.sort_index()).all()
-    X = np.stack(emb.sort_values("vec_id").embedding.to_numpy())
-    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-    sims = np.round(Xn @ Xn.T, 6)
-    labels = emb.sort_values("vec_id").label.to_numpy()
-    correct = np.zeros(10, np.int64)
-    for q in range(500):
-        s = sims[q].copy()
-        s[q] = -np.inf
-        order = np.lexsort((np.arange(len(s)), -s))[:5]
-        votes = np.bincount(labels[order], minlength=10)
-        win = int(np.argmax(votes))  # argmax takes smallest on ties
-        if win == labels[q]:
-            correct[labels[q]] += 1
-    assert (fast_knn.set_index("true_label").n_correct.to_numpy()
-            == correct[fast_knn.true_label.to_numpy()]).all()
 
 
 def test_round4_wave61_tiers_agree(ray_session, monkeypatch):
@@ -1401,44 +1256,3 @@ def test_round4_wave66_sketch_calibration(ray_session):
     for r in cal.itertuples():
         target = -(-int(r.q * 1000) * n // 1000)
         assert r.exact == nch[target - 1]
-
-
-def test_round4_wave68_kmeans_quality(ray_session):
-    """kmeans_quality_report: numpy recomputation twin (exact to the
-    fixed-point contract), partition counts match the kmeans
-    assignments, and cohesion > separation for every cluster (the
-    centroid is by construction the best-matching one)."""
-    import biobloom_ray.io as io
-    import biobloom_ray.pipelines.analytics as A
-    from biobloom_ray.stages.ann import (_matrix, _normalize_rows,
-                                         embedding_kmeans)
-
-    sf = "/root/testdata/sf0.01"
-    rep = A.kmeans_quality_report(sf)
-    assert (rep.cohesion_r6 > rep.separation_r6).all()
-    assert (rep.silhouette_r6 > 0).all()
-
-    emb = io.read_parquet(f"{sf}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    assigns, cent = embedding_kmeans(emb, k=8, iters=6)
-    a = assigns.to_pandas()
-    got_n = rep.set_index("cluster").n
-    want_n = a.cluster.value_counts().sort_index()
-    assert (got_n == want_n).all()
-
-    ep = emb.to_pandas().sort_values("vec_id")
-    m = _normalize_rows(np.stack(ep.embedding.to_numpy())
-                        .astype(np.float64))
-    order = a.sort_values("vec_id").cluster.to_numpy()
-    sims = m @ cent.T
-    own_sim = sims[np.arange(len(m)), order]
-    sims[np.arange(len(m)), order] = -np.inf
-    other = sims.max(axis=1)
-    FP = float(np.int64(1) << np.int64(40))
-    q_own = np.round(own_sim * FP).astype(np.int64)
-    q_oth = np.round(other * FP).astype(np.int64)
-    df = pd.DataFrame({"c": order, "o": q_own, "t": q_oth})
-    g = df.groupby("c").agg(n=("o", "size"), so=("o", "sum"),
-                            st=("t", "sum"))
-    want = ((g.so - g.st) / FP / g.n).round(6)
-    assert (rep.set_index("cluster").silhouette_r6 == want).all()

@@ -2,7 +2,7 @@
 
 - ``contamination_topk`` on a corpus where no training document shares a
   benchmark trigram returns a typed empty table on both tiers, including
-  the native groupby tier behind ``RANK_DRIVER_MAX_ROWS``.
+  the native groupby tier behind ``COUNT_TABLE_DRIVER_MAX_ROWS``.
 - The curation chain (``clean_corpus`` and both funnels) picks the
   first-wins dedup winner by signed doc_id order, also for negative ids,
   and names a null ``lang`` / ``source`` column instead of failing
@@ -38,7 +38,7 @@ def test_contamination_topk_zero_hits_both_tiers(ray_session, monkeypatch):
                      "north south east west"],
         }).to_parquet(os.path.join(td, "documents.parquet"))
         folded = A.contamination_topk(td)
-        monkeypatch.setattr(A, "RANK_DRIVER_MAX_ROWS", 0)
+        monkeypatch.setattr(A, "COUNT_TABLE_DRIVER_MAX_ROWS", 0)
         native = A.contamination_topk(td)
     for out in (folded, native):
         assert len(out) == 0
